@@ -32,6 +32,7 @@ from .errors import (
 )
 from .integrator import (
     StepConfig,
+    final_state_error,
     fit_loglog_slope,
     integrate,
     linear_drift_slope,
@@ -40,6 +41,7 @@ from .integrator import (
 from .problems import harmonic_oscillator, kepler_2d, perturbed_pendulum
 from .quadrature import gauss_rule, lobatto_rule
 from .tableau import (
+    NAMED_METHODS,
     RknTableau,
     check_simplifying_discrete,
     classical_order_bound,
@@ -50,8 +52,6 @@ from .tableau import (
     named_tableau,
     save_tableau,
 )
-
-NAMED_METHODS = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b")
 
 DEFAULT_H_LIST = "0.2,0.1,0.05,0.025,0.0125,0.00625"
 
@@ -210,20 +210,10 @@ def convergence_report(
     """Errors at t_end per h against a fixed reference state; nan on
     divergence."""
     prob = _PROBLEMS[problem_name]()
-    q_ref = np.atleast_1d(np.asarray(reference[0], dtype=float))
-    p_ref = np.atleast_1d(np.asarray(reference[1], dtype=float))
     rows = []
     for h in h_values:
         try:
-            traj = integrate(tab, prob, t_end, StepConfig(h=h))
-            if traj.diverged:
-                raise StageDivergenceError("diverged", step_index=traj.failure_step)
-            err = float(
-                max(
-                    np.abs(traj.q[-1] - q_ref).max(),
-                    np.abs(traj.p[-1] - p_ref).max(),
-                )
-            )
+            err = final_state_error(tab, prob, t_end, StepConfig(h=h), reference)
         except StageDivergenceError:
             err = math.nan
         rows.append((h, err))

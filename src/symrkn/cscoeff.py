@@ -25,10 +25,11 @@ from .legendre import MAX_DEGREE, default_transform, eval_legendre_all
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
 
-#: Search cap for the largest satisfied moment-condition index.
+#: Search cap for the largest satisfied moment-condition index, here and in
+#: the tableau module's discrete simplifying-assumption search.
 SEARCH_CAP = 13
 
-#: Residual threshold separating pass from fail in the index search.
+#: Residual threshold separating pass from fail in both index searches.
 SEARCH_TOL = 1e-10
 
 #: Residual threshold for a definite pass of a single condition.

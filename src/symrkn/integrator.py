@@ -1,19 +1,19 @@
 """Fixed-step RKN integration: implicit stage solving by fixed-point
 iteration, trajectory recording, reversibility and convergence studies.
 
-Stage equations are solved either sequentially (exactly lower-triangular
-a_bar: each stage is a scalar fixed point, solved once in index order) or by
-Jacobi sweeps over all stages.  Summation order over stages is fixed
-ascending, so repeated runs are bit-identical.  Scalar problems (dim 1)
-bypass numpy in the hot loop; the two paths implement the same arithmetic.
+The tableau alone picks the stage solver: a sequential sweep when a_bar is
+exactly lower triangular (each stage is a scalar fixed point, solved once in
+index order), Jacobi sweeps over all stages otherwise.  Summation order over
+stages is fixed ascending, so repeated runs are bit-identical.  Scalar
+problems (dim 1) bypass numpy in the hot loop; the two paths implement the
+same arithmetic.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,12 +27,6 @@ from .tableau import RknTableau, discretize
 GRID_RTOL = 1e-9
 
 
-class StageStructure(enum.Enum):
-    AUTO = "auto"
-    FULL_IMPLICIT = "full-implicit"
-    SEQUENTIAL_LOWER_TRIANGULAR = "sequential"
-
-
 @dataclass(frozen=True)
 class StepConfig:
     """Solver controls for one integration run; h is the step size."""
@@ -40,7 +34,6 @@ class StepConfig:
     h: float
     stage_tol: float = 1e-14
     max_iters: int = 100
-    structure: StageStructure = StageStructure.AUTO
 
     def __post_init__(self):
         if not (math.isfinite(self.h) and self.h > 0.0):
@@ -77,18 +70,6 @@ class Trajectory:
             raise ValueError("energy_error length mismatch")
         if n > 1 and not np.all(np.diff(self.times) > 0.0):
             raise ValueError("times must be strictly increasing")
-
-
-def _use_sequential(t: RknTableau, structure: StageStructure) -> bool:
-    if structure is StageStructure.SEQUENTIAL_LOWER_TRIANGULAR:
-        if not t.lower_triangular:
-            raise ValueError(
-                "sequential structure requested but a_bar is not lower triangular"
-            )
-        return True
-    if structure is StageStructure.AUTO:
-        return t.lower_triangular
-    return False
 
 
 def _stages_scalar(c, a, s, f, t0, q0, p0, h, conv, iters, sequential):
@@ -140,7 +121,7 @@ def _stages_scalar(c, a, s, f, t0, q0, p0, h, conv, iters, sequential):
                 acc += ai[j] * F[j]
             qn = base[i] + h2 * acc
             d = abs(qn - Q[i])
-            if d > diff:
+            if d > diff or d != d:  # a NaN increment keeps the sweep unconverged
                 diff = d
             Qn[i] = qn
         Q = Qn
@@ -203,31 +184,45 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential):
     )
 
 
-def _advance(t, f, t0, q0, p0, h, stage_tol, max_iters, sequential):
-    """One step of signed size h; scalar or vector depending on q0."""
+def _stepper(t, q0, stage_tol, max_iters, sequential):
+    """(state, advance) for a run from states of q0's kind.
+
+    state puts a q or p value in the kind's form: float for scalar state, a
+    float array otherwise.  advance(f, t0, q0, p0, h) takes one step of
+    signed size h from such states and returns (q1, p1, Q).  State kind,
+    solver structure and coefficient form (plain-float lists for scalar
+    state, the tableau's arrays otherwise) are fixed here, once per run.
+    """
     if np.ndim(q0) == 0:
-        conv = stage_tol * (1.0 + abs(q0))
-        c = t.c.tolist()
-        a = t.a_bar.tolist()
-        Q, F = _stages_scalar(
-            c, a, t.s, f, t0, float(q0), float(p0), h, conv, max_iters, sequential
-        )
-        h2 = h * h
-        accq = 0.0
-        accp = 0.0
-        b_bar = t.b_bar
-        b = t.b
-        for i in range(t.s):
-            accq += b_bar[i] * F[i]
-            accp += b[i] * F[i]
-        return q0 + h * p0 + h2 * accq, p0 + h * accp
-    q0 = np.asarray(q0, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    conv = stage_tol * (1.0 + float(np.abs(q0).max()))
-    Q, F = _stages_array(t, f, t0, q0, p0, h, conv, max_iters, sequential)
-    q1 = q0 + h * p0 + h * h * (t.b_bar @ F)
-    p1 = p0 + h * (t.b @ F)
-    return q1, p1
+        s = t.s
+        c, a = t.c.tolist(), t.a_bar.tolist()
+        b_bar, b = t.b_bar.tolist(), t.b.tolist()
+
+        def advance(f, t0, q0, p0, h):
+            conv = stage_tol * (1.0 + abs(q0))
+            Q, F = _stages_scalar(
+                c, a, s, f, t0, q0, p0, h, conv, max_iters, sequential
+            )
+            accq = accp = 0.0
+            for i in range(s):
+                accq += b_bar[i] * F[i]
+                accp += b[i] * F[i]
+            return q0 + h * p0 + h * h * accq, p0 + h * accp, Q
+
+        return float, advance
+
+    def advance(f, t0, q0, p0, h):
+        conv = stage_tol * (1.0 + float(np.abs(q0).max()))
+        Q, F = _stages_array(t, f, t0, q0, p0, h, conv, max_iters, sequential)
+        return q0 + h * p0 + h * h * (t.b_bar @ F), p0 + h * (t.b @ F), Q
+
+    return lambda x: np.asarray(x, dtype=float), advance
+
+
+def _advance(t, f, t0, q0, p0, h, stage_tol, max_iters, sequential):
+    """One step of signed size h with the given solver structure."""
+    state, advance = _stepper(t, q0, stage_tol, max_iters, sequential)
+    return advance(f, t0, state(q0), state(p0), h)[:2]
 
 
 def solve_stages(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
@@ -238,36 +233,14 @@ def solve_stages(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
     non-contraction raises a stage-divergence error carrying the last
     increment.
     """
-    sequential = _use_sequential(t, cfg.structure)
-    h = cfg.h
-    if np.ndim(q0) == 0:
-        conv = cfg.stage_tol * (1.0 + abs(q0))
-        Q, _ = _stages_scalar(
-            t.c.tolist(),
-            t.a_bar.tolist(),
-            t.s,
-            f,
-            t0,
-            float(q0),
-            float(p0),
-            h,
-            conv,
-            cfg.max_iters,
-            sequential,
-        )
-        return np.array(Q)
-    q0 = np.asarray(q0, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    conv = cfg.stage_tol * (1.0 + float(np.abs(q0).max()))
-    Q, _ = _stages_array(t, f, t0, q0, p0, h, conv, cfg.max_iters, sequential)
-    return Q
+    state, advance = _stepper(t, q0, cfg.stage_tol, cfg.max_iters, t.lower_triangular)
+    return np.asarray(advance(f, t0, state(q0), state(p0), cfg.h)[2])
 
 
 def step(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
     """One step of size cfg.h from (q0, p0); returns (q1, p1)."""
-    sequential = _use_sequential(t, cfg.structure)
     return _advance(
-        t, f, t0, q0, p0, cfg.h, cfg.stage_tol, cfg.max_iters, sequential
+        t, f, t0, q0, p0, cfg.h, cfg.stage_tol, cfg.max_iters, t.lower_triangular
     )
 
 
@@ -302,50 +275,31 @@ def integrate(
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     n = _step_count(t_end - prob.t0, cfg.h)
-    sequential = _use_sequential(t, cfg.structure)
-    scalar = np.ndim(prob.q0) == 0
-    f = prob.force
-    h = cfg.h
-    t0 = prob.t0
-    q, p = (float(prob.q0), float(prob.p0)) if scalar else (
-        np.asarray(prob.q0, dtype=float),
-        np.asarray(prob.p0, dtype=float),
+    state, advance = _stepper(
+        t, prob.q0, cfg.stage_tol, cfg.max_iters, t.lower_triangular
     )
-    times = [t0]
-    qs = [q]
-    ps = [p]
-    diverged = False
+    f, h, t0 = prob.force, cfg.h, prob.t0
+    q, p = state(prob.q0), state(prob.p0)
+    times, qs, ps = [t0], [q], [p]
     failure_step = None
     for k in range(1, n + 1):
         try:
-            q, p = _advance(
-                t, f, t0 + (k - 1) * h, q, p, h, cfg.stage_tol,
-                cfg.max_iters, sequential,
-            )
+            q, p, _ = advance(f, t0 + (k - 1) * h, q, p, h)
         except StageDivergenceError:
-            diverged = True
             failure_step = k
             break
         if k % sample_every == 0 or k == n:
             times.append(t0 + k * h)
             qs.append(q)
             ps.append(p)
-    dim = prob.dim
-    q_arr = np.array(qs, dtype=float).reshape(len(qs), dim)
-    p_arr = np.array(ps, dtype=float).reshape(len(ps), dim)
+    q_arr = np.array(qs, dtype=float).reshape(len(qs), prob.dim)
+    p_arr = np.array(ps, dtype=float).reshape(len(ps), prob.dim)
     energy_error = None
     if prob.energy is not None:
         H = prob.energy
-        if scalar:
-            e0 = H(float(prob.p0), float(prob.q0))
-            energy_error = np.array(
-                [H(ps[k], qs[k]) - e0 for k in range(len(qs))]
-            )
-        else:
-            e0 = H(np.asarray(prob.p0, float), np.asarray(prob.q0, float))
-            energy_error = np.array(
-                [H(p_arr[k], q_arr[k]) - e0 for k in range(len(qs))]
-            )
+        e0 = H(ps[0], qs[0])
+        energy_error = np.array([H(p, q) - e0 for p, q in zip(ps, qs)])
+    diverged = failure_step is not None
     return Trajectory(
         np.array(times), q_arr, p_arr, energy_error, diverged, failure_step
     )
@@ -360,17 +314,12 @@ def reversibility_test(
     max-norm(rho z2 - (q0, p0)); zero exactly for reversible maps applied to
     a reversible problem.
     """
-    base = cfg or StepConfig(h=h)
-    run = replace(base, h=h)
+    run = replace(cfg or StepConfig(h=h), h=h)
     f = prob.force
     q0, p0 = prob.q0, prob.p0
     q1, p1 = step(t, f, prob.t0, q0, p0, run)
     q2, p2 = step(t, f, prob.t0, q1, -p1, run)
-    if np.ndim(q0) == 0:
-        return max(abs(q2 - q0), abs(-p2 - p0))
-    return float(
-        max(np.abs(q2 - np.asarray(q0)).max(), np.abs(-p2 - np.asarray(p0)).max())
-    )
+    return float(max(np.abs(q2 - q0).max(), np.abs(-p2 - p0).max()))
 
 
 def reference_tableau() -> RknTableau:
@@ -397,8 +346,7 @@ def reference_state(
     if span < 0.0:
         raise InvalidGridError("t_end must not precede t0")
     n = max(1, int(math.ceil(span / h_ref - GRID_RTOL)))
-    base = cfg or StepConfig(h=span / n)
-    run = replace(base, h=span / n)
+    run = replace(cfg or StepConfig(h=span / n), h=span / n)
     traj = integrate(reference_tableau(), prob, t_end, run)
     if traj.diverged:
         raise StageDivergenceError(
@@ -449,6 +397,25 @@ def linear_drift_slope(times, values) -> float:
     return float(np.polyfit(t, v, 1)[0])
 
 
+def final_state_error(
+    t: RknTableau, prob: OdeProblem, t_end: float, cfg: StepConfig, reference
+) -> float:
+    """Max-norm deviation of the (q, p) state at t_end from reference.
+
+    A run cut short by stage divergence raises a stage-divergence error.
+    """
+    traj = integrate(t, prob, t_end, cfg)
+    if traj.diverged:
+        raise StageDivergenceError(
+            f"integration at h={cfg.h!r} diverged",
+            step_index=traj.failure_step,
+        )
+    q_ref, p_ref = reference
+    dq = np.abs(traj.q[-1] - q_ref).max()
+    dp = np.abs(traj.p[-1] - p_ref).max()
+    return float(max(dq, dp))
+
+
 def global_error_study(
     t: RknTableau,
     prob: OdeProblem,
@@ -469,23 +436,14 @@ def global_error_study(
         raise DegenerateFitError("study needs at least 2 distinct step sizes")
     if reference is None:
         label = "exact" if prob.exact is not None else "order6-gauss3"
-        q_ref, p_ref = reference_state(prob, t_end, min(hs) / 20.0, cfg)
+        reference = reference_state(prob, t_end, min(hs) / 20.0, cfg)
     else:
         label = "supplied"
-        q_ref, p_ref = reference
-    q_ref = np.atleast_1d(np.asarray(q_ref, dtype=float))
-    p_ref = np.atleast_1d(np.asarray(p_ref, dtype=float))
-    errors = []
-    for h in hs:
-        base = cfg or StepConfig(h=h)
-        traj = integrate(t, prob, t_end, replace(base, h=h))
-        if traj.diverged:
-            raise StageDivergenceError(
-                f"integration at h={h!r} diverged",
-                step_index=traj.failure_step,
-            )
-        dq = np.abs(traj.q[-1] - q_ref).max()
-        dp = np.abs(traj.p[-1] - p_ref).max()
-        errors.append(float(max(dq, dp)))
+    errors = [
+        final_state_error(
+            t, prob, t_end, replace(cfg or StepConfig(h=h), h=h), reference
+        )
+        for h in hs
+    ]
     slope = fit_loglog_slope(hs, errors)
     return ErrorStudy(np.array(hs), np.array(errors), slope, label)

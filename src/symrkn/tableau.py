@@ -12,17 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cscoeff import AlphaMatrix, build_order4, eval_Abar
+from .cscoeff import SEARCH_CAP, SEARCH_TOL, AlphaMatrix, build_order4, eval_Abar
 from .errors import TableauFormatError, TableauValidationError
 from .quadrature import QuadratureRule, lobatto_rule
 
 FORMAT_TAG = "rkn-tableau/1"
-
-#: Cap for the simplifying-assumption index search.
-SEARCH_CAP = 13
-
-#: Residual threshold for the simplifying-assumption search.
-SEARCH_TOL = 1e-10
 
 #: Agreement required between hard-coded named tableaus and their
 #: parameter-substitution reconstruction.
@@ -164,6 +158,9 @@ _NAMED = {
         ),
     ),
 }
+
+#: Names of the reference methods, in the order listed above.
+NAMED_METHODS = tuple(_NAMED)
 
 
 def named_tableau(name: str) -> RknTableau:
@@ -361,9 +358,12 @@ def loads_tableau(text: str) -> RknTableau:
     missing = [k for k in ("s", "c", "a_bar", "b_bar", "b") if k not in doc]
     if missing:
         raise TableauFormatError(f"missing fields: {', '.join(missing)}")
+    s = doc["s"]
+    if type(s) is not int:  # JSON true is a bool, which isinstance(s, int) passes
+        raise TableauFormatError(f"stage count s must be an integer, not {s!r}")
     try:
         return RknTableau(
-            int(doc["s"]),
+            s,
             np.array(doc["c"], dtype=float),
             np.array(doc["a_bar"], dtype=float),
             np.array(doc["b_bar"], dtype=float),

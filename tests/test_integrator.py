@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from symrkn.errors import (
     StageDivergenceError,
 )
 from symrkn.integrator import (
-    StageStructure,
     StepConfig,
     _advance,
     fit_loglog_slope,
@@ -120,17 +120,47 @@ def test_scalar_and_array_paths_agree():
 
 def test_structure_selection():
     prob = perturbed_pendulum()
-    seq_cfg = StepConfig(h=0.16, structure=StageStructure.SEQUENTIAL_LOWER_TRIANGULAR)
-    with pytest.raises(ValueError):
-        step(named_tableau("rkn-iiib"), prob.force, 0.0, 0.0, 2.5, seq_cfg)
-    # on a triangular tableau the sweep and fixed-point answers coincide
-    tab = named_tableau("diagsymp")
-    full_cfg = StepConfig(h=0.16, structure=StageStructure.FULL_IMPLICIT)
-    q1, p1 = step(tab, prob.force, 0.0, 0.0, 2.5, seq_cfg)
-    q2, p2 = step(tab, prob.force, 0.0, 0.0, 2.5, full_cfg)
+    calls = []
+
+    def f(t, q):
+        calls.append(t)
+        return prob.force(t, q)
+
+    def run(advance, *args):
+        calls.clear()
+        return advance(named_tableau("diagsymp"), f, 0.0, 0.0, 2.5, *args), len(calls)
+
+    # on a triangular tableau the sweep and Jacobi answers coincide
+    (q1, p1), n_sweep = run(_advance, 0.16, 1e-14, 100, True)
+    (q2, p2), n_jacobi = run(_advance, 0.16, 1e-14, 100, False)
     assert abs(q1 - q2) < 1e-12 and abs(p1 - p2) < 1e-12
-    q3, p3 = step(tab, prob.force, 0.0, 0.0, 2.5, CFG)  # auto picks the sweep
+    # the tableau picks the sweep, which needs fewer force evaluations
+    (q3, p3), n_step = run(step, CFG)
     assert q3 == q1 and p3 == p1
+    assert n_step == n_sweep < n_jacobi
+
+
+def test_nan_force_fails_the_step_on_both_paths():
+    # a NaN increment leaves the stage sweep unconverged: the run stops at
+    # the first step whose stages see it, with no NaN sample recorded
+    pend = perturbed_pendulum()
+
+    def force(t, q):
+        return math.nan if t > 0.5 else pend.force(t, q)
+
+    scalar = dataclasses.replace(pend, force=force)
+    array = dataclasses.replace(
+        pend,
+        force=lambda t, q: np.array([force(t, float(q[0]))]),
+        energy=lambda p, q: pend.energy(float(p[0]), float(q[0])),
+        q0=np.array([pend.q0]),
+        p0=np.array([pend.p0]),
+    )
+    for prob in (scalar, array):
+        traj = integrate(named_tableau("rkn-a"), prob, 1.6, CFG)
+        assert traj.diverged and traj.failure_step == 4
+        for values in (traj.q, traj.p, traj.energy_error):
+            assert np.all(np.isfinite(values))
 
 
 def test_zero_span_trajectory():

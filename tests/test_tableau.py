@@ -314,6 +314,11 @@ def test_loader_rejects_bad_documents():
     doc["c"] = [0.0, 0.5, 7.0]  # abscissa outside the unit interval
     with pytest.raises(TableauFormatError):
         loads_tableau(json.dumps(doc))
+    for s in (3.7, 1.7, True):  # a stage count that is not an integer
+        doc = json.loads(good)
+        doc["s"] = s
+        with pytest.raises(TableauFormatError):
+            loads_tableau(json.dumps(doc))
 
 
 def test_tableau_shape_validation():
