@@ -208,7 +208,11 @@ def convergence_report(
     reference,
 ) -> ConvergenceReport:
     """Errors at t_end per h against a fixed reference state; nan on
-    divergence."""
+    divergence.
+
+    The slope is nan when diverged rows leave too few points to fit; a
+    degenerate fit with no diverged row raises the fit error.
+    """
     prob = _PROBLEMS[problem_name]()
     rows = []
     for h in h_values:
@@ -217,12 +221,12 @@ def convergence_report(
         except StageDivergenceError:
             err = math.nan
         rows.append((h, err))
+    finite = [(h, e) for h, e in rows if math.isfinite(e)]
     try:
-        slope = fit_loglog_slope(
-            [h for h, e in rows if math.isfinite(e)],
-            [e for _, e in rows if math.isfinite(e)],
-        )
-    except DegenerateFitError:
+        slope = fit_loglog_slope([h for h, _ in finite], [e for _, e in finite])
+    except DegenerateFitError as exc:
+        if len(finite) == len(rows):
+            raise DegenerateFitError(f"method {method}: {exc}") from exc
         slope = math.nan
     return ConvergenceReport(
         method, problem_name, tuple(rows), slope, "exact-or-order6"

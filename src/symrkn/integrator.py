@@ -26,6 +26,11 @@ from .tableau import RknTableau, discretize
 #: Relative slack when checking that h divides the integration span.
 GRID_RTOL = 1e-9
 
+# Array max-norms call the reduction directly: ndarray.max() reaches the
+# same np.maximum.reduce through a Python-level wrapper, a measurable cost
+# at several calls per step.
+_max = np.maximum.reduce
+
 
 @dataclass(frozen=True)
 class StepConfig:
@@ -136,7 +141,11 @@ def _stages_scalar(c, a, s, f, t0, q0, p0, h, conv, iters, sequential):
 
 
 def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential):
-    """Vector stage solve; returns (Q, F) as (s, d) arrays."""
+    """Vector stage solve; returns (Q, F) as (s, d) arrays.
+
+    A Jacobi sweep evaluates all stages with one f.stages(times, Q) call
+    when the force has that batched form, else with s per-point calls.
+    """
     s = t.s
     c = t.c
     a = t.a_bar
@@ -156,7 +165,7 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential):
                 diff = math.inf
                 for _ in range(iters):
                     qn = bi + w * f(times[i], qi)
-                    diff = float(np.abs(qn - qi).max())
+                    diff = float(_max(np.abs(qn - qi), axis=None))
                     qi = qn
                     if diff < conv:
                         break
@@ -168,14 +177,25 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential):
             Q[i] = qi
             F[i] = f(times[i], qi)
         return Q, F
+    stages = getattr(f, "stages", None)
     Q = base.copy()
-    F = np.array([f(times[i], Q[i]) for i in range(s)])
+    if stages is None:
+        F = np.array([f(times[i], Q[i]) for i in range(s)])
+    else:
+        F = stages(times, Q)
+        if np.shape(F) != Q.shape:
+            raise ValueError(
+                f"force.stages returned shape {np.shape(F)}, expected {Q.shape}"
+            )
     diff = math.inf
     for _ in range(iters):
         Qn = base + h2 * (a @ F)
-        diff = float(np.abs(Qn - Q).max())
+        diff = float(_max(np.abs(Qn - Q), axis=None))
         Q = Qn
-        F = np.array([f(times[i], Q[i]) for i in range(s)])
+        if stages is None:
+            F = np.array([f(times[i], Q[i]) for i in range(s)])
+        else:
+            F = stages(times, Q)
         if diff < conv:
             return Q, F
     raise StageDivergenceError(
@@ -212,7 +232,7 @@ def _stepper(t, q0, stage_tol, max_iters, sequential):
         return float, advance
 
     def advance(f, t0, q0, p0, h):
-        conv = stage_tol * (1.0 + float(np.abs(q0).max()))
+        conv = stage_tol * (1.0 + float(_max(np.abs(q0), axis=None)))
         Q, F = _stages_array(t, f, t0, q0, p0, h, conv, max_iters, sequential)
         return q0 + h * p0 + h * h * (t.b_bar @ F), p0 + h * (t.b @ F), Q
 
@@ -347,7 +367,7 @@ def reference_state(
         raise InvalidGridError("t_end must not precede t0")
     n = max(1, int(math.ceil(span / h_ref - GRID_RTOL)))
     run = replace(cfg or StepConfig(h=span / n), h=span / n)
-    traj = integrate(reference_tableau(), prob, t_end, run)
+    traj = integrate(reference_tableau(), prob, t_end, run, sample_every=n)
     if traj.diverged:
         raise StageDivergenceError(
             "reference integration diverged", step_index=traj.failure_step
@@ -382,7 +402,9 @@ def fit_loglog_slope(h_values, errors) -> float:
         if e > 0.0 and math.isfinite(e)
     ]
     if len({h for h, _ in pts}) < 2:
-        raise DegenerateFitError("slope fit needs at least 2 distinct step sizes")
+        raise DegenerateFitError(
+            "slope fit needs at least 2 distinct step sizes with finite nonzero errors"
+        )
     lh = np.log([h for h, _ in pts])
     le = np.log([e for _, e in pts])
     return float(np.polyfit(lh, le, 1)[0])
@@ -402,9 +424,11 @@ def final_state_error(
 ) -> float:
     """Max-norm deviation of the (q, p) state at t_end from reference.
 
-    A run cut short by stage divergence raises a stage-divergence error.
+    Only the initial and final states are recorded.  A run cut short by
+    stage divergence raises a stage-divergence error.
     """
-    traj = integrate(t, prob, t_end, cfg)
+    n = _step_count(t_end - prob.t0, cfg.h)
+    traj = integrate(t, prob, t_end, cfg, sample_every=max(1, n))
     if traj.diverged:
         raise StageDivergenceError(
             f"integration at h={cfg.h!r} diverged",

@@ -22,6 +22,14 @@ class OdeProblem:
     force maps (t, q) to the acceleration; energy is H(p, q); exact maps t to
     the state (q, p).  For dim 1 the state is held as plain floats, otherwise
     as (dim,) arrays.  reversible asserts H(-p, q) = H(p, q) with autonomous f.
+
+    A vector force may also carry a batched form, force.stages(times, Q),
+    mapping the (s,) stage times and the stacked (s, dim) stage values to
+    the (s, dim) accelerations.  The Jacobi stage solver on array state then
+    makes one stages call per sweep instead of s per-point calls; other
+    solves use the per-point form.  stages must compute each row with the
+    same floating-point operations as force(t_i, Q_i), so that results stay
+    bit-identical; a result of the wrong shape raises ValueError.
     """
 
     dim: int
@@ -97,6 +105,25 @@ def harmonic_oscillator(omega: float = 1.0) -> OdeProblem:
     )
 
 
+class _KeplerForce:
+    """q'' = -q/|q|^3, per point and batched over stacked stage values.
+
+    Both forms take x*x + y*y, its square root r, r*r*r, then the quotient,
+    so every row of stages(times, Q) equals force(t_i, Q_i) bit for bit.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, t, q):
+        r = math.sqrt(q[0] * q[0] + q[1] * q[1])
+        return -q / (r * r * r)
+
+    def stages(self, times, Q):
+        x, y = Q[:, 0], Q[:, 1]
+        r = np.sqrt(x * x + y * y)
+        return -Q / (r * r * r)[:, None]
+
+
 def kepler_2d(eccentricity: float = 0.0) -> OdeProblem:
     """Planar Kepler problem q'' = -q/|q|^3 on an orbit of semi-major axis 1.
 
@@ -111,17 +138,13 @@ def kepler_2d(eccentricity: float = 0.0) -> OdeProblem:
     q0.flags.writeable = False
     p0.flags.writeable = False
 
-    def force(t, q):
-        r = math.sqrt(q[0] * q[0] + q[1] * q[1])
-        return -q / (r * r * r)
-
     def energy(p, q):
         r = math.sqrt(q[0] * q[0] + q[1] * q[1])
         return 0.5 * (p[0] * p[0] + p[1] * p[1]) - 1.0 / r
 
     return OdeProblem(
         dim=2,
-        force=force,
+        force=_KeplerForce(),
         t0=0.0,
         q0=q0,
         p0=p0,

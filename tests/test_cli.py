@@ -149,6 +149,21 @@ def test_converge_divergence_exit(capsys):
     assert math.isnan(float(trailers[0].split(",")[2]))
 
 
+@pytest.mark.parametrize(
+    "span",
+    [["--t-end", "0"], ["--t-end", "0.2", "--h-list", "0.2"]],
+    ids=["zero-span", "single-h"],
+)
+def test_converge_degenerate_fit_is_an_error(span, capsys):
+    # every row is finite but the slope cannot be fitted: a usage error,
+    # as for drift, rather than a successful run with a nan slope
+    assert main(["converge", "--method", "rkn-a", *span]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "rkn-a" in captured.err
+
+
 def test_drift_csv_contract(tmp_path):
     out = tmp_path / "drift.csv"
     code = main(

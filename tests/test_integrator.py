@@ -13,6 +13,7 @@ from symrkn.errors import (
 from symrkn.integrator import (
     StepConfig,
     _advance,
+    final_state_error,
     fit_loglog_slope,
     global_error_study,
     integrate,
@@ -323,3 +324,90 @@ def test_array_problem_round_trip():
         StepConfig(h=0.02),
     )
     assert Q.shape == (3, 2)
+
+
+class _CountingForce:
+    """Kepler force that counts per-point and batched calls."""
+
+    def __init__(self, force, stages=None):
+        self.force = force
+        self.stages_of = stages or force.stages
+        self.points = 0
+        self.batches = 0
+
+    def __call__(self, t, q):
+        self.points += 1
+        return self.force(t, q)
+
+    def stages(self, times, Q):
+        self.batches += 1
+        return self.stages_of(times, Q)
+
+
+@pytest.mark.parametrize("name", FIVE + ("order6-gauss3",))
+def test_batched_force_gives_the_same_bytes(name):
+    tab = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    prob = kepler_2d(0.5)
+    plain = dataclasses.replace(prob, force=lambda t, q: prob.force(t, q))
+    cfg = StepConfig(h=0.05)
+    batched_run = integrate(tab, prob, 5.0, cfg, sample_every=3)
+    plain_run = integrate(tab, plain, 5.0, cfg, sample_every=3)
+    for field in ("times", "q", "p", "energy_error"):
+        a, b = getattr(batched_run, field), getattr(plain_run, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+def test_jacobi_array_sweep_calls_stages_once_per_sweep():
+    tab = named_tableau("rkn-a")
+    assert not tab.lower_triangular
+    prob = kepler_2d(0.5)
+    cfg = StepConfig(h=0.1)
+    points = []
+
+    def plain(t, q):
+        points.append(t)
+        return prob.force(t, q)
+
+    counting = _CountingForce(prob.force)
+    q1, p1 = step(tab, counting, 0.0, prob.q0, prob.p0, cfg)
+    q2, p2 = step(tab, plain, 0.0, prob.q0, prob.p0, cfg)
+    assert q1.tobytes() == q2.tobytes() and p1.tobytes() == p2.tobytes()
+    # the per-point run makes s calls per evaluation: the initial one and
+    # one per sweep, so the batched run makes sweeps + 1 stages calls
+    assert counting.points == 0
+    assert len(points) % tab.s == 0 and len(points) > 2 * tab.s
+    assert counting.batches == len(points) // tab.s
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda times, Q: np.zeros(len(times)),
+        lambda times, Q: np.zeros((len(times), 1)),
+        lambda times, Q: np.zeros((2, len(times))),
+    ],
+    ids=["(s,)", "(s,1)", "(d,s)"],
+)
+def test_stages_of_the_wrong_shape_is_rejected(bad):
+    prob = kepler_2d(0.5)
+    tab = named_tableau("rkn-iiia")  # s = 3, d = 2
+    force = _CountingForce(prob.force, stages=bad)
+    with pytest.raises(ValueError, match="stages"):
+        step(tab, force, 0.0, prob.q0, prob.p0, StepConfig(h=0.1))
+    with pytest.raises(ValueError, match="stages"):
+        integrate(tab, dataclasses.replace(prob, force=force), 1.0, StepConfig(h=0.1))
+
+
+def test_final_state_error_reads_the_full_run_endpoint():
+    prob = kepler_2d(0.5)
+    tab = named_tableau("rkn-iiib")
+    cfg = StepConfig(h=0.05)
+    reference = reference_state(prob, 2.0, 0.01)
+    full = integrate(tab, prob, 2.0, cfg)
+    expected = max(
+        np.abs(full.q[-1] - reference[0]).max(),
+        np.abs(full.p[-1] - reference[1]).max(),
+    )
+    assert final_state_error(tab, prob, 2.0, cfg, reference) == expected
+    zero = final_state_error(tab, prob, 0.0, cfg, (prob.q0, prob.p0))
+    assert zero == 0.0

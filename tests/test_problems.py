@@ -93,3 +93,16 @@ def test_kepler_energy_under_array_path():
     prob = kepler_2d(0.2)
     traj = integrate(named_tableau("rkn-iiib"), prob, 5.0, StepConfig(h=0.01))
     assert float(np.abs(traj.energy_error).max()) < 1e-7
+
+
+@pytest.mark.parametrize("e", [0.0, 0.5])
+def test_kepler_batched_force_matches_per_point_bits(e):
+    force = kepler_2d(e).force
+    rng = np.random.default_rng(3)
+    for s in (1, 3, 5, 257):
+        times = rng.uniform(0.0, 10.0, s)
+        Q = rng.uniform(-2.0, 2.0, (s, 2))
+        per_point = np.array([force(times[i], Q[i]) for i in range(s)])
+        batched = force.stages(times, Q)
+        assert batched.shape == per_point.shape == (s, 2)
+        assert batched.tobytes() == per_point.tobytes()
