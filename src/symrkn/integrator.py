@@ -7,6 +7,14 @@ index order), Jacobi sweeps over all stages otherwise.  Summation order over
 stages is fixed ascending, so repeated runs are bit-identical.  Scalar
 problems (dim 1) bypass numpy in the hot loop; the two paths implement the
 same arithmetic.
+
+Where the stage iteration starts: inside integrate, every step after the
+first starts from the previous step's stage forces, extrapolated to the new
+nodes by the polynomial through (c_j, F_j) (Hairer, Lubich and Wanner,
+Geometric Numerical Integration, section VIII.6.1).  The first step of a
+run, the single-step calls (step, solve_stages, reversibility_test) and
+tableaus with repeated nodes start from free motion, Q_i = q0 + h c_i p0.
+Nothing selects this: there is no option for it.
 """
 
 from __future__ import annotations
@@ -77,8 +85,14 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
-def _stages_scalar(c, a, s, f, t0, q0, p0, h, conv, iters, sequential):
-    """Scalar stage solve; returns (Q, F) as lists of floats."""
+def _stages_scalar(c, a, s, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
+    """Scalar stage solve; returns (Q, F) as lists of floats.
+
+    F_prev is None for the free-motion start.  Otherwise it holds the
+    previous step's stage forces and M the start matrix (_start_matrix),
+    and with g = M F_prev stage i starts at base_i + h^2 g_i in Jacobi
+    sweeps, at b_i + w g_i in the sequential sweep.
+    """
     h2 = h * h
     Q = [0.0] * s
     F = [0.0] * s
@@ -95,7 +109,13 @@ def _stages_scalar(c, a, s, f, t0, q0, p0, h, conv, iters, sequential):
             if w == 0.0:
                 qi = base
             else:
-                qi = q0 + h * c[i] * p0
+                if F_prev is None:
+                    qi = q0 + h * c[i] * p0
+                else:
+                    g = 0.0
+                    for m, Fj in zip(M[i], F_prev):
+                        g += m * Fj
+                    qi = base + w * g
                 diff = math.inf
                 for _ in range(iters):
                     qn = base + w * f(ti, qi)
@@ -114,6 +134,12 @@ def _stages_scalar(c, a, s, f, t0, q0, p0, h, conv, iters, sequential):
     times = [t0 + c[i] * h for i in range(s)]
     base = [q0 + h * c[i] * p0 for i in range(s)]
     Q = base[:]
+    if F_prev is not None:
+        for i in range(s):
+            g = 0.0
+            for m, Fj in zip(M[i], F_prev):
+                g += m * Fj
+            Q[i] += h2 * g
     F = [f(times[i], Q[i]) for i in range(s)]
     diff = math.inf
     for _ in range(iters):
@@ -140,11 +166,12 @@ def _stages_scalar(c, a, s, f, t0, q0, p0, h, conv, iters, sequential):
     )
 
 
-def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential):
+def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
     """Vector stage solve; returns (Q, F) as (s, d) arrays.
 
-    A Jacobi sweep evaluates all stages with one f.stages(times, Q) call
-    when the force has that batched form, else with s per-point calls.
+    M and F_prev pick the start as in _stages_scalar.  A Jacobi sweep
+    evaluates all stages with one f.stages(times, Q) call when the force
+    has that batched form, else with s per-point calls.
     """
     s = t.s
     c = t.c
@@ -161,7 +188,7 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential):
             if w == 0.0:
                 qi = bi
             else:
-                qi = base[i].copy()
+                qi = base[i].copy() if F_prev is None else bi + w * (M[i] @ F_prev)
                 diff = math.inf
                 for _ in range(iters):
                     qn = bi + w * f(times[i], qi)
@@ -178,7 +205,7 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential):
             F[i] = f(times[i], qi)
         return Q, F
     stages = getattr(f, "stages", None)
-    Q = base.copy()
+    Q = base.copy() if F_prev is None else base + h2 * (M @ F_prev)
     if stages is None:
         F = np.array([f(times[i], Q[i]) for i in range(s)])
     else:
@@ -204,37 +231,68 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential):
     )
 
 
-def _stepper(t, q0, stage_tol, max_iters, sequential):
+def _start_matrix(t, sequential):
+    """Matrix taking the previous step's stage forces to this step's start.
+
+    E[i, j] = l_j(1 + c_i), the Lagrange basis on the nodes c evaluated at
+    the next step's nodes, extrapolates stage forces by one step.  The
+    sequential sweep starts from E F_prev, the Jacobi sweeps from
+    A E F_prev with A = a_bar.  None when the nodes are not pairwise
+    distinct: those tableaus keep the free-motion start.
+    """
+    c = t.c
+    s = t.s
+    if len(set(c.tolist())) < s:
+        return None
+    x = 1.0 + c
+    E = np.ones((s, s))
+    for j in range(s):
+        for m in range(s):
+            if m != j:
+                E[:, j] *= (x - c[m]) / (c[j] - c[m])
+    return E if sequential else t.a_bar @ E
+
+
+def _stepper(t, q0, stage_tol, max_iters, sequential, start=None):
     """(state, advance) for a run from states of q0's kind.
 
     state puts a q or p value in the kind's form: float for scalar state, a
-    float array otherwise.  advance(f, t0, q0, p0, h) takes one step of
-    signed size h from such states and returns (q1, p1, Q).  State kind,
-    solver structure and coefficient form (plain-float lists for scalar
-    state, the tableau's arrays otherwise) are fixed here, once per run.
+    float array otherwise.  advance(f, t0, q0, p0, h, F_prev=None) takes one
+    step of signed size h from such states and returns (q1, p1, Q, F), F
+    being the step's stage forces.  With start from _start_matrix, a step
+    given the previous step's F_prev starts its stage iteration from their
+    extrapolation; otherwise, and always when start is None, it starts from
+    free motion.  State kind, solver structure and coefficient form
+    (plain-float lists for scalar state, the tableau's arrays otherwise) are
+    fixed here, once per run.
     """
     if np.ndim(q0) == 0:
         s = t.s
         c, a = t.c.tolist(), t.a_bar.tolist()
         b_bar, b = t.b_bar.tolist(), t.b.tolist()
+        M = None if start is None else start.tolist()
 
-        def advance(f, t0, q0, p0, h):
+        def advance(f, t0, q0, p0, h, F_prev=None):
             conv = stage_tol * (1.0 + abs(q0))
             Q, F = _stages_scalar(
-                c, a, s, f, t0, q0, p0, h, conv, max_iters, sequential
+                c, a, s, f, t0, q0, p0, h, conv, max_iters, sequential,
+                M, None if M is None else F_prev,
             )
             accq = accp = 0.0
             for i in range(s):
                 accq += b_bar[i] * F[i]
                 accp += b[i] * F[i]
-            return q0 + h * p0 + h * h * accq, p0 + h * accp, Q
+            return q0 + h * p0 + h * h * accq, p0 + h * accp, Q, F
 
         return float, advance
 
-    def advance(f, t0, q0, p0, h):
+    def advance(f, t0, q0, p0, h, F_prev=None):
         conv = stage_tol * (1.0 + float(_max(np.abs(q0), axis=None)))
-        Q, F = _stages_array(t, f, t0, q0, p0, h, conv, max_iters, sequential)
-        return q0 + h * p0 + h * h * (t.b_bar @ F), p0 + h * (t.b @ F), Q
+        Q, F = _stages_array(
+            t, f, t0, q0, p0, h, conv, max_iters, sequential,
+            start, None if start is None else F_prev,
+        )
+        return q0 + h * p0 + h * h * (t.b_bar @ F), p0 + h * (t.b @ F), Q, F
 
     return lambda x: np.asarray(x, dtype=float), advance
 
@@ -249,9 +307,10 @@ def solve_stages(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
     """Stage values Q_i = q0 + h c_i p0 + h^2 sum_j a_bar[i,j] f(t_j, Q_j).
 
     Returns an (s,) array for scalar state, else an (s, dim) array.  Solved
-    by fixed-point iteration from the free-motion guess Q_i = q0 + h c_i p0;
-    non-contraction raises a stage-divergence error carrying the last
-    increment.
+    by fixed-point iteration from the free-motion guess Q_i = q0 + h c_i p0,
+    as every single-step call is (only integrate has a previous step to
+    extrapolate from); non-contraction raises a stage-divergence error
+    carrying the last increment.
     """
     state, advance = _stepper(t, q0, cfg.stage_tol, cfg.max_iters, t.lower_triangular)
     return np.asarray(advance(f, t0, state(q0), state(p0), cfg.h)[2])
@@ -291,20 +350,29 @@ def integrate(
     step.  (t_end - t0)/h must be a nonnegative integer to grid tolerance.
     On stage divergence mid-run the trajectory collected so far is returned
     with diverged=True and the 1-based index of the failed step.
+
+    Each step after the first starts its stage iteration from the previous
+    step's stage forces, extrapolated to the new nodes; the first step, and
+    every step of a tableau with repeated nodes, starts from free motion.
+    Results therefore differ from a run of single step calls at the level
+    of stage_tol, with fewer force evaluations.
     """
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     n = _step_count(t_end - prob.t0, cfg.h)
+    sequential = t.lower_triangular
     state, advance = _stepper(
-        t, prob.q0, cfg.stage_tol, cfg.max_iters, t.lower_triangular
+        t, prob.q0, cfg.stage_tol, cfg.max_iters, sequential,
+        _start_matrix(t, sequential),
     )
     f, h, t0 = prob.force, cfg.h, prob.t0
     q, p = state(prob.q0), state(prob.p0)
     times, qs, ps = [t0], [q], [p]
     failure_step = None
+    F = None
     for k in range(1, n + 1):
         try:
-            q, p, _ = advance(f, t0 + (k - 1) * h, q, p, h)
+            q, p, _, F = advance(f, t0 + (k - 1) * h, q, p, h, F)
         except StageDivergenceError:
             failure_step = k
             break

@@ -218,3 +218,24 @@ def test_emitted_floats_reparse_exactly(tmp_path):
     rule = gauss_rule(3)
     assert doc["c"] == rule.c.tolist()
     assert doc["b"] == rule.b.tolist()
+
+
+def test_long_output_is_written_whole(tmp_path, capsys):
+    # 2 x 6251 rows span several write calls; file and stdout agree line
+    # for line, with no row split or merged at a call boundary
+    out = tmp_path / "drift.csv"
+    argv = ["drift", "--method", "diagsymp", "--method", "rkn-a",
+            "--t-end", "1000", "--sample-every", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    text = out.read_text()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
+    lines = text.split("\n")
+    assert lines[0] == "method,t,energy_error" and lines[-1] == ""
+    rows = lines[1:-5]
+    assert len(rows) == 2 * 6251 and len(lines[-5:-1]) == 4
+    for k, row in enumerate(rows):
+        method, t, e = row.split(",")
+        assert method == ("diagsymp" if k < 6251 else "rkn-a")
+        assert float(t) == pytest.approx(0.16 * (k % 6251), abs=1e-9)
+        assert math.isfinite(float(e))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -117,6 +118,32 @@ def test_scalar_and_array_paths_agree():
         )
         assert abs(q_s - q_a[0]) < 1e-15, name
         assert abs(p_s - p_a[0]) < 1e-15, name
+    # whole runs, where each step starts from the previous step's stages
+    calls = {"scalar": 0, "array": 0}
+
+    def counted(kind, force):
+        def f(t, q):
+            calls[kind] += 1
+            return force(t, q)
+        return f
+
+    scalar = dataclasses.replace(pend, force=counted("scalar", pend.force))
+    array = dataclasses.replace(
+        pend,
+        force=counted("array", f_arr),
+        energy=lambda p, q: pend.energy(float(p[0]), float(q[0])),
+        q0=np.array([pend.q0]),
+        p0=np.array([pend.p0]),
+    )
+    for name in FIVE + ("order6-gauss3",):
+        tab = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+        calls.update(scalar=0, array=0)
+        run_s = integrate(tab, scalar, 160.0, CFG, sample_every=1000)
+        run_a = integrate(tab, array, 160.0, CFG, sample_every=1000)
+        assert run_s.times.shape == run_a.times.shape == (2,), name
+        assert np.abs(run_s.q - run_a.q).max() < 1e-10, name
+        assert np.abs(run_s.p - run_a.p).max() < 1e-10, name
+        assert abs(calls["scalar"] - calls["array"]) <= 1e-3 * calls["scalar"], name
 
 
 def test_structure_selection():
@@ -411,3 +438,113 @@ def test_final_state_error_reads_the_full_run_endpoint():
     assert final_state_error(tab, prob, 2.0, cfg, reference) == expected
     zero = final_state_error(tab, prob, 0.0, cfg, (prob.q0, prob.p0))
     assert zero == 0.0
+
+
+def _counted_force_evaluations(force, s):
+    """(force, count) where count() is the evaluations made so far,
+    counting one stages call on s points as s evaluations."""
+    if hasattr(force, "stages"):
+        counting = _CountingForce(force)
+        return counting, lambda: counting.points + s * counting.batches
+    calls = []
+
+    def f(t, q):
+        calls.append(t)
+        return force(t, q)
+
+    return f, lambda: len(calls)
+
+
+@pytest.mark.parametrize(
+    "name, make, h, n",
+    [
+        ("rkn-a", perturbed_pendulum, 0.16, 100),
+        ("diagsymp", perturbed_pendulum, 0.16, 100),
+        ("order6-gauss3", lambda: kepler_2d(0.5), 3.125e-4, 200),
+    ],
+    ids=["rkn-a-pendulum", "diagsymp-pendulum", "order6-gauss3-kepler"],
+)
+def test_integrate_starts_stages_from_the_previous_step(name, make, h, n):
+    # integrate extrapolates the previous step's stage forces; single
+    # steps start from free motion.  Both solve the same stage equations.
+    tab = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    prob = make()
+    cfg = StepConfig(h=h)
+    f, warm = _counted_force_evaluations(prob.force, tab.s)
+    run = integrate(tab, dataclasses.replace(prob, force=f), n * h, cfg, sample_every=n)
+    g, cold = _counted_force_evaluations(prob.force, tab.s)
+    q, p = prob.q0, prob.p0
+    for k in range(n):
+        q, p = step(tab, g, prob.t0 + k * h, q, p, cfg)
+    assert warm() < cold()
+    assert np.abs(run.q[-1] - q).max() < 1e-13
+    assert np.abs(run.p[-1] - p).max() < 1e-13
+
+
+@pytest.mark.parametrize(
+    "name, make, h, failure_step",
+    [
+        ("rkn-iiia", lambda: kepler_2d(0.5), 0.8, 12),
+        ("rkn-a", lambda: kepler_2d(0.5), 0.8, 11),
+        ("rkn-b", lambda: kepler_2d(0.5), 1.25, 5),
+        ("rkn-iiib", lambda: kepler_2d(0.9), 0.1, 62),
+        ("rkn-iiib", perturbed_pendulum, 2.0, 2),
+    ],
+    ids=["rkn-iiia-kepler0.5", "rkn-a-kepler0.5", "rkn-b-kepler0.5",
+         "rkn-iiib-kepler0.9", "rkn-iiib-pendulum"],
+)
+def test_later_step_divergence_keeps_its_failure_step(name, make, h, failure_step):
+    # these runs diverge after their first step, where the extrapolated
+    # start is in use; they stop at the step they stopped at with the
+    # free-motion start
+    traj = integrate(named_tableau(name), make(), h * round(20.0 / h), StepConfig(h=h))
+    assert traj.diverged and traj.failure_step == failure_step
+    assert traj.times.shape == (failure_step,)
+
+
+def _twin_nodes(a_bar) -> RknTableau:
+    return RknTableau(
+        2, np.array([0.5, 0.5]), np.array(a_bar), np.array([0.25, 0.25]),
+        np.array([0.5, 0.5]), "twin",
+    )
+
+
+# sha256 of integrate's times, q, p, energy_error bytes (pendulum, then
+# Kepler e=0.5; h=0.16 to t=16, sample_every=7), recorded with the
+# free-motion start of every step
+TWIN_DIGESTS = {
+    "jacobi": (
+        "48f492bd62a2aa0c1fa67bb0a8b4c38b15c86865be493a795016667ef0f3c36a",
+        "97f273a3dd33fd45fbd007e9641993c33135457c93d83b71f98e77ecefc273e0",
+    ),
+    "sequential": (
+        "e72769746fb609c736a3683d1b90ab6b546d86416519324307e074fae8cee6c0",
+        "d6d74273bbbc09461cabc2762aea905d5c0e16fc823c7e1e615e401b0f93ccc6",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "structure, a_bar",
+    [
+        ("jacobi", [[0.0625, 0.0625], [0.0625, 0.0625]]),
+        ("sequential", [[0.125, 0.0], [0.0625, 0.0625]]),
+    ],
+)
+def test_repeated_nodes_keep_the_free_motion_start(structure, a_bar):
+    # no polynomial passes through repeated nodes, so every step of such a
+    # tableau starts from free motion, exactly as single steps do
+    tab = _twin_nodes(a_bar)
+    assert tab.lower_triangular == (structure == "sequential")
+    cfg = StepConfig(h=0.16)
+    for prob, digest in zip((perturbed_pendulum(), kepler_2d(0.5)), TWIN_DIGESTS[structure]):
+        traj = integrate(tab, prob, 16.0, cfg, sample_every=7)
+        sha = hashlib.sha256()
+        for v in (traj.times, traj.q, traj.p, traj.energy_error):
+            sha.update(np.ascontiguousarray(v, dtype=np.float64).tobytes())
+        assert sha.hexdigest() == digest
+        q, p = prob.q0, prob.p0
+        for k in range(100):
+            q, p = step(tab, prob.force, prob.t0 + k * cfg.h, q, p, cfg)
+        assert traj.q[-1].tobytes() == np.reshape(q, -1).tobytes()
+        assert traj.p[-1].tobytes() == np.reshape(p, -1).tobytes()
