@@ -205,36 +205,41 @@ def build_expansion(
     return mat
 
 
-def eval_Abar(m: AlphaMatrix, tau: float, sigma: float) -> float:
-    """Pointwise value of Abar(tau, sigma)."""
-    pt = eval_legendre_all(m.deg_tau, tau)
-    ps = eval_legendre_all(m.deg_sigma, sigma)
+def eval_Abar_grid(m: AlphaMatrix, tau, sigma) -> np.ndarray:
+    """Abar on the grid tau x sigma: entry [k, l] is Abar(tau[k], sigma[l]).
+
+    This is the one evaluator of Abar; eval_Abar is its 1 x 1 case.  The
+    summation order is fixed: for each tau-degree i, the inner sum over the
+    sigma-degree j runs in ascending j from 0.0, and the outer sum over i
+    runs in ascending i from 0.0.  Only elementwise operations are used (no
+    matrix product, which may reorder or fuse the sums), so every grid
+    entry has the bits of the pointwise double loop at that point.
+    """
+    pt = eval_legendre_all(m.deg_tau, np.asarray(tau, dtype=float))
+    ps = eval_legendre_all(m.deg_sigma, np.asarray(sigma, dtype=float))
+    acc = 0.0  # acc[i, l] = sum over j of alpha[i, j] * P_j(sigma[l])
+    for j, p in enumerate(ps):
+        acc = acc + m.alpha[:, j, None] * p
     total = 0.0
-    for i in range(m.deg_tau + 1):
-        row = m.alpha[i]
-        acc = 0.0
-        for j in range(m.deg_sigma + 1):
-            acc += row[j] * ps[j]
-        total += pt[i] * acc
+    for i, p in enumerate(pt):
+        total = total + p[:, None] * acc[i]
     return total
 
 
-def _monomial_coeffs(power: int) -> np.ndarray:
-    """Legendre coefficients of x^power on the internal headroom range."""
-    t = default_transform()
-    if power > t.max_degree:
-        raise DegreeOverflowError(f"monomial power {power} exceeds {t.max_degree}")
-    return t.to_legendre[:, power]
+def eval_Abar(m: AlphaMatrix, tau: float, sigma: float) -> float:
+    """Pointwise value of Abar(tau, sigma): the 1 x 1 case of eval_Abar_grid,
+    with its fixed summation order."""
+    return float(eval_Abar_grid(m, [tau], [sigma])[0, 0])
 
 
 def _cn_residual(m: AlphaMatrix, kappa: int) -> float:
     """Max Legendre-coefficient residual of the kappa-th CN condition."""
     t = default_transform()
     full = t.max_degree + 1
-    sig = _monomial_coeffs(kappa - 1)[: m.deg_sigma + 1]
+    sig = t.monomial_column(kappa - 1)[: m.deg_sigma + 1]
     lhs = np.zeros(full)
     lhs[: m.deg_tau + 1] = m.alpha @ sig
-    rhs = _monomial_coeffs(kappa + 1) / (kappa * (kappa + 1.0))
+    rhs = t.monomial_column(kappa + 1) / (kappa * (kappa + 1.0))
     return float(np.abs(lhs - rhs).max())
 
 
@@ -242,13 +247,13 @@ def _dn_residual(m: AlphaMatrix, kappa: int) -> float:
     """Max Legendre-coefficient residual of the kappa-th DN condition."""
     t = default_transform()
     full = t.max_degree + 1
-    tau = _monomial_coeffs(kappa - 1)[: m.deg_tau + 1]
+    tau = t.monomial_column(kappa - 1)[: m.deg_tau + 1]
     lhs = np.zeros(full)
     lhs[: m.deg_sigma + 1] = m.alpha.T @ tau
     rhs = (
-        _monomial_coeffs(kappa + 1) / (kappa * (kappa + 1.0))
-        - _monomial_coeffs(1) / kappa
-        + _monomial_coeffs(0) / (kappa + 1.0)
+        t.monomial_column(kappa + 1) / (kappa * (kappa + 1.0))
+        - t.monomial_column(1) / kappa
+        + t.monomial_column(0) / (kappa + 1.0)
     )
     return float(np.abs(lhs - rhs).max())
 

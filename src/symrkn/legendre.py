@@ -56,12 +56,18 @@ def eval_legendre(k: int, x):
     return cur
 
 
-def eval_legendre_all(k_max: int, x: float) -> list[float]:
-    """Evaluate P_0(x), ..., P_kmax(x) in one recurrence sweep."""
+def eval_legendre_all(k_max: int, x):
+    """Evaluate P_0(x), ..., P_kmax(x) in one recurrence sweep.
+
+    x is a float or an ndarray of points; the result is a list of k_max + 1
+    floats or of arrays shaped like x.  Every point goes through the same
+    IEEE operations in the same order, so an array entry has the bits of
+    the float result at that point.
+    """
     if k_max < 0 or k_max > MAX_DEGREE:
         raise DegreeOverflowError(f"degree {k_max} outside [0, {MAX_DEGREE}]")
     u = 2.0 * x - 1.0
-    out = [1.0]
+    out = [np.ones_like(u) if isinstance(u, np.ndarray) else 1.0]
     if k_max == 0:
         return out
     out.append(math.sqrt(3.0) * u)
@@ -175,11 +181,6 @@ def legendre_inner_product(j: int, k: int) -> float:
     return default_transform().inner_product(j, k)
 
 
-def reflect_parity_check(k: int, x):
-    """Return (P_k(1-x), (-1)^k * P_k(x)); the pair agrees identically."""
-    return eval_legendre(k, 1.0 - x), (-1.0) ** k * eval_legendre(k, x)
-
-
 def monomial_in_legendre(kappa: int) -> np.ndarray:
     """Legendre coefficients of x^(kappa-1), as a (MAX_DEGREE+1)-vector.
 
@@ -188,4 +189,4 @@ def monomial_in_legendre(kappa: int) -> np.ndarray:
     """
     if kappa < 1 or kappa - 1 > MAX_DEGREE:
         raise DegreeOverflowError(f"moment index {kappa} outside [1, {MAX_DEGREE + 1}]")
-    return default_transform().to_legendre[: MAX_DEGREE + 1, kappa - 1].copy()
+    return default_transform().monomial_column(kappa - 1)[: MAX_DEGREE + 1].copy()

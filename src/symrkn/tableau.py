@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cscoeff import SEARCH_CAP, SEARCH_TOL, AlphaMatrix, build_order4, eval_Abar
+from .cscoeff import SEARCH_CAP, SEARCH_TOL, AlphaMatrix, build_order4, eval_Abar_grid
 from .errors import TableauFormatError, TableauValidationError
 from .quadrature import QuadratureRule, lobatto_rule
 
@@ -98,16 +98,15 @@ def discretize(m: AlphaMatrix, rule: QuadratureRule, label: str = "") -> RknTabl
     """RKN tableau induced by Abar and a quadrature rule.
 
     a_bar[i,j] = b_j Abar(c_i, c_j) and b_bar = b (1 - c); the rule's nodes
-    and weights pass through unchanged.
+    and weights pass through unchanged.  Abar is evaluated once on the whole
+    c x c node grid by cscoeff.eval_Abar_grid, the one evaluator of Abar,
+    whose summation order is fixed; each entry has the bits of eval_Abar at
+    that node pair.
     """
-    s = rule.s
-    a_bar = np.zeros((s, s))
-    for i in range(s):
-        for j in range(s):
-            a_bar[i, j] = rule.b[j] * eval_Abar(m, rule.c[i], rule.c[j])
+    a_bar = rule.b[None, :] * eval_Abar_grid(m, rule.c, rule.c)
     b_bar = rule.b * (1.0 - rule.c)
     name = label or f"{m.label or 'csrkn'} @ {rule.kind}-{rule.s}"
-    return RknTableau(s, rule.c, a_bar, b_bar, rule.b, name)
+    return RknTableau(rule.s, rule.c, a_bar, b_bar, rule.b, name)
 
 
 # Hard-coded reference methods: common Lobatto-3 data plus per-method rows and
@@ -361,6 +360,15 @@ def loads_tableau(text: str) -> RknTableau:
     s = doc["s"]
     if type(s) is not int:  # JSON true is a bool, which isinstance(s, int) passes
         raise TableauFormatError(f"stage count s must be an integer, not {s!r}")
+    for key in ("c", "a_bar", "b_bar", "b"):
+        todo = [doc[key]]
+        while todo:
+            v = todo.pop()
+            if type(v) is list:
+                todo.extend(v)
+            elif type(v) is not float and type(v) is not int:
+                # np.array(..., dtype=float) would read "0.5" as 0.5 and true as 1.0
+                raise TableauFormatError(f"{key} entries must be numbers, not {v!r}")
     try:
         return RknTableau(
             s,
@@ -370,7 +378,7 @@ def loads_tableau(text: str) -> RknTableau:
             np.array(doc["b"], dtype=float),
             str(doc.get("label", "")),
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise TableauFormatError(f"malformed tableau fields: {exc}") from exc
 
 

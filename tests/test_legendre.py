@@ -11,8 +11,12 @@ from symrkn.legendre import (
     eval_legendre_all,
     legendre_inner_product,
     monomial_in_legendre,
-    reflect_parity_check,
 )
+
+
+def reflect_parity_check(k: int, x):
+    """Return (P_k(1-x), (-1)^k * P_k(x)); the pair agrees identically."""
+    return eval_legendre(k, 1.0 - x), (-1.0) ** k * eval_legendre(k, x)
 
 
 def test_low_degree_closed_forms():
@@ -53,6 +57,19 @@ def test_eval_all_matches_single_eval():
     assert len(vals) == MAX_DEGREE + 1
     for k, v in enumerate(vals):
         assert v == pytest.approx(eval_legendre(k, 0.37), abs=1e-13)
+
+
+def test_eval_all_on_an_array_has_the_pointwise_bits():
+    xs = np.random.default_rng(3).uniform(-0.5, 1.5, 200)
+    xs = np.concatenate([xs, [0.0, 0.5, 1.0]])
+    for k_max in (0, 1, 2, MAX_DEGREE):
+        vals = eval_legendre_all(k_max, xs)
+        assert len(vals) == k_max + 1
+        for idx, x in enumerate(xs):
+            point = eval_legendre_all(k_max, float(x))
+            assert all(type(v) is float for v in point)
+            at_idx = np.array([v[idx] for v in vals])
+            assert at_idx.tobytes() == np.array(point).tobytes()
 
 
 def test_reflection_parity():

@@ -319,6 +319,22 @@ def test_loader_rejects_bad_documents():
         doc["s"] = s
         with pytest.raises(TableauFormatError):
             loads_tableau(json.dumps(doc))
+    not_numbers = [  # entries np.array(..., dtype=float) would coerce
+        ("c", ["0.0", "0.5", "1.0"]),
+        ("b", [True, 2 / 3, 1 / 6]),
+        ("b_bar", [1 / 6, 1 / 3, False]),
+        ("a_bar", [[1 / 12, 0.0, 0.0], [1 / 12, "0", 0.0], [1 / 6, 1 / 3, 1 / 12]]),
+        ("a_bar", [[1 / 12, 0.0, 0.0], [1 / 12, None, 0.0], [1 / 6, 1 / 3, 1 / 12]]),
+        ("c", [0, 0.5, 10**400]),  # an integer no float can hold
+    ]
+    for key, value in not_numbers:
+        doc = json.loads(good)
+        doc[key] = value
+        with pytest.raises(TableauFormatError):
+            loads_tableau(json.dumps(doc))
+    doc = json.loads(good)
+    doc["c"] = [0, 0.5, 1]  # JSON integers are numbers
+    assert loads_tableau(json.dumps(doc)).c.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_tableau_shape_validation():
