@@ -8,6 +8,17 @@ stages is fixed ascending, so repeated runs are bit-identical.  Scalar
 problems (dim 1) bypass numpy in the hot loop; the two paths implement the
 same arithmetic.
 
+Scalar state runs one advance function per tableau, generated from source
+for its stage count, structure and start, with the stage and sum loops
+unrolled and every coefficient written as a float literal (repr
+round-trips, so no bit changes; see _kernel_source).  Only floats enter
+that source, never a label or other text.  Generating a kernel costs about
+a millisecond for s = 3 and a few for s = 10, once per distinct tableau:
+kernels are cached by the exact bytes of the coefficients and the start
+matrix, with the structure and the presence of a start, and at most
+_KERNEL_CACHE_SIZE are kept.  The source is registered in linecache, so
+tracebacks and profiles show the generated lines.
+
 Where the stage iteration starts: inside integrate, every step after the
 first starts from the previous step's stage forces, extrapolated to the new
 nodes by the polynomial through (c_j, F_j) (Hairer, Lubich and Wanner,
@@ -19,8 +30,13 @@ Nothing selects this: there is no option for it.
 
 from __future__ import annotations
 
+import linecache
 import math
+import numbers
+import threading
+import zlib
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -33,6 +49,11 @@ from .tableau import RknTableau, discretize
 
 #: Relative slack when checking that h divides the integration span.
 GRID_RTOL = 1e-9
+
+#: Most generated scalar kernels held at once (see _stepper).
+_KERNEL_CACHE_SIZE = 64
+_kernels = {}
+_kernels_lock = threading.Lock()
 
 # Array max-norms call the reduction directly: ndarray.max() reaches the
 # same np.maximum.reduce through a Python-level wrapper, a measurable cost
@@ -53,6 +74,10 @@ class StepConfig:
             raise ValueError("h must be positive and finite")
         if not (math.isfinite(self.stage_tol) and self.stage_tol > 0.0):
             raise ValueError("stage_tol must be positive")
+        if not isinstance(self.max_iters, numbers.Integral) or isinstance(
+            self.max_iters, bool
+        ):
+            raise ValueError("max_iters must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -63,9 +88,9 @@ class Trajectory:
 
     times has shape (n,), q and p have shape (n, dim).  energy_error is
     H(p_k, q_k) - H(p_0, q_0) per sample when the problem has an energy
-    function, else None.  diverged marks a run cut short by stage-solver
-    failure at step index failure_step (1-based); the recorded samples end at
-    the last completed step.
+    function, else None.  diverged marks a run cut short at step index
+    failure_step (1-based), by stage-solver failure or by a non-finite state;
+    the recorded samples end at the last completed step and are finite.
     """
 
     times: np.ndarray = field(repr=False)
@@ -85,93 +110,167 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
-def _stages_scalar(c, a, s, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
-    """Scalar stage solve; returns (Q, F) as lists of floats.
+def _literal(x):
+    """Source text of the finite float x, with its exact bits.
 
-    F_prev is None for the free-motion start.  Otherwise it holds the
-    previous step's stage forces and M the start matrix (_start_matrix),
-    and with g = M F_prev stage i starts at base_i + h^2 g_i in Jacobi
-    sweeps, at b_i + w g_i in the sequential sweep.
+    repr round-trips every finite float, and a parenthesised negative
+    literal compiles to one signed constant, so -0.0 stays -0.0.
     """
-    h2 = h * h
-    Q = [0.0] * s
-    F = [0.0] * s
+    r = repr(x)
+    return f"({r})" if r[0] == "-" else r
+
+
+def _kernel_source(c, a, b_bar, b, M, sequential):
+    """Source of advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None).
+
+    The unrolled form of the scalar stage solve and update: every sum
+    starts at 0.0 and adds its terms in ascending index, zero coefficients
+    included (0 * inf is NaN, and signed zeros must come out the same).
+    F_prev is read only when M is not None (see _stepper).
+    """
+    s = len(c)
+    # stage times, bases, values, forces and previous forces
+    T, B, Q, F, P = ([f"{k}_{i}" for i in range(s)] for k in "TBQFP")
+
+    def dot(coeffs, names):
+        terms = (f" + {_literal(x)} * {n}" for x, n in zip(coeffs, names))
+        return "0.0" + "".join(terms)
+
+    def free(i):
+        return f"q0 + h * {_literal(c[i])} * p0"
+
+    out = [
+        "def advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None):",
+        "    conv = stage_tol * (1.0 + abs(q0))",
+        "    h2 = h * h",
+    ]
+    emit = out.append
+    if M is not None:
+        emit("    if F_prev is not None:")
+        emit(f"        ({', '.join(P)},) = F_prev")
     if sequential:
         for i in range(s):
-            ti = t0 + c[i] * h
-            ai = a[i]
-            base = q0 + h * c[i] * p0
-            acc = 0.0
-            for j in range(i):
-                acc += ai[j] * F[j]
-            base += h2 * acc
-            w = h2 * ai[i]
-            if w == 0.0:
-                qi = base
+            emit(f"    {T[i]} = t0 + {_literal(c[i])} * h")
+            emit(f"    {B[i]} = {free(i)} + h2 * ({dot(a[i][:i], F)})")
+            emit(f"    w = h2 * {_literal(a[i][i])}")
+            emit("    if w == 0.0:")
+            emit(f"        {Q[i]} = {B[i]}")
+            emit("    else:")
+            if M is None:
+                emit(f"        q = {free(i)}")
             else:
-                if F_prev is None:
-                    qi = q0 + h * c[i] * p0
-                else:
-                    g = 0.0
-                    for m, Fj in zip(M[i], F_prev):
-                        g += m * Fj
-                    qi = base + w * g
-                diff = math.inf
-                for _ in range(iters):
-                    qn = base + w * f(ti, qi)
-                    diff = abs(qn - qi)
-                    qi = qn
-                    if diff < conv:
-                        break
-                else:
-                    raise StageDivergenceError(
-                        f"stage {i} did not contract (last increment {diff:.3e})",
-                        residual=diff,
-                    )
-            Q[i] = qi
-            F[i] = f(ti, qi)
-        return Q, F
-    times = [t0 + c[i] * h for i in range(s)]
-    base = [q0 + h * c[i] * p0 for i in range(s)]
-    Q = base[:]
-    if F_prev is not None:
+                emit("        if F_prev is None:")
+                emit(f"            q = {free(i)}")
+                emit("        else:")
+                emit(f"            q = {B[i]} + w * ({dot(M[i], P)})")
+            emit("        diff = inf")
+            emit("        for _ in range(iters):")
+            emit(f"            n = {B[i]} + w * f({T[i]}, q)")
+            emit("            diff = abs(n - q)")
+            emit("            q = n")
+            emit("            if diff < conv:")
+            emit("                break")
+            emit("        else:")
+            emit("            raise StageDivergenceError(")
+            emit(f'                f"stage {i} did not contract "')
+            emit('                f"(last increment {diff:.3e})",')
+            emit("                residual=diff,")
+            emit("            )")
+            emit(f"        {Q[i]} = q")
+            emit(f"    {F[i]} = f({T[i]}, {Q[i]})")
+    else:
         for i in range(s):
-            g = 0.0
-            for m, Fj in zip(M[i], F_prev):
-                g += m * Fj
-            Q[i] += h2 * g
-    F = [f(times[i], Q[i]) for i in range(s)]
-    diff = math.inf
-    for _ in range(iters):
-        diff = 0.0
-        Qn = [0.0] * s
+            emit(f"    {T[i]} = t0 + {_literal(c[i])} * h")
+            emit(f"    {B[i]} = {free(i)}")
+        if M is None:
+            out += [f"    {Q[i]} = {B[i]}" for i in range(s)]
+        else:
+            emit("    if F_prev is None:")
+            out += [f"        {Q[i]} = {B[i]}" for i in range(s)]
+            emit("    else:")
+            out += [f"        {Q[i]} = {B[i]} + h2 * ({dot(M[i], P)})" for i in range(s)]
+        out += [f"    {F[i]} = f({T[i]}, {Q[i]})" for i in range(s)]
+        emit("    diff = inf")
+        emit("    for _ in range(iters):")
+        emit("        diff = 0.0")
         for i in range(s):
-            ai = a[i]
-            acc = 0.0
-            for j in range(s):
-                acc += ai[j] * F[j]
-            qn = base[i] + h2 * acc
-            d = abs(qn - Q[i])
-            if d > diff or d != d:  # a NaN increment keeps the sweep unconverged
-                diff = d
-            Qn[i] = qn
-        Q = Qn
-        for i in range(s):
-            F[i] = f(times[i], Q[i])
-        if diff < conv:
-            return Q, F
-    raise StageDivergenceError(
-        f"stages did not contract in {iters} sweeps (last increment {diff:.3e})",
-        residual=diff,
+            emit(f"        n = {B[i]} + h2 * ({dot(a[i], F)})")
+            emit(f"        d = abs(n - {Q[i]})")
+            # a NaN increment keeps the sweep unconverged
+            emit("        if d > diff or d != d:")
+            emit("            diff = d")
+            emit(f"        {Q[i]} = n")
+        out += [f"        {F[i]} = f({T[i]}, {Q[i]})" for i in range(s)]
+        emit("        if diff < conv:")
+        emit("            break")
+        emit("    else:")
+        emit("        raise StageDivergenceError(")
+        emit('            f"stages did not contract in {iters} sweeps "')
+        emit('            f"(last increment {diff:.3e})",')
+        emit("            residual=diff,")
+        emit("        )")
+    emit("    return (")
+    emit(f"        q0 + h * p0 + h2 * ({dot(b_bar, F)}),")
+    emit(f"        p0 + h * ({dot(b, F)}),")
+    emit(f"        [{', '.join(Q)}],")
+    emit(f"        [{', '.join(F)}],")
+    emit("    )")
+    return "\n".join(out) + "\n"
+
+
+def _generate_kernel(key):
+    """Compile the scalar advance for one _stepper cache key."""
+    c_bytes, a_bytes, b_bar_bytes, b_bytes, start_bytes, sequential = key
+    c = np.frombuffer(c_bytes).tolist()
+    s = len(c)
+
+    def square(buf):
+        return np.frombuffer(buf).reshape(s, s).tolist()
+
+    M = None if start_bytes is None else square(start_bytes)
+    source = _kernel_source(
+        c, square(a_bytes), np.frombuffer(b_bar_bytes).tolist(),
+        np.frombuffer(b_bytes).tolist(), M, sequential,
     )
+    filename = "<symrkn kernel s={} {} {} {:08x}>".format(
+        s,
+        "sequential" if sequential else "jacobi",
+        "free" if M is None else "start",
+        zlib.crc32(b"".join(part or b"" for part in key[:5])),
+    )
+    namespace = {"inf": math.inf, "StageDivergenceError": StageDivergenceError}
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return namespace["advance"]
+
+
+def _scalar_kernel(key):
+    """The generated advance for key, compiled on first use.
+
+    Beyond _KERNEL_CACHE_SIZE kernels, the least recently used one leaves
+    the cache, and its source leaves linecache.
+    """
+    with _kernels_lock:
+        kernel = _kernels.pop(key, None)
+        if kernel is None:
+            kernel = _generate_kernel(key)
+            if len(_kernels) >= _KERNEL_CACHE_SIZE:
+                old = _kernels.pop(next(iter(_kernels)))
+                linecache.cache.pop(old.__code__.co_filename, None)
+        _kernels[key] = kernel
+    return kernel
 
 
 def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
     """Vector stage solve; returns (Q, F) as (s, d) arrays.
 
-    M and F_prev pick the start as in _stages_scalar.  A Jacobi sweep
-    evaluates all stages with one f.stages(times, Q) call when the force
-    has that batched form, else with s per-point calls.
+    F_prev is None for the free-motion start.  Otherwise it holds the
+    previous step's stage forces and M the start matrix (_start_matrix),
+    and with g = M F_prev stage i starts at base_i + h^2 g_i in Jacobi
+    sweeps, at b_i + w g_i in the sequential sweep; the scalar kernels
+    (_kernel_source) start the same way.  A Jacobi sweep evaluates all
+    stages with one f.stages(times, Q) call when the force has that
+    batched form, else with s per-point calls.
     """
     s = t.s
     c = t.c
@@ -238,7 +337,8 @@ def _start_matrix(t, sequential):
     the next step's nodes, extrapolates stage forces by one step.  The
     sequential sweep starts from E F_prev, the Jacobi sweeps from
     A E F_prev with A = a_bar.  None when the nodes are not pairwise
-    distinct: those tableaus keep the free-motion start.
+    distinct, or so close that the matrix overflows: those tableaus keep
+    the free-motion start.  So a start matrix is always finite.
     """
     c = t.c
     s = t.s
@@ -246,11 +346,13 @@ def _start_matrix(t, sequential):
         return None
     x = 1.0 + c
     E = np.ones((s, s))
-    for j in range(s):
-        for m in range(s):
-            if m != j:
-                E[:, j] *= (x - c[m]) / (c[j] - c[m])
-    return E if sequential else t.a_bar @ E
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j in range(s):
+            for m in range(s):
+                if m != j:
+                    E[:, j] *= (x - c[m]) / (c[j] - c[m])
+        M = E if sequential else t.a_bar @ E
+    return M if np.all(np.isfinite(M)) else None
 
 
 def _stepper(t, q0, stage_tol, max_iters, sequential, start=None):
@@ -262,29 +364,25 @@ def _stepper(t, q0, stage_tol, max_iters, sequential, start=None):
     being the step's stage forces.  With start from _start_matrix, a step
     given the previous step's F_prev starts its stage iteration from their
     extrapolation; otherwise, and always when start is None, it starts from
-    free motion.  State kind, solver structure and coefficient form
-    (plain-float lists for scalar state, the tableau's arrays otherwise) are
-    fixed here, once per run.
+    free motion.  State kind, solver structure and start are fixed here,
+    once per run.
+
+    Scalar state runs a kernel generated from source for this tableau
+    (_kernel_source): stage and sum loops unrolled, each coefficient a
+    float literal.  Kernels are cached by the exact bytes of c, a_bar,
+    b_bar, b and start, with the structure and whether there is a start,
+    so 0.0 and -0.0 get different kernels; at most _KERNEL_CACHE_SIZE are
+    kept.  The first use of a tableau pays the generation once (about a
+    millisecond for s = 3); stage_tol and max_iters are arguments of the
+    kernel and stay out of the key.  Array state runs _stages_array on the
+    tableau's arrays.
     """
     if np.ndim(q0) == 0:
-        s = t.s
-        c, a = t.c.tolist(), t.a_bar.tolist()
-        b_bar, b = t.b_bar.tolist(), t.b.tolist()
-        M = None if start is None else start.tolist()
-
-        def advance(f, t0, q0, p0, h, F_prev=None):
-            conv = stage_tol * (1.0 + abs(q0))
-            Q, F = _stages_scalar(
-                c, a, s, f, t0, q0, p0, h, conv, max_iters, sequential,
-                M, None if M is None else F_prev,
-            )
-            accq = accp = 0.0
-            for i in range(s):
-                accq += b_bar[i] * F[i]
-                accp += b[i] * F[i]
-            return q0 + h * p0 + h * h * accq, p0 + h * accp, Q, F
-
-        return float, advance
+        key = (
+            t.c.tobytes(), t.a_bar.tobytes(), t.b_bar.tobytes(), t.b.tobytes(),
+            None if start is None else start.tobytes(), sequential,
+        )
+        return float, partial(_scalar_kernel(key), stage_tol, max_iters)
 
     def advance(f, t0, q0, p0, h, F_prev=None):
         conv = stage_tol * (1.0 + float(_max(np.abs(q0), axis=None)))
@@ -347,9 +445,12 @@ def integrate(
     """March from prob.t0 to t_end in steps of cfg.h, sampling states.
 
     Records the initial state, every sample_every-th step, and the final
-    step.  (t_end - t0)/h must be a nonnegative integer to grid tolerance.
-    On stage divergence mid-run the trajectory collected so far is returned
-    with diverged=True and the 1-based index of the failed step.
+    step.  (t_end - t0)/h must be a nonnegative integer to grid tolerance,
+    and the initial state must be finite.  On stage divergence mid-run the
+    trajectory collected so far is returned with diverged=True and the
+    1-based index of the failed step.  A recorded sample that is not
+    finite ends the run the same way, at its step, so no recorded value is
+    inf or NaN.
 
     Each step after the first starts its stage iteration from the previous
     step's stage forces, extrapolated to the new nodes; the first step, and
@@ -367,6 +468,8 @@ def integrate(
     )
     f, h, t0 = prob.force, cfg.h, prob.t0
     q, p = state(prob.q0), state(prob.p0)
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        raise ValueError("initial state must be finite")
     times, qs, ps = [t0], [q], [p]
     failure_step = None
     F = None
@@ -382,6 +485,15 @@ def integrate(
             ps.append(p)
     q_arr = np.array(qs, dtype=float).reshape(len(qs), prob.dim)
     p_arr = np.array(ps, dtype=float).reshape(len(ps), prob.dim)
+    finite = np.isfinite(q_arr).all(axis=1) & np.isfinite(p_arr).all(axis=1)
+    if not finite.all():
+        # a force that went non-finite where no stage iteration sees it (an
+        # explicit stage, or a jump within stage_tol of the converged stage)
+        # passes the stage solve; the first such sample ends the run
+        j = int(finite.argmin())
+        failure_step = min(j * sample_every, n)
+        del times[j:], qs[j:], ps[j:]
+        q_arr, p_arr = q_arr[:j], p_arr[:j]
     energy_error = None
     if prob.energy is not None:
         H = prob.energy

@@ -14,6 +14,7 @@ from symrkn.errors import (
 from symrkn.integrator import (
     StepConfig,
     _advance,
+    _start_matrix,
     final_state_error,
     fit_loglog_slope,
     global_error_study,
@@ -191,6 +192,78 @@ def test_nan_force_fails_the_step_on_both_paths():
             assert np.all(np.isfinite(values))
 
 
+def _explicit_last_stage() -> RknTableau:
+    # diagsymp without its last diagonal entry: the last stage's force
+    # enters only the update, never a stage iteration
+    t = named_tableau("diagsymp")
+    a_bar = np.array(t.a_bar)
+    a_bar[2, 2] = 0.0
+    return RknTableau(3, t.c, a_bar, t.b_bar, t.b, "explicit last stage")
+
+
+def _as_scalar_and_array(prob):
+    f = prob.force
+    return prob, dataclasses.replace(
+        prob,
+        force=lambda t, q: np.array([f(t, float(q[0]))]),
+        energy=lambda p, q: prob.energy(float(p[0]), float(q[0])),
+        q0=np.array([prob.q0]),
+        p0=np.array([prob.p0]),
+    )
+
+
+def _run_outcome(tab, prob, sample_every):
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            traj = integrate(tab, prob, 1.6, CFG, sample_every=sample_every)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    for values in (traj.q, traj.p, traj.energy_error):
+        assert np.all(np.isfinite(values))
+    return traj.diverged, traj.failure_step, traj.times.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["diagsymp", "rkn-a", "rkn-iiib", "explicit-last-stage"])
+def test_non_finite_runs_agree_on_both_paths(name, bad):
+    # scalar and (1,)-array pendulum runs give the same exception or stop
+    # at the same step, and record no inf or NaN
+    tab = _explicit_last_stage() if name == "explicit-last-stage" else named_tableau(name)
+    pend = perturbed_pendulum()
+    forces = (
+        lambda t, q: bad,
+        lambda t, q: bad if t > 0.5 else pend.force(t, q),
+        lambda t, q: bad if t > 0.45 else pend.force(t, q),
+        lambda t, q: bad if q > 0.7 else pend.force(t, q),
+    )
+    runs = [dataclasses.replace(pend, force=f) for f in forces]
+    runs += [dataclasses.replace(pend, q0=bad), dataclasses.replace(pend, p0=bad)]
+    for prob in runs:
+        for sample_every in (1, 3):
+            scalar, array = (
+                _run_outcome(tab, kind, sample_every) for kind in _as_scalar_and_array(prob)
+            )
+            assert scalar == array
+
+
+def test_explicit_stage_force_cannot_record_a_non_finite_sample():
+    # the last stage's NaN force first appears at step 3 (t = 0.48); the
+    # update takes it in and no stage iteration can fail on it
+    pend = perturbed_pendulum()
+    prob = dataclasses.replace(
+        pend, force=lambda t, q: math.nan if t > 0.45 else pend.force(t, q)
+    )
+    for kind in _as_scalar_and_array(prob):
+        with np.errstate(invalid="ignore"):
+            traj = integrate(_explicit_last_stage(), kind, 1.6, CFG)
+        assert traj.diverged and traj.failure_step == 3
+        assert traj.times.shape == (3,)
+    for q0, p0 in ((math.nan, 2.5), (0.0, math.inf)):
+        for kind in _as_scalar_and_array(dataclasses.replace(pend, q0=q0, p0=p0)):
+            with pytest.raises(ValueError, match="initial state must be finite"):
+                integrate(named_tableau("rkn-a"), kind, 1.6, CFG)
+
+
 def test_zero_span_trajectory():
     prob = perturbed_pendulum()
     traj = integrate(named_tableau("diagsymp"), prob, 0.0, CFG)
@@ -340,6 +413,11 @@ def test_step_config_validation():
         StepConfig(h=0.1, stage_tol=0.0)
     with pytest.raises(ValueError):
         StepConfig(h=0.1, max_iters=0)
+    # range(max_iters) would fail every step with TypeError
+    for bad in (2.5, True, False, "100", None, 100.0):
+        with pytest.raises(ValueError):
+            StepConfig(h=0.1, max_iters=bad)
+    assert StepConfig(h=0.1, max_iters=np.int64(7)).max_iters == 7
 
 
 def test_array_problem_round_trip():
@@ -500,6 +578,24 @@ def test_later_step_divergence_keeps_its_failure_step(name, make, h, failure_ste
     traj = integrate(named_tableau(name), make(), h * round(20.0 / h), StepConfig(h=h))
     assert traj.diverged and traj.failure_step == failure_step
     assert traj.times.shape == (failure_step,)
+
+
+def test_nodes_too_close_to_extrapolate_keep_the_free_motion_start():
+    # 1 / 5e-324 overflows, so no finite start matrix exists; every step
+    # starts from free motion, as single steps do, and the run completes
+    tab = RknTableau(
+        2, np.array([0.0, 5e-324]), np.array([[0.05, 0.0], [0.02, 0.05]]),
+        np.array([0.25, 0.25]), np.array([0.5, 0.5]), "close nodes",
+    )
+    assert _start_matrix(tab, True) is None and _start_matrix(tab, False) is None
+    for prob in _as_scalar_and_array(perturbed_pendulum()):
+        traj = integrate(tab, prob, 1.6, CFG)
+        assert not traj.diverged
+        q, p = prob.q0, prob.p0
+        for k in range(10):
+            q, p = step(tab, prob.force, prob.t0 + k * CFG.h, q, p, CFG)
+        assert traj.q[-1].tobytes() == np.reshape(q, -1).tobytes()
+        assert traj.p[-1].tobytes() == np.reshape(p, -1).tobytes()
 
 
 def _twin_nodes(a_bar) -> RknTableau:

@@ -1,0 +1,318 @@
+"""The generated scalar kernel against the generic loops, bit for bit.
+
+Scalar state runs one advance generated from source per tableau, with the
+stage and sum loops unrolled and the coefficients as float literals.  The
+reference below is the generic solver it replaced: _stages_scalar, plus the
+scalar advance that summed the update.  The kernel promises the same IEEE
+operations in the same order, so results, exception types, messages and
+residuals must be equal byte for byte, not merely close.
+"""
+
+import linecache
+import math
+import random
+import traceback
+
+import numpy as np
+import pytest
+
+from symrkn.errors import StageDivergenceError
+from symrkn.integrator import (
+    _KERNEL_CACHE_SIZE,
+    _kernels,
+    _start_matrix,
+    _stepper,
+    StepConfig,
+    reference_tableau,
+    step,
+)
+from symrkn.problems import perturbed_pendulum
+from symrkn.tableau import RknTableau, named_tableau
+
+
+def _stages_scalar(c, a, s, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
+    h2 = h * h
+    Q = [0.0] * s
+    F = [0.0] * s
+    if sequential:
+        for i in range(s):
+            ti = t0 + c[i] * h
+            ai = a[i]
+            base = q0 + h * c[i] * p0
+            acc = 0.0
+            for j in range(i):
+                acc += ai[j] * F[j]
+            base += h2 * acc
+            w = h2 * ai[i]
+            if w == 0.0:
+                qi = base
+            else:
+                if F_prev is None:
+                    qi = q0 + h * c[i] * p0
+                else:
+                    g = 0.0
+                    for m, Fj in zip(M[i], F_prev):
+                        g += m * Fj
+                    qi = base + w * g
+                diff = math.inf
+                for _ in range(iters):
+                    qn = base + w * f(ti, qi)
+                    diff = abs(qn - qi)
+                    qi = qn
+                    if diff < conv:
+                        break
+                else:
+                    raise StageDivergenceError(
+                        f"stage {i} did not contract (last increment {diff:.3e})",
+                        residual=diff,
+                    )
+            Q[i] = qi
+            F[i] = f(ti, qi)
+        return Q, F
+    times = [t0 + c[i] * h for i in range(s)]
+    base = [q0 + h * c[i] * p0 for i in range(s)]
+    Q = base[:]
+    if F_prev is not None:
+        for i in range(s):
+            g = 0.0
+            for m, Fj in zip(M[i], F_prev):
+                g += m * Fj
+            Q[i] += h2 * g
+    F = [f(times[i], Q[i]) for i in range(s)]
+    diff = math.inf
+    for _ in range(iters):
+        diff = 0.0
+        Qn = [0.0] * s
+        for i in range(s):
+            ai = a[i]
+            acc = 0.0
+            for j in range(s):
+                acc += ai[j] * F[j]
+            qn = base[i] + h2 * acc
+            d = abs(qn - Q[i])
+            if d > diff or d != d:
+                diff = d
+            Qn[i] = qn
+        Q = Qn
+        for i in range(s):
+            F[i] = f(times[i], Q[i])
+        if diff < conv:
+            return Q, F
+    raise StageDivergenceError(
+        f"stages did not contract in {iters} sweeps (last increment {diff:.3e})",
+        residual=diff,
+    )
+
+
+def _reference_advance(t, stage_tol, max_iters, sequential, start):
+    s = t.s
+    c, a = t.c.tolist(), t.a_bar.tolist()
+    b_bar, b = t.b_bar.tolist(), t.b.tolist()
+    M = None if start is None else start.tolist()
+
+    def advance(f, t0, q0, p0, h, F_prev=None):
+        conv = stage_tol * (1.0 + abs(q0))
+        Q, F = _stages_scalar(
+            c, a, s, f, t0, q0, p0, h, conv, max_iters, sequential,
+            M, None if M is None else F_prev,
+        )
+        accq = accp = 0.0
+        for i in range(s):
+            accq += b_bar[i] * F[i]
+            accp += b[i] * F[i]
+        return q0 + h * p0 + h * h * accq, p0 + h * accp, Q, F
+
+    return advance
+
+
+def _outcome(advance, *args):
+    """Bytes of (q1, p1, Q, F), or the exception's type, message and residual.
+
+    math.sin and math.cos raise ValueError on an infinite argument; the
+    kernel must let it through from the same call.
+    """
+    try:
+        q1, p1, Q, F = advance(*args)
+    except (StageDivergenceError, ValueError) as exc:
+        residual = getattr(exc, "residual", None)
+        if residual is not None:
+            residual = np.float64(residual).tobytes()
+        return ("raised", type(exc), str(exc), residual)
+    return tuple(np.asarray(v, dtype=np.float64).tobytes() for v in (q1, p1, Q, F))
+
+
+def _assert_same(t, f, t0, q0, p0, h, sequential, start=None, F_prev=None,
+                 stage_tol=1e-14, max_iters=100):
+    _, kernel = _stepper(t, q0, stage_tol, max_iters, sequential, start)
+    reference = _reference_advance(t, stage_tol, max_iters, sequential, start)
+    got = _outcome(kernel, f, t0, q0, p0, h, F_prev)
+    want = _outcome(reference, f, t0, q0, p0, h, F_prev)
+    assert got == want
+    return got
+
+
+def _pendulum(t, q):
+    return -math.sin(q) - 0.4 * math.cos(2.0 * q)
+
+
+def _driven(t, q):
+    return -math.sin(q) + 0.3 * math.cos(1.7 * t)
+
+
+def _runs(t, f, h, steps=40, q0=0.3, p0=2.5, stage_tol=1e-14, max_iters=100):
+    """Step both implementations along one trajectory, from free motion and
+    then from each previous step's stage forces, for both structures."""
+    outcomes = []
+    for sequential in (False, True):
+        start = _start_matrix(t, sequential)
+        q, p, F_prev = q0, p0, None
+        for k in range(steps):
+            got = _assert_same(
+                t, f, k * h, q, p, h, sequential, start, F_prev, stage_tol, max_iters
+            )
+            outcomes.append(got[0])
+            if got[0] == "raised":
+                break
+            q1, p1, _, F_prev = _reference_advance(
+                t, stage_tol, max_iters, sequential, start
+            )(f, k * h, q, p, h, F_prev)
+            q, p = q1, p1
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3"],
+)
+@pytest.mark.parametrize("force", [_pendulum, _driven], ids=["autonomous", "driven"])
+def test_named_methods_have_the_bits_of_the_generic_loops(name, force):
+    t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    for h in (0.16, -0.16, 0.9):
+        _runs(t, force, h)
+
+
+def _random_tableau(rng, s, lower, nodes=None):
+    c = sorted(rng.uniform(0.0, 1.0) for _ in range(s)) if nodes is None else nodes
+    a_bar = np.array([[rng.uniform(-0.3, 0.3) / s for _ in range(s)] for _ in range(s)])
+    if lower:
+        a_bar = np.tril(a_bar)
+    b_bar = [rng.uniform(-1.0, 1.0) for _ in range(s)]
+    b = [rng.uniform(-1.0, 1.0) for _ in range(s)]
+    return RknTableau(s, np.array(c), a_bar, np.array(b_bar), np.array(b), "random")
+
+
+@pytest.mark.parametrize("s", range(1, 11))
+@pytest.mark.parametrize("lower", [True, False], ids=["lower", "full"])
+def test_random_tableaus_have_the_bits_of_the_generic_loops(s, lower):
+    rng = random.Random(1000 * s + lower)
+    for _ in range(3):
+        t = _random_tableau(rng, s, lower)
+        _runs(t, _driven, 0.2, steps=12)
+        # one or two sweeps leave the extrapolated start's bits in the result
+        for sequential in (False, True):
+            F_prev = [rng.uniform(-1.0, 1.0) for _ in range(s)]
+            for max_iters in (1, 2):
+                _assert_same(t, _driven, 0.2, 0.3, 2.5, 0.2, sequential,
+                             _start_matrix(t, sequential), F_prev, max_iters=max_iters)
+
+
+def test_repeated_nodes_and_zero_diagonals():
+    rng = random.Random(7)
+    for s in (2, 3, 5):
+        nodes = [0.5] * s
+        t = _random_tableau(rng, s, True, nodes=nodes)
+        assert _start_matrix(t, True) is None
+        _runs(t, _driven, 0.2, steps=10)
+        a_bar = np.array(t.a_bar)
+        np.fill_diagonal(a_bar, 0.0)
+        a_bar[0, 0] = 0.01
+        for c in (nodes, sorted(rng.uniform(0.0, 1.0) for _ in range(s))):
+            z = RknTableau(s, np.array(c), a_bar, t.b_bar, t.b, "zero-diagonal")
+            assert z.lower_triangular
+            _runs(z, _driven, 0.2, steps=10)
+
+
+def test_signed_zero_coefficients_get_their_own_kernels():
+    pos = RknTableau(1, np.array([0.0]), np.array([[0.0]]), np.array([0.5]),
+                     np.array([1.0]), "zero")
+    neg = RknTableau(1, np.array([-0.0]), np.array([[-0.0]]), np.array([0.5]),
+                     np.array([1.0]), "negative zero")
+    kernels = set()
+    outcomes = set()
+    for t in (pos, neg):
+        for sequential in (True, False):
+            _, advance = _stepper(t, -0.0, 1e-14, 100, sequential)
+            kernels.add(advance.func)
+            # the stage time t0 + c h is the only place the sign of c shows
+            got = _assert_same(t, lambda t, q: t, -0.0, -0.0, 1.0, 0.5, sequential)
+            outcomes.add((sequential, got))
+    assert len(kernels) == 4
+    assert len(outcomes) == 4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["diagsymp", "rkn-iiib", "rkn-a"])
+def test_non_finite_forces_and_states(bad, name):
+    t = named_tableau(name)
+    cases = [
+        (lambda t, q: bad, 0.3, 2.5),
+        (lambda t, q: bad if t > 0.5 else _pendulum(t, q), 0.3, 2.5),
+        (lambda t, q: bad if q > 0.7 else _pendulum(t, q), 0.3, 2.5),
+        (_driven, bad, 2.5),
+        (_driven, 0.3, bad),
+    ]
+    for f, q0, p0 in cases:
+        _runs(t, f, 0.16, steps=8, q0=q0, p0=p0)
+    # a start from non-finite previous forces
+    for sequential in (False, True):
+        _assert_same(t, _pendulum, 0.0, 0.3, 2.5, 0.16, sequential,
+                     _start_matrix(t, sequential), [0.5, bad, -0.5])
+
+
+@pytest.mark.parametrize("name", ["diagsymp", "rkn-a"])
+def test_divergence_has_the_message_and_residual_of_the_generic_loops(name):
+    t = named_tableau(name)
+    outcomes = _runs(t, _pendulum, 10.0, steps=3)
+    assert "raised" in outcomes
+    for max_iters in (0, 1, 2, 3):
+        outcomes = _runs(t, _pendulum, 0.16, steps=3, max_iters=max_iters)
+        assert "raised" in outcomes
+        # cut short, the residual shows the extrapolated start's bits
+        for sequential in (False, True):
+            got = _assert_same(
+                t, _pendulum, 0.16, 0.4, 2.4, 0.16, sequential,
+                _start_matrix(t, sequential), [-0.3, -0.6, -0.9], max_iters=max_iters,
+            )
+            assert got[0] == "raised"
+
+
+def test_one_kernel_per_tableau_and_tolerances_are_arguments():
+    t = named_tableau("rkn-a")
+    _, a = _stepper(t, 0.0, 1e-14, 100, False)
+    _, b = _stepper(t, 0.0, 1e-10, 7, False)
+    _, c = _stepper(t, 0.0, 1e-14, 100, True)
+    assert a.func is b.func
+    assert c.func is not a.func
+    assert a.args == (1e-14, 100) and b.args == (1e-10, 7)
+
+
+def test_cache_is_bounded_and_evicted_sources_leave_linecache():
+    rng = random.Random(3)
+    first = _stepper(_random_tableau(rng, 2, False), 0.0, 1e-14, 100, False)[1].func
+    name = first.__code__.co_filename
+    assert name.startswith("<symrkn kernel s=2 jacobi free ")
+    assert linecache.getline(name, 1).startswith("def advance(")
+    for _ in range(_KERNEL_CACHE_SIZE):
+        _stepper(_random_tableau(rng, 2, False), 0.0, 1e-14, 100, False)
+    assert len(_kernels) <= _KERNEL_CACHE_SIZE
+    assert first not in _kernels.values()
+    assert linecache.getline(name, 1) == ""
+
+
+def test_divergence_traceback_shows_the_kernel_source():
+    prob = perturbed_pendulum()
+    with pytest.raises(StageDivergenceError) as info:
+        step(named_tableau("rkn-iiib"), prob.force, 0.0, 0.0, 2.5, StepConfig(h=10.0))
+    text = "".join(traceback.format_exception(info.value))
+    assert "<symrkn kernel s=3 jacobi free " in text
+    assert "raise StageDivergenceError(" in text
