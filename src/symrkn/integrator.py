@@ -19,6 +19,12 @@ matrix, with the structure and the presence of a start, and at most
 _KERNEL_CACHE_SIZE are kept.  The source is registered in linecache, so
 tracebacks and profiles show the generated lines.
 
+Array state runs one of two numpy closures (_array_advance), picked once
+per run like the scalar kernel: the sequential sweep or the Jacobi sweeps.
+The tableau's arrays and the constants of h (c h, h h) are fixed outside
+the step, so a step computes only its stage times, the free-motion base,
+the sweeps and the update (see _stepper).
+
 Where the stage iteration starts: inside integrate, every step after the
 first starts from the previous step's stage forces, extrapolated to the new
 nodes by the polynomial through (c_j, F_j) (Hairer, Lubich and Wanner,
@@ -261,75 +267,6 @@ def _scalar_kernel(key):
     return kernel
 
 
-def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
-    """Vector stage solve; returns (Q, F) as (s, d) arrays.
-
-    F_prev is None for the free-motion start.  Otherwise it holds the
-    previous step's stage forces and M the start matrix (_start_matrix),
-    and with g = M F_prev stage i starts at base_i + h^2 g_i in Jacobi
-    sweeps, at b_i + w g_i in the sequential sweep; the scalar kernels
-    (_kernel_source) start the same way.  A Jacobi sweep evaluates all
-    stages with one f.stages(times, Q) call when the force has that
-    batched form, else with s per-point calls.
-    """
-    s = t.s
-    c = t.c
-    a = t.a_bar
-    h2 = h * h
-    times = t0 + c * h
-    base = q0[None, :] + (h * c)[:, None] * p0[None, :]
-    if sequential:
-        Q = np.zeros_like(base)
-        F = np.zeros_like(base)
-        for i in range(s):
-            bi = base[i] + h2 * (a[i, :i] @ F[:i])
-            w = h2 * a[i, i]
-            if w == 0.0:
-                qi = bi
-            else:
-                qi = base[i].copy() if F_prev is None else bi + w * (M[i] @ F_prev)
-                diff = math.inf
-                for _ in range(iters):
-                    qn = bi + w * f(times[i], qi)
-                    diff = float(_max(np.abs(qn - qi), axis=None))
-                    qi = qn
-                    if diff < conv:
-                        break
-                else:
-                    raise StageDivergenceError(
-                        f"stage {i} did not contract (last increment {diff:.3e})",
-                        residual=diff,
-                    )
-            Q[i] = qi
-            F[i] = f(times[i], qi)
-        return Q, F
-    stages = getattr(f, "stages", None)
-    Q = base.copy() if F_prev is None else base + h2 * (M @ F_prev)
-    if stages is None:
-        F = np.array([f(times[i], Q[i]) for i in range(s)])
-    else:
-        F = stages(times, Q)
-        if np.shape(F) != Q.shape:
-            raise ValueError(
-                f"force.stages returned shape {np.shape(F)}, expected {Q.shape}"
-            )
-    diff = math.inf
-    for _ in range(iters):
-        Qn = base + h2 * (a @ F)
-        diff = float(_max(np.abs(Qn - Q), axis=None))
-        Q = Qn
-        if stages is None:
-            F = np.array([f(times[i], Q[i]) for i in range(s)])
-        else:
-            F = stages(times, Q)
-        if diff < conv:
-            return Q, F
-    raise StageDivergenceError(
-        f"stages did not contract in {iters} sweeps (last increment {diff:.3e})",
-        residual=diff,
-    )
-
-
 def _start_matrix(t, sequential):
     """Matrix taking the previous step's stage forces to this step's start.
 
@@ -374,8 +311,15 @@ def _stepper(t, q0, stage_tol, max_iters, sequential, start=None):
     so 0.0 and -0.0 get different kernels; at most _KERNEL_CACHE_SIZE are
     kept.  The first use of a tableau pays the generation once (about a
     millisecond for s = 3); stage_tol and max_iters are arguments of the
-    kernel and stay out of the key.  Array state runs _stages_array on the
-    tableau's arrays.
+    kernel and stay out of the key.
+
+    Array state runs the sequential or the Jacobi closure of
+    _array_advance, picked here.  Fixed once per run: the tableau's arrays,
+    start, the coefficient rows, stage_tol and max_iters.  Recomputed only
+    when h differs from the previous step's: c h, (h c)[:, None], h h and
+    the diagonal terms h h a_bar[i, i].  Per step: the tolerance
+    stage_tol (1 + max |q0|), the stage times, the base q0 + h c p0, the
+    sweeps and the update.
     """
     if np.ndim(q0) == 0:
         key = (
@@ -383,16 +327,99 @@ def _stepper(t, q0, stage_tol, max_iters, sequential, start=None):
             None if start is None else start.tobytes(), sequential,
         )
         return float, partial(_scalar_kernel(key), stage_tol, max_iters)
-
-    def advance(f, t0, q0, p0, h, F_prev=None):
-        conv = stage_tol * (1.0 + float(_max(np.abs(q0), axis=None)))
-        Q, F = _stages_array(
-            t, f, t0, q0, p0, h, conv, max_iters, sequential,
-            start, None if start is None else F_prev,
-        )
-        return q0 + h * p0 + h * h * (t.b_bar @ F), p0 + h * (t.b @ F), Q, F
-
+    advance = _array_advance(t, stage_tol, max_iters, sequential, start)
     return lambda x: np.asarray(x, dtype=float), advance
+
+
+def _array_advance(t, stage_tol, iters, sequential, M):
+    """advance for array state: the sequential sweep or the Jacobi sweeps.
+
+    Given F_prev (and M not None), stage i starts at base_i + h^2 (M F_prev)_i
+    in Jacobi sweeps, at b_i + w_i (M F_prev)_i in the sequential sweep, as
+    the scalar kernels (_kernel_source) do; otherwise it starts from the
+    free-motion base itself, passed to the force uncopied.  A Jacobi sweep
+    evaluates all stages with one f.stages(times, Q) call when the force
+    has that batched form, else with s per-point calls.
+    """
+    s, c, a, b_bar, b = t.s, t.c, t.a_bar, t.b_bar, t.b
+    rows = [a[i, :i] for i in range(s)]
+    m_rows = None if M is None else list(M)
+    hk = ch = hc = h2 = w = None
+
+    def rescale(h):
+        nonlocal hk, ch, hc, h2, w
+        hk, ch, h2 = h, c * h, h * h
+        hc = ch[:, None]
+        w = (h2 * a.diagonal()).tolist()
+
+    def sweep(f, t0, q0, p0, h, F_prev=None):
+        if h != hk or h == 0.0:  # -0.0 == 0.0, but c h keeps the sign
+            rescale(h)
+        if M is None:
+            F_prev = None
+        conv = stage_tol * (1.0 + float(_max(np.abs(q0), axis=None)))
+        times = t0 + ch
+        base = q0 + hc * p0
+        Q = np.zeros_like(base)
+        F = np.zeros_like(base)
+        for i in range(s):
+            bi = base[i] + h2 * (rows[i] @ F[:i])
+            wi = w[i]
+            if wi == 0.0:
+                qi = bi
+            else:
+                qi = base[i] if F_prev is None else bi + wi * (m_rows[i] @ F_prev)
+                diff = math.inf
+                for _ in range(iters):
+                    qn = bi + wi * f(times[i], qi)
+                    diff = float(_max(np.abs(qn - qi), axis=None))
+                    qi = qn
+                    if diff < conv:
+                        break
+                else:
+                    raise StageDivergenceError(
+                        f"stage {i} did not contract (last increment {diff:.3e})",
+                        residual=diff,
+                    )
+            Q[i] = qi
+            F[i] = f(times[i], qi)
+        return q0 + h * p0 + h2 * (b_bar @ F), p0 + h * (b @ F), Q, F
+
+    def jacobi(f, t0, q0, p0, h, F_prev=None):
+        if h != hk or h == 0.0:
+            rescale(h)
+        if M is None:
+            F_prev = None
+        conv = stage_tol * (1.0 + float(_max(np.abs(q0), axis=None)))
+        times = t0 + ch
+        base = q0 + hc * p0
+        Q = base if F_prev is None else base + h2 * (M @ F_prev)
+        stages = getattr(f, "stages", None)
+        if stages is None:
+            F = np.array([f(times[i], Q[i]) for i in range(s)])
+        else:
+            F = stages(times, Q)
+            if np.shape(F) != Q.shape:
+                raise ValueError(
+                    f"force.stages returned shape {np.shape(F)}, expected {Q.shape}"
+                )
+        diff = math.inf
+        for _ in range(iters):
+            Qn = base + h2 * (a @ F)
+            diff = float(_max(np.abs(Qn - Q), axis=None))
+            Q = Qn
+            if stages is None:
+                F = np.array([f(times[i], Q[i]) for i in range(s)])
+            else:
+                F = stages(times, Q)
+            if diff < conv:
+                return q0 + h * p0 + h2 * (b_bar @ F), p0 + h * (b @ F), Q, F
+        raise StageDivergenceError(
+            f"stages did not contract in {iters} sweeps (last increment {diff:.3e})",
+            residual=diff,
+        )
+
+    return sweep if sequential else jacobi
 
 
 def _advance(t, f, t0, q0, p0, h, stage_tol, max_iters, sequential):

@@ -29,7 +29,12 @@ class OdeProblem:
     makes one stages call per sweep instead of s per-point calls; other
     solves use the per-point form.  stages must compute each row with the
     same floating-point operations as force(t_i, Q_i), so that results stay
-    bit-identical; a result of the wrong shape raises ValueError.
+    bit-identical; a result of the wrong shape raises ValueError.  It may
+    work in numpy or, as the Kepler force does for a few stages, row by row
+    in float arithmetic on Q.tolist(), which gives numpy's bits wherever
+    no operation overflows, underflows or divides by zero.  Neither form
+    may modify the stage values it is given: the solver passes its own
+    arrays, not copies.
     """
 
     dim: int
@@ -105,23 +110,65 @@ def harmonic_oscillator(omega: float = 1.0) -> OdeProblem:
     )
 
 
+# Where 2**-500 <= |x|, |y| (or 0) and 2**-1000 <= r^3 <= 2**500, every
+# operation of the Kepler force has a normal, finite exact result: numpy sets
+# no floating-point flag but inexact, and plain floats give its bits.
+_KEPLER_SMALL = 2.0**-500
+_KEPLER_R3_MIN = 2.0**-1000
+_KEPLER_R3_MAX = 2.0**500
+
+
+def _kepler_row(x, y):
+    """(-x/r^3, -y/r^3) in float arithmetic, or None outside the ranges above."""
+    r = math.sqrt(x * x + y * y)
+    r3 = r * r * r
+    if (
+        not _KEPLER_R3_MIN <= r3 <= _KEPLER_R3_MAX
+        or -_KEPLER_SMALL < x < _KEPLER_SMALL and x
+        or -_KEPLER_SMALL < y < _KEPLER_SMALL and y
+    ):
+        return None
+    return (-x / r3, -y / r3)
+
+
+def _numpy_kepler_force(q):
+    r = math.sqrt(q[0] * q[0] + q[1] * q[1])
+    return -q / (r * r * r)
+
+
+def _numpy_kepler_stages(Q):
+    x, y = Q[:, 0], Q[:, 1]
+    r = np.sqrt(x * x + y * y)
+    return -Q / (r * r * r)[:, None]
+
+
 class _KeplerForce:
     """q'' = -q/|q|^3, per point and batched over stacked stage values.
 
-    Both forms take x*x + y*y, its square root r, r*r*r, then the quotient,
-    so every row of stages(times, Q) equals force(t_i, Q_i) bit for bit.
+    Both forms take x*x + y*y, its square root r, r*r*r, then the negated
+    coordinates over it, so every row of stages(times, Q) equals
+    force(t_i, Q_i) bit for bit.  They run in float arithmetic on tolist()
+    values (_kepler_row), the same IEEE operations in the same order as the
+    numpy formulas.  A point outside _kepler_row's ranges, such as r = 0,
+    a subnormal or overflowing entry, inf or NaN, hands the whole call to
+    the numpy formula, which keeps numpy's bits and its warnings or errors
+    under np.errstate.
     """
 
     __slots__ = ()
 
     def __call__(self, t, q):
-        r = math.sqrt(q[0] * q[0] + q[1] * q[1])
-        return -q / (r * r * r)
+        row = _kepler_row(*q.tolist())
+        return _numpy_kepler_force(q) if row is None else np.array(row)
 
     def stages(self, times, Q):
-        x, y = Q[:, 0], Q[:, 1]
-        r = np.sqrt(x * x + y * y)
-        return -Q / (r * r * r)[:, None]
+        out = []
+        for x, y in Q.tolist():
+            row = _kepler_row(x, y)
+            if row is None:
+                return _numpy_kepler_stages(Q)
+            out += row
+        return np.array(out).reshape(-1, 2)
 
 
 def kepler_2d(eccentricity: float = 0.0) -> OdeProblem:

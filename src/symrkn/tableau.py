@@ -6,6 +6,7 @@ rkn-tableau/1 interchange format.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -63,9 +64,12 @@ class RknTableau:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
+    @functools.cached_property
     def lower_triangular(self) -> bool:
-        """True when every entry strictly above the diagonal is exactly zero."""
+        """True when every entry strictly above the diagonal is exactly zero.
+
+        Computed on first access and kept: the arrays are read-only.
+        """
         return not np.any(np.triu(self.a_bar, k=1))
 
 
@@ -168,13 +172,20 @@ def named_tableau(name: str) -> RknTableau:
 
     The stored entries are cross-validated against regenerating the tableau
     from the order-4 family parameters; disagreement beyond 1e-14 aborts,
-    guarding against transcription errors in either data path.
+    guarding against transcription errors in either data path.  The check
+    runs on the first build of each name in a process; later calls return
+    that same tableau, which is frozen with read-only arrays.
     """
     key = name.strip().lower()
     if key not in _NAMED:
         raise ValueError(
             f"unknown tableau {name!r}; expected one of {sorted(_NAMED)}"
         )
+    return _checked_named(key)
+
+
+@functools.lru_cache(maxsize=None)
+def _checked_named(key: str) -> RknTableau:
     params, rows = _NAMED[key]
     t = RknTableau(
         3,

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -106,3 +107,72 @@ def test_kepler_batched_force_matches_per_point_bits(e):
         batched = force.stages(times, Q)
         assert batched.shape == per_point.shape == (s, 2)
         assert batched.tobytes() == per_point.tobytes()
+    # rows at and beyond the edges of float arithmetic
+    rows = [(x, y) for x in _EDGE_ENTRIES for y in _EDGE_ENTRIES]
+    Q = np.array(rows)
+    with np.errstate(all="ignore"):
+        per_point = np.array([force(0.0, q) for q in Q])
+        batched = force.stages(np.zeros(len(Q)), Q)
+    assert batched.tobytes() == per_point.tobytes()
+
+
+def _numpy_kepler_force(t, q):
+    r = math.sqrt(q[0] * q[0] + q[1] * q[1])
+    return -q / (r * r * r)
+
+
+def _numpy_kepler_stages(times, Q):
+    x, y = Q[:, 0], Q[:, 1]
+    r = np.sqrt(x * x + y * y)
+    return -Q / (r * r * r)[:, None]
+
+
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
+# zeros, subnormals, the float-path bounds and their neighbours, entries whose
+# squares or r^3 underflow or overflow, and non-finite values
+_EDGE_ENTRIES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, _TINY, -_TINY, 1e-300, 1e-160, 1e-155,
+    np.nextafter(2.0**-500, 0.0), 2.0**-500, -(2.0**-500), 1e-120, 1e-100,
+    0.5, -1.0, 3.0, 1e100, 1e154, -1e155, 1e200, _HUGE, -_HUGE,
+    math.inf, -math.inf, math.nan,
+]
+
+
+def _kepler_outcome(fn, *args, err):
+    """Bytes, shape and dtype of fn(*args), or the FloatingPointError it
+    raised, with the warnings emitted, under np.errstate(err)."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(**err):
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+            result = (out.shape, out.dtype.str, out.tobytes())
+        except FloatingPointError as exc:
+            result = ("raised", str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+_ERRSTATES = [{}, {"all": "warn"}, {"all": "raise"}, {"all": "ignore"}]
+
+
+@pytest.mark.parametrize("err", _ERRSTATES, ids=["default", "warn", "raise", "ignore"])
+def test_kepler_float_rows_keep_the_bits_and_warnings_of_numpy(err):
+    force = kepler_2d().force
+    rows = [(x, y) for x in _EDGE_ENTRIES for y in _EDGE_ENTRIES]
+    for q in np.array(rows):
+        assert _kepler_outcome(force, 0.0, q, err=err) == _kepler_outcome(
+            _numpy_kepler_force, 0.0, q, err=err
+        )
+    rng = np.random.default_rng(4)
+    for s in (1, 3, 10, 257):
+        times = np.zeros(s)
+        plain = rng.uniform(-2.0, 2.0, (s, 2))
+        batches = [plain]
+        for row in rows:
+            Q = plain.copy()
+            Q[rng.integers(s)] = row
+            batches.append(Q)
+        for Q in batches:
+            assert _kepler_outcome(force.stages, times, Q, err=err) == _kepler_outcome(
+                _numpy_kepler_stages, times, Q, err=err
+            )

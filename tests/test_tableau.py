@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from symrkn.cscoeff import build_order2, build_order4, build_order6
-from symrkn.errors import TableauFormatError
+from symrkn.errors import TableauFormatError, TableauValidationError
 from symrkn.quadrature import gauss_rule, lobatto_rule
 from symrkn.tableau import (
     FORMAT_TAG,
@@ -108,6 +108,66 @@ def test_triangular_structure():
     assert named_tableau("diagsymp").lower_triangular
     assert not named_tableau("rkn-iiib").lower_triangular
     assert not named_tableau("rkn-iiia").lower_triangular
+
+
+def test_lower_triangular_is_computed_once_and_stays_exact(monkeypatch):
+    calls = []
+    triu = np.triu
+
+    def counting_triu(*args, **kwargs):
+        calls.append(args)
+        return triu(*args, **kwargs)
+
+    monkeypatch.setattr(np, "triu", counting_triu)
+    c, b_bar, b = np.array([0.2, 0.5, 0.8]), np.ones(3) / 6.0, np.ones(3) / 3.0
+    a_bar = np.tril(np.full((3, 3), 0.1))
+    t = RknTableau(3, c, a_bar, b_bar, b)
+    assert calls == []  # nothing at construction
+    assert all(t.lower_triangular for _ in range(5))
+    assert len(calls) == 1
+    # the test is exact: no tolerance above the diagonal
+    for tiny in (1e-17, -1e-17, 5e-324):
+        above = a_bar.copy()
+        above[0, 2] = tiny
+        assert not RknTableau(3, c, above, b_bar, b).lower_triangular
+    signed = a_bar.copy()
+    signed[0, 1] = -0.0
+    assert RknTableau(3, c, signed, b_bar, b).lower_triangular
+    rebuilt = discretize(build_order4(*PARAMS["diagsymp"]), lobatto_rule(3))
+    assert 0.0 < np.abs(np.triu(rebuilt.a_bar, k=1)).max() < 1e-15
+    assert not rebuilt.lower_triangular
+
+
+def test_named_tableau_is_built_and_checked_once_per_name(monkeypatch):
+    from symrkn import tableau as tb
+
+    tb._checked_named.cache_clear()
+    built = []
+    discretize_ = tb.discretize
+
+    def counting_discretize(*args, **kwargs):
+        built.append(args)
+        return discretize_(*args, **kwargs)
+
+    monkeypatch.setattr(tb, "discretize", counting_discretize)
+    first = named_tableau("rkn-a")
+    assert len(built) == 1  # the cross-check's reconstruction
+    assert named_tableau("rkn-a") is first
+    assert named_tableau(" RKN-A ") is first
+    assert len(built) == 1
+    assert named_tableau("diagsymp") is not first
+    assert len(built) == 2
+    # a failed check is not cached: the next call checks again
+    tb._checked_named.cache_clear()
+    monkeypatch.setattr(tb, "CROSSCHECK_TOL", -1.0)
+    with pytest.raises(TableauValidationError):
+        named_tableau("rkn-b")
+    with pytest.raises(TableauValidationError):
+        named_tableau("rkn-b")
+    assert len(built) == 4
+    monkeypatch.undo()
+    assert named_tableau("rkn-b").label == "rkn-b"
+    tb._checked_named.cache_clear()
 
 
 def test_discretize_weights_relation():
