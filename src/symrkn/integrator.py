@@ -2,28 +2,28 @@
 iteration, trajectory recording, reversibility and convergence studies.
 
 The tableau alone picks the stage solver: a sequential sweep when a_bar is
-exactly lower triangular (each stage is a scalar fixed point, solved once in
+exactly lower triangular (each stage is a fixed point, solved once in
 index order), Jacobi sweeps over all stages otherwise.  Summation order over
-stages is fixed ascending, so repeated runs are bit-identical.  Scalar
-problems (dim 1) bypass numpy in the hot loop; the two paths implement the
-same arithmetic.
+stages is fixed ascending, so repeated runs are bit-identical.
 
-Scalar state runs one advance function per tableau, generated from source
-for its stage count, structure and start, with the stage and sum loops
-unrolled and every coefficient written as a float literal (repr
-round-trips, so no bit changes; see _kernel_source).  Only floats enter
-that source, never a label or other text.  Generating a kernel costs about
-a millisecond for s = 3 and a few for s = 10, once per distinct tableau:
-kernels are cached by the exact bytes of the coefficients and the start
-matrix, with the structure and the presence of a start, and at most
-_KERNEL_CACHE_SIZE are kept.  The source is registered in linecache, so
-tracebacks and profiles show the generated lines.
-
-Array state runs one of two numpy closures (_array_advance), picked once
-per run like the scalar kernel: the sequential sweep or the Jacobi sweeps.
-The tableau's arrays and the constants of h (c h, h h) are fixed outside
-the step, so a step computes only its stage times, the free-motion base,
-the sweeps and the update (see _stepper).
+Every state kind runs one advance function per tableau, generated from
+source for its stage count, structure, start and state size (see
+_kernel_source): floats for scalar state (dim 1 with float q0), d floats
+per value for array state of d components.  The stage, sum and component
+loops are unrolled and every coefficient is written as a float literal
+(repr round-trips, so no bit changes), so a run on (1,) arrays has the
+bits of the same run on floats.  An array force gets a fresh (d,) array
+per call, or the stacked stage values when it has a batched form, and its
+result is read back as floats.  Only floats enter that source, never a
+label or other text.  Generating a kernel costs about a millisecond for
+s = 3 with scalar or d = 2 state; the source grows as s^2 d, and takes
+~13 ms at s = 3, d = 32 and ~250 ms at s = 10, d = 100, once per distinct
+tableau and d: kernels are cached by the exact bytes of the coefficients
+and the start matrix, with the structure, the presence of a start and d,
+and at most _KERNEL_CACHE_SIZE are kept.  The source is registered in
+linecache, so tracebacks and profiles show the generated lines.  A stage
+iterate that is not finite ends the stage solve as a divergence before the
+force sees it.
 
 Where the stage iteration starts: inside integrate, every step after the
 first starts from the previous step's stage forces, extrapolated to the new
@@ -56,15 +56,10 @@ from .tableau import RknTableau, discretize
 #: Relative slack when checking that h divides the integration span.
 GRID_RTOL = 1e-9
 
-#: Most generated scalar kernels held at once (see _stepper).
+#: Most generated kernels held at once (see _stepper).
 _KERNEL_CACHE_SIZE = 64
 _kernels = {}
 _kernels_lock = threading.Lock()
-
-# Array max-norms call the reduction directly: ndarray.max() reaches the
-# same np.maximum.reduce through a Python-level wrapper, a measurable cost
-# at several calls per step.
-_max = np.maximum.reduce
 
 
 @dataclass(frozen=True)
@@ -126,107 +121,189 @@ def _literal(x):
     return f"({r})" if r[0] == "-" else r
 
 
-def _kernel_source(c, a, b_bar, b, M, sequential):
+def _kernel_source(c, a, b_bar, b, M, sequential, d=None):
     """Source of advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None).
 
-    The unrolled form of the scalar stage solve and update: every sum
-    starts at 0.0 and adds its terms in ascending index, zero coefficients
-    included (0 * inf is NaN, and signed zeros must come out the same).
+    The unrolled stage solve and update, for scalar state (d None: q0, p0
+    and each stage value a float) or for array state of d components (q0
+    and p0 tuples of d floats, each stage value d floats Q{i}_{k}).  Every
+    sum starts at 0.0 and adds its terms in ascending index, zero
+    coefficients included (0 * inf is NaN, and signed zeros must come out
+    the same), component by component.  A max-norm keeps a NaN, as
+    numpy's does (the e > m or e != e pattern).  A stage iterate that is
+    not finite ends the solve before the force sees it.  Array forces get
+    a fresh (d,) array per point, or, in Jacobi sweeps when f has stages,
+    one (s,) array of times and one (s, d) array of stage values; results
+    are read back as floats, and one of another shape raises ValueError.
     F_prev is read only when M is not None (see _stepper).
     """
     s = len(c)
-    # stage times, bases, values, forces and previous forces
-    T, B, Q, F, P = ([f"{k}_{i}" for i in range(s)] for k in "TBQFP")
+
+    def vec(name):
+        return [name] if d is None else [f"{name}_{k}" for k in range(d)]
+
+    def tup(names):
+        return names[0] if d is None else f"({', '.join(names)},)"
+
+    # stage times; bases, values, forces and previous forces by component
+    T = [f"T{i}" for i in range(s)]
+    B, Q, F, P = ([vec(f"{x}{i}") for i in range(s)] for x in "BQFP")
+    q0, p0, q, n, g = (vec(x) for x in ("q0", "p0", "q", "n", "g"))
+    K = range(len(q0))
 
     def dot(coeffs, names):
-        terms = (f" + {_literal(x)} * {n}" for x, n in zip(coeffs, names))
+        terms = (f" + {_literal(x)} * {v}" for x, v in zip(coeffs, names))
         return "0.0" + "".join(terms)
 
-    def free(i):
-        return f"q0 + h * {_literal(c[i])} * p0"
+    def free(i, k):
+        return f"{q0[k]} + h * {_literal(c[i])} * {p0[k]}"
 
-    out = [
-        "def advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None):",
-        "    conv = stage_tol * (1.0 + abs(q0))",
-        "    h2 = h * h",
-    ]
+    def col(rows, k):
+        return [row[k] for row in rows]
+
+    def point(ind, t, args, out):
+        # the force at one point, out = f(t, args), by component
+        if d is None:
+            return [f"{ind}{out[0]} = f({t}, {args[0]})"]
+        return [
+            f"{ind}r = f({t}, array({tup(args)}))",
+            f"{ind}if type(r) is not ndarray or r.shape != ({d},):",
+            f'{ind}    r = checked(r, ({d},), "force")',
+            f"{ind}{tup(out)} = r.tolist()",
+        ]
+
+    def forces(ind):
+        # all stage forces F from the stage values Q
+        each = [x for i in range(s) for x in point(ind, T[i], Q[i], F[i])]
+        if d is None:
+            return each
+        return [
+            f"{ind}if stages is None:",
+            *("    " + x for x in each),
+            f"{ind}else:",
+            f"{ind}    r = stages(array({tup(T)}), array({tup([tup(x) for x in Q])}))",
+            f"{ind}    if type(r) is not ndarray or r.shape != ({s}, {d}):",
+            f'{ind}        r = checked(r, ({s}, {d}), "force.stages")',
+            f"{ind}    {tup([tup(x) for x in F])} = r.tolist()",
+        ]
+
+    def most(ind, var, terms):
+        # var = the largest of terms, NaN kept; terms are nonnegative
+        lines = [f"{ind}{var} = {terms[0]}"]
+        for x in terms[1:]:
+            lines += [f"{ind}e = {x}", f"{ind}if e > {var} or e != e:", f"{ind}    {var} = e"]
+        return lines
+
+    def diverged(ind, what):
+        return [
+            f"{ind}raise StageDivergenceError(",
+            f'{ind}    f"{what} (last increment {{diff:.3e}})",',
+            f"{ind}    residual=diff,",
+            f"{ind})",
+        ]
+
+    out = ["def advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None):"]
     emit = out.append
+    if d is not None:
+        emit(f"    {tup(q0)} = q0")
+        emit(f"    {tup(p0)} = p0")
+    out += most("    ", "m", [f"abs({x})" for x in q0])
+    emit("    conv = stage_tol * (1.0 + m)")
+    emit("    h2 = h * h")
     if M is not None:
         emit("    if F_prev is not None:")
-        emit(f"        ({', '.join(P)},) = F_prev")
+        emit(f"        ({', '.join(tup(x) for x in P)},) = F_prev")
     if sequential:
         for i in range(s):
             emit(f"    {T[i]} = t0 + {_literal(c[i])} * h")
-            emit(f"    {B[i]} = {free(i)} + h2 * ({dot(a[i][:i], F)})")
+            for k in K:
+                emit(f"    {B[i][k]} = {free(i, k)} + h2 * ({dot(a[i][:i], col(F, k))})")
             emit(f"    w = h2 * {_literal(a[i][i])}")
             emit("    if w == 0.0:")
-            emit(f"        {Q[i]} = {B[i]}")
+            out += [f"        {Q[i][k]} = {B[i][k]}" for k in K]
             emit("    else:")
             if M is None:
-                emit(f"        q = {free(i)}")
+                out += [f"        {q[k]} = {free(i, k)}" for k in K]
             else:
                 emit("        if F_prev is None:")
-                emit(f"            q = {free(i)}")
+                out += [f"            {q[k]} = {free(i, k)}" for k in K]
                 emit("        else:")
-                emit(f"            q = {B[i]} + w * ({dot(M[i], P)})")
+                out += [
+                    f"            {q[k]} = {B[i][k]} + w * ({dot(M[i], col(P, k))})"
+                    for k in K
+                ]
             emit("        diff = inf")
             emit("        for _ in range(iters):")
-            emit(f"            n = {B[i]} + w * f({T[i]}, q)")
-            emit("            diff = abs(n - q)")
-            emit("            q = n")
+            if d is None:
+                emit(f"            n = {B[i][0]} + w * f({T[i]}, q)")
+            else:
+                out += point("            ", T[i], q, g)
+                out += [f"            {n[k]} = {B[i][k]} + w * {g[k]}" for k in K]
+            out += most("            ", "diff", [f"abs({n[k]} - {q[k]})" for k in K])
+            out += [f"            {q[k]} = {n[k]}" for k in K]
             emit("            if diff < conv:")
             emit("                break")
+            emit("            if not diff < inf:")
+            out += diverged("                ", f"stage {i} iterate is not finite")
             emit("        else:")
-            emit("            raise StageDivergenceError(")
-            emit(f'                f"stage {i} did not contract "')
-            emit('                f"(last increment {diff:.3e})",')
-            emit("                residual=diff,")
-            emit("            )")
-            emit(f"        {Q[i]} = q")
-            emit(f"    {F[i]} = f({T[i]}, {Q[i]})")
+            out += diverged("            ", f"stage {i} did not contract")
+            out += [f"        {Q[i][k]} = {q[k]}" for k in K]
+            out += point("    ", T[i], Q[i], F[i])
     else:
         for i in range(s):
             emit(f"    {T[i]} = t0 + {_literal(c[i])} * h")
-            emit(f"    {B[i]} = {free(i)}")
+            out += [f"    {B[i][k]} = {free(i, k)}" for k in K]
+        start = [f"{Q[i][k]} = {B[i][k]}" for i in range(s) for k in K]
         if M is None:
-            out += [f"    {Q[i]} = {B[i]}" for i in range(s)]
+            out += ["    " + x for x in start]
         else:
             emit("    if F_prev is None:")
-            out += [f"        {Q[i]} = {B[i]}" for i in range(s)]
+            out += ["        " + x for x in start]
             emit("    else:")
-            out += [f"        {Q[i]} = {B[i]} + h2 * ({dot(M[i], P)})" for i in range(s)]
-        out += [f"    {F[i]} = f({T[i]}, {Q[i]})" for i in range(s)]
+            out += [
+                f"        {Q[i][k]} = {B[i][k]} + h2 * ({dot(M[i], col(P, k))})"
+                for i in range(s) for k in K
+            ]
+        if d is not None:
+            emit('    stages = getattr(f, "stages", None)')
+        out += forces("    ")
         emit("    diff = inf")
         emit("    for _ in range(iters):")
         emit("        diff = 0.0")
         for i in range(s):
-            emit(f"        n = {B[i]} + h2 * ({dot(a[i], F)})")
-            emit(f"        d = abs(n - {Q[i]})")
-            # a NaN increment keeps the sweep unconverged
-            emit("        if d > diff or d != d:")
-            emit("            diff = d")
-            emit(f"        {Q[i]} = n")
-        out += [f"        {F[i]} = f({T[i]}, {Q[i]})" for i in range(s)]
+            for k in K:
+                emit(f"        n = {B[i][k]} + h2 * ({dot(a[i], col(F, k))})")
+                emit(f"        e = abs(n - {Q[i][k]})")
+                emit("        if e > diff or e != e:")
+                emit("            diff = e")
+                emit(f"        {Q[i][k]} = n")
+        emit("        if not diff < inf:")
+        out += diverged("            ", "stage iterates are not finite")
+        out += forces("        ")
         emit("        if diff < conv:")
         emit("            break")
         emit("    else:")
-        emit("        raise StageDivergenceError(")
-        emit('            f"stages did not contract in {iters} sweeps "')
-        emit('            f"(last increment {diff:.3e})",')
-        emit("            residual=diff,")
-        emit("        )")
+        out += diverged("        ", "stages did not contract in {iters} sweeps")
     emit("    return (")
-    emit(f"        q0 + h * p0 + h2 * ({dot(b_bar, F)}),")
-    emit(f"        p0 + h * ({dot(b, F)}),")
-    emit(f"        [{', '.join(Q)}],")
-    emit(f"        [{', '.join(F)}],")
+    emit(f"        {tup([f'{q0[k]} + h * {p0[k]} + h2 * ({dot(b_bar, col(F, k))})' for k in K])},")
+    emit(f"        {tup([f'{p0[k]} + h * ({dot(b, col(F, k))})' for k in K])},")
+    emit(f"        [{', '.join(tup(x) for x in Q)}],")
+    emit(f"        [{', '.join(tup(x) for x in F)}],")
     emit("    )")
     return "\n".join(out) + "\n"
 
 
+def _checked(r, shape, name):
+    """r as a float array of the given shape, else ValueError."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != shape:
+        raise ValueError(f"{name} returned shape {r.shape}, expected {shape}")
+    return r
+
+
 def _generate_kernel(key):
-    """Compile the scalar advance for one _stepper cache key."""
-    c_bytes, a_bytes, b_bar_bytes, b_bytes, start_bytes, sequential = key
+    """Compile the advance for one _stepper cache key."""
+    c_bytes, a_bytes, b_bar_bytes, b_bytes, start_bytes, sequential, d = key
     c = np.frombuffer(c_bytes).tolist()
     s = len(c)
 
@@ -236,21 +313,28 @@ def _generate_kernel(key):
     M = None if start_bytes is None else square(start_bytes)
     source = _kernel_source(
         c, square(a_bytes), np.frombuffer(b_bar_bytes).tolist(),
-        np.frombuffer(b_bytes).tolist(), M, sequential,
+        np.frombuffer(b_bytes).tolist(), M, sequential, d,
     )
-    filename = "<symrkn kernel s={} {} {} {:08x}>".format(
+    filename = "<symrkn kernel s={}{} {} {} {:08x}>".format(
         s,
+        "" if d is None else f" d={d}",
         "sequential" if sequential else "jacobi",
         "free" if M is None else "start",
         zlib.crc32(b"".join(part or b"" for part in key[:5])),
     )
-    namespace = {"inf": math.inf, "StageDivergenceError": StageDivergenceError}
+    namespace = {
+        "inf": math.inf,
+        "array": np.array,
+        "ndarray": np.ndarray,
+        "checked": _checked,
+        "StageDivergenceError": StageDivergenceError,
+    }
     exec(compile(source, filename, "exec"), namespace)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     return namespace["advance"]
 
 
-def _scalar_kernel(key):
+def _kernel(key):
     """The generated advance for key, compiled on first use.
 
     Beyond _KERNEL_CACHE_SIZE kernels, the least recently used one leaves
@@ -295,137 +379,35 @@ def _start_matrix(t, sequential):
 def _stepper(t, q0, stage_tol, max_iters, sequential, start=None):
     """(state, advance) for a run from states of q0's kind.
 
-    state puts a q or p value in the kind's form: float for scalar state, a
-    float array otherwise.  advance(f, t0, q0, p0, h, F_prev=None) takes one
-    step of signed size h from such states and returns (q1, p1, Q, F), F
-    being the step's stage forces.  With start from _start_matrix, a step
-    given the previous step's F_prev starts its stage iteration from their
-    extrapolation; otherwise, and always when start is None, it starts from
-    free motion.  State kind, solver structure and start are fixed here,
-    once per run.
+    state puts a q or p value in the kind's form: a float for scalar state,
+    a tuple of d floats for array state of d components.  advance(f, t0,
+    q0, p0, h, F_prev=None) takes one step of signed size h from such
+    states and returns (q1, p1, Q, F): the new states in the same form, and
+    the stage values and forces as lists of s such values.  With start from
+    _start_matrix, a step given the previous step's F_prev starts its stage
+    iteration from their extrapolation; otherwise, and always when start is
+    None, it starts from free motion.  State kind, solver structure and
+    start are fixed here, once per run.
 
-    Scalar state runs a kernel generated from source for this tableau
-    (_kernel_source): stage and sum loops unrolled, each coefficient a
-    float literal.  Kernels are cached by the exact bytes of c, a_bar,
-    b_bar, b and start, with the structure and whether there is a start,
-    so 0.0 and -0.0 get different kernels; at most _KERNEL_CACHE_SIZE are
-    kept.  The first use of a tableau pays the generation once (about a
-    millisecond for s = 3); stage_tol and max_iters are arguments of the
-    kernel and stay out of the key.
-
-    Array state runs the sequential or the Jacobi closure of
-    _array_advance, picked here.  Fixed once per run: the tableau's arrays,
-    start, the coefficient rows, stage_tol and max_iters.  Recomputed only
-    when h differs from the previous step's: c h, (h c)[:, None], h h and
-    the diagonal terms h h a_bar[i, i].  Per step: the tolerance
-    stage_tol (1 + max |q0|), the stage times, the base q0 + h c p0, the
-    sweeps and the update.
+    Every state kind runs a kernel generated from source for this tableau
+    (_kernel_source): stage, sum and component loops unrolled, each
+    coefficient a float literal.  Kernels are cached by the exact bytes of
+    c, a_bar, b_bar, b and start, with the structure, whether there is a
+    start and d (None for scalar state), so 0.0 and -0.0 get different
+    kernels; at most _KERNEL_CACHE_SIZE are kept.  The first use of a
+    tableau and d pays the generation once (its cost is in the module
+    docstring); stage_tol and max_iters are arguments of the kernel and
+    stay out of the key.
     """
-    if np.ndim(q0) == 0:
-        key = (
-            t.c.tobytes(), t.a_bar.tobytes(), t.b_bar.tobytes(), t.b.tobytes(),
-            None if start is None else start.tobytes(), sequential,
-        )
-        return float, partial(_scalar_kernel(key), stage_tol, max_iters)
-    advance = _array_advance(t, stage_tol, max_iters, sequential, start)
-    return lambda x: np.asarray(x, dtype=float), advance
-
-
-def _array_advance(t, stage_tol, iters, sequential, M):
-    """advance for array state: the sequential sweep or the Jacobi sweeps.
-
-    Given F_prev (and M not None), stage i starts at base_i + h^2 (M F_prev)_i
-    in Jacobi sweeps, at b_i + w_i (M F_prev)_i in the sequential sweep, as
-    the scalar kernels (_kernel_source) do; otherwise it starts from the
-    free-motion base itself, passed to the force uncopied.  A Jacobi sweep
-    evaluates all stages with one f.stages(times, Q) call when the force
-    has that batched form, else with s per-point calls.
-    """
-    s, c, a, b_bar, b = t.s, t.c, t.a_bar, t.b_bar, t.b
-    rows = [a[i, :i] for i in range(s)]
-    m_rows = None if M is None else list(M)
-    hk = ch = hc = h2 = w = None
-
-    def rescale(h):
-        nonlocal hk, ch, hc, h2, w
-        hk, ch, h2 = h, c * h, h * h
-        hc = ch[:, None]
-        w = (h2 * a.diagonal()).tolist()
-
-    def sweep(f, t0, q0, p0, h, F_prev=None):
-        if h != hk or h == 0.0:  # -0.0 == 0.0, but c h keeps the sign
-            rescale(h)
-        if M is None:
-            F_prev = None
-        conv = stage_tol * (1.0 + float(_max(np.abs(q0), axis=None)))
-        times = t0 + ch
-        base = q0 + hc * p0
-        Q = np.zeros_like(base)
-        F = np.zeros_like(base)
-        for i in range(s):
-            bi = base[i] + h2 * (rows[i] @ F[:i])
-            wi = w[i]
-            if wi == 0.0:
-                qi = bi
-            else:
-                qi = base[i] if F_prev is None else bi + wi * (m_rows[i] @ F_prev)
-                diff = math.inf
-                for _ in range(iters):
-                    qn = bi + wi * f(times[i], qi)
-                    diff = float(_max(np.abs(qn - qi), axis=None))
-                    qi = qn
-                    if diff < conv:
-                        break
-                else:
-                    raise StageDivergenceError(
-                        f"stage {i} did not contract (last increment {diff:.3e})",
-                        residual=diff,
-                    )
-            Q[i] = qi
-            F[i] = f(times[i], qi)
-        return q0 + h * p0 + h2 * (b_bar @ F), p0 + h * (b @ F), Q, F
-
-    def jacobi(f, t0, q0, p0, h, F_prev=None):
-        if h != hk or h == 0.0:
-            rescale(h)
-        if M is None:
-            F_prev = None
-        conv = stage_tol * (1.0 + float(_max(np.abs(q0), axis=None)))
-        times = t0 + ch
-        base = q0 + hc * p0
-        Q = base if F_prev is None else base + h2 * (M @ F_prev)
-        stages = getattr(f, "stages", None)
-        if stages is None:
-            F = np.array([f(times[i], Q[i]) for i in range(s)])
-        else:
-            F = stages(times, Q)
-            if np.shape(F) != Q.shape:
-                raise ValueError(
-                    f"force.stages returned shape {np.shape(F)}, expected {Q.shape}"
-                )
-        diff = math.inf
-        for _ in range(iters):
-            Qn = base + h2 * (a @ F)
-            diff = float(_max(np.abs(Qn - Q), axis=None))
-            Q = Qn
-            if stages is None:
-                F = np.array([f(times[i], Q[i]) for i in range(s)])
-            else:
-                F = stages(times, Q)
-            if diff < conv:
-                return q0 + h * p0 + h2 * (b_bar @ F), p0 + h * (b @ F), Q, F
-        raise StageDivergenceError(
-            f"stages did not contract in {iters} sweeps (last increment {diff:.3e})",
-            residual=diff,
-        )
-
-    return sweep if sequential else jacobi
-
-
-def _advance(t, f, t0, q0, p0, h, stage_tol, max_iters, sequential):
-    """One step of signed size h with the given solver structure."""
-    state, advance = _stepper(t, q0, stage_tol, max_iters, sequential)
-    return advance(f, t0, state(q0), state(p0), h)[:2]
+    d = None if np.ndim(q0) == 0 else len(q0)
+    key = (
+        t.c.tobytes(), t.a_bar.tobytes(), t.b_bar.tobytes(), t.b.tobytes(),
+        None if start is None else start.tobytes(), sequential, d,
+    )
+    advance = partial(_kernel(key), stage_tol, max_iters)
+    if d is None:
+        return float, advance
+    return lambda x: tuple(np.asarray(x, dtype=float).reshape(d).tolist()), advance
 
 
 def solve_stages(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
@@ -434,18 +416,20 @@ def solve_stages(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
     Returns an (s,) array for scalar state, else an (s, dim) array.  Solved
     by fixed-point iteration from the free-motion guess Q_i = q0 + h c_i p0,
     as every single-step call is (only integrate has a previous step to
-    extrapolate from); non-contraction raises a stage-divergence error
-    carrying the last increment.
+    extrapolate from); non-contraction, or an iterate that is not finite,
+    raises a stage-divergence error carrying the last increment.
     """
     state, advance = _stepper(t, q0, cfg.stage_tol, cfg.max_iters, t.lower_triangular)
-    return np.asarray(advance(f, t0, state(q0), state(p0), cfg.h)[2])
+    return np.array(advance(f, t0, state(q0), state(p0), cfg.h)[2])
 
 
 def step(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
     """One step of size cfg.h from (q0, p0); returns (q1, p1)."""
-    return _advance(
-        t, f, t0, q0, p0, cfg.h, cfg.stage_tol, cfg.max_iters, t.lower_triangular
-    )
+    state, advance = _stepper(t, q0, cfg.stage_tol, cfg.max_iters, t.lower_triangular)
+    q1, p1, _, _ = advance(f, t0, state(q0), state(p0), cfg.h)
+    if np.ndim(q0) == 0:
+        return q1, p1
+    return np.array(q1), np.array(p1)
 
 
 def _step_count(span: float, h: float) -> int:
@@ -524,6 +508,8 @@ def integrate(
     energy_error = None
     if prob.energy is not None:
         H = prob.energy
+        if np.ndim(prob.q0):  # array state: H takes (dim,) rows, not tuples
+            ps, qs = p_arr, q_arr
         e0 = H(ps[0], qs[0])
         energy_error = np.array([H(p, q) - e0 for p, q in zip(ps, qs)])
     diverged = failure_step is not None

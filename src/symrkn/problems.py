@@ -23,18 +23,19 @@ class OdeProblem:
     the state (q, p).  For dim 1 the state is held as plain floats, otherwise
     as (dim,) arrays.  reversible asserts H(-p, q) = H(p, q) with autonomous f.
 
-    A vector force may also carry a batched form, force.stages(times, Q),
-    mapping the (s,) stage times and the stacked (s, dim) stage values to
-    the (s, dim) accelerations.  The Jacobi stage solver on array state then
-    makes one stages call per sweep instead of s per-point calls; other
-    solves use the per-point form.  stages must compute each row with the
-    same floating-point operations as force(t_i, Q_i), so that results stay
-    bit-identical; a result of the wrong shape raises ValueError.  It may
-    work in numpy or, as the Kepler force does for a few stages, row by row
-    in float arithmetic on Q.tolist(), which gives numpy's bits wherever
-    no operation overflows, underflows or divides by zero.  Neither form
-    may modify the stage values it is given: the solver passes its own
-    arrays, not copies.
+    A vector force gets a fresh float64 (dim,) array per call and must
+    return a (dim,) array; a result of another shape raises ValueError.
+    It may also carry a batched form, force.stages(times, Q), mapping a
+    fresh (s,) array of stage times and a fresh (s, dim) array of stacked
+    stage values to the (s, dim) accelerations.  The Jacobi stage solver on
+    array state then makes one stages call per sweep instead of s per-point
+    calls; other solves use the per-point form.  stages must compute each
+    row with the same floating-point operations as force(t_i, Q_i), so that
+    results stay bit-identical; a result of the wrong shape raises
+    ValueError.  It may work in numpy or, as the Kepler force does for a
+    few stages, row by row in float arithmetic on Q.tolist(), which gives
+    numpy's bits wherever no operation overflows, underflows or divides by
+    zero.  The solver reads each result back as floats at once.
     """
 
     dim: int

@@ -1,12 +1,24 @@
-"""The array-state advance against the stage solver it replaced, bit for bit.
+"""The generated array-state kernel against two references.
 
-Array state runs one of two closures chosen once per run (the sequential
-sweep or the Jacobi sweeps), with the tableau bound and c h, (h c)[:, None]
-and h h recomputed only when h changes.  The reference below is the code it
-replaced: _stages_array, called once per step with the tableau's arrays,
-plus the array advance that summed the update.  The closures promise the
-same numpy operations on the same operands, so results, exception types,
-messages and residuals must be equal byte for byte, not merely close.
+Array state runs one advance generated from source per tableau and state
+size d (integrator._kernel_source): stage, sum and component loops
+unrolled, every sum ascending from 0.0, state and stage values as floats.
+
+The bit reference, _float_advance, is the same solve written as plain
+loops over stages and components in float arithmetic.  Results, exception
+types, messages and residuals must equal its own byte for byte.
+
+The numpy stage solver the kernel replaced (_stages_array and
+_numpy_advance below) stays as an independent oracle.  It sums with BLAS
+matrix products, in an order of its own, so it must agree within a few
+ulps of each stage sum, not bit for bit, and raise the same exception
+type.  Its message must be the same for a stages result of the wrong shape
+and for divergence within a few sweeps.  After many sweeps of a map that
+does not contract, rounding differences grow until the residuals are
+unrelated; and the kernel stops at an iterate that is not finite, where
+the oracle sweeps on to max_iters.  There only the type must agree.  The
+oracle never checked the shape of a per-point result (numpy broadcast it),
+so that check is held to the bit reference alone.
 """
 
 import math
@@ -21,6 +33,122 @@ from symrkn.problems import kepler_2d
 from symrkn.tableau import RknTableau, named_tableau
 
 _max = np.maximum.reduce
+
+# kernel and oracle agree within this many ulps of each stage sum's scale
+ULPS = 4
+# and give the same divergence message up to this many sweeps
+FEW_SWEEPS = 3
+
+
+def _most(values):
+    """The largest |x|, or a NaN when there is one, as numpy's maximum."""
+    m = 0.0
+    for x in values:
+        x = abs(x)
+        if x > m or x != x:
+            m = x
+    return m
+
+
+def _float_advance(t, stage_tol, iters, sequential, start):
+    s, c, a = t.s, t.c.tolist(), t.a_bar.tolist()
+    b_bar, b = t.b_bar.tolist(), t.b.tolist()
+    M = None if start is None else start.tolist()
+
+    def advance(f, t0, q0, p0, h, F_prev=None):
+        d = len(q0)
+        K = range(d)
+        h2 = h * h
+        conv = stage_tol * (1.0 + _most(q0))
+        if M is None:
+            F_prev = None
+        times = [t0 + c[i] * h for i in range(s)]
+        base = [[q0[k] + h * c[i] * p0[k] for k in K] for i in range(s)]
+
+        def dot(coeffs, rows, k):
+            acc = 0.0
+            for x, row in zip(coeffs, rows):
+                acc += x * row[k]
+            return acc
+
+        def force(i, q):
+            r = f(times[i], np.array(q))
+            if np.shape(r) != (d,):
+                raise ValueError(f"force returned shape {np.shape(r)}, expected {(d,)}")
+            return np.asarray(r, dtype=float).tolist()
+
+        if sequential:
+            Q, F = [], []
+            for i in range(s):
+                bi = [base[i][k] + h2 * dot(a[i][:i], F, k) for k in K]
+                w = h2 * a[i][i]
+                if w == 0.0:
+                    qi = bi
+                else:
+                    if F_prev is None:
+                        qi = base[i]
+                    else:
+                        qi = [bi[k] + w * dot(M[i], F_prev, k) for k in K]
+                    diff = math.inf
+                    for _ in range(iters):
+                        g = force(i, qi)
+                        qn = [bi[k] + w * g[k] for k in K]
+                        diff = _most([qn[k] - qi[k] for k in K])
+                        qi = qn
+                        if diff < conv:
+                            break
+                        if not diff < math.inf:
+                            raise StageDivergenceError(
+                                f"stage {i} iterate is not finite (last increment {diff:.3e})",
+                                residual=diff,
+                            )
+                    else:
+                        raise StageDivergenceError(
+                            f"stage {i} did not contract (last increment {diff:.3e})",
+                            residual=diff,
+                        )
+                Q.append(qi)
+                F.append(force(i, qi))
+        else:
+            stages = getattr(f, "stages", None)
+
+            def evaluate(Q):
+                if stages is None:
+                    return [force(i, Q[i]) for i in range(s)]
+                r = stages(np.array(times), np.array(Q))
+                if np.shape(r) != (s, d):
+                    raise ValueError(
+                        f"force.stages returned shape {np.shape(r)}, expected {(s, d)}"
+                    )
+                return np.asarray(r, dtype=float).tolist()
+
+            Q = base
+            if F_prev is not None:
+                Q = [[base[i][k] + h2 * dot(M[i], F_prev, k) for k in K] for i in range(s)]
+            F = evaluate(Q)
+            diff = math.inf
+            for _ in range(iters):
+                Qn = [[base[i][k] + h2 * dot(a[i], F, k) for k in K] for i in range(s)]
+                diff = _most([Qn[i][k] - Q[i][k] for i in range(s) for k in K])
+                Q = Qn
+                if not diff < math.inf:
+                    raise StageDivergenceError(
+                        f"stage iterates are not finite (last increment {diff:.3e})",
+                        residual=diff,
+                    )
+                F = evaluate(Q)
+                if diff < conv:
+                    break
+            else:
+                raise StageDivergenceError(
+                    f"stages did not contract in {iters} sweeps (last increment {diff:.3e})",
+                    residual=diff,
+                )
+        q1 = [q0[k] + h * p0[k] + h2 * dot(b_bar, F, k) for k in K]
+        p1 = [p0[k] + h * dot(b, F, k) for k in K]
+        return q1, p1, Q, F
+
+    return advance
 
 
 def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
@@ -82,7 +210,7 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
     )
 
 
-def _reference_advance(t, stage_tol, max_iters, sequential, start):
+def _numpy_advance(t, stage_tol, max_iters, sequential, start):
     def advance(f, t0, q0, p0, h, F_prev=None):
         conv = stage_tol * (1.0 + float(_max(np.abs(q0), axis=None)))
         Q, F = _stages_array(
@@ -95,8 +223,8 @@ def _reference_advance(t, stage_tol, max_iters, sequential, start):
 
 
 def _outcome(advance, *args):
-    """Bytes, shape and dtype of (q1, p1, Q, F), or the exception's type,
-    message and residual."""
+    """Shape and bytes of (q1, p1, Q, F) as float64 arrays, or the
+    exception's type, message and residual."""
     try:
         out = advance(*args)
     except (StageDivergenceError, ValueError) as exc:
@@ -104,7 +232,61 @@ def _outcome(advance, *args):
         if residual is not None:
             residual = np.float64(residual).tobytes()
         return ("raised", type(exc), str(exc), residual)
-    return tuple((v.shape, v.dtype.str, v.tobytes()) for v in out)
+    return tuple((v.shape, v.tobytes()) for v in map(np.asarray, out))
+
+
+def _values(outcome):
+    return [np.frombuffer(data).reshape(shape) for shape, data in outcome]
+
+
+def _assert_near_oracle(t, got, oracle, same_message, f, t0, q0, p0, h, F_prev):
+    """got, the kernel's outcome, against the numpy solver's."""
+    q0, p0 = np.array(q0), np.array(p0)
+    args = (f, t0, q0, p0, h, None if F_prev is None else np.array(F_prev))
+    with np.errstate(all="ignore"):
+        want = _outcome(oracle, *args)
+    if want[0] == "raised" or got[0] == "raised":
+        assert got[:2] == want[:2]
+        if same_message and "not finite" not in got[2]:
+            assert got[2] == want[2]
+        return
+    q1, p1, Q, F = _values(want)
+    # each entry's scale: the sum of the magnitudes of the terms it adds up
+    with np.errstate(all="ignore"):
+        aF = abs(h * h) * np.abs(F)
+        scales = (
+            np.abs(q0) + abs(h) * np.abs(p0) + np.abs(t.b_bar) @ aF,
+            np.abs(p0) + abs(h) * (np.abs(t.b) @ np.abs(F)),
+            np.abs(q0) + np.abs(h * t.c)[:, None] * np.abs(p0) + np.abs(t.a_bar) @ aF,
+        )
+    for x, y, scale in zip(_values(got), (q1, p1, Q), scales):
+        finite = np.isfinite(y) & np.isfinite(scale)
+        assert np.array_equal(x[~finite], y[~finite], equal_nan=True)
+        assert np.all(np.abs(x - y)[finite] <= ULPS * np.spacing(scale[finite]))
+
+
+class _Pair:
+    """The kernel for one tableau, structure and start, with its two
+    references; check() runs all three from one state."""
+
+    def __init__(self, t, sequential, start, stage_tol=1e-14, max_iters=100, d=2):
+        self.t = t
+        self.state, self.kernel = _stepper(
+            t, np.zeros(d), stage_tol, max_iters, sequential, start
+        )
+        self.reference = _float_advance(t, stage_tol, max_iters, sequential, start)
+        self.oracle = _numpy_advance(t, stage_tol, max_iters, sequential, start)
+        self.same_message = max_iters <= FEW_SWEEPS
+
+    def check(self, f, t0, q0, p0, h, F_prev=None):
+        q0, p0 = self.state(q0), self.state(p0)
+        if F_prev is not None:
+            F_prev = [tuple(row) for row in np.asarray(F_prev, dtype=float).tolist()]
+        args = (f, t0, q0, p0, h, F_prev)
+        got = _outcome(self.kernel, *args)
+        assert got == _outcome(self.reference, *args)
+        _assert_near_oracle(self.t, got, self.oracle, self.same_message, *args)
+        return got
 
 
 def _driven(t, q):
@@ -129,32 +311,22 @@ class _WrongShape(_DrivenStages):
 _FORCES = [_driven, _DrivenStages()]
 
 
-def _pair(t, sequential, start, stage_tol=1e-14, max_iters=100):
-    _, advance = _stepper(t, np.zeros(1), stage_tol, max_iters, sequential, start)
-    return advance, _reference_advance(t, stage_tol, max_iters, sequential, start)
-
-
-def _assert_same(advance, reference, *args):
-    got = _outcome(advance, *args)
-    assert got == _outcome(reference, *args)
-    return got
-
-
 def _runs(t, f, h, q0, p0, steps=12, stage_tol=1e-14, max_iters=100):
-    """Step both along one trajectory, from free motion and then from each
-    previous step's stage forces, for both structures; one advance per
-    structure serves the whole run, as in integrate."""
+    """Step the kernel and both references along one trajectory, from free
+    motion and then from each previous step's stage forces, for both
+    structures; one kernel per structure serves the whole run, as in
+    integrate."""
     outcomes = []
     for sequential in (False, True):
         start = _start_matrix(t, sequential)
-        advance, reference = _pair(t, sequential, start, stage_tol, max_iters)
+        pair = _Pair(t, sequential, start, stage_tol, max_iters, d=len(q0))
         q, p, F_prev = q0, p0, None
         for k in range(steps):
-            got = _assert_same(advance, reference, f, k * h, q, p, h, F_prev)
+            got = pair.check(f, k * h, q, p, h, F_prev)
             outcomes.append(got[0])
             if got[0] == "raised":
                 break
-            q, p, _, F_prev = reference(f, k * h, q, p, h, F_prev)
+            q, p, _, F_prev = _values(got)
     return outcomes
 
 
@@ -187,11 +359,10 @@ def test_random_tableaus_have_the_bits_of_the_stage_solver(s, lower):
         for sequential in (False, True):
             F_prev = np.array([[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(s)])
             for max_iters in (1, 2):
-                advance, reference = _pair(
-                    t, sequential, _start_matrix(t, sequential), max_iters=max_iters
-                )
+                pair = _Pair(t, sequential, _start_matrix(t, sequential),
+                             max_iters=max_iters, d=d)
                 for f in _FORCES:
-                    _assert_same(advance, reference, f, 0.2, q0, p0, 0.2, F_prev)
+                    pair.check(f, 0.2, q0, p0, 0.2, F_prev)
 
 
 @pytest.mark.parametrize(
@@ -206,6 +377,27 @@ def test_named_methods_on_kepler_have_the_bits_of_the_stage_solver(name):
     _runs(t, lambda t, q: prob.force(t, q), 0.05, prob.q0, prob.p0, steps=10)
 
 
+def test_a_large_state_has_the_bits_of_the_stage_solver():
+    rng = random.Random(64)
+    t = _random_tableau(rng, 3, False)
+    q0, p0 = _state(rng, 64)
+    for f in _FORCES:
+        outcomes = _runs(t, f, 0.2, q0, p0, steps=4)
+        assert len(outcomes) == 8 and "raised" not in outcomes
+
+
+def test_each_state_size_gets_its_own_kernel():
+    t = named_tableau("rkn-a")
+    kernels = {}
+    for d in (None, 1, 2, 3):
+        q0 = 0.0 if d is None else np.zeros(d)
+        kernels[d] = _stepper(t, q0, 1e-14, 100, False)[1].func
+        assert _stepper(t, q0, 1e-10, 7, False)[1].func is kernels[d]
+    assert len(set(kernels.values())) == 4
+    assert " d=2 jacobi " in kernels[2].__code__.co_filename
+    assert " d=3 jacobi " in kernels[3].__code__.co_filename
+
+
 def test_one_advance_follows_every_change_of_h():
     t = named_tableau("rkn-a")
     rng = random.Random(5)
@@ -213,11 +405,11 @@ def test_one_advance_follows_every_change_of_h():
     q0[1] = -0.0
     hs = [0.2, 0.2, -0.2, 0.1, 0.2, 0.0, -0.0, -0.0, 0.0, math.nan, 0.2, 1]
     for sequential in (False, True):
-        advance, reference = _pair(t, sequential, _start_matrix(t, sequential))
+        pair = _Pair(t, sequential, _start_matrix(t, sequential), d=3)
         for f in (*_FORCES, lambda t, q: np.full_like(q, t)):
             for h in hs:
                 # t0 = -0.0: the stage times t0 + c h carry the sign of h
-                _assert_same(advance, reference, f, -0.0, q0, p0, h)
+                pair.check(f, -0.0, q0, p0, h)
 
 
 def test_a_start_matrix_of_none_ignores_previous_forces():
@@ -225,10 +417,10 @@ def test_a_start_matrix_of_none_ignores_previous_forces():
     q0, p0 = _state(random.Random(9), 2)
     F_prev = np.ones((3, 2))
     for sequential in (False, True):
-        advance, reference = _pair(t, sequential, None)
+        pair = _Pair(t, sequential, None)
         for f in _FORCES:
-            free = _assert_same(advance, reference, f, 0.0, q0, p0, 0.2)
-            assert _assert_same(advance, reference, f, 0.0, q0, p0, 0.2, F_prev) == free
+            free = pair.check(f, 0.0, q0, p0, 0.2)
+            assert pair.check(f, 0.0, q0, p0, 0.2, F_prev) == free
 
 
 def test_wrong_shape_from_stages_raises_the_same_error():
@@ -236,10 +428,23 @@ def test_wrong_shape_from_stages_raises_the_same_error():
         t = _random_tableau(random.Random(s), s, False)
         for d in (1, 2, 3):
             q0, p0 = _state(random.Random(d), d)
-            advance, reference = _pair(t, False, _start_matrix(t, False))
-            got = _assert_same(advance, reference, _WrongShape(), 0.0, q0, p0, 0.2)
+            pair = _Pair(t, False, _start_matrix(t, False), d=d)
+            got = pair.check(_WrongShape(), 0.0, q0, p0, 0.2)
             assert got[:2] == ("raised", ValueError)
             assert "force.stages returned shape" in got[2]
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 1)])
+def test_wrong_shape_from_the_force_raises(shape):
+    t = named_tableau("rkn-a")
+    q0, p0 = _state(random.Random(4), 2)
+    args = (lambda t, q: np.zeros(shape), 0.0, tuple(q0), tuple(p0), 0.2)
+    for sequential in (False, True):
+        pair = _Pair(t, sequential, _start_matrix(t, sequential))
+        got = _outcome(pair.kernel, *args)
+        assert got == _outcome(pair.reference, *args)
+        assert got == ("raised", ValueError,
+                       f"force returned shape {shape}, expected (2,)", None)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -260,6 +465,7 @@ def test_non_finite_forces_and_states(bad):
     _runs(t, _driven, 0.16, q0, np.array([0.3, bad]), steps=3)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", ["diagsymp", "rkn-a", "order6-gauss3"])
 def test_divergence_has_the_message_and_residual_of_the_stage_solver(name):
     t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
@@ -270,9 +476,8 @@ def test_divergence_has_the_message_and_residual_of_the_stage_solver(name):
             assert "raised" in _runs(t, f, 0.16, q0, p0, steps=3, max_iters=max_iters)
             # cut short, the residual shows the extrapolated start's bits
             for sequential in (False, True):
-                advance, reference = _pair(
-                    t, sequential, _start_matrix(t, sequential), max_iters=max_iters
-                )
+                pair = _Pair(t, sequential, _start_matrix(t, sequential),
+                             max_iters=max_iters, d=3)
                 F_prev = np.linspace(-0.9, 0.9, 3 * t.s).reshape(t.s, 3)
-                got = _assert_same(advance, reference, f, 0.16, q0, p0, 0.16, F_prev)
+                got = pair.check(f, 0.16, q0, p0, 0.16, F_prev)
                 assert got[0] == "raised"

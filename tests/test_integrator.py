@@ -13,8 +13,8 @@ from symrkn.errors import (
 )
 from symrkn.integrator import (
     StepConfig,
-    _advance,
     _start_matrix,
+    _stepper,
     final_state_error,
     fit_loglog_slope,
     global_error_study,
@@ -33,6 +33,12 @@ from symrkn.tableau import RknTableau, discretize, named_tableau
 CFG = StepConfig(h=0.16)
 
 FIVE = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b")
+
+
+def _advance(t, f, t0, q0, p0, h, sequential):
+    """One step of signed size h with the given solver structure."""
+    _, advance = _stepper(t, q0, 1e-14, 100, sequential)
+    return advance(f, t0, q0, p0, h)[:2]
 
 
 def _control() -> RknTableau:
@@ -102,8 +108,8 @@ def test_forward_backward_composition_returns():
     h = 0.1
     for name, sequential in (("rkn-iiia", False), ("rkn-iiib", False), ("diagsymp", True)):
         tab = named_tableau(name)
-        q1, p1 = _advance(tab, prob.force, 0.0, prob.q0, prob.p0, h, 1e-14, 100, sequential)
-        q2, p2 = _advance(tab, prob.force, h, q1, p1, -h, 1e-14, 100, sequential)
+        q1, p1 = _advance(tab, prob.force, 0.0, prob.q0, prob.p0, h, sequential)
+        q2, p2 = _advance(tab, prob.force, h, q1, p1, -h, sequential)
         assert abs(q2 - prob.q0) < 100 * 1e-14
         assert abs(p2 - prob.p0) < 100 * 1e-14
 
@@ -160,8 +166,8 @@ def test_structure_selection():
         return advance(named_tableau("diagsymp"), f, 0.0, 0.0, 2.5, *args), len(calls)
 
     # on a triangular tableau the sweep and Jacobi answers coincide
-    (q1, p1), n_sweep = run(_advance, 0.16, 1e-14, 100, True)
-    (q2, p2), n_jacobi = run(_advance, 0.16, 1e-14, 100, False)
+    (q1, p1), n_sweep = run(_advance, 0.16, True)
+    (q2, p2), n_jacobi = run(_advance, 0.16, False)
     assert abs(q1 - q2) < 1e-12 and abs(p1 - p2) < 1e-12
     # the tableau picks the sweep, which needs fewer force evaluations
     (q3, p3), n_step = run(step, CFG)
@@ -244,6 +250,35 @@ def test_non_finite_runs_agree_on_both_paths(name, bad):
                 _run_outcome(tab, kind, sample_every) for kind in _as_scalar_and_array(prob)
             )
             assert scalar == array
+
+
+@pytest.mark.parametrize("name", ["rkn-a", "rkn-iiia", "rkn-b"])
+def test_an_infinite_force_ends_the_run_as_a_divergence(name):
+    # math.sin(inf) raises ValueError; the stage iterate that turns inf
+    # ends the step before the force sees it, on both state kinds
+    pend = perturbed_pendulum()
+    prob = dataclasses.replace(
+        pend, force=lambda t, q: math.inf if t > 0.45 else pend.force(t, q)
+    )
+    for kind in _as_scalar_and_array(prob):
+        traj = integrate(named_tableau(name), kind, 1.6, CFG)
+        assert traj.diverged and traj.failure_step == 3
+        assert traj.times.shape == (3,) and traj.q.shape == (3, 1)
+        for values in (traj.q, traj.p, traj.energy_error):
+            assert np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("name", FIVE + ("order6-gauss3",))
+def test_scalar_and_one_component_runs_have_the_same_bits(name):
+    # both state kinds run kernels from one generator, with the same sums
+    tab = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    scalar, array = (
+        integrate(tab, kind, 160.0, CFG, sample_every=7)
+        for kind in _as_scalar_and_array(perturbed_pendulum())
+    )
+    for field in ("times", "q", "p", "energy_error"):
+        a, b = getattr(scalar, field), getattr(array, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
 
 def test_explicit_stage_force_cannot_record_a_non_finite_sample():

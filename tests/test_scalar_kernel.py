@@ -3,9 +3,10 @@
 Scalar state runs one advance generated from source per tableau, with the
 stage and sum loops unrolled and the coefficients as float literals.  The
 reference below is the generic solver it replaced: _stages_scalar, plus the
-scalar advance that summed the update.  The kernel promises the same IEEE
-operations in the same order, so results, exception types, messages and
-residuals must be equal byte for byte, not merely close.
+scalar advance that summed the update, with one addition: a stage iterate
+that is not finite ends the solve before the force sees it.  The kernel
+promises the same IEEE operations in the same order, so results, exception
+types, messages and residuals must be equal byte for byte, not merely close.
 """
 
 import linecache
@@ -61,6 +62,11 @@ def _stages_scalar(c, a, s, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev
                     qi = qn
                     if diff < conv:
                         break
+                    if not diff < math.inf:
+                        raise StageDivergenceError(
+                            f"stage {i} iterate is not finite (last increment {diff:.3e})",
+                            residual=diff,
+                        )
                 else:
                     raise StageDivergenceError(
                         f"stage {i} did not contract (last increment {diff:.3e})",
@@ -94,6 +100,11 @@ def _stages_scalar(c, a, s, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev
                 diff = d
             Qn[i] = qn
         Q = Qn
+        if not diff < math.inf:
+            raise StageDivergenceError(
+                f"stage iterates are not finite (last increment {diff:.3e})",
+                residual=diff,
+            )
         for i in range(s):
             F[i] = f(times[i], Q[i])
         if diff < conv:
@@ -128,8 +139,9 @@ def _reference_advance(t, stage_tol, max_iters, sequential, start):
 def _outcome(advance, *args):
     """Bytes of (q1, p1, Q, F), or the exception's type, message and residual.
 
-    math.sin and math.cos raise ValueError on an infinite argument; the
-    kernel must let it through from the same call.
+    math.sin and math.cos raise ValueError on an infinite argument.  No
+    stage iterate reaches the force unless it is finite, but a non-finite
+    start does; the kernel must let that error through from the same call.
     """
     try:
         q1, p1, Q, F = advance(*args)

@@ -209,7 +209,7 @@ def test_adjoint_of_explicit_control():
 def test_adjoint_inverts_the_negated_step():
     # defining property: running the adjoint forward then the original
     # method with step -h returns to the start (autonomous force)
-    from symrkn.integrator import StepConfig, _advance, step
+    from symrkn.integrator import StepConfig, _stepper, step
 
     f = lambda t, q: -math.sin(q) - 0.4 * math.cos(2.0 * q)
     h, q0, p0 = 0.21, 0.3, 1.1
@@ -228,7 +228,7 @@ def test_adjoint_inverts_the_negated_step():
     ]
     for t in tabs:
         q1, p1 = step(adjoint(t), f, 0.0, q0, p0, StepConfig(h=h))
-        q2, p2 = _advance(t, f, 0.0, q1, p1, -h, 1e-14, 200, False)
+        q2, p2, _, _ = _stepper(t, q1, 1e-14, 200, False)[1](f, 0.0, q1, p1, -h)
         assert abs(q2 - q0) < 1e-12, t.label
         assert abs(p2 - p0) < 1e-12, t.label
 
