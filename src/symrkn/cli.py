@@ -8,6 +8,7 @@ error, 2 property-check failure, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -64,23 +65,25 @@ _PROBLEMS = {
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Global-error rows for one method, sorted by decreasing h."""
+    """Global error per step size for one method, by decreasing h."""
 
     method: str
     problem: str
-    rows: tuple  # of (h, error)
+    h: np.ndarray
+    error: np.ndarray
     slope: float
     reference: str
 
 
 @dataclass(frozen=True)
 class DriftReport:
-    """Energy-error rows for one method, sorted by time."""
+    """Energy error per sample time for one method."""
 
     method: str
     h: float
     t_end: float
-    rows: tuple  # of (t, energy_error)
+    times: np.ndarray
+    energy_error: np.ndarray
     drift_slope: float
     max_abs: float
 
@@ -95,23 +98,29 @@ def _csv_field(s: str) -> str:
     return s
 
 
-# Lines written per write call.  Joining a whole drift run (two methods x
-# 75000 rows) into one text, then encoding it, made three ~13 MB copies at
-# once: the run's peak memory.
+# Rows formatted and written per write call.  Holding every line of a drift
+# run (two methods x 75000 rows) at once was most of the run's peak memory.
 _EMIT_CHUNK = 4096
 
 
-def _emit(lines, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            _write_lines(fh, lines)
-    else:
-        _write_lines(sys.stdout, lines)
+def _write_csv(out_path, header, series, trailers) -> None:
+    """Write the header, a name,x,y row per point of each (name, xs, ys)
+    series of float arrays, then the trailer lines, to out_path or stdout.
 
-
-def _write_lines(fh, lines) -> None:
-    for i in range(0, len(lines), _EMIT_CHUNK):
-        fh.write("\n".join(lines[i : i + _EMIT_CHUNK]) + "\n")
+    Rows are formatted from the arrays _EMIT_CHUNK at a time, so no more
+    than one chunk of text is held at once.
+    """
+    with (
+        open(out_path, "w", encoding="utf-8") if out_path
+        else contextlib.nullcontext(sys.stdout)
+    ) as fh:
+        fh.write(header + "\n")
+        for name, xs, ys in series:
+            for i in range(0, len(xs), _EMIT_CHUNK):
+                part = slice(i, i + _EMIT_CHUNK)
+                rows = zip(xs[part].tolist(), ys[part].tolist())
+                fh.write("".join(f"{name},{x:.16e},{y:.16e}\n" for x, y in rows))
+        fh.write("".join(line + "\n" for line in trailers))
 
 
 def _fail(message: str, code: int) -> int:
@@ -224,22 +233,22 @@ def convergence_report(
     degenerate fit with no diverged row raises the fit error.
     """
     prob = _PROBLEMS[problem_name]()
-    rows = []
-    for h in h_values:
+    hs = np.array(h_values, dtype=float)
+    errors = np.empty_like(hs)
+    for i, h in enumerate(hs.tolist()):
         try:
-            err = final_state_error(tab, prob, t_end, StepConfig(h=h), reference)
+            errors[i] = final_state_error(tab, prob, t_end, StepConfig(h=h), reference)
         except StageDivergenceError:
-            err = math.nan
-        rows.append((h, err))
-    finite = [(h, e) for h, e in rows if math.isfinite(e)]
+            errors[i] = math.nan
+    finite = np.isfinite(errors)
     try:
-        slope = fit_loglog_slope([h for h, _ in finite], [e for _, e in finite])
+        slope = fit_loglog_slope(hs[finite], errors[finite])
     except DegenerateFitError as exc:
-        if len(finite) == len(rows):
+        if finite.all():
             raise DegenerateFitError(f"method {method}: {exc}") from exc
         slope = math.nan
     return ConvergenceReport(
-        method, problem_name, tuple(rows), slope, "exact-or-order6"
+        method, problem_name, hs, errors, slope, "exact-or-order6"
     )
 
 
@@ -259,16 +268,13 @@ def cmd_converge(args) -> int:
         for tok, tab in methods
     ]
     names = [_csv_field(rep.method) for rep in reports]
-    lines = ["method,h,error"]
-    for name, rep in zip(names, reports):
-        for h, err in rep.rows:
-            lines.append(f"{name},{_fmt(h)},{_fmt(err)}")
-    for name, rep in zip(names, reports):
-        lines.append(f"# slope,{name},{_fmt(rep.slope)}")
-    _emit(lines, args.out)
-    failed = any(
-        not math.isfinite(err) for rep in reports for _, err in rep.rows
+    _write_csv(
+        args.out,
+        "method,h,error",
+        [(name, rep.h, rep.error) for name, rep in zip(names, reports)],
+        [f"# slope,{name},{_fmt(rep.slope)}" for name, rep in zip(names, reports)],
     )
+    failed = not all(np.isfinite(rep.error).all() for rep in reports)
     return 3 if failed else 0
 
 
@@ -278,12 +284,13 @@ def drift_report(
     """Energy-error series on the pendulum run; nan summaries on divergence."""
     prob = perturbed_pendulum()
     traj = integrate(tab, prob, t_end, StepConfig(h=h), sample_every)
-    rows = tuple(zip(traj.times.tolist(), traj.energy_error.tolist()))
-    if traj.diverged:
-        return DriftReport(method, h, t_end, rows, math.nan, math.nan)
-    slope = linear_drift_slope(traj.times, traj.energy_error)
-    max_abs = float(np.abs(traj.energy_error).max())
-    return DriftReport(method, h, t_end, rows, slope, max_abs)
+    slope = max_abs = math.nan
+    if not traj.diverged:
+        slope = linear_drift_slope(traj.times, traj.energy_error)
+        max_abs = float(np.abs(traj.energy_error).max())
+    return DriftReport(
+        method, h, t_end, traj.times, traj.energy_error, slope, max_abs
+    )
 
 
 def cmd_drift(args) -> int:
@@ -298,14 +305,18 @@ def cmd_drift(args) -> int:
     except (ValueError, TableauFormatError, InvalidGridError, SymrknError) as exc:
         return _fail(str(exc), 1)
     names = [_csv_field(rep.method) for rep in reports]
-    lines = ["method,t,energy_error"]
+    trailers = []
     for name, rep in zip(names, reports):
-        for t, e in rep.rows:
-            lines.append(f"{name},{_fmt(t)},{_fmt(e)}")
-    for name, rep in zip(names, reports):
-        lines.append(f"# drift_slope,{name},{_fmt(rep.drift_slope)}")
-        lines.append(f"# max_abs,{name},{_fmt(rep.max_abs)}")
-    _emit(lines, args.out)
+        trailers += [
+            f"# drift_slope,{name},{_fmt(rep.drift_slope)}",
+            f"# max_abs,{name},{_fmt(rep.max_abs)}",
+        ]
+    _write_csv(
+        args.out,
+        "method,t,energy_error",
+        [(name, rep.times, rep.energy_error) for name, rep in zip(names, reports)],
+        trailers,
+    )
     failed = any(not math.isfinite(rep.drift_slope) for rep in reports)
     return 3 if failed else 0
 

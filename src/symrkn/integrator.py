@@ -9,8 +9,11 @@ stages is fixed ascending, so repeated runs are bit-identical.
 Every state kind runs one advance function per tableau, generated from
 source for its stage count, structure, start and state size (see
 _kernel_source): floats for scalar state (dim 1 with float q0), d floats
-per value for array state of d components.  The stage, sum and component
-loops are unrolled and every coefficient is written as a float literal
+per value for array state of d components.  integrate runs all its steps
+in one call and binds the sample sinks to flat array('d') buffers, which
+the trajectory's arrays view (np.frombuffer); the single-step calls run
+one step.  The stage, sum and component loops are unrolled inside the
+step loop, and every coefficient is written as a float literal
 (repr round-trips, so no bit changes), so a run on (1,) arrays has the
 bits of the same run on floats.  An array force gets a fresh (d,) array
 per call, or the stacked stage values when it has a batched form, and its
@@ -23,12 +26,14 @@ and the start matrix, with the structure, the presence of a start and d,
 and at most _KERNEL_CACHE_SIZE are kept.  The source is registered in
 linecache, so tracebacks and profiles show the generated lines.  A stage
 iterate that is not finite ends the stage solve as a divergence before the
-force sees it.
+force sees it.  integrate logs each divergence once, at WARNING on the
+"symrkn" logger; the library installs no handler.
 
 Where the stage iteration starts: inside integrate, every step after the
 first starts from the previous step's stage forces, extrapolated to the new
 nodes by the polynomial through (c_j, F_j) (Hairer, Lubich and Wanner,
-Geometric Numerical Integration, section VIII.6.1).  The first step of a
+Geometric Numerical Integration, section VIII.6.1); the kernel carries
+those forces from step to step in locals.  The first step of a
 run, the single-step calls (step, solve_stages, reversibility_test) and
 tableaus with repeated nodes start from free motion, Q_i = q0 + h c_i p0.
 Nothing selects this: there is no option for it.
@@ -41,6 +46,7 @@ import math
 import numbers
 import threading
 import zlib
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
@@ -92,6 +98,8 @@ class Trajectory:
     function, else None.  diverged marks a run cut short at step index
     failure_step (1-based), by stage-solver failure or by a non-finite state;
     the recorded samples end at the last completed step and are finite.
+    failure_residual is the last stage increment of a stage-solver failure,
+    and None when the run completed or a non-finite sample ended it.
     """
 
     times: np.ndarray = field(repr=False)
@@ -100,6 +108,7 @@ class Trajectory:
     energy_error: Optional[np.ndarray] = field(repr=False, default=None)
     diverged: bool = False
     failure_step: Optional[int] = None
+    failure_residual: Optional[float] = None
 
     def __post_init__(self):
         n = len(self.times)
@@ -122,20 +131,32 @@ def _literal(x):
 
 
 def _kernel_source(c, a, b_bar, b, M, sequential, d=None):
-    """Source of advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None).
+    """Source of advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None,
+    steps=1, every=0, ts=None, qs=None, ps=None).
 
-    The unrolled stage solve and update, for scalar state (d None: q0, p0
-    and each stage value a float) or for array state of d components (q0
-    and p0 tuples of d floats, each stage value d floats Q{i}_{k}).  Every
-    sum starts at 0.0 and adds its terms in ascending index, zero
+    steps steps of size h from q0, p0 at time t0, for scalar state (d None:
+    q0, p0 and each stage value a float) or array state of d components
+    (q0 and p0 tuples of d floats, each stage value d floats Q{i}_{k}).
+    Step k starts at t0 + (k - 1) h, the first at t0 itself.  With M, the
+    first step starts its stage iteration from F_prev when given, later
+    steps from the previous step's forces, kept in the locals P{i}; else
+    from free motion.  The time, q and p after every every-th step and the
+    last go to the sinks ts, qs and ps (every 0: no samples); a sample that
+    is not finite is not taken and ends the run.  Returns (q1, p1, Q, F) of
+    the last step: states in the input form, stage values and forces as
+    lists.
+
+    Every sum starts at 0.0 and adds its terms in ascending index, zero
     coefficients included (0 * inf is NaN, and signed zeros must come out
     the same), component by component.  A max-norm keeps a NaN, as
     numpy's does (the e > m or e != e pattern).  A stage iterate that is
-    not finite ends the solve before the force sees it.  Array forces get
-    a fresh (d,) array per point, or, in Jacobi sweeps when f has stages,
-    one (s,) array of times and one (s, d) array of stage values; results
-    are read back as floats, and one of another shape raises ValueError.
-    F_prev is read only when M is not None (see _stepper).
+    not finite ends the solve before the force sees it.  A divergence
+    raises StageDivergenceError with the last increment as residual; it,
+    and one the force raises without a step index, gets the 1-based index
+    of the step it ended.  Array forces get a fresh (d,) array per point,
+    or, in Jacobi sweeps when f has stages, one (s,) array of times and one
+    (s, d) array of stage values; results are read back as floats, and one
+    of another shape raises ValueError.
     """
     s = len(c)
 
@@ -202,91 +223,129 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None):
             f"{ind})",
         ]
 
-    out = ["def advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None):"]
+    out = [
+        "def advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None,",
+        "            steps=1, every=0, ts=None, qs=None, ps=None):",
+    ]
     emit = out.append
     if d is not None:
         emit(f"    {tup(q0)} = q0")
         emit(f"    {tup(p0)} = p0")
-    out += most("    ", "m", [f"abs({x})" for x in q0])
-    emit("    conv = stage_tol * (1.0 + m)")
     emit("    h2 = h * h")
     if M is not None:
-        emit("    if F_prev is not None:")
+        emit("    warm = F_prev is not None")
+        emit("    if warm:")
         emit(f"        ({', '.join(tup(x) for x in P)},) = F_prev")
+    if d is not None and not sequential:
+        emit('    stages = getattr(f, "stages", None)')
+    emit("    mark = every if every < steps else steps")
+    emit("    t = t0")
+    emit("    for k in range(1, steps + 1):")
+    body = len(out)
+    out += most("        ", "m", [f"abs({x})" for x in q0])
+    emit("        conv = stage_tol * (1.0 + m)")
     if sequential:
         for i in range(s):
-            emit(f"    {T[i]} = t0 + {_literal(c[i])} * h")
+            emit(f"        {T[i]} = t + {_literal(c[i])} * h")
             for k in K:
-                emit(f"    {B[i][k]} = {free(i, k)} + h2 * ({dot(a[i][:i], col(F, k))})")
-            emit(f"    w = h2 * {_literal(a[i][i])}")
-            emit("    if w == 0.0:")
-            out += [f"        {Q[i][k]} = {B[i][k]}" for k in K]
-            emit("    else:")
+                emit(f"        {B[i][k]} = {free(i, k)} + h2 * ({dot(a[i][:i], col(F, k))})")
+            emit(f"        w = h2 * {_literal(a[i][i])}")
+            emit("        if w == 0.0:")
+            out += [f"            {Q[i][k]} = {B[i][k]}" for k in K]
+            emit("        else:")
             if M is None:
-                out += [f"        {q[k]} = {free(i, k)}" for k in K]
-            else:
-                emit("        if F_prev is None:")
                 out += [f"            {q[k]} = {free(i, k)}" for k in K]
-                emit("        else:")
+            else:
+                emit("            if warm:")
                 out += [
-                    f"            {q[k]} = {B[i][k]} + w * ({dot(M[i], col(P, k))})"
+                    f"                {q[k]} = {B[i][k]} + w * ({dot(M[i], col(P, k))})"
                     for k in K
                 ]
-            emit("        diff = inf")
-            emit("        for _ in range(iters):")
+                emit("            else:")
+                out += [f"                {q[k]} = {free(i, k)}" for k in K]
+            emit("            diff = inf")
+            emit("            for _ in range(iters):")
             if d is None:
-                emit(f"            n = {B[i][0]} + w * f({T[i]}, q)")
+                emit(f"                n = {B[i][0]} + w * f({T[i]}, q)")
             else:
-                out += point("            ", T[i], q, g)
-                out += [f"            {n[k]} = {B[i][k]} + w * {g[k]}" for k in K]
-            out += most("            ", "diff", [f"abs({n[k]} - {q[k]})" for k in K])
-            out += [f"            {q[k]} = {n[k]}" for k in K]
-            emit("            if diff < conv:")
-            emit("                break")
-            emit("            if not diff < inf:")
-            out += diverged("                ", f"stage {i} iterate is not finite")
-            emit("        else:")
-            out += diverged("            ", f"stage {i} did not contract")
-            out += [f"        {Q[i][k]} = {q[k]}" for k in K]
-            out += point("    ", T[i], Q[i], F[i])
+                out += point("                ", T[i], q, g)
+                out += [f"                {n[k]} = {B[i][k]} + w * {g[k]}" for k in K]
+            out += most("                ", "diff", [f"abs({n[k]} - {q[k]})" for k in K])
+            out += [f"                {q[k]} = {n[k]}" for k in K]
+            emit("                if diff < conv:")
+            emit("                    break")
+            emit("                if not diff < inf:")
+            out += diverged("                    ", f"stage {i} iterate is not finite")
+            emit("            else:")
+            out += diverged("                ", f"stage {i} did not contract")
+            out += [f"            {Q[i][k]} = {q[k]}" for k in K]
+            out += point("        ", T[i], Q[i], F[i])
     else:
         for i in range(s):
-            emit(f"    {T[i]} = t0 + {_literal(c[i])} * h")
-            out += [f"    {B[i][k]} = {free(i, k)}" for k in K]
+            emit(f"        {T[i]} = t + {_literal(c[i])} * h")
+            out += [f"        {B[i][k]} = {free(i, k)}" for k in K]
         start = [f"{Q[i][k]} = {B[i][k]}" for i in range(s) for k in K]
         if M is None:
-            out += ["    " + x for x in start]
-        else:
-            emit("    if F_prev is None:")
             out += ["        " + x for x in start]
-            emit("    else:")
+        else:
+            emit("        if warm:")
             out += [
-                f"        {Q[i][k]} = {B[i][k]} + h2 * ({dot(M[i], col(P, k))})"
+                f"            {Q[i][k]} = {B[i][k]} + h2 * ({dot(M[i], col(P, k))})"
                 for i in range(s) for k in K
             ]
-        if d is not None:
-            emit('    stages = getattr(f, "stages", None)')
-        out += forces("    ")
-        emit("    diff = inf")
-        emit("    for _ in range(iters):")
-        emit("        diff = 0.0")
+            emit("        else:")
+            out += ["            " + x for x in start]
+        out += forces("        ")
+        emit("        diff = inf")
+        emit("        for _ in range(iters):")
+        emit("            diff = 0.0")
         for i in range(s):
             for k in K:
-                emit(f"        n = {B[i][k]} + h2 * ({dot(a[i], col(F, k))})")
-                emit(f"        e = abs(n - {Q[i][k]})")
-                emit("        if e > diff or e != e:")
-                emit("            diff = e")
-                emit(f"        {Q[i][k]} = n")
-        emit("        if not diff < inf:")
-        out += diverged("            ", "stage iterates are not finite")
-        out += forces("        ")
-        emit("        if diff < conv:")
-        emit("            break")
-        emit("    else:")
-        out += diverged("        ", "stages did not contract in {iters} sweeps")
+                emit(f"            n = {B[i][k]} + h2 * ({dot(a[i], col(F, k))})")
+                emit(f"            e = abs(n - {Q[i][k]})")
+                emit("            if e > diff or e != e:")
+                emit("                diff = e")
+                emit(f"            {Q[i][k]} = n")
+        emit("            if not diff < inf:")
+        out += diverged("                ", "stage iterates are not finite")
+        out += forces("            ")
+        emit("            if diff < conv:")
+        emit("                break")
+        emit("        else:")
+        out += diverged("            ", "stages did not contract in {iters} sweeps")
+    # the update: every q before any p, since each q reads the old p
+    for k in K:
+        emit(f"        {q0[k]} = {q0[k]} + h * {p0[k]} + h2 * ({dot(b_bar, col(F, k))})")
+    for k in K:
+        emit(f"        {p0[k]} = {p0[k]} + h * ({dot(b, col(F, k))})")
+    emit("        t = t0 + k * h")
+    if M is not None:
+        out += [f"        {P[i][k]} = {F[i][k]}" for i in range(s) for k in K]
+        emit("        warm = True")
+    emit("        if k == mark:")
+    # 0 * x is NaN exactly when x is not finite, and a sum of zeros is zero
+    emit(f"            e = {' + '.join(f'0.0 * {x}' for x in q0 + p0)}")
+    emit("            if e != e:")
+    emit("                break")
+    emit("            ts(t)")
+    emit(f"            qs({tup(q0)})")
+    emit(f"            ps({tup(p0)})")
+    emit("            mark += every")
+    emit("            if mark > steps:")
+    emit("                mark = steps")
+    # a divergence, the solver's or one the force raises itself, is
+    # stamped with the step it ended
+    out[body:] = [
+        "        try:",
+        *("    " + x for x in out[body:]),
+        "        except StageDivergenceError as exc:",
+        "            if exc.step_index is None:",
+        "                exc.step_index = k",
+        "            raise",
+    ]
     emit("    return (")
-    emit(f"        {tup([f'{q0[k]} + h * {p0[k]} + h2 * ({dot(b_bar, col(F, k))})' for k in K])},")
-    emit(f"        {tup([f'{p0[k]} + h * ({dot(b, col(F, k))})' for k in K])},")
+    emit(f"        {tup(q0)},")
+    emit(f"        {tup(p0)},")
     emit(f"        [{', '.join(tup(x) for x in Q)}],")
     emit(f"        [{', '.join(tup(x) for x in F)}],")
     emit("    )")
@@ -381,23 +440,24 @@ def _stepper(t, q0, stage_tol, max_iters, sequential, start=None):
 
     state puts a q or p value in the kind's form: a float for scalar state,
     a tuple of d floats for array state of d components.  advance(f, t0,
-    q0, p0, h, F_prev=None) takes one step of signed size h from such
-    states and returns (q1, p1, Q, F): the new states in the same form, and
-    the stage values and forces as lists of s such values.  With start from
-    _start_matrix, a step given the previous step's F_prev starts its stage
-    iteration from their extrapolation; otherwise, and always when start is
-    None, it starts from free motion.  State kind, solver structure and
-    start are fixed here, once per run.
+    q0, p0, h, F_prev=None, steps=1, every=0, ts=None, qs=None, ps=None)
+    is the kernel with stage_tol and max_iters bound (see _kernel_source):
+    steps steps of signed size h from such states, returning (q1, p1, Q, F)
+    of the last.  With start from _start_matrix, a step that has previous
+    forces starts its stage iteration from their extrapolation; otherwise,
+    and always when start is None, from free motion.  integrate takes its
+    whole run in one call, the single-step calls one step and no samples.
+    State kind, solver structure and start are fixed here, once per run.
 
     Every state kind runs a kernel generated from source for this tableau
-    (_kernel_source): stage, sum and component loops unrolled, each
-    coefficient a float literal.  Kernels are cached by the exact bytes of
-    c, a_bar, b_bar, b and start, with the structure, whether there is a
-    start and d (None for scalar state), so 0.0 and -0.0 get different
-    kernels; at most _KERNEL_CACHE_SIZE are kept.  The first use of a
-    tableau and d pays the generation once (its cost is in the module
-    docstring); stage_tol and max_iters are arguments of the kernel and
-    stay out of the key.
+    (_kernel_source): one loop over the steps, the stage, sum and
+    component loops unrolled inside it, each coefficient a float literal.
+    Kernels are cached by the exact bytes of c, a_bar, b_bar, b and start,
+    with the structure, whether there is a start and d (None for scalar
+    state), so 0.0 and -0.0 get different kernels; at most
+    _KERNEL_CACHE_SIZE are kept.  The first use of a tableau and d pays the
+    generation once (its cost is in the module docstring); stage_tol and
+    max_iters are arguments of the kernel and stay out of the key.
     """
     d = None if np.ndim(q0) == 0 else len(q0)
     key = (
@@ -458,10 +518,12 @@ def integrate(
     Records the initial state, every sample_every-th step, and the final
     step.  (t_end - t0)/h must be a nonnegative integer to grid tolerance,
     and the initial state must be finite.  On stage divergence mid-run the
-    trajectory collected so far is returned with diverged=True and the
-    1-based index of the failed step.  A recorded sample that is not
-    finite ends the run the same way, at its step, so no recorded value is
-    inf or NaN.
+    trajectory collected so far is returned with diverged=True, the
+    1-based index of the failed step and the solver's last increment as
+    failure_residual.  A sample that is not finite ends the run the same
+    way, at its step and with no residual, so no recorded value is inf or
+    NaN.  Either way one WARNING goes to the "symrkn" logger.  Step k
+    starts at t0 + (k - 1) h, the first at t0 itself, as in step.
 
     Each step after the first starts its stage iteration from the previous
     step's stage forces, extrapolated to the new nodes; the first step, and
@@ -477,44 +539,49 @@ def integrate(
         t, prob.q0, cfg.stage_tol, cfg.max_iters, sequential,
         _start_matrix(t, sequential),
     )
-    f, h, t0 = prob.force, cfg.h, prob.t0
+    h, t0 = cfg.h, prob.t0
     q, p = state(prob.q0), state(prob.p0)
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
         raise ValueError("initial state must be finite")
-    times, qs, ps = [t0], [q], [p]
-    failure_step = None
-    F = None
-    for k in range(1, n + 1):
+    ts, qs, ps = array("d", [t0]), array("d", np.ravel(q)), array("d", np.ravel(p))
+    failure_step = residual = None
+    if n:
+        if np.ndim(q) == 0:
+            sinks = ts.append, qs.append, ps.append
+        else:
+            sinks = ts.append, qs.extend, ps.extend
         try:
-            q, p, _, F = advance(f, t0 + (k - 1) * h, q, p, h, F)
-        except StageDivergenceError:
-            failure_step = k
-            break
-        if k % sample_every == 0 or k == n:
-            times.append(t0 + k * h)
-            qs.append(q)
-            ps.append(p)
-    q_arr = np.array(qs, dtype=float).reshape(len(qs), prob.dim)
-    p_arr = np.array(ps, dtype=float).reshape(len(ps), prob.dim)
-    finite = np.isfinite(q_arr).all(axis=1) & np.isfinite(p_arr).all(axis=1)
-    if not finite.all():
-        # a force that went non-finite where no stage iteration sees it (an
-        # explicit stage, or a jump within stage_tol of the converged stage)
-        # passes the stage solve; the first such sample ends the run
-        j = int(finite.argmin())
-        failure_step = min(j * sample_every, n)
-        del times[j:], qs[j:], ps[j:]
-        q_arr, p_arr = q_arr[:j], p_arr[:j]
+            q, p, _, _ = advance(prob.force, t0, q, p, h, None, n, sample_every, *sinks)
+        except StageDivergenceError as exc:
+            failure_step, residual = exc.step_index, exc.residual
+        else:
+            if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+                # a force that went non-finite where no stage iteration sees
+                # it (an explicit stage, or a jump within stage_tol of the
+                # converged stage) passes the stage solve; the kernel stops
+                # at the first such sample, which it does not take
+                failure_step = min(len(ts) * sample_every, n)
+        if failure_step is not None:
+            # imported here: importing logging adds ~4 ms to every start-up,
+            # 3 % of a worker's set-up time in the benchmark
+            import logging
+
+            logging.getLogger("symrkn").warning(
+                "integration diverged at step %d of %d (t=%r, h=%r, residual=%r)",
+                failure_step, n, t0 + (failure_step - 1) * h, h, residual,
+            )
+    m = len(ts)
+    q_arr = np.frombuffer(qs).reshape(m, prob.dim)
+    p_arr = np.frombuffer(ps).reshape(m, prob.dim)
     energy_error = None
     if prob.energy is not None:
-        H = prob.energy
-        if np.ndim(prob.q0):  # array state: H takes (dim,) rows, not tuples
-            ps, qs = p_arr, q_arr
-        e0 = H(ps[0], qs[0])
-        energy_error = np.array([H(p, q) - e0 for p, q in zip(ps, qs)])
-    diverged = failure_step is not None
+        # floats for scalar state; array state's H takes (dim,) rows
+        rows = (ps, qs) if np.ndim(q) == 0 else (p_arr, q_arr)
+        energy_error = np.fromiter(map(prob.energy, *rows), float, m)
+        energy_error -= energy_error[0]
     return Trajectory(
-        np.array(times), q_arr, p_arr, energy_error, diverged, failure_step
+        np.frombuffer(ts), q_arr, p_arr, energy_error,
+        failure_step is not None, failure_step, residual,
     )
 
 
@@ -563,7 +630,9 @@ def reference_state(
     traj = integrate(reference_tableau(), prob, t_end, run, sample_every=n)
     if traj.diverged:
         raise StageDivergenceError(
-            "reference integration diverged", step_index=traj.failure_step
+            "reference integration diverged",
+            residual=traj.failure_residual,
+            step_index=traj.failure_step,
         )
     if prob.dim == 1 and np.ndim(prob.q0) == 0:
         return float(traj.q[-1, 0]), float(traj.p[-1, 0])
@@ -625,6 +694,7 @@ def final_state_error(
     if traj.diverged:
         raise StageDivergenceError(
             f"integration at h={cfg.h!r} diverged",
+            residual=traj.failure_residual,
             step_index=traj.failure_step,
         )
     q_ref, p_ref = reference

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from symrkn.cli import main
+from symrkn.cli import drift_report, main
+from symrkn.integrator import StepConfig, integrate
+from symrkn.problems import perturbed_pendulum
 from symrkn.tableau import RknTableau, load_tableau, named_tableau, save_tableau
 
 
@@ -239,3 +242,38 @@ def test_long_output_is_written_whole(tmp_path, capsys):
         assert method == ("diagsymp" if k < 6251 else "rkn-a")
         assert float(t) == pytest.approx(0.16 * (k % 6251), abs=1e-9)
         assert math.isfinite(float(e))
+
+
+# sha256 of the output bytes, recorded when the CSV was formatted whole
+# before writing; writing it in chunks must not change a byte
+GOLDEN = {
+    "drift": (
+        ["drift", "--method", "diagsymp", "--method", "rkn-a", "--h", "0.16",
+         "--t-end", "160", "--sample-every", "1"],
+        "54c4084a9bcc7d3e5eced75be4afc4e69d3707555e193a0eebffff67b8f4c360",
+    ),
+    "converge": (
+        ["converge", "--method", "diagsymp", "--method", "rkn-a", "--problem",
+         "kepler", "--t-end", "2.0", "--h-list", "0.2,0.1,0.05"],
+        "9d132fd8924760fa89ed1da38bb72058d5ff96f879f4db4a5fbc64c07099565b",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_csv_bytes_are_unchanged(command, tmp_path, capsys):
+    argv, digest = GOLDEN[command]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_drift_report_keeps_the_trajectory_arrays():
+    tab = named_tableau("rkn-a")
+    rep = drift_report(tab, "rkn-a", 0.16, 16.0, 3)
+    traj = integrate(tab, perturbed_pendulum(), 16.0, StepConfig(h=0.16), 3)
+    assert rep.times.tobytes() == traj.times.tobytes()
+    assert rep.energy_error.tobytes() == traj.energy_error.tobytes()

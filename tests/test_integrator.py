@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,8 +293,15 @@ def test_explicit_stage_force_cannot_record_a_non_finite_sample():
     for kind in _as_scalar_and_array(prob):
         with np.errstate(invalid="ignore"):
             traj = integrate(_explicit_last_stage(), kind, 1.6, CFG)
+            skipped = integrate(_explicit_last_stage(), kind, 1.6, CFG, sample_every=2)
         assert traj.diverged and traj.failure_step == 3
         assert traj.times.shape == (3,)
+        # a non-finite sample ended the run, not the stage solver
+        assert traj.failure_residual is None
+        # unsampled, the NaN state reaches step 4, whose stage solve fails
+        assert skipped.diverged and skipped.failure_step == 4
+        assert math.isnan(skipped.failure_residual)
+        assert skipped.times.shape == (2,)
     for q0, p0 in ((math.nan, 2.5), (0.0, math.inf)):
         for kind in _as_scalar_and_array(dataclasses.replace(pend, q0=q0, p0=p0)):
             with pytest.raises(ValueError, match="initial state must be finite"):
@@ -300,12 +309,12 @@ def test_explicit_stage_force_cannot_record_a_non_finite_sample():
 
 
 def test_zero_span_trajectory():
-    prob = perturbed_pendulum()
-    traj = integrate(named_tableau("diagsymp"), prob, 0.0, CFG)
-    assert traj.times.shape == (1,)
-    assert traj.q.shape == (1, 1) and traj.p.shape == (1, 1)
-    np.testing.assert_allclose(traj.energy_error, [0.0], atol=0.0)
-    assert not traj.diverged
+    for prob in _state_kinds(perturbed_pendulum()):
+        traj = integrate(named_tableau("diagsymp"), prob, 0.0, CFG)
+        assert traj.times.shape == (1,)
+        assert traj.q.shape == (1, prob.dim) and traj.p.shape == (1, prob.dim)
+        np.testing.assert_allclose(traj.energy_error, [0.0], atol=0.0)
+        assert not traj.diverged and traj.failure_residual is None
 
 
 def test_grid_validation():
@@ -679,3 +688,143 @@ def test_repeated_nodes_keep_the_free_motion_start(structure, a_bar):
             q, p = step(tab, prob.force, prob.t0 + k * cfg.h, q, p, cfg)
         assert traj.q[-1].tobytes() == np.reshape(q, -1).tobytes()
         assert traj.p[-1].tobytes() == np.reshape(p, -1).tobytes()
+
+
+def _pendulum_pair():
+    """Two uncoupled pendulums as one (2,)-state problem."""
+    pend = perturbed_pendulum()
+    return dataclasses.replace(
+        pend,
+        dim=2,
+        force=lambda t, q: np.array([pend.force(t, x) for x in q.tolist()]),
+        energy=lambda p, q: pend.energy(p[0], q[0]) + pend.energy(p[1], q[1]),
+        q0=np.array([0.0, 0.3]),
+        p0=np.array([2.5, 2.4]),
+    )
+
+
+def _state_kinds(prob):
+    """prob on scalar, (1,) and (2,) state."""
+    return (*_as_scalar_and_array(prob), _pendulum_pair())
+
+
+def _nan_after(prob, t_bad):
+    f = prob.force
+    scalar = np.ndim(prob.q0) == 0
+    bad = math.nan if scalar else np.full(prob.dim, math.nan)
+    return dataclasses.replace(prob, force=lambda t, q: bad if t > t_bad else f(t, q))
+
+
+@pytest.mark.parametrize("name", ["diagsymp", "rkn-a"], ids=["sequential", "jacobi"])
+def test_samples_and_failure_step_of_a_run_cut_short(name):
+    # step 7 spans [0.96, 1.12]; its stages after the first see NaN forces,
+    # so the stage solve fails there: samples at steps 0, 3 and 6 only
+    tab = named_tableau(name)
+    assert tab.lower_triangular == (name == "diagsymp")
+    for kind in _state_kinds(perturbed_pendulum()):
+        whole = integrate(tab, kind, 1.6, CFG)
+        prob = _nan_after(kind, 0.97)
+        traj = integrate(tab, prob, 1.6, CFG, sample_every=3)
+        assert traj.diverged and traj.failure_step == 7
+        assert traj.failure_residual is not None
+        assert traj.times.tobytes() == np.array([0.0, 3 * 0.16, 6 * 0.16]).tobytes()
+        for field in ("q", "p", "energy_error"):
+            got, want = getattr(traj, field), getattr(whole, field)[[0, 3, 6]]
+            assert got.tobytes() == want.tobytes(), field
+
+
+@pytest.mark.parametrize("name", ["diagsymp", "rkn-a"], ids=["sequential", "jacobi"])
+def test_failure_residual_is_the_stage_solvers_last_increment(name):
+    # the first step of a run is the single step from the initial state
+    tab = named_tableau(name)
+    big = StepConfig(h=10.0)
+    for prob in _state_kinds(perturbed_pendulum()):
+        with pytest.raises(StageDivergenceError) as info:
+            step(tab, prob.force, prob.t0, prob.q0, prob.p0, big)
+        traj = integrate(tab, prob, 20.0, big)
+        assert traj.diverged and traj.failure_step == 1
+        assert isinstance(traj.failure_residual, float)
+        assert traj.failure_residual == info.value.residual
+        done = integrate(tab, prob, 1.6, CFG)
+        assert not done.diverged and done.failure_residual is None
+
+
+def test_a_divergence_the_force_raises_ends_the_run_at_its_step():
+    # step 4 spans [0.48, 0.64]: the first with a stage time past 0.5
+    pend = perturbed_pendulum()
+
+    def force(t, q):
+        if t > 0.5:
+            raise StageDivergenceError("inner solve failed")
+        return pend.force(t, q)
+
+    for kind in _as_scalar_and_array(dataclasses.replace(pend, force=force)):
+        for name in ("diagsymp", "rkn-a"):
+            traj = integrate(named_tableau(name), kind, 1.6, CFG, sample_every=2)
+            assert traj.diverged and traj.failure_step == 4
+            assert traj.failure_residual is None
+            assert traj.times.shape == (2,)
+
+
+def test_each_divergence_is_logged_once(caplog):
+    assert logging.getLogger("symrkn").handlers == []
+    tab = named_tableau("rkn-a")
+    for kind in _state_kinds(perturbed_pendulum()):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="symrkn"):
+            integrate(tab, kind, 1.6, CFG)
+            assert caplog.records == []
+            traj = integrate(tab, _nan_after(kind, 0.97), 1.6, CFG, sample_every=3)
+        (record,) = caplog.records
+        assert record.name == "symrkn" and record.levelno == logging.WARNING
+        message = record.getMessage()
+        assert "step 7 of 10" in message
+        assert f"t={6 * 0.16!r}" in message and "h=0.16" in message
+        assert f"residual={traj.failure_residual!r}" in message
+
+
+def test_a_one_step_run_from_negative_zero_has_the_bits_of_step():
+    # the first step starts at t0 itself, so -0.0 reaches the force as it
+    # does in step: the stage time is -0.0 + (-0.0) h
+    for lower in (True, False):
+        a_bar = np.array([[0.01, 0.0], [0.02, 0.01]]) if lower else np.full((2, 2), 0.01)
+        tab = RknTableau(
+            2, np.array([-0.0, 1.0]), a_bar, np.array([0.25, 0.25]),
+            np.array([0.5, 0.5]), "signed node",
+        )
+        assert tab.lower_triangular == lower
+        pend = perturbed_pendulum()
+        signed = dataclasses.replace(
+            pend, t0=-0.0, force=lambda t, q: math.copysign(1.0, t) - math.sin(q)
+        )
+        for prob in _as_scalar_and_array(signed):
+            traj = integrate(tab, prob, CFG.h, CFG)
+            q1, p1 = step(tab, prob.force, -0.0, prob.q0, prob.p0, CFG)
+            assert traj.times.tobytes() == np.array([-0.0, 0.16]).tobytes()
+            assert traj.q[-1].tobytes() == np.reshape(q1, -1).tobytes()
+            assert traj.p[-1].tobytes() == np.reshape(p1, -1).tobytes()
+
+
+@pytest.mark.parametrize(
+    "make, h, n, bound",
+    # Kepler runs 20 000 steps, not 100 000: the traced array kernel takes
+    # ~0.3 ms a step, as every traced allocation costs about a microsecond
+    [(perturbed_pendulum, 0.16, 100_000, 64.0), (lambda: kepler_2d(0.5), 0.001, 20_000, 96.0)],
+    ids=["pendulum", "kepler0.5"],
+)
+def test_samples_are_stored_compactly(make, h, n, bound):
+    # samples live in flat float64 buffers that the trajectory's arrays
+    # view, and the energy is computed from them: about 8 bytes per stored
+    # float at the traced peak (lists of Python floats took 153 B/sample on
+    # the pendulum and 320 on Kepler)
+    prob = make()
+    tab = named_tableau("rkn-a")
+    integrate(tab, prob, 10 * h, StepConfig(h=h))
+    tracemalloc.start()
+    try:
+        traj = integrate(tab, prob, n * h, StepConfig(h=h))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not traj.diverged and traj.times.shape == (n + 1,)
+    assert peak / (n + 1) <= bound
