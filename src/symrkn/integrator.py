@@ -16,17 +16,19 @@ one step.  The stage, sum and component loops are unrolled inside the
 step loop, and every coefficient is written as a float literal
 (repr round-trips, so no bit changes), so a run on (1,) arrays has the
 bits of the same run on floats.  An array force gets a fresh (d,) array
-per call, or the stacked stage values when it has a batched form, and its
-result is read back as floats.  Only floats enter that source, never a
+per call, and its result is read back as floats; a batched form gets the
+stage times and values as tuples of floats and returns a list of floats,
+so a Jacobi sweep builds no array.  Only floats enter that source, never a
 label or other text.  Generating a kernel costs about a millisecond for
 s = 3 with scalar or d = 2 state; the source grows as s^2 d, and takes
 ~13 ms at s = 3, d = 32 and ~250 ms at s = 10, d = 100, once per distinct
 tableau and d: kernels are cached by the exact bytes of the coefficients
 and the start matrix, with the structure, the presence of a start and d,
-and at most _KERNEL_CACHE_SIZE are kept.  The source is registered in
-linecache, so tracebacks and profiles show the generated lines.  A stage
-iterate that is not finite ends the stage solve as a divergence before the
-force sees it.  integrate logs each divergence once, at WARNING on the
+and the least recently used leave once their sources pass
+_KERNEL_SOURCE_LIMIT characters.  The source is registered in linecache,
+so tracebacks and profiles show the generated lines.  A stage iterate
+that is not finite ends the stage solve as a divergence before the force
+sees it.  integrate logs each divergence once, at WARNING on the
 "symrkn" logger; the library installs no handler.
 
 Where the stage iteration starts: inside integrate, every step after the
@@ -62,9 +64,10 @@ from .tableau import RknTableau, discretize
 #: Relative slack when checking that h divides the integration span.
 GRID_RTOL = 1e-9
 
-#: Most generated kernels held at once (see _stepper).
-_KERNEL_CACHE_SIZE = 64
-_kernels = {}
+#: Most generated source, in characters, whose kernels are held at once
+#: (see _kernel); 1.0 MB is one kernel at s = 10, d = 100.
+_KERNEL_SOURCE_LIMIT = 8 * 2**20
+_kernels = {}  # key: (advance, length of its source), least recent first
 _kernels_lock = threading.Lock()
 
 
@@ -154,9 +157,11 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None):
     raises StageDivergenceError with the last increment as residual; it,
     and one the force raises without a step index, gets the 1-based index
     of the step it ended.  Array forces get a fresh (d,) array per point,
-    or, in Jacobi sweeps when f has stages, one (s,) array of times and one
-    (s, d) array of stage values; results are read back as floats, and one
-    of another shape raises ValueError.
+    read back as floats.  In Jacobi sweeps, when f has stages, it gets one
+    tuple of the s stage times and one of the s*d stage values, stage by
+    stage, and a list of s*d floats is unpacked as it is; any other result
+    is read back through a float array.  A per-point result not of shape
+    (d,), or a stages result not of shape (s*d,), raises ValueError.
     """
     s = len(c)
 
@@ -202,10 +207,10 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None):
             f"{ind}if stages is None:",
             *("    " + x for x in each),
             f"{ind}else:",
-            f"{ind}    r = stages(array({tup(T)}), array({tup([tup(x) for x in Q])}))",
-            f"{ind}    if type(r) is not ndarray or r.shape != ({s}, {d}):",
-            f'{ind}        r = checked(r, ({s}, {d}), "force.stages")',
-            f"{ind}    {tup([tup(x) for x in F])} = r.tolist()",
+            f"{ind}    r = stages({tup(T)}, {tup(sum(Q, []))})",
+            f"{ind}    if type(r) is not list or len(r) != {s * d}:",
+            f'{ind}        r = checked(r, ({s * d},), "force.stages").tolist()',
+            f"{ind}    {tup(sum(F, []))} = r",
         ]
 
     def most(ind, var, terms):
@@ -390,24 +395,28 @@ def _generate_kernel(key):
     }
     exec(compile(source, filename, "exec"), namespace)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    return namespace["advance"]
+    return namespace["advance"], len(source)
 
 
 def _kernel(key):
     """The generated advance for key, compiled on first use.
 
-    Beyond _KERNEL_CACHE_SIZE kernels, the least recently used one leaves
-    the cache, and its source leaves linecache.
+    While the cached kernels' sources pass _KERNEL_SOURCE_LIMIT characters,
+    the least recently used kernel leaves the cache, and its source leaves
+    linecache.  The new kernel always stays, so one larger than the limit
+    is held alone.
     """
     with _kernels_lock:
-        kernel = _kernels.pop(key, None)
-        if kernel is None:
-            kernel = _generate_kernel(key)
-            if len(_kernels) >= _KERNEL_CACHE_SIZE:
-                old = _kernels.pop(next(iter(_kernels)))
+        entry = _kernels.pop(key, None)
+        if entry is None:
+            entry = _generate_kernel(key)
+            held = entry[1] + sum(size for _, size in _kernels.values())
+            while _kernels and held > _KERNEL_SOURCE_LIMIT:
+                old, size = _kernels.pop(next(iter(_kernels)))
                 linecache.cache.pop(old.__code__.co_filename, None)
-        _kernels[key] = kernel
-    return kernel
+                held -= size
+        _kernels[key] = entry
+    return entry[0]
 
 
 def _start_matrix(t, sequential):
@@ -454,10 +463,11 @@ def _stepper(t, q0, stage_tol, max_iters, sequential, start=None):
     component loops unrolled inside it, each coefficient a float literal.
     Kernels are cached by the exact bytes of c, a_bar, b_bar, b and start,
     with the structure, whether there is a start and d (None for scalar
-    state), so 0.0 and -0.0 get different kernels; at most
-    _KERNEL_CACHE_SIZE are kept.  The first use of a tableau and d pays the
-    generation once (its cost is in the module docstring); stage_tol and
-    max_iters are arguments of the kernel and stay out of the key.
+    state), so 0.0 and -0.0 get different kernels; their sources are held
+    up to _KERNEL_SOURCE_LIMIT characters.  The first use of a tableau and
+    d pays the generation once (its cost is in the module docstring);
+    stage_tol and max_iters are arguments of the kernel and stay out of the
+    key.
     """
     d = None if np.ndim(q0) == 0 else len(q0)
     key = (

@@ -130,7 +130,6 @@ class MonomialLegendreTransform:
                 if prod != (1 if m == nn else 0):
                     raise ArithmeticError("exact basis-change inverse check failed")
         scale = [math.sqrt(2 * k + 1) for k in range(n + 1)]
-        self._c = c
         to_mon = np.zeros((n + 1, n + 1))
         to_leg = np.zeros((n + 1, n + 1))
         for k in range(n + 1):
@@ -141,20 +140,6 @@ class MonomialLegendreTransform:
         to_leg.flags.writeable = False
         self.to_monomial = to_mon
         self.to_legendre = to_leg
-
-    def inner_product(self, j: int, k: int) -> float:
-        """Integral of P_j * P_k over [0, 1], computed on the exact path."""
-        if not (0 <= j <= self.max_degree and 0 <= k <= self.max_degree):
-            raise DegreeOverflowError(f"degrees ({j}, {k}) outside [0, {self.max_degree}]")
-        c = self._c
-        acc = Fraction(0)
-        for m in range(j + 1):
-            cm = c[m][j]
-            if cm == 0:
-                continue
-            for nn in range(k + 1):
-                acc += Fraction(cm * c[nn][k], m + nn + 1)
-        return math.sqrt(2 * j + 1) * math.sqrt(2 * k + 1) * float(acc)
 
     def monomial_column(self, power: int) -> np.ndarray:
         """Legendre coefficients of x^power (read-only view of one column)."""
@@ -172,13 +157,6 @@ def default_transform() -> MonomialLegendreTransform:
     if _default is None:
         _default = MonomialLegendreTransform(INTERNAL_DEGREE)
     return _default
-
-
-def legendre_inner_product(j: int, k: int) -> float:
-    """Integral of P_j * P_k over [0, 1]."""
-    if not (0 <= j <= MAX_DEGREE and 0 <= k <= MAX_DEGREE):
-        raise DegreeOverflowError(f"degrees ({j}, {k}) outside [0, {MAX_DEGREE}]")
-    return default_transform().inner_product(j, k)
 
 
 def monomial_in_legendre(kappa: int) -> np.ndarray:

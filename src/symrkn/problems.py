@@ -25,17 +25,19 @@ class OdeProblem:
 
     A vector force gets a fresh float64 (dim,) array per call and must
     return a (dim,) array; a result of another shape raises ValueError.
-    It may also carry a batched form, force.stages(times, Q), mapping a
-    fresh (s,) array of stage times and a fresh (s, dim) array of stacked
-    stage values to the (s, dim) accelerations.  The Jacobi stage solver on
-    array state then makes one stages call per sweep instead of s per-point
-    calls; other solves use the per-point form.  stages must compute each
-    row with the same floating-point operations as force(t_i, Q_i), so that
-    results stay bit-identical; a result of the wrong shape raises
-    ValueError.  It may work in numpy or, as the Kepler force does for a
-    few stages, row by row in float arithmetic on Q.tolist(), which gives
-    numpy's bits wherever no operation overflows, underflows or divides by
-    zero.  The solver reads each result back as floats at once.
+    It may also carry a batched form, force.stages(times, values): times is
+    a tuple of the s stage times and values a tuple of the s*dim stage
+    values, stage 0's dim components first; it returns a list of the s*dim
+    accelerations in the same order.  The Jacobi stage solver on array state
+    then makes one stages call per sweep instead of s per-point calls;
+    other solves use the per-point form.  stages must compute each value
+    with the same floating-point operations as force(t_i, Q_i), so that
+    results stay bit-identical.  The solver unpacks a list as it is; it
+    reads any other result through a float array, and one of a shape other
+    than (s*dim,) raises ValueError.  The Kepler force loops over the
+    pairs of values in float arithmetic, which gives numpy's bits wherever
+    no operation overflows, underflows or divides by zero, and hands any
+    other call to its numpy formula.
     """
 
     dim: int
@@ -147,13 +149,13 @@ class _KeplerForce:
     """q'' = -q/|q|^3, per point and batched over stacked stage values.
 
     Both forms take x*x + y*y, its square root r, r*r*r, then the negated
-    coordinates over it, so every row of stages(times, Q) equals
-    force(t_i, Q_i) bit for bit.  They run in float arithmetic on tolist()
-    values (_kepler_row), the same IEEE operations in the same order as the
-    numpy formulas.  A point outside _kepler_row's ranges, such as r = 0,
-    a subnormal or overflowing entry, inf or NaN, hands the whole call to
-    the numpy formula, which keeps numpy's bits and its warnings or errors
-    under np.errstate.
+    coordinates over it, so every pair of stages(times, values) equals
+    force(t_i, Q_i) bit for bit.  They run in float arithmetic (the per-point
+    form on tolist() values), the same IEEE operations in the same order as
+    the numpy formulas.  A point outside _kepler_row's ranges, such as
+    r = 0, a subnormal or overflowing entry, inf or NaN, hands the whole
+    call to the numpy formula, which keeps numpy's bits and its warnings or
+    errors under np.errstate.
     """
 
     __slots__ = ()
@@ -162,14 +164,22 @@ class _KeplerForce:
         row = _kepler_row(*q.tolist())
         return _numpy_kepler_force(q) if row is None else np.array(row)
 
-    def stages(self, times, Q):
+    def stages(self, times, values):
         out = []
-        for x, y in Q.tolist():
-            row = _kepler_row(x, y)
-            if row is None:
-                return _numpy_kepler_stages(Q)
-            out += row
-        return np.array(out).reshape(-1, 2)
+        pairs = iter(values)
+        for x, y in zip(pairs, pairs):
+            # _kepler_row, inlined
+            r = math.sqrt(x * x + y * y)
+            r3 = r * r * r
+            if (
+                not _KEPLER_R3_MIN <= r3 <= _KEPLER_R3_MAX
+                or -_KEPLER_SMALL < x < _KEPLER_SMALL and x
+                or -_KEPLER_SMALL < y < _KEPLER_SMALL and y
+            ):
+                Q = np.array(values).reshape(-1, 2)
+                return _numpy_kepler_stages(Q).ravel().tolist()
+            out += (-x / r3, -y / r3)
+        return out
 
 
 def kepler_2d(eccentricity: float = 0.0) -> OdeProblem:

@@ -115,12 +115,15 @@ def _float_advance(t, stage_tol, iters, sequential, start):
             def evaluate(Q):
                 if stages is None:
                     return [force(i, Q[i]) for i in range(s)]
-                r = stages(np.array(times), np.array(Q))
-                if np.shape(r) != (s, d):
-                    raise ValueError(
-                        f"force.stages returned shape {np.shape(r)}, expected {(s, d)}"
-                    )
-                return np.asarray(r, dtype=float).tolist()
+                r = stages(tuple(times), tuple(x for row in Q for x in row))
+                if type(r) is not list or len(r) != s * d:
+                    r = np.asarray(r, dtype=float)
+                    if r.shape != (s * d,):
+                        raise ValueError(
+                            f"force.stages returned shape {r.shape}, expected {(s * d,)}"
+                        )
+                    r = r.tolist()
+                return [r[i * d:(i + 1) * d] for i in range(s)]
 
             Q = base
             if F_prev is not None:
@@ -149,6 +152,14 @@ def _float_advance(t, stage_tol, iters, sequential, start):
         return q1, p1, Q, F
 
     return advance
+
+
+def _batched(stages, times, Q):
+    """The (s, d) forces of one stages call on flat floats."""
+    r = np.asarray(stages(tuple(times.tolist()), tuple(Q.ravel().tolist())), dtype=float)
+    if r.shape != (Q.size,):
+        raise ValueError(f"force.stages returned shape {r.shape}, expected {(Q.size,)}")
+    return r.reshape(Q.shape)
 
 
 def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
@@ -188,11 +199,7 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
     if stages is None:
         F = np.array([f(times[i], Q[i]) for i in range(s)])
     else:
-        F = stages(times, Q)
-        if np.shape(F) != Q.shape:
-            raise ValueError(
-                f"force.stages returned shape {np.shape(F)}, expected {Q.shape}"
-            )
+        F = _batched(stages, times, Q)
     diff = math.inf
     for _ in range(iters):
         Qn = base + h2 * (a @ F)
@@ -201,7 +208,7 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
         if stages is None:
             F = np.array([f(times[i], Q[i]) for i in range(s)])
         else:
-            F = stages(times, Q)
+            F = _batched(stages, times, Q)
         if diff < conv:
             return Q, F
     raise StageDivergenceError(
@@ -294,18 +301,37 @@ def _driven(t, q):
 
 
 class _DrivenStages:
-    """_driven with a batched form."""
+    """_driven with a batched form, returning a list of floats."""
 
     def __call__(self, t, q):
         return _driven(t, q)
 
-    def stages(self, times, Q):
-        return -np.sin(Q) + 0.3 * np.cos(1.7 * times)[:, None]
+    def batch(self, times, values):
+        # the (s * d,) forces as an array
+        Q = np.array(values).reshape(len(times), -1)
+        return (-np.sin(Q) + 0.3 * np.cos(1.7 * np.array(times))[:, None]).ravel()
+
+    def stages(self, times, values):
+        return self.batch(times, values).tolist()
+
+
+class _DrivenTuple(_DrivenStages):
+    def stages(self, times, values):
+        return tuple(self.batch(times, values).tolist())
+
+
+class _DrivenArray(_DrivenStages):
+    def stages(self, times, values):
+        return self.batch(times, values)
 
 
 class _WrongShape(_DrivenStages):
-    def stages(self, times, Q):
-        return np.zeros((Q.shape[0], Q.shape[1] + 1))
+    def __init__(self, shape):
+        self.shape = shape
+
+    def stages(self, times, values):
+        s, d = len(times), len(values) // len(times)
+        return np.zeros(self.shape(s, d))
 
 
 _FORCES = [_driven, _DrivenStages()]
@@ -424,14 +450,62 @@ def test_a_start_matrix_of_none_ignores_previous_forces():
 
 
 def test_wrong_shape_from_stages_raises_the_same_error():
+    shapes = [
+        lambda s, d: (s, d + 1), lambda s, d: (s, d), lambda s, d: (s * d - 1,),
+        lambda s, d: (s,),
+    ]
     for s in (1, 3):
         t = _random_tableau(random.Random(s), s, False)
         for d in (1, 2, 3):
             q0, p0 = _state(random.Random(d), d)
             pair = _Pair(t, False, _start_matrix(t, False), d=d)
-            got = pair.check(_WrongShape(), 0.0, q0, p0, 0.2)
-            assert got[:2] == ("raised", ValueError)
-            assert "force.stages returned shape" in got[2]
+            for shape in shapes:
+                if shape(s, d) == (s * d,):
+                    continue  # (s,) at d = 1
+                got = pair.check(_WrongShape(shape), 0.0, q0, p0, 0.2)
+                assert got[:2] == ("raised", ValueError)
+                assert got[2] == (
+                    f"force.stages returned shape {shape(s, d)}, expected {(s * d,)}"
+                )
+
+
+class _Recording(_DrivenStages):
+    def __init__(self):
+        self.calls = []
+
+    def stages(self, times, values):
+        self.calls.append((times, values))
+        return super().stages(times, values)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stages_gets_two_tuples_of_floats(d):
+    t = named_tableau("rkn-a")
+    q0, p0 = _state(random.Random(d), d)
+    _, kernel = _stepper(t, q0, 1e-14, 100, False)
+    force = _Recording()
+    _, _, Q, _ = kernel(force, 0.3, tuple(q0.tolist()), tuple(p0.tolist()), 0.2)
+    assert len(force.calls) > 2
+    for times, values in force.calls:
+        assert type(times) is tuple and len(times) == t.s
+        assert type(values) is tuple and len(values) == t.s * d
+        assert all(type(x) is float for x in times + values)
+        assert times == tuple(0.3 + c * 0.2 for c in t.c.tolist())
+    # the last call sees the final stage values, stage by stage
+    assert values == tuple(x for row in Q for x in row)
+
+
+def test_tuple_and_array_results_have_the_bits_of_a_list():
+    t = named_tableau("rkn-b")
+    for d in (1, 2, 3):
+        q0, p0 = _state(random.Random(10 + d), d)
+        pair = _Pair(t, False, _start_matrix(t, False), d=d)
+        F_prev = np.linspace(-0.5, 0.5, t.s * d).reshape(t.s, d)
+        for args in ((0.1, q0, p0, 0.2), (0.1, q0, p0, 0.2, F_prev)):
+            want = pair.check(_DrivenStages(), *args)
+            assert want[0] != "raised"
+            assert pair.check(_DrivenTuple(), *args) == want
+            assert pair.check(_DrivenArray(), *args) == want
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 1)])

@@ -488,9 +488,9 @@ class _CountingForce:
         self.points += 1
         return self.force(t, q)
 
-    def stages(self, times, Q):
+    def stages(self, times, values):
         self.batches += 1
-        return self.stages_of(times, Q)
+        return self.stages_of(times, values)
 
 
 @pytest.mark.parametrize("name", FIVE + ("order6-gauss3",))
@@ -531,19 +531,23 @@ def test_jacobi_array_sweep_calls_stages_once_per_sweep():
 @pytest.mark.parametrize(
     "bad",
     [
-        lambda times, Q: np.zeros(len(times)),
-        lambda times, Q: np.zeros((len(times), 1)),
-        lambda times, Q: np.zeros((2, len(times))),
+        lambda times, values: np.zeros(len(times)),
+        lambda times, values: np.zeros((len(times), 1)),
+        lambda times, values: np.zeros((2, len(times))),
+        lambda times, values: np.zeros((len(times), 2)),
+        lambda times, values: np.zeros(len(values) - 1),
+        lambda times, values: [0.0] * (len(values) - 1),
+        lambda times, values: [0.0] * (len(values) + 1),
     ],
-    ids=["(s,)", "(s,1)", "(d,s)"],
+    ids=["(s,)", "(s,1)", "(d,s)", "(s,d)", "(s*d-1,)", "list(s*d-1)", "list(s*d+1)"],
 )
 def test_stages_of_the_wrong_shape_is_rejected(bad):
     prob = kepler_2d(0.5)
     tab = named_tableau("rkn-iiia")  # s = 3, d = 2
     force = _CountingForce(prob.force, stages=bad)
-    with pytest.raises(ValueError, match="stages"):
+    with pytest.raises(ValueError, match=r"force.stages returned shape .*, expected \(6,\)"):
         step(tab, force, 0.0, prob.q0, prob.p0, StepConfig(h=0.1))
-    with pytest.raises(ValueError, match="stages"):
+    with pytest.raises(ValueError, match="force.stages returned shape"):
         integrate(tab, dataclasses.replace(prob, force=force), 1.0, StepConfig(h=0.1))
 
 

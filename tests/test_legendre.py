@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,12 +7,25 @@ import pytest
 from symrkn.errors import DegreeOverflowError
 from symrkn.legendre import (
     MAX_DEGREE,
+    _integer_coefficients,
     default_transform,
     eval_legendre,
     eval_legendre_all,
-    legendre_inner_product,
     monomial_in_legendre,
 )
+
+
+def legendre_inner_product(j: int, k: int) -> float:
+    """Integral of P_j * P_k over [0, 1], summed exactly over the integer
+    monomial coefficients of L_j and L_k, P_k = sqrt(2k+1) L_k."""
+    if not (0 <= j <= MAX_DEGREE and 0 <= k <= MAX_DEGREE):
+        raise DegreeOverflowError(f"degrees ({j}, {k}) outside [0, {MAX_DEGREE}]")
+    c = _integer_coefficients(max(j, k))
+    acc = Fraction(0)
+    for m in range(j + 1):
+        for n in range(k + 1):
+            acc += Fraction(c[m][j] * c[n][k], m + n + 1)
+    return math.sqrt(2 * j + 1) * math.sqrt(2 * k + 1) * float(acc)
 
 
 def reflect_parity_check(k: int, x):

@@ -104,7 +104,7 @@ def test_kepler_batched_force_matches_per_point_bits(e):
         times = rng.uniform(0.0, 10.0, s)
         Q = rng.uniform(-2.0, 2.0, (s, 2))
         per_point = np.array([force(times[i], Q[i]) for i in range(s)])
-        batched = force.stages(times, Q)
+        batched = _flat_stages(force)(times, Q)
         assert batched.shape == per_point.shape == (s, 2)
         assert batched.tobytes() == per_point.tobytes()
     # rows at and beyond the edges of float arithmetic
@@ -112,8 +112,20 @@ def test_kepler_batched_force_matches_per_point_bits(e):
     Q = np.array(rows)
     with np.errstate(all="ignore"):
         per_point = np.array([force(0.0, q) for q in Q])
-        batched = force.stages(np.zeros(len(Q)), Q)
+        batched = _flat_stages(force)(np.zeros(len(Q)), Q)
     assert batched.tobytes() == per_point.tobytes()
+
+
+def _flat_stages(force):
+    """force.stages on (s,) times and (s, 2) values, as the solver calls
+    it: tuples of floats in, a list of floats out, read back as (s, 2)."""
+
+    def stages(times, Q):
+        out = force.stages(tuple(times.tolist()), tuple(Q.ravel().tolist()))
+        assert type(out) is list and all(type(x) is float for x in out)
+        return np.array(out).reshape(Q.shape)
+
+    return stages
 
 
 def _numpy_kepler_force(t, q):
@@ -173,6 +185,6 @@ def test_kepler_float_rows_keep_the_bits_and_warnings_of_numpy(err):
             Q[rng.integers(s)] = row
             batches.append(Q)
         for Q in batches:
-            assert _kepler_outcome(force.stages, times, Q, err=err) == _kepler_outcome(
+            assert _kepler_outcome(_flat_stages(force), times, Q, err=err) == _kepler_outcome(
                 _numpy_kepler_stages, times, Q, err=err
             )

@@ -17,9 +17,9 @@ import traceback
 import numpy as np
 import pytest
 
+from symrkn import integrator
 from symrkn.errors import StageDivergenceError
 from symrkn.integrator import (
-    _KERNEL_CACHE_SIZE,
     _kernels,
     _start_matrix,
     _stepper,
@@ -308,17 +308,49 @@ def test_one_kernel_per_tableau_and_tolerances_are_arguments():
     assert a.args == (1e-14, 100) and b.args == (1e-10, 7)
 
 
-def test_cache_is_bounded_and_evicted_sources_leave_linecache():
-    rng = random.Random(3)
-    first = _stepper(_random_tableau(rng, 2, False), 0.0, 1e-14, 100, False)[1].func
+def _cache_tableau(x):
+    """A Jacobi tableau whose kernel source is as long for every x whose
+    repr is as long."""
+    half = np.array([0.5, 0.5])
+    return RknTableau(2, np.array([0.25, 0.75]), np.full((2, 2), x), half, half, "cache")
+
+
+def _cached_kernel(t):
+    return _stepper(t, 0.0, 1e-14, 100, False)[1].func
+
+
+def _held():
+    return [advance for advance, _ in _kernels.values()]
+
+
+def test_cache_is_bounded_and_evicted_sources_leave_linecache(monkeypatch):
+    a, b, c, d, e = map(_cache_tableau, (0.11, 0.12, 0.13, 0.14, 0.15))
+    first = _cached_kernel(a)
     name = first.__code__.co_filename
     assert name.startswith("<symrkn kernel s=2 jacobi free ")
     assert linecache.getline(name, 1).startswith("def advance(")
-    for _ in range(_KERNEL_CACHE_SIZE):
-        _stepper(_random_tableau(rng, 2, False), 0.0, 1e-14, 100, False)
-    assert len(_kernels) <= _KERNEL_CACHE_SIZE
-    assert first not in _kernels.values()
-    assert linecache.getline(name, 1) == ""
+    size = dict(_kernels.values())[first]
+    assert size == len("".join(linecache.getlines(name)))
+    # room for three kernels: the older ones leave as b and c come in
+    monkeypatch.setattr(integrator, "_KERNEL_SOURCE_LIMIT", 3 * size)
+    kernels = [first, _cached_kernel(b), _cached_kernel(c)]
+    assert _held() == kernels
+    assert sum(size for _, size in _kernels.values()) == 3 * size
+    # a hit makes a the most recent, so d evicts b, the least recent
+    assert _cached_kernel(a) is first
+    kernels.append(_cached_kernel(d))
+    assert _held() == [kernels[2], first, kernels[3]]
+    assert linecache.getline(kernels[1].__code__.co_filename, 1) == ""
+    for kernel in _held():
+        assert linecache.getline(kernel.__code__.co_filename, 1).startswith("def advance(")
+    # a kernel larger than the whole bound is held alone, and runs
+    monkeypatch.setattr(integrator, "_KERNEL_SOURCE_LIMIT", size // 2)
+    alone = _cached_kernel(e)
+    assert _held() == [alone]
+    assert all(linecache.getline(k.__code__.co_filename, 1) == "" for k in kernels)
+    assert _cached_kernel(e) is alone
+    q1, p1 = step(e, lambda t, q: -q, 0.0, 1.0, 0.0, StepConfig(h=0.1))
+    assert math.isfinite(q1) and math.isfinite(p1) and q1 < 1.0
 
 
 def test_divergence_traceback_shows_the_kernel_source():
