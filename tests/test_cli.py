@@ -152,6 +152,22 @@ def test_converge_divergence_exit(capsys):
     assert math.isnan(float(trailers[0].split(",")[2]))
 
 
+def test_converge_mixed_divergence_fits_the_finite_rows(capsys):
+    code = main(
+        [
+            "converge", "--method", "diagsymp", "--t-end", "10",
+            "--h-list", "10.0,5.0,0.1,0.05",
+        ]
+    )
+    assert code == 3
+    _, data, trailers = _rows(capsys.readouterr().out)
+    errors = [float(row[2]) for row in data]
+    assert [float(row[1]) for row in data] == [10.0, 5.0, 0.1, 0.05]
+    assert all(math.isnan(e) for e in errors[:2])
+    assert all(math.isfinite(e) and e > 0 for e in errors[2:])
+    assert float(trailers[0].split(",")[2]) == pytest.approx(3.96, abs=0.01)
+
+
 @pytest.mark.parametrize(
     "span",
     [["--t-end", "0"], ["--t-end", "0.2", "--h-list", "0.2"]],
@@ -256,6 +272,12 @@ GOLDEN = {
         ["converge", "--method", "diagsymp", "--method", "rkn-a", "--problem",
          "kepler", "--t-end", "2.0", "--h-list", "0.2,0.1,0.05"],
         "9d132fd8924760fa89ed1da38bb72058d5ff96f879f4db4a5fbc64c07099565b",
+    ),
+    # the pendulum has no exact solution: errors against the order-6 run
+    "converge-pendulum": (
+        ["converge", "--method", "diagsymp", "--method", "rkn-a",
+         "--t-end", "2.0", "--h-list", "0.2,0.1,0.05"],
+        "6b9b39e4188c24ea41046db5a4719b371276a4fde33cfd4a6bda5ae2003afcc2",
     ),
 }
 
