@@ -12,7 +12,6 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +32,7 @@ from .errors import (
 )
 from .integrator import (
     StepConfig,
-    final_state_error,
-    fit_loglog_slope,
+    global_error_study,
     integrate,
     linear_drift_slope,
     reference_state,
@@ -44,7 +42,6 @@ from .quadrature import gauss_rule, lobatto_rule
 from .tableau import (
     NAMED_METHODS,
     RknTableau,
-    check_simplifying_discrete,
     classical_order_bound,
     discretize,
     is_symmetric,
@@ -61,31 +58,6 @@ _PROBLEMS = {
     "harmonic": harmonic_oscillator,
     "kepler": kepler_2d,
 }
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Global error per step size for one method, by decreasing h."""
-
-    method: str
-    problem: str
-    h: np.ndarray
-    error: np.ndarray
-    slope: float
-    reference: str
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    """Energy error per sample time for one method."""
-
-    method: str
-    h: float
-    t_end: float
-    times: np.ndarray
-    energy_error: np.ndarray
-    drift_slope: float
-    max_abs: float
 
 
 def _fmt(x: float) -> str:
@@ -216,40 +188,10 @@ def _parse_h_list(text: str):
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not tokens:
         raise ValueError("empty --h-list")
-    hs = sorted({float(tok) for tok in tokens}, reverse=True)
+    hs = [float(tok) for tok in tokens]
     if any(h <= 0.0 or not math.isfinite(h) for h in hs):
         raise ValueError("step sizes must be positive and finite")
     return hs
-
-
-def convergence_report(
-    tab: RknTableau, method: str, problem_name: str, t_end: float, h_values,
-    reference,
-) -> ConvergenceReport:
-    """Errors at t_end per h against a fixed reference state; nan on
-    divergence.
-
-    The slope is nan when diverged rows leave too few points to fit; a
-    degenerate fit with no diverged row raises the fit error.
-    """
-    prob = _PROBLEMS[problem_name]()
-    hs = np.array(h_values, dtype=float)
-    errors = np.empty_like(hs)
-    for i, h in enumerate(hs.tolist()):
-        try:
-            errors[i] = final_state_error(tab, prob, t_end, StepConfig(h=h), reference)
-        except StageDivergenceError:
-            errors[i] = math.nan
-    finite = np.isfinite(errors)
-    try:
-        slope = fit_loglog_slope(hs[finite], errors[finite])
-    except DegenerateFitError as exc:
-        if finite.all():
-            raise DegenerateFitError(f"method {method}: {exc}") from exc
-        slope = math.nan
-    return ConvergenceReport(
-        method, problem_name, hs, errors, slope, "exact-or-order6"
-    )
 
 
 def cmd_converge(args) -> int:
@@ -263,61 +205,55 @@ def cmd_converge(args) -> int:
         reference = reference_state(prob, args.t_end, min(hs) / 20.0)
     except (InvalidGridError, StageDivergenceError, ValueError) as exc:
         return _fail(str(exc), 3 if isinstance(exc, StageDivergenceError) else 1)
-    reports = [
-        convergence_report(tab, tok, args.problem, args.t_end, hs, reference)
-        for tok, tab in methods
-    ]
-    names = [_csv_field(rep.method) for rep in reports]
+    studies = []
+    for tok, tab in methods:
+        try:
+            studies.append(
+                global_error_study(tab, prob, args.t_end, hs, reference=reference)
+            )
+        except DegenerateFitError as exc:
+            raise DegenerateFitError(f"method {tok}: {exc}") from exc
+    names = [_csv_field(tok) for tok, _ in methods]
     _write_csv(
         args.out,
         "method,h,error",
-        [(name, rep.h, rep.error) for name, rep in zip(names, reports)],
-        [f"# slope,{name},{_fmt(rep.slope)}" for name, rep in zip(names, reports)],
+        [(name, st.h, st.error) for name, st in zip(names, studies)],
+        [f"# slope,{name},{_fmt(st.slope)}" for name, st in zip(names, studies)],
     )
-    failed = not all(np.isfinite(rep.error).all() for rep in reports)
+    failed = not all(np.isfinite(st.error).all() for st in studies)
     return 3 if failed else 0
-
-
-def drift_report(
-    tab: RknTableau, method: str, h: float, t_end: float, sample_every: int
-) -> DriftReport:
-    """Energy-error series on the pendulum run; nan summaries on divergence."""
-    prob = perturbed_pendulum()
-    traj = integrate(tab, prob, t_end, StepConfig(h=h), sample_every)
-    slope = max_abs = math.nan
-    if not traj.diverged:
-        slope = linear_drift_slope(traj.times, traj.energy_error)
-        max_abs = float(np.abs(traj.energy_error).max())
-    return DriftReport(
-        method, h, t_end, traj.times, traj.energy_error, slope, max_abs
-    )
 
 
 def cmd_drift(args) -> int:
     if args.sample_every < 1:
         return _fail("--sample-every must be >= 1", 1)
+    prob = perturbed_pendulum()
+    series, trailers, failed = [], [], False
     try:
         methods = [(tok, _resolve_method(tok)) for tok in args.method]
-        reports = [
-            drift_report(tab, tok, args.h, args.t_end, args.sample_every)
-            for tok, tab in methods
-        ]
-    except (ValueError, TableauFormatError, InvalidGridError, SymrknError) as exc:
+        for tok, tab in methods:
+            traj = integrate(
+                tab, prob, args.t_end, StepConfig(h=args.h), args.sample_every
+            )
+            # keep the energy series only, so q and p are freed with traj
+            times, energy_error, diverged = (
+                traj.times, traj.energy_error, traj.diverged
+            )
+            del traj
+            slope = max_abs = math.nan
+            if not diverged:
+                slope = linear_drift_slope(times, energy_error)
+                max_abs = float(np.abs(energy_error).max())
+            failed = failed or not math.isfinite(slope)
+            name = _csv_field(tok)
+            series.append((name, times, energy_error))
+            trailers += [
+                f"# drift_slope,{name},{_fmt(slope)}",
+                f"# max_abs,{name},{_fmt(max_abs)}",
+            ]
+    except (ValueError, SymrknError) as exc:
         return _fail(str(exc), 1)
-    names = [_csv_field(rep.method) for rep in reports]
-    trailers = []
-    for name, rep in zip(names, reports):
-        trailers += [
-            f"# drift_slope,{name},{_fmt(rep.drift_slope)}",
-            f"# max_abs,{name},{_fmt(rep.max_abs)}",
-        ]
-    _write_csv(
-        args.out,
-        "method,t,energy_error",
-        [(name, rep.times, rep.energy_error) for name, rep in zip(names, reports)],
-        trailers,
-    )
-    failed = any(not math.isfinite(rep.drift_slope) for rep in reports)
+    _write_csv(args.out, "method,t,energy_error", series, trailers)
     return 3 if failed else 0
 
 

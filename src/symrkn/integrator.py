@@ -658,9 +658,6 @@ class ErrorStudy:
     slope: float
     reference: str
 
-    def rows(self):
-        return list(zip(self.h.tolist(), self.error.tolist()))
-
 
 def fit_loglog_slope(h_values, errors) -> float:
     """Least-squares slope of log(error) against log(h).
@@ -726,21 +723,33 @@ def global_error_study(
     reference overrides the (q_ref, p_ref) state; otherwise the problem's
     exact solution is used when present, else an order-6 Gauss-3 run at
     min(h)/20.  Errors are max-norm over the concatenated (q, p) deviation.
-    Results are sorted by decreasing h.
+    Results are sorted by decreasing h, with duplicates dropped.
+
+    A step size whose run diverges records a nan error instead of raising.
+    The slope is fitted on the finite rows.  Too few of them to fit (fewer
+    than two distinct step sizes with nonzero error) raises a degenerate-fit
+    error when no row diverged, and gives a nan slope when one did.
     """
     hs = sorted({float(h) for h in h_list}, reverse=True)
-    if len(hs) < 2:
+    if not hs:
         raise DegenerateFitError("study needs at least 2 distinct step sizes")
     if reference is None:
         label = "exact" if prob.exact is not None else "order6-gauss3"
         reference = reference_state(prob, t_end, min(hs) / 20.0, cfg)
     else:
         label = "supplied"
-    errors = [
-        final_state_error(
-            t, prob, t_end, replace(cfg or StepConfig(h=h), h=h), reference
-        )
-        for h in hs
-    ]
-    slope = fit_loglog_slope(hs, errors)
-    return ErrorStudy(np.array(hs), np.array(errors), slope, label)
+    errors = np.empty(len(hs))
+    for i, h in enumerate(hs):
+        try:
+            errors[i] = final_state_error(
+                t, prob, t_end, replace(cfg or StepConfig(h=h), h=h), reference
+            )
+        except StageDivergenceError:
+            errors[i] = math.nan
+    try:
+        slope = fit_loglog_slope(hs, errors)
+    except DegenerateFitError:
+        if np.isfinite(errors).all():
+            raise
+        slope = math.nan
+    return ErrorStudy(np.array(hs), errors, slope, label)

@@ -38,22 +38,10 @@ def eval_legendre(k: int, x):
     Returns
     -------
     float or ndarray
-        P_k(x), matching the shape of x.
+        P_k(x), matching the shape of x.  P_0 is 1 at every x, non-finite
+        ones included.
     """
-    if k < 0 or k > MAX_DEGREE:
-        raise DegreeOverflowError(f"degree {k} outside [0, {MAX_DEGREE}]")
-    u = 2.0 * x - 1.0
-    prev = x * 0.0 + 1.0
-    if k == 0:
-        return prev
-    cur = math.sqrt(3.0) * u
-    for m in range(1, k):
-        # three-term recurrence, stable for the orthonormal normalization
-        nxt = (math.sqrt(2 * m + 3) / (m + 1)) * (
-            math.sqrt(2 * m + 1) * u * cur - (m / math.sqrt(2 * m - 1)) * prev
-        )
-        prev, cur = cur, nxt
-    return cur
+    return eval_legendre_all(k, x)[k]
 
 
 def eval_legendre_all(k_max: int, x):

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cscoeff import SEARCH_CAP, SEARCH_TOL, AlphaMatrix, build_order4, eval_Abar_grid
+from .cscoeff import (
+    SEARCH_CAP, SEARCH_TOL, SQRT5, AlphaMatrix, build_order4, eval_Abar_grid,
+)
 from .errors import TableauFormatError, TableauValidationError
 from .quadrature import QuadratureRule, lobatto_rule
 
@@ -22,8 +23,6 @@ FORMAT_TAG = "rkn-tableau/1"
 #: Agreement required between hard-coded named tableaus and their
 #: parameter-substitution reconstruction.
 CROSSCHECK_TOL = 1e-14
-
-_SQRT5 = math.sqrt(5.0)
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ _LOBATTO3_B = (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0)
 
 _NAMED = {
     "rkn-iiia": (
-        (-1.0 / 12.0, 0.0, _SQRT5 / 60.0),
+        (-1.0 / 12.0, 0.0, SQRT5 / 60.0),
         (
             (0.0, 0.0, 0.0),
             (1.0 / 16.0, 1.0 / 12.0, -1.0 / 48.0),
@@ -129,7 +128,7 @@ _NAMED = {
         ),
     ),
     "rkn-iiib": (
-        (-1.0 / 12.0, _SQRT5 / 60.0, 0.0),
+        (-1.0 / 12.0, SQRT5 / 60.0, 0.0),
         (
             (0.0, -1.0 / 12.0, 0.0),
             (1.0 / 12.0, 1.0 / 12.0, 0.0),
@@ -137,7 +136,7 @@ _NAMED = {
         ),
     ),
     "diagsymp": (
-        (0.0, _SQRT5 / 30.0, _SQRT5 / 30.0),
+        (0.0, SQRT5 / 30.0, SQRT5 / 30.0),
         (
             (1.0 / 12.0, 0.0, 0.0),
             (1.0 / 12.0, 0.0, 0.0),
@@ -145,7 +144,7 @@ _NAMED = {
         ),
     ),
     "rkn-a": (
-        (-1.0 / 10.0, _SQRT5 / 150.0, _SQRT5 / 60.0),
+        (-1.0 / 10.0, SQRT5 / 150.0, SQRT5 / 60.0),
         (
             (-1.0 / 360.0, -1.0 / 90.0, 1.0 / 72.0),
             (49.0 / 720.0, 13.0 / 180.0, -11.0 / 720.0),
@@ -153,7 +152,7 @@ _NAMED = {
         ),
     ),
     "rkn-b": (
-        (-1.0 / 10.0, _SQRT5 / 60.0, _SQRT5 / 150.0),
+        (-1.0 / 10.0, SQRT5 / 60.0, SQRT5 / 150.0),
         (
             (-1.0 / 360.0, -11.0 / 180.0, 1.0 / 72.0),
             (29.0 / 360.0, 13.0 / 180.0, -1.0 / 360.0),
@@ -195,19 +194,23 @@ def _checked_named(key: str) -> RknTableau:
         np.array(_LOBATTO3_B),
         key,
     )
-    ref = discretize(build_order4(*params), lobatto_rule(3))
-    dev = max(
-        np.abs(t.c - ref.c).max(),
-        np.abs(t.a_bar - ref.a_bar).max(),
-        np.abs(t.b_bar - ref.b_bar).max(),
-        np.abs(t.b - ref.b).max(),
-    )
+    dev = _max_deviation(t, discretize(build_order4(*params), lobatto_rule(3)))
     if dev > CROSSCHECK_TOL:
         raise TableauValidationError(
             f"stored {key} tableau disagrees with its parameter "
             f"reconstruction by {dev:.3e}"
         )
     return t
+
+
+def _max_deviation(t: RknTableau, u: RknTableau) -> float:
+    """Largest entrywise |t - u| over c, a_bar, b_bar and b."""
+    return float(max(
+        np.abs(t.c - u.c).max(),
+        np.abs(t.a_bar - u.a_bar).max(),
+        np.abs(t.b_bar - u.b_bar).max(),
+        np.abs(t.b - u.b).max(),
+    ))
 
 
 def adjoint(t: RknTableau) -> RknTableau:
@@ -233,14 +236,8 @@ def adjoint(t: RknTableau) -> RknTableau:
 
 def is_symmetric(t: RknTableau, tol: float = 1e-12) -> tuple[bool, float]:
     """Whether the tableau equals its adjoint; returns (verdict, deviation)."""
-    adj = adjoint(t)
-    dev = max(
-        np.abs(t.c - adj.c).max(),
-        np.abs(t.a_bar - adj.a_bar).max(),
-        np.abs(t.b_bar - adj.b_bar).max(),
-        np.abs(t.b - adj.b).max(),
-    )
-    return dev < tol, float(dev)
+    dev = _max_deviation(t, adjoint(t))
+    return dev < tol, dev
 
 
 def is_symplectic(t: RknTableau, tol: float = 1e-12) -> tuple[bool, float]:
@@ -286,27 +283,20 @@ def check_simplifying_discrete(
     searches stop at 13.
     """
     worst = 0.0
-    xi = 0
-    while xi < SEARCH_CAP:
-        r = _b_residual(t, xi + 1)
-        if r >= tol:
-            break
-        worst = max(worst, r)
-        xi += 1
-    eta = 1
-    while eta < SEARCH_CAP:
-        r = _cn_residual(t, eta)
-        if r >= tol:
-            break
-        worst = max(worst, r)
-        eta += 1
-    zeta = 1
-    while zeta < SEARCH_CAP:
-        r = _dn_residual(t, zeta)
-        if r >= tol:
-            break
-        worst = max(worst, r)
-        zeta += 1
+
+    def degree(residual, start):
+        # start plus the count of leading kappa = 1, 2, ... that hold
+        nonlocal worst
+        for kappa in range(1, SEARCH_CAP - start + 1):
+            r = residual(t, kappa)
+            if r >= tol:
+                return start + kappa - 1
+            worst = max(worst, r)
+        return SEARCH_CAP
+
+    xi = degree(_b_residual, 0)
+    eta = degree(_cn_residual, 1)
+    zeta = degree(_dn_residual, 1)
     return SimplifyingDegrees(xi, eta, zeta, worst)
 
 

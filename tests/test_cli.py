@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from symrkn.cli import drift_report, main
-from symrkn.integrator import StepConfig, integrate
+from symrkn.cli import main
+from symrkn.integrator import StepConfig, global_error_study, integrate
 from symrkn.problems import perturbed_pendulum
 from symrkn.tableau import RknTableau, load_tableau, named_tableau, save_tableau
 
@@ -168,6 +168,23 @@ def test_converge_mixed_divergence_fits_the_finite_rows(capsys):
     assert float(trailers[0].split(",")[2]) == pytest.approx(3.96, abs=0.01)
 
 
+def test_study_fits_the_finite_rows_as_the_cli_does(capsys):
+    hs = [10.0, 5.0, 0.1, 0.05]
+    study = global_error_study(
+        named_tableau("diagsymp"), perturbed_pendulum(), 10.0, hs
+    )
+    assert main(["converge", "--method", "diagsymp", "--t-end", "10",
+                 "--h-list", ",".join(map(str, hs))]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    rows = [ln.split(",") for ln in lines[1:-1]]
+    cli_errors = np.array([float(row[2]) for row in rows])
+    assert np.isnan(study.error[:2]).all()
+    assert np.isfinite(study.error[2:]).all()
+    assert study.error.tobytes() == cli_errors.tobytes()
+    slope = float(lines[-1].split(",")[2])
+    assert study.slope == slope and 3.9 < slope < 4.0
+
+
 @pytest.mark.parametrize(
     "span",
     [["--t-end", "0"], ["--t-end", "0.2", "--h-list", "0.2"]],
@@ -293,9 +310,17 @@ def test_csv_bytes_are_unchanged(command, tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def test_drift_report_keeps_the_trajectory_arrays():
-    tab = named_tableau("rkn-a")
-    rep = drift_report(tab, "rkn-a", 0.16, 16.0, 3)
-    traj = integrate(tab, perturbed_pendulum(), 16.0, StepConfig(h=0.16), 3)
-    assert rep.times.tobytes() == traj.times.tobytes()
-    assert rep.energy_error.tobytes() == traj.energy_error.tobytes()
+def test_drift_csv_has_the_trajectory_arrays(tmp_path):
+    # .16e round-trips a float64, so the parsed columns are integrate's bits
+    out = tmp_path / "drift.csv"
+    argv = ["drift", "--method", "rkn-a", "--h", "0.16", "--t-end", "16",
+            "--sample-every", "3", "--out", str(out)]
+    assert main(argv) == 0
+    _, data, _ = _rows(out.read_text())
+    times = np.array([float(row[1]) for row in data])
+    energy_error = np.array([float(row[2]) for row in data])
+    traj = integrate(
+        named_tableau("rkn-a"), perturbed_pendulum(), 16.0, StepConfig(h=0.16), 3
+    )
+    assert times.tobytes() == traj.times.tobytes()
+    assert energy_error.tobytes() == traj.energy_error.tobytes()

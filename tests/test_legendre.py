@@ -66,16 +66,37 @@ def test_orthonormality_on_unit_interval():
             assert abs(legendre_inner_product(j, k) - want) < 1e-13
 
 
+def _x_grid():
+    xs = np.random.default_rng(3).uniform(-0.5, 1.5, 200)
+    return np.concatenate([xs, [0.0, 0.5, 1.0]])
+
+
 def test_eval_all_matches_single_eval():
-    vals = eval_legendre_all(MAX_DEGREE, 0.37)
+    xs = _x_grid()
+    vals = eval_legendre_all(MAX_DEGREE, xs)
     assert len(vals) == MAX_DEGREE + 1
     for k, v in enumerate(vals):
-        assert v == pytest.approx(eval_legendre(k, 0.37), abs=1e-13)
+        assert v.tobytes() == eval_legendre(k, xs).tobytes()
+        for idx, x in enumerate(xs.tolist()):
+            single = eval_legendre(k, x)
+            assert type(single) is float
+            assert np.float64(single).tobytes() == v[idx].tobytes()
+
+
+def test_non_finite_points():
+    # P_0 is the constant 1; P_2 grows like x^2, so it is +inf at both ends
+    for x in (math.inf, -math.inf, math.nan):
+        assert eval_legendre(0, x) == 1.0
+    assert eval_legendre(1, math.inf) == -eval_legendre(1, -math.inf) == math.inf
+    assert eval_legendre(2, math.inf) == eval_legendre(2, -math.inf) == math.inf
+    assert math.isnan(eval_legendre(1, math.nan))
+    assert math.isnan(eval_legendre(2, math.nan))
+    arr = eval_legendre(0, np.array([math.inf, math.nan]))
+    assert arr.tolist() == [1.0, 1.0]
 
 
 def test_eval_all_on_an_array_has_the_pointwise_bits():
-    xs = np.random.default_rng(3).uniform(-0.5, 1.5, 200)
-    xs = np.concatenate([xs, [0.0, 0.5, 1.0]])
+    xs = _x_grid()
     for k_max in (0, 1, 2, MAX_DEGREE):
         vals = eval_legendre_all(k_max, xs)
         assert len(vals) == k_max + 1
