@@ -25,13 +25,6 @@ from .legendre import MAX_DEGREE, default_transform, eval_legendre_all
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
 
-#: Search cap for the largest satisfied moment-condition index, here and in
-#: the tableau module's discrete simplifying-assumption search.
-SEARCH_CAP = 13
-
-#: Residual threshold separating pass from fail in both index searches.
-SEARCH_TOL = 1e-10
-
 #: Residual threshold for a definite pass of a single condition.
 CHECK_TOL = 1e-12
 
@@ -275,22 +268,6 @@ def check_DN(m: AlphaMatrix, zeta: int) -> ConditionReport:
     if zeta - 1 > MAX_DEGREE:
         raise DegreeOverflowError(f"zeta {zeta} exceeds the supported range")
     return _report([_dn_residual(m, kappa) for kappa in range(1, zeta)])
-
-
-def largest_eta(m: AlphaMatrix) -> int:
-    """Largest eta (capped) whose CN conditions all hold at search tolerance."""
-    eta = 1
-    while eta < SEARCH_CAP and _cn_residual(m, eta) < SEARCH_TOL:
-        eta += 1
-    return eta
-
-
-def largest_zeta(m: AlphaMatrix) -> int:
-    """Largest zeta (capped) whose DN conditions all hold at search tolerance."""
-    zeta = 1
-    while zeta < SEARCH_CAP and _dn_residual(m, zeta) < SEARCH_TOL:
-        zeta += 1
-    return zeta
 
 
 def check_symmetry_cs(m: AlphaMatrix, tol: float = 1e-13) -> bool:

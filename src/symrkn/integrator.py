@@ -502,9 +502,15 @@ def step(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
     return np.array(q1), np.array(p1)
 
 
-def _step_count(span: float, h: float) -> int:
+def _check_span(span: float) -> None:
+    if not math.isfinite(span):
+        raise InvalidGridError(f"the span t_end - t0 must be finite, not {span!r}")
     if span < 0.0:
         raise InvalidGridError("t_end must not precede t0")
+
+
+def _step_count(span: float, h: float) -> int:
+    _check_span(span)
     if span == 0.0:
         return 0
     n = int(round(span / h))
@@ -623,18 +629,19 @@ def reference_state(
     h_ref: float,
     cfg: Optional[StepConfig] = None,
 ):
-    """High-accuracy state at t_end: exact when available, else order-6 run.
+    """High-accuracy state at t_end: prob.exact(t_end) when present
+    (harmonic, Kepler), else an order-6 Gauss-3 run (pendulum).
 
-    The nominal h_ref is shrunk to the nearest exact divisor of the span, so
+    A span t_end - t0 that is negative or not finite is a grid error.  The
+    nominal h_ref is shrunk to the nearest exact divisor of the span, so
     callers may pass min(h)/20 without worrying about grid alignment.
     """
+    span = t_end - prob.t0
+    _check_span(span)
     if prob.exact is not None:
         return prob.exact(t_end)
-    span = t_end - prob.t0
     if span == 0.0:
         return prob.q0, prob.p0
-    if span < 0.0:
-        raise InvalidGridError("t_end must not precede t0")
     n = max(1, int(math.ceil(span / h_ref - GRID_RTOL)))
     run = replace(cfg or StepConfig(h=span / n), h=span / n)
     traj = integrate(reference_tableau(), prob, t_end, run, sample_every=n)
@@ -720,9 +727,11 @@ def global_error_study(
 ) -> ErrorStudy:
     """Global error at t_end per step size, with fitted convergence slope.
 
-    reference overrides the (q_ref, p_ref) state; otherwise the problem's
-    exact solution is used when present, else an order-6 Gauss-3 run at
-    min(h)/20.  Errors are max-norm over the concatenated (q, p) deviation.
+    reference overrides the (q_ref, p_ref) state (reference "supplied");
+    otherwise reference_state gives the problem's exact solution when it has
+    one (harmonic, Kepler: "exact"), else an order-6 Gauss-3 run at
+    min(h)/20 (pendulum: "order6-gauss3").  Errors are max-norm over the
+    concatenated (q, p) deviation.
     Results are sorted by decreasing h, with duplicates dropped.
 
     A step size whose run diverges records a nan error instead of raising.

@@ -145,14 +145,3 @@ def default_transform() -> MonomialLegendreTransform:
     if _default is None:
         _default = MonomialLegendreTransform(INTERNAL_DEGREE)
     return _default
-
-
-def monomial_in_legendre(kappa: int) -> np.ndarray:
-    """Legendre coefficients of x^(kappa-1), as a (MAX_DEGREE+1)-vector.
-
-    kappa is the moment index: kappa = 1 expands the constant 1, kappa = 2
-    expands x, and so on up to x^MAX_DEGREE.
-    """
-    if kappa < 1 or kappa - 1 > MAX_DEGREE:
-        raise DegreeOverflowError(f"moment index {kappa} outside [1, {MAX_DEGREE + 1}]")
-    return default_transform().monomial_column(kappa - 1)[: MAX_DEGREE + 1].copy()

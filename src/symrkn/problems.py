@@ -182,11 +182,45 @@ class _KeplerForce:
         return out
 
 
+# Newton on Kepler's equation takes at most 12 iterations for e <= 0.99 and
+# |t| <= 1e4; reaching the cap means it failed.
+_KEPLER_NEWTON_CAP = 50
+
+
+def _eccentric_anomaly(e, t):
+    """E with E - e sin E = t, by Newton's method from t, or for e >= 0.8
+    from the aphelion of t's period (floor %, also for negative t).
+
+    The residual is taken on the unreduced t; the iteration stops once the
+    residual a step removed, |dE|(1 - e cos E), is at most 4 eps max(1, |t|).
+    """
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+    E = t if e < 0.8 else t - t % (2.0 * math.pi) + math.pi
+    tol = 4.0 * math.ulp(1.0) * max(1.0, abs(t))
+    for _ in range(_KEPLER_NEWTON_CAP):
+        slope = 1.0 - e * math.cos(E)
+        dE = (E - e * math.sin(E) - t) / slope
+        E -= dE
+        if abs(dE) * slope <= tol:
+            return E
+    raise RuntimeError(
+        f"Kepler's equation did not converge for e={e!r}, t={t!r} "
+        f"in {_KEPLER_NEWTON_CAP} Newton iterations"
+    )
+
+
 def kepler_2d(eccentricity: float = 0.0) -> OdeProblem:
     """Planar Kepler problem q'' = -q/|q|^3 on an orbit of semi-major axis 1.
 
     Initial data q0 = (1-e, 0), p0 = (0, sqrt((1+e)/(1-e))) give H = -1/2 and
-    period 2 pi for every eccentricity in [0, 1).
+    period 2 pi for every eccentricity in [0, 1), with perihelion at t = 0.
+
+    exact(t) is the state on that orbit (Hairer, Lubich and Wanner, Geometric
+    Numerical Integration, I.2): with E - e sin E = t solved by Newton's
+    method, q = (cos E - e, sqrt(1-e^2) sin E) and
+    p = (-sin E, sqrt(1-e^2) cos E)/(1 - e cos E).  exact(0) returns q0 and
+    p0 themselves; a non-finite t raises ValueError.
     """
     e = float(eccentricity)
     if not 0.0 <= e < 1.0:
@@ -195,10 +229,20 @@ def kepler_2d(eccentricity: float = 0.0) -> OdeProblem:
     p0 = np.array([0.0, math.sqrt((1.0 + e) / (1.0 - e))])
     q0.flags.writeable = False
     p0.flags.writeable = False
+    b = math.sqrt((1.0 - e) * (1.0 + e))
 
     def energy(p, q):
         r = math.sqrt(q[0] * q[0] + q[1] * q[1])
         return 0.5 * (p[0] * p[0] + p[1] * p[1]) - 1.0 / r
+
+    def exact(t):
+        if t == 0.0:
+            # sqrt(1-e^2)/(1-e) is not always the bits of p0[1]
+            return q0, p0
+        E = _eccentric_anomaly(e, float(t))
+        c, s = math.cos(E), math.sin(E)
+        w = 1.0 - e * c
+        return np.array([c - e, b * s]), np.array([-s / w, b * c / w])
 
     return OdeProblem(
         dim=2,
@@ -207,6 +251,7 @@ def kepler_2d(eccentricity: float = 0.0) -> OdeProblem:
         q0=q0,
         p0=p0,
         energy=energy,
+        exact=exact,
         reversible=True,
         label=f"kepler(e={e!r})",
     )

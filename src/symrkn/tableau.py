@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cscoeff import (
-    SEARCH_CAP, SEARCH_TOL, SQRT5, AlphaMatrix, build_order4, eval_Abar_grid,
-)
+from .cscoeff import SQRT5, AlphaMatrix, build_order4, eval_Abar_grid
 from .errors import TableauFormatError, TableauValidationError
 from .quadrature import QuadratureRule, lobatto_rule
 
@@ -23,6 +21,12 @@ FORMAT_TAG = "rkn-tableau/1"
 #: Agreement required between hard-coded named tableaus and their
 #: parameter-substitution reconstruction.
 CROSSCHECK_TOL = 1e-14
+
+#: Search cap for the largest satisfied simplifying-assumption index.
+SEARCH_CAP = 13
+
+#: Residual threshold separating pass from fail in that search.
+SEARCH_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from symrkn import integrator
 from symrkn.cli import main
 from symrkn.integrator import StepConfig, global_error_study, integrate
-from symrkn.problems import perturbed_pendulum
+from symrkn.problems import kepler_2d, perturbed_pendulum
 from symrkn.tableau import RknTableau, load_tableau, named_tableau, save_tableau
 
 
@@ -200,6 +201,55 @@ def test_converge_degenerate_fit_is_an_error(span, capsys):
     assert "rkn-a" in captured.err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [["converge", "--method", "rkn-a", "--problem", name]
+     for name in ("pendulum", "harmonic", "kepler")]
+    + [["drift", "--method", "rkn-a"]],
+    ids=["converge-pendulum", "converge-harmonic", "converge-kepler", "drift"],
+)
+def test_non_finite_t_end_is_a_usage_error(argv, value, capsys):
+    assert main([*argv, f"--t-end={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the span t_end - t0 must be finite, not {float(value)!r}\n"
+    )
+
+
+class _ReferenceRun(Exception):
+    pass
+
+
+def _no_reference_run():
+    raise _ReferenceRun
+
+
+def test_kepler_converge_never_runs_the_order6_reference(monkeypatch, capsys):
+    monkeypatch.setattr(integrator, "reference_tableau", _no_reference_run)
+    argv = ["converge", "--method", "rkn-a", "--problem", "kepler",
+            "--t-end", "1.0", "--h-list", "0.1,0.05"]
+    assert main(argv) == 0
+    _, data, trailers = _rows(capsys.readouterr().out)
+    assert len(data) == 2 and len(trailers) == 1
+    study = global_error_study(named_tableau("rkn-a"), kepler_2d(), 1.0, [0.1, 0.05])
+    assert study.reference == "exact"
+    # the pendulum has no exact solution, so the patch is what stops it
+    with pytest.raises(_ReferenceRun):
+        main(["converge", "--method", "rkn-a", "--t-end", "1.0"])
+
+
+def test_kepler_converge_over_a_zero_span_is_an_error(capsys):
+    # exact(t0) is the initial state to the bit, so every error is zero and
+    # nothing can be fitted
+    argv = ["converge", "--method", "rkn-a", "--problem", "kepler", "--t-end", "0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: method rkn-a: slope fit needs")
+
+
 def test_drift_csv_contract(tmp_path):
     out = tmp_path / "drift.csv"
     code = main(
@@ -285,10 +335,11 @@ GOLDEN = {
          "--t-end", "160", "--sample-every", "1"],
         "54c4084a9bcc7d3e5eced75be4afc4e69d3707555e193a0eebffff67b8f4c360",
     ),
+    # Kepler has an exact solution: errors against the exact orbit
     "converge": (
         ["converge", "--method", "diagsymp", "--method", "rkn-a", "--problem",
          "kepler", "--t-end", "2.0", "--h-list", "0.2,0.1,0.05"],
-        "9d132fd8924760fa89ed1da38bb72058d5ff96f879f4db4a5fbc64c07099565b",
+        "2af8dd7c45c1687adbbba0a371738ac720e550e0150b354fe722cad8ab08ecbd",
     ),
     # the pendulum has no exact solution: errors against the order-6 run
     "converge-pendulum": (

@@ -6,6 +6,8 @@ import pytest
 
 from symrkn.cscoeff import (
     AlphaMatrix,
+    _cn_residual,
+    _dn_residual,
     build_expansion,
     build_order2,
     build_order4,
@@ -15,8 +17,6 @@ from symrkn.cscoeff import (
     check_DN,
     check_symmetry_cs,
     eval_Abar,
-    largest_eta,
-    largest_zeta,
     order_estimate,
     xi,
 )
@@ -25,6 +25,23 @@ from symrkn.errors import (
     ExpansionConstraintError,
     SymmetryViolationError,
 )
+from symrkn.tableau import SEARCH_CAP, SEARCH_TOL
+
+
+def largest_eta(m: AlphaMatrix) -> int:
+    """Largest eta (capped) whose CN conditions all hold at search tolerance."""
+    eta = 1
+    while eta < SEARCH_CAP and _cn_residual(m, eta) < SEARCH_TOL:
+        eta += 1
+    return eta
+
+
+def largest_zeta(m: AlphaMatrix) -> int:
+    """Largest zeta (capped) whose DN conditions all hold at search tolerance."""
+    zeta = 1
+    while zeta < SEARCH_CAP and _dn_residual(m, zeta) < SEARCH_TOL:
+        zeta += 1
+    return zeta
 
 S3 = math.sqrt(3.0)
 S5 = math.sqrt(5.0)

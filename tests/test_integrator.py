@@ -448,6 +448,17 @@ def test_reference_state_paths():
     assert (q0, p0) == (pend.q0, pend.p0)
 
 
+@pytest.mark.parametrize("t_end", [math.inf, -math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("make", [perturbed_pendulum, harmonic_oscillator, kepler_2d])
+def test_a_non_finite_or_negative_span_is_a_grid_error(make, t_end):
+    # checked before the exact solution or the order-6 run is evaluated
+    prob = make()
+    with pytest.raises(InvalidGridError):
+        reference_state(prob, t_end, 0.01)
+    with pytest.raises(InvalidGridError):
+        integrate(named_tableau("rkn-a"), prob, t_end, StepConfig(h=0.1))
+
+
 def test_step_config_validation():
     with pytest.raises(ValueError):
         StepConfig(h=0.0)

@@ -2,10 +2,12 @@ import math
 import random
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from symrkn.integrator import StepConfig, integrate
+from symrkn import problems
+from symrkn.integrator import StepConfig, integrate, reference_tableau
 from symrkn.problems import harmonic_oscillator, kepler_2d, perturbed_pendulum
 from symrkn.tableau import named_tableau
 
@@ -75,6 +77,92 @@ def test_kepler_eccentric_energy():
         kepler_2d(1.0)
     with pytest.raises(ValueError):
         kepler_2d(-0.1)
+
+
+EPS = np.finfo(float).eps
+KEPLER_E = (0.0, 0.1, 0.5, 0.79, 0.8, 0.9, 0.95, 0.99)
+_draws = random.Random(2024)
+KEPLER_T = (
+    [0.0, 1e-3, -1e-3, math.pi, -math.pi, 2.0 * math.pi, 5.0, -3.0, 20.0,
+     1600.0, 1e4]
+    + [_draws.uniform(-100.0, 100.0) for _ in range(16)]
+    # within 1e-3 of perihelion, where 1 - e cos E is smallest
+    + [2.0 * math.pi * k + d for k in (-3, -1, 1, 2, 250)
+       for d in (-1e-3, -1e-9, 1e-9, 1e-3)]
+)
+
+
+def _mp_kepler_state(e, t):
+    """(q, p) at t from Kepler's equation solved at 50 digits, bracketing
+    the root by |E - t| = e |sin E| <= 1."""
+    with mpmath.workdps(50):
+        e, t = mpmath.mpf(e), mpmath.mpf(t)
+        E = mpmath.findroot(
+            lambda E: E - e * mpmath.sin(E) - t, (t - 1, t + 1), solver="anderson"
+        )
+        b = mpmath.sqrt((1 - e) * (1 + e))
+        c, s = mpmath.cos(E), mpmath.sin(E)
+        w = 1 - e * c
+        return [c - e, b * s, -s / w, b * c / w]
+
+
+@pytest.mark.parametrize("e", KEPLER_E)
+def test_kepler_exact_matches_a_50_digit_solution(e, monkeypatch):
+    # no point of this grid needs more than 12 Newton iterations
+    monkeypatch.setattr(problems, "_KEPLER_NEWTON_CAP", 12)
+    prob = kepler_2d(e)
+    for t in KEPLER_T:
+        q, p = prob.exact(t)
+        assert q.shape == p.shape == (2,)
+        with mpmath.workdps(50):
+            err = max(
+                abs(mpmath.mpf(float(x)) - y)
+                for x, y in zip([*q, *p], _mp_kepler_state(e, t))
+            )
+        assert float(err) <= 4.0 * EPS * max(1.0, abs(t)) / (1.0 - e) ** 2, t
+
+
+@pytest.mark.parametrize("e", KEPLER_E)
+def test_kepler_exact_keeps_energy_and_angular_momentum(e):
+    prob = kepler_2d(e)
+    b = math.sqrt((1.0 - e) * (1.0 + e))
+    for t in np.linspace(-20.0, 20.0, 801).tolist() + KEPLER_T:
+        q, p = prob.exact(t)
+        assert abs(prob.energy(p, q) + 0.5) <= 64.0 * EPS / (1.0 - e), t
+        assert abs(q[0] * p[1] - q[1] * p[0] - b) <= 64.0 * EPS / (1.0 - e), t
+
+
+@pytest.mark.parametrize("e", [0.0, 0.5, 0.9])
+def test_kepler_exact_agrees_with_the_order6_run(e):
+    # the reference grid of converge at min(h) = 0.00625: h = 3.125e-4,
+    # sampled at t = 5, 10, 15, 20
+    prob = kepler_2d(e)
+    traj = integrate(
+        reference_tableau(), prob, 20.0, StepConfig(h=20.0 / 64000), 16000
+    )
+    assert not traj.diverged
+    for i in (1, 4):
+        q, p = prob.exact(traj.times[i])
+        err = max(np.abs(traj.q[i] - q).max(), np.abs(traj.p[i] - p).max())
+        assert err < 1e-12, traj.times[i]
+
+
+def test_kepler_exact_at_t0_is_the_initial_state():
+    for k in range(1000):
+        prob = kepler_2d(k / 1000)
+        q, p = prob.exact(prob.t0)
+        assert q.tobytes() == prob.q0.tobytes()
+        assert p.tobytes() == prob.p0.tobytes()
+
+
+def test_kepler_exact_rejects_non_finite_times_and_caps_newton(monkeypatch):
+    prob = kepler_2d(0.9)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            prob.exact(t)
+    monkeypatch.setattr(problems, "_KEPLER_NEWTON_CAP", 2)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        prob.exact(5.0)
 
 
 def test_problem_arrays_are_frozen():
