@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -25,6 +26,7 @@ from symrkn.errors import (
     ExpansionConstraintError,
     SymmetryViolationError,
 )
+from symrkn.legendre import MAX_DEGREE
 from symrkn.tableau import SEARCH_CAP, SEARCH_TOL
 
 
@@ -251,3 +253,36 @@ def test_condition_report_is_truthy():
     assert bool(rep) is True
     rep = check_CN(build_order4(0.0, 0.0, 0.0), 2)
     assert bool(rep) is False
+
+
+# sha256 over the float64 bytes of every check_CN/check_DN report below,
+# residuals then max_residual; it pins the moment-check bits against any
+# change in how the monomial-to-Legendre table is built
+MOMENT_CHECK_DIGEST = "f299c8690408ff0cef42f7189034489a553412591a606cda8b8ce8fe4695df8b"
+
+
+def _pinned_families():
+    families = [build_order2(a) for a in (-0.5, 0.0, 1 / 6, 0.25, 1.0)]
+    families += [build_order6(a) for a in (-0.1, 0.0, 0.05, 0.7)]
+    rng = random.Random(13)
+    families += [
+        build_order4(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
+        for _ in range(24)
+    ]
+    families += [build_order4(-1 / 12, GAMMA_STAR, GAMMA_STAR)]
+    families += [build_expansion(e, z) for e in range(1, 9) for z in range(1, 9)]
+    return families
+
+
+def _moment_check_digest():
+    h = hashlib.sha256()
+    for m in _pinned_families():
+        for level in range(1, MAX_DEGREE + 2):
+            for rep in (check_CN(m, level), check_DN(m, level)):
+                h.update(np.array(rep.residuals + (rep.max_residual,)).tobytes())
+    return h.hexdigest()
+
+
+def test_moment_check_bits_are_pinned():
+    assert len(_pinned_families()) == 98
+    assert _moment_check_digest() == MOMENT_CHECK_DIGEST
