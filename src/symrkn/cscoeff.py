@@ -22,7 +22,6 @@ from .errors import (
 )
 from .legendre import MAX_DEGREE, default_transform, eval_legendre_all
 
-SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
 
 #: Residual threshold for a definite pass of a single condition.
@@ -227,26 +226,22 @@ def eval_Abar(m: AlphaMatrix, tau: float, sigma: float) -> float:
 
 def _cn_residual(m: AlphaMatrix, kappa: int) -> float:
     """Max Legendre-coefficient residual of the kappa-th CN condition."""
-    t = default_transform()
-    full = t.max_degree + 1
-    sig = t.monomial_column(kappa - 1)[: m.deg_sigma + 1]
-    lhs = np.zeros(full)
-    lhs[: m.deg_tau + 1] = m.alpha @ sig
-    rhs = t.monomial_column(kappa + 1) / (kappa * (kappa + 1.0))
+    table = default_transform()
+    lhs = np.zeros(table.shape[0])
+    lhs[: m.deg_tau + 1] = m.alpha @ table[: m.deg_sigma + 1, kappa - 1]
+    rhs = table[:, kappa + 1] / (kappa * (kappa + 1.0))
     return float(np.abs(lhs - rhs).max())
 
 
 def _dn_residual(m: AlphaMatrix, kappa: int) -> float:
     """Max Legendre-coefficient residual of the kappa-th DN condition."""
-    t = default_transform()
-    full = t.max_degree + 1
-    tau = t.monomial_column(kappa - 1)[: m.deg_tau + 1]
-    lhs = np.zeros(full)
-    lhs[: m.deg_sigma + 1] = m.alpha.T @ tau
+    table = default_transform()
+    lhs = np.zeros(table.shape[0])
+    lhs[: m.deg_sigma + 1] = m.alpha.T @ table[: m.deg_tau + 1, kappa - 1]
     rhs = (
-        t.monomial_column(kappa + 1) / (kappa * (kappa + 1.0))
-        - t.monomial_column(1) / kappa
-        + t.monomial_column(0) / (kappa + 1.0)
+        table[:, kappa + 1] / (kappa * (kappa + 1.0))
+        - table[:, 1] / kappa
+        + table[:, 0] / (kappa + 1.0)
     )
     return float(np.abs(lhs - rhs).max())
 

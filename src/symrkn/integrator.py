@@ -532,8 +532,9 @@ def integrate(
     """March from prob.t0 to t_end in steps of cfg.h, sampling states.
 
     Records the initial state, every sample_every-th step, and the final
-    step.  (t_end - t0)/h must be a nonnegative integer to grid tolerance,
-    and the initial state must be finite.  On stage divergence mid-run the
+    step; sample_every is an integer >= 1, and a bool is not one.
+    (t_end - t0)/h must be a nonnegative integer to grid tolerance, and the
+    initial state must be finite.  On stage divergence mid-run the
     trajectory collected so far is returned with diverged=True, the
     1-based index of the failed step and the solver's last increment as
     failure_residual.  A sample that is not finite ends the run the same
@@ -547,6 +548,8 @@ def integrate(
     Results therefore differ from a run of single step calls at the level
     of stage_tol, with fewer force evaluations.
     """
+    if not isinstance(sample_every, numbers.Integral) or isinstance(sample_every, bool):
+        raise ValueError("sample_every must be an integer")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     n = _step_count(t_end - prob.t0, cfg.h)

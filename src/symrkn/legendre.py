@@ -1,17 +1,22 @@
 """Shifted Legendre polynomials on [0, 1] in their orthonormal normalization.
 
 The basis is P_0 = 1, P_1(x) = sqrt(3)(2x - 1), P_2(x) = sqrt(5)(6x^2 - 6x + 1),
-..., with integral of P_j * P_k over [0, 1] equal to delta_jk.  Everything here
-rests on the factorization P_k = sqrt(2k+1) * L_k where L_k has integer
-monomial coefficients, so inner products and basis changes have an exact
-integer/rational backbone and only pick up rounding on the final conversion
-to float.
+..., with integral of P_j * P_k over [0, 1] equal to delta_jk.  P_k =
+sqrt(2k+1) * L_k where L_k has integer monomial coefficients.  The
+Legendre coefficients of x^n come from the closed form
+
+    integral of x^n L_k over [0, 1] = n!^2 / ((n-k)! (n+k+1)!),  k <= n,
+
+and 0 for k > n, so they are rounded only where that exact rational becomes
+a float and where it is divided by sqrt(2k+1).  The tests rebuild the table
+from the integer coefficients of L_k in exact rationals, check that it
+inverts them exactly, and compare every entry bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -67,81 +72,23 @@ def eval_legendre_all(k_max: int, x):
     return out
 
 
-def _integer_coefficients(n: int) -> list[list[int]]:
-    """Monomial coefficients of L_k = P_k / sqrt(2k+1), exact integers.
+@functools.cache
+def default_transform() -> np.ndarray:
+    """Legendre coefficients of the monomials: a read-only
+    (INTERNAL_DEGREE+1)^2 table whose column n holds those of x^n.
 
-    Returns C with C[m][k] = coefficient of x^m in L_k, namely
-    (-1)^(k-m) * C(k, m) * C(k+m, m).
+    Entry [k, n] is (2k+1) times the integral of x^n L_k over [0, 1],
+    divided by sqrt(2k+1).  By Rodrigues' formula and k integrations by
+    parts that integral is n!^2 / ((n-k)! (n+k+1)!) for k <= n and 0 for
+    k > n, so the table is upper triangular.  The rational factor is one
+    int true division, which Python rounds correctly to the nearest float.
     """
-    c = [[0] * (n + 1) for _ in range(n + 1)]
-    for k in range(n + 1):
-        for m in range(k + 1):
-            c[m][k] = (-1) ** (k - m) * math.comb(k, m) * math.comb(k + m, m)
-    return c
-
-
-class MonomialLegendreTransform:
-    """Basis change between monomial and orthonormal Legendre coefficients.
-
-    Attributes
-    ----------
-    max_degree : int
-        Highest polynomial degree covered (at least 12).
-    to_legendre : ndarray
-        (max_degree+1)^2 matrix; column n holds the Legendre coefficients
-        of x^n.  Lower triangular.
-    to_monomial : ndarray
-        Inverse map; column k holds the monomial coefficients of P_k.
-        Upper triangular.
-
-    The two matrices are nearest-float images of exact rational matrices
-    whose product is verified to be the identity during construction.
-    """
-
-    def __init__(self, max_degree: int = MAX_DEGREE):
-        if max_degree < MAX_DEGREE:
-            raise DegreeOverflowError(f"max_degree must be >= {MAX_DEGREE}")
-        self.max_degree = max_degree
-        n = max_degree
-        c = _integer_coefficients(n)
-        # r[k][n] = (2k+1) * integral of x^n * L_k, exact rationals
-        r = [
-            [
-                (2 * k + 1) * sum(Fraction(c[m][k], nn + m + 1) for m in range(k + 1))
-                for nn in range(n + 1)
-            ]
-            for k in range(n + 1)
-        ]
-        for m in range(n + 1):
-            for nn in range(n + 1):
-                prod = sum(c[m][k] * r[k][nn] for k in range(min(m, nn), n + 1))
-                if prod != (1 if m == nn else 0):
-                    raise ArithmeticError("exact basis-change inverse check failed")
-        scale = [math.sqrt(2 * k + 1) for k in range(n + 1)]
-        to_mon = np.zeros((n + 1, n + 1))
-        to_leg = np.zeros((n + 1, n + 1))
+    f = math.factorial
+    n_max = INTERNAL_DEGREE
+    table = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max + 1):
         for k in range(n + 1):
-            for m in range(n + 1):
-                to_mon[m, k] = scale[k] * c[m][k]
-                to_leg[k, m] = float(r[k][m]) / scale[k]
-        to_mon.flags.writeable = False
-        to_leg.flags.writeable = False
-        self.to_monomial = to_mon
-        self.to_legendre = to_leg
-
-    def monomial_column(self, power: int) -> np.ndarray:
-        """Legendre coefficients of x^power (read-only view of one column)."""
-        if not (0 <= power <= self.max_degree):
-            raise DegreeOverflowError(f"power {power} outside [0, {self.max_degree}]")
-        return self.to_legendre[:, power]
-
-
-_default: MonomialLegendreTransform | None = None
-
-
-def default_transform() -> MonomialLegendreTransform:
-    """Shared transform instance with INTERNAL_DEGREE headroom."""
-    global _default
-    if _default is None:
-        _default = MonomialLegendreTransform(INTERNAL_DEGREE)
-    return _default
+            exact = (2 * k + 1) * f(n) ** 2 / (f(n - k) * f(n + k + 1))
+            table[k, n] = exact / math.sqrt(2 * k + 1)
+    table.flags.writeable = False
+    return table

@@ -323,14 +323,18 @@ def test_grid_validation():
         integrate(named_tableau("diagsymp"), prob, 0.35, StepConfig(h=0.1))
     with pytest.raises(InvalidGridError):
         integrate(named_tableau("diagsymp"), prob, -1.0, StepConfig(h=0.1))
-    with pytest.raises(ValueError):
-        integrate(named_tableau("diagsymp"), prob, 1.6, CFG, sample_every=0)
+    # a non-integer never equals the kernel's step count, so it would drop
+    # samples silently, the final state included
+    for bad in (0, 2.5, math.nan, math.inf, True, 2.0):
+        with pytest.raises(ValueError, match="sample_every"):
+            integrate(named_tableau("diagsymp"), prob, 1.6, CFG, sample_every=bad)
 
 
 def test_sampling_pattern_keeps_endpoints():
     prob = perturbed_pendulum()
-    traj = integrate(named_tableau("diagsymp"), prob, 1.6, CFG, sample_every=3)
-    np.testing.assert_allclose(traj.times, [0.0, 0.48, 0.96, 1.44, 1.6], atol=1e-12)
+    for every in (3, np.int64(3)):
+        traj = integrate(named_tableau("diagsymp"), prob, 1.6, CFG, sample_every=every)
+        np.testing.assert_allclose(traj.times, [0.0, 0.48, 0.96, 1.44, 1.6], atol=1e-12)
     traj = integrate(named_tableau("diagsymp"), prob, 1.6, CFG, sample_every=100)
     np.testing.assert_allclose(traj.times, [0.0, 1.6], atol=1e-12)
 

@@ -6,12 +6,25 @@ import pytest
 
 from symrkn.errors import DegreeOverflowError
 from symrkn.legendre import (
+    INTERNAL_DEGREE,
     MAX_DEGREE,
-    _integer_coefficients,
     default_transform,
     eval_legendre,
     eval_legendre_all,
 )
+
+
+def _integer_coefficients(n: int) -> list[list[int]]:
+    """Monomial coefficients of L_k = P_k / sqrt(2k+1), exact integers.
+
+    Returns C with C[m][k] = coefficient of x^m in L_k, namely
+    (-1)^(k-m) * C(k, m) * C(k+m, m).
+    """
+    c = [[0] * (n + 1) for _ in range(n + 1)]
+    for k in range(n + 1):
+        for m in range(k + 1):
+            c[m][k] = (-1) ** (k - m) * math.comb(k, m) * math.comb(k + m, m)
+    return c
 
 
 def monomial_in_legendre(kappa: int) -> np.ndarray:
@@ -22,7 +35,7 @@ def monomial_in_legendre(kappa: int) -> np.ndarray:
     """
     if kappa < 1 or kappa - 1 > MAX_DEGREE:
         raise DegreeOverflowError(f"moment index {kappa} outside [1, {MAX_DEGREE + 1}]")
-    return default_transform().monomial_column(kappa - 1)[: MAX_DEGREE + 1].copy()
+    return default_transform()[: MAX_DEGREE + 1, kappa - 1].copy()
 
 
 def legendre_inner_product(j: int, k: int) -> float:
@@ -133,21 +146,45 @@ def test_monomial_expansion_reproduces_powers_pointwise():
             assert val == pytest.approx(x ** (kappa - 1), abs=5e-13)
 
 
+def test_transform_is_the_exact_inverse_of_the_integer_coefficients():
+    # R[k][n] = (2k+1) * integral of x^n L_k, summed in exact rationals over
+    # the monomial coefficients of L_k; C R = I exactly, and the table is the
+    # nearest float of R[k][n] divided by sqrt(2k+1), bit for bit
+    n = INTERNAL_DEGREE
+    c = _integer_coefficients(n)
+    r = [
+        [
+            (2 * k + 1) * sum(Fraction(c[m][k], nn + m + 1) for m in range(k + 1))
+            for nn in range(n + 1)
+        ]
+        for k in range(n + 1)
+    ]
+    for m in range(n + 1):
+        for nn in range(n + 1):
+            prod = sum(c[m][k] * r[k][nn] for k in range(n + 1))
+            assert prod == (1 if m == nn else 0)
+    table = default_transform()
+    assert table.shape == (n + 1, n + 1)
+    for k in range(n + 1):
+        for nn in range(n + 1):
+            want = float(r[k][nn]) / math.sqrt(2 * k + 1)
+            assert np.float64(want).tobytes() == table[k, nn].tobytes()
+
+
 def test_monomial_column_is_triangular():
     # x^n only needs degrees <= n
-    t = default_transform()
-    for n in range(MAX_DEGREE + 1):
-        col = t.monomial_column(n)
+    table = default_transform()
+    for n in range(INTERNAL_DEGREE + 1):
+        col = table[:, n]
         assert np.all(col[n + 1 :] == 0.0)
         assert col[n] != 0.0
 
 
-def test_transform_matrices_are_read_only():
-    t = default_transform()
+def test_transform_table_is_read_only():
+    table = default_transform()
+    assert default_transform() is table
     with pytest.raises(ValueError):
-        t.to_legendre[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        t.to_monomial[0, 0] = 1.0
+        table[0, 0] = 1.0
 
 
 def test_degree_limits_enforced():
