@@ -16,20 +16,20 @@ one step.  The stage, sum and component loops are unrolled inside the
 step loop, and every coefficient is written as a float literal
 (repr round-trips, so no bit changes), so a run on (1,) arrays has the
 bits of the same run on floats.  An array force gets a fresh (d,) array
-per call, and its result is read back as floats; a batched form gets the
-stage times and values as tuples of floats and returns a list of floats,
-so a Jacobi sweep builds no array.  Only floats enter that source, never a
-label or other text.  Generating a kernel costs about a millisecond for
-s = 3 with scalar or d = 2 state; the source grows as s^2 d, and takes
-~13 ms at s = 3, d = 32 and ~250 ms at s = 10, d = 100, once per distinct
-tableau and d: kernels are cached by the exact bytes of the coefficients
-and the start matrix, with the structure, the presence of a start and d,
-and the least recently used leave once their sources pass
-_KERNEL_SOURCE_LIMIT characters.  The source is registered in linecache,
-so tracebacks and profiles show the generated lines.  A stage iterate
-that is not finite ends the stage solve as a divergence before the force
-sees it.  integrate logs each divergence once, at WARNING on the
-"symrkn" logger; the library installs no handler.
+per call, read back as floats; a batched form (force.stages) gets every
+evaluation in both sweeps instead, as tuples of floats in and a list out.
+Only floats enter that source, never a label or other text.  Generating a
+kernel costs about a millisecond for s = 3 with scalar or d = 2 state;
+the source grows as s^2 d, and takes ~13 ms at s = 3, d = 32 and ~250 ms
+at s = 10, d = 100, once per distinct tableau and d: kernels are cached by
+the exact bytes of the coefficients and the start matrix, with the
+structure, the presence of a start, d and the force form, and the least
+recently used leave once their sources pass _KERNEL_SOURCE_LIMIT
+characters.  The source is registered in linecache, so tracebacks and
+profiles show the generated lines.  A stage iterate that is not finite
+ends the stage solve as a divergence before the force sees it.  integrate
+logs each divergence once, at WARNING on the "symrkn" logger; the library
+installs no handler.
 
 Where the stage iteration starts: inside integrate, every step after the
 first starts from the previous step's stage forces, extrapolated to the new
@@ -133,7 +133,7 @@ def _literal(x):
     return f"({r})" if r[0] == "-" else r
 
 
-def _kernel_source(c, a, b_bar, b, M, sequential, d=None):
+def _kernel_source(c, a, b_bar, b, M, sequential, d=None, batched=False):
     """Source of advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None,
     steps=1, every=0, ts=None, qs=None, ps=None).
 
@@ -157,11 +157,12 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None):
     raises StageDivergenceError with the last increment as residual; it,
     and one the force raises without a step index, gets the 1-based index
     of the step it ended.  Array forces get a fresh (d,) array per point,
-    read back as floats.  In Jacobi sweeps, when f has stages, it gets one
-    tuple of the s stage times and one of the s*d stage values, stage by
-    stage, and a list of s*d floats is unpacked as it is; any other result
-    is read back through a float array.  A per-point result not of shape
-    (d,), or a stages result not of shape (s*d,), raises ValueError.
+    read back as floats.  Batched, every evaluation calls f.stages with a
+    tuple of n stage times (all s in a Jacobi sweep, the one being solved
+    in the sequential sweep) and one of their n*d values, stage by stage;
+    a list of n*d floats is unpacked as it is, any other result read
+    through a float array.  A per-point result not of shape (d,), or a
+    stages result not of shape (n*d,), raises ValueError.
     """
     s = len(c)
 
@@ -187,30 +188,28 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None):
     def col(rows, k):
         return [row[k] for row in rows]
 
-    def point(ind, t, args, out):
-        # the force at one point, out = f(t, args), by component
+    def call(ind, times, args, outs):
+        # outs[i] = f(times[i], args[i]) by component: one stages call for
+        # all the points when batched, else one call per point
+        if batched:
+            size = len(times) * d
+            return [
+                f"{ind}r = stages({tup(times)}, {tup(sum(args, []))})",
+                f"{ind}if type(r) is not list or len(r) != {size}:",
+                f'{ind}    r = checked(r, ({size},), "force.stages").tolist()',
+                f"{ind}{tup(sum(outs, []))} = r",
+            ]
         if d is None:
-            return [f"{ind}{out[0]} = f({t}, {args[0]})"]
+            return [f"{ind}{y[0]} = f({x}, {v[0]})" for x, v, y in zip(times, args, outs)]
         return [
-            f"{ind}r = f({t}, array({tup(args)}))",
-            f"{ind}if type(r) is not ndarray or r.shape != ({d},):",
-            f'{ind}    r = checked(r, ({d},), "force")',
-            f"{ind}{tup(out)} = r.tolist()",
-        ]
-
-    def forces(ind):
-        # all stage forces F from the stage values Q
-        each = [x for i in range(s) for x in point(ind, T[i], Q[i], F[i])]
-        if d is None:
-            return each
-        return [
-            f"{ind}if stages is None:",
-            *("    " + x for x in each),
-            f"{ind}else:",
-            f"{ind}    r = stages({tup(T)}, {tup(sum(Q, []))})",
-            f"{ind}    if type(r) is not list or len(r) != {s * d}:",
-            f'{ind}        r = checked(r, ({s * d},), "force.stages").tolist()',
-            f"{ind}    {tup(sum(F, []))} = r",
+            line
+            for x, v, y in zip(times, args, outs)
+            for line in (
+                f"{ind}r = f({x}, array({tup(v)}))",
+                f"{ind}if type(r) is not ndarray or r.shape != ({d},):",
+                f'{ind}    r = checked(r, ({d},), "force")',
+                f"{ind}{tup(y)} = r.tolist()",
+            )
         ]
 
     def most(ind, var, terms):
@@ -241,8 +240,8 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None):
         emit("    warm = F_prev is not None")
         emit("    if warm:")
         emit(f"        ({', '.join(tup(x) for x in P)},) = F_prev")
-    if d is not None and not sequential:
-        emit('    stages = getattr(f, "stages", None)')
+    if batched:
+        emit("    stages = f.stages")
     emit("    mark = every if every < steps else steps")
     emit("    t = t0")
     emit("    for k in range(1, steps + 1):")
@@ -273,7 +272,7 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None):
             if d is None:
                 emit(f"                n = {B[i][0]} + w * f({T[i]}, q)")
             else:
-                out += point("                ", T[i], q, g)
+                out += call("                ", [T[i]], [q], [g])
                 out += [f"                {n[k]} = {B[i][k]} + w * {g[k]}" for k in K]
             out += most("                ", "diff", [f"abs({n[k]} - {q[k]})" for k in K])
             out += [f"                {q[k]} = {n[k]}" for k in K]
@@ -284,7 +283,7 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None):
             emit("            else:")
             out += diverged("                ", f"stage {i} did not contract")
             out += [f"            {Q[i][k]} = {q[k]}" for k in K]
-            out += point("        ", T[i], Q[i], F[i])
+            out += call("        ", [T[i]], [Q[i]], [F[i]])
     else:
         for i in range(s):
             emit(f"        {T[i]} = t + {_literal(c[i])} * h")
@@ -300,7 +299,7 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None):
             ]
             emit("        else:")
             out += ["            " + x for x in start]
-        out += forces("        ")
+        out += call("        ", T, Q, F)
         emit("        diff = inf")
         emit("        for _ in range(iters):")
         emit("            diff = 0.0")
@@ -313,7 +312,7 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None):
                 emit(f"            {Q[i][k]} = n")
         emit("            if not diff < inf:")
         out += diverged("                ", "stage iterates are not finite")
-        out += forces("            ")
+        out += call("            ", T, Q, F)
         emit("            if diff < conv:")
         emit("                break")
         emit("        else:")
@@ -367,7 +366,7 @@ def _checked(r, shape, name):
 
 def _generate_kernel(key):
     """Compile the advance for one _stepper cache key."""
-    c_bytes, a_bytes, b_bar_bytes, b_bytes, start_bytes, sequential, d = key
+    c_bytes, a_bytes, b_bar_bytes, b_bytes, start_bytes, sequential, d, batched = key
     c = np.frombuffer(c_bytes).tolist()
     s = len(c)
 
@@ -377,13 +376,14 @@ def _generate_kernel(key):
     M = None if start_bytes is None else square(start_bytes)
     source = _kernel_source(
         c, square(a_bytes), np.frombuffer(b_bar_bytes).tolist(),
-        np.frombuffer(b_bytes).tolist(), M, sequential, d,
+        np.frombuffer(b_bytes).tolist(), M, sequential, d, batched,
     )
-    filename = "<symrkn kernel s={}{} {} {} {:08x}>".format(
+    filename = "<symrkn kernel s={}{} {} {}{} {:08x}>".format(
         s,
         "" if d is None else f" d={d}",
         "sequential" if sequential else "jacobi",
         "free" if M is None else "start",
+        " stages" if batched else "",
         zlib.crc32(b"".join(part or b"" for part in key[:5])),
     )
     namespace = {
@@ -444,8 +444,8 @@ def _start_matrix(t, sequential):
     return M if np.all(np.isfinite(M)) else None
 
 
-def _stepper(t, q0, stage_tol, max_iters, sequential, start=None):
-    """(state, advance) for a run from states of q0's kind.
+def _stepper(t, f, q0, stage_tol, max_iters, sequential, start=None):
+    """(state, advance) for a run of the force f from states of q0's kind.
 
     state puts a q or p value in the kind's form: a float for scalar state,
     a tuple of d floats for array state of d components.  advance(f, t0,
@@ -456,23 +456,25 @@ def _stepper(t, q0, stage_tol, max_iters, sequential, start=None):
     forces starts its stage iteration from their extrapolation; otherwise,
     and always when start is None, from free motion.  integrate takes its
     whole run in one call, the single-step calls one step and no samples.
-    State kind, solver structure and start are fixed here, once per run.
+    State kind, solver structure, start and force form (f.stages on array
+    state when f has it, else per point) are fixed here, once per run.
 
     Every state kind runs a kernel generated from source for this tableau
     (_kernel_source): one loop over the steps, the stage, sum and
     component loops unrolled inside it, each coefficient a float literal.
     Kernels are cached by the exact bytes of c, a_bar, b_bar, b and start,
-    with the structure, whether there is a start and d (None for scalar
-    state), so 0.0 and -0.0 get different kernels; their sources are held
-    up to _KERNEL_SOURCE_LIMIT characters.  The first use of a tableau and
-    d pays the generation once (its cost is in the module docstring);
-    stage_tol and max_iters are arguments of the kernel and stay out of the
-    key.
+    with the structure, whether there is a start, d (None for scalar
+    state) and the force form, so 0.0 and -0.0 get different kernels;
+    their sources are held up to _KERNEL_SOURCE_LIMIT characters.  The
+    first use of a tableau and d pays the generation once (its cost is in
+    the module docstring); stage_tol and max_iters are arguments of the
+    kernel and stay out of the key.
     """
     d = None if np.ndim(q0) == 0 else len(q0)
     key = (
         t.c.tobytes(), t.a_bar.tobytes(), t.b_bar.tobytes(), t.b.tobytes(),
         None if start is None else start.tobytes(), sequential, d,
+        d is not None and getattr(f, "stages", None) is not None,
     )
     advance = partial(_kernel(key), stage_tol, max_iters)
     if d is None:
@@ -489,13 +491,13 @@ def solve_stages(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
     extrapolate from); non-contraction, or an iterate that is not finite,
     raises a stage-divergence error carrying the last increment.
     """
-    state, advance = _stepper(t, q0, cfg.stage_tol, cfg.max_iters, t.lower_triangular)
+    state, advance = _stepper(t, f, q0, cfg.stage_tol, cfg.max_iters, t.lower_triangular)
     return np.array(advance(f, t0, state(q0), state(p0), cfg.h)[2])
 
 
 def step(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
     """One step of size cfg.h from (q0, p0); returns (q1, p1)."""
-    state, advance = _stepper(t, q0, cfg.stage_tol, cfg.max_iters, t.lower_triangular)
+    state, advance = _stepper(t, f, q0, cfg.stage_tol, cfg.max_iters, t.lower_triangular)
     q1, p1, _, _ = advance(f, t0, state(q0), state(p0), cfg.h)
     if np.ndim(q0) == 0:
         return q1, p1
@@ -555,7 +557,7 @@ def integrate(
     n = _step_count(t_end - prob.t0, cfg.h)
     sequential = t.lower_triangular
     state, advance = _stepper(
-        t, prob.q0, cfg.stage_tol, cfg.max_iters, sequential,
+        t, prob.force, prob.q0, cfg.stage_tol, cfg.max_iters, sequential,
         _start_matrix(t, sequential),
     )
     h, t0 = cfg.h, prob.t0

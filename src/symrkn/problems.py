@@ -21,20 +21,23 @@ class OdeProblem:
 
     force maps (t, q) to the acceleration; energy is H(p, q); exact maps t to
     the state (q, p).  For dim 1 the state is held as plain floats, otherwise
-    as (dim,) arrays.  reversible asserts H(-p, q) = H(p, q) with autonomous f.
+    as (dim,) arrays: q0 and p0 must have shape () or (1,) at dim 1 and
+    (dim,) otherwise, else ValueError.  reversible asserts H(-p, q) = H(p, q)
+    with autonomous f.
 
     A vector force gets a fresh float64 (dim,) array per call and must
     return a (dim,) array; a result of another shape raises ValueError.
     It may also carry a batched form, force.stages(times, values): times is
-    a tuple of the s stage times and values a tuple of the s*dim stage
-    values, stage 0's dim components first; it returns a list of the s*dim
-    accelerations in the same order.  The Jacobi stage solver on array state
-    then makes one stages call per sweep instead of s per-point calls;
-    other solves use the per-point form.  stages must compute each value
-    with the same floating-point operations as force(t_i, Q_i), so that
-    results stay bit-identical.  The solver unpacks a list as it is; it
-    reads any other result through a float array, and one of a shape other
-    than (s*dim,) raises ValueError.  The Kepler force loops over the
+    a tuple of n stage times and values a tuple of the n*dim stage values,
+    stage 0's dim components first; it returns a list of the n*dim
+    accelerations in the same order.  The stage solver on array state then
+    makes every evaluation through stages: one call per Jacobi sweep on
+    all s stages instead of s per-point calls, and one call on one stage
+    per sequential evaluation.  stages must compute each value with the
+    same floating-point operations as force(t_i, Q_i), so that results
+    stay bit-identical.  The solver unpacks a list as it is; it reads any
+    other result through a float array, and one of a shape other than
+    (n*dim,) raises ValueError.  The Kepler force's stages loops over the
     pairs of values in float arithmetic, which gives numpy's bits wherever
     no operation overflows, underflows or divides by zero, and hands any
     other call to its numpy formula.
@@ -53,6 +56,14 @@ class OdeProblem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        shapes = [(), (1,)] if self.dim == 1 else [(self.dim,)]
+        for name in ("q0", "p0"):
+            shape = np.shape(getattr(self, name))
+            if shape not in shapes:
+                raise ValueError(
+                    f"{name} has shape {shape}, expected "
+                    f"{' or '.join(map(str, shapes))} for dim {self.dim}"
+                )
 
 
 def perturbed_pendulum() -> OdeProblem:
@@ -121,19 +132,6 @@ _KEPLER_R3_MIN = 2.0**-1000
 _KEPLER_R3_MAX = 2.0**500
 
 
-def _kepler_row(x, y):
-    """(-x/r^3, -y/r^3) in float arithmetic, or None outside the ranges above."""
-    r = math.sqrt(x * x + y * y)
-    r3 = r * r * r
-    if (
-        not _KEPLER_R3_MIN <= r3 <= _KEPLER_R3_MAX
-        or -_KEPLER_SMALL < x < _KEPLER_SMALL and x
-        or -_KEPLER_SMALL < y < _KEPLER_SMALL and y
-    ):
-        return None
-    return (-x / r3, -y / r3)
-
-
 def _numpy_kepler_force(q):
     r = math.sqrt(q[0] * q[0] + q[1] * q[1])
     return -q / (r * r * r)
@@ -150,10 +148,10 @@ class _KeplerForce:
 
     Both forms take x*x + y*y, its square root r, r*r*r, then the negated
     coordinates over it, so every pair of stages(times, values) equals
-    force(t_i, Q_i) bit for bit.  They run in float arithmetic (the per-point
-    form on tolist() values), the same IEEE operations in the same order as
-    the numpy formulas.  A point outside _kepler_row's ranges, such as
-    r = 0, a subnormal or overflowing entry, inf or NaN, hands the whole
+    force(t_i, Q_i) bit for bit.  The per-point form is the numpy formula;
+    stages loops over the pairs in float arithmetic, the same IEEE
+    operations in the same order.  A pair outside the ranges above, such
+    as r = 0, a subnormal or overflowing entry, inf or NaN, hands the whole
     call to the numpy formula, which keeps numpy's bits and its warnings or
     errors under np.errstate.
     """
@@ -161,20 +159,20 @@ class _KeplerForce:
     __slots__ = ()
 
     def __call__(self, t, q):
-        row = _kepler_row(*q.tolist())
-        return _numpy_kepler_force(q) if row is None else np.array(row)
+        return _numpy_kepler_force(q)
 
     def stages(self, times, values):
+        sqrt, small = math.sqrt, _KEPLER_SMALL
+        r3_min, r3_max = _KEPLER_R3_MIN, _KEPLER_R3_MAX
         out = []
         pairs = iter(values)
         for x, y in zip(pairs, pairs):
-            # _kepler_row, inlined
-            r = math.sqrt(x * x + y * y)
+            r = sqrt(x * x + y * y)
             r3 = r * r * r
             if (
-                not _KEPLER_R3_MIN <= r3 <= _KEPLER_R3_MAX
-                or -_KEPLER_SMALL < x < _KEPLER_SMALL and x
-                or -_KEPLER_SMALL < y < _KEPLER_SMALL and y
+                not r3_min <= r3 <= r3_max
+                or -small < x < small and x
+                or -small < y < small and y
             ):
                 Q = np.array(values).reshape(-1, 2)
                 return _numpy_kepler_stages(Q).ravel().tolist()

@@ -77,6 +77,22 @@ def _float_advance(t, stage_tol, iters, sequential, start):
                 raise ValueError(f"force returned shape {np.shape(r)}, expected {(d,)}")
             return np.asarray(r, dtype=float).tolist()
 
+        stages = getattr(f, "stages", None)
+
+        def evaluate(idx, Q):
+            # the forces at the stages idx, valued Q: one stages call for
+            # all of them when f has it, else one call per point
+            if stages is None:
+                return [force(i, q) for i, q in zip(idx, Q)]
+            n = len(idx) * d
+            r = stages(tuple(times[i] for i in idx), tuple(x for row in Q for x in row))
+            if type(r) is not list or len(r) != n:
+                r = np.asarray(r, dtype=float)
+                if r.shape != (n,):
+                    raise ValueError(f"force.stages returned shape {r.shape}, expected {(n,)}")
+                r = r.tolist()
+            return [r[j * d:(j + 1) * d] for j in range(len(idx))]
+
         if sequential:
             Q, F = [], []
             for i in range(s):
@@ -91,7 +107,7 @@ def _float_advance(t, stage_tol, iters, sequential, start):
                         qi = [bi[k] + w * dot(M[i], F_prev, k) for k in K]
                     diff = math.inf
                     for _ in range(iters):
-                        g = force(i, qi)
+                        g = evaluate([i], [qi])[0]
                         qn = [bi[k] + w * g[k] for k in K]
                         diff = _most([qn[k] - qi[k] for k in K])
                         qi = qn
@@ -108,27 +124,12 @@ def _float_advance(t, stage_tol, iters, sequential, start):
                             residual=diff,
                         )
                 Q.append(qi)
-                F.append(force(i, qi))
+                F.append(evaluate([i], [qi])[0])
         else:
-            stages = getattr(f, "stages", None)
-
-            def evaluate(Q):
-                if stages is None:
-                    return [force(i, Q[i]) for i in range(s)]
-                r = stages(tuple(times), tuple(x for row in Q for x in row))
-                if type(r) is not list or len(r) != s * d:
-                    r = np.asarray(r, dtype=float)
-                    if r.shape != (s * d,):
-                        raise ValueError(
-                            f"force.stages returned shape {r.shape}, expected {(s * d,)}"
-                        )
-                    r = r.tolist()
-                return [r[i * d:(i + 1) * d] for i in range(s)]
-
             Q = base
             if F_prev is not None:
                 Q = [[base[i][k] + h2 * dot(M[i], F_prev, k) for k in K] for i in range(s)]
-            F = evaluate(Q)
+            F = evaluate(range(s), Q)
             diff = math.inf
             for _ in range(iters):
                 Qn = [[base[i][k] + h2 * dot(a[i], F, k) for k in K] for i in range(s)]
@@ -139,7 +140,7 @@ def _float_advance(t, stage_tol, iters, sequential, start):
                         f"stage iterates are not finite (last increment {diff:.3e})",
                         residual=diff,
                     )
-                F = evaluate(Q)
+                F = evaluate(range(s), Q)
                 if diff < conv:
                     break
             else:
@@ -163,6 +164,7 @@ def _batched(stages, times, Q):
 
 
 def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
+    stages = getattr(f, "stages", None)
     s = t.s
     c = t.c
     a = t.a_bar
@@ -172,6 +174,12 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
     if sequential:
         Q = np.zeros_like(base)
         F = np.zeros_like(base)
+
+        def force(i, q):
+            if stages is None:
+                return f(times[i], q)
+            return _batched(stages, times[i:i + 1], q[None, :])[0]
+
         for i in range(s):
             bi = base[i] + h2 * (a[i, :i] @ F[:i])
             w = h2 * a[i, i]
@@ -181,7 +189,7 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
                 qi = base[i].copy() if F_prev is None else bi + w * (M[i] @ F_prev)
                 diff = math.inf
                 for _ in range(iters):
-                    qn = bi + w * f(times[i], qi)
+                    qn = bi + w * force(i, qi)
                     diff = float(_max(np.abs(qn - qi), axis=None))
                     qi = qn
                     if diff < conv:
@@ -192,9 +200,8 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
                         residual=diff,
                     )
             Q[i] = qi
-            F[i] = f(times[i], qi)
+            F[i] = force(i, qi)
         return Q, F
-    stages = getattr(f, "stages", None)
     Q = base.copy() if F_prev is None else base + h2 * (M @ F_prev)
     if stages is None:
         F = np.array([f(times[i], Q[i]) for i in range(s)])
@@ -273,24 +280,28 @@ def _assert_near_oracle(t, got, oracle, same_message, f, t0, q0, p0, h, F_prev):
 
 
 class _Pair:
-    """The kernel for one tableau, structure and start, with its two
-    references; check() runs all three from one state."""
+    """The kernels for one tableau, structure and start, with their two
+    references; check() runs the kernel of the force's form and both
+    references from one state."""
 
     def __init__(self, t, sequential, start, stage_tol=1e-14, max_iters=100, d=2):
         self.t = t
-        self.state, self.kernel = _stepper(
-            t, np.zeros(d), stage_tol, max_iters, sequential, start
-        )
+        self.run = (np.zeros(d), stage_tol, max_iters, sequential, start)
         self.reference = _float_advance(t, stage_tol, max_iters, sequential, start)
         self.oracle = _numpy_advance(t, stage_tol, max_iters, sequential, start)
         self.same_message = max_iters <= FEW_SWEEPS
 
+    def kernel(self, f):
+        """(state, advance) for f, as integrate would choose them."""
+        return _stepper(self.t, f, *self.run)
+
     def check(self, f, t0, q0, p0, h, F_prev=None):
-        q0, p0 = self.state(q0), self.state(p0)
+        state, kernel = self.kernel(f)
+        q0, p0 = state(q0), state(p0)
         if F_prev is not None:
             F_prev = [tuple(row) for row in np.asarray(F_prev, dtype=float).tolist()]
         args = (f, t0, q0, p0, h, F_prev)
-        got = _outcome(self.kernel, *args)
+        got = _outcome(kernel, *args)
         assert got == _outcome(self.reference, *args)
         _assert_near_oracle(self.t, got, self.oracle, self.same_message, *args)
         return got
@@ -414,14 +425,18 @@ def test_a_large_state_has_the_bits_of_the_stage_solver():
 
 def test_each_state_size_gets_its_own_kernel():
     t = named_tableau("rkn-a")
+    point, batched = _FORCES
     kernels = {}
     for d in (None, 1, 2, 3):
         q0 = 0.0 if d is None else np.zeros(d)
-        kernels[d] = _stepper(t, q0, 1e-14, 100, False)[1].func
-        assert _stepper(t, q0, 1e-10, 7, False)[1].func is kernels[d]
-    assert len(set(kernels.values())) == 4
-    assert " d=2 jacobi " in kernels[2].__code__.co_filename
-    assert " d=3 jacobi " in kernels[3].__code__.co_filename
+        for f in _FORCES:
+            kernels[d, f] = _stepper(t, f, q0, 1e-14, 100, False)[1].func
+            assert _stepper(t, f, q0, 1e-10, 7, False)[1].func is kernels[d, f]
+    # and each force form on array state; scalar state calls every force per point
+    assert kernels[None, point] is kernels[None, batched]
+    assert len(set(kernels.values())) == 7
+    assert " d=2 jacobi free " in kernels[2, point].__code__.co_filename
+    assert " d=3 jacobi free stages " in kernels[3, batched].__code__.co_filename
 
 
 def test_one_advance_follows_every_change_of_h():
@@ -455,18 +470,20 @@ def test_wrong_shape_from_stages_raises_the_same_error():
         lambda s, d: (s,),
     ]
     for s in (1, 3):
-        t = _random_tableau(random.Random(s), s, False)
-        for d in (1, 2, 3):
-            q0, p0 = _state(random.Random(d), d)
-            pair = _Pair(t, False, _start_matrix(t, False), d=d)
-            for shape in shapes:
-                if shape(s, d) == (s * d,):
-                    continue  # (s,) at d = 1
-                got = pair.check(_WrongShape(shape), 0.0, q0, p0, 0.2)
-                assert got[:2] == ("raised", ValueError)
-                assert got[2] == (
-                    f"force.stages returned shape {shape(s, d)}, expected {(s * d,)}"
-                )
+        for sequential in (False, True):
+            t = _random_tableau(random.Random(s), s, sequential)
+            n = 1 if sequential else s  # stages per call
+            for d in (1, 2, 3):
+                q0, p0 = _state(random.Random(d), d)
+                pair = _Pair(t, sequential, _start_matrix(t, sequential), d=d)
+                for shape in shapes:
+                    if shape(n, d) == (n * d,):
+                        continue  # (n,) at d = 1
+                    got = pair.check(_WrongShape(shape), 0.0, q0, p0, 0.2)
+                    assert got[:2] == ("raised", ValueError)
+                    assert got[2] == (
+                        f"force.stages returned shape {shape(n, d)}, expected {(n * d,)}"
+                    )
 
 
 class _Recording(_DrivenStages):
@@ -480,32 +497,37 @@ class _Recording(_DrivenStages):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_stages_gets_two_tuples_of_floats(d):
-    t = named_tableau("rkn-a")
     q0, p0 = _state(random.Random(d), d)
-    _, kernel = _stepper(t, q0, 1e-14, 100, False)
-    force = _Recording()
-    _, _, Q, _ = kernel(force, 0.3, tuple(q0.tolist()), tuple(p0.tolist()), 0.2)
-    assert len(force.calls) > 2
-    for times, values in force.calls:
-        assert type(times) is tuple and len(times) == t.s
-        assert type(values) is tuple and len(values) == t.s * d
-        assert all(type(x) is float for x in times + values)
-        assert times == tuple(0.3 + c * 0.2 for c in t.c.tolist())
-    # the last call sees the final stage values, stage by stage
-    assert values == tuple(x for row in Q for x in row)
+    # Jacobi sweeps pass all s stages, the sequential sweep one at a time
+    for name in ("rkn-a", "diagsymp"):
+        t = named_tableau(name)
+        n = 1 if t.lower_triangular else t.s
+        force = _Recording()
+        _, kernel = _stepper(t, force, q0, 1e-14, 100, t.lower_triangular)
+        _, _, Q, _ = kernel(force, 0.3, tuple(q0.tolist()), tuple(p0.tolist()), 0.2)
+        assert len(force.calls) > 2
+        nodes = tuple(0.3 + c * 0.2 for c in t.c.tolist())
+        for times, values in force.calls:
+            assert type(times) is tuple and len(times) == n
+            assert type(values) is tuple and len(values) == n * d
+            assert all(type(x) is float for x in times + values)
+            assert times in {nodes[i:i + n] for i in range(0, t.s, n)}
+        # the last call sees the final stage values, stage by stage
+        assert values == tuple(x for row in Q[-n:] for x in row)
 
 
 def test_tuple_and_array_results_have_the_bits_of_a_list():
-    t = named_tableau("rkn-b")
-    for d in (1, 2, 3):
-        q0, p0 = _state(random.Random(10 + d), d)
-        pair = _Pair(t, False, _start_matrix(t, False), d=d)
-        F_prev = np.linspace(-0.5, 0.5, t.s * d).reshape(t.s, d)
-        for args in ((0.1, q0, p0, 0.2), (0.1, q0, p0, 0.2, F_prev)):
-            want = pair.check(_DrivenStages(), *args)
-            assert want[0] != "raised"
-            assert pair.check(_DrivenTuple(), *args) == want
-            assert pair.check(_DrivenArray(), *args) == want
+    for t in (named_tableau("rkn-b"), named_tableau("diagsymp")):
+        sequential = t.lower_triangular
+        for d in (1, 2, 3):
+            q0, p0 = _state(random.Random(10 + d), d)
+            pair = _Pair(t, sequential, _start_matrix(t, sequential), d=d)
+            F_prev = np.linspace(-0.5, 0.5, t.s * d).reshape(t.s, d)
+            for args in ((0.1, q0, p0, 0.2), (0.1, q0, p0, 0.2, F_prev)):
+                want = pair.check(_DrivenStages(), *args)
+                assert want[0] != "raised"
+                assert pair.check(_DrivenTuple(), *args) == want
+                assert pair.check(_DrivenArray(), *args) == want
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 1)])
@@ -515,7 +537,7 @@ def test_wrong_shape_from_the_force_raises(shape):
     args = (lambda t, q: np.zeros(shape), 0.0, tuple(q0), tuple(p0), 0.2)
     for sequential in (False, True):
         pair = _Pair(t, sequential, _start_matrix(t, sequential))
-        got = _outcome(pair.kernel, *args)
+        got = _outcome(pair.kernel(args[0])[1], *args)
         assert got == _outcome(pair.reference, *args)
         assert got == ("raised", ValueError,
                        f"force returned shape {shape}, expected (2,)", None)

@@ -39,7 +39,7 @@ FIVE = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b")
 
 def _advance(t, f, t0, q0, p0, h, sequential):
     """One step of signed size h with the given solver structure."""
-    _, advance = _stepper(t, q0, 1e-14, 100, sequential)
+    _, advance = _stepper(t, f, q0, 1e-14, 100, sequential)
     return advance(f, t0, q0, p0, h)[:2]
 
 
@@ -493,13 +493,15 @@ def test_array_problem_round_trip():
 
 
 class _CountingForce:
-    """Kepler force that counts per-point and batched calls."""
+    """Kepler force that counts per-point calls, batched calls and the
+    times each batched call gets."""
 
     def __init__(self, force, stages=None):
         self.force = force
         self.stages_of = stages or force.stages
         self.points = 0
         self.batches = 0
+        self.times = []
 
     def __call__(self, t, q):
         self.points += 1
@@ -507,6 +509,7 @@ class _CountingForce:
 
     def stages(self, times, values):
         self.batches += 1
+        self.times += times
         return self.stages_of(times, values)
 
 
@@ -545,6 +548,28 @@ def test_jacobi_array_sweep_calls_stages_once_per_sweep():
     assert counting.batches == len(points) // tab.s
 
 
+def test_sequential_array_solve_calls_stages_once_per_evaluation():
+    tab = named_tableau("diagsymp")
+    assert tab.lower_triangular
+    prob = kepler_2d(0.5)
+    cfg = StepConfig(h=0.1)
+    points = []
+
+    def plain(t, q):
+        points.append(t)
+        return prob.force(t, q)
+
+    counting = _CountingForce(prob.force)
+    q1, p1 = step(tab, counting, 0.0, prob.q0, prob.p0, cfg)
+    q2, p2 = step(tab, plain, 0.0, prob.q0, prob.p0, cfg)
+    assert q1.tobytes() == q2.tobytes() and p1.tobytes() == p2.tobytes()
+    # one stages call per per-point call, at the same time, in the same order
+    assert counting.points == 0
+    assert len(points) > tab.s
+    assert counting.batches == len(points)
+    assert counting.times == points
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -560,12 +585,16 @@ def test_jacobi_array_sweep_calls_stages_once_per_sweep():
 )
 def test_stages_of_the_wrong_shape_is_rejected(bad):
     prob = kepler_2d(0.5)
-    tab = named_tableau("rkn-iiia")  # s = 3, d = 2
     force = _CountingForce(prob.force, stages=bad)
-    with pytest.raises(ValueError, match=r"force.stages returned shape .*, expected \(6,\)"):
-        step(tab, force, 0.0, prob.q0, prob.p0, StepConfig(h=0.1))
-    with pytest.raises(ValueError, match="force.stages returned shape"):
-        integrate(tab, dataclasses.replace(prob, force=force), 1.0, StepConfig(h=0.1))
+    # s = 3, d = 2: a Jacobi sweep passes 6 values, a sequential solve 2
+    for name, size in (("rkn-iiia", 6), ("diagsymp", 2)):
+        tab = named_tableau(name)
+        with pytest.raises(
+            ValueError, match=rf"force.stages returned shape .*, expected \({size},\)"
+        ):
+            step(tab, force, 0.0, prob.q0, prob.p0, StepConfig(h=0.1))
+        with pytest.raises(ValueError, match="force.stages returned shape"):
+            integrate(tab, dataclasses.replace(prob, force=force), 1.0, StepConfig(h=0.1))
 
 
 def test_final_state_error_reads_the_full_run_endpoint():
@@ -583,12 +612,12 @@ def test_final_state_error_reads_the_full_run_endpoint():
     assert zero == 0.0
 
 
-def _counted_force_evaluations(force, s):
+def _counted_force_evaluations(force):
     """(force, count) where count() is the evaluations made so far,
-    counting one stages call on s points as s evaluations."""
+    counting one stages call on n points as n evaluations."""
     if hasattr(force, "stages"):
         counting = _CountingForce(force)
-        return counting, lambda: counting.points + s * counting.batches
+        return counting, lambda: counting.points + len(counting.times)
     calls = []
 
     def f(t, q):
@@ -613,9 +642,9 @@ def test_integrate_starts_stages_from_the_previous_step(name, make, h, n):
     tab = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
     prob = make()
     cfg = StepConfig(h=h)
-    f, warm = _counted_force_evaluations(prob.force, tab.s)
+    f, warm = _counted_force_evaluations(prob.force)
     run = integrate(tab, dataclasses.replace(prob, force=f), n * h, cfg, sample_every=n)
-    g, cold = _counted_force_evaluations(prob.force, tab.s)
+    g, cold = _counted_force_evaluations(prob.force)
     q, p = prob.q0, prob.p0
     for k in range(n):
         q, p = step(tab, g, prob.t0 + k * h, q, p, cfg)

@@ -1,8 +1,9 @@
 """The generated kernel sources, pinned by sha256.
 
-Each digest covers the two sources of one method and state kind: the
-kernel integrate runs (with the start matrix) and the one the single-step
-calls run (free-motion start), joined in that order.  A change to
+Each digest covers the two sources of one method, state kind and force
+form (per point, or through force.stages on array state): the kernel
+integrate runs (with the start matrix) and the one the single-step calls
+run (free-motion start), joined in that order.  A change to
 integrator._kernel_source that moves a digest changes generated code; when
 that is meant, record the new digest here and say why.  The scalar (d None)
 kernels run the pendulum-drift workload.
@@ -26,18 +27,52 @@ SCALAR = {
     "order6-gauss3": "6699496b5ad808d3e7e99c90a5c5bb0b0027ce4d5756c0e982e6ee110dec5193",
 }
 
+ARRAY = {
+    ("rkn-iiia", 1, "point"): "36e05ee41cd5a26b9928813270169f08646526da79827e6976d92f3e333d41b6",
+    ("rkn-iiia", 1, "stages"): "00d283799ff504ffe29b54857a01038afeb64f8c273033bbdb7f6fb9c0e5edb9",
+    ("rkn-iiia", 2, "point"): "a977f0bae70a1a6ac79945a4931f5c57735c2bac18f5bb10180abbd80800bd7a",
+    ("rkn-iiia", 2, "stages"): "c6caead2687e55335ce971589566ed01bdedfd339240c085291ddc46157efbeb",
+    ("rkn-iiib", 1, "point"): "9aa9b3216e88f402c250444aa46f3a6453606e8aa8d1baed715441461923ffab",
+    ("rkn-iiib", 1, "stages"): "cd1b529b3d95a68d0a763017e496f8b09c50f76f3f1cc9f62fd468f5fdb40de4",
+    ("rkn-iiib", 2, "point"): "9447aa9e24ef1527238c70e11f8ac89a0c5473587dc19f0571553ab397f3cb49",
+    ("rkn-iiib", 2, "stages"): "3f17f044259c253ac959e6636ddba4b8565b00fc4e17a720fefdab38aa76bdb4",
+    ("diagsymp", 1, "point"): "054df4015a2304b1dc2fab982563d265d7a036bd61fcc611bd0b9a64fa3b7121",
+    ("diagsymp", 1, "stages"): "8a2b9f0e6f0fcb1ecf43b6525f42896b49c6d32202ae0e921a3813b5f52fae31",
+    ("diagsymp", 2, "point"): "7121ff2dcd91a1af4410c79e17c76caace9ae0b75499f130105ed0006b64c7cd",
+    ("diagsymp", 2, "stages"): "0b8ca7e775c9f00e51a5d53f2352d509f470d54e905dea6e10bcc87d7cb01f01",
+    ("rkn-a", 1, "point"): "a1a14e0676c76a3d6eff4120d41cd06a3b9e8758c42e3d964d7f395d221d3f8c",
+    ("rkn-a", 1, "stages"): "d047c6e241fd73d38c6466bb4aa61b531620dd73ca87ba0b79183c3d3a93706e",
+    ("rkn-a", 2, "point"): "e0b00d493deaf2bbed6143c0d2efb22a1a214dd77193a44a7a7ec045baf57f9c",
+    ("rkn-a", 2, "stages"): "e73b246cd6725c680ba5d2933c23601af26525be18dfd49409022996a59e7631",
+    ("rkn-b", 1, "point"): "e519a3a560307cf0279dbdd0da15ae2b701daa84bd4a297106cc3829f65994cc",
+    ("rkn-b", 1, "stages"): "669a11b854adf2785b1588a20216887432a1fc6724e445983778e300342bdde5",
+    ("rkn-b", 2, "point"): "d65e50299a236374bda92b1ff6e19f6262e0c93cad5db071b83e00b90122df4c",
+    ("rkn-b", 2, "stages"): "026d1944fd7f2612589a0f107fcbeb1dfccc1a1aa431fce7ec7ce5016b0df563",
+    ("order6-gauss3", 1, "point"): "91a571c4ba8017f7e00203b51beb5f60b513bdf234a15d27cc5a4c8fcf927afb",
+    ("order6-gauss3", 1, "stages"): "f1cb51454a3bfebb32465bb9fb7b0e37ca9d4320268591d2687ca3f3ad00ebff",
+    ("order6-gauss3", 2, "point"): "19871d5371cf50c68d15aad897f8f6f44951af0aacf2f98de66c05e4335542ab",
+    ("order6-gauss3", 2, "stages"): "04ab76e68adfd07eb5c66dfb56cbb4f6889dbdc33e47c891a72195aa5ce9aa9f",
+}
 
-def _digest(name, *form):
+
+def _digest(name, *kind):
     t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
     sequential = t.lower_triangular
     coeffs = (t.c.tolist(), t.a_bar.tolist(), t.b_bar.tolist(), t.b.tolist())
     sources = []
     for M in (_start_matrix(t, sequential), None):
         M = None if M is None else M.tolist()
-        sources.append(_kernel_source(*coeffs, M, sequential, *form))
+        sources.append(_kernel_source(*coeffs, M, sequential, *kind))
     return hashlib.sha256("".join(sources).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", METHODS)
 def test_scalar_kernel_sources_are_pinned(name):
     assert _digest(name) == SCALAR[name]
+
+
+@pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("form", ["point", "stages"])
+def test_array_kernel_sources_are_pinned(name, d, form):
+    assert _digest(name, d, form == "stages") == ARRAY[name, d, form]

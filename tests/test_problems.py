@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import warnings
@@ -169,6 +170,35 @@ def test_problem_arrays_are_frozen():
     prob = kepler_2d()
     with pytest.raises(ValueError):
         prob.q0[0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "make, changes, message",
+    [
+        (kepler_2d, {"dim": 3}, r"q0 has shape \(2,\), expected \(3,\) for dim 3"),
+        (kepler_2d, {"q0": np.zeros(3)}, r"q0 has shape \(3,\), expected \(2,\)"),
+        (kepler_2d, {"p0": np.zeros(3)}, r"p0 has shape \(3,\), expected \(2,\)"),
+        (kepler_2d, {"p0": np.zeros((1, 2))}, r"p0 has shape \(1, 2\)"),
+        (kepler_2d, {"q0": 1.0}, r"q0 has shape \(\), expected \(2,\)"),
+        (perturbed_pendulum, {"q0": np.zeros(2)},
+         r"q0 has shape \(2,\), expected \(\) or \(1,\) for dim 1"),
+        (perturbed_pendulum, {"p0": np.zeros((1, 1))}, r"p0 has shape \(1, 1\)"),
+        (perturbed_pendulum, {"dim": 2}, r"q0 has shape \(\), expected \(2,\)"),
+    ],
+    ids=["dim", "q0", "p0", "p0-2d", "q0-scalar", "dim1-q0", "dim1-p0", "dim1-dim"],
+)
+def test_state_shapes_must_match_dim(make, changes, message):
+    # at construction and under dataclasses.replace, before any step runs
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(make(), **changes)
+    with pytest.raises(ValueError, match=message):
+        problems.OdeProblem(**{**dataclasses.asdict(make()), **changes})
+
+
+def test_dim_one_takes_float_or_one_element_state():
+    pend = perturbed_pendulum()
+    for state in (0.3, np.float64(0.3), np.array(0.3), np.array([0.3]), [0.3]):
+        assert dataclasses.replace(pend, q0=state, p0=state).dim == 1
 
 
 def test_energy_nearly_conserved_along_symmetric_flow():

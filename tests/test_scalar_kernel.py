@@ -155,7 +155,7 @@ def _outcome(advance, *args):
 
 def _assert_same(t, f, t0, q0, p0, h, sequential, start=None, F_prev=None,
                  stage_tol=1e-14, max_iters=100):
-    _, kernel = _stepper(t, q0, stage_tol, max_iters, sequential, start)
+    _, kernel = _stepper(t, f, q0, stage_tol, max_iters, sequential, start)
     reference = _reference_advance(t, stage_tol, max_iters, sequential, start)
     got = _outcome(kernel, f, t0, q0, p0, h, F_prev)
     want = _outcome(reference, f, t0, q0, p0, h, F_prev)
@@ -253,7 +253,7 @@ def test_signed_zero_coefficients_get_their_own_kernels():
     outcomes = set()
     for t in (pos, neg):
         for sequential in (True, False):
-            _, advance = _stepper(t, -0.0, 1e-14, 100, sequential)
+            _, advance = _stepper(t, _pendulum, -0.0, 1e-14, 100, sequential)
             kernels.add(advance.func)
             # the stage time t0 + c h is the only place the sign of c shows
             got = _assert_same(t, lambda t, q: t, -0.0, -0.0, 1.0, 0.5, sequential)
@@ -300,9 +300,9 @@ def test_divergence_has_the_message_and_residual_of_the_generic_loops(name):
 
 def test_one_kernel_per_tableau_and_tolerances_are_arguments():
     t = named_tableau("rkn-a")
-    _, a = _stepper(t, 0.0, 1e-14, 100, False)
-    _, b = _stepper(t, 0.0, 1e-10, 7, False)
-    _, c = _stepper(t, 0.0, 1e-14, 100, True)
+    _, a = _stepper(t, _pendulum, 0.0, 1e-14, 100, False)
+    _, b = _stepper(t, _pendulum, 0.0, 1e-10, 7, False)
+    _, c = _stepper(t, _pendulum, 0.0, 1e-14, 100, True)
     assert a.func is b.func
     assert c.func is not a.func
     assert a.args == (1e-14, 100) and b.args == (1e-10, 7)
@@ -316,7 +316,7 @@ def _cache_tableau(x):
 
 
 def _cached_kernel(t):
-    return _stepper(t, 0.0, 1e-14, 100, False)[1].func
+    return _stepper(t, _pendulum, 0.0, 1e-14, 100, False)[1].func
 
 
 def _held():
