@@ -10,6 +10,7 @@ symmetry structure in Legendre coefficient space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -205,10 +206,15 @@ def eval_Abar_grid(m: AlphaMatrix, tau, sigma) -> np.ndarray:
     sigma-degree j runs in ascending j from 0.0, and the outer sum over i
     runs in ascending i from 0.0.  Only elementwise operations are used (no
     matrix product, which may reorder or fuse the sums), so every grid
-    entry has the bits of the pointwise double loop at that point.
+    entry has the bits of the pointwise double loop at that point.  When
+    tau is sigma (discretize's node grid) one recurrence serves both sides.
     """
-    pt = eval_legendre_all(m.deg_tau, np.asarray(tau, dtype=float))
-    ps = eval_legendre_all(m.deg_sigma, np.asarray(sigma, dtype=float))
+    if tau is sigma:
+        p = eval_legendre_all(max(m.deg_tau, m.deg_sigma), np.asarray(tau, dtype=float))
+        pt, ps = p[: m.deg_tau + 1], p[: m.deg_sigma + 1]
+    else:
+        pt = eval_legendre_all(m.deg_tau, np.asarray(tau, dtype=float))
+        ps = eval_legendre_all(m.deg_sigma, np.asarray(sigma, dtype=float))
     acc = 0.0  # acc[i, l] = sum over j of alpha[i, j] * P_j(sigma[l])
     for j, p in enumerate(ps):
         acc = acc + m.alpha[:, j, None] * p
@@ -224,13 +230,21 @@ def eval_Abar(m: AlphaMatrix, tau: float, sigma: float) -> float:
     return float(eval_Abar_grid(m, [tau], [sigma])[0, 0])
 
 
+@functools.cache
+def _moment_rhs(kappa: int) -> tuple[np.ndarray, np.ndarray]:
+    """Legendre coefficients of the right-hand sides of the kappa-th CN and
+    DN conditions, built once per kappa."""
+    table = default_transform()
+    cn = table[:, kappa + 1] / (kappa * (kappa + 1.0))
+    return cn, cn - table[:, 1] / kappa + table[:, 0] / (kappa + 1.0)
+
+
 def _cn_residual(m: AlphaMatrix, kappa: int) -> float:
     """Max Legendre-coefficient residual of the kappa-th CN condition."""
     table = default_transform()
     lhs = np.zeros(table.shape[0])
     lhs[: m.deg_tau + 1] = m.alpha @ table[: m.deg_sigma + 1, kappa - 1]
-    rhs = table[:, kappa + 1] / (kappa * (kappa + 1.0))
-    return float(np.abs(lhs - rhs).max())
+    return float(np.maximum.reduce(np.abs(lhs - _moment_rhs(kappa)[0])))
 
 
 def _dn_residual(m: AlphaMatrix, kappa: int) -> float:
@@ -238,12 +252,7 @@ def _dn_residual(m: AlphaMatrix, kappa: int) -> float:
     table = default_transform()
     lhs = np.zeros(table.shape[0])
     lhs[: m.deg_sigma + 1] = m.alpha.T @ table[: m.deg_tau + 1, kappa - 1]
-    rhs = (
-        table[:, kappa + 1] / (kappa * (kappa + 1.0))
-        - table[:, 1] / kappa
-        + table[:, 0] / (kappa + 1.0)
-    )
-    return float(np.abs(lhs - rhs).max())
+    return float(np.maximum.reduce(np.abs(lhs - _moment_rhs(kappa)[1])))
 
 
 def _report(residuals: list[float]) -> ConditionReport:

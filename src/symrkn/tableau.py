@@ -37,6 +37,11 @@ class RknTableau:
         Q_i = q0 + h c_i p0 + h^2 sum_j a_bar[i,j] f(Q_j)
         q1  = q0 + h p0 + h^2 sum_i b_bar[i] f(Q_i)
         p1  = p0 + h sum_i b[i] f(Q_i)
+
+    Construction copies each field into a read-only float64 array and
+    raises ValueError unless s is an int (a bool is not) of at least 1,
+    the shapes are (s,) and (s, s), every entry is finite (one test over
+    all four arrays) and c lies in [0, 1] up to 1e-12.
     """
 
     s: int
@@ -47,21 +52,20 @@ class RknTableau:
     label: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.s, int) or self.s < 1:
+        s = self.s
+        if not isinstance(s, int) or isinstance(s, bool) or s < 1:
             raise ValueError("stage count s must be a positive integer")
         c = np.array(self.c, dtype=float)
         a_bar = np.array(self.a_bar, dtype=float)
         b_bar = np.array(self.b_bar, dtype=float)
         b = np.array(self.b, dtype=float)
-        s = self.s
         if c.shape != (s,) or b_bar.shape != (s,) or b.shape != (s,):
             raise ValueError("c, b_bar, b must have shape (s,)")
         if a_bar.shape != (s, s):
             raise ValueError("a_bar must have shape (s, s)")
-        for arr in (c, a_bar, b_bar, b):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("tableau entries must be finite")
-        if c.min() < -1e-12 or c.max() > 1.0 + 1e-12:
+        if not np.isfinite(np.concatenate((c, a_bar.ravel(), b_bar, b))).all():
+            raise ValueError("tableau entries must be finite")
+        if np.minimum.reduce(c) < -1e-12 or np.maximum.reduce(c) > 1.0 + 1e-12:
             raise ValueError("abscissae c must lie in [0, 1]")
         for name, arr in (("c", c), ("a_bar", a_bar), ("b_bar", b_bar), ("b", b)):
             arr.flags.writeable = False
@@ -210,10 +214,10 @@ def _checked_named(key: str) -> RknTableau:
 def _max_deviation(t: RknTableau, u: RknTableau) -> float:
     """Largest entrywise |t - u| over c, a_bar, b_bar and b."""
     return float(max(
-        np.abs(t.c - u.c).max(),
-        np.abs(t.a_bar - u.a_bar).max(),
-        np.abs(t.b_bar - u.b_bar).max(),
-        np.abs(t.b - u.b).max(),
+        np.maximum.reduce(np.abs(t.c - u.c)),
+        np.maximum.reduce(np.abs(t.a_bar - u.a_bar), axis=None),
+        np.maximum.reduce(np.abs(t.b_bar - u.b_bar)),
+        np.maximum.reduce(np.abs(t.b - u.b)),
     ))
 
 
@@ -224,17 +228,12 @@ def adjoint(t: RknTableau) -> RknTableau:
         c*_i = 1 - c_r,  b*_i = b_r,  bbar*_i = b_r - bbar_r,
         abar*_ij = b_{s+1-j} (1 - c_r) - bbar_{s+1-j} + abar_{r, s+1-j}.
     """
-    rev = slice(None, None, -1)
-    c_star = 1.0 - t.c[rev]
-    b_star = t.b[rev]
-    b_bar_star = t.b[rev] - t.b_bar[rev]
-    a_bar_star = (
-        t.b[rev][None, :] * (1.0 - t.c[rev])[:, None]
-        - t.b_bar[rev][None, :]
-        + t.a_bar[rev, :][:, rev]
-    )
+    c_star = 1.0 - t.c[::-1]
+    b_star = t.b[::-1]
+    b_bar_rev = t.b_bar[::-1]
+    a_bar_star = b_star * c_star[:, None] - b_bar_rev + t.a_bar[::-1, ::-1]
     return RknTableau(
-        t.s, c_star, a_bar_star, b_bar_star, b_star, f"adjoint({t.label})"
+        t.s, c_star, a_bar_star, b_star - b_bar_rev, b_star, f"adjoint({t.label})"
     )
 
 
@@ -250,31 +249,11 @@ def is_symplectic(t: RknTableau, tol: float = 1e-12) -> tuple[bool, float]:
     (i)  b_bar_i = b_i (1 - c_i)
     (ii) b_i (b_bar_j - a_bar_ij) = b_j (b_bar_i - a_bar_ji)
     """
-    r1 = np.abs(t.b_bar - t.b * (1.0 - t.c)).max()
+    r1 = np.maximum.reduce(np.abs(t.b_bar - t.b * (1.0 - t.c)))
     m = t.b[:, None] * (t.b_bar[None, :] - t.a_bar)
-    r2 = np.abs(m - m.T).max()
+    r2 = np.maximum.reduce(np.abs(m - m.T), axis=None)
     res = float(max(r1, r2))
     return res < tol, res
-
-
-def _b_residual(t: RknTableau, kappa: int) -> float:
-    return abs(float(t.b @ t.c ** (kappa - 1)) - 1.0 / kappa)
-
-
-def _cn_residual(t: RknTableau, kappa: int) -> float:
-    lhs = t.a_bar @ t.c ** (kappa - 1)
-    rhs = t.c ** (kappa + 1) / (kappa * (kappa + 1.0))
-    return float(np.abs(lhs - rhs).max())
-
-
-def _dn_residual(t: RknTableau, kappa: int) -> float:
-    lhs = (t.b * t.c ** (kappa - 1)) @ t.a_bar
-    rhs = t.b * (
-        t.c ** (kappa + 1) / (kappa * (kappa + 1.0))
-        - t.c / kappa
-        + 1.0 / (kappa + 1.0)
-    )
-    return float(np.abs(lhs - rhs).max())
 
 
 def check_simplifying_discrete(
@@ -284,24 +263,31 @@ def check_simplifying_discrete(
 
     B(xi) covers kappa = 1..xi while CN(eta)/DN(zeta) cover kappa = 1..eta-1
     and 1..zeta-1, so eta and zeta are at least 1 vacuously.  All three
-    searches stop at 13.
+    searches stop at 13.  The residuals of kappa = 1..13 come from one table
+    of the powers of c; each degree is read at the first kappa whose
+    residual is not below tol (a NaN residual fails), and max_residual is
+    the largest residual of the kappa that held.  The stacked 1 x s and
+    s x 1 products run the same dot and matrix-vector products as one kappa
+    at a time, so each residual has the bits of that per-kappa product.
     """
-    worst = 0.0
-
-    def degree(residual, start):
-        # start plus the count of leading kappa = 1, 2, ... that hold
-        nonlocal worst
-        for kappa in range(1, SEARCH_CAP - start + 1):
-            r = residual(t, kappa)
-            if r >= tol:
-                return start + kappa - 1
-            worst = max(worst, r)
-        return SEARCH_CAP
-
-    xi = degree(_b_residual, 0)
-    eta = degree(_cn_residual, 1)
-    zeta = degree(_dn_residual, 1)
-    return SimplifyingDegrees(xi, eta, zeta, worst)
+    c, b, a_bar = t.c, t.b, t.a_bar
+    kappa = np.arange(1.0, SEARCH_CAP + 1.0)[:, None]
+    pw = c ** np.arange(SEARCH_CAP + 2)[:, None]  # pw[n] = c^n
+    pw[2] = c * c  # c ** 2 on its own is a square, which pow may round apart
+    low = pw[:SEARCH_CAP]  # c^(kappa-1)
+    high = pw[2:] / (kappa * (kappa + 1.0))  # c^(kappa+1) / (kappa (kappa+1))
+    res = np.empty((3, SEARCH_CAP))  # B, CN and DN residuals of kappa = 1..13
+    res[0] = np.abs((low[:, None, :] @ b)[:, 0] - 1.0 / kappa[:, 0])
+    cn = (a_bar @ low[:, :, None])[:, :, 0] - high
+    dn = ((b * low)[:, None, :] @ a_bar)[:, 0] - b * (high - c / kappa + 1.0 / (kappa + 1.0))
+    np.maximum.reduce(np.abs(cn), axis=1, out=res[1])
+    np.maximum.reduce(np.abs(dn), axis=1, out=res[2])
+    held = res < tol
+    held[1:, -1] = False  # CN and DN stop at kappa = 12
+    held = np.logical_and.accumulate(held, axis=1)
+    xi, eta, zeta = held.sum(axis=1).tolist()
+    worst = float(np.maximum.reduce(res[held], initial=0.0))
+    return SimplifyingDegrees(xi, eta + 1, zeta + 1, worst)
 
 
 def classical_order_bound(t: RknTableau, tol: float = 1e-12) -> OrderBound:
@@ -312,31 +298,28 @@ def classical_order_bound(t: RknTableau, tol: float = 1e-12) -> OrderBound:
     exceed it (their actual order is invisible to the moment-condition search).
     """
     deg = check_simplifying_discrete(t)
-    consistent = bool(np.abs(t.b_bar - t.b * (1.0 - t.c)).max() < tol)
+    consistent = bool(np.maximum.reduce(np.abs(t.b_bar - t.b * (1.0 - t.c))) < tol)
     bound = min(deg.xi, 2 * deg.eta + 2, deg.eta + deg.zeta) if consistent else 0
     return OrderBound(bound, consistent, deg.xi, deg.eta, deg.zeta)
 
 
-def _fmt(x: float) -> str:
+def _vec(values: list) -> str:
     # 17 significant digits: lossless float64 round trip
-    return f"{x:.16e}"
+    return "[" + ", ".join(["%.16e"] * len(values)) % tuple(values) + "]"
 
 
 def dumps_tableau(t: RknTableau) -> str:
     """Serialize to the rkn-tableau/1 interchange text."""
-    rows = ",\n    ".join(
-        "[" + ", ".join(_fmt(v) for v in row) + "]" for row in t.a_bar
-    )
-    vec = lambda a: "[" + ", ".join(_fmt(v) for v in a) + "]"
+    rows = ",\n    ".join(map(_vec, t.a_bar.tolist()))
     return (
         "{\n"
         f'  "format": "{FORMAT_TAG}",\n'
         f'  "label": {json.dumps(t.label)},\n'
         f'  "s": {t.s},\n'
-        f'  "c": {vec(t.c)},\n'
+        f'  "c": {_vec(t.c.tolist())},\n'
         f'  "a_bar": [\n    {rows}\n  ],\n'
-        f'  "b_bar": {vec(t.b_bar)},\n'
-        f'  "b": {vec(t.b)}\n'
+        f'  "b_bar": {_vec(t.b_bar.tolist())},\n'
+        f'  "b": {_vec(t.b.tolist())}\n'
         "}\n"
     )
 
@@ -344,6 +327,10 @@ def dumps_tableau(t: RknTableau) -> str:
 def save_tableau(t: RknTableau, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_tableau(t))
+
+
+#: JSON number types; bool, an int subclass, is left out on purpose.
+_NUMBER_TYPES = frozenset((float, int))
 
 
 def loads_tableau(text: str) -> RknTableau:
@@ -365,24 +352,23 @@ def loads_tableau(text: str) -> RknTableau:
     s = doc["s"]
     if type(s) is not int:  # JSON true is a bool, which isinstance(s, int) passes
         raise TableauFormatError(f"stage count s must be an integer, not {s!r}")
+    label = doc.get("label", "")
+    if type(label) is not str:
+        raise TableauFormatError(f"label must be a string, not {label!r}")
     for key in ("c", "a_bar", "b_bar", "b"):
-        todo = [doc[key]]
-        while todo:
-            v = todo.pop()
-            if type(v) is list:
-                todo.extend(v)
-            elif type(v) is not float and type(v) is not int:
-                # np.array(..., dtype=float) would read "0.5" as 0.5 and true as 1.0
-                raise TableauFormatError(f"{key} entries must be numbers, not {v!r}")
+        todo = [[doc[key]]]
+        while todo:  # one list at a time: a vector, or a_bar and its rows
+            row = todo.pop()
+            if _NUMBER_TYPES.issuperset(map(type, row)):
+                continue
+            for v in row:
+                if type(v) is list:
+                    todo.append(v)
+                elif type(v) not in _NUMBER_TYPES:
+                    # np.array(..., dtype=float) would read "0.5" as 0.5 and true as 1.0
+                    raise TableauFormatError(f"{key} entries must be numbers, not {v!r}")
     try:
-        return RknTableau(
-            s,
-            np.array(doc["c"], dtype=float),
-            np.array(doc["a_bar"], dtype=float),
-            np.array(doc["b_bar"], dtype=float),
-            np.array(doc["b"], dtype=float),
-            str(doc.get("label", "")),
-        )
+        return RknTableau(s, doc["c"], doc["a_bar"], doc["b_bar"], doc["b"], label)
     except (ValueError, TypeError, OverflowError) as exc:
         raise TableauFormatError(f"malformed tableau fields: {exc}") from exc
 

@@ -392,6 +392,14 @@ def test_loader_rejects_bad_documents():
         doc[key] = value
         with pytest.raises(TableauFormatError):
             loads_tableau(json.dumps(doc))
+    for label in (None, 3, {"x": 1}, ["diagsymp"]):  # labels that are not strings
+        doc = json.loads(good)
+        doc["label"] = label
+        with pytest.raises(TableauFormatError):
+            loads_tableau(json.dumps(doc))
+    doc = json.loads(good)
+    del doc["label"]
+    assert loads_tableau(json.dumps(doc)).label == ""
     doc = json.loads(good)
     doc["c"] = [0, 0.5, 1]  # JSON integers are numbers
     assert loads_tableau(json.dumps(doc)).c.tolist() == [0.0, 0.5, 1.0]
@@ -409,3 +417,10 @@ def test_tableau_shape_validation():
     t = named_tableau("diagsymp")
     with pytest.raises(ValueError):
         t.a_bar[0, 0] = 99.0
+
+
+def test_stage_count_must_be_an_int_not_a_bool():
+    # True passes isinstance(s, int) and equals 1
+    with pytest.raises(ValueError, match="positive integer"):
+        RknTableau(True, [0.5], [[0.25]], [0.5], [1.0])
+    assert RknTableau(1, [0.5], [[0.25]], [0.5], [1.0]).s == 1
