@@ -1,44 +1,45 @@
 """Fixed-step RKN integration: implicit stage solving by fixed-point
 iteration, trajectory recording, reversibility and convergence studies.
 
-The tableau alone picks the stage solver: a sequential sweep when a_bar is
-exactly lower triangular (each stage is a fixed point, solved once in
-index order), Jacobi sweeps over all stages otherwise.  Summation order over
-stages is fixed ascending, so repeated runs are bit-identical.
+The tableau alone picks the stage solver, in _stepper, the one place that
+decides a run: a sequential sweep when a_bar is exactly lower triangular
+(each stage is a fixed point, solved once in index order), Jacobi sweeps
+over all stages otherwise.  Summation order over stages is fixed
+ascending, so repeated runs are bit-identical.
 
-Every state kind runs one advance function per tableau, generated from
-source for its stage count, structure, start and state size (see
-_kernel_source): floats for scalar state (dim 1 with float q0), d floats
-per value for array state of d components.  integrate runs all its steps
-in one call and binds the sample sinks to flat array('d') buffers, which
-the trajectory's arrays view (np.frombuffer); the single-step calls run
-one step.  The stage, sum and component loops are unrolled inside the
-step loop, and every coefficient is written as a float literal
-(repr round-trips, so no bit changes), so a run on (1,) arrays has the
-bits of the same run on floats.  An array force gets a fresh (d,) array
-per call, read back as floats; a batched form (force.stages) gets every
-evaluation in both sweeps instead, as tuples of floats in and a list out.
-Only floats enter that source, never a label or other text.  Generating a
-kernel costs about a millisecond for s = 3 with scalar or d = 2 state;
-the source grows as s^2 d, and takes ~13 ms at s = 3, d = 32 and ~250 ms
-at s = 10, d = 100, once per distinct tableau and d: kernels are cached by
-the exact bytes of the coefficients and the start matrix, with the
-structure, the presence of a start, d and the force form, and the least
-recently used leave once their sources pass _KERNEL_SOURCE_LIMIT
-characters.  The source is registered in linecache, so tracebacks and
-profiles show the generated lines.  A stage iterate that is not finite
-ends the stage solve as a divergence before the force sees it.  integrate
-logs each divergence once, at WARNING on the "symrkn" logger; the library
-installs no handler.
+Each tableau runs one advance function per state kind and force form,
+generated from source for its stage count, structure and start (see
+_kernel_source) and shared by every call: floats for scalar state (dim 1
+with float q0), d floats per value for array state of d components.
+integrate runs all its steps in one call and binds the sample sinks to
+flat array('d') buffers, which the trajectory's arrays view
+(np.frombuffer); step, solve_stages and reversibility_test run one step.
+The stage, sum and component loops are unrolled inside the step loop, and
+every coefficient is written as a float literal (repr round-trips, so no
+bit changes), so a run on (1,) arrays has the bits of the same run on
+floats.  An array force gets a fresh (d,) array per call, read back as
+floats; a batched form (force.stages) gets every evaluation in both
+sweeps instead, as tuples of floats in and a list out.  Only floats enter
+that source, never a label or other text.  Generating a kernel costs
+about a millisecond for s = 3 with scalar or d = 2 state; the source grows
+as s^2 d, and takes ~13 ms at s = 3, d = 32 and ~250 ms at s = 10,
+d = 100, once per distinct tableau, d and force form: kernels are cached
+by the exact bytes of the coefficients, with the structure, d and the
+force form, and the least recently used leave once their sources pass
+_KERNEL_SOURCE_LIMIT characters.  The source is registered in linecache,
+so tracebacks and profiles show the generated lines.  A stage iterate
+that is not finite ends the stage solve as a divergence before the force
+sees it.  integrate logs each divergence once, at WARNING on the "symrkn"
+logger; the library installs no handler.
 
 Where the stage iteration starts: inside integrate, every step after the
 first starts from the previous step's stage forces, extrapolated to the new
 nodes by the polynomial through (c_j, F_j) (Hairer, Lubich and Wanner,
 Geometric Numerical Integration, section VIII.6.1); the kernel carries
-those forces from step to step in locals.  The first step of a
-run, the single-step calls (step, solve_stages, reversibility_test) and
-tableaus with repeated nodes start from free motion, Q_i = q0 + h c_i p0.
-Nothing selects this: there is no option for it.
+those forces from step to step in locals.  The first step of a run and
+the single-step calls have no previous forces, and a tableau with repeated
+nodes has no start matrix: these start from free motion, Q_i = q0 + h c_i
+p0.  Nothing selects this: there is no option for it.
 """
 
 from __future__ import annotations
@@ -365,18 +366,16 @@ def _checked(r, shape, name):
 
 
 def _generate_kernel(key):
-    """Compile the advance for one _stepper cache key."""
-    c_bytes, a_bytes, b_bar_bytes, b_bytes, start_bytes, sequential, d, batched = key
-    c = np.frombuffer(c_bytes).tolist()
+    """Compile the advance for one _stepper cache key, with its start matrix."""
+    c_bytes, a_bytes, b_bar_bytes, b_bytes, sequential, d, batched = key
+    c = np.frombuffer(c_bytes)
     s = len(c)
-
-    def square(buf):
-        return np.frombuffer(buf).reshape(s, s).tolist()
-
-    M = None if start_bytes is None else square(start_bytes)
+    a_bar = np.frombuffer(a_bytes).reshape(s, s)
+    M = _start_matrix(c, a_bar, sequential)
     source = _kernel_source(
-        c, square(a_bytes), np.frombuffer(b_bar_bytes).tolist(),
-        np.frombuffer(b_bytes).tolist(), M, sequential, d, batched,
+        c.tolist(), a_bar.tolist(), np.frombuffer(b_bar_bytes).tolist(),
+        np.frombuffer(b_bytes).tolist(), None if M is None else M.tolist(),
+        sequential, d, batched,
     )
     filename = "<symrkn kernel s={}{} {} {}{} {:08x}>".format(
         s,
@@ -384,7 +383,7 @@ def _generate_kernel(key):
         "sequential" if sequential else "jacobi",
         "free" if M is None else "start",
         " stages" if batched else "",
-        zlib.crc32(b"".join(part or b"" for part in key[:5])),
+        zlib.crc32(b"".join(key[:4])),
     )
     namespace = {
         "inf": math.inf,
@@ -419,7 +418,7 @@ def _kernel(key):
     return entry[0]
 
 
-def _start_matrix(t, sequential):
+def _start_matrix(c, a_bar, sequential):
     """Matrix taking the previous step's stage forces to this step's start.
 
     E[i, j] = l_j(1 + c_i), the Lagrange basis on the nodes c evaluated at
@@ -427,10 +426,10 @@ def _start_matrix(t, sequential):
     sequential sweep starts from E F_prev, the Jacobi sweeps from
     A E F_prev with A = a_bar.  None when the nodes are not pairwise
     distinct, or so close that the matrix overflows: those tableaus keep
-    the free-motion start.  So a start matrix is always finite.
+    the free-motion start.  So a start matrix is always finite.  Built by
+    _generate_kernel, once per kernel, from the bytes of the cache key.
     """
-    c = t.c
-    s = t.s
+    s = len(c)
     if len(set(c.tolist())) < s:
         return None
     x = 1.0 + c
@@ -440,43 +439,38 @@ def _start_matrix(t, sequential):
             for m in range(s):
                 if m != j:
                     E[:, j] *= (x - c[m]) / (c[j] - c[m])
-        M = E if sequential else t.a_bar @ E
+        M = E if sequential else a_bar @ E
     return M if np.all(np.isfinite(M)) else None
 
 
-def _stepper(t, f, q0, stage_tol, max_iters, sequential, start=None):
+def _stepper(t, f, q0, stage_tol, max_iters):
     """(state, advance) for a run of the force f from states of q0's kind.
 
-    state puts a q or p value in the kind's form: a float for scalar state,
-    a tuple of d floats for array state of d components.  advance(f, t0,
-    q0, p0, h, F_prev=None, steps=1, every=0, ts=None, qs=None, ps=None)
-    is the kernel with stage_tol and max_iters bound (see _kernel_source):
-    steps steps of signed size h from such states, returning (q1, p1, Q, F)
-    of the last.  With start from _start_matrix, a step that has previous
-    forces starts its stage iteration from their extrapolation; otherwise,
-    and always when start is None, from free motion.  integrate takes its
-    whole run in one call, the single-step calls one step and no samples.
-    State kind, solver structure, start and force form (f.stages on array
-    state when f has it, else per point) are fixed here, once per run.
+    The one place that decides a run: the solver structure (t's
+    lower_triangular), the state kind and the force form (f.stages on
+    array state when f has it, else per point).  state puts a q or p value
+    in the kind's form: a float for scalar state, a tuple of d floats for
+    array state of d components.  advance(t0, q0, p0, h, F_prev=None,
+    steps=1, every=0, ts=None, qs=None, ps=None) is the kernel with
+    stage_tol, max_iters and f bound (see _kernel_source): steps steps of
+    signed size h from such states, returning (q1, p1, Q, F) of the last.
 
-    Every state kind runs a kernel generated from source for this tableau
-    (_kernel_source): one loop over the steps, the stage, sum and
-    component loops unrolled inside it, each coefficient a float literal.
-    Kernels are cached by the exact bytes of c, a_bar, b_bar, b and start,
-    with the structure, whether there is a start, d (None for scalar
-    state) and the force form, so 0.0 and -0.0 get different kernels;
-    their sources are held up to _KERNEL_SOURCE_LIMIT characters.  The
-    first use of a tableau and d pays the generation once (its cost is in
-    the module docstring); stage_tol and max_iters are arguments of the
-    kernel and stay out of the key.
+    Kernels are cached by the exact bytes of c, a_bar, b_bar and b, with
+    the structure, d (None for scalar state) and the force form, so 0.0
+    and -0.0 get different kernels; stage_tol and max_iters are arguments
+    and stay out of the key.  The start matrix follows from c, a_bar and
+    the structure, so _generate_kernel builds it with the kernel and every
+    call on a tableau, state kind and force form shares one kernel.
+    integrate passes its whole run; step, solve_stages and
+    reversibility_test pass one step and no previous forces (F_prev None),
+    so their step starts from free motion, as a run's first step does.
     """
     d = None if np.ndim(q0) == 0 else len(q0)
     key = (
         t.c.tobytes(), t.a_bar.tobytes(), t.b_bar.tobytes(), t.b.tobytes(),
-        None if start is None else start.tobytes(), sequential, d,
-        d is not None and getattr(f, "stages", None) is not None,
+        t.lower_triangular, d, d is not None and getattr(f, "stages", None) is not None,
     )
-    advance = partial(_kernel(key), stage_tol, max_iters)
+    advance = partial(_kernel(key), stage_tol, max_iters, f)
     if d is None:
         return float, advance
     return lambda x: tuple(np.asarray(x, dtype=float).reshape(d).tolist()), advance
@@ -491,14 +485,14 @@ def solve_stages(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
     extrapolate from); non-contraction, or an iterate that is not finite,
     raises a stage-divergence error carrying the last increment.
     """
-    state, advance = _stepper(t, f, q0, cfg.stage_tol, cfg.max_iters, t.lower_triangular)
-    return np.array(advance(f, t0, state(q0), state(p0), cfg.h)[2])
+    state, advance = _stepper(t, f, q0, cfg.stage_tol, cfg.max_iters)
+    return np.array(advance(t0, state(q0), state(p0), cfg.h)[2])
 
 
 def step(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
     """One step of size cfg.h from (q0, p0); returns (q1, p1)."""
-    state, advance = _stepper(t, f, q0, cfg.stage_tol, cfg.max_iters, t.lower_triangular)
-    q1, p1, _, _ = advance(f, t0, state(q0), state(p0), cfg.h)
+    state, advance = _stepper(t, f, q0, cfg.stage_tol, cfg.max_iters)
+    q1, p1, _, _ = advance(t0, state(q0), state(p0), cfg.h)
     if np.ndim(q0) == 0:
         return q1, p1
     return np.array(q1), np.array(p1)
@@ -555,11 +549,7 @@ def integrate(
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     n = _step_count(t_end - prob.t0, cfg.h)
-    sequential = t.lower_triangular
-    state, advance = _stepper(
-        t, prob.force, prob.q0, cfg.stage_tol, cfg.max_iters, sequential,
-        _start_matrix(t, sequential),
-    )
+    state, advance = _stepper(t, prob.force, prob.q0, cfg.stage_tol, cfg.max_iters)
     h, t0 = cfg.h, prob.t0
     q, p = state(prob.q0), state(prob.p0)
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
@@ -572,7 +562,7 @@ def integrate(
         else:
             sinks = ts.append, qs.extend, ps.extend
         try:
-            q, p, _, _ = advance(prob.force, t0, q, p, h, None, n, sample_every, *sinks)
+            q, p, _, _ = advance(t0, q, p, h, None, n, sample_every, *sinks)
         except StageDivergenceError as exc:
             failure_step, residual = exc.step_index, exc.residual
         else:

@@ -27,6 +27,7 @@ import random
 import numpy as np
 import pytest
 
+from kernel_harness import structured_stepper
 from symrkn.errors import StageDivergenceError
 from symrkn.integrator import _start_matrix, _stepper, reference_tableau
 from symrkn.problems import kepler_2d
@@ -280,30 +281,31 @@ def _assert_near_oracle(t, got, oracle, same_message, f, t0, q0, p0, h, F_prev):
 
 
 class _Pair:
-    """The kernels for one tableau, structure and start, with their two
-    references; check() runs the kernel of the force's form and both
-    references from one state."""
+    """The kernels for one tableau and structure, with their two references,
+    all from the start matrix the library derives; check() runs the kernel of
+    the force's form and both references from one state."""
 
-    def __init__(self, t, sequential, start, stage_tol=1e-14, max_iters=100, d=2):
+    def __init__(self, t, sequential, stage_tol=1e-14, max_iters=100, d=2):
         self.t = t
-        self.run = (np.zeros(d), stage_tol, max_iters, sequential, start)
+        self.run = (np.zeros(d), sequential, stage_tol, max_iters)
+        start = _start_matrix(t.c, t.a_bar, sequential)
         self.reference = _float_advance(t, stage_tol, max_iters, sequential, start)
         self.oracle = _numpy_advance(t, stage_tol, max_iters, sequential, start)
         self.same_message = max_iters <= FEW_SWEEPS
 
     def kernel(self, f):
         """(state, advance) for f, as integrate would choose them."""
-        return _stepper(self.t, f, *self.run)
+        return structured_stepper(self.t, f, *self.run)
 
     def check(self, f, t0, q0, p0, h, F_prev=None):
         state, kernel = self.kernel(f)
         q0, p0 = state(q0), state(p0)
         if F_prev is not None:
             F_prev = [tuple(row) for row in np.asarray(F_prev, dtype=float).tolist()]
-        args = (f, t0, q0, p0, h, F_prev)
+        args = (t0, q0, p0, h, F_prev)
         got = _outcome(kernel, *args)
-        assert got == _outcome(self.reference, *args)
-        _assert_near_oracle(self.t, got, self.oracle, self.same_message, *args)
+        assert got == _outcome(self.reference, f, *args)
+        _assert_near_oracle(self.t, got, self.oracle, self.same_message, f, *args)
         return got
 
 
@@ -355,8 +357,7 @@ def _runs(t, f, h, q0, p0, steps=12, stage_tol=1e-14, max_iters=100):
     integrate."""
     outcomes = []
     for sequential in (False, True):
-        start = _start_matrix(t, sequential)
-        pair = _Pair(t, sequential, start, stage_tol, max_iters, d=len(q0))
+        pair = _Pair(t, sequential, stage_tol, max_iters, d=len(q0))
         q, p, F_prev = q0, p0, None
         for k in range(steps):
             got = pair.check(f, k * h, q, p, h, F_prev)
@@ -396,8 +397,7 @@ def test_random_tableaus_have_the_bits_of_the_stage_solver(s, lower):
         for sequential in (False, True):
             F_prev = np.array([[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(s)])
             for max_iters in (1, 2):
-                pair = _Pair(t, sequential, _start_matrix(t, sequential),
-                             max_iters=max_iters, d=d)
+                pair = _Pair(t, sequential, max_iters=max_iters, d=d)
                 for f in _FORCES:
                     pair.check(f, 0.2, q0, p0, 0.2, F_prev)
 
@@ -430,13 +430,13 @@ def test_each_state_size_gets_its_own_kernel():
     for d in (None, 1, 2, 3):
         q0 = 0.0 if d is None else np.zeros(d)
         for f in _FORCES:
-            kernels[d, f] = _stepper(t, f, q0, 1e-14, 100, False)[1].func
-            assert _stepper(t, f, q0, 1e-10, 7, False)[1].func is kernels[d, f]
+            kernels[d, f] = _stepper(t, f, q0, 1e-14, 100)[1].func
+            assert _stepper(t, f, q0, 1e-10, 7)[1].func is kernels[d, f]
     # and each force form on array state; scalar state calls every force per point
     assert kernels[None, point] is kernels[None, batched]
     assert len(set(kernels.values())) == 7
-    assert " d=2 jacobi free " in kernels[2, point].__code__.co_filename
-    assert " d=3 jacobi free stages " in kernels[3, batched].__code__.co_filename
+    assert " d=2 jacobi start " in kernels[2, point].__code__.co_filename
+    assert " d=3 jacobi start stages " in kernels[3, batched].__code__.co_filename
 
 
 def test_one_advance_follows_every_change_of_h():
@@ -446,7 +446,7 @@ def test_one_advance_follows_every_change_of_h():
     q0[1] = -0.0
     hs = [0.2, 0.2, -0.2, 0.1, 0.2, 0.0, -0.0, -0.0, 0.0, math.nan, 0.2, 1]
     for sequential in (False, True):
-        pair = _Pair(t, sequential, _start_matrix(t, sequential), d=3)
+        pair = _Pair(t, sequential, d=3)
         for f in (*_FORCES, lambda t, q: np.full_like(q, t)):
             for h in hs:
                 # t0 = -0.0: the stage times t0 + c h carry the sign of h
@@ -454,11 +454,14 @@ def test_one_advance_follows_every_change_of_h():
 
 
 def test_a_start_matrix_of_none_ignores_previous_forces():
-    t = named_tableau("rkn-iiib")
+    # no polynomial passes through repeated nodes, so no start matrix exists
+    t = RknTableau(2, np.array([0.5, 0.5]), np.array([[0.0625, 0.0625], [0.0625, 0.0625]]),
+                   np.array([0.25, 0.25]), np.array([0.5, 0.5]), "twin")
     q0, p0 = _state(random.Random(9), 2)
-    F_prev = np.ones((3, 2))
+    F_prev = np.ones((2, 2))
     for sequential in (False, True):
-        pair = _Pair(t, sequential, None)
+        assert _start_matrix(t.c, t.a_bar, sequential) is None
+        pair = _Pair(t, sequential)
         for f in _FORCES:
             free = pair.check(f, 0.0, q0, p0, 0.2)
             assert pair.check(f, 0.0, q0, p0, 0.2, F_prev) == free
@@ -475,7 +478,7 @@ def test_wrong_shape_from_stages_raises_the_same_error():
             n = 1 if sequential else s  # stages per call
             for d in (1, 2, 3):
                 q0, p0 = _state(random.Random(d), d)
-                pair = _Pair(t, sequential, _start_matrix(t, sequential), d=d)
+                pair = _Pair(t, sequential, d=d)
                 for shape in shapes:
                     if shape(n, d) == (n * d,):
                         continue  # (n,) at d = 1
@@ -503,8 +506,8 @@ def test_stages_gets_two_tuples_of_floats(d):
         t = named_tableau(name)
         n = 1 if t.lower_triangular else t.s
         force = _Recording()
-        _, kernel = _stepper(t, force, q0, 1e-14, 100, t.lower_triangular)
-        _, _, Q, _ = kernel(force, 0.3, tuple(q0.tolist()), tuple(p0.tolist()), 0.2)
+        _, kernel = _stepper(t, force, q0, 1e-14, 100)
+        _, _, Q, _ = kernel(0.3, tuple(q0.tolist()), tuple(p0.tolist()), 0.2)
         assert len(force.calls) > 2
         nodes = tuple(0.3 + c * 0.2 for c in t.c.tolist())
         for times, values in force.calls:
@@ -521,7 +524,7 @@ def test_tuple_and_array_results_have_the_bits_of_a_list():
         sequential = t.lower_triangular
         for d in (1, 2, 3):
             q0, p0 = _state(random.Random(10 + d), d)
-            pair = _Pair(t, sequential, _start_matrix(t, sequential), d=d)
+            pair = _Pair(t, sequential, d=d)
             F_prev = np.linspace(-0.5, 0.5, t.s * d).reshape(t.s, d)
             for args in ((0.1, q0, p0, 0.2), (0.1, q0, p0, 0.2, F_prev)):
                 want = pair.check(_DrivenStages(), *args)
@@ -536,8 +539,8 @@ def test_wrong_shape_from_the_force_raises(shape):
     q0, p0 = _state(random.Random(4), 2)
     args = (lambda t, q: np.zeros(shape), 0.0, tuple(q0), tuple(p0), 0.2)
     for sequential in (False, True):
-        pair = _Pair(t, sequential, _start_matrix(t, sequential))
-        got = _outcome(pair.kernel(args[0])[1], *args)
+        pair = _Pair(t, sequential)
+        got = _outcome(pair.kernel(args[0])[1], *args[1:])
         assert got == _outcome(pair.reference, *args)
         assert got == ("raised", ValueError,
                        f"force returned shape {shape}, expected (2,)", None)
@@ -572,8 +575,7 @@ def test_divergence_has_the_message_and_residual_of_the_stage_solver(name):
             assert "raised" in _runs(t, f, 0.16, q0, p0, steps=3, max_iters=max_iters)
             # cut short, the residual shows the extrapolated start's bits
             for sequential in (False, True):
-                pair = _Pair(t, sequential, _start_matrix(t, sequential),
-                             max_iters=max_iters, d=3)
+                pair = _Pair(t, sequential, max_iters=max_iters, d=3)
                 F_prev = np.linspace(-0.9, 0.9, 3 * t.s).reshape(t.s, 3)
                 got = pair.check(f, 0.16, q0, p0, 0.16, F_prev)
                 assert got[0] == "raised"

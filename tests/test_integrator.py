@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kernel_harness import structured_stepper
 from symrkn.cscoeff import build_order2, build_order4
 from symrkn.errors import (
     DegenerateFitError,
@@ -16,7 +17,6 @@ from symrkn.errors import (
 from symrkn.integrator import (
     StepConfig,
     _start_matrix,
-    _stepper,
     final_state_error,
     fit_loglog_slope,
     global_error_study,
@@ -39,8 +39,8 @@ FIVE = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b")
 
 def _advance(t, f, t0, q0, p0, h, sequential):
     """One step of signed size h with the given solver structure."""
-    _, advance = _stepper(t, f, q0, 1e-14, 100, sequential)
-    return advance(f, t0, q0, p0, h)[:2]
+    _, advance = structured_stepper(t, f, q0, sequential)
+    return advance(t0, q0, p0, h)[:2]
 
 
 def _control() -> RknTableau:
@@ -681,7 +681,8 @@ def test_nodes_too_close_to_extrapolate_keep_the_free_motion_start():
         2, np.array([0.0, 5e-324]), np.array([[0.05, 0.0], [0.02, 0.05]]),
         np.array([0.25, 0.25]), np.array([0.5, 0.5]), "close nodes",
     )
-    assert _start_matrix(tab, True) is None and _start_matrix(tab, False) is None
+    assert _start_matrix(tab.c, tab.a_bar, True) is None
+    assert _start_matrix(tab.c, tab.a_bar, False) is None
     for prob in _as_scalar_and_array(perturbed_pendulum()):
         traj = integrate(tab, prob, 1.6, CFG)
         assert not traj.diverged

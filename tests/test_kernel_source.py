@@ -1,20 +1,37 @@
 """The generated kernel sources, pinned by sha256.
 
-Each digest covers the two sources of one method, state kind and force
-form (per point, or through force.stages on array state): the kernel
-integrate runs (with the start matrix) and the one the single-step calls
-run (free-motion start), joined in that order.  A change to
-integrator._kernel_source that moves a digest changes generated code; when
-that is meant, record the new digest here and say why.  The scalar (d None)
-kernels run the pendulum-drift workload.
+Each digest covers two sources of one method, state kind and force form
+(per point, or through force.stages on array state), joined in this
+order: the kernel with the method's start matrix, which every call on the
+method runs (integrate, step, solve_stages, reversibility_test), and the
+same kernel with the free-motion start, which a tableau with no start
+matrix runs.  A change to integrator._kernel_source that moves a digest
+changes generated code; when that is meant, record the new digest here
+and say why.  The scalar (d None) kernels run the pendulum-drift workload.
 """
 
 import hashlib
+import linecache
 
+import numpy as np
 import pytest
 
-from symrkn.integrator import _kernel_source, _start_matrix, reference_tableau
-from symrkn.tableau import named_tableau
+from symrkn.cscoeff import build_order4
+from symrkn.integrator import (
+    StepConfig,
+    _kernel_source,
+    _kernels,
+    _start_matrix,
+    _stepper,
+    integrate,
+    reference_tableau,
+    reversibility_test,
+    solve_stages,
+    step,
+)
+from symrkn.problems import kepler_2d, perturbed_pendulum
+from symrkn.quadrature import lobatto_rule
+from symrkn.tableau import discretize, named_tableau
 
 METHODS = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3")
 
@@ -55,15 +72,24 @@ ARRAY = {
 }
 
 
-def _digest(name, *kind):
-    t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+def _tableau(name):
+    return reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+
+
+def _sources(name, *kind):
+    """The method's kernel sources with its start matrix, then free."""
+    t = _tableau(name)
     sequential = t.lower_triangular
     coeffs = (t.c.tolist(), t.a_bar.tolist(), t.b_bar.tolist(), t.b.tolist())
     sources = []
-    for M in (_start_matrix(t, sequential), None):
+    for M in (_start_matrix(t.c, t.a_bar, sequential), None):
         M = None if M is None else M.tolist()
         sources.append(_kernel_source(*coeffs, M, sequential, *kind))
-    return hashlib.sha256("".join(sources).encode()).hexdigest()
+    return sources
+
+
+def _digest(name, *kind):
+    return hashlib.sha256("".join(_sources(name, *kind)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", METHODS)
@@ -76,3 +102,34 @@ def test_scalar_kernel_sources_are_pinned(name):
 @pytest.mark.parametrize("form", ["point", "stages"])
 def test_array_kernel_sources_are_pinned(name, d, form):
     assert _digest(name, d, form == "stages") == ARRAY[name, d, form]
+
+
+def _problems():
+    """Scalar state, and d = 2 state whose force has a stages form."""
+    return perturbed_pendulum(), kepler_2d(0.5)
+
+
+@pytest.mark.parametrize("name", METHODS)
+def test_integrate_runs_the_pinned_source(name):
+    # the runtime kernel builds its start matrix from the key's bytes; its
+    # source is the pinned text built from the tableau's arrays
+    t = _tableau(name)
+    for prob, kind in zip(_problems(), ((), (2, True))):
+        assert integrate(t, prob, 0.16, StepConfig(h=0.16)).times.shape == (2,)
+        kernel = _stepper(t, prob.force, prob.q0, 1e-14, 100)[1].func
+        filename = kernel.__code__.co_filename
+        assert " start" in filename
+        assert "".join(linecache.getlines(filename)) == _sources(name, *kind)[0]
+
+
+def test_every_call_on_a_tableau_shares_one_kernel():
+    # a family member no other test derives, so its kernels are not cached
+    t = discretize(build_order4(0.0123, 0.0, 0.0), lobatto_rule(3), "one kernel")
+    cfg = StepConfig(h=0.16)
+    for prob in _problems():
+        held = set(_kernels)
+        integrate(t, prob, 1.6, cfg)
+        step(t, prob.force, prob.t0, prob.q0, prob.p0, cfg)
+        solve_stages(t, prob.force, prob.t0, prob.q0, prob.p0, cfg)
+        assert np.isfinite(reversibility_test(t, prob, cfg.h))
+        assert len(set(_kernels) - held) == 1

@@ -17,6 +17,7 @@ import traceback
 import numpy as np
 import pytest
 
+from kernel_harness import structured_stepper
 from symrkn import integrator
 from symrkn.errors import StageDivergenceError
 from symrkn.integrator import (
@@ -115,10 +116,11 @@ def _stages_scalar(c, a, s, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev
     )
 
 
-def _reference_advance(t, stage_tol, max_iters, sequential, start):
+def _reference_advance(t, stage_tol, max_iters, sequential):
     s = t.s
     c, a = t.c.tolist(), t.a_bar.tolist()
     b_bar, b = t.b_bar.tolist(), t.b.tolist()
+    start = _start_matrix(t.c, t.a_bar, sequential)
     M = None if start is None else start.tolist()
 
     def advance(f, t0, q0, p0, h, F_prev=None):
@@ -153,11 +155,11 @@ def _outcome(advance, *args):
     return tuple(np.asarray(v, dtype=np.float64).tobytes() for v in (q1, p1, Q, F))
 
 
-def _assert_same(t, f, t0, q0, p0, h, sequential, start=None, F_prev=None,
+def _assert_same(t, f, t0, q0, p0, h, sequential, F_prev=None,
                  stage_tol=1e-14, max_iters=100):
-    _, kernel = _stepper(t, f, q0, stage_tol, max_iters, sequential, start)
-    reference = _reference_advance(t, stage_tol, max_iters, sequential, start)
-    got = _outcome(kernel, f, t0, q0, p0, h, F_prev)
+    _, kernel = structured_stepper(t, f, q0, sequential, stage_tol, max_iters)
+    reference = _reference_advance(t, stage_tol, max_iters, sequential)
+    got = _outcome(kernel, t0, q0, p0, h, F_prev)
     want = _outcome(reference, f, t0, q0, p0, h, F_prev)
     assert got == want
     return got
@@ -176,17 +178,16 @@ def _runs(t, f, h, steps=40, q0=0.3, p0=2.5, stage_tol=1e-14, max_iters=100):
     then from each previous step's stage forces, for both structures."""
     outcomes = []
     for sequential in (False, True):
-        start = _start_matrix(t, sequential)
         q, p, F_prev = q0, p0, None
         for k in range(steps):
             got = _assert_same(
-                t, f, k * h, q, p, h, sequential, start, F_prev, stage_tol, max_iters
+                t, f, k * h, q, p, h, sequential, F_prev, stage_tol, max_iters
             )
             outcomes.append(got[0])
             if got[0] == "raised":
                 break
             q1, p1, _, F_prev = _reference_advance(
-                t, stage_tol, max_iters, sequential, start
+                t, stage_tol, max_iters, sequential
             )(f, k * h, q, p, h, F_prev)
             q, p = q1, p1
     return outcomes
@@ -224,8 +225,8 @@ def test_random_tableaus_have_the_bits_of_the_generic_loops(s, lower):
         for sequential in (False, True):
             F_prev = [rng.uniform(-1.0, 1.0) for _ in range(s)]
             for max_iters in (1, 2):
-                _assert_same(t, _driven, 0.2, 0.3, 2.5, 0.2, sequential,
-                             _start_matrix(t, sequential), F_prev, max_iters=max_iters)
+                _assert_same(t, _driven, 0.2, 0.3, 2.5, 0.2, sequential, F_prev,
+                             max_iters=max_iters)
 
 
 def test_repeated_nodes_and_zero_diagonals():
@@ -233,7 +234,7 @@ def test_repeated_nodes_and_zero_diagonals():
     for s in (2, 3, 5):
         nodes = [0.5] * s
         t = _random_tableau(rng, s, True, nodes=nodes)
-        assert _start_matrix(t, True) is None
+        assert _start_matrix(t.c, t.a_bar, True) is None
         _runs(t, _driven, 0.2, steps=10)
         a_bar = np.array(t.a_bar)
         np.fill_diagonal(a_bar, 0.0)
@@ -253,7 +254,7 @@ def test_signed_zero_coefficients_get_their_own_kernels():
     outcomes = set()
     for t in (pos, neg):
         for sequential in (True, False):
-            _, advance = _stepper(t, _pendulum, -0.0, 1e-14, 100, sequential)
+            _, advance = structured_stepper(t, _pendulum, -0.0, sequential)
             kernels.add(advance.func)
             # the stage time t0 + c h is the only place the sign of c shows
             got = _assert_same(t, lambda t, q: t, -0.0, -0.0, 1.0, 0.5, sequential)
@@ -277,8 +278,7 @@ def test_non_finite_forces_and_states(bad, name):
         _runs(t, f, 0.16, steps=8, q0=q0, p0=p0)
     # a start from non-finite previous forces
     for sequential in (False, True):
-        _assert_same(t, _pendulum, 0.0, 0.3, 2.5, 0.16, sequential,
-                     _start_matrix(t, sequential), [0.5, bad, -0.5])
+        _assert_same(t, _pendulum, 0.0, 0.3, 2.5, 0.16, sequential, [0.5, bad, -0.5])
 
 
 @pytest.mark.parametrize("name", ["diagsymp", "rkn-a"])
@@ -292,31 +292,33 @@ def test_divergence_has_the_message_and_residual_of_the_generic_loops(name):
         # cut short, the residual shows the extrapolated start's bits
         for sequential in (False, True):
             got = _assert_same(
-                t, _pendulum, 0.16, 0.4, 2.4, 0.16, sequential,
-                _start_matrix(t, sequential), [-0.3, -0.6, -0.9], max_iters=max_iters,
+                t, _pendulum, 0.16, 0.4, 2.4, 0.16, sequential, [-0.3, -0.6, -0.9],
+                max_iters=max_iters,
             )
             assert got[0] == "raised"
 
 
 def test_one_kernel_per_tableau_and_tolerances_are_arguments():
     t = named_tableau("rkn-a")
-    _, a = _stepper(t, _pendulum, 0.0, 1e-14, 100, False)
-    _, b = _stepper(t, _pendulum, 0.0, 1e-10, 7, False)
-    _, c = _stepper(t, _pendulum, 0.0, 1e-14, 100, True)
+    _, a = _stepper(t, _pendulum, 0.0, 1e-14, 100)
+    _, b = _stepper(t, _driven, 0.0, 1e-10, 7)
+    _, c = structured_stepper(t, _pendulum, 0.0, True)
     assert a.func is b.func
     assert c.func is not a.func
-    assert a.args == (1e-14, 100) and b.args == (1e-10, 7)
+    # the force is bound with the tolerances; scalar state has one force form
+    assert a.args == (1e-14, 100, _pendulum) and b.args == (1e-10, 7, _driven)
 
 
 def _cache_tableau(x):
     """A Jacobi tableau whose kernel source is as long for every x whose
-    repr is as long."""
+    repr is as long: its nodes repeat, so it has no start matrix, whose
+    entries would vary in length with x."""
     half = np.array([0.5, 0.5])
-    return RknTableau(2, np.array([0.25, 0.75]), np.full((2, 2), x), half, half, "cache")
+    return RknTableau(2, half, np.full((2, 2), x), half, half, "cache")
 
 
 def _cached_kernel(t):
-    return _stepper(t, _pendulum, 0.0, 1e-14, 100, False)[1].func
+    return _stepper(t, _pendulum, 0.0, 1e-14, 100)[1].func
 
 
 def _held():
@@ -358,5 +360,6 @@ def test_divergence_traceback_shows_the_kernel_source():
     with pytest.raises(StageDivergenceError) as info:
         step(named_tableau("rkn-iiib"), prob.force, 0.0, 0.0, 2.5, StepConfig(h=10.0))
     text = "".join(traceback.format_exception(info.value))
-    assert "<symrkn kernel s=3 jacobi free " in text
+    # step runs the kernel integrate runs, start matrix included
+    assert "<symrkn kernel s=3 jacobi start " in text
     assert "raise StageDivergenceError(" in text

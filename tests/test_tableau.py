@@ -228,7 +228,7 @@ def test_adjoint_inverts_the_negated_step():
     ]
     for t in tabs:
         q1, p1 = step(adjoint(t), f, 0.0, q0, p0, StepConfig(h=h))
-        q2, p2, _, _ = _stepper(t, f, q1, 1e-14, 200, False)[1](f, 0.0, q1, p1, -h)
+        q2, p2, _, _ = _stepper(t, f, q1, 1e-14, 200)[1](0.0, q1, p1, -h)
         assert abs(q2 - q0) < 1e-12, t.label
         assert abs(p2 - p0) < 1e-12, t.label
 
@@ -420,7 +420,14 @@ def test_tableau_shape_validation():
 
 
 def test_stage_count_must_be_an_int_not_a_bool():
-    # True passes isinstance(s, int) and equals 1
+    # True passes isinstance(s, int) and equals 1; np.bool_ is no Integral
+    for s in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="positive integer"):
+            RknTableau(s, [0.5], [[0.25]], [0.5], [1.0])
+    # a numpy integer count, as np.argmax or an integer sum gives, is kept as an int
+    for s in (1, np.int64(1), np.int32(1)):
+        t = RknTableau(s, [0.5], [[0.25]], [0.5], [1.0])
+        assert type(t.s) is int and t.s == 1
+        assert loads_tableau(dumps_tableau(t)).s == 1
     with pytest.raises(ValueError, match="positive integer"):
-        RknTableau(True, [0.5], [[0.25]], [0.5], [1.0])
-    assert RknTableau(1, [0.5], [[0.25]], [0.5], [1.0]).s == 1
+        RknTableau(np.int64(0), [], np.zeros((0, 0)), [], [])
