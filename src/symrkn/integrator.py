@@ -19,14 +19,20 @@ every coefficient is written as a float literal (repr round-trips, so no
 bit changes), so a run on (1,) arrays has the bits of the same run on
 floats.  An array force gets a fresh (d,) array per call, read back as
 floats; a batched form (force.stages) gets every evaluation in both
-sweeps instead, as tuples of floats in and a list out.  Only floats enter
-that source, never a label or other text.  Generating a kernel costs
-about a millisecond for s = 3 with scalar or d = 2 state; the source grows
-as s^2 d, and takes ~13 ms at s = 3, d = 32 and ~250 ms at s = 10,
-d = 100, once per distinct tableau, d and force form: kernels are cached
-by the exact bytes of the coefficients, with the structure, d and the
-force form, and the least recently used leave once their sources pass
-_KERNEL_SOURCE_LIMIT characters.  The source is registered in linecache,
+sweeps instead, as tuples of floats in and a list out.  The built-in
+pendulum (scalar) and Kepler (d = 2) forces are not called: the kernel
+writes their arithmetic in place of each call, from the template
+problems.py keeps for the force's exact type, with the IEEE operations of
+the force itself; Kepler's hands a call with an edge value (r = 0, a
+subnormal, overflowing or non-finite entry) to force.stages.  Only floats
+and those library templates enter that source, never a label or other
+text from a tableau file.  Generating a kernel costs about a millisecond
+for s = 3 with scalar or d = 2 state; the source grows as s^2 d, and
+takes ~13 ms at s = 3, d = 32 and ~250 ms at s = 10, d = 100, once per
+distinct tableau, d and force form: kernels are cached by the exact bytes
+of the coefficients, with the structure, d and the force form, and the
+least recently used leave once their sources pass _KERNEL_SOURCE_LIMIT
+characters.  The source is registered in linecache,
 so tracebacks and profiles show the generated lines.  A stage iterate
 that is not finite ends the stage solve as a divergence before the force
 sees it.  integrate logs each divergence once, at WARNING on the "symrkn"
@@ -58,7 +64,7 @@ import numpy as np
 
 from .cscoeff import build_order6
 from .errors import DegenerateFitError, InvalidGridError, StageDivergenceError
-from .problems import OdeProblem
+from .problems import _TEMPLATES, OdeProblem
 from .quadrature import gauss_rule
 from .tableau import RknTableau, discretize
 
@@ -134,7 +140,7 @@ def _literal(x):
     return f"({r})" if r[0] == "-" else r
 
 
-def _kernel_source(c, a, b_bar, b, M, sequential, d=None, batched=False):
+def _kernel_source(c, a, b_bar, b, M, sequential, d=None, form="point"):
     """Source of advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None,
     steps=1, every=0, ts=None, qs=None, ps=None).
 
@@ -164,6 +170,12 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None, batched=False):
     a list of n*d floats is unpacked as it is, any other result read
     through a float array.  A per-point result not of shape (d,), or a
     stages result not of shape (n*d,), raises ValueError.
+
+    form is "point", "stages" (the batched form above) or a force template
+    of problems.py for state kind d: the template's text is written per
+    point in place of each call, and where its unsafe test holds at any
+    point of a call, the whole call goes to f.stages as in the batched
+    form.  Every force evaluation is written by one helper, call.
     """
     s = len(c)
 
@@ -189,19 +201,48 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None, batched=False):
     def col(rows, k):
         return [row[k] for row in rows]
 
-    def call(ind, times, args, outs):
-        # outs[i] = f(times[i], args[i]) by component: one stages call for
-        # all the points when batched, else one call per point
-        if batched:
-            size = len(times) * d
+    template = None if isinstance(form, str) else form
+
+    def batched(ind, times, args, outs):
+        size = len(times) * d
+        return [
+            f"{ind}r = stages({tup(times)}, {tup(sum(args, []))})",
+            f"{ind}if type(r) is not list or len(r) != {size}:",
+            f'{ind}    r = checked(r, ({size},), "force.stages").tolist()',
+            f"{ind}{tup(sum(outs, []))} = r",
+        ]
+
+    def call(ind, times, args, outs, use="{}"):
+        # outs[i] = f(times[i], args[i]) by component, the only place a
+        # force evaluation is written: one stages call for all the points,
+        # the template's text per point (the whole call to stages where its
+        # unsafe test holds at any point), else one call per point.  On
+        # scalar state each value is written into use.
+        if form == "stages":
+            return batched(ind, times, args, outs)
+        if template is not None:
+            points = [(v, f"R{j}") for j, v in enumerate(args)]
+            lets = [ind + x.format(*v, r=r) for v, r in points for x in template.lets]
+            inline = [
+                f"{ind}{yk} = {use.format('(' + x.format(*v, r=r) + ')')}"
+                for (v, r), y in zip(points, outs)
+                for yk, x in zip(y, template.values)
+            ]
+            if template.unsafe is None:
+                return lets + inline
+            unsafe = " or ".join(f"({template.unsafe.format(*v, r=r)})" for v, r in points)
             return [
-                f"{ind}r = stages({tup(times)}, {tup(sum(args, []))})",
-                f"{ind}if type(r) is not list or len(r) != {size}:",
-                f'{ind}    r = checked(r, ({size},), "force.stages").tolist()',
-                f"{ind}{tup(sum(outs, []))} = r",
+                *lets,
+                f"{ind}if {unsafe}:",
+                *batched(ind + "    ", times, args, outs),
+                f"{ind}else:",
+                *("    " + x for x in inline),
             ]
         if d is None:
-            return [f"{ind}{y[0]} = f({x}, {v[0]})" for x, v, y in zip(times, args, outs)]
+            return [
+                f"{ind}{y[0]} = {use.format(f'f({x}, {v[0]})')}"
+                for x, v, y in zip(times, args, outs)
+            ]
         return [
             line
             for x, v, y in zip(times, args, outs)
@@ -241,7 +282,7 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None, batched=False):
         emit("    warm = F_prev is not None")
         emit("    if warm:")
         emit(f"        ({', '.join(tup(x) for x in P)},) = F_prev")
-    if batched:
+    if form == "stages" or template is not None and template.unsafe is not None:
         emit("    stages = f.stages")
     emit("    mark = every if every < steps else steps")
     emit("    t = t0")
@@ -271,7 +312,7 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None, batched=False):
             emit("            diff = inf")
             emit("            for _ in range(iters):")
             if d is None:
-                emit(f"                n = {B[i][0]} + w * f({T[i]}, q)")
+                out += call("                ", [T[i]], [q], [n], f"{B[i][0]} + w * {{}}")
             else:
                 out += call("                ", [T[i]], [q], [g])
                 out += [f"                {n[k]} = {B[i][k]} + w * {g[k]}" for k in K]
@@ -367,7 +408,8 @@ def _checked(r, shape, name):
 
 def _generate_kernel(key):
     """Compile the advance for one _stepper cache key, with its start matrix."""
-    c_bytes, a_bytes, b_bar_bytes, b_bytes, sequential, d, batched = key
+    c_bytes, a_bytes, b_bar_bytes, b_bytes, sequential, d, form = key
+    template = None if isinstance(form, str) else form
     c = np.frombuffer(c_bytes)
     s = len(c)
     a_bar = np.frombuffer(a_bytes).reshape(s, s)
@@ -375,14 +417,14 @@ def _generate_kernel(key):
     source = _kernel_source(
         c.tolist(), a_bar.tolist(), np.frombuffer(b_bar_bytes).tolist(),
         np.frombuffer(b_bytes).tolist(), None if M is None else M.tolist(),
-        sequential, d, batched,
+        sequential, d, form,
     )
     filename = "<symrkn kernel s={}{} {} {}{} {:08x}>".format(
         s,
         "" if d is None else f" d={d}",
         "sequential" if sequential else "jacobi",
         "free" if M is None else "start",
-        " stages" if batched else "",
+        "" if form == "point" else f" {form if template is None else template.name}",
         zlib.crc32(b"".join(key[:4])),
     )
     namespace = {
@@ -392,6 +434,8 @@ def _generate_kernel(key):
         "checked": _checked,
         "StageDivergenceError": StageDivergenceError,
     }
+    if template is not None:
+        namespace.update(template.names)
     exec(compile(source, filename, "exec"), namespace)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     return namespace["advance"], len(source)
@@ -447,28 +491,35 @@ def _stepper(t, f, q0, stage_tol, max_iters):
     """(state, advance) for a run of the force f from states of q0's kind.
 
     The one place that decides a run: the solver structure (t's
-    lower_triangular), the state kind and the force form (f.stages on
-    array state when f has it, else per point).  state puts a q or p value
-    in the kind's form: a float for scalar state, a tuple of d floats for
-    array state of d components.  advance(t0, q0, p0, h, F_prev=None,
-    steps=1, every=0, ts=None, qs=None, ps=None) is the kernel with
-    stage_tol, max_iters and f bound (see _kernel_source): steps steps of
-    signed size h from such states, returning (q1, p1, Q, F) of the last.
+    lower_triangular), the state kind and the force form: the template
+    written inline when problems.py has one for f's exact type and this
+    state kind (a subclass or any other force keeps its calls), else
+    f.stages on array state when f has it, else per point.  state puts a
+    q or p value in the kind's form: a float for scalar state, a tuple of
+    d floats for array state of d components.  advance(t0, q0, p0, h,
+    F_prev=None, steps=1, every=0, ts=None, qs=None, ps=None) is the
+    kernel with stage_tol, max_iters and f bound (see _kernel_source):
+    steps steps of signed size h from such states, returning (q1, p1, Q, F)
+    of the last.
 
     Kernels are cached by the exact bytes of c, a_bar, b_bar and b, with
-    the structure, d (None for scalar state) and the force form, so 0.0
-    and -0.0 get different kernels; stage_tol and max_iters are arguments
-    and stay out of the key.  The start matrix follows from c, a_bar and
-    the structure, so _generate_kernel builds it with the kernel and every
-    call on a tableau, state kind and force form shares one kernel.
-    integrate passes its whole run; step, solve_stages and
-    reversibility_test pass one step and no previous forces (F_prev None),
-    so their step starts from free motion, as a run's first step does.
+    the structure, d (None for scalar state) and the force form ("point",
+    "stages" or the template itself), so 0.0 and -0.0 get different
+    kernels; stage_tol and max_iters are arguments and stay out of the
+    key.  The start matrix follows from c, a_bar and the structure, so
+    _generate_kernel builds it with the kernel and every call on a
+    tableau, state kind and force form shares one kernel.  integrate
+    passes its whole run; step, solve_stages and reversibility_test pass
+    one step and no previous forces (F_prev None), so their step starts
+    from free motion, as a run's first step does.
     """
     d = None if np.ndim(q0) == 0 else len(q0)
+    form = _TEMPLATES.get(type(f))
+    if form is None or form.d != d:
+        form = "point" if d is None or getattr(f, "stages", None) is None else "stages"
     key = (
         t.c.tobytes(), t.a_bar.tobytes(), t.b_bar.tobytes(), t.b.tobytes(),
-        t.lower_triangular, d, d is not None and getattr(f, "stages", None) is not None,
+        t.lower_triangular, d, form,
     )
     advance = partial(_kernel(key), stage_tol, max_iters, f)
     if d is None:

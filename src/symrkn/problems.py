@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,10 +37,16 @@ class OdeProblem:
     same floating-point operations as force(t_i, Q_i), so that results
     stay bit-identical.  The solver unpacks a list as it is; it reads any
     other result through a float array, and one of a shape other than
-    (n*dim,) raises ValueError.  The Kepler force's stages loops over the
-    pairs of values in float arithmetic, which gives numpy's bits wherever
-    no operation overflows, underflows or divides by zero, and hands any
-    other call to its numpy formula.
+    (n*dim,) raises ValueError.
+
+    The forces of perturbed_pendulum (scalar state) and kepler_2d are not
+    called by the stage solver: it writes their arithmetic into its kernel
+    from the template _TEMPLATES keeps for the force's exact type, with
+    the force's own IEEE operations in its order.  The Kepler template
+    runs in float arithmetic, which gives numpy's bits wherever no
+    operation overflows, underflows or divides by zero, and hands any
+    other call to the force's stages, its numpy formula.  A force of
+    another type, a subclass of these included, keeps its calls.
     """
 
     dim: int
@@ -66,6 +72,38 @@ class OdeProblem:
                 )
 
 
+class _ForceTemplate(NamedTuple):
+    """Source text of a built-in force, for the stage-solver kernel to write
+    in place of its calls.
+
+    Each text is formatted once per point, with the point's components as
+    {0}, {1}, ... and {r} the name of a float local of the point's own.
+    lets are statements run first, in order; values are the acceleration's
+    components, as expressions.  When unsafe is set and true at any point of
+    a call, the kernel hands the whole call to force.stages instead, so a
+    template with unsafe is for array state.  d is the state kind the texts
+    are written for (None: scalar), name names the kernel, and names binds
+    the global names the texts use.  The texts do the IEEE operations of
+    the force's __call__, in its order.
+    """
+
+    name: str
+    d: Optional[int]
+    values: tuple
+    lets: tuple = ()
+    unsafe: Optional[str] = None
+    names: tuple = ()
+
+
+class _PendulumForce:
+    """q'' = -sin q - (2/5) cos 2q on plain floats."""
+
+    __slots__ = ()
+
+    def __call__(self, t, q):
+        return -math.sin(q) - 0.4 * math.cos(2.0 * q)
+
+
 def perturbed_pendulum() -> OdeProblem:
     """Pendulum with a 2q-perturbation: q'' = -sin q - (2/5) cos 2q.
 
@@ -73,15 +111,12 @@ def perturbed_pendulum() -> OdeProblem:
     H(p, q) = p^2/2 - cos q + (1/5) sin 2q, invariant under p -> -p.
     """
 
-    def force(t, q):
-        return -math.sin(q) - 0.4 * math.cos(2.0 * q)
-
     def energy(p, q):
         return 0.5 * p * p - math.cos(q) + 0.2 * math.sin(2.0 * q)
 
     return OdeProblem(
         dim=1,
-        force=force,
+        force=_PendulumForce(),
         t0=0.0,
         q0=0.0,
         p0=2.5,
@@ -132,52 +167,49 @@ _KEPLER_R3_MIN = 2.0**-1000
 _KEPLER_R3_MAX = 2.0**500
 
 
-def _numpy_kepler_force(q):
-    r = math.sqrt(q[0] * q[0] + q[1] * q[1])
-    return -q / (r * r * r)
-
-
-def _numpy_kepler_stages(Q):
-    x, y = Q[:, 0], Q[:, 1]
-    r = np.sqrt(x * x + y * y)
-    return -Q / (r * r * r)[:, None]
-
-
 class _KeplerForce:
     """q'' = -q/|q|^3, per point and batched over stacked stage values.
 
-    Both forms take x*x + y*y, its square root r, r*r*r, then the negated
-    coordinates over it, so every pair of stages(times, values) equals
-    force(t_i, Q_i) bit for bit.  The per-point form is the numpy formula;
-    stages loops over the pairs in float arithmetic, the same IEEE
-    operations in the same order.  A pair outside the ranges above, such
-    as r = 0, a subnormal or overflowing entry, inf or NaN, hands the whole
-    call to the numpy formula, which keeps numpy's bits and its warnings or
-    errors under np.errstate.
+    Both forms are numpy formulas that take x*x + y*y, its square root r,
+    r*r*r, then the negated coordinates over it, so every pair of
+    stages(times, values) equals force(t_i, Q_i) bit for bit.  The kernel
+    writes the same operations in float arithmetic (its template); a call
+    with a pair outside the ranges above, such as r = 0, a subnormal or
+    overflowing entry, inf or NaN, goes to stages, which keeps numpy's bits
+    and its warnings or errors under np.errstate.
     """
 
     __slots__ = ()
 
     def __call__(self, t, q):
-        return _numpy_kepler_force(q)
+        r = math.sqrt(q[0] * q[0] + q[1] * q[1])
+        return -q / (r * r * r)
 
     def stages(self, times, values):
-        sqrt, small = math.sqrt, _KEPLER_SMALL
-        r3_min, r3_max = _KEPLER_R3_MIN, _KEPLER_R3_MAX
-        out = []
-        pairs = iter(values)
-        for x, y in zip(pairs, pairs):
-            r = sqrt(x * x + y * y)
-            r3 = r * r * r
-            if (
-                not r3_min <= r3 <= r3_max
-                or -small < x < small and x
-                or -small < y < small and y
-            ):
-                Q = np.array(values).reshape(-1, 2)
-                return _numpy_kepler_stages(Q).ravel().tolist()
-            out += (-x / r3, -y / r3)
-        return out
+        Q = np.array(values).reshape(-1, 2)
+        x, y = Q[:, 0], Q[:, 1]
+        r = np.sqrt(x * x + y * y)
+        return (-Q / (r * r * r)[:, None]).ravel().tolist()
+
+
+# the kernel's inline text of each built-in force, found by the force's
+# exact type: a subclass or any other force keeps its calls
+_TEMPLATES = {
+    _PendulumForce: _ForceTemplate(
+        "pendulum", None, ("-sin({0}) - 0.4 * cos(2.0 * {0})",),
+        names=(("sin", math.sin), ("cos", math.cos)),
+    ),
+    _KeplerForce: _ForceTemplate(
+        "kepler", 2, ("-{0} / {r}", "-{1} / {r}"),
+        lets=("{r} = sqrt({0} * {0} + {1} * {1})", "{r} = {r} * {r} * {r}"),
+        unsafe=(
+            f"not {_KEPLER_R3_MIN!r} <= {{r}} <= {_KEPLER_R3_MAX!r}"
+            f" or {-_KEPLER_SMALL!r} < {{0}} < {_KEPLER_SMALL!r} and {{0}}"
+            f" or {-_KEPLER_SMALL!r} < {{1}} < {_KEPLER_SMALL!r} and {{1}}"
+        ),
+        names=(("sqrt", math.sqrt),),
+    ),
+}
 
 
 # Newton on Kepler's equation takes at most 12 iterations for e <= 0.99 and

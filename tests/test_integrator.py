@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from symrkn.errors import (
 from symrkn.integrator import (
     StepConfig,
     _start_matrix,
+    _stepper,
     final_state_error,
     fit_loglog_slope,
     global_error_study,
@@ -28,7 +30,7 @@ from symrkn.integrator import (
     solve_stages,
     step,
 )
-from symrkn.problems import harmonic_oscillator, kepler_2d, perturbed_pendulum
+from symrkn.problems import _KeplerForce, harmonic_oscillator, kepler_2d, perturbed_pendulum
 from symrkn.quadrature import gauss_rule, lobatto_rule
 from symrkn.tableau import RknTableau, discretize, named_tableau
 
@@ -597,6 +599,45 @@ def test_stages_of_the_wrong_shape_is_rejected(bad):
             integrate(tab, dataclasses.replace(prob, force=force), 1.0, StepConfig(h=0.1))
 
 
+def _kernel_name(tab, force, q0):
+    return _stepper(tab, force, q0, 1e-14, 100)[1].func.__code__.co_filename
+
+
+class _RecordingKepler(_KeplerForce):
+    """The Kepler force under a subclass, recording its stages times."""
+
+    def __init__(self):
+        self.times = []
+
+    def stages(self, times, values):
+        self.times += times
+        return super().stages(times, values)
+
+
+def test_only_the_exact_built_in_force_types_are_written_inline():
+    # a template is found by the force's exact type, so a subclass keeps
+    # its stages calls and a replaced force its per-point calls
+    tab = named_tableau("rkn-a")
+    prob = kepler_2d(0.5)
+    assert "d=2 jacobi start kepler " in _kernel_name(tab, prob.force, prob.q0)
+    force = _RecordingKepler()
+    assert "d=2 jacobi start stages " in _kernel_name(tab, force, prob.q0)
+    q1, p1 = step(tab, force, 0.0, prob.q0, prob.p0, StepConfig(h=0.1))
+    q2, p2 = step(tab, prob.force, 0.0, prob.q0, prob.p0, StepConfig(h=0.1))
+    assert q1.tobytes() == q2.tobytes() and p1.tobytes() == p2.tobytes()
+    assert len(force.times) > tab.s and len(force.times) % tab.s == 0
+    pend = perturbed_pendulum()
+    assert " start pendulum " in _kernel_name(tab, pend.force, pend.q0)
+    plain = dataclasses.replace(pend, force=lambda t, q: pend.force(t, q))
+    assert re.fullmatch(
+        r"<symrkn kernel s=3 jacobi start [0-9a-f]{8}>",
+        _kernel_name(tab, plain.force, plain.q0),
+    )
+    runs = [integrate(tab, kind, 1.6, CFG) for kind in (pend, plain)]
+    assert runs[0].q.tobytes() == runs[1].q.tobytes()
+    assert runs[0].p.tobytes() == runs[1].p.tobytes()
+
+
 def test_final_state_error_reads_the_full_run_endpoint():
     prob = kepler_2d(0.5)
     tab = named_tableau("rkn-iiib")
@@ -672,6 +713,51 @@ def test_later_step_divergence_keeps_its_failure_step(name, make, h, failure_ste
     traj = integrate(named_tableau(name), make(), h * round(20.0 / h), StepConfig(h=h))
     assert traj.diverged and traj.failure_step == failure_step
     assert traj.times.shape == (failure_step,)
+
+
+def _nystrom4() -> RknTableau:
+    """The classical explicit 3-stage order-4 Nystrom method (Hairer,
+    Norsett and Wanner, Solving ODEs I, II.14): neither symmetric nor
+    symplectic."""
+    return RknTableau(
+        3, np.array([0.0, 0.5, 1.0]),
+        np.array([[0.0, 0.0, 0.0], [0.125, 0.0, 0.0], [0.0, 0.5, 0.0]]),
+        np.array([1 / 6, 1 / 3, 0.0]), np.array([1 / 6, 2 / 3, 1 / 6]), "nystrom4",
+    )
+
+
+@pytest.mark.parametrize("name", FIVE + ("order6-gauss3", "nystrom4"))
+def test_long_time_kepler_error_growth(name):
+    # Kepler e = 0.5 at 200 steps per period, against the exact orbit at
+    # 5, 10, 20, 40 and 80 periods.  A symmetric method's global error
+    # grows linearly in time and its energy error stays bounded; the
+    # explicit control's error grows faster and its energy drifts (Hairer,
+    # Lubich and Wanner, Geometric Numerical Integration, XI.3).  Measured:
+    # slope 1.0000 and energy ratio 1.0000 (within 1.2e-5) for the six
+    # symmetric methods, slope 1.774 and ratio 11.9 for the control.
+    prob = kepler_2d(0.5)
+    explicit = name == "nystrom4"
+    if explicit:
+        tab = _nystrom4()
+        # every stage is explicit: the inline force runs in the w == 0 branch
+        assert "d=2 sequential start kepler " in _kernel_name(tab, prob.force, prob.q0)
+    else:
+        tab = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    periods = np.array([5, 10, 20, 40, 80])
+    traj = integrate(tab, prob, 80 * 2 * math.pi, StepConfig(h=2 * math.pi / 200))
+    assert not traj.diverged
+    errors = []
+    for k in 200 * periods:
+        q, p = prob.exact(traj.times[k])
+        errors.append(max(np.abs(traj.q[k] - q).max(), np.abs(traj.p[k] - p).max()))
+    slope = np.polyfit(np.log(periods), np.log(errors), 1)[0]
+    # the largest energy error over the last 5 periods against the first 5
+    energy = np.abs(traj.energy_error)
+    growth = energy[-1001:].max() / energy[:1001].max()
+    if explicit:
+        assert slope > 1.5 and growth > 2.0
+    else:
+        assert abs(slope - 1.0) < 0.1 and growth < 1.01
 
 
 def test_nodes_too_close_to_extrapolate_keep_the_free_motion_start():

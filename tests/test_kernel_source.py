@@ -1,13 +1,15 @@
 """The generated kernel sources, pinned by sha256.
 
 Each digest covers two sources of one method, state kind and force form
-(per point, or through force.stages on array state), joined in this
-order: the kernel with the method's start matrix, which every call on the
-method runs (integrate, step, solve_stages, reversibility_test), and the
-same kernel with the free-motion start, which a tableau with no start
-matrix runs.  A change to integrator._kernel_source that moves a digest
-changes generated code; when that is meant, record the new digest here
-and say why.  The scalar (d None) kernels run the pendulum-drift workload.
+(per point, through force.stages on array state, or a built-in force's
+template written inline), joined in this order: the kernel with the
+method's start matrix, which every call on the method runs (integrate,
+step, solve_stages, reversibility_test), and the same kernel with the
+free-motion start, which a tableau with no start matrix runs.  A change to
+integrator._kernel_source or to a template that moves a digest changes
+generated code; when that is meant, record the new digest here and say
+why.  The inline kernels run the benchmark: the scalar pendulum kernels
+pendulum-drift, the d = 2 Kepler kernels kepler-converge.
 """
 
 import hashlib
@@ -29,7 +31,7 @@ from symrkn.integrator import (
     solve_stages,
     step,
 )
-from symrkn.problems import kepler_2d, perturbed_pendulum
+from symrkn.problems import _TEMPLATES, kepler_2d, perturbed_pendulum
 from symrkn.quadrature import lobatto_rule
 from symrkn.tableau import discretize, named_tableau
 
@@ -71,12 +73,28 @@ ARRAY = {
     ("order6-gauss3", 2, "stages"): "04ab76e68adfd07eb5c66dfb56cbb4f6889dbdc33e47c891a72195aa5ce9aa9f",
 }
 
+# the scalar pendulum and d = 2 Kepler forces, written inline
+INLINE = {
+    ("rkn-iiia", "pendulum"): "188ba752d864e456aa2365475b28638e431f2cd977f65184c2cd14d9ebe79124",
+    ("rkn-iiib", "pendulum"): "6dec8238acdf608cb9bd84d4c52902b4a0cf1cf7743302d45f3d30f640d33620",
+    ("diagsymp", "pendulum"): "16c35521fd61fd0b632bb6e5963c781079609c25f401709f9f087c08061742b1",
+    ("rkn-a", "pendulum"): "807c03870b2f92fb950248ae3005ae9ff15e79a34e3d5c67de7c807a13ba875b",
+    ("rkn-b", "pendulum"): "95087adc810125077d3dea990fbe8e07dc616c72f92dc240476a985464a4e583",
+    ("order6-gauss3", "pendulum"): "3ece45b09055717b030579a787ac8b2b1cfa4b62efac3b077d43bf835cc9d8f2",
+    ("rkn-iiia", "kepler"): "fde84f3ad2287808f141ce60183f71dfc180fb49cb6dbf2da6fbdcbe64acc205",
+    ("rkn-iiib", "kepler"): "415e690270c844b6e2db1d7d2091352eea7c75ee9262b53f4f0398162a6fa57d",
+    ("diagsymp", "kepler"): "1a2f6e8f7e8958e6ef63e3582e1610d78fd0a494befc8940f02b863beccc9077",
+    ("rkn-a", "kepler"): "b39c6a88e287ff6e3adcfd229043b215bac35d978f7e9398eead8f414cae4e89",
+    ("rkn-b", "kepler"): "f3dbc8e74aef48f6ed897dabb1b01bcadcfdc61e409d40c334e7c0acfe2e294e",
+    ("order6-gauss3", "kepler"): "1c44284a281f55a1f6dedf457049d4a96cb6683ea975c20e40b88014f82d5d23",
+}
+
 
 def _tableau(name):
     return reference_tableau() if name == "order6-gauss3" else named_tableau(name)
 
 
-def _sources(name, *kind):
+def _sources(name, d=None, form="point"):
     """The method's kernel sources with its start matrix, then free."""
     t = _tableau(name)
     sequential = t.lower_triangular
@@ -84,12 +102,12 @@ def _sources(name, *kind):
     sources = []
     for M in (_start_matrix(t.c, t.a_bar, sequential), None):
         M = None if M is None else M.tolist()
-        sources.append(_kernel_source(*coeffs, M, sequential, *kind))
+        sources.append(_kernel_source(*coeffs, M, sequential, d, form))
     return sources
 
 
-def _digest(name, *kind):
-    return hashlib.sha256("".join(_sources(name, *kind)).encode()).hexdigest()
+def _digest(name, d=None, form="point"):
+    return hashlib.sha256("".join(_sources(name, d, form)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", METHODS)
@@ -101,25 +119,38 @@ def test_scalar_kernel_sources_are_pinned(name):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("form", ["point", "stages"])
 def test_array_kernel_sources_are_pinned(name, d, form):
-    assert _digest(name, d, form == "stages") == ARRAY[name, d, form]
+    assert _digest(name, d, form) == ARRAY[name, d, form]
 
 
 def _problems():
-    """Scalar state, and d = 2 state whose force has a stages form."""
+    """Scalar and d = 2 state, each with a built-in force that has a template."""
     return perturbed_pendulum(), kepler_2d(0.5)
+
+
+def _inline(prob):
+    """(d, template) of the kernel that prob's force runs inline."""
+    return (None if np.ndim(prob.q0) == 0 else prob.dim), _TEMPLATES[type(prob.force)]
+
+
+@pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize("index", [0, 1], ids=["pendulum", "kepler"])
+def test_inline_kernel_sources_are_pinned(name, index):
+    d, template = _inline(_problems()[index])
+    assert _digest(name, d, template) == INLINE[name, template.name]
 
 
 @pytest.mark.parametrize("name", METHODS)
 def test_integrate_runs_the_pinned_source(name):
     # the runtime kernel builds its start matrix from the key's bytes; its
-    # source is the pinned text built from the tableau's arrays
+    # source is the pinned inline text built from the tableau's arrays
     t = _tableau(name)
-    for prob, kind in zip(_problems(), ((), (2, True))):
+    for prob in _problems():
+        d, template = _inline(prob)
         assert integrate(t, prob, 0.16, StepConfig(h=0.16)).times.shape == (2,)
         kernel = _stepper(t, prob.force, prob.q0, 1e-14, 100)[1].func
         filename = kernel.__code__.co_filename
-        assert " start" in filename
-        assert "".join(linecache.getlines(filename)) == _sources(name, *kind)[0]
+        assert f" start {template.name} " in filename
+        assert "".join(linecache.getlines(filename)) == _sources(name, d, template)[0]
 
 
 def test_every_call_on_a_tableau_shares_one_kernel():

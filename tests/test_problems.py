@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from symrkn import problems
-from symrkn.integrator import StepConfig, integrate, reference_tableau
+from symrkn.errors import StageDivergenceError
+from symrkn.integrator import (
+    StepConfig,
+    _stepper,
+    integrate,
+    reference_tableau,
+    solve_stages,
+    step,
+)
 from symrkn.problems import harmonic_oscillator, kepler_2d, perturbed_pendulum
 from symrkn.tableau import named_tableau
 
@@ -270,15 +278,16 @@ _EDGE_ENTRIES = [
 
 
 def _kepler_outcome(fn, *args, err):
-    """Bytes, shape and dtype of fn(*args), or the FloatingPointError it
-    raised, with the warnings emitted, under np.errstate(err)."""
+    """Bytes, shape and dtype of fn(*args), or the FloatingPointError or
+    stage divergence it raised, with the warnings emitted, under
+    np.errstate(err)."""
     with warnings.catch_warnings(record=True) as caught, np.errstate(**err):
         warnings.simplefilter("always")
         try:
             out = fn(*args)
             result = (out.shape, out.dtype.str, out.tobytes())
-        except FloatingPointError as exc:
-            result = ("raised", str(exc))
+        except (FloatingPointError, StageDivergenceError) as exc:
+            result = (type(exc).__name__, str(exc))
     return result, [(w.category, str(w.message)) for w in caught]
 
 
@@ -306,3 +315,38 @@ def test_kepler_float_rows_keep_the_bits_and_warnings_of_numpy(err):
             assert _kepler_outcome(_flat_stages(force), times, Q, err=err) == _kepler_outcome(
                 _numpy_kepler_stages, times, Q, err=err
             )
+
+
+class _StagesKepler:
+    """The Kepler force under a type of its own, so the kernel calls its
+    stages form instead of writing the force inline."""
+
+    def __init__(self):
+        self.force = kepler_2d().force
+
+    def __call__(self, t, q):
+        return self.force(t, q)
+
+    def stages(self, times, values):
+        return self.force.stages(times, values)
+
+
+@pytest.mark.parametrize("err", _ERRSTATES, ids=["default", "warn", "raise", "ignore"])
+def test_kepler_edge_states_through_the_inline_kernel_match_the_stages_kernel(err):
+    # r = 0, subnormal entries, r^3 out of range, huge and non-finite
+    # entries reach the inline force from the first stage values (p0 = 0:
+    # every stage starts at q0); a call with such a point goes to stages
+    inline, wrapped = kepler_2d().force, _StagesKepler()
+    cfg = StepConfig(h=0.1)
+    p0 = np.zeros(2)
+    for name in ("diagsymp", "rkn-a"):
+        tab = named_tableau(name)
+        for force, form in ((inline, " kepler "), (wrapped, " stages ")):
+            kernel = _stepper(tab, force, p0, 1e-14, 100)[1].func
+            assert form in kernel.__code__.co_filename
+        for row in [(x, y) for x in _EDGE_ENTRIES for y in _EDGE_ENTRIES]:
+            q0 = np.array(row)
+            for run in (solve_stages, lambda *a: np.concatenate(step(*a))):
+                assert _kepler_outcome(run, tab, inline, 0.0, q0, p0, cfg, err=err) == (
+                    _kepler_outcome(run, tab, wrapped, 0.0, q0, p0, cfg, err=err)
+                )
