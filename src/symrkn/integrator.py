@@ -38,6 +38,14 @@ that is not finite ends the stage solve as a divergence before the force
 sees it.  integrate logs each divergence once, at WARNING on the "symrkn"
 logger; the library installs no handler.
 
+The force is evaluated once per distinct iterate: when a stage iteration
+ends on an iterate bitwise equal to the one before it (every increment
+exactly 0.0 and no component a zero, since 0.0 == -0.0), the sequential
+sweep takes the force it already has as F_i and a Jacobi sweep ends
+without its force call, with the bits of evaluating again.  Convergence
+is tested on each component's increment with chained comparisons; the
+max-norm residual is taken only where a divergence is raised.
+
 Where the stage iteration starts: inside integrate, every step after the
 first starts from the previous step's stage forces, extrapolated to the new
 nodes by the polynomial through (c_j, F_j) (Hairer, Lubich and Wanner,
@@ -158,24 +166,38 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None, form="point"):
 
     Every sum starts at 0.0 and adds its terms in ascending index, zero
     coefficients included (0 * inf is NaN, and signed zeros must come out
-    the same), component by component.  A max-norm keeps a NaN, as
-    numpy's does (the e > m or e != e pattern).  A stage iterate that is
-    not finite ends the solve before the force sees it.  A divergence
-    raises StageDivergenceError with the last increment as residual; it,
-    and one the force raises without a step index, gets the 1-based index
-    of the step it ended.  Array forces get a fresh (d,) array per point,
-    read back as floats.  Batched, every evaluation calls f.stages with a
-    tuple of n stage times (all s in a Jacobi sweep, the one being solved
-    in the sequential sweep) and one of their n*d values, stage by stage;
-    a list of n*d floats is unpacked as it is, any other result read
-    through a float array.  A per-point result not of shape (d,), or a
-    stages result not of shape (n*d,), raises ValueError.
+    the same), component by component.  h c_i and h^2 a_ii are taken once
+    per run.  Each stage component keeps its increment e = new - old,
+    which starts at inf; a solve converges when -conv < e < conv for every
+    component and diverges when some e is not finite (not -inf < e < inf),
+    which ends it before the force sees the iterate.  A divergence raises
+    StageDivergenceError with the max-norm of the last increments as
+    residual (a NaN kept, as numpy's max does: the x > m or x != x
+    pattern); it, and one the force raises without a step index, gets the
+    1-based index of the step it ended.
+
+    An iterate whose last increment is 0.0 in every component, and none of
+    whose components is a zero, has the bits of the one before it, whose
+    force is known: the sequential sweep takes that value as F_i, and a
+    converged Jacobi sweep that moved no stage value ends before its force
+    call.  A zero is evaluated again, since 0.0 == -0.0 but f may tell
+    them apart.
+
+    Array forces get a fresh (d,) array per point, read back as floats.
+    Batched, every evaluation calls f.stages with a tuple of n stage times
+    (all s in a Jacobi sweep, the one being solved in the sequential sweep)
+    and one of their n*d values, stage by stage; a list of n*d floats is
+    unpacked as it is, any other result read through a float array.  A
+    per-point result not of shape (d,), or a stages result not of shape
+    (n*d,), raises ValueError.
 
     form is "point", "stages" (the batched form above) or a force template
     of problems.py for state kind d: the template's text is written per
     point in place of each call, and where its unsafe test holds at any
     point of a call, the whole call goes to f.stages as in the batched
-    form.  Every force evaluation is written by one helper, call.
+    form.  Every force evaluation is written by one helper, call.  Stage
+    times are written only where a call takes them: in locals T{i} for
+    the point and stages forms, in the stages fallback of a template.
     """
     s = len(c)
 
@@ -185,10 +207,9 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None, form="point"):
     def tup(names):
         return names[0] if d is None else f"({', '.join(names)},)"
 
-    # stage times; bases, values, forces and previous forces by component
-    T = [f"T{i}" for i in range(s)]
-    B, Q, F, P = ([vec(f"{x}{i}") for i in range(s)] for x in "BQFP")
-    q0, p0, q, n, g = (vec(x) for x in ("q0", "p0", "q", "n", "g"))
+    # bases, values, forces, previous forces and increments by component
+    B, Q, F, P, E = ([vec(f"{x}{i}") for i in range(s)] for x in "BQFPe")
+    q0, p0, n, g, e = (vec(x) for x in ("q0", "p0", "n", "g", "e"))
     K = range(len(q0))
 
     def dot(coeffs, names):
@@ -196,15 +217,17 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None, form="point"):
         return "0.0" + "".join(terms)
 
     def free(i, k):
-        return f"{q0[k]} + h * {_literal(c[i])} * {p0[k]}"
+        return f"{q0[k]} + hc{i} * {p0[k]}"
 
     def col(rows, k):
         return [row[k] for row in rows]
 
     template = None if isinstance(form, str) else form
+    timed = template is None
 
-    def batched(ind, times, args, outs):
-        size = len(times) * d
+    def batched(ind, idx, args, outs):
+        size = len(idx) * d
+        times = [f"T{i}" if timed else f"t + hc{i}" for i in idx]
         return [
             f"{ind}r = stages({tup(times)}, {tup(sum(args, []))})",
             f"{ind}if type(r) is not list or len(r) != {size}:",
@@ -212,19 +235,19 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None, form="point"):
             f"{ind}{tup(sum(outs, []))} = r",
         ]
 
-    def call(ind, times, args, outs, use="{}"):
-        # outs[i] = f(times[i], args[i]) by component, the only place a
-        # force evaluation is written: one stages call for all the points,
-        # the template's text per point (the whole call to stages where its
-        # unsafe test holds at any point), else one call per point.  On
-        # scalar state each value is written into use.
+    def call(ind, idx, args, outs):
+        # outs[j] = f(t_i, args[j]) by component for the stages i in idx,
+        # the only place a force evaluation is written: one stages call for
+        # all the points, the template's text per point (the whole call to
+        # stages where its unsafe test holds at any point), else one call
+        # per point
         if form == "stages":
-            return batched(ind, times, args, outs)
+            return batched(ind, idx, args, outs)
         if template is not None:
             points = [(v, f"R{j}") for j, v in enumerate(args)]
             lets = [ind + x.format(*v, r=r) for v, r in points for x in template.lets]
             inline = [
-                f"{ind}{yk} = {use.format('(' + x.format(*v, r=r) + ')')}"
+                f"{ind}{yk} = {x.format(*v, r=r)}"
                 for (v, r), y in zip(points, outs)
                 for yk, x in zip(y, template.values)
             ]
@@ -234,35 +257,36 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None, form="point"):
             return [
                 *lets,
                 f"{ind}if {unsafe}:",
-                *batched(ind + "    ", times, args, outs),
+                *batched(ind + "    ", idx, args, outs),
                 f"{ind}else:",
                 *("    " + x for x in inline),
             ]
         if d is None:
-            return [
-                f"{ind}{y[0]} = {use.format(f'f({x}, {v[0]})')}"
-                for x, v, y in zip(times, args, outs)
-            ]
+            return [f"{ind}{y[0]} = f(T{i}, {v[0]})" for i, v, y in zip(idx, args, outs)]
         return [
             line
-            for x, v, y in zip(times, args, outs)
+            for i, v, y in zip(idx, args, outs)
             for line in (
-                f"{ind}r = f({x}, array({tup(v)}))",
+                f"{ind}r = f(T{i}, array({tup(v)}))",
                 f"{ind}if type(r) is not ndarray or r.shape != ({d},):",
                 f'{ind}    r = checked(r, ({d},), "force")',
                 f"{ind}{tup(y)} = r.tolist()",
             )
         ]
 
+    def all_of(test, names):
+        return " and ".join(test.format(x) for x in names)
+
     def most(ind, var, terms):
         # var = the largest of terms, NaN kept; terms are nonnegative
         lines = [f"{ind}{var} = {terms[0]}"]
         for x in terms[1:]:
-            lines += [f"{ind}e = {x}", f"{ind}if e > {var} or e != e:", f"{ind}    {var} = e"]
+            lines += [f"{ind}x = {x}", f"{ind}if x > {var} or x != x:", f"{ind}    {var} = x"]
         return lines
 
-    def diverged(ind, what):
+    def diverged(ind, what, increments):
         return [
+            *most(ind, "diff", [f"abs({x})" for x in increments]),
             f"{ind}raise StageDivergenceError(",
             f'{ind}    f"{what} (last increment {{diff:.3e}})",',
             f"{ind}    residual=diff,",
@@ -278,6 +302,9 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None, form="point"):
         emit(f"    {tup(q0)} = q0")
         emit(f"    {tup(p0)} = p0")
     emit("    h2 = h * h")
+    out += [f"    hc{i} = h * {_literal(c[i])}" for i in range(s)]
+    if sequential:
+        out += [f"    w{i} = h2 * {_literal(a[i][i])}" for i in range(s)]
     if M is not None:
         emit("    warm = F_prev is not None")
         emit("    if warm:")
@@ -290,45 +317,48 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None, form="point"):
     body = len(out)
     out += most("        ", "m", [f"abs({x})" for x in q0])
     emit("        conv = stage_tol * (1.0 + m)")
+    emit("        lo = -conv")
     if sequential:
         for i in range(s):
-            emit(f"        {T[i]} = t + {_literal(c[i])} * h")
+            if timed:
+                emit(f"        T{i} = t + hc{i}")
             for k in K:
                 emit(f"        {B[i][k]} = {free(i, k)} + h2 * ({dot(a[i][:i], col(F, k))})")
-            emit(f"        w = h2 * {_literal(a[i][i])}")
-            emit("        if w == 0.0:")
+            out += [f"        {x} = inf" for x in e]
+            emit(f"        if w{i} == 0.0:")
             out += [f"            {Q[i][k]} = {B[i][k]}" for k in K]
             emit("        else:")
             if M is None:
-                out += [f"            {q[k]} = {free(i, k)}" for k in K]
+                out += [f"            {Q[i][k]} = {free(i, k)}" for k in K]
             else:
                 emit("            if warm:")
                 out += [
-                    f"                {q[k]} = {B[i][k]} + w * ({dot(M[i], col(P, k))})"
+                    f"                {Q[i][k]} = {B[i][k]} + w{i} * ({dot(M[i], col(P, k))})"
                     for k in K
                 ]
                 emit("            else:")
-                out += [f"                {q[k]} = {free(i, k)}" for k in K]
-            emit("            diff = inf")
+                out += [f"                {Q[i][k]} = {free(i, k)}" for k in K]
             emit("            for _ in range(iters):")
-            if d is None:
-                out += call("                ", [T[i]], [q], [n], f"{B[i][0]} + w * {{}}")
-            else:
-                out += call("                ", [T[i]], [q], [g])
-                out += [f"                {n[k]} = {B[i][k]} + w * {g[k]}" for k in K]
-            out += most("                ", "diff", [f"abs({n[k]} - {q[k]})" for k in K])
-            out += [f"                {q[k]} = {n[k]}" for k in K]
-            emit("                if diff < conv:")
+            out += call("                ", [i], [Q[i]], [g])
+            for k in K:
+                emit(f"                {n[k]} = {B[i][k]} + w{i} * {g[k]}")
+                emit(f"                {e[k]} = {n[k]} - {Q[i][k]}")
+                emit(f"                {Q[i][k]} = {n[k]}")
+            emit(f"                if {all_of('lo < {} < conv', e)}:")
             emit("                    break")
-            emit("                if not diff < inf:")
-            out += diverged("                    ", f"stage {i} iterate is not finite")
+            emit(f"                if not ({all_of('-inf < {} < inf', e)}):")
+            out += diverged("                    ", f"stage {i} iterate is not finite", e)
             emit("            else:")
-            out += diverged("                ", f"stage {i} did not contract")
-            out += [f"            {Q[i][k]} = {q[k]}" for k in K]
-            out += call("        ", [T[i]], [Q[i]], [F[i]])
+            out += diverged("                ", f"stage {i} did not contract", e)
+            # unmoved: g is the force at Q_i
+            emit(f"        if {all_of('{} == 0.0', e)} and {all_of('{} != 0.0', Q[i])}:")
+            out += [f"            {F[i][k]} = {g[k]}" for k in K]
+            emit("        else:")
+            out += call("            ", [i], [Q[i]], [F[i]])
     else:
         for i in range(s):
-            emit(f"        {T[i]} = t + {_literal(c[i])} * h")
+            if timed:
+                emit(f"        T{i} = t + hc{i}")
             out += [f"        {B[i][k]} = {free(i, k)}" for k in K]
         start = [f"{Q[i][k]} = {B[i][k]}" for i in range(s) for k in K]
         if M is None:
@@ -341,24 +371,26 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None, form="point"):
             ]
             emit("        else:")
             out += ["            " + x for x in start]
-        out += call("        ", T, Q, F)
-        emit("        diff = inf")
+        S, Qs, Es = range(s), sum(Q, []), sum(E, [])
+        out += call("        ", S, Q, F)
+        out += [f"        {x} = inf" for x in Es]
         emit("        for _ in range(iters):")
-        emit("            diff = 0.0")
-        for i in range(s):
+        for i in S:
             for k in K:
                 emit(f"            n = {B[i][k]} + h2 * ({dot(a[i], col(F, k))})")
-                emit(f"            e = abs(n - {Q[i][k]})")
-                emit("            if e > diff or e != e:")
-                emit("                diff = e")
+                emit(f"            {E[i][k]} = n - {Q[i][k]}")
                 emit(f"            {Q[i][k]} = n")
-        emit("            if not diff < inf:")
-        out += diverged("                ", "stage iterates are not finite")
-        out += call("            ", T, Q, F)
-        emit("            if diff < conv:")
+        emit(f"            if {all_of('lo < {} < conv', Es)}:")
+        # unmoved: F holds the forces at Q
+        emit(f"                if {all_of('{} == 0.0', Es)} and {all_of('{} != 0.0', Qs)}:")
+        emit("                    break")
+        out += call("                ", S, Q, F)
         emit("                break")
+        emit(f"            if not ({all_of('-inf < {} < inf', Es)}):")
+        out += diverged("                ", "stage iterates are not finite", Es)
+        out += call("            ", S, Q, F)
         emit("        else:")
-        out += diverged("            ", "stages did not contract in {iters} sweeps")
+        out += diverged("            ", "stages did not contract in {iters} sweeps", Es)
     # the update: every q before any p, since each q reads the old p
     for k in K:
         emit(f"        {q0[k]} = {q0[k]} + h * {p0[k]} + h2 * ({dot(b_bar, col(F, k))})")
@@ -370,8 +402,8 @@ def _kernel_source(c, a, b_bar, b, M, sequential, d=None, form="point"):
         emit("        warm = True")
     emit("        if k == mark:")
     # 0 * x is NaN exactly when x is not finite, and a sum of zeros is zero
-    emit(f"            e = {' + '.join(f'0.0 * {x}' for x in q0 + p0)}")
-    emit("            if e != e:")
+    emit(f"            x = {' + '.join(f'0.0 * {v}' for v in q0 + p0)}")
+    emit("            if x != x:")
     emit("                break")
     emit("            ts(t)")
     emit(f"            qs({tup(q0)})")
@@ -556,11 +588,23 @@ def _check_span(span: float) -> None:
         raise InvalidGridError("t_end must not precede t0")
 
 
+def _step_ratio(span: float, h: float, name: str = "step size") -> float:
+    """span / h for a finite span > 0; a quotient that is not finite (h
+    too small for the span, or 0.0) is a grid error naming h as name."""
+    steps = span / h if h else math.inf
+    if not math.isfinite(steps):
+        raise InvalidGridError(
+            f"{name} {h!r} is too small for the span {span!r}: "
+            "the step count is not finite"
+        )
+    return steps
+
+
 def _step_count(span: float, h: float) -> int:
     _check_span(span)
     if span == 0.0:
         return 0
-    n = int(round(span / h))
+    n = int(round(_step_ratio(span, h)))
     if n < 1 or abs(n * h - span) > GRID_RTOL * max(1.0, abs(span)):
         raise InvalidGridError(
             f"step size {h!r} does not divide the span {span!r} "
@@ -688,7 +732,8 @@ def reference_state(
         return prob.exact(t_end)
     if span == 0.0:
         return prob.q0, prob.p0
-    n = max(1, int(math.ceil(span / h_ref - GRID_RTOL)))
+    steps = _step_ratio(span, h_ref, "reference step size")
+    n = max(1, int(math.ceil(steps - GRID_RTOL)))
     run = replace(cfg or StepConfig(h=span / n), h=span / n)
     traj = integrate(reference_tableau(), prob, t_end, run, sample_every=n)
     if traj.diverged:

@@ -25,6 +25,12 @@ class OdeProblem:
     (dim,) otherwise, else ValueError.  reversible asserts H(-p, q) = H(p, q)
     with autonomous f.
 
+    force must be a function of (t, q) alone.  The stage solver may reuse
+    its value at an iterate it has already evaluated: a stage iterate whose
+    bits did not change (a zero is always evaluated again, as 0.0 == -0.0
+    but the force may tell them apart), and a Jacobi sweep that moves no
+    stage value makes no call, per point or to stages.
+
     A vector force gets a fresh float64 (dim,) array per call and must
     return a (dim,) array; a result of another shape raises ValueError.
     It may also carry a batched form, force.stages(times, values): times is

@@ -414,6 +414,73 @@ def test_named_methods_on_kepler_have_the_bits_of_the_stage_solver(name):
     _runs(t, lambda t, q: prob.force(t, q), 0.05, prob.q0, prob.p0, steps=10)
 
 
+def _sign_of_zero(t, q):
+    # tells the two zeros apart: 0.0 at -0.0, 5.0 at 0.0, per component
+    return np.where(np.signbit(q), 0.0, 5.0)
+
+
+@pytest.mark.parametrize(
+    "name", ["rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3"]
+)
+def test_a_zero_iterate_is_evaluated_again(name):
+    # from q0 = p0 = -0.0 the free-motion start is -0.0 and the first
+    # iterate 0.0: an increment of 0.0 that changes the force, 0.0 to 5.0
+    t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    zeros = np.array([-0.0, -0.0])
+    for sequential in (False, True):
+        got = _Pair(t, sequential).check(_sign_of_zero, 0.0, zeros, zeros, 0.16)
+        assert 5.0 in _values(got)[3]
+    _runs(t, _sign_of_zero, 0.16, zeros, zeros, steps=5)
+
+
+class _PointCounter:
+    """A Kepler force counting its evaluations, called per point."""
+
+    def __init__(self):
+        self.force = kepler_2d().force
+        self.evaluations = 0
+
+    def __call__(self, t, q):
+        self.evaluations += 1
+        return self.force(t, q)
+
+
+class _StagesCounter(_PointCounter):
+    """The same with a batched form: n evaluations per call on n points."""
+
+    def stages(self, times, values):
+        self.evaluations += len(times)
+        return self.force.stages(times, values)
+
+
+@pytest.mark.parametrize(
+    "name", ["rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3"]
+)
+@pytest.mark.parametrize("counter", [_PointCounter, _StagesCounter], ids=["point", "stages"])
+def test_no_more_force_calls_than_the_stage_solver(name, counter):
+    # the bit reference evaluates every iterate, the kernel reuses the force
+    # of an iterate that did not move
+    t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    prob = kepler_2d(0.5)
+    h = 0.05
+    for sequential in (False, True):
+        pair = _Pair(t, sequential)
+        counts = []
+        for run in ("kernel", "reference"):
+            force = counter()
+            state, kernel = pair.kernel(force)
+            q, p, F_prev = state(prob.q0), state(prob.p0), None
+            for k in range(40):
+                args = (k * h, q, p, h, F_prev)
+                q, p, _, F_prev = (
+                    kernel(*args) if run == "kernel" else pair.reference(force, *args)
+                )
+                q, p = state(q), state(p)
+                F_prev = [tuple(row) for row in F_prev]
+            counts.append(force.evaluations)
+        assert counts[0] <= counts[1]
+
+
 def test_a_large_state_has_the_bits_of_the_stage_solver():
     rng = random.Random(64)
     t = _random_tableau(rng, 3, False)

@@ -1,11 +1,13 @@
+import contextlib
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from symrkn import integrator
+from symrkn import cli, integrator
 from symrkn.cli import main
 from symrkn.integrator import StepConfig, global_error_study, integrate
 from symrkn.problems import kepler_2d, perturbed_pendulum
@@ -218,6 +220,26 @@ def test_non_finite_t_end_is_a_usage_error(argv, value, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, step",
+    [
+        (["drift", "--method", "rkn-a", "--t-end", "1e308"], "step size 0.16"),
+        (["converge", "--method", "rkn-a", "--h-list", "1e-320"],
+         f"reference step size {1e-320 / 20.0!r}"),
+        (["converge", "--method", "rkn-a", "--problem", "kepler", "--h-list", "1e-320"],
+         "step size 1e-320"),
+    ],
+    ids=["drift", "converge-pendulum", "converge-kepler"],
+)
+def test_a_step_count_that_is_not_finite_is_a_usage_error(argv, step, capsys):
+    # the pendulum's study fails first at its order-6 reference step, min(h)/20
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {step} is too small for the span ")
+    assert captured.err.endswith(": the step count is not finite\n")
+
+
 class _ReferenceRun(Exception):
     pass
 
@@ -359,6 +381,40 @@ def test_csv_bytes_are_unchanged(command, tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _row_by_row(out_path, header, series, trailers):
+    """The CSV writer as it was before chunks were formatted with one %:
+    one f-string per row."""
+    with (
+        open(out_path, "w", encoding="utf-8") if out_path
+        else contextlib.nullcontext(sys.stdout)
+    ) as fh:
+        fh.write(header + "\n")
+        for name, xs, ys in series:
+            fh.write("".join(f"{name},{x:.16e},{y:.16e}\n" for x, y in zip(xs, ys)))
+        fh.write("".join(line + "\n" for line in trailers))
+
+
+@pytest.mark.parametrize("command", ["drift", "converge"])
+def test_a_method_path_with_percent_and_comma_writes_the_row_by_row_bytes(
+    command, tmp_path, monkeypatch
+):
+    # the path is quoted as a CSV field, and its % signs are not formats
+    path = tmp_path / "50%,a%s%%b%(x)d.json"
+    save_tableau(named_tableau("rkn-a"), path)
+    argv = {
+        "drift": ["drift", "--t-end", "16", "--sample-every", "1"],
+        "converge": ["converge", "--problem", "kepler", "--t-end", "2.0",
+                     "--h-list", "0.2,0.1"],
+    }[command] + ["--method", str(path), "--method", "diagsymp"]
+    chunked, row_by_row = tmp_path / "chunked.csv", tmp_path / "row_by_row.csv"
+    assert main(argv + ["--out", str(chunked)]) == 0
+    monkeypatch.setattr(cli, "_write_csv", _row_by_row)
+    assert main(argv + ["--out", str(row_by_row)]) == 0
+    data = chunked.read_bytes()
+    assert data == row_by_row.read_bytes()
+    assert f'\n"{path}",'.encode() in data
 
 
 def test_drift_csv_has_the_trajectory_arrays(tmp_path):

@@ -465,6 +465,24 @@ def test_a_non_finite_or_negative_span_is_a_grid_error(make, t_end):
         integrate(named_tableau("rkn-a"), prob, t_end, StepConfig(h=0.1))
 
 
+@pytest.mark.parametrize("make", [perturbed_pendulum, harmonic_oscillator, kepler_2d])
+def test_a_step_count_that_is_not_finite_is_a_grid_error(make):
+    # span / h overflows: 1e308 / 0.16, 10 / 1e-320, and 10 / 0.0 for the
+    # reference step min(h)/20 when min(h) is the least subnormal
+    prob = make()
+    for t_end, h in ((1e308, 0.16), (10.0, 1e-320)):
+        with pytest.raises(InvalidGridError, match="step count is not finite"):
+            integrate(named_tableau("rkn-a"), prob, t_end, StepConfig(h=h))
+        with pytest.raises(InvalidGridError, match="step count is not finite"):
+            final_state_error(
+                named_tableau("rkn-a"), prob, t_end, StepConfig(h=h), (prob.q0, prob.p0)
+            )
+    if prob.exact is None:
+        for h_ref in (1e-320, 5e-324 / 20.0):
+            with pytest.raises(InvalidGridError, match="step count is not finite"):
+                reference_state(prob, 10.0, h_ref)
+
+
 def test_step_config_validation():
     with pytest.raises(ValueError):
         StepConfig(h=0.0)
@@ -692,6 +710,34 @@ def test_integrate_starts_stages_from_the_previous_step(name, make, h, n):
     assert warm() < cold()
     assert np.abs(run.q[-1] - q).max() < 1e-13
     assert np.abs(run.p[-1] - p).max() < 1e-13
+
+
+@pytest.mark.parametrize(
+    "name, make, h, t_end, calls, before",
+    [
+        ("diagsymp", perturbed_pendulum, 0.16, 160.0, 6778, 8135),
+        ("rkn-a", perturbed_pendulum, 0.16, 160.0, 13908, 14901),
+        ("rkn-a", kepler_2d, 0.00625, 5.0, 4932, 7203),
+    ],
+    ids=["diagsymp-pendulum", "rkn-a-pendulum", "rkn-a-kepler"],
+)
+def test_an_unmoved_iterate_reuses_its_force(name, make, h, t_end, calls, before):
+    # a per-point force, so every evaluation is one call; before is the
+    # count when each stage solve evaluated its last iterate again, even
+    # one with the bits of the iterate before it
+    prob = make()
+    counted = []
+
+    def f(t, q):
+        counted.append(t)
+        return prob.force(t, q)
+
+    tab = named_tableau(name)
+    run = integrate(tab, dataclasses.replace(prob, force=f), t_end, StepConfig(h=h))
+    assert len(counted) == calls < before
+    same = integrate(tab, prob, t_end, StepConfig(h=h))
+    for field in ("times", "q", "p", "energy_error"):
+        assert getattr(run, field).tobytes() == getattr(same, field).tobytes(), field
 
 
 @pytest.mark.parametrize(

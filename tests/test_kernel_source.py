@@ -38,55 +38,55 @@ from symrkn.tableau import discretize, named_tableau
 METHODS = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3")
 
 SCALAR = {
-    "rkn-iiia": "8e5b832473022a4bc856df59ce993b680f2328c360f52b6672ea39d0032a8591",
-    "rkn-iiib": "f226d5233ddfd0d5f9b06db334d1508bc81a42e0fa224ad11e7818236a6b563c",
-    "diagsymp": "b92aaf1163d153b7ba8fdbc97545c2f5e97e10b88854a30697fb3abfe09b9670",
-    "rkn-a": "cbc23a81413e86ed0b3f3ce940b2454ccaba1a5678a53e94cec5cd59d3ad27a8",
-    "rkn-b": "a75fdc895511dd389101b225b1fe88c941f52730d404f5d7da00bc8769ee2ffa",
-    "order6-gauss3": "6699496b5ad808d3e7e99c90a5c5bb0b0027ce4d5756c0e982e6ee110dec5193",
+    "rkn-iiia": "c53bd539711aa9a940cc5515c490ed6a1776500f05afd00409f2ff69e9bce0fb",
+    "rkn-iiib": "45c7c9be2b089d3f9e613695018017f21531779c80b632d92ff7fd8b800eac20",
+    "diagsymp": "7abfdb8c31f9a6b7c462ed4f048b9b6ce4c8ef9ae2d1d84862685f25d09dcbd9",
+    "rkn-a": "7d29da5cf12d4634370803ab3602b25d17a00778a306711d0b60d7ebcfa09efc",
+    "rkn-b": "932ec9ae28c1a33c5a032ba5a5694683212fe096a5d23cbe08abcb6cf79a8568",
+    "order6-gauss3": "1157b5cd88de45dd3287c254b6f78ff327e48bdd6a4bb3975b93261bb4ea8550",
 }
 
 ARRAY = {
-    ("rkn-iiia", 1, "point"): "36e05ee41cd5a26b9928813270169f08646526da79827e6976d92f3e333d41b6",
-    ("rkn-iiia", 1, "stages"): "00d283799ff504ffe29b54857a01038afeb64f8c273033bbdb7f6fb9c0e5edb9",
-    ("rkn-iiia", 2, "point"): "a977f0bae70a1a6ac79945a4931f5c57735c2bac18f5bb10180abbd80800bd7a",
-    ("rkn-iiia", 2, "stages"): "c6caead2687e55335ce971589566ed01bdedfd339240c085291ddc46157efbeb",
-    ("rkn-iiib", 1, "point"): "9aa9b3216e88f402c250444aa46f3a6453606e8aa8d1baed715441461923ffab",
-    ("rkn-iiib", 1, "stages"): "cd1b529b3d95a68d0a763017e496f8b09c50f76f3f1cc9f62fd468f5fdb40de4",
-    ("rkn-iiib", 2, "point"): "9447aa9e24ef1527238c70e11f8ac89a0c5473587dc19f0571553ab397f3cb49",
-    ("rkn-iiib", 2, "stages"): "3f17f044259c253ac959e6636ddba4b8565b00fc4e17a720fefdab38aa76bdb4",
-    ("diagsymp", 1, "point"): "054df4015a2304b1dc2fab982563d265d7a036bd61fcc611bd0b9a64fa3b7121",
-    ("diagsymp", 1, "stages"): "8a2b9f0e6f0fcb1ecf43b6525f42896b49c6d32202ae0e921a3813b5f52fae31",
-    ("diagsymp", 2, "point"): "7121ff2dcd91a1af4410c79e17c76caace9ae0b75499f130105ed0006b64c7cd",
-    ("diagsymp", 2, "stages"): "0b8ca7e775c9f00e51a5d53f2352d509f470d54e905dea6e10bcc87d7cb01f01",
-    ("rkn-a", 1, "point"): "a1a14e0676c76a3d6eff4120d41cd06a3b9e8758c42e3d964d7f395d221d3f8c",
-    ("rkn-a", 1, "stages"): "d047c6e241fd73d38c6466bb4aa61b531620dd73ca87ba0b79183c3d3a93706e",
-    ("rkn-a", 2, "point"): "e0b00d493deaf2bbed6143c0d2efb22a1a214dd77193a44a7a7ec045baf57f9c",
-    ("rkn-a", 2, "stages"): "e73b246cd6725c680ba5d2933c23601af26525be18dfd49409022996a59e7631",
-    ("rkn-b", 1, "point"): "e519a3a560307cf0279dbdd0da15ae2b701daa84bd4a297106cc3829f65994cc",
-    ("rkn-b", 1, "stages"): "669a11b854adf2785b1588a20216887432a1fc6724e445983778e300342bdde5",
-    ("rkn-b", 2, "point"): "d65e50299a236374bda92b1ff6e19f6262e0c93cad5db071b83e00b90122df4c",
-    ("rkn-b", 2, "stages"): "026d1944fd7f2612589a0f107fcbeb1dfccc1a1aa431fce7ec7ce5016b0df563",
-    ("order6-gauss3", 1, "point"): "91a571c4ba8017f7e00203b51beb5f60b513bdf234a15d27cc5a4c8fcf927afb",
-    ("order6-gauss3", 1, "stages"): "f1cb51454a3bfebb32465bb9fb7b0e37ca9d4320268591d2687ca3f3ad00ebff",
-    ("order6-gauss3", 2, "point"): "19871d5371cf50c68d15aad897f8f6f44951af0aacf2f98de66c05e4335542ab",
-    ("order6-gauss3", 2, "stages"): "04ab76e68adfd07eb5c66dfb56cbb4f6889dbdc33e47c891a72195aa5ce9aa9f",
+    ("rkn-iiia", 1, "point"): "4893ca9c865691b7202bd411453e74ca998df1c63d7438f079408ec6aed95d81",
+    ("rkn-iiia", 1, "stages"): "f5e2ff052290973277548a483affa7c121d42838145d6f0ab9a94bbc36a59296",
+    ("rkn-iiia", 2, "point"): "8cf9e44addead28b0034fee97431ba50ac49d4bf9a2d9aa62eec05263ddb6bcd",
+    ("rkn-iiia", 2, "stages"): "27ce74e0918a193cf205a8b605e58d21e7616e1107deb88631eeaf5aaf616e8b",
+    ("rkn-iiib", 1, "point"): "f36b911eac38fbcb54c908392667f229f06a750268af5840a6f1955d5affc67d",
+    ("rkn-iiib", 1, "stages"): "b4ecf01a06a338e9d4be5b75178b4b7fa80b5a639321bbadafbc081700baa23e",
+    ("rkn-iiib", 2, "point"): "a7816f56152638abfb9b8efee46ce79038706033836b9b6f2cfd8e7ea9c08395",
+    ("rkn-iiib", 2, "stages"): "f805a6ec17d3839098e8ef2f8e02d5cc720c60179704d36b443712254d897f79",
+    ("diagsymp", 1, "point"): "331ce1c6a6973ca04f4346a895d44c67b94f8b892d8ce79598f111b64fed77df",
+    ("diagsymp", 1, "stages"): "0a761fd5fedfa414d3c9b284188bfefa4f357a214c302a61c0c8dfb673e5f69d",
+    ("diagsymp", 2, "point"): "223b05f04f3b3f4679590f53a6af86ede32268f9a09bc484ca03bc48254e2615",
+    ("diagsymp", 2, "stages"): "326dea876eb5e27b6a4976fc75e4805215f52bc380cb630c5a742fa5126e66ee",
+    ("rkn-a", 1, "point"): "c92af4eec42b58d291e0dfa88f125f56f9cbec3ca0d199b2e50621ebf6279d5c",
+    ("rkn-a", 1, "stages"): "4fa9693527c4e91070a858d2cec3160c65306129deaac16f6b0f84031ab48446",
+    ("rkn-a", 2, "point"): "355e85f5aca6471cd49390839f8eec35e16f40287db181fd37950c03ce9a8c37",
+    ("rkn-a", 2, "stages"): "5847110c266d67bad07c346d13ff8c0296d62177e4a677f138c6391ed57481a2",
+    ("rkn-b", 1, "point"): "457ab39a59affe1c790026fe23e4afd5e232a24ca1e76ffd2863f4def43c1647",
+    ("rkn-b", 1, "stages"): "8e1889d8c586c82511c4fa4f75368efcd1460ba151fee10a9f116b8479d5405d",
+    ("rkn-b", 2, "point"): "f56a962e53fef40f611c4892cd562f5c71778a8df9bc9ec025de7cc449b4531f",
+    ("rkn-b", 2, "stages"): "85dfedfe74a878378b1317abb05ec956fc08270786c334ffabe5f7d34463a74a",
+    ("order6-gauss3", 1, "point"): "dae7dc9ed60ab0b3d5bf98a853d9eba556363215d95741b8dd816b4bf15b9016",
+    ("order6-gauss3", 1, "stages"): "e0b6c08378922d5a3a55784003edb70ad39b0d588e66ff92635213e691fb4317",
+    ("order6-gauss3", 2, "point"): "0c9eb071c2f4c3cfbddfa28d3381ce6c4f0684841431637723f01d08108dbe62",
+    ("order6-gauss3", 2, "stages"): "8bf15533dcf2c122f2c068f5d120ddbbe14c4044842a01caeb88f560d70311fb",
 }
 
 # the scalar pendulum and d = 2 Kepler forces, written inline
 INLINE = {
-    ("rkn-iiia", "pendulum"): "188ba752d864e456aa2365475b28638e431f2cd977f65184c2cd14d9ebe79124",
-    ("rkn-iiib", "pendulum"): "6dec8238acdf608cb9bd84d4c52902b4a0cf1cf7743302d45f3d30f640d33620",
-    ("diagsymp", "pendulum"): "16c35521fd61fd0b632bb6e5963c781079609c25f401709f9f087c08061742b1",
-    ("rkn-a", "pendulum"): "807c03870b2f92fb950248ae3005ae9ff15e79a34e3d5c67de7c807a13ba875b",
-    ("rkn-b", "pendulum"): "95087adc810125077d3dea990fbe8e07dc616c72f92dc240476a985464a4e583",
-    ("order6-gauss3", "pendulum"): "3ece45b09055717b030579a787ac8b2b1cfa4b62efac3b077d43bf835cc9d8f2",
-    ("rkn-iiia", "kepler"): "fde84f3ad2287808f141ce60183f71dfc180fb49cb6dbf2da6fbdcbe64acc205",
-    ("rkn-iiib", "kepler"): "415e690270c844b6e2db1d7d2091352eea7c75ee9262b53f4f0398162a6fa57d",
-    ("diagsymp", "kepler"): "1a2f6e8f7e8958e6ef63e3582e1610d78fd0a494befc8940f02b863beccc9077",
-    ("rkn-a", "kepler"): "b39c6a88e287ff6e3adcfd229043b215bac35d978f7e9398eead8f414cae4e89",
-    ("rkn-b", "kepler"): "f3dbc8e74aef48f6ed897dabb1b01bcadcfdc61e409d40c334e7c0acfe2e294e",
-    ("order6-gauss3", "kepler"): "1c44284a281f55a1f6dedf457049d4a96cb6683ea975c20e40b88014f82d5d23",
+    ("rkn-iiia", "pendulum"): "35c51572266de9eea44099e0cca54abef16f8a819fc8e6814b85f9930f989c8e",
+    ("rkn-iiib", "pendulum"): "d321b6c75c605cf9edafa3d597c67c8d578b80876fac06b2ae3c42a2543d06be",
+    ("diagsymp", "pendulum"): "49df7b6a50cff97d7cd57721546c52a6e7ae8de1fa3e9bfc6b5b918ea3f06928",
+    ("rkn-a", "pendulum"): "25785c29092f21a0f5c016e8c94e0f8db86081be6f373f9aaf21b9d58aea2fec",
+    ("rkn-b", "pendulum"): "42800b7d67a7122f26aa1444a73e9a82c7710799f44c37e20798d160bc3cedee",
+    ("order6-gauss3", "pendulum"): "2a36adf4d48d0bd293a0ee4f8459aa3ae0fbf0700c7105086aa9a17c705c7646",
+    ("rkn-iiia", "kepler"): "0aa860d13098af7410392e9035a0b35b3cf7b71bf58219c9afc0de58fa35a6c2",
+    ("rkn-iiib", "kepler"): "d11dfaa2465354a62b7b164086588bf389d7bc8d85f7b8c7c819e0fc5c217ecb",
+    ("diagsymp", "kepler"): "f80ef0105669e3a920712189cc4955250600c32d013f6fea586fb47e5d7949cb",
+    ("rkn-a", "kepler"): "fa8638f87f3f462b6c2fbfdbdcbfe779e5435d10f1cf5fc74e2892320591026b",
+    ("rkn-b", "kepler"): "8e89a05d9cca951f3fedd6679bbc850ccd70fa3230a197d86d2b66d8fa13f335",
+    ("order6-gauss3", "kepler"): "8bc7cb31ae84f97c31502a1287e6207c42ad849fed04fc4050545ebc5c87e2ce",
 }
 
 

@@ -263,6 +263,59 @@ def test_signed_zero_coefficients_get_their_own_kernels():
     assert len(outcomes) == 4
 
 
+def _sign_of_zero(t, q):
+    # tells the two zeros apart: 0.0 at -0.0, 5.0 at 0.0
+    return 0.0 if math.copysign(1.0, q) < 0.0 else 5.0
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3"],
+)
+def test_a_zero_iterate_is_evaluated_again(name):
+    # from q0 = p0 = -0.0 the free-motion start is -0.0 and the first
+    # iterate 0.0: an increment of 0.0 that changes the force, 0.0 to 5.0
+    t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    for sequential in (False, True):
+        got = _assert_same(t, _sign_of_zero, 0.0, -0.0, -0.0, 0.16, sequential)
+        assert 5.0 in np.frombuffer(got[3])
+    _runs(t, _sign_of_zero, 0.16, steps=5, q0=-0.0, p0=-0.0)
+
+
+def _counting(f):
+    """(force, calls): f, with the time of every call appended to calls."""
+    calls = []
+
+    def counted(t, q):
+        calls.append(t)
+        return f(t, q)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3"],
+)
+def test_no_more_force_calls_than_the_generic_loops(name):
+    # the generic loops evaluate every iterate, the kernel reuses the force
+    # of an iterate that did not move
+    t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    h = 0.16
+    for sequential in (False, True):
+        f, kernel_calls = _counting(_pendulum)
+        g, loop_calls = _counting(_pendulum)
+        _, kernel = structured_stepper(t, f, 0.3, sequential)
+        reference = _reference_advance(t, 1e-14, 100, sequential)
+        q, p, F_prev = 0.3, 2.5, None
+        for k in range(100):
+            got = kernel(k * h, q, p, h, F_prev)
+            want = reference(g, k * h, q, p, h, F_prev)
+            assert np.array(got[:2]).tobytes() == np.array(want[:2]).tobytes()
+            q, p, _, F_prev = want
+        assert len(kernel_calls) <= len(loop_calls)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["diagsymp", "rkn-iiib", "rkn-a"])
 def test_non_finite_forces_and_states(bad, name):
