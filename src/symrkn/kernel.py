@@ -1,0 +1,489 @@
+"""The stage-solver kernels: one advance function per tableau, state kind and
+force form, generated from source (_kernel_source), cached (_kernel),
+picked for a run by _stepper and shared by every call on them.
+
+The state kind (_Scalar, or _Floats of d components) owns everything that
+differs between scalar and array state, in the source and at the kernel's
+edges, so no other code tests for it; a run on (1,) arrays has the bits of
+the same run on floats.  Only floats and the library's force templates
+(problems._TEMPLATES) enter the source, never a label or other text from a
+tableau file, and no other module compiles source.  Generating costs about
+a millisecond for s = 3 with scalar or d = 2 state; the source grows as
+s^2 d, to ~13 ms at s = 3, d = 32 and ~250 ms at s = 10, d = 100.
+"""
+
+from __future__ import annotations
+
+import linecache
+import math
+import threading
+import zlib
+from functools import partial
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import StageDivergenceError
+from .problems import _TEMPLATES
+
+#: Most generated source, in characters, whose kernels are held at once
+#: (see _kernel); 1.0 MB is one kernel at s = 10, d = 100.
+_KERNEL_SOURCE_LIMIT = 8 * 2**20
+_kernels = {}  # key: (advance, length of its source), least recent first
+_kernels_lock = threading.Lock()
+
+
+class _Scalar:
+    """Scalar state: a value is one float, under its own name.
+
+    size is the component count and shape a value's numpy shape; batched
+    tells whether a force's stages form may be called, sink names the
+    array('d') method that takes a sample, tag goes into the file name.
+    names, pack and unpack write a value's components in the source, call
+    the lines of y = f(T{i}, v), and rows picks what energy is called on.
+    state puts a user's q or p in the kernel's form, and value takes the
+    kernel's form, or a sample row reshaped to shape, back to the user's.
+    """
+
+    size, shape, batched, sink, tag = 1, (), False, "append", ""
+    state = value = staticmethod(float)
+
+    def names(self, name):
+        return [name]
+
+    def pack(self, names):
+        return names[0]
+
+    def unpack(self, name):
+        return []
+
+    def call(self, ind, i, v, y):
+        return [f"{ind}{y[0]} = f(T{i}, {v[0]})"]
+
+    def rows(self, flat, arr):
+        return flat
+
+
+class _Floats(NamedTuple):
+    """Array state of size components: a value is the floats name_0, ...,
+    packed as a tuple, and a (size,) array to the user and to the force,
+    whose result must have that shape."""
+
+    size: int
+    batched, sink, value = True, "extend", staticmethod(np.array)
+    shape = property(lambda self: (self.size,))
+    tag = property(lambda self: f" d={self.size}")
+
+    def state(self, x):
+        return tuple(np.asarray(x, dtype=float).reshape(self.size).tolist())
+
+    def names(self, name):
+        return [f"{name}_{k}" for k in range(self.size)]
+
+    def pack(self, names):
+        return f"({', '.join(names)},)"
+
+    def unpack(self, name):
+        return [f"    {self.pack(self.names(name))} = {name}"]
+
+    def call(self, ind, i, v, y):
+        return [
+            f"{ind}r = f(T{i}, array({self.pack(v)}))",
+            f"{ind}if type(r) is not ndarray or r.shape != ({self.size},):",
+            f'{ind}    r = checked(r, ({self.size},), "force")',
+            f"{ind}{self.pack(y)} = r.tolist()",
+        ]
+
+    def rows(self, flat, arr):
+        return arr
+
+
+_SCALAR = _Scalar()
+
+
+def _kind(q0):
+    """The state kind of values like q0: scalar for a 0-d value, else floats."""
+    return _SCALAR if np.ndim(q0) == 0 else _Floats(len(q0))
+
+
+def _literal(x):
+    """Source text of the finite float x, with its exact bits.
+
+    repr round-trips every finite float, and a parenthesised negative
+    literal compiles to one signed constant, so -0.0 stays -0.0.
+    """
+    r = repr(x)
+    return f"({r})" if r[0] == "-" else r
+
+
+def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
+    """Source of advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None,
+    steps=1, every=0, ts=None, qs=None, ps=None).
+
+    steps steps of size h from q0, p0 at time t0, for state of the kind
+    kind: scalar (q0, p0 and each stage value a float) or d floats (q0 and
+    p0 tuples of d floats, each stage value d floats Q{i}_{k}).
+    Step k starts at t0 + (k - 1) h, the first at t0 itself.  With M, the
+    first step starts its stage iteration from F_prev when given, later
+    steps from the previous step's forces, kept in the locals P{i}; else
+    from free motion.  The time, q and p after every every-th step and the
+    last go to the sinks ts, qs and ps (every 0: no samples); a sample that
+    is not finite is not taken and ends the run.  Returns (q1, p1, Q, F) of
+    the last step: states in the input form, stage values and forces as
+    lists.
+
+    Every sum starts at 0.0 and adds its terms in ascending index, zero
+    coefficients included (0 * inf is NaN, and signed zeros must come out
+    the same), component by component.  h c_i and h^2 a_ii are taken once
+    per run.  Each stage component keeps its increment e = new - old,
+    which starts at inf; a solve converges when -conv < e < conv for every
+    component and diverges when some e is not finite (not -inf < e < inf),
+    which ends it before the force sees the iterate.  A divergence raises
+    StageDivergenceError with the max-norm of the last increments as
+    residual (a NaN kept, as numpy's max does: the x > m or x != x
+    pattern); it, and one the force raises without a step index, gets the
+    1-based index of the step it ended.
+
+    An iterate whose last increment is 0.0 in every component, and none of
+    whose components is a zero, has the bits of the one before it, whose
+    force is known: the sequential sweep takes that value as F_i, and a
+    converged Jacobi sweep that moved no stage value ends before its force
+    call.  A zero is evaluated again, since 0.0 == -0.0 but f may tell
+    them apart.
+
+    A per-point force call is written by kind.call.  Batched, every
+    evaluation calls f.stages with a tuple of n stage times (all s in a
+    Jacobi sweep, the one being solved in the sequential sweep) and one of
+    their n*d values, stage by stage; a list of n*d floats is unpacked as
+    it is, any other result read through a float array, and one not of
+    shape (n*d,) raises ValueError.
+
+    form is "point", "stages" (the batched form above) or a force template
+    of problems.py with kind.size components: its text is written per
+    point in place of each call, and where its unsafe test holds at any
+    point of a call, the whole call goes to f.stages as in the batched
+    form.  Every force evaluation is written by one helper, call.  Stage
+    times are written only where a call takes them: in locals T{i} for
+    the point and stages forms, in the stages fallback of a template.
+    """
+    s = len(c)
+    vec, tup = kind.names, kind.pack
+    # bases, values, forces, previous forces and increments by component
+    B, Q, F, P, E = ([vec(f"{x}{i}") for i in range(s)] for x in "BQFPe")
+    q0, p0, n, g, e = (vec(x) for x in ("q0", "p0", "n", "g", "e"))
+    K = range(kind.size)
+
+    def dot(coeffs, names):
+        terms = (f" + {_literal(x)} * {v}" for x, v in zip(coeffs, names))
+        return "0.0" + "".join(terms)
+
+    def free(i, k):
+        return f"{q0[k]} + hc{i} * {p0[k]}"
+
+    def col(rows, k):
+        return [row[k] for row in rows]
+
+    def start(ind, stages, scale, cold):
+        # Q_i from the previous step's forces P when warm, else from cold
+        lines = [f"{Q[i][k]} = {cold(i, k)}" for i in stages for k in K]
+        if M is None:
+            return [ind + x for x in lines]
+        return [
+            f"{ind}if warm:",
+            *(f"{ind}    {Q[i][k]} = {B[i][k]} + {scale(i)} * ({dot(M[i], col(P, k))})"
+              for i in stages for k in K),
+            f"{ind}else:",
+            *(f"{ind}    {x}" for x in lines),
+        ]
+
+    template = None if isinstance(form, str) else form
+    timed = template is None
+
+    def batched(ind, idx, args, outs):
+        size = len(idx) * kind.size
+        times = [f"T{i}" if timed else f"t + hc{i}" for i in idx]
+        return [
+            f"{ind}r = stages({tup(times)}, {tup(sum(args, []))})",
+            f"{ind}if type(r) is not list or len(r) != {size}:",
+            f'{ind}    r = checked(r, ({size},), "force.stages").tolist()',
+            f"{ind}{tup(sum(outs, []))} = r",
+        ]
+
+    def call(ind, idx, args, outs):
+        # outs[j] = f(t_i, args[j]) by component for the stages i in idx
+        if form == "stages":
+            return batched(ind, idx, args, outs)
+        if template is not None:
+            points = [(v, f"R{j}") for j, v in enumerate(args)]
+            lets = [ind + x.format(*v, r=r) for v, r in points for x in template.lets]
+            inline = [
+                f"{ind}{yk} = {x.format(*v, r=r)}"
+                for (v, r), y in zip(points, outs)
+                for yk, x in zip(y, template.values)
+            ]
+            if template.unsafe is None:
+                return lets + inline
+            unsafe = " or ".join(f"({template.unsafe.format(*v, r=r)})" for v, r in points)
+            return [
+                *lets,
+                f"{ind}if {unsafe}:",
+                *batched(ind + "    ", idx, args, outs),
+                f"{ind}else:",
+                *("    " + x for x in inline),
+            ]
+        return [x for i, v, y in zip(idx, args, outs) for x in kind.call(ind, i, v, y)]
+
+    def all_of(test, names):
+        return " and ".join(test.format(x) for x in names)
+
+    def most(ind, var, terms):
+        # var = the largest of terms, NaN kept; terms are nonnegative
+        lines = [f"{ind}{var} = {terms[0]}"]
+        for x in terms[1:]:
+            lines += [f"{ind}x = {x}", f"{ind}if x > {var} or x != x:", f"{ind}    {var} = x"]
+        return lines
+
+    def diverged(ind, what, increments):
+        return [
+            *most(ind, "diff", [f"abs({x})" for x in increments]),
+            f"{ind}raise StageDivergenceError(",
+            f'{ind}    f"{what} (last increment {{diff:.3e}})",',
+            f"{ind}    residual=diff,",
+            f"{ind})",
+        ]
+
+    out = [
+        "def advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None,",
+        "            steps=1, every=0, ts=None, qs=None, ps=None):",
+    ]
+    emit = out.append
+    out += kind.unpack("q0") + kind.unpack("p0")
+    emit("    h2 = h * h")
+    out += [f"    hc{i} = h * {_literal(c[i])}" for i in range(s)]
+    if sequential:
+        out += [f"    w{i} = h2 * {_literal(a[i][i])}" for i in range(s)]
+    if M is not None:
+        emit("    warm = F_prev is not None")
+        emit("    if warm:")
+        emit(f"        ({', '.join(tup(x) for x in P)},) = F_prev")
+    if form == "stages" or template is not None and template.unsafe is not None:
+        emit("    stages = f.stages")
+    emit("    mark = every if every < steps else steps")
+    emit("    t = t0")
+    emit("    for k in range(1, steps + 1):")
+    body = len(out)
+    out += most("        ", "m", [f"abs({x})" for x in q0])
+    emit("        conv = stage_tol * (1.0 + m)")
+    emit("        lo = -conv")
+    if sequential:
+        for i in range(s):
+            if timed:
+                emit(f"        T{i} = t + hc{i}")
+            for k in K:
+                emit(f"        {B[i][k]} = {free(i, k)} + h2 * ({dot(a[i][:i], col(F, k))})")
+            out += [f"        {x} = inf" for x in e]
+            emit(f"        if w{i} == 0.0:")
+            out += [f"            {Q[i][k]} = {B[i][k]}" for k in K]
+            emit("        else:")
+            out += start("            ", [i], lambda i: f"w{i}", free)
+            emit("            for _ in range(iters):")
+            out += call("                ", [i], [Q[i]], [g])
+            for k in K:
+                emit(f"                {n[k]} = {B[i][k]} + w{i} * {g[k]}")
+                emit(f"                {e[k]} = {n[k]} - {Q[i][k]}")
+                emit(f"                {Q[i][k]} = {n[k]}")
+            emit(f"                if {all_of('lo < {} < conv', e)}:")
+            emit("                    break")
+            emit(f"                if not ({all_of('-inf < {} < inf', e)}):")
+            out += diverged("                    ", f"stage {i} iterate is not finite", e)
+            emit("            else:")
+            out += diverged("                ", f"stage {i} did not contract", e)
+            # unmoved: g is the force at Q_i
+            emit(f"        if {all_of('{} == 0.0', e)} and {all_of('{} != 0.0', Q[i])}:")
+            out += [f"            {F[i][k]} = {g[k]}" for k in K]
+            emit("        else:")
+            out += call("            ", [i], [Q[i]], [F[i]])
+    else:
+        for i in range(s):
+            if timed:
+                emit(f"        T{i} = t + hc{i}")
+            out += [f"        {B[i][k]} = {free(i, k)}" for k in K]
+        out += start("        ", range(s), lambda i: "h2", lambda i, k: B[i][k])
+        S, Qs, Es = range(s), sum(Q, []), sum(E, [])
+        out += call("        ", S, Q, F)
+        out += [f"        {x} = inf" for x in Es]
+        emit("        for _ in range(iters):")
+        for i in S:
+            for k in K:
+                emit(f"            n = {B[i][k]} + h2 * ({dot(a[i], col(F, k))})")
+                emit(f"            {E[i][k]} = n - {Q[i][k]}")
+                emit(f"            {Q[i][k]} = n")
+        emit(f"            if {all_of('lo < {} < conv', Es)}:")
+        # unmoved: F holds the forces at Q
+        emit(f"                if {all_of('{} == 0.0', Es)} and {all_of('{} != 0.0', Qs)}:")
+        emit("                    break")
+        out += call("                ", S, Q, F)
+        emit("                break")
+        emit(f"            if not ({all_of('-inf < {} < inf', Es)}):")
+        out += diverged("                ", "stage iterates are not finite", Es)
+        out += call("            ", S, Q, F)
+        emit("        else:")
+        out += diverged("            ", "stages did not contract in {iters} sweeps", Es)
+    # the update: every q before any p, since each q reads the old p
+    for k in K:
+        emit(f"        {q0[k]} = {q0[k]} + h * {p0[k]} + h2 * ({dot(b_bar, col(F, k))})")
+    for k in K:
+        emit(f"        {p0[k]} = {p0[k]} + h * ({dot(b, col(F, k))})")
+    emit("        t = t0 + k * h")
+    if M is not None:
+        out += [f"        {P[i][k]} = {F[i][k]}" for i in range(s) for k in K]
+        emit("        warm = True")
+    emit("        if k == mark:")
+    # 0 * x is NaN exactly when x is not finite, and a sum of zeros is zero
+    emit(f"            x = {' + '.join(f'0.0 * {v}' for v in q0 + p0)}")
+    emit("            if x != x:")
+    emit("                break")
+    emit("            ts(t)")
+    emit(f"            qs({tup(q0)})")
+    emit(f"            ps({tup(p0)})")
+    emit("            mark += every")
+    emit("            if mark > steps:")
+    emit("                mark = steps")
+    # a divergence, the solver's or one the force raises itself, is
+    # stamped with the step it ended
+    out[body:] = [
+        "        try:",
+        *("    " + x for x in out[body:]),
+        "        except StageDivergenceError as exc:",
+        "            if exc.step_index is None:",
+        "                exc.step_index = k",
+        "            raise",
+    ]
+    emit("    return (")
+    emit(f"        {tup(q0)},")
+    emit(f"        {tup(p0)},")
+    emit(f"        [{', '.join(tup(x) for x in Q)}],")
+    emit(f"        [{', '.join(tup(x) for x in F)}],")
+    emit("    )")
+    return "\n".join(out) + "\n"
+
+
+def _checked(r, shape, name):
+    """r as a float array of the given shape, else ValueError."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != shape:
+        raise ValueError(f"{name} returned shape {r.shape}, expected {shape}")
+    return r
+
+
+def _generate_kernel(key):
+    """Compile the advance for one _stepper cache key, with its start matrix."""
+    c_bytes, a_bytes, b_bar_bytes, b_bytes, sequential, kind, form = key
+    template = None if isinstance(form, str) else form
+    c = np.frombuffer(c_bytes)
+    s = len(c)
+    a_bar = np.frombuffer(a_bytes).reshape(s, s)
+    M = _start_matrix(c, a_bar, sequential)
+    source = _kernel_source(
+        c.tolist(), a_bar.tolist(), np.frombuffer(b_bar_bytes).tolist(),
+        np.frombuffer(b_bytes).tolist(), None if M is None else M.tolist(),
+        sequential, kind, form,
+    )
+    filename = "<symrkn kernel s={}{} {} {}{} {:08x}>".format(
+        s, kind.tag,
+        "sequential" if sequential else "jacobi",
+        "free" if M is None else "start",
+        "" if form == "point" else f" {form if template is None else template.name}",
+        zlib.crc32(b"".join(key[:4])),
+    )
+    namespace = {
+        "inf": math.inf,
+        "array": np.array,
+        "ndarray": np.ndarray,
+        "checked": _checked,
+        "StageDivergenceError": StageDivergenceError,
+        **dict(() if template is None else template.names),
+    }
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return namespace["advance"], len(source)
+
+
+def _kernel(key):
+    """The generated advance for key, compiled on first use.
+
+    While the cached kernels' sources pass _KERNEL_SOURCE_LIMIT characters,
+    the least recently used kernel leaves the cache, and its source leaves
+    linecache.  The new kernel always stays, so one larger than the limit
+    is held alone.
+    """
+    with _kernels_lock:
+        entry = _kernels.pop(key, None)
+        if entry is None:
+            entry = _generate_kernel(key)
+            held = entry[1] + sum(size for _, size in _kernels.values())
+            while _kernels and held > _KERNEL_SOURCE_LIMIT:
+                old, size = _kernels.pop(next(iter(_kernels)))
+                linecache.cache.pop(old.__code__.co_filename, None)
+                held -= size
+        _kernels[key] = entry
+    return entry[0]
+
+
+def _start_matrix(c, a_bar, sequential):
+    """Matrix taking the previous step's stage forces to this step's start.
+
+    E[i, j] = l_j(1 + c_i), the Lagrange basis on the nodes c evaluated at
+    the next step's nodes, extrapolates stage forces by one step (Hairer,
+    Lubich and Wanner, Geometric Numerical Integration, VIII.6.1).  The
+    sequential sweep starts from E F_prev, the Jacobi sweeps from
+    A E F_prev with A = a_bar.  None when the nodes are not pairwise
+    distinct, or so close that the matrix overflows: those tableaus keep
+    the free-motion start.  So a start matrix is always finite.
+    """
+    s = len(c)
+    if len(set(c.tolist())) < s:
+        return None
+    x = 1.0 + c
+    E = np.ones((s, s))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j in range(s):
+            for m in range(s):
+                if m != j:
+                    E[:, j] *= (x - c[m]) / (c[j] - c[m])
+        M = E if sequential else a_bar @ E
+    return M if np.all(np.isfinite(M)) else None
+
+
+def _stepper(t, f, q0, stage_tol, max_iters):
+    """(kind, advance) for a run of the force f from states of q0's kind.
+
+    The one place that decides a run: the solver structure (a sequential
+    sweep when t.a_bar is exactly lower triangular, Jacobi sweeps
+    otherwise), the state kind (_kind of q0) and the force form: the
+    template written inline when problems.py has one for f's exact type
+    with the kind's component count (a subclass or any other force keeps
+    its calls), else f.stages on array state when f has it, else per
+    point.  advance is the kernel with stage_tol, max_iters and f bound
+    (see _kernel_source), on states in kind.state's form.
+
+    Kernels are cached by the exact bytes of c, a_bar, b_bar and b, with
+    the structure, the kind and the force form ("point", "stages" or the
+    template itself), so 0.0 and -0.0 get different kernels; stage_tol and
+    max_iters are arguments and stay out of the key.  The start matrix
+    follows from c, a_bar and the structure, so _generate_kernel builds it
+    with the kernel, and every call on a tableau, kind and force form
+    shares one kernel.  integrate passes its whole run; step, solve_stages
+    and reversibility_test pass one step and no previous forces (F_prev
+    None), so their step starts from free motion, as a run's first does.
+    """
+    kind = _kind(q0)
+    form = _TEMPLATES.get(type(f))
+    if form is None or len(form.values) != kind.size:
+        form = "stages" if kind.batched and getattr(f, "stages", None) is not None else "point"
+    key = (
+        t.c.tobytes(), t.a_bar.tobytes(), t.b_bar.tobytes(), t.b.tobytes(),
+        t.lower_triangular, kind, form,
+    )
+    return kind, partial(_kernel(key), stage_tol, max_iters, f)
+

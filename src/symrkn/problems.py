@@ -1,15 +1,14 @@
 """Second-order test problems q'' = f(t, q) with optional energy and exact
 solution.
 
-Scalar problems (dim 1) carry plain-float state and force functions built on
-the math module so the integrator's scalar fast path stays allocation-free;
-vector problems use numpy arrays.
+Scalar problems carry plain-float state and math-module forces; vector
+problems use numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -20,10 +19,10 @@ class OdeProblem:
     """Descriptor of an initial value problem q'' = f(t, q).
 
     force maps (t, q) to the acceleration; energy is H(p, q); exact maps t to
-    the state (q, p).  For dim 1 the state is held as plain floats, otherwise
-    as (dim,) arrays: q0 and p0 must have shape () or (1,) at dim 1 and
-    (dim,) otherwise, else ValueError.  reversible asserts H(-p, q) = H(p, q)
-    with autonomous f.
+    the state (q, p).  q0 and p0 must have shape () or (1,) at dim 1 and
+    (dim,) otherwise, else ValueError; the force and energy get floats for
+    shape () and (dim,) arrays otherwise.  reversible asserts
+    H(-p, q) = H(p, q) with autonomous f.
 
     force must be a function of (t, q) alone.  The stage solver may reuse
     its value at an iterate it has already evaluated: a stage iterate whose
@@ -45,14 +44,10 @@ class OdeProblem:
     other result through a float array, and one of a shape other than
     (n*dim,) raises ValueError.
 
-    The forces of perturbed_pendulum (scalar state) and kepler_2d are not
-    called by the stage solver: it writes their arithmetic into its kernel
-    from the template _TEMPLATES keeps for the force's exact type, with
-    the force's own IEEE operations in its order.  The Kepler template
-    runs in float arithmetic, which gives numpy's bits wherever no
-    operation overflows, underflows or divides by zero, and hands any
-    other call to the force's stages, its numpy formula.  A force of
-    another type, a subclass of these included, keeps its calls.
+    The forces of perturbed_pendulum and kepler_2d are not called by the
+    stage solver, which writes their arithmetic into its kernel with the
+    same IEEE operations (see _TEMPLATES); a force of another type, a
+    subclass of these included, keeps its calls.
     """
 
     dim: int
@@ -85,16 +80,15 @@ class _ForceTemplate(NamedTuple):
     Each text is formatted once per point, with the point's components as
     {0}, {1}, ... and {r} the name of a float local of the point's own.
     lets are statements run first, in order; values are the acceleration's
-    components, as expressions.  When unsafe is set and true at any point of
-    a call, the kernel hands the whole call to force.stages instead, so a
-    template with unsafe is for array state.  d is the state kind the texts
-    are written for (None: scalar), name names the kernel, and names binds
-    the global names the texts use.  The texts do the IEEE operations of
-    the force's __call__, in its order.
+    components, as expressions: a template serves the state kinds with as
+    many components (one: scalar and (1,) state).  When unsafe is set and
+    true at any point of a call, the kernel hands the whole call to
+    force.stages, so a template with unsafe has two or more components.
+    name names the kernel, names binds the global names the texts use, and
+    the texts do the IEEE operations of the force's __call__, in its order.
     """
 
     name: str
-    d: Optional[int]
     values: tuple
     lets: tuple = ()
     unsafe: Optional[str] = None
@@ -118,7 +112,10 @@ def perturbed_pendulum() -> OdeProblem:
     """
 
     def energy(p, q):
-        return 0.5 * p * p - math.cos(q) + 0.2 * math.sin(2.0 * q)
+        try:
+            return 0.5 * p * p - math.cos(q) + 0.2 * math.sin(2.0 * q)
+        except TypeError:  # (1,) rows, whose one float math needs
+            return energy(*p.tolist(), *q.tolist())
 
     return OdeProblem(
         dim=1,
@@ -202,11 +199,11 @@ class _KeplerForce:
 # exact type: a subclass or any other force keeps its calls
 _TEMPLATES = {
     _PendulumForce: _ForceTemplate(
-        "pendulum", None, ("-sin({0}) - 0.4 * cos(2.0 * {0})",),
+        "pendulum", ("-sin({0}) - 0.4 * cos(2.0 * {0})",),
         names=(("sin", math.sin), ("cos", math.cos)),
     ),
     _KeplerForce: _ForceTemplate(
-        "kepler", 2, ("-{0} / {r}", "-{1} / {r}"),
+        "kepler", ("-{0} / {r}", "-{1} / {r}"),
         lets=("{r} = sqrt({0} * {0} + {1} * {1})", "{r} = {r} * {r} * {r}"),
         unsafe=(
             f"not {_KEPLER_R3_MIN!r} <= {{r}} <= {_KEPLER_R3_MAX!r}"

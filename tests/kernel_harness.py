@@ -9,11 +9,11 @@ from c, a_bar and that structure, as it does for every tableau.
 
 from types import SimpleNamespace
 
-from symrkn.integrator import _stepper
+from symrkn.kernel import _stepper
 
 
 def structured_stepper(t, f, q0, sequential, stage_tol=1e-14, max_iters=100):
-    """(state, advance) of _stepper for t solved with the given structure."""
+    """(kind, advance) of _stepper for t solved with the given structure."""
     view = SimpleNamespace(
         c=t.c, a_bar=t.a_bar, b_bar=t.b_bar, b=t.b, lower_triangular=sequential
     )

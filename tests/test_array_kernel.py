@@ -1,7 +1,7 @@
 """The generated array-state kernel against two references.
 
 Array state runs one advance generated from source per tableau and state
-size d (integrator._kernel_source): stage, sum and component loops
+size d (kernel._kernel_source): stage, sum and component loops
 unrolled, every sum ascending from 0.0, state and stage values as floats.
 
 The bit reference, _float_advance, is the same solve written as plain
@@ -29,7 +29,8 @@ import pytest
 
 from kernel_harness import structured_stepper
 from symrkn.errors import StageDivergenceError
-from symrkn.integrator import _start_matrix, _stepper, reference_tableau
+from symrkn.integrator import reference_tableau
+from symrkn.kernel import _start_matrix, _stepper
 from symrkn.problems import kepler_2d
 from symrkn.tableau import RknTableau, named_tableau
 
@@ -294,12 +295,12 @@ class _Pair:
         self.same_message = max_iters <= FEW_SWEEPS
 
     def kernel(self, f):
-        """(state, advance) for f, as integrate would choose them."""
+        """(kind, advance) for f, as integrate would choose them."""
         return structured_stepper(self.t, f, *self.run)
 
     def check(self, f, t0, q0, p0, h, F_prev=None):
-        state, kernel = self.kernel(f)
-        q0, p0 = state(q0), state(p0)
+        kind, kernel = self.kernel(f)
+        q0, p0 = kind.state(q0), kind.state(p0)
         if F_prev is not None:
             F_prev = [tuple(row) for row in np.asarray(F_prev, dtype=float).tolist()]
         args = (t0, q0, p0, h, F_prev)
@@ -468,14 +469,14 @@ def test_no_more_force_calls_than_the_stage_solver(name, counter):
         counts = []
         for run in ("kernel", "reference"):
             force = counter()
-            state, kernel = pair.kernel(force)
-            q, p, F_prev = state(prob.q0), state(prob.p0), None
+            kind, kernel = pair.kernel(force)
+            q, p, F_prev = kind.state(prob.q0), kind.state(prob.p0), None
             for k in range(40):
                 args = (k * h, q, p, h, F_prev)
                 q, p, _, F_prev = (
                     kernel(*args) if run == "kernel" else pair.reference(force, *args)
                 )
-                q, p = state(q), state(p)
+                q, p = kind.state(q), kind.state(p)
                 F_prev = [tuple(row) for row in F_prev]
             counts.append(force.evaluations)
         assert counts[0] <= counts[1]

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -238,6 +239,26 @@ def test_a_step_count_that_is_not_finite_is_a_usage_error(argv, step, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {step} is too small for the span ")
     assert captured.err.endswith(": the step count is not finite\n")
+
+
+@pytest.mark.parametrize(
+    "argv, step",
+    [
+        (["drift", "--method", "rkn-a", "--t-end", "1e300", "--sample-every", "1000000"],
+         "step size 0.16"),
+        (["converge", "--method", "rkn-a", "--h-list", "1e-300"], "reference step size 5e-302"),
+    ],
+    ids=["drift", "converge"],
+)
+def test_a_step_count_past_2_53_is_a_usage_error(argv, step, capsys):
+    # a finite step count past 2**53 would run for ever
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {step} is too small for the span ")
+    assert captured.err.endswith(" passes 2**53\n")
 
 
 class _ReferenceRun(Exception):

@@ -17,8 +17,7 @@ from symrkn.errors import (
 )
 from symrkn.integrator import (
     StepConfig,
-    _start_matrix,
-    _stepper,
+    _step_ratio,
     final_state_error,
     fit_loglog_slope,
     global_error_study,
@@ -30,6 +29,7 @@ from symrkn.integrator import (
     solve_stages,
     step,
 )
+from symrkn.kernel import _start_matrix, _stepper
 from symrkn.problems import _KeplerForce, harmonic_oscillator, kepler_2d, perturbed_pendulum
 from symrkn.quadrature import gauss_rule, lobatto_rule
 from symrkn.tableau import RknTableau, discretize, named_tableau
@@ -483,6 +483,19 @@ def test_a_step_count_that_is_not_finite_is_a_grid_error(make):
                 reference_state(prob, 10.0, h_ref)
 
 
+def test_a_step_count_past_2_53_is_a_grid_error():
+    # t0 + k h cannot tell every step apart once k passes 2**53
+    assert _step_ratio(2.0**53, 1.0) == 2.0**53
+    past = r"step count 1\.8014398509481984e\+16 passes 2\*\*53"
+    with pytest.raises(InvalidGridError, match=past):
+        _step_ratio(2.0**54, 1.0)
+    pend = perturbed_pendulum()
+    with pytest.raises(InvalidGridError, match=r"^step size 0\.16 .* passes 2\*\*53$"):
+        integrate(named_tableau("rkn-a"), pend, 1e300, CFG, sample_every=10**6)
+    with pytest.raises(InvalidGridError, match=r"^reference step size 5e-302 .* passes 2\*\*53$"):
+        reference_state(pend, 10.0, 5e-302)
+
+
 def test_step_config_validation():
     with pytest.raises(ValueError):
         StepConfig(h=0.0)
@@ -654,6 +667,27 @@ def test_only_the_exact_built_in_force_types_are_written_inline():
     runs = [integrate(tab, kind, 1.6, CFG) for kind in (pend, plain)]
     assert runs[0].q.tobytes() == runs[1].q.tobytes()
     assert runs[0].p.tobytes() == runs[1].p.tobytes()
+
+
+@pytest.mark.parametrize("name", [*FIVE, "order6-gauss3"])
+def test_the_pendulum_on_a_one_element_array_has_the_bits_of_the_scalar_run(name):
+    # the pendulum's one-component template serves (1,) state as it does
+    # scalar state, and its energy takes the (1,) rows
+    tab = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    pend = perturbed_pendulum()
+    wide = dataclasses.replace(pend, q0=np.array([0.0]), p0=np.array([2.5]))
+    assert " d=1 " in _kernel_name(tab, wide.force, wide.q0)
+    assert " pendulum " in _kernel_name(tab, wide.force, wide.q0)
+    want, got = (integrate(tab, prob, 16.0, CFG, sample_every=3) for prob in (pend, wide))
+    assert not got.diverged and got.times.tobytes() == want.times.tobytes()
+    for field in ("q", "p", "energy_error"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    q1, p1 = step(tab, wide.force, 0.0, wide.q0, wide.p0, CFG)
+    assert q1.shape == p1.shape == (1,)
+    assert (q1[0], p1[0]) == step(tab, pend.force, 0.0, pend.q0, pend.p0, CFG)
+    Q = solve_stages(tab, wide.force, 0.0, wide.q0, wide.p0, CFG)
+    assert Q.shape == (tab.s, 1)
+    assert Q.tobytes() == solve_stages(tab, pend.force, 0.0, pend.q0, pend.p0, CFG).tobytes()
 
 
 def test_final_state_error_reads_the_full_run_endpoint():

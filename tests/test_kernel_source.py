@@ -6,7 +6,7 @@ template written inline), joined in this order: the kernel with the
 method's start matrix, which every call on the method runs (integrate,
 step, solve_stages, reversibility_test), and the same kernel with the
 free-motion start, which a tableau with no start matrix runs.  A change to
-integrator._kernel_source or to a template that moves a digest changes
+kernel._kernel_source or to a template that moves a digest changes
 generated code; when that is meant, record the new digest here and say
 why.  The inline kernels run the benchmark: the scalar pendulum kernels
 pendulum-drift, the d = 2 Kepler kernels kepler-converge.
@@ -14,22 +14,29 @@ pendulum-drift, the d = 2 Kepler kernels kepler-converge.
 
 import hashlib
 import linecache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symrkn
 from symrkn.cscoeff import build_order4
 from symrkn.integrator import (
     StepConfig,
-    _kernel_source,
-    _kernels,
-    _start_matrix,
-    _stepper,
     integrate,
     reference_tableau,
     reversibility_test,
     solve_stages,
     step,
+)
+from symrkn.kernel import (
+    _SCALAR,
+    _Floats,
+    _kernel_source,
+    _kernels,
+    _kind,
+    _start_matrix,
+    _stepper,
 )
 from symrkn.problems import _TEMPLATES, kepler_2d, perturbed_pendulum
 from symrkn.quadrature import lobatto_rule
@@ -94,7 +101,7 @@ def _tableau(name):
     return reference_tableau() if name == "order6-gauss3" else named_tableau(name)
 
 
-def _sources(name, d=None, form="point"):
+def _sources(name, kind=_SCALAR, form="point"):
     """The method's kernel sources with its start matrix, then free."""
     t = _tableau(name)
     sequential = t.lower_triangular
@@ -102,12 +109,12 @@ def _sources(name, d=None, form="point"):
     sources = []
     for M in (_start_matrix(t.c, t.a_bar, sequential), None):
         M = None if M is None else M.tolist()
-        sources.append(_kernel_source(*coeffs, M, sequential, d, form))
+        sources.append(_kernel_source(*coeffs, M, sequential, kind, form))
     return sources
 
 
-def _digest(name, d=None, form="point"):
-    return hashlib.sha256("".join(_sources(name, d, form)).encode()).hexdigest()
+def _digest(name, kind=_SCALAR, form="point"):
+    return hashlib.sha256("".join(_sources(name, kind, form)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", METHODS)
@@ -119,7 +126,7 @@ def test_scalar_kernel_sources_are_pinned(name):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("form", ["point", "stages"])
 def test_array_kernel_sources_are_pinned(name, d, form):
-    assert _digest(name, d, form) == ARRAY[name, d, form]
+    assert _digest(name, _Floats(d), form) == ARRAY[name, d, form]
 
 
 def _problems():
@@ -128,15 +135,15 @@ def _problems():
 
 
 def _inline(prob):
-    """(d, template) of the kernel that prob's force runs inline."""
-    return (None if np.ndim(prob.q0) == 0 else prob.dim), _TEMPLATES[type(prob.force)]
+    """(kind, template) of the kernel that prob's force runs inline."""
+    return _kind(prob.q0), _TEMPLATES[type(prob.force)]
 
 
 @pytest.mark.parametrize("name", METHODS)
 @pytest.mark.parametrize("index", [0, 1], ids=["pendulum", "kepler"])
 def test_inline_kernel_sources_are_pinned(name, index):
-    d, template = _inline(_problems()[index])
-    assert _digest(name, d, template) == INLINE[name, template.name]
+    kind, template = _inline(_problems()[index])
+    assert _digest(name, kind, template) == INLINE[name, template.name]
 
 
 @pytest.mark.parametrize("name", METHODS)
@@ -145,12 +152,12 @@ def test_integrate_runs_the_pinned_source(name):
     # source is the pinned inline text built from the tableau's arrays
     t = _tableau(name)
     for prob in _problems():
-        d, template = _inline(prob)
+        kind, template = _inline(prob)
         assert integrate(t, prob, 0.16, StepConfig(h=0.16)).times.shape == (2,)
         kernel = _stepper(t, prob.force, prob.q0, 1e-14, 100)[1].func
         filename = kernel.__code__.co_filename
         assert f" start {template.name} " in filename
-        assert "".join(linecache.getlines(filename)) == _sources(name, d, template)[0]
+        assert "".join(linecache.getlines(filename)) == _sources(name, kind, template)[0]
 
 
 def test_every_call_on_a_tableau_shares_one_kernel():
@@ -164,3 +171,11 @@ def test_every_call_on_a_tableau_shares_one_kernel():
         solve_stages(t, prob.force, prob.t0, prob.q0, prob.p0, cfg)
         assert np.isfinite(reversibility_test(t, prob, cfg.h))
         assert len(set(_kernels) - held) == 1
+
+
+def test_only_the_kernel_module_compiles_source():
+    # generated code comes from one module, which writes only library
+    # floats and templates into it
+    for path in sorted(Path(symrkn.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert ("exec(" in text or "compile(" in text) == (path.name == "kernel.py"), path.name

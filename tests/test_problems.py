@@ -11,12 +11,12 @@ from symrkn import problems
 from symrkn.errors import StageDivergenceError
 from symrkn.integrator import (
     StepConfig,
-    _stepper,
     integrate,
     reference_tableau,
     solve_stages,
     step,
 )
+from symrkn.kernel import _stepper
 from symrkn.problems import harmonic_oscillator, kepler_2d, perturbed_pendulum
 from symrkn.tableau import named_tableau
 

@@ -18,16 +18,9 @@ import numpy as np
 import pytest
 
 from kernel_harness import structured_stepper
-from symrkn import integrator
 from symrkn.errors import StageDivergenceError
-from symrkn.integrator import (
-    _kernels,
-    _start_matrix,
-    _stepper,
-    StepConfig,
-    reference_tableau,
-    step,
-)
+from symrkn.integrator import StepConfig, reference_tableau, step
+from symrkn.kernel import _kernels, _start_matrix, _stepper
 from symrkn.problems import perturbed_pendulum
 from symrkn.tableau import RknTableau, named_tableau
 
@@ -387,7 +380,7 @@ def test_cache_is_bounded_and_evicted_sources_leave_linecache(monkeypatch):
     size = dict(_kernels.values())[first]
     assert size == len("".join(linecache.getlines(name)))
     # room for three kernels: the older ones leave as b and c come in
-    monkeypatch.setattr(integrator, "_KERNEL_SOURCE_LIMIT", 3 * size)
+    monkeypatch.setattr("symrkn.kernel._KERNEL_SOURCE_LIMIT", 3 * size)
     kernels = [first, _cached_kernel(b), _cached_kernel(c)]
     assert _held() == kernels
     assert sum(size for _, size in _kernels.values()) == 3 * size
@@ -399,7 +392,7 @@ def test_cache_is_bounded_and_evicted_sources_leave_linecache(monkeypatch):
     for kernel in _held():
         assert linecache.getline(kernel.__code__.co_filename, 1).startswith("def advance(")
     # a kernel larger than the whole bound is held alone, and runs
-    monkeypatch.setattr(integrator, "_KERNEL_SOURCE_LIMIT", size // 2)
+    monkeypatch.setattr("symrkn.kernel._KERNEL_SOURCE_LIMIT", size // 2)
     alone = _cached_kernel(e)
     assert _held() == [alone]
     assert all(linecache.getline(k.__code__.co_filename, 1) == "" for k in kernels)

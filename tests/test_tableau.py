@@ -209,7 +209,8 @@ def test_adjoint_of_explicit_control():
 def test_adjoint_inverts_the_negated_step():
     # defining property: running the adjoint forward then the original
     # method with step -h returns to the start (autonomous force)
-    from symrkn.integrator import StepConfig, _stepper, step
+    from symrkn.integrator import StepConfig, step
+    from symrkn.kernel import _stepper
 
     f = lambda t, q: -math.sin(q) - 0.4 * math.cos(2.0 * q)
     h, q0, p0 = 0.21, 0.3, 1.1
