@@ -24,11 +24,9 @@ from .cscoeff import (
 )
 from .errors import (
     DegenerateFitError,
-    InvalidGridError,
     StageDivergenceError,
     SymrknError,
     TableauFormatError,
-    UnsupportedStageCountError,
 )
 from .integrator import (
     StepConfig,
@@ -157,19 +155,14 @@ def cmd_derive(args) -> int:
         return _fail("--family and --method are mutually exclusive", 1)
     if not args.method and not args.family:
         return _fail("one of --family or --method is required", 1)
-    try:
-        if args.method:
-            tab = named_tableau(args.method)
-        else:
-            m = _build_family(args)
-            if args.quadrature is None or args.stages is None:
-                return _fail(
-                    "--quadrature and --stages are required with --family", 1
-                )
-            make = gauss_rule if args.quadrature == "gauss" else lobatto_rule
-            tab = discretize(m, make(args.stages))
-    except (ValueError, UnsupportedStageCountError, SymrknError) as exc:
-        return _fail(str(exc), 1)
+    if args.method:
+        tab = named_tableau(args.method)
+    else:
+        m = _build_family(args)
+        if args.quadrature is None or args.stage_count is None:
+            return _fail("--quadrature and --stages are required with --family", 1)
+        make = gauss_rule if args.quadrature == "gauss" else lobatto_rule
+        tab = discretize(m, make(args.stage_count))
     _, lines = _summary_lines(tab)
     for line in lines:
         print(line)
@@ -205,16 +198,10 @@ def cmd_converge(args) -> int:
     solution for harmonic and kepler, an order-6 Gauss-3 run at min(h)/20
     for the pendulum.  A diverged run is a nan row and exits 3.
     """
-    try:
-        hs = _parse_h_list(args.h_list)
-        methods = [(tok, _resolve_method(tok)) for tok in args.method]
-    except (ValueError, TableauFormatError, SymrknError) as exc:
-        return _fail(str(exc), 1)
+    hs = _parse_h_list(args.h_list)
+    methods = [(tok, _resolve_method(tok)) for tok in args.method]
     prob = _PROBLEMS[args.problem]()
-    try:
-        reference = reference_state(prob, args.t_end, min(hs) / 20.0)
-    except (InvalidGridError, StageDivergenceError, ValueError) as exc:
-        return _fail(str(exc), 3 if isinstance(exc, StageDivergenceError) else 1)
+    reference = reference_state(prob, args.t_end, min(hs) / 20.0)
     studies = []
     for tok, tab in methods:
         try:
@@ -239,30 +226,27 @@ def cmd_drift(args) -> int:
         return _fail("--sample-every must be >= 1", 1)
     prob = perturbed_pendulum()
     series, trailers, failed = [], [], False
-    try:
-        methods = [(tok, _resolve_method(tok)) for tok in args.method]
-        for tok, tab in methods:
-            traj = integrate(
-                tab, prob, args.t_end, StepConfig(h=args.h), args.sample_every
-            )
-            # keep the energy series only, so q and p are freed with traj
-            times, energy_error, diverged = (
-                traj.times, traj.energy_error, traj.diverged
-            )
-            del traj
-            slope = max_abs = math.nan
-            if not diverged:
-                slope = linear_drift_slope(times, energy_error)
-                max_abs = float(np.abs(energy_error).max())
-            failed = failed or not math.isfinite(slope)
-            name = _csv_field(tok)
-            series.append((name, times, energy_error))
-            trailers += [
-                f"# drift_slope,{name},{_fmt(slope)}",
-                f"# max_abs,{name},{_fmt(max_abs)}",
-            ]
-    except (ValueError, SymrknError) as exc:
-        return _fail(str(exc), 1)
+    methods = [(tok, _resolve_method(tok)) for tok in args.method]
+    for tok, tab in methods:
+        traj = integrate(
+            tab, prob, args.t_end, StepConfig(h=args.h), args.sample_every
+        )
+        # keep the energy series only, so q and p are freed with traj
+        times, energy_error, diverged = (
+            traj.times, traj.energy_error, traj.diverged
+        )
+        del traj
+        slope = max_abs = math.nan
+        if not diverged:
+            slope = linear_drift_slope(times, energy_error)
+            max_abs = float(np.abs(energy_error).max())
+        failed = failed or not math.isfinite(slope)
+        name = _csv_field(tok)
+        series.append((name, times, energy_error))
+        trailers += [
+            f"# drift_slope,{name},{_fmt(slope)}",
+            f"# max_abs,{name},{_fmt(max_abs)}",
+        ]
     _write_csv(args.out, "method,t,energy_error", series, trailers)
     return 3 if failed else 0
 
@@ -283,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     derive.add_argument("--eta", type=int)
     derive.add_argument("--zeta", type=int)
     derive.add_argument("--quadrature", choices=("gauss", "lobatto"))
-    derive.add_argument("--stages", type=int)
+    derive.add_argument("--stages", type=int, dest="stage_count", metavar="STAGES")
     derive.add_argument("--out")
     derive.set_defaults(func=cmd_derive)
 
@@ -323,13 +307,9 @@ def main(argv=None) -> int:
         return 0 if (exc.code or 0) == 0 else 1
     try:
         return args.func(args)
-    except TableauFormatError as exc:
-        return _fail(str(exc), 1)
     except StageDivergenceError as exc:
         return _fail(str(exc), 3)
-    except (InvalidGridError, DegenerateFitError, ValueError) as exc:
-        return _fail(str(exc), 1)
-    except OSError as exc:
+    except (SymrknError, ValueError, OSError) as exc:
         return _fail(str(exc), 1)
 
 

@@ -36,16 +36,16 @@ _kernels_lock = threading.Lock()
 class _Scalar:
     """Scalar state: a value is one float, under its own name.
 
-    size is the component count and shape a value's numpy shape; batched
-    tells whether a force's stages form may be called, sink names the
-    array('d') method that takes a sample, tag goes into the file name.
-    names, pack and unpack write a value's components in the source, call
-    the lines of y = f(T{i}, v), and rows picks what energy is called on.
+    size is the component count and shape a value's numpy shape, sink
+    names the array('d') method that takes a sample, tag goes into the
+    file name.  names, pack and unpack write a value's components in the
+    source, call the lines of y = f(time, v), and rows picks what energy
+    is called on.
     state puts a user's q or p in the kernel's form, and value takes the
     kernel's form, or a sample row reshaped to shape, back to the user's.
     """
 
-    size, shape, batched, sink, tag = 1, (), False, "append", ""
+    size, shape, sink, tag = 1, (), "append", ""
     state = value = staticmethod(float)
 
     def names(self, name):
@@ -57,8 +57,8 @@ class _Scalar:
     def unpack(self, name):
         return []
 
-    def call(self, ind, i, v, y):
-        return [f"{ind}{y[0]} = f(T{i}, {v[0]})"]
+    def call(self, ind, time, v, y):
+        return [f"{ind}{y[0]} = f({time}, {v[0]})"]
 
     def rows(self, flat, arr):
         return flat
@@ -70,7 +70,7 @@ class _Floats(NamedTuple):
     whose result must have that shape."""
 
     size: int
-    batched, sink, value = True, "extend", staticmethod(np.array)
+    sink, value = "extend", staticmethod(np.array)
     shape = property(lambda self: (self.size,))
     tag = property(lambda self: f" d={self.size}")
 
@@ -86,9 +86,9 @@ class _Floats(NamedTuple):
     def unpack(self, name):
         return [f"    {self.pack(self.names(name))} = {name}"]
 
-    def call(self, ind, i, v, y):
+    def call(self, ind, time, v, y):
         return [
-            f"{ind}r = f(T{i}, array({self.pack(v)}))",
+            f"{ind}r = f({time}, array({self.pack(v)}))",
             f"{ind}if type(r) is not ndarray or r.shape != ({self.size},):",
             f'{ind}    r = checked(r, ({self.size},), "force")',
             f"{ind}{self.pack(y)} = r.tolist()",
@@ -151,20 +151,14 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
     call.  A zero is evaluated again, since 0.0 == -0.0 but f may tell
     them apart.
 
-    A per-point force call is written by kind.call.  Batched, every
-    evaluation calls f.stages with a tuple of n stage times (all s in a
-    Jacobi sweep, the one being solved in the sequential sweep) and one of
-    their n*d values, stage by stage; a list of n*d floats is unpacked as
-    it is, any other result read through a float array, and one not of
-    shape (n*d,) raises ValueError.
-
-    form is "point", "stages" (the batched form above) or a force template
-    of problems.py with kind.size components: its text is written per
-    point in place of each call, and where its unsafe test holds at any
-    point of a call, the whole call goes to f.stages as in the batched
-    form.  Every force evaluation is written by one helper, call.  Stage
-    times are written only where a call takes them: in locals T{i} for
-    the point and stages forms, in the stages fallback of a template.
+    form is "point" or a force template of problems.py with kind.size
+    components.  "point" calls f once per point, each call written by
+    kind.call.  A template's text is written per point in place of each
+    call, and where its unsafe test holds at any point of a call, every
+    point of the call goes to f as in the point form.  Every force
+    evaluation is written by one helper, call.  Stage times are written
+    only where a call takes them: in locals T{i} for the point form,
+    inline in a template's per-point fallback.
     """
     s = len(c)
     vec, tup = kind.names, kind.pack
@@ -196,23 +190,17 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
             *(f"{ind}    {x}" for x in lines),
         ]
 
-    template = None if isinstance(form, str) else form
-    timed = template is None
+    template = None if form == "point" else form
 
-    def batched(ind, idx, args, outs):
-        size = len(idx) * kind.size
-        times = [f"T{i}" if timed else f"t + hc{i}" for i in idx]
+    def per_point(ind, idx, args, outs, time):
+        # one kind.call per point, at the time time.format(i) of stage i
         return [
-            f"{ind}r = stages({tup(times)}, {tup(sum(args, []))})",
-            f"{ind}if type(r) is not list or len(r) != {size}:",
-            f'{ind}    r = checked(r, ({size},), "force.stages").tolist()',
-            f"{ind}{tup(sum(outs, []))} = r",
+            x for i, v, y in zip(idx, args, outs)
+            for x in kind.call(ind, time.format(i), v, y)
         ]
 
     def call(ind, idx, args, outs):
         # outs[j] = f(t_i, args[j]) by component for the stages i in idx
-        if form == "stages":
-            return batched(ind, idx, args, outs)
         if template is not None:
             points = [(v, f"R{j}") for j, v in enumerate(args)]
             lets = [ind + x.format(*v, r=r) for v, r in points for x in template.lets]
@@ -227,11 +215,11 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
             return [
                 *lets,
                 f"{ind}if {unsafe}:",
-                *batched(ind + "    ", idx, args, outs),
+                *per_point(ind + "    ", idx, args, outs, "t + hc{}"),
                 f"{ind}else:",
                 *("    " + x for x in inline),
             ]
-        return [x for i, v, y in zip(idx, args, outs) for x in kind.call(ind, i, v, y)]
+        return per_point(ind, idx, args, outs, "T{}")
 
     def all_of(test, names):
         return " and ".join(test.format(x) for x in names)
@@ -266,8 +254,6 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
         emit("    warm = F_prev is not None")
         emit("    if warm:")
         emit(f"        ({', '.join(tup(x) for x in P)},) = F_prev")
-    if form == "stages" or template is not None and template.unsafe is not None:
-        emit("    stages = f.stages")
     emit("    mark = every if every < steps else steps")
     emit("    t = t0")
     emit("    for k in range(1, steps + 1):")
@@ -277,7 +263,7 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
     emit("        lo = -conv")
     if sequential:
         for i in range(s):
-            if timed:
+            if template is None:
                 emit(f"        T{i} = t + hc{i}")
             for k in K:
                 emit(f"        {B[i][k]} = {free(i, k)} + h2 * ({dot(a[i][:i], col(F, k))})")
@@ -305,7 +291,7 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
             out += call("            ", [i], [Q[i]], [F[i]])
     else:
         for i in range(s):
-            if timed:
+            if template is None:
                 emit(f"        T{i} = t + hc{i}")
             out += [f"        {B[i][k]} = {free(i, k)}" for k in K]
         out += start("        ", range(s), lambda i: "h2", lambda i, k: B[i][k])
@@ -379,7 +365,7 @@ def _checked(r, shape, name):
 def _generate_kernel(key):
     """Compile the advance for one _stepper cache key, with its start matrix."""
     c_bytes, a_bytes, b_bar_bytes, b_bytes, sequential, kind, form = key
-    template = None if isinstance(form, str) else form
+    template = None if form == "point" else form
     c = np.frombuffer(c_bytes)
     s = len(c)
     a_bar = np.frombuffer(a_bytes).reshape(s, s)
@@ -393,7 +379,7 @@ def _generate_kernel(key):
         s, kind.tag,
         "sequential" if sequential else "jacobi",
         "free" if M is None else "start",
-        "" if form == "point" else f" {form if template is None else template.name}",
+        "" if template is None else f" {template.name}",
         zlib.crc32(b"".join(key[:4])),
     )
     namespace = {
@@ -462,14 +448,14 @@ def _stepper(t, f, q0, stage_tol, max_iters):
     sweep when t.a_bar is exactly lower triangular, Jacobi sweeps
     otherwise), the state kind (_kind of q0) and the force form: the
     template written inline when problems.py has one for f's exact type
-    with the kind's component count (a subclass or any other force keeps
-    its calls), else f.stages on array state when f has it, else per
-    point.  advance is the kernel with stage_tol, max_iters and f bound
-    (see _kernel_source), on states in kind.state's form.
+    with the kind's component count, else "point", f called once per
+    point (a subclass or any other force keeps its calls).  advance is
+    the kernel with stage_tol, max_iters and f bound (see
+    _kernel_source), on states in kind.state's form.
 
     Kernels are cached by the exact bytes of c, a_bar, b_bar and b, with
-    the structure, the kind and the force form ("point", "stages" or the
-    template itself), so 0.0 and -0.0 get different kernels; stage_tol and
+    the structure, the kind and the force form ("point" or the template
+    itself), so 0.0 and -0.0 get different kernels; stage_tol and
     max_iters are arguments and stay out of the key.  The start matrix
     follows from c, a_bar and the structure, so _generate_kernel builds it
     with the kernel, and every call on a tableau, kind and force form
@@ -480,7 +466,7 @@ def _stepper(t, f, q0, stage_tol, max_iters):
     kind = _kind(q0)
     form = _TEMPLATES.get(type(f))
     if form is None or len(form.values) != kind.size:
-        form = "stages" if kind.batched and getattr(f, "stages", None) is not None else "point"
+        form = "point"
     key = (
         t.c.tobytes(), t.a_bar.tobytes(), t.b_bar.tobytes(), t.b.tobytes(),
         t.lower_triangular, kind, form,

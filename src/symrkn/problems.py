@@ -28,21 +28,10 @@ class OdeProblem:
     its value at an iterate it has already evaluated: a stage iterate whose
     bits did not change (a zero is always evaluated again, as 0.0 == -0.0
     but the force may tell them apart), and a Jacobi sweep that moves no
-    stage value makes no call, per point or to stages.
+    stage value makes no call.
 
     A vector force gets a fresh float64 (dim,) array per call and must
     return a (dim,) array; a result of another shape raises ValueError.
-    It may also carry a batched form, force.stages(times, values): times is
-    a tuple of n stage times and values a tuple of the n*dim stage values,
-    stage 0's dim components first; it returns a list of the n*dim
-    accelerations in the same order.  The stage solver on array state then
-    makes every evaluation through stages: one call per Jacobi sweep on
-    all s stages instead of s per-point calls, and one call on one stage
-    per sequential evaluation.  stages must compute each value with the
-    same floating-point operations as force(t_i, Q_i), so that results
-    stay bit-identical.  The solver unpacks a list as it is; it reads any
-    other result through a float array, and one of a shape other than
-    (n*dim,) raises ValueError.
 
     The forces of perturbed_pendulum and kepler_2d are not called by the
     stage solver, which writes their arithmetic into its kernel with the
@@ -82,8 +71,8 @@ class _ForceTemplate(NamedTuple):
     lets are statements run first, in order; values are the acceleration's
     components, as expressions: a template serves the state kinds with as
     many components (one: scalar and (1,) state).  When unsafe is set and
-    true at any point of a call, the kernel hands the whole call to
-    force.stages, so a template with unsafe has two or more components.
+    true at any point of a call, the kernel calls the force itself at
+    every point of the call, as it calls a force without a template.
     name names the kernel, names binds the global names the texts use, and
     the texts do the IEEE operations of the force's __call__, in its order.
     """
@@ -96,12 +85,16 @@ class _ForceTemplate(NamedTuple):
 
 
 class _PendulumForce:
-    """q'' = -sin q - (2/5) cos 2q on plain floats."""
+    """q'' = -sin q - (2/5) cos 2q on a float, or on a (1,) array as a
+    (1,) array with the float's bits."""
 
     __slots__ = ()
 
     def __call__(self, t, q):
-        return -math.sin(q) - 0.4 * math.cos(2.0 * q)
+        try:
+            return -math.sin(q) - 0.4 * math.cos(2.0 * q)
+        except TypeError:  # (1,) state, whose one float math needs
+            return np.array([self(t, *q.tolist())])
 
 
 def perturbed_pendulum() -> OdeProblem:
@@ -171,28 +164,22 @@ _KEPLER_R3_MAX = 2.0**500
 
 
 class _KeplerForce:
-    """q'' = -q/|q|^3, per point and batched over stacked stage values.
+    """q'' = -q/|q|^3 on a (2,) array.
 
-    Both forms are numpy formulas that take x*x + y*y, its square root r,
-    r*r*r, then the negated coordinates over it, so every pair of
-    stages(times, values) equals force(t_i, Q_i) bit for bit.  The kernel
-    writes the same operations in float arithmetic (its template); a call
-    with a pair outside the ranges above, such as r = 0, a subnormal or
-    overflowing entry, inf or NaN, goes to stages, which keeps numpy's bits
-    and its warnings or errors under np.errstate.
+    A numpy formula on float64 scalars: x*x + y*y, its square root r,
+    r*r*r, then the negated coordinates over it, each operation under
+    np.errstate.  The kernel writes the same operations in float
+    arithmetic (its template); a call with a point outside the ranges
+    above, such as r = 0, a subnormal or overflowing entry, inf or NaN,
+    goes to this form point by point, which keeps numpy's bits and its
+    warnings or errors.
     """
 
     __slots__ = ()
 
     def __call__(self, t, q):
-        r = math.sqrt(q[0] * q[0] + q[1] * q[1])
+        r = np.sqrt(q[0] * q[0] + q[1] * q[1])
         return -q / (r * r * r)
-
-    def stages(self, times, values):
-        Q = np.array(values).reshape(-1, 2)
-        x, y = Q[:, 0], Q[:, 1]
-        r = np.sqrt(x * x + y * y)
-        return (-Q / (r * r * r)[:, None]).ravel().tolist()
 
 
 # the kernel's inline text of each built-in force, found by the force's

@@ -12,8 +12,7 @@ The numpy stage solver the kernel replaced (_stages_array and
 _numpy_advance below) stays as an independent oracle.  It sums with BLAS
 matrix products, in an order of its own, so it must agree within a few
 ulps of each stage sum, not bit for bit, and raise the same exception
-type.  Its message must be the same for a stages result of the wrong shape
-and for divergence within a few sweeps.  After many sweeps of a map that
+type.  Its message must be the same for divergence within a few sweeps.  After many sweeps of a map that
 does not contract, rounding differences grow until the residuals are
 unrelated; and the kernel stops at an iterate that is not finite, where
 the oracle sweeps on to max_iters.  There only the type must agree.  The
@@ -23,6 +22,7 @@ so that check is held to the bit reference alone.
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -79,21 +79,9 @@ def _float_advance(t, stage_tol, iters, sequential, start):
                 raise ValueError(f"force returned shape {np.shape(r)}, expected {(d,)}")
             return np.asarray(r, dtype=float).tolist()
 
-        stages = getattr(f, "stages", None)
-
         def evaluate(idx, Q):
-            # the forces at the stages idx, valued Q: one stages call for
-            # all of them when f has it, else one call per point
-            if stages is None:
-                return [force(i, q) for i, q in zip(idx, Q)]
-            n = len(idx) * d
-            r = stages(tuple(times[i] for i in idx), tuple(x for row in Q for x in row))
-            if type(r) is not list or len(r) != n:
-                r = np.asarray(r, dtype=float)
-                if r.shape != (n,):
-                    raise ValueError(f"force.stages returned shape {r.shape}, expected {(n,)}")
-                r = r.tolist()
-            return [r[j * d:(j + 1) * d] for j in range(len(idx))]
+            # the forces at the stages idx, valued Q, one call per point
+            return [force(i, q) for i, q in zip(idx, Q)]
 
         if sequential:
             Q, F = [], []
@@ -157,16 +145,7 @@ def _float_advance(t, stage_tol, iters, sequential, start):
     return advance
 
 
-def _batched(stages, times, Q):
-    """The (s, d) forces of one stages call on flat floats."""
-    r = np.asarray(stages(tuple(times.tolist()), tuple(Q.ravel().tolist())), dtype=float)
-    if r.shape != (Q.size,):
-        raise ValueError(f"force.stages returned shape {r.shape}, expected {(Q.size,)}")
-    return r.reshape(Q.shape)
-
-
 def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
-    stages = getattr(f, "stages", None)
     s = t.s
     c = t.c
     a = t.a_bar
@@ -176,12 +155,6 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
     if sequential:
         Q = np.zeros_like(base)
         F = np.zeros_like(base)
-
-        def force(i, q):
-            if stages is None:
-                return f(times[i], q)
-            return _batched(stages, times[i:i + 1], q[None, :])[0]
-
         for i in range(s):
             bi = base[i] + h2 * (a[i, :i] @ F[:i])
             w = h2 * a[i, i]
@@ -191,7 +164,7 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
                 qi = base[i].copy() if F_prev is None else bi + w * (M[i] @ F_prev)
                 diff = math.inf
                 for _ in range(iters):
-                    qn = bi + w * force(i, qi)
+                    qn = bi + w * f(times[i], qi)
                     diff = float(_max(np.abs(qn - qi), axis=None))
                     qi = qn
                     if diff < conv:
@@ -202,22 +175,16 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
                         residual=diff,
                     )
             Q[i] = qi
-            F[i] = force(i, qi)
+            F[i] = f(times[i], qi)
         return Q, F
     Q = base.copy() if F_prev is None else base + h2 * (M @ F_prev)
-    if stages is None:
-        F = np.array([f(times[i], Q[i]) for i in range(s)])
-    else:
-        F = _batched(stages, times, Q)
+    F = np.array([f(times[i], Q[i]) for i in range(s)])
     diff = math.inf
     for _ in range(iters):
         Qn = base + h2 * (a @ F)
         diff = float(_max(np.abs(Qn - Q), axis=None))
         Q = Qn
-        if stages is None:
-            F = np.array([f(times[i], Q[i]) for i in range(s)])
-        else:
-            F = _batched(stages, times, Q)
+        F = np.array([f(times[i], Q[i]) for i in range(s)])
         if diff < conv:
             return Q, F
     raise StageDivergenceError(
@@ -282,9 +249,9 @@ def _assert_near_oracle(t, got, oracle, same_message, f, t0, q0, p0, h, F_prev):
 
 
 class _Pair:
-    """The kernels for one tableau and structure, with their two references,
-    all from the start matrix the library derives; check() runs the kernel of
-    the force's form and both references from one state."""
+    """The kernel for one tableau and structure, with its two references,
+    all from the start matrix the library derives; check() runs the kernel
+    and both references from one state."""
 
     def __init__(self, t, sequential, stage_tol=1e-14, max_iters=100, d=2):
         self.t = t
@@ -314,41 +281,18 @@ def _driven(t, q):
     return -np.sin(q) + 0.3 * np.cos(1.7 * t)
 
 
-class _DrivenStages:
-    """_driven with a batched form, returning a list of floats."""
+class _DrivenWithStages:
+    """_driven, carrying a stages method that must never be called: the
+    kernel calls every force without a template per point."""
 
     def __call__(self, t, q):
         return _driven(t, q)
 
-    def batch(self, times, values):
-        # the (s * d,) forces as an array
-        Q = np.array(values).reshape(len(times), -1)
-        return (-np.sin(Q) + 0.3 * np.cos(1.7 * np.array(times))[:, None]).ravel()
-
     def stages(self, times, values):
-        return self.batch(times, values).tolist()
+        raise AssertionError("force.stages was called")
 
 
-class _DrivenTuple(_DrivenStages):
-    def stages(self, times, values):
-        return tuple(self.batch(times, values).tolist())
-
-
-class _DrivenArray(_DrivenStages):
-    def stages(self, times, values):
-        return self.batch(times, values)
-
-
-class _WrongShape(_DrivenStages):
-    def __init__(self, shape):
-        self.shape = shape
-
-    def stages(self, times, values):
-        s, d = len(times), len(values) // len(times)
-        return np.zeros(self.shape(s, d))
-
-
-_FORCES = [_driven, _DrivenStages()]
+_FORCES = [_driven, _DrivenWithStages()]
 
 
 def _runs(t, f, h, q0, p0, steps=12, stage_tol=1e-14, max_iters=100):
@@ -411,7 +355,7 @@ def test_named_methods_on_kepler_have_the_bits_of_the_stage_solver(name):
     prob = kepler_2d(0.5)
     for h in (0.05, -0.05, 0.3):
         _runs(t, prob.force, h, prob.q0, prob.p0, steps=20)
-    # the per-point form alone, as a force without stages is called
+    # and wrapped, which turns the inline template off
     _runs(t, lambda t, q: prob.force(t, q), 0.05, prob.q0, prob.p0, steps=10)
 
 
@@ -447,11 +391,10 @@ class _PointCounter:
 
 
 class _StagesCounter(_PointCounter):
-    """The same with a batched form: n evaluations per call on n points."""
+    """The same carrying a stages method, which is never called."""
 
     def stages(self, times, values):
-        self.evaluations += len(times)
-        return self.force.stages(times, values)
+        raise AssertionError("force.stages was called")
 
 
 @pytest.mark.parametrize(
@@ -493,18 +436,19 @@ def test_a_large_state_has_the_bits_of_the_stage_solver():
 
 def test_each_state_size_gets_its_own_kernel():
     t = named_tableau("rkn-a")
-    point, batched = _FORCES
     kernels = {}
     for d in (None, 1, 2, 3):
         q0 = 0.0 if d is None else np.zeros(d)
         for f in _FORCES:
             kernels[d, f] = _stepper(t, f, q0, 1e-14, 100)[1].func
             assert _stepper(t, f, q0, 1e-10, 7)[1].func is kernels[d, f]
-    # and each force form on array state; scalar state calls every force per point
-    assert kernels[None, point] is kernels[None, batched]
-    assert len(set(kernels.values())) == 7
-    assert " d=2 jacobi start " in kernels[2, point].__code__.co_filename
-    assert " d=3 jacobi start stages " in kernels[3, batched].__code__.co_filename
+        # a stages method makes no kernel of its own
+        assert kernels[d, _FORCES[0]] is kernels[d, _FORCES[1]]
+    assert len(set(kernels.values())) == 4
+    assert re.fullmatch(
+        r"<symrkn kernel s=3 d=3 jacobi start [0-9a-f]{8}>",
+        kernels[3, _FORCES[1]].__code__.co_filename,
+    )
 
 
 def test_one_advance_follows_every_change_of_h():
@@ -533,72 +477,6 @@ def test_a_start_matrix_of_none_ignores_previous_forces():
         for f in _FORCES:
             free = pair.check(f, 0.0, q0, p0, 0.2)
             assert pair.check(f, 0.0, q0, p0, 0.2, F_prev) == free
-
-
-def test_wrong_shape_from_stages_raises_the_same_error():
-    shapes = [
-        lambda s, d: (s, d + 1), lambda s, d: (s, d), lambda s, d: (s * d - 1,),
-        lambda s, d: (s,),
-    ]
-    for s in (1, 3):
-        for sequential in (False, True):
-            t = _random_tableau(random.Random(s), s, sequential)
-            n = 1 if sequential else s  # stages per call
-            for d in (1, 2, 3):
-                q0, p0 = _state(random.Random(d), d)
-                pair = _Pair(t, sequential, d=d)
-                for shape in shapes:
-                    if shape(n, d) == (n * d,):
-                        continue  # (n,) at d = 1
-                    got = pair.check(_WrongShape(shape), 0.0, q0, p0, 0.2)
-                    assert got[:2] == ("raised", ValueError)
-                    assert got[2] == (
-                        f"force.stages returned shape {shape(n, d)}, expected {(n * d,)}"
-                    )
-
-
-class _Recording(_DrivenStages):
-    def __init__(self):
-        self.calls = []
-
-    def stages(self, times, values):
-        self.calls.append((times, values))
-        return super().stages(times, values)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_stages_gets_two_tuples_of_floats(d):
-    q0, p0 = _state(random.Random(d), d)
-    # Jacobi sweeps pass all s stages, the sequential sweep one at a time
-    for name in ("rkn-a", "diagsymp"):
-        t = named_tableau(name)
-        n = 1 if t.lower_triangular else t.s
-        force = _Recording()
-        _, kernel = _stepper(t, force, q0, 1e-14, 100)
-        _, _, Q, _ = kernel(0.3, tuple(q0.tolist()), tuple(p0.tolist()), 0.2)
-        assert len(force.calls) > 2
-        nodes = tuple(0.3 + c * 0.2 for c in t.c.tolist())
-        for times, values in force.calls:
-            assert type(times) is tuple and len(times) == n
-            assert type(values) is tuple and len(values) == n * d
-            assert all(type(x) is float for x in times + values)
-            assert times in {nodes[i:i + n] for i in range(0, t.s, n)}
-        # the last call sees the final stage values, stage by stage
-        assert values == tuple(x for row in Q[-n:] for x in row)
-
-
-def test_tuple_and_array_results_have_the_bits_of_a_list():
-    for t in (named_tableau("rkn-b"), named_tableau("diagsymp")):
-        sequential = t.lower_triangular
-        for d in (1, 2, 3):
-            q0, p0 = _state(random.Random(10 + d), d)
-            pair = _Pair(t, sequential, d=d)
-            F_prev = np.linspace(-0.5, 0.5, t.s * d).reshape(t.s, d)
-            for args in ((0.1, q0, p0, 0.2), (0.1, q0, p0, 0.2, F_prev)):
-                want = pair.check(_DrivenStages(), *args)
-                assert want[0] != "raised"
-                assert pair.check(_DrivenTuple(), *args) == want
-                assert pair.check(_DrivenArray(), *args) == want
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 1)])

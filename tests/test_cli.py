@@ -10,6 +10,7 @@ import pytest
 
 from symrkn import cli, integrator
 from symrkn.cli import main
+from symrkn.errors import TableauValidationError
 from symrkn.integrator import StepConfig, global_error_study, integrate
 from symrkn.problems import kepler_2d, perturbed_pendulum
 from symrkn.tableau import RknTableau, load_tableau, named_tableau, save_tableau
@@ -331,6 +332,26 @@ def test_top_level_exit_codes(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "--method", "rkn-a"],
+        ["converge", "--method", "rkn-a"],
+        ["drift", "--method", "rkn-a"],
+    ],
+    ids=["derive", "converge", "drift"],
+)
+def test_a_library_error_that_is_no_value_error_exits_1(argv, monkeypatch, capsys):
+    # a failed built-in cross-validation is a RuntimeError; main maps
+    # every library error but a stage divergence to 1
+    def invalid(name):
+        raise TableauValidationError(f"{name} failed its cross-validation")
+
+    monkeypatch.setattr(cli, "named_tableau", invalid)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: rkn-a failed its cross-validation\n"
 
 
 def test_emitted_floats_reparse_exactly(tmp_path):

@@ -525,109 +525,77 @@ def test_array_problem_round_trip():
     assert Q.shape == (3, 2)
 
 
-class _CountingForce:
-    """Kepler force that counts per-point calls, batched calls and the
-    times each batched call gets."""
-
-    def __init__(self, force, stages=None):
-        self.force = force
-        self.stages_of = stages or force.stages
-        self.points = 0
-        self.batches = 0
-        self.times = []
-
-    def __call__(self, t, q):
-        self.points += 1
-        return self.force(t, q)
+class _StagesKepler(_KeplerForce):
+    """The Kepler force under a subclass, with a batched stages method
+    that must never be called."""
 
     def stages(self, times, values):
-        self.batches += 1
-        self.times += times
-        return self.stages_of(times, values)
+        raise AssertionError("force.stages was called")
+
+
+class _PlainStages:
+    """A plain force class with the same stages method."""
+
+    def __init__(self, force):
+        self.force = force
+
+    def __call__(self, t, q):
+        return self.force(t, q)
+
+    stages = _StagesKepler.stages
 
 
 @pytest.mark.parametrize("name", FIVE + ("order6-gauss3",))
 def test_batched_force_gives_the_same_bytes(name):
+    # a force with a stages method is called per point, as any force
+    # without a template is, so it runs with the plain wrapper's bits
     tab = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
     prob = kepler_2d(0.5)
-    plain = dataclasses.replace(prob, force=lambda t, q: prob.force(t, q))
     cfg = StepConfig(h=0.05)
-    batched_run = integrate(tab, prob, 5.0, cfg, sample_every=3)
-    plain_run = integrate(tab, plain, 5.0, cfg, sample_every=3)
-    for field in ("times", "q", "p", "energy_error"):
-        a, b = getattr(batched_run, field), getattr(plain_run, field)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+    plain_run = integrate(
+        tab, dataclasses.replace(prob, force=lambda t, q: prob.force(t, q)), 5.0, cfg,
+        sample_every=3,
+    )
+    for force in (prob.force, _StagesKepler(), _PlainStages(prob.force)):
+        run = integrate(tab, dataclasses.replace(prob, force=force), 5.0, cfg, sample_every=3)
+        for field in ("times", "q", "p", "energy_error"):
+            a, b = getattr(run, field), getattr(plain_run, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+def _recorded_step(tab, prob, cfg):
+    """The stage times of one step's per-point force calls, and the step's
+    bits against the built-in force's."""
+    points = []
+
+    def plain(t, q):
+        points.append(t)
+        return prob.force(t, q)
+
+    q1, p1 = step(tab, plain, 0.0, prob.q0, prob.p0, cfg)
+    q2, p2 = step(tab, prob.force, 0.0, prob.q0, prob.p0, cfg)
+    assert q1.tobytes() == q2.tobytes() and p1.tobytes() == p2.tobytes()
+    return points, [0.0 + c * cfg.h for c in tab.c.tolist()]
 
 
 def test_jacobi_array_sweep_calls_stages_once_per_sweep():
+    # every evaluation calls the force at all s stages, in stage order:
+    # the initial one and one per sweep
     tab = named_tableau("rkn-a")
     assert not tab.lower_triangular
-    prob = kepler_2d(0.5)
-    cfg = StepConfig(h=0.1)
-    points = []
-
-    def plain(t, q):
-        points.append(t)
-        return prob.force(t, q)
-
-    counting = _CountingForce(prob.force)
-    q1, p1 = step(tab, counting, 0.0, prob.q0, prob.p0, cfg)
-    q2, p2 = step(tab, plain, 0.0, prob.q0, prob.p0, cfg)
-    assert q1.tobytes() == q2.tobytes() and p1.tobytes() == p2.tobytes()
-    # the per-point run makes s calls per evaluation: the initial one and
-    # one per sweep, so the batched run makes sweeps + 1 stages calls
-    assert counting.points == 0
-    assert len(points) % tab.s == 0 and len(points) > 2 * tab.s
-    assert counting.batches == len(points) // tab.s
+    points, nodes = _recorded_step(tab, kepler_2d(0.5), StepConfig(h=0.1))
+    sweeps = len(points) // tab.s
+    assert sweeps > 2 and points == nodes * sweeps
 
 
 def test_sequential_array_solve_calls_stages_once_per_evaluation():
+    # each call is at the time of the stage being solved, stage by stage
     tab = named_tableau("diagsymp")
     assert tab.lower_triangular
-    prob = kepler_2d(0.5)
-    cfg = StepConfig(h=0.1)
-    points = []
-
-    def plain(t, q):
-        points.append(t)
-        return prob.force(t, q)
-
-    counting = _CountingForce(prob.force)
-    q1, p1 = step(tab, counting, 0.0, prob.q0, prob.p0, cfg)
-    q2, p2 = step(tab, plain, 0.0, prob.q0, prob.p0, cfg)
-    assert q1.tobytes() == q2.tobytes() and p1.tobytes() == p2.tobytes()
-    # one stages call per per-point call, at the same time, in the same order
-    assert counting.points == 0
+    points, nodes = _recorded_step(tab, kepler_2d(0.5), StepConfig(h=0.1))
     assert len(points) > tab.s
-    assert counting.batches == len(points)
-    assert counting.times == points
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        lambda times, values: np.zeros(len(times)),
-        lambda times, values: np.zeros((len(times), 1)),
-        lambda times, values: np.zeros((2, len(times))),
-        lambda times, values: np.zeros((len(times), 2)),
-        lambda times, values: np.zeros(len(values) - 1),
-        lambda times, values: [0.0] * (len(values) - 1),
-        lambda times, values: [0.0] * (len(values) + 1),
-    ],
-    ids=["(s,)", "(s,1)", "(d,s)", "(s,d)", "(s*d-1,)", "list(s*d-1)", "list(s*d+1)"],
-)
-def test_stages_of_the_wrong_shape_is_rejected(bad):
-    prob = kepler_2d(0.5)
-    force = _CountingForce(prob.force, stages=bad)
-    # s = 3, d = 2: a Jacobi sweep passes 6 values, a sequential solve 2
-    for name, size in (("rkn-iiia", 6), ("diagsymp", 2)):
-        tab = named_tableau(name)
-        with pytest.raises(
-            ValueError, match=rf"force.stages returned shape .*, expected \({size},\)"
-        ):
-            step(tab, force, 0.0, prob.q0, prob.p0, StepConfig(h=0.1))
-        with pytest.raises(ValueError, match="force.stages returned shape"):
-            integrate(tab, dataclasses.replace(prob, force=force), 1.0, StepConfig(h=0.1))
+    stages = [nodes.index(t) for t in points]
+    assert stages == sorted(stages) and set(stages) == set(range(tab.s))
 
 
 def _kernel_name(tab, force, q0):
@@ -635,24 +603,27 @@ def _kernel_name(tab, force, q0):
 
 
 class _RecordingKepler(_KeplerForce):
-    """The Kepler force under a subclass, recording its stages times."""
+    """The Kepler force under a subclass, recording its call times."""
 
     def __init__(self):
         self.times = []
 
-    def stages(self, times, values):
-        self.times += times
-        return super().stages(times, values)
+    def __call__(self, t, q):
+        self.times.append(t)
+        return super().__call__(t, q)
 
 
 def test_only_the_exact_built_in_force_types_are_written_inline():
-    # a template is found by the force's exact type, so a subclass keeps
-    # its stages calls and a replaced force its per-point calls
+    # a template is found by the force's exact type, so a subclass and a
+    # replaced force keep their per-point calls
     tab = named_tableau("rkn-a")
     prob = kepler_2d(0.5)
     assert "d=2 jacobi start kepler " in _kernel_name(tab, prob.force, prob.q0)
     force = _RecordingKepler()
-    assert "d=2 jacobi start stages " in _kernel_name(tab, force, prob.q0)
+    assert re.fullmatch(
+        r"<symrkn kernel s=3 d=2 jacobi start [0-9a-f]{8}>",
+        _kernel_name(tab, force, prob.q0),
+    )
     q1, p1 = step(tab, force, 0.0, prob.q0, prob.p0, StepConfig(h=0.1))
     q2, p2 = step(tab, prob.force, 0.0, prob.q0, prob.p0, StepConfig(h=0.1))
     assert q1.tobytes() == q2.tobytes() and p1.tobytes() == p2.tobytes()
@@ -672,16 +643,20 @@ def test_only_the_exact_built_in_force_types_are_written_inline():
 @pytest.mark.parametrize("name", [*FIVE, "order6-gauss3"])
 def test_the_pendulum_on_a_one_element_array_has_the_bits_of_the_scalar_run(name):
     # the pendulum's one-component template serves (1,) state as it does
-    # scalar state, and its energy takes the (1,) rows
+    # scalar state, and its energy takes the (1,) rows; wrapped, its force
+    # takes a (1,) array and returns one, with the float's bits
     tab = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
     pend = perturbed_pendulum()
     wide = dataclasses.replace(pend, q0=np.array([0.0]), p0=np.array([2.5]))
+    wrapped = dataclasses.replace(wide, force=lambda t, q: pend.force(t, q))
     assert " d=1 " in _kernel_name(tab, wide.force, wide.q0)
     assert " pendulum " in _kernel_name(tab, wide.force, wide.q0)
-    want, got = (integrate(tab, prob, 16.0, CFG, sample_every=3) for prob in (pend, wide))
-    assert not got.diverged and got.times.tobytes() == want.times.tobytes()
-    for field in ("q", "p", "energy_error"):
-        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    want = integrate(tab, pend, 16.0, CFG, sample_every=3)
+    for prob in (wide, wrapped):
+        got = integrate(tab, prob, 16.0, CFG, sample_every=3)
+        assert not got.diverged and got.times.tobytes() == want.times.tobytes()
+        for field in ("q", "p", "energy_error"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
     q1, p1 = step(tab, wide.force, 0.0, wide.q0, wide.p0, CFG)
     assert q1.shape == p1.shape == (1,)
     assert (q1[0], p1[0]) == step(tab, pend.force, 0.0, pend.q0, pend.p0, CFG)
@@ -706,11 +681,7 @@ def test_final_state_error_reads_the_full_run_endpoint():
 
 
 def _counted_force_evaluations(force):
-    """(force, count) where count() is the evaluations made so far,
-    counting one stages call on n points as n evaluations."""
-    if hasattr(force, "stages"):
-        counting = _CountingForce(force)
-        return counting, lambda: counting.points + len(counting.times)
+    """(force, count) where count() is the calls made so far."""
     calls = []
 
     def f(t, q):

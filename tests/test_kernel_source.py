@@ -1,8 +1,8 @@
 """The generated kernel sources, pinned by sha256.
 
 Each digest covers two sources of one method, state kind and force form
-(per point, through force.stages on array state, or a built-in force's
-template written inline), joined in this order: the kernel with the
+(per point, or a built-in force's template written inline), joined in
+this order: the kernel with the
 method's start matrix, which every call on the method runs (integrate,
 step, solve_stages, reversibility_test), and the same kernel with the
 free-motion start, which a tableau with no start matrix runs.  A change to
@@ -55,29 +55,17 @@ SCALAR = {
 
 ARRAY = {
     ("rkn-iiia", 1, "point"): "4893ca9c865691b7202bd411453e74ca998df1c63d7438f079408ec6aed95d81",
-    ("rkn-iiia", 1, "stages"): "f5e2ff052290973277548a483affa7c121d42838145d6f0ab9a94bbc36a59296",
     ("rkn-iiia", 2, "point"): "8cf9e44addead28b0034fee97431ba50ac49d4bf9a2d9aa62eec05263ddb6bcd",
-    ("rkn-iiia", 2, "stages"): "27ce74e0918a193cf205a8b605e58d21e7616e1107deb88631eeaf5aaf616e8b",
     ("rkn-iiib", 1, "point"): "f36b911eac38fbcb54c908392667f229f06a750268af5840a6f1955d5affc67d",
-    ("rkn-iiib", 1, "stages"): "b4ecf01a06a338e9d4be5b75178b4b7fa80b5a639321bbadafbc081700baa23e",
     ("rkn-iiib", 2, "point"): "a7816f56152638abfb9b8efee46ce79038706033836b9b6f2cfd8e7ea9c08395",
-    ("rkn-iiib", 2, "stages"): "f805a6ec17d3839098e8ef2f8e02d5cc720c60179704d36b443712254d897f79",
     ("diagsymp", 1, "point"): "331ce1c6a6973ca04f4346a895d44c67b94f8b892d8ce79598f111b64fed77df",
-    ("diagsymp", 1, "stages"): "0a761fd5fedfa414d3c9b284188bfefa4f357a214c302a61c0c8dfb673e5f69d",
     ("diagsymp", 2, "point"): "223b05f04f3b3f4679590f53a6af86ede32268f9a09bc484ca03bc48254e2615",
-    ("diagsymp", 2, "stages"): "326dea876eb5e27b6a4976fc75e4805215f52bc380cb630c5a742fa5126e66ee",
     ("rkn-a", 1, "point"): "c92af4eec42b58d291e0dfa88f125f56f9cbec3ca0d199b2e50621ebf6279d5c",
-    ("rkn-a", 1, "stages"): "4fa9693527c4e91070a858d2cec3160c65306129deaac16f6b0f84031ab48446",
     ("rkn-a", 2, "point"): "355e85f5aca6471cd49390839f8eec35e16f40287db181fd37950c03ce9a8c37",
-    ("rkn-a", 2, "stages"): "5847110c266d67bad07c346d13ff8c0296d62177e4a677f138c6391ed57481a2",
     ("rkn-b", 1, "point"): "457ab39a59affe1c790026fe23e4afd5e232a24ca1e76ffd2863f4def43c1647",
-    ("rkn-b", 1, "stages"): "8e1889d8c586c82511c4fa4f75368efcd1460ba151fee10a9f116b8479d5405d",
     ("rkn-b", 2, "point"): "f56a962e53fef40f611c4892cd562f5c71778a8df9bc9ec025de7cc449b4531f",
-    ("rkn-b", 2, "stages"): "85dfedfe74a878378b1317abb05ec956fc08270786c334ffabe5f7d34463a74a",
     ("order6-gauss3", 1, "point"): "dae7dc9ed60ab0b3d5bf98a853d9eba556363215d95741b8dd816b4bf15b9016",
-    ("order6-gauss3", 1, "stages"): "e0b6c08378922d5a3a55784003edb70ad39b0d588e66ff92635213e691fb4317",
     ("order6-gauss3", 2, "point"): "0c9eb071c2f4c3cfbddfa28d3381ce6c4f0684841431637723f01d08108dbe62",
-    ("order6-gauss3", 2, "stages"): "8bf15533dcf2c122f2c068f5d120ddbbe14c4044842a01caeb88f560d70311fb",
 }
 
 # the scalar pendulum and d = 2 Kepler forces, written inline
@@ -88,12 +76,12 @@ INLINE = {
     ("rkn-a", "pendulum"): "25785c29092f21a0f5c016e8c94e0f8db86081be6f373f9aaf21b9d58aea2fec",
     ("rkn-b", "pendulum"): "42800b7d67a7122f26aa1444a73e9a82c7710799f44c37e20798d160bc3cedee",
     ("order6-gauss3", "pendulum"): "2a36adf4d48d0bd293a0ee4f8459aa3ae0fbf0700c7105086aa9a17c705c7646",
-    ("rkn-iiia", "kepler"): "0aa860d13098af7410392e9035a0b35b3cf7b71bf58219c9afc0de58fa35a6c2",
-    ("rkn-iiib", "kepler"): "d11dfaa2465354a62b7b164086588bf389d7bc8d85f7b8c7c819e0fc5c217ecb",
-    ("diagsymp", "kepler"): "f80ef0105669e3a920712189cc4955250600c32d013f6fea586fb47e5d7949cb",
-    ("rkn-a", "kepler"): "fa8638f87f3f462b6c2fbfdbdcbfe779e5435d10f1cf5fc74e2892320591026b",
-    ("rkn-b", "kepler"): "8e89a05d9cca951f3fedd6679bbc850ccd70fa3230a197d86d2b66d8fa13f335",
-    ("order6-gauss3", "kepler"): "8bc7cb31ae84f97c31502a1287e6207c42ad849fed04fc4050545ebc5c87e2ce",
+    ("rkn-iiia", "kepler"): "499bce8e18afad43ef341292660a1c3c295c88a12602dcb0d3c63965e4034b7a",
+    ("rkn-iiib", "kepler"): "a086f2b8ff2052166dfe51725500f5c88f9b2030fa946ea9442d808d76072334",
+    ("diagsymp", "kepler"): "54fad0f62835bd1b40d1f2dd90e16dc368fd17a2da47614d6935e31d847a615a",
+    ("rkn-a", "kepler"): "0c386b461570cd094f216b247d121ba48c247b1f5dd76d46a2b25ef49de186ec",
+    ("rkn-b", "kepler"): "d4b97394f93d3b3bdc5a0b392774cd1a2a7338a207b3175d9d887016760fc473",
+    ("order6-gauss3", "kepler"): "aa0aa12b87a97c34ccedab9f8713c58969f908b65f2d712eabdef95456ea7109",
 }
 
 
@@ -124,7 +112,7 @@ def test_scalar_kernel_sources_are_pinned(name):
 
 @pytest.mark.parametrize("name", METHODS)
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("form", ["point", "stages"])
+@pytest.mark.parametrize("form", ["point"])
 def test_array_kernel_sources_are_pinned(name, d, form):
     assert _digest(name, _Floats(d), form) == ARRAY[name, d, form]
 

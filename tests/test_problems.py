@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import warnings
 
 import mpmath
@@ -222,47 +223,13 @@ def test_kepler_energy_under_array_path():
     assert float(np.abs(traj.energy_error).max()) < 1e-7
 
 
-@pytest.mark.parametrize("e", [0.0, 0.5])
-def test_kepler_batched_force_matches_per_point_bits(e):
-    force = kepler_2d(e).force
-    rng = np.random.default_rng(3)
-    for s in (1, 3, 5, 257):
-        times = rng.uniform(0.0, 10.0, s)
-        Q = rng.uniform(-2.0, 2.0, (s, 2))
-        per_point = np.array([force(times[i], Q[i]) for i in range(s)])
-        batched = _flat_stages(force)(times, Q)
-        assert batched.shape == per_point.shape == (s, 2)
-        assert batched.tobytes() == per_point.tobytes()
-    # rows at and beyond the edges of float arithmetic
-    rows = [(x, y) for x in _EDGE_ENTRIES for y in _EDGE_ENTRIES]
-    Q = np.array(rows)
-    with np.errstate(all="ignore"):
-        per_point = np.array([force(0.0, q) for q in Q])
-        batched = _flat_stages(force)(np.zeros(len(Q)), Q)
-    assert batched.tobytes() == per_point.tobytes()
-
-
-def _flat_stages(force):
-    """force.stages on (s,) times and (s, 2) values, as the solver calls
-    it: tuples of floats in, a list of floats out, read back as (s, 2)."""
-
-    def stages(times, Q):
-        out = force.stages(tuple(times.tolist()), tuple(Q.ravel().tolist()))
-        assert type(out) is list and all(type(x) is float for x in out)
-        return np.array(out).reshape(Q.shape)
-
-    return stages
-
-
-def _numpy_kepler_force(t, q):
-    r = math.sqrt(q[0] * q[0] + q[1] * q[1])
-    return -q / (r * r * r)
-
-
-def _numpy_kepler_stages(times, Q):
+def _numpy_kepler_rows(t, q):
+    """The Kepler force as a numpy formula over (n, 2) rows of points, here
+    one row, whose every operation is an array operation."""
+    Q = q.reshape(-1, 2)
     x, y = Q[:, 0], Q[:, 1]
     r = np.sqrt(x * x + y * y)
-    return -Q / (r * r * r)[:, None]
+    return (-Q / (r * r * r)[:, None]).reshape(q.shape)
 
 
 _TINY = np.finfo(float).tiny
@@ -272,7 +239,7 @@ _HUGE = np.finfo(float).max
 _EDGE_ENTRIES = [
     0.0, -0.0, 5e-324, -5e-324, 1e-310, _TINY, -_TINY, 1e-300, 1e-160, 1e-155,
     np.nextafter(2.0**-500, 0.0), 2.0**-500, -(2.0**-500), 1e-120, 1e-100,
-    0.5, -1.0, 3.0, 1e100, 1e154, -1e155, 1e200, _HUGE, -_HUGE,
+    1e-170, 0.5, -1.0, 3.0, 1e100, 1e103, 1e154, -1e155, 1e200, 1e300, _HUGE, -_HUGE,
     math.inf, -math.inf, math.nan,
 ]
 
@@ -296,30 +263,29 @@ _ERRSTATES = [{}, {"all": "warn"}, {"all": "raise"}, {"all": "ignore"}]
 
 @pytest.mark.parametrize("err", _ERRSTATES, ids=["default", "warn", "raise", "ignore"])
 def test_kepler_float_rows_keep_the_bits_and_warnings_of_numpy(err):
+    # r and r^3 are numpy scalars, so their overflow and underflow set
+    # numpy's flags as the array formula's do; numpy names a scalar
+    # operation "scalar multiply" where it names an array one "multiply"
     force = kepler_2d().force
-    rows = [(x, y) for x in _EDGE_ENTRIES for y in _EDGE_ENTRIES]
-    for q in np.array(rows):
-        assert _kepler_outcome(force, 0.0, q, err=err) == _kepler_outcome(
-            _numpy_kepler_force, 0.0, q, err=err
-        )
-    rng = np.random.default_rng(4)
-    for s in (1, 3, 10, 257):
-        times = np.zeros(s)
-        plain = rng.uniform(-2.0, 2.0, (s, 2))
-        batches = [plain]
-        for row in rows:
-            Q = plain.copy()
-            Q[rng.integers(s)] = row
-            batches.append(Q)
-        for Q in batches:
-            assert _kepler_outcome(_flat_stages(force), times, Q, err=err) == _kepler_outcome(
-                _numpy_kepler_stages, times, Q, err=err
-            )
+
+    def plain(outcome):
+        result, caught = outcome
+        if len(result) == 2:  # an exception's name and message
+            result = (result[0], result[1].replace(" scalar ", " "))
+        return result, [(c, m.replace(" scalar ", " ")) for c, m in caught]
+
+    for q in np.array([(x, y) for x in _EDGE_ENTRIES for y in _EDGE_ENTRIES]):
+        got = _kepler_outcome(force, 0.0, q, err=err)
+        want = _kepler_outcome(_numpy_kepler_rows, 0.0, q, err=err)
+        assert plain(got) == want
+        if all(x == 0.0 or not math.isfinite(x) for x in q.tolist()):
+            # the r = 0 collision, inf and NaN warn only in the division
+            assert got == want
 
 
-class _StagesKepler:
-    """The Kepler force under a type of its own, so the kernel calls its
-    stages form instead of writing the force inline."""
+class _PointKepler:
+    """The Kepler force under a type of its own, so the kernel calls it per
+    point instead of writing the force inline."""
 
     def __init__(self):
         self.force = kepler_2d().force
@@ -327,23 +293,24 @@ class _StagesKepler:
     def __call__(self, t, q):
         return self.force(t, q)
 
-    def stages(self, times, values):
-        return self.force.stages(times, values)
-
 
 @pytest.mark.parametrize("err", _ERRSTATES, ids=["default", "warn", "raise", "ignore"])
-def test_kepler_edge_states_through_the_inline_kernel_match_the_stages_kernel(err):
+def test_kepler_edge_states_inline_match_the_point_kernel(err):
     # r = 0, subnormal entries, r^3 out of range, huge and non-finite
     # entries reach the inline force from the first stage values (p0 = 0:
-    # every stage starts at q0); a call with such a point goes to stages
-    inline, wrapped = kepler_2d().force, _StagesKepler()
+    # every stage starts at q0); a call with such a point calls the force
+    # at every point of the call
+    inline, wrapped = kepler_2d().force, _PointKepler()
     cfg = StepConfig(h=0.1)
     p0 = np.zeros(2)
     for name in ("diagsymp", "rkn-a"):
         tab = named_tableau(name)
-        for force, form in ((inline, " kepler "), (wrapped, " stages ")):
+        for force, form in ((inline, " kepler "), (wrapped, " ")):
             kernel = _stepper(tab, force, p0, 1e-14, 100)[1].func
-            assert form in kernel.__code__.co_filename
+            assert re.fullmatch(
+                rf"<symrkn kernel s=3 d=2 \w+ start{form}[0-9a-f]{{8}}>",
+                kernel.__code__.co_filename,
+            )
         for row in [(x, y) for x in _EDGE_ENTRIES for y in _EDGE_ENTRIES]:
             q0 = np.array(row)
             for run in (solve_stages, lambda *a: np.concatenate(step(*a))):
