@@ -30,6 +30,7 @@ from .errors import (
 )
 from .integrator import (
     StepConfig,
+    _REFERENCE_REFINEMENT,
     global_error_study,
     integrate,
     linear_drift_slope,
@@ -129,25 +130,23 @@ def _summary_lines(t: RknTableau):
     ]
 
 
+# each --family: its builder and the flags it takes, in argument order
+_FAMILIES = {
+    "order2": (build_order2, ("alpha",)),
+    "order4": (build_order4, ("alpha", "beta", "gamma")),
+    "order6": (build_order6, ("alpha",)),
+    "expansion": (build_expansion, ("eta", "zeta")),
+}
+
+
 def _build_family(args) -> AlphaMatrix:
-    need = {
-        "order2": ("alpha",),
-        "order4": ("alpha", "beta", "gamma"),
-        "order6": ("alpha",),
-        "expansion": ("eta", "zeta"),
-    }[args.family]
-    missing = [f"--{name}" for name in need if getattr(args, name) is None]
+    build, flags = _FAMILIES[args.family]
+    missing = [f"--{name}" for name in flags if getattr(args, name) is None]
     if missing:
         raise ValueError(
             f"family {args.family} requires {', '.join(missing)}"
         )
-    if args.family == "order2":
-        return build_order2(args.alpha)
-    if args.family == "order4":
-        return build_order4(args.alpha, args.beta, args.gamma)
-    if args.family == "order6":
-        return build_order6(args.alpha)
-    return build_expansion(args.eta, args.zeta)
+    return build(*(getattr(args, name) for name in flags))
 
 
 def cmd_derive(args) -> int:
@@ -201,7 +200,7 @@ def cmd_converge(args) -> int:
     hs = _parse_h_list(args.h_list)
     methods = [(tok, _resolve_method(tok)) for tok in args.method]
     prob = _PROBLEMS[args.problem]()
-    reference = reference_state(prob, args.t_end, min(hs) / 20.0)
+    reference = reference_state(prob, args.t_end, min(hs) / _REFERENCE_REFINEMENT)
     studies = []
     for tok, tab in methods:
         try:
@@ -259,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     derive = sub.add_parser("derive", help="derive a tableau and print properties")
-    derive.add_argument("--family", choices=("order2", "order4", "order6", "expansion"))
+    derive.add_argument("--family", choices=tuple(_FAMILIES))
     derive.add_argument("--method", choices=NAMED_METHODS)
     derive.add_argument("--alpha", type=float)
     derive.add_argument("--beta", type=float)

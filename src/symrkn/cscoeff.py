@@ -80,9 +80,17 @@ class ConditionReport:
 
 
 def _symmetric_base() -> dict[tuple[int, int], float]:
-    # tau - sigma = xi_1 (P_1(tau) - P_1(sigma)) fixes this antisymmetric pair
+    """The entries every symmetric family starts from: the antisymmetric
+    pair that tau - sigma = xi_1 (P_1(tau) - P_1(sigma)) fixes, and the
+    (0, 0) default 1/6."""
     q = 0.5 * xi(1)
-    return {(0, 1): -q, (1, 0): q}
+    return {(0, 1): -q, (1, 0): q, (0, 0): 1.0 / 6.0}
+
+
+def _free(i: int, j: int) -> bool:
+    """Whether alpha[i, j] may be set in a symmetric family: i + j even.
+    Every other entry is fixed, to its _symmetric_base value or to zero."""
+    return (i + j) % 2 == 0
 
 
 def _materialize(entries: dict[tuple[int, int], float], label: str) -> AlphaMatrix:
@@ -96,34 +104,23 @@ def _materialize(entries: dict[tuple[int, int], float], label: str) -> AlphaMatr
 
 def build_order2(alpha: float) -> AlphaMatrix:
     """One-parameter symmetric family of order 2."""
-    entries = _symmetric_base()
-    entries[(0, 0)] = alpha
-    entries.setdefault((1, 1), 0.0)
-    return _materialize(entries, f"order2(alpha={alpha!r})")
+    return build_symmetric_general({(0, 0): alpha}, f"order2(alpha={alpha!r})")
 
 
 def build_order4(alpha: float, beta: float, gamma: float) -> AlphaMatrix:
     """Three-parameter symmetric family of order 4."""
-    entries = _symmetric_base()
-    entries[(0, 0)] = 1.0 / 6.0
-    entries[(1, 1)] = alpha
-    entries[(0, 2)] = beta
-    entries[(2, 0)] = gamma
-    entries.setdefault((2, 2), 0.0)
-    return _materialize(
-        entries, f"order4(alpha={alpha!r}, beta={beta!r}, gamma={gamma!r})"
+    return build_symmetric_general(
+        {(1, 1): alpha, (0, 2): beta, (2, 0): gamma},
+        f"order4(alpha={alpha!r}, beta={beta!r}, gamma={gamma!r})",
     )
 
 
 def build_order6(alpha: float) -> AlphaMatrix:
     """One-parameter symmetric family of order 6."""
-    entries = _symmetric_base()
-    entries[(0, 0)] = 1.0 / 6.0
-    entries[(1, 1)] = -0.1
-    entries[(0, 2)] = SQRT5 / 60.0
-    entries[(2, 0)] = SQRT5 / 60.0
-    entries[(2, 2)] = alpha
-    return _materialize(entries, f"order6(alpha={alpha!r})")
+    return build_symmetric_general(
+        {(1, 1): -0.1, (0, 2): SQRT5 / 60.0, (2, 0): SQRT5 / 60.0, (2, 2): alpha},
+        f"order6(alpha={alpha!r})",
+    )
 
 
 def build_symmetric_general(
@@ -136,16 +133,12 @@ def build_symmetric_general(
     (0,1)/(1,0) pair is fixed by the symmetry condition and cannot be set.
     """
     entries = _symmetric_base()
-    entries[(0, 0)] = 1.0 / 6.0
     for (i, j), value in extra.items():
         if i < 0 or j < 0:
             raise SymmetryViolationError(f"negative index ({i}, {j})")
         if i > MAX_DEGREE or j > MAX_DEGREE:
             raise DegreeOverflowError(f"index ({i}, {j}) exceeds degree {MAX_DEGREE}")
-        if (i, j) == (0, 0):
-            entries[(0, 0)] = value
-            continue
-        if (i + j) % 2 == 1 or i + j <= 1:
+        if not _free(i, j):
             raise SymmetryViolationError(
                 f"index ({i}, {j}) is not free in a symmetric family"
             )
@@ -167,22 +160,16 @@ def build_expansion(
         raise ValueError("eta and zeta must be >= 1")
     omega = omega or {}
     entries = _symmetric_base()
-    entries[(0, 0)] = 1.0 / 6.0
     n1 = max(eta - 3, zeta - 1)
     n2 = max(eta - 2, zeta - 2)
     n3 = max(eta - 1, zeta - 3)
+    # each sum writes its own diagonal, none of them the base's entries
     for iota in range(1, n1 + 1):
-        entries[(iota - 1, iota + 1)] = entries.get((iota - 1, iota + 1), 0.0) + xi(
-            iota
-        ) * xi(iota + 1)
+        entries[(iota - 1, iota + 1)] = xi(iota) * xi(iota + 1)
     for iota in range(1, n2 + 1):
-        entries[(iota, iota)] = entries.get((iota, iota), 0.0) - (
-            xi(iota) ** 2 + xi(iota + 1) ** 2
-        )
+        entries[(iota, iota)] = -(xi(iota) ** 2 + xi(iota + 1) ** 2)
     for iota in range(1, n3 + 1):
-        entries[(iota + 1, iota - 1)] = entries.get((iota + 1, iota - 1), 0.0) + xi(
-            iota
-        ) * xi(iota + 1)
+        entries[(iota + 1, iota - 1)] = xi(iota) * xi(iota + 1)
     for (i, j), value in omega.items():
         if i < zeta - 1 or j < eta - 1:
             raise ExpansionConstraintError(
@@ -192,10 +179,8 @@ def build_expansion(
         if i > MAX_DEGREE or j > MAX_DEGREE:
             raise DegreeOverflowError(f"index ({i}, {j}) exceeds degree {MAX_DEGREE}")
         entries[(i, j)] = entries.get((i, j), 0.0) + value
-    mat = _materialize(entries, f"expansion(eta={eta}, zeta={zeta})")
-    if mat.deg_tau > MAX_DEGREE or mat.deg_sigma > MAX_DEGREE:
-        raise DegreeOverflowError("expansion exceeds the supported degree")
-    return mat
+    # past MAX_DEGREE, AlphaMatrix raises DegreeOverflowError
+    return _materialize(entries, f"expansion(eta={eta}, zeta={zeta})")
 
 
 def eval_Abar_grid(m: AlphaMatrix, tau, sigma) -> np.ndarray:
@@ -239,39 +224,33 @@ def _moment_rhs(kappa: int) -> tuple[np.ndarray, np.ndarray]:
     return cn, cn - table[:, 1] / kappa + table[:, 0] / (kappa + 1.0)
 
 
-def _cn_residual(m: AlphaMatrix, kappa: int) -> float:
-    """Max Legendre-coefficient residual of the kappa-th CN condition."""
+def _moment_check(
+    alpha: np.ndarray, level: int, name: str, dn: int
+) -> ConditionReport:
+    """The max Legendre-coefficient residuals of the moment conditions
+    kappa = 1, ..., level-1: CN on alpha (dn = 0), DN on alpha.T (dn = 1)."""
+    if level - 1 > MAX_DEGREE:
+        raise DegreeOverflowError(f"{name} {level} exceeds the supported range")
     table = default_transform()
-    lhs = np.zeros(table.shape[0])
-    lhs[: m.deg_tau + 1] = m.alpha @ table[: m.deg_sigma + 1, kappa - 1]
-    return float(np.maximum.reduce(np.abs(lhs - _moment_rhs(kappa)[0])))
-
-
-def _dn_residual(m: AlphaMatrix, kappa: int) -> float:
-    """Max Legendre-coefficient residual of the kappa-th DN condition."""
-    table = default_transform()
-    lhs = np.zeros(table.shape[0])
-    lhs[: m.deg_sigma + 1] = m.alpha.T @ table[: m.deg_tau + 1, kappa - 1]
-    return float(np.maximum.reduce(np.abs(lhs - _moment_rhs(kappa)[1])))
-
-
-def _report(residuals: list[float]) -> ConditionReport:
-    worst = max(residuals) if residuals else 0.0
+    rows, cols = alpha.shape
+    residuals = []
+    for kappa in range(1, level):
+        lhs = np.zeros(table.shape[0])
+        lhs[:rows] = alpha @ table[:cols, kappa - 1]
+        lhs -= _moment_rhs(kappa)[dn]
+        residuals.append(float(np.maximum.reduce(np.abs(lhs))))
+    worst = max(residuals, default=0.0)
     return ConditionReport(worst < CHECK_TOL, worst, tuple(residuals))
 
 
 def check_CN(m: AlphaMatrix, eta: int) -> ConditionReport:
     """Check the CN(eta) moment conditions (kappa = 1, ..., eta-1)."""
-    if eta - 1 > MAX_DEGREE:
-        raise DegreeOverflowError(f"eta {eta} exceeds the supported range")
-    return _report([_cn_residual(m, kappa) for kappa in range(1, eta)])
+    return _moment_check(m.alpha, eta, "eta", 0)
 
 
 def check_DN(m: AlphaMatrix, zeta: int) -> ConditionReport:
     """Check the DN(zeta) moment conditions (kappa = 1, ..., zeta-1)."""
-    if zeta - 1 > MAX_DEGREE:
-        raise DegreeOverflowError(f"zeta {zeta} exceeds the supported range")
-    return _report([_dn_residual(m, kappa) for kappa in range(1, zeta)])
+    return _moment_check(m.alpha.T, zeta, "zeta", 1)
 
 
 def check_symmetry_cs(m: AlphaMatrix, tol: float = 1e-13) -> bool:
@@ -280,19 +259,22 @@ def check_symmetry_cs(m: AlphaMatrix, tol: float = 1e-13) -> bool:
     Symmetry of the induced method is equivalent to
     Abar(tau, sigma) - Abar(1-tau, 1-sigma) = tau - sigma, which in
     coefficients reads alpha[0,1] = -sqrt(3)/12, alpha[1,0] = +sqrt(3)/12,
-    and alpha[i,j] = 0 whenever i + j is odd and > 1.
+    and alpha[i,j] = 0 whenever i + j is odd and > 1: the entries that
+    _free calls fixed, within tol.
     """
-    q = 0.5 * xi(1)
-    a = m.alpha
     if m.deg_sigma < 1 or m.deg_tau < 1:
         return False
-    if abs(a[0, 1] + q) > tol or abs(a[1, 0] - q) > tol:
-        return False
-    for i in range(m.deg_tau + 1):
-        for j in range(m.deg_sigma + 1):
-            if (i + j) % 2 == 1 and i + j > 1 and abs(a[i, j]) > tol:
-                return False
-    return True
+    base = _symmetric_base()
+    return all(
+        _free(i, j) or abs(value - base.get((i, j), 0.0)) <= tol
+        for i, row in enumerate(m.alpha.tolist())
+        for j, value in enumerate(row)
+    )
+
+
+def _order_bound(p: int, eta: int, zeta: int) -> int:
+    """The order bound min(p, 2 eta + 2, eta + zeta)."""
+    return min(p, 2 * eta + 2, eta + zeta)
 
 
 def order_estimate(m: AlphaMatrix, eta: int, zeta: int, p: int) -> int:
@@ -303,4 +285,4 @@ def order_estimate(m: AlphaMatrix, eta: int, zeta: int, p: int) -> int:
     """
     a = min(eta, p - m.deg_sigma + 1)
     b = min(zeta, p - m.deg_tau + 1)
-    return min(p, 2 * a + 2, a + b)
+    return _order_bound(p, a, b)

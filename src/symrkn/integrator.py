@@ -29,6 +29,9 @@ from .tableau import RknTableau, discretize
 #: Relative slack when checking that h divides the integration span.
 GRID_RTOL = 1e-9
 
+# the pendulum's order-6 reference runs at min(h) / _REFERENCE_REFINEMENT
+_REFERENCE_REFINEMENT = 20.0
+
 
 @dataclass(frozen=True)
 class StepConfig:
@@ -265,7 +268,7 @@ def _last_state(traj, q0, message):
             message, residual=traj.failure_residual, step_index=traj.failure_step
         )
     kind = _kind(q0)
-    return tuple(kind.value(x[-1].reshape(kind.shape)) for x in (traj.q, traj.p))
+    return tuple(kind.value(kind.state(x[-1])) for x in (traj.q, traj.p))
 
 
 @dataclass(frozen=True)
@@ -349,7 +352,7 @@ def global_error_study(
         raise DegenerateFitError("study needs at least 2 distinct step sizes")
     if reference is None:
         label = "exact" if prob.exact is not None else "order6-gauss3"
-        reference = reference_state(prob, t_end, min(hs) / 20.0, cfg)
+        reference = reference_state(prob, t_end, min(hs) / _REFERENCE_REFINEMENT, cfg)
     else:
         label = "supplied"
     errors = np.empty(len(hs))

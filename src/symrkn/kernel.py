@@ -36,17 +36,20 @@ _kernels_lock = threading.Lock()
 class _Scalar:
     """Scalar state: a value is one float, under its own name.
 
-    size is the component count and shape a value's numpy shape, sink
-    names the array('d') method that takes a sample, tag goes into the
-    file name.  names, pack and unpack write a value's components in the
-    source, call the lines of y = f(time, v), and rows picks what energy
-    is called on.
-    state puts a user's q or p in the kernel's form, and value takes the
-    kernel's form, or a sample row reshaped to shape, back to the user's.
+    size is the component count, sink names the array('d') method that
+    takes a sample, tag goes into the file name.  names, pack and unpack
+    write a value's components in the source, call the lines of
+    y = f(time, v), and rows picks what energy is called on.
+    state puts a user's q or p, or a sample row, in the kernel's form, and
+    value takes the kernel's form back to the user's.
     """
 
-    size, shape, sink, tag = 1, (), "append", ""
-    state = value = staticmethod(float)
+    size, sink, tag = 1, "append", ""
+    value = staticmethod(float)
+
+    @staticmethod
+    def state(x):  # any one-element value; one of another size is a ValueError
+        return x if type(x) is float else float(np.reshape(x, ()))
 
     def names(self, name):
         return [name]
@@ -71,7 +74,6 @@ class _Floats(NamedTuple):
 
     size: int
     sink, value = "extend", staticmethod(np.array)
-    shape = property(lambda self: (self.size,))
     tag = property(lambda self: f" d={self.size}")
 
     def state(self, x):

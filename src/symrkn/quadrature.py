@@ -91,8 +91,7 @@ def gauss_rule(s: int) -> QuadratureRule:
     weights = np.empty(s)
     for i in range(1, s + 1):
         t = _newton_root(poly, math.cos(math.pi * (4 * i - 1) / (4 * s + 2)))
-        p, p_prev = _legendre_pair(s, t)
-        slope = s * (t * p - p_prev) / (t * t - 1.0)
+        _, slope = poly(t)
         roots[i - 1] = t
         weights[i - 1] = 2.0 / ((1.0 - t * t) * slope * slope)
     order = np.argsort(roots)

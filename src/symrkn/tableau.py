@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cscoeff import SQRT5, AlphaMatrix, build_order4, eval_Abar_grid
+from .cscoeff import SQRT5, AlphaMatrix, _order_bound, build_order4, eval_Abar_grid
 from .errors import TableauFormatError, TableauValidationError
 from .quadrature import QuadratureRule, lobatto_rule
 
@@ -248,13 +248,18 @@ def is_symmetric(t: RknTableau, tol: float = 1e-12) -> tuple[bool, float]:
     return dev < tol, dev
 
 
+def _weight_residual(t: RknTableau) -> float:
+    """max |b_bar - b (1 - c)|, the residual of the weight condition."""
+    return np.maximum.reduce(np.abs(t.b_bar - t.b * (1.0 - t.c)))
+
+
 def is_symplectic(t: RknTableau, tol: float = 1e-12) -> tuple[bool, float]:
     """Classical RKN symplecticity conditions; returns (verdict, residual).
 
     (i)  b_bar_i = b_i (1 - c_i)
     (ii) b_i (b_bar_j - a_bar_ij) = b_j (b_bar_i - a_bar_ji)
     """
-    r1 = np.maximum.reduce(np.abs(t.b_bar - t.b * (1.0 - t.c)))
+    r1 = _weight_residual(t)
     m = t.b[:, None] * (t.b_bar[None, :] - t.a_bar)
     r2 = np.maximum.reduce(np.abs(m - m.T), axis=None)
     res = float(max(r1, r2))
@@ -303,8 +308,8 @@ def classical_order_bound(t: RknTableau, tol: float = 1e-12) -> OrderBound:
     exceed it (their actual order is invisible to the moment-condition search).
     """
     deg = check_simplifying_discrete(t)
-    consistent = bool(np.maximum.reduce(np.abs(t.b_bar - t.b * (1.0 - t.c))) < tol)
-    bound = min(deg.xi, 2 * deg.eta + 2, deg.eta + deg.zeta) if consistent else 0
+    consistent = bool(_weight_residual(t) < tol)
+    bound = _order_bound(deg.xi, deg.eta, deg.zeta) if consistent else 0
     return OrderBound(bound, consistent, deg.xi, deg.eta, deg.zeta)
 
 

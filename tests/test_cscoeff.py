@@ -7,8 +7,6 @@ import pytest
 
 from symrkn.cscoeff import (
     AlphaMatrix,
-    _cn_residual,
-    _dn_residual,
     build_expansion,
     build_order2,
     build_order4,
@@ -33,7 +31,7 @@ from symrkn.tableau import SEARCH_CAP, SEARCH_TOL
 def largest_eta(m: AlphaMatrix) -> int:
     """Largest eta (capped) whose CN conditions all hold at search tolerance."""
     eta = 1
-    while eta < SEARCH_CAP and _cn_residual(m, eta) < SEARCH_TOL:
+    while eta < SEARCH_CAP and check_CN(m, eta + 1).residuals[-1] < SEARCH_TOL:
         eta += 1
     return eta
 
@@ -41,7 +39,7 @@ def largest_eta(m: AlphaMatrix) -> int:
 def largest_zeta(m: AlphaMatrix) -> int:
     """Largest zeta (capped) whose DN conditions all hold at search tolerance."""
     zeta = 1
-    while zeta < SEARCH_CAP and _dn_residual(m, zeta) < SEARCH_TOL:
+    while zeta < SEARCH_CAP and check_DN(m, zeta + 1).residuals[-1] < SEARCH_TOL:
         zeta += 1
     return zeta
 
@@ -217,6 +215,22 @@ def test_symmetric_general_rejections():
     with pytest.raises(DegreeOverflowError):
         build_symmetric_general({(14, 0): 0.1})
 
+
+
+def test_builder_and_checker_agree_on_every_index():
+    # build_symmetric_general takes a value at exactly the indices where
+    # check_symmetry_cs lets the base's entry move
+    for i in range(MAX_DEGREE + 1):
+        for j in range(MAX_DEGREE + 1):
+            a = np.zeros((max(i, 1) + 1, max(j, 1) + 1))
+            a[0, 0], a[0, 1], a[1, 0] = 1 / 6, A01, -A01
+            a[i, j] += 0.1
+            try:
+                m = build_symmetric_general({(i, j): 0.1})
+            except SymmetryViolationError:
+                m = None
+            assert (m is not None) == check_symmetry_cs(AlphaMatrix(a)), (i, j)
+            assert m is None or check_symmetry_cs(m), (i, j)
 
 def test_eval_abar_against_direct_sum():
     rng = np.random.default_rng(5)

@@ -665,6 +665,36 @@ def test_the_pendulum_on_a_one_element_array_has_the_bits_of_the_scalar_run(name
     assert Q.tobytes() == solve_stages(tab, pend.force, 0.0, pend.q0, pend.p0, CFG).tobytes()
 
 
+
+@pytest.mark.parametrize("name", FIVE)
+def test_a_float_beside_a_one_element_array_has_the_bits_of_the_float_run(name):
+    # dim-1 state may mix a float and a (1,) array; either mix runs as the
+    # unmixed runs do, and a value of another size is a ValueError
+    tab = named_tableau(name)
+    pend = perturbed_pendulum()
+    want = integrate(tab, pend, 16.0, CFG, sample_every=3)
+    want_step = step(tab, pend.force, 0.0, pend.q0, pend.p0, CFG)
+    want_stages = solve_stages(tab, pend.force, 0.0, pend.q0, pend.p0, CFG)
+    want_ref = reference_state(pend, 1.6, 0.16)
+    for q0, p0 in ((0.0, np.array([2.5])), (np.array([0.0]), 2.5)):
+        prob = dataclasses.replace(pend, q0=q0, p0=p0)
+        got = integrate(tab, prob, 16.0, CFG, sample_every=3)
+        assert not got.diverged
+        for field in ("times", "q", "p", "energy_error"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        got_step = step(tab, prob.force, 0.0, q0, p0, CFG)
+        got_ref = reference_state(prob, 1.6, 0.16)
+        for x, y in (*zip(got_step, want_step), *zip(got_ref, want_ref)):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        got_stages = solve_stages(tab, prob.force, 0.0, q0, p0, CFG)
+        assert got_stages.ravel().tobytes() == want_stages.tobytes()
+        assert reversibility_test(tab, prob, 0.16) == reversibility_test(tab, pend, 0.16)
+    for q0, p0 in ((0.0, np.array([2.5, 1.0])), (np.array([0.0]), np.ones(2))):
+        with pytest.raises(ValueError):
+            step(tab, pend.force, 0.0, q0, p0, CFG)
+        with pytest.raises(ValueError):
+            solve_stages(tab, pend.force, 0.0, q0, p0, CFG)
+
 def test_final_state_error_reads_the_full_run_endpoint():
     prob = kepler_2d(0.5)
     tab = named_tableau("rkn-iiib")
