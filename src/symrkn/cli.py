@@ -194,8 +194,9 @@ def cmd_converge(args) -> int:
     slope per method, as CSV.
 
     Every method is measured against one reference_state: the exact
-    solution for harmonic and kepler, an order-6 Gauss-3 run at min(h)/20
-    for the pendulum.  A diverged run is a nan row and exits 3.
+    solution for harmonic and kepler, an order-6 Gauss-3 run at
+    min(h) / _REFERENCE_REFINEMENT for the pendulum.  A diverged run is a
+    nan row and exits 3.
     """
     hs = _parse_h_list(args.h_list)
     methods = [(tok, _resolve_method(tok)) for tok in args.method]

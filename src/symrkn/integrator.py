@@ -29,7 +29,8 @@ from .tableau import RknTableau, discretize
 #: Relative slack when checking that h divides the integration span.
 GRID_RTOL = 1e-9
 
-# the pendulum's order-6 reference runs at min(h) / _REFERENCE_REFINEMENT
+# reference_state runs order6-gauss3 at min(h) / _REFERENCE_REFINEMENT when
+# a problem has no exact solution
 _REFERENCE_REFINEMENT = 20.0
 
 
@@ -246,7 +247,8 @@ def reference_state(
 
     A span t_end - t0 that is negative or not finite is a grid error.  The
     nominal h_ref is shrunk to the nearest exact divisor of the span, so
-    callers may pass min(h)/20 without worrying about grid alignment.
+    callers may pass min(h) / _REFERENCE_REFINEMENT without worrying about
+    grid alignment.
     """
     span = t_end - prob.t0
     _check_span(span)
@@ -338,8 +340,8 @@ def global_error_study(
     reference overrides the (q_ref, p_ref) state (reference "supplied");
     otherwise reference_state gives the problem's exact solution when it has
     one (harmonic, Kepler: "exact"), else an order-6 Gauss-3 run at
-    min(h)/20 (pendulum: "order6-gauss3").  Errors are max-norm over the
-    concatenated (q, p) deviation.
+    min(h) / _REFERENCE_REFINEMENT (pendulum: "order6-gauss3").  Errors are
+    max-norm over the concatenated (q, p) deviation.
     Results are sorted by decreasing h, with duplicates dropped.
 
     A step size whose run diverges records a nan error instead of raising.

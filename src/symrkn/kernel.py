@@ -47,9 +47,8 @@ class _Scalar:
     size, sink, tag = 1, "append", ""
     value = staticmethod(float)
 
-    @staticmethod
-    def state(x):  # any one-element value; one of another size is a ValueError
-        return x if type(x) is float else float(np.reshape(x, ()))
+    # any one-element value; one of another size is a ValueError
+    state = staticmethod(lambda x: float(np.reshape(x, ())))
 
     def names(self, name):
         return [name]

@@ -216,7 +216,6 @@ def test_symmetric_general_rejections():
         build_symmetric_general({(14, 0): 0.1})
 
 
-
 def test_builder_and_checker_agree_on_every_index():
     # build_symmetric_general takes a value at exactly the indices where
     # check_symmetry_cs lets the base's entry move
@@ -231,6 +230,7 @@ def test_builder_and_checker_agree_on_every_index():
                 m = None
             assert (m is not None) == check_symmetry_cs(AlphaMatrix(a)), (i, j)
             assert m is None or check_symmetry_cs(m), (i, j)
+
 
 def test_eval_abar_against_direct_sum():
     rng = np.random.default_rng(5)

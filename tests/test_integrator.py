@@ -665,7 +665,6 @@ def test_the_pendulum_on_a_one_element_array_has_the_bits_of_the_scalar_run(name
     assert Q.tobytes() == solve_stages(tab, pend.force, 0.0, pend.q0, pend.p0, CFG).tobytes()
 
 
-
 @pytest.mark.parametrize("name", FIVE)
 def test_a_float_beside_a_one_element_array_has_the_bits_of_the_float_run(name):
     # dim-1 state may mix a float and a (1,) array; either mix runs as the
@@ -694,6 +693,7 @@ def test_a_float_beside_a_one_element_array_has_the_bits_of_the_float_run(name):
             step(tab, pend.force, 0.0, q0, p0, CFG)
         with pytest.raises(ValueError):
             solve_stages(tab, pend.force, 0.0, q0, p0, CFG)
+
 
 def test_final_state_error_reads_the_full_run_endpoint():
     prob = kepler_2d(0.5)
