@@ -30,11 +30,10 @@ from .errors import (
 )
 from .integrator import (
     StepConfig,
-    _REFERENCE_REFINEMENT,
+    _study_reference,
     global_error_study,
     integrate,
     linear_drift_slope,
-    reference_state,
 )
 from .problems import harmonic_oscillator, kepler_2d, perturbed_pendulum
 from .quadrature import gauss_rule, lobatto_rule
@@ -193,15 +192,15 @@ def cmd_converge(args) -> int:
     """Global error at --t-end per method and step size, and the fitted
     slope per method, as CSV.
 
-    Every method is measured against one reference_state: the exact
-    solution for harmonic and kepler, an order-6 Gauss-3 run at
-    min(h) / _REFERENCE_REFINEMENT for the pendulum.  A diverged run is a
+    Every method is measured against one reference, which
+    integrator._study_reference picks: the exact solution for harmonic and
+    kepler, an order-6 Gauss-3 run for the pendulum.  A diverged run is a
     nan row and exits 3.
     """
     hs = _parse_h_list(args.h_list)
     methods = [(tok, _resolve_method(tok)) for tok in args.method]
     prob = _PROBLEMS[args.problem]()
-    reference = reference_state(prob, args.t_end, min(hs) / _REFERENCE_REFINEMENT)
+    _, reference = _study_reference(prob, args.t_end, hs)
     studies = []
     for tok, tab in methods:
         try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,8 +29,6 @@ from .tableau import RknTableau, discretize
 #: Relative slack when checking that h divides the integration span.
 GRID_RTOL = 1e-9
 
-# reference_state runs order6-gauss3 at min(h) / _REFERENCE_REFINEMENT when
-# a problem has no exact solution
 _REFERENCE_REFINEMENT = 20.0
 
 
@@ -61,9 +59,10 @@ class Trajectory:
 
     times has shape (n,), q and p have shape (n, dim).  energy_error is
     H(p_k, q_k) - H(p_0, q_0) per sample when the problem has an energy
-    function, else None.  diverged marks a run cut short at step index
-    failure_step (1-based), by stage-solver failure or by a non-finite state;
-    the recorded samples end at the last completed step and are finite.
+    function, else None.  A run cut short by stage-solver failure or by a
+    non-finite state has a failure_step, its 1-based step index, and is
+    diverged; the recorded samples end at the last completed step and are
+    finite.
     failure_residual is the last stage increment of a stage-solver failure,
     and None when the run completed or a non-finite sample ended it.
     """
@@ -72,7 +71,6 @@ class Trajectory:
     q: np.ndarray = field(repr=False)
     p: np.ndarray = field(repr=False)
     energy_error: Optional[np.ndarray] = field(repr=False, default=None)
-    diverged: bool = False
     failure_step: Optional[int] = None
     failure_residual: Optional[float] = None
 
@@ -84,6 +82,10 @@ class Trajectory:
             raise ValueError("energy_error length mismatch")
         if n > 1 and not np.all(np.diff(self.times) > 0.0):
             raise ValueError("times must be strictly increasing")
+
+    @property
+    def diverged(self) -> bool:
+        return self.failure_step is not None
 
 
 def solve_stages(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
@@ -208,26 +210,21 @@ def integrate(
         rows = kind.rows(ps, p_arr), kind.rows(qs, q_arr)
         energy_error = np.fromiter(map(prob.energy, *rows), float, m)
         energy_error -= energy_error[0]
-    return Trajectory(
-        np.frombuffer(ts), q_arr, p_arr, energy_error,
-        failure_step is not None, failure_step, residual,
-    )
+    return Trajectory(np.frombuffer(ts), q_arr, p_arr, energy_error, failure_step, residual)
 
 
-def reversibility_test(
-    t: RknTableau, prob: OdeProblem, h: float, cfg: Optional[StepConfig] = None
-) -> float:
+def reversibility_test(t: RknTableau, prob: OdeProblem, h: float) -> float:
     """Deviation of the map from rho-reversibility, rho: (p, q) -> (-p, q).
 
     Computes z1 = Phi_h(q0, p0), z2 = Phi_h(rho z1) and returns
     max-norm(rho z2 - (q0, p0)); zero exactly for reversible maps applied to
     a reversible problem.
     """
-    run = replace(cfg or StepConfig(h=h), h=h)
+    cfg = StepConfig(h=h)
     f = prob.force
     q0, p0 = prob.q0, prob.p0
-    q1, p1 = step(t, f, prob.t0, q0, p0, run)
-    q2, p2 = step(t, f, prob.t0, q1, -p1, run)
+    q1, p1 = step(t, f, prob.t0, q0, p0, cfg)
+    q2, p2 = step(t, f, prob.t0, q1, -p1, cfg)
     return float(max(np.abs(q2 - q0).max(), np.abs(-p2 - p0).max()))
 
 
@@ -236,19 +233,14 @@ def reference_tableau() -> RknTableau:
     return discretize(build_order6(0.0), gauss_rule(3), label="order6-gauss3")
 
 
-def reference_state(
-    prob: OdeProblem,
-    t_end: float,
-    h_ref: float,
-    cfg: Optional[StepConfig] = None,
-):
+def reference_state(prob: OdeProblem, t_end: float, h_ref: float):
     """High-accuracy state at t_end: prob.exact(t_end) when present
     (harmonic, Kepler), else an order-6 Gauss-3 run (pendulum).
 
-    A span t_end - t0 that is negative or not finite is a grid error.  The
-    nominal h_ref is shrunk to the nearest exact divisor of the span, so
-    callers may pass min(h) / _REFERENCE_REFINEMENT without worrying about
-    grid alignment.
+    A span t_end - t0 that is negative or not finite is a grid error, and
+    so is a negative h_ref for the order-6 run.  The nominal h_ref is
+    shrunk to the nearest exact divisor of the span, so it need not divide
+    the span.
     """
     span = t_end - prob.t0
     _check_span(span)
@@ -256,21 +248,36 @@ def reference_state(
         return prob.exact(t_end)
     if span == 0.0:
         return prob.q0, prob.p0
+    if h_ref < 0.0:
+        raise InvalidGridError(f"reference step size {h_ref!r} must be positive")
     steps = _step_ratio(span, h_ref, "reference step size")
     n = max(1, int(math.ceil(steps - GRID_RTOL)))
-    run = replace(cfg or StepConfig(h=span / n), h=span / n)
-    traj = integrate(reference_tableau(), prob, t_end, run, sample_every=n)
-    return _last_state(traj, prob.q0, "reference integration diverged")
+    return _final_state(
+        reference_tableau(), prob, t_end, StepConfig(h=span / n),
+        "reference integration diverged",
+    )
 
 
-def _last_state(traj, q0, message):
-    """traj's last (q, p) as values like q0; a diverged run raises message."""
+def _final_state(t, prob, t_end, cfg, message):
+    """The (q, p) state at t_end, as values like prob.q0, of a run that
+    records only its ends; a diverged run raises message."""
+    n = _step_count(t_end - prob.t0, cfg.h)
+    traj = integrate(t, prob, t_end, cfg, sample_every=max(1, n))
     if traj.diverged:
         raise StageDivergenceError(
             message, residual=traj.failure_residual, step_index=traj.failure_step
         )
-    kind = _kind(q0)
+    kind = _kind(prob.q0)
     return tuple(kind.value(kind.state(x[-1])) for x in (traj.q, traj.p))
+
+
+def _study_reference(prob: OdeProblem, t_end: float, hs):
+    """(label, (q_ref, p_ref)) of a convergence study over the step sizes
+    hs: the exact solution when the problem has one ("exact"), else an
+    order-6 Gauss-3 run at min(hs) / _REFERENCE_REFINEMENT
+    ("order6-gauss3")."""
+    label = "exact" if prob.exact is not None else "order6-gauss3"
+    return label, reference_state(prob, t_end, min(hs) / _REFERENCE_REFINEMENT)
 
 
 @dataclass(frozen=True)
@@ -320,9 +327,7 @@ def final_state_error(
     Only the initial and final states are recorded.  A run cut short by
     stage divergence raises a stage-divergence error.
     """
-    n = _step_count(t_end - prob.t0, cfg.h)
-    traj = integrate(t, prob, t_end, cfg, sample_every=max(1, n))
-    q, p = _last_state(traj, prob.q0, f"integration at h={cfg.h!r} diverged")
+    q, p = _final_state(t, prob, t_end, cfg, f"integration at h={cfg.h!r} diverged")
     q_ref, p_ref = reference
     return float(max(np.abs(q - q_ref).max(), np.abs(p - p_ref).max()))
 
@@ -332,16 +337,16 @@ def global_error_study(
     prob: OdeProblem,
     t_end: float,
     h_list,
-    cfg: Optional[StepConfig] = None,
+    *,
     reference=None,
 ) -> ErrorStudy:
     """Global error at t_end per step size, with fitted convergence slope.
 
     reference overrides the (q_ref, p_ref) state (reference "supplied");
-    otherwise reference_state gives the problem's exact solution when it has
-    one (harmonic, Kepler: "exact"), else an order-6 Gauss-3 run at
-    min(h) / _REFERENCE_REFINEMENT (pendulum: "order6-gauss3").  Errors are
-    max-norm over the concatenated (q, p) deviation.
+    otherwise it is the problem's exact solution when it has one (harmonic,
+    Kepler: "exact"), else an order-6 Gauss-3 run (pendulum:
+    "order6-gauss3"), as _study_reference decides.  Errors are max-norm
+    over the concatenated (q, p) deviation.
     Results are sorted by decreasing h, with duplicates dropped.
 
     A step size whose run diverges records a nan error instead of raising.
@@ -353,16 +358,13 @@ def global_error_study(
     if not hs:
         raise DegenerateFitError("study needs at least 2 distinct step sizes")
     if reference is None:
-        label = "exact" if prob.exact is not None else "order6-gauss3"
-        reference = reference_state(prob, t_end, min(hs) / _REFERENCE_REFINEMENT, cfg)
+        label, reference = _study_reference(prob, t_end, hs)
     else:
         label = "supplied"
     errors = np.empty(len(hs))
     for i, h in enumerate(hs):
         try:
-            errors[i] = final_state_error(
-                t, prob, t_end, replace(cfg or StepConfig(h=h), h=h), reference
-            )
+            errors[i] = final_state_error(t, prob, t_end, StepConfig(h=h), reference)
         except StageDivergenceError:
             errors[i] = math.nan
     try:

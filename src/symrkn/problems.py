@@ -21,8 +21,7 @@ class OdeProblem:
     force maps (t, q) to the acceleration; energy is H(p, q); exact maps t to
     the state (q, p).  q0 and p0 must have shape () or (1,) at dim 1 and
     (dim,) otherwise, else ValueError; the force and energy get floats for
-    shape () and (dim,) arrays otherwise.  reversible asserts
-    H(-p, q) = H(p, q) with autonomous f.
+    shape () and (dim,) arrays otherwise.
 
     force must be a function of (t, q) alone.  The stage solver may reuse
     its value at an iterate it has already evaluated: a stage iterate whose
@@ -46,7 +45,6 @@ class OdeProblem:
     p0: object
     energy: Optional[Callable] = None
     exact: Optional[Callable] = None
-    reversible: bool = False
     label: str = ""
 
     def __post_init__(self):
@@ -91,10 +89,9 @@ class _PendulumForce:
     __slots__ = ()
 
     def __call__(self, t, q):
-        try:
-            return -math.sin(q) - 0.4 * math.cos(2.0 * q)
-        except TypeError:  # (1,) state, whose one float math needs
+        if isinstance(q, np.ndarray):  # (1,) state, whose one float math needs
             return np.array([self(t, *q.tolist())])
+        return -math.sin(q) - 0.4 * math.cos(2.0 * q)
 
 
 def perturbed_pendulum() -> OdeProblem:
@@ -104,11 +101,13 @@ def perturbed_pendulum() -> OdeProblem:
     H(p, q) = p^2/2 - cos q + (1/5) sin 2q, invariant under p -> -p.
     """
 
+    # closure cells, as energy runs once per sample
+    ndarray, cos, sin = np.ndarray, math.cos, math.sin
+
     def energy(p, q):
-        try:
-            return 0.5 * p * p - math.cos(q) + 0.2 * math.sin(2.0 * q)
-        except TypeError:  # (1,) rows, whose one float math needs
+        if isinstance(q, ndarray):  # (1,) rows, whose one float math needs
             return energy(*p.tolist(), *q.tolist())
+        return 0.5 * p * p - cos(q) + 0.2 * sin(2.0 * q)
 
     return OdeProblem(
         dim=1,
@@ -117,7 +116,6 @@ def perturbed_pendulum() -> OdeProblem:
         q0=0.0,
         p0=2.5,
         energy=energy,
-        reversible=True,
         label="pendulum",
     )
 
@@ -133,6 +131,8 @@ def harmonic_oscillator(omega: float = 1.0) -> OdeProblem:
         return -(w * w) * q
 
     def energy(p, q):
+        if isinstance(q, np.ndarray):  # (1,) rows: the float run's value
+            return energy(*p.tolist(), *q.tolist())
         return 0.5 * p * p + 0.5 * (w * w) * (q * q)
 
     def exact(t):
@@ -150,7 +150,6 @@ def harmonic_oscillator(omega: float = 1.0) -> OdeProblem:
         p0=p0,
         energy=energy,
         exact=exact,
-        reversible=True,
         label=f"harmonic(omega={w!r})",
     )
 
@@ -272,6 +271,5 @@ def kepler_2d(eccentricity: float = 0.0) -> OdeProblem:
         p0=p0,
         energy=energy,
         exact=exact,
-        reversible=True,
         label=f"kepler(e={e!r})",
     )

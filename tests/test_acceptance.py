@@ -21,10 +21,10 @@ from symrkn.cscoeff import (
 )
 from symrkn.integrator import (
     StepConfig,
+    _study_reference,
     global_error_study,
     integrate,
     linear_drift_slope,
-    reference_state,
     reference_tableau,
     reversibility_test,
 )
@@ -70,7 +70,7 @@ def test_c01_convergence_order():
     start = time.perf_counter()
     prob = perturbed_pendulum()
     h_list = [0.2 / 2**k for k in range(6)]
-    ref = reference_state(prob, 10.0, min(h_list) / 20.0)
+    _, ref = _study_reference(prob, 10.0, h_list)
     slopes = {}
     for name in ("rkn-iiib", "diagsymp", "rkn-a", "rkn-b"):
         study = global_error_study(

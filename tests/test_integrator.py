@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kernel_harness import structured_stepper
+from symrkn.cli import DEFAULT_H_LIST
 from symrkn.cscoeff import build_order2, build_order4
 from symrkn.errors import (
     DegenerateFitError,
@@ -18,6 +19,7 @@ from symrkn.errors import (
 from symrkn.integrator import (
     StepConfig,
     _step_ratio,
+    _study_reference,
     final_state_error,
     fit_loglog_slope,
     global_error_study,
@@ -413,6 +415,18 @@ def test_diverged_rows_are_nan_in_a_study():
     assert math.isnan(study.slope)
 
 
+def test_the_studies_take_step_sizes_only():
+    # a StepConfig after the step sizes is a TypeError, and never lands in
+    # global_error_study's keyword-only reference
+    tab, prob = named_tableau("rkn-a"), kepler_2d()
+    with pytest.raises(TypeError):
+        global_error_study(tab, prob, 1.0, [0.1, 0.05], StepConfig(h=0.1))
+    with pytest.raises(TypeError):
+        reference_state(prob, 1.0, 0.1, StepConfig(h=0.1))
+    with pytest.raises(TypeError):
+        reversibility_test(tab, prob, 0.1, StepConfig(h=0.1))
+
+
 def test_slope_fits():
     hs = [0.4, 0.2, 0.1]
     assert fit_loglog_slope(hs, [h**3 for h in hs]) == pytest.approx(3.0, abs=1e-12)
@@ -454,6 +468,22 @@ def test_reference_state_paths():
     assert (q0, p0) == (pend.q0, pend.p0)
 
 
+def test_the_pendulum_reference_meets_an_independent_oracle():
+    # the state at t = 10 from mpmath's Taylor-series solver, ~4 s to
+    # recompute:
+    #   mp.dps = 20
+    #   y = mpmath.odefun(lambda t, y: [y[1], -mpmath.sin(y[0])
+    #       - mpf(2) / 5 * mpmath.cos(2 * y[0])], 0, [mpf(0), mpf("2.5")])
+    #   y(10)
+    # The default converge's reference misses it by 2.8e-13 in q and 5e-15
+    # in p: roundoff, as |q| grows to ~20 in rotation
+    hs = [float(h) for h in DEFAULT_H_LIST.split(",")]
+    label, (q, p) = _study_reference(perturbed_pendulum(), 10.0, hs)
+    assert label == "order6-gauss3"
+    assert abs(q - 19.79475097709899979054) < 1e-12
+    assert abs(p - 2.24531162719881558961) < 1e-12
+
+
 @pytest.mark.parametrize("t_end", [math.inf, -math.inf, math.nan, -1.0])
 @pytest.mark.parametrize("make", [perturbed_pendulum, harmonic_oscillator, kepler_2d])
 def test_a_non_finite_or_negative_span_is_a_grid_error(make, t_end):
@@ -463,6 +493,12 @@ def test_a_non_finite_or_negative_span_is_a_grid_error(make, t_end):
         reference_state(prob, t_end, 0.01)
     with pytest.raises(InvalidGridError):
         integrate(named_tableau("rkn-a"), prob, t_end, StepConfig(h=0.1))
+
+
+def test_a_negative_reference_step_is_a_grid_error():
+    # and not one order-6 step over the whole span, a state 1e-3 off
+    with pytest.raises(InvalidGridError, match="reference step size -0.001 must be positive"):
+        reference_state(perturbed_pendulum(), 1.0, -0.001)
 
 
 @pytest.mark.parametrize("make", [perturbed_pendulum, harmonic_oscillator, kepler_2d])
@@ -640,29 +676,40 @@ def test_only_the_exact_built_in_force_types_are_written_inline():
     assert runs[0].p.tobytes() == runs[1].p.tobytes()
 
 
-@pytest.mark.parametrize("name", [*FIVE, "order6-gauss3"])
-def test_the_pendulum_on_a_one_element_array_has_the_bits_of_the_scalar_run(name):
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        pytest.param(make, name, id=prefix + name)
+        for make, prefix in ((perturbed_pendulum, ""), (harmonic_oscillator, "harmonic-"))
+        for name in (*FIVE, "order6-gauss3")
+    ],
+)
+def test_the_pendulum_on_a_one_element_array_has_the_bits_of_the_scalar_run(make, name):
     # the pendulum's one-component template serves (1,) state as it does
     # scalar state, and its energy takes the (1,) rows; wrapped, its force
-    # takes a (1,) array and returns one, with the float's bits
+    # takes a (1,) array and returns one, with the float's bits.  The
+    # harmonic oscillator's force and energy, called per point, do the same
     tab = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
-    pend = perturbed_pendulum()
-    wide = dataclasses.replace(pend, q0=np.array([0.0]), p0=np.array([2.5]))
-    wrapped = dataclasses.replace(wide, force=lambda t, q: pend.force(t, q))
-    assert " d=1 " in _kernel_name(tab, wide.force, wide.q0)
-    assert " pendulum " in _kernel_name(tab, wide.force, wide.q0)
-    want = integrate(tab, pend, 16.0, CFG, sample_every=3)
+    base = make()
+    wide = dataclasses.replace(base, q0=np.array([base.q0]), p0=np.array([base.p0]))
+    wrapped = dataclasses.replace(wide, force=lambda t, q: base.force(t, q))
+    if make is perturbed_pendulum:
+        assert " d=1 " in _kernel_name(tab, wide.force, wide.q0)
+        assert " pendulum " in _kernel_name(tab, wide.force, wide.q0)
+    want = integrate(tab, base, 16.0, CFG, sample_every=3)
+    want_error = final_state_error(tab, base, 16.0, CFG, (0.5, 0.25))
     for prob in (wide, wrapped):
         got = integrate(tab, prob, 16.0, CFG, sample_every=3)
         assert not got.diverged and got.times.tobytes() == want.times.tobytes()
         for field in ("q", "p", "energy_error"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert final_state_error(tab, prob, 16.0, CFG, (0.5, 0.25)) == want_error
     q1, p1 = step(tab, wide.force, 0.0, wide.q0, wide.p0, CFG)
     assert q1.shape == p1.shape == (1,)
-    assert (q1[0], p1[0]) == step(tab, pend.force, 0.0, pend.q0, pend.p0, CFG)
+    assert (q1[0], p1[0]) == step(tab, base.force, 0.0, base.q0, base.p0, CFG)
     Q = solve_stages(tab, wide.force, 0.0, wide.q0, wide.p0, CFG)
     assert Q.shape == (tab.s, 1)
-    assert Q.tobytes() == solve_stages(tab, pend.force, 0.0, pend.q0, pend.p0, CFG).tobytes()
+    assert Q.tobytes() == solve_stages(tab, base.force, 0.0, base.q0, base.p0, CFG).tobytes()
 
 
 @pytest.mark.parametrize("name", FIVE)

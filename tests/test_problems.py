@@ -26,7 +26,6 @@ def test_pendulum_definition():
     prob = perturbed_pendulum()
     assert prob.dim == 1
     assert prob.q0 == 0.0 and prob.p0 == 2.5
-    assert prob.reversible
     # force at rest and initial energy have simple closed values
     assert prob.force(0.0, 0.0) == pytest.approx(-0.4, abs=1e-16)
     assert prob.energy(2.5, 0.0) == pytest.approx(2.125, abs=1e-16)
