@@ -194,8 +194,9 @@ def cmd_converge(args) -> int:
 
     Every method is measured against one reference, which
     integrator._study_reference picks: the exact solution for harmonic and
-    kepler, an order-6 Gauss-3 run for the pendulum.  A diverged run is a
-    nan row and exits 3.
+    kepler, an order-6 Gauss-3 run for the pendulum.  It checks every
+    grid first, so a step size that does not divide the span exits 1
+    before any run.  A diverged run is a nan row and exits 3.
     """
     hs = _parse_h_list(args.h_list)
     methods = [(tok, _resolve_method(tok)) for tok in args.method]

@@ -157,9 +157,12 @@ def integrate(
     initial state must be finite.  On stage divergence mid-run the
     trajectory collected so far is returned with diverged=True, the
     1-based index of the failed step and the solver's last increment as
-    failure_residual.  A sample that is not finite ends the run the same
-    way, at its step and with no residual, so no recorded value is inf or
-    NaN.  Either way one WARNING goes to the "symrkn" logger.  Step k
+    failure_residual.  A sample that is not finite (a force that went
+    non-finite where no stage iteration sees it: an explicit stage, or a
+    jump within stage_tol of the converged stage) ends the run the same
+    way: the kernel raises the stage divergence at its step, with no
+    residual, and does not take the sample, so no recorded value is inf
+    or NaN.  Either way one WARNING goes to the "symrkn" logger.  Step k
     starts at t0 + (k - 1) h, the first at t0 itself, as in step.
 
     Each step after the first starts its stage iteration from the previous
@@ -183,17 +186,9 @@ def integrate(
     if n:
         sinks = ts.append, getattr(qs, kind.sink), getattr(ps, kind.sink)
         try:
-            q, p, _, _ = advance(t0, q, p, h, None, n, sample_every, *sinks)
+            advance(t0, q, p, h, None, n, sample_every, *sinks)
         except StageDivergenceError as exc:
             failure_step, residual = exc.step_index, exc.residual
-        else:
-            if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-                # a force that went non-finite where no stage iteration sees
-                # it (an explicit stage, or a jump within stage_tol of the
-                # converged stage) passes the stage solve; the kernel stops
-                # at the first such sample, which it does not take
-                failure_step = min(len(ts) * sample_every, n)
-        if failure_step is not None:
             # imported here: importing logging adds ~4 ms to every start-up,
             # 3 % of a worker's set-up time in the benchmark
             import logging
@@ -242,20 +237,26 @@ def reference_state(prob: OdeProblem, t_end: float, h_ref: float):
     shrunk to the nearest exact divisor of the span, so it need not divide
     the span.
     """
+    n = _reference_steps(prob, t_end, h_ref)
+    if not n:
+        return prob.exact(t_end) if prob.exact is not None else (prob.q0, prob.p0)
+    return _final_state(
+        reference_tableau(), prob, t_end, StepConfig(h=(t_end - prob.t0) / n),
+        "reference integration diverged",
+    )
+
+
+def _reference_steps(prob, t_end, h_ref):
+    """Step count of reference_state's order-6 run, 0 when it runs none,
+    after its grid checks."""
     span = t_end - prob.t0
     _check_span(span)
-    if prob.exact is not None:
-        return prob.exact(t_end)
-    if span == 0.0:
-        return prob.q0, prob.p0
+    if prob.exact is not None or span == 0.0:
+        return 0
     if h_ref < 0.0:
         raise InvalidGridError(f"reference step size {h_ref!r} must be positive")
     steps = _step_ratio(span, h_ref, "reference step size")
-    n = max(1, int(math.ceil(steps - GRID_RTOL)))
-    return _final_state(
-        reference_tableau(), prob, t_end, StepConfig(h=span / n),
-        "reference integration diverged",
-    )
+    return max(1, int(math.ceil(steps - GRID_RTOL)))
 
 
 def _final_state(t, prob, t_end, cfg, message):
@@ -271,13 +272,25 @@ def _final_state(t, prob, t_end, cfg, message):
     return tuple(kind.value(kind.state(x[-1])) for x in (traj.q, traj.p))
 
 
-def _study_reference(prob: OdeProblem, t_end: float, hs):
+def _study_reference(prob: OdeProblem, t_end: float, hs, reference=None):
     """(label, (q_ref, p_ref)) of a convergence study over the step sizes
-    hs: the exact solution when the problem has one ("exact"), else an
-    order-6 Gauss-3 run at min(hs) / _REFERENCE_REFINEMENT
-    ("order6-gauss3")."""
+    hs: reference when given ("supplied"), else the exact solution when
+    the problem has one ("exact"), else an order-6 Gauss-3 run at
+    min(hs) / _REFERENCE_REFINEMENT ("order6-gauss3").
+
+    Every grid of the study is checked first, so a bad one fails before
+    any run: the reference run's, then each step size's, largest first,
+    as the rows run.
+    """
+    h_ref = min(hs) / _REFERENCE_REFINEMENT
+    if reference is None:
+        _reference_steps(prob, t_end, h_ref)
+    for h in sorted(hs, reverse=True):
+        _step_count(t_end - prob.t0, h)
+    if reference is not None:
+        return "supplied", reference
     label = "exact" if prob.exact is not None else "order6-gauss3"
-    return label, reference_state(prob, t_end, min(hs) / _REFERENCE_REFINEMENT)
+    return label, reference_state(prob, t_end, h_ref)
 
 
 @dataclass(frozen=True)
@@ -345,9 +358,9 @@ def global_error_study(
     reference overrides the (q_ref, p_ref) state (reference "supplied");
     otherwise it is the problem's exact solution when it has one (harmonic,
     Kepler: "exact"), else an order-6 Gauss-3 run (pendulum:
-    "order6-gauss3"), as _study_reference decides.  Errors are max-norm
-    over the concatenated (q, p) deviation.
-    Results are sorted by decreasing h, with duplicates dropped.
+    "order6-gauss3"), as _study_reference decides, which also checks every
+    grid before any run.  Errors are max-norm over the concatenated (q, p)
+    deviation.  Results are sorted by decreasing h, with duplicates dropped.
 
     A step size whose run diverges records a nan error instead of raising.
     The slope is fitted on the finite rows.  Too few of them to fit (fewer
@@ -357,10 +370,7 @@ def global_error_study(
     hs = sorted({float(h) for h in h_list}, reverse=True)
     if not hs:
         raise DegenerateFitError("study needs at least 2 distinct step sizes")
-    if reference is None:
-        label, reference = _study_reference(prob, t_end, hs)
-    else:
-        label = "supplied"
+    label, reference = _study_reference(prob, t_end, hs, reference)
     errors = np.empty(len(hs))
     for i, h in enumerate(hs):
         try:

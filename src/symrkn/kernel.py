@@ -129,9 +129,9 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
     steps from the previous step's forces, kept in the locals P{i}; else
     from free motion.  The time, q and p after every every-th step and the
     last go to the sinks ts, qs and ps (every 0: no samples); a sample that
-    is not finite is not taken and ends the run.  Returns (q1, p1, Q, F) of
-    the last step: states in the input form, stage values and forces as
-    lists.
+    is not finite is not taken and raises StageDivergenceError with no
+    residual.  Returns (q1, p1, Q, F) of the last step: states in the
+    input form, stage values and forces as lists.
 
     Every sum starts at 0.0 and adds its terms in ascending index, zero
     coefficients included (0 * inf is NaN, and signed zeros must come out
@@ -142,30 +142,26 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
     which ends it before the force sees the iterate.  A divergence raises
     StageDivergenceError with the max-norm of the last increments as
     residual (a NaN kept, as numpy's max does: the x > m or x != x
-    pattern); it, and one the force raises without a step index, gets the
-    1-based index of the step it ended.
+    pattern); it, a non-finite sample, and one the force raises without a
+    step index, gets the 1-based index of the step it ended.
 
-    An iterate whose last increment is 0.0 in every component, and none of
-    whose components is a zero, has the bits of the one before it, whose
-    force is known: the sequential sweep takes that value as F_i, and a
-    converged Jacobi sweep that moved no stage value ends before its force
-    call.  A zero is evaluated again, since 0.0 == -0.0 but f may tell
-    them apart.
+    A stage whose last increment is 0.0 in every component, and none of
+    whose components is a zero (0.0 == -0.0, but f may tell them apart),
+    has the bits of the iterate before it, so its converged solve keeps
+    F_i (settle, in both sweeps); the Jacobi refresh between sweeps
+    evaluates every stage.
 
     form is "point" or a force template of problems.py with kind.size
-    components.  "point" calls f once per point, each call written by
-    kind.call.  A template's text is written per point in place of each
-    call, and where its unsafe test holds at any point of a call, every
-    point of the call goes to f as in the point form.  Every force
-    evaluation is written by one helper, call.  Stage times are written
-    only where a call takes them: in locals T{i} for the point form,
-    inline in a template's per-point fallback.
+    components.  One helper, call, writes every force evaluation, of one
+    stage point: f at the time T{i} (kind.call) for "point"; else the
+    template's text, or f at the time t + hc{i} where its unsafe test
+    holds at the point.
     """
     s = len(c)
     vec, tup = kind.names, kind.pack
     # bases, values, forces, previous forces and increments by component
     B, Q, F, P, E = ([vec(f"{x}{i}") for i in range(s)] for x in "BQFPe")
-    q0, p0, n, g, e = (vec(x) for x in ("q0", "p0", "n", "g", "e"))
+    q0, p0, n, e = (vec(x) for x in ("q0", "p0", "n", "e"))
     K = range(kind.size)
 
     def dot(coeffs, names):
@@ -193,37 +189,32 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
 
     template = None if form == "point" else form
 
-    def per_point(ind, idx, args, outs, time):
-        # one kind.call per point, at the time time.format(i) of stage i
-        return [
-            x for i, v, y in zip(idx, args, outs)
-            for x in kind.call(ind, time.format(i), v, y)
-        ]
-
-    def call(ind, idx, args, outs):
-        # outs[j] = f(t_i, args[j]) by component for the stages i in idx
-        if template is not None:
-            points = [(v, f"R{j}") for j, v in enumerate(args)]
-            lets = [ind + x.format(*v, r=r) for v, r in points for x in template.lets]
-            inline = [
-                f"{ind}{yk} = {x.format(*v, r=r)}"
-                for (v, r), y in zip(points, outs)
-                for yk, x in zip(y, template.values)
-            ]
-            if template.unsafe is None:
-                return lets + inline
-            unsafe = " or ".join(f"({template.unsafe.format(*v, r=r)})" for v, r in points)
-            return [
-                *lets,
-                f"{ind}if {unsafe}:",
-                *per_point(ind + "    ", idx, args, outs, "t + hc{}"),
-                f"{ind}else:",
-                *("    " + x for x in inline),
-            ]
-        return per_point(ind, idx, args, outs, "T{}")
-
     def all_of(test, names):
         return " and ".join(test.format(x) for x in names)
+
+    def call(ind, i):
+        # F_i = f(t_i, Q_i) by component, the one force evaluation
+        if template is None:
+            return kind.call(ind, f"T{i}", Q[i], F[i])
+        lets = [ind + x.format(*Q[i], r="R") for x in template.lets]
+        inline = [
+            f"{ind}{y} = {x.format(*Q[i], r='R')}"
+            for y, x in zip(F[i], template.values)
+        ]
+        if template.unsafe is None:
+            return lets + inline
+        return [
+            *lets,
+            f"{ind}if {template.unsafe.format(*Q[i], r='R')}:",
+            *kind.call(ind + "    ", f"t + hc{i}", Q[i], F[i]),
+            f"{ind}else:",
+            *("    " + x for x in inline),
+        ]
+
+    def settle(ind, i, es):
+        # F_i = f(t_i, Q_i) unless the increments es left Q_i unmoved
+        unmoved = f"{all_of('{} == 0.0', es)} and {all_of('{} != 0.0', Q[i])}"
+        return [f"{ind}if not ({unmoved}):", *call(ind + "    ", i)]
 
     def most(ind, var, terms):
         # var = the largest of terms, NaN kept; terms are nonnegative
@@ -274,9 +265,9 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
             emit("        else:")
             out += start("            ", [i], lambda i: f"w{i}", free)
             emit("            for _ in range(iters):")
-            out += call("                ", [i], [Q[i]], [g])
+            out += call("                ", i)
             for k in K:
-                emit(f"                {n[k]} = {B[i][k]} + w{i} * {g[k]}")
+                emit(f"                {n[k]} = {B[i][k]} + w{i} * {F[i][k]}")
                 emit(f"                {e[k]} = {n[k]} - {Q[i][k]}")
                 emit(f"                {Q[i][k]} = {n[k]}")
             emit(f"                if {all_of('lo < {} < conv', e)}:")
@@ -285,19 +276,15 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
             out += diverged("                    ", f"stage {i} iterate is not finite", e)
             emit("            else:")
             out += diverged("                ", f"stage {i} did not contract", e)
-            # unmoved: g is the force at Q_i
-            emit(f"        if {all_of('{} == 0.0', e)} and {all_of('{} != 0.0', Q[i])}:")
-            out += [f"            {F[i][k]} = {g[k]}" for k in K]
-            emit("        else:")
-            out += call("            ", [i], [Q[i]], [F[i]])
+            out += settle("        ", i, e)
     else:
         for i in range(s):
             if template is None:
                 emit(f"        T{i} = t + hc{i}")
             out += [f"        {B[i][k]} = {free(i, k)}" for k in K]
         out += start("        ", range(s), lambda i: "h2", lambda i, k: B[i][k])
-        S, Qs, Es = range(s), sum(Q, []), sum(E, [])
-        out += call("        ", S, Q, F)
+        S, Es = range(s), sum(E, [])
+        out += [x for i in S for x in call("        ", i)]
         out += [f"        {x} = inf" for x in Es]
         emit("        for _ in range(iters):")
         for i in S:
@@ -306,14 +293,11 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
                 emit(f"            {E[i][k]} = n - {Q[i][k]}")
                 emit(f"            {Q[i][k]} = n")
         emit(f"            if {all_of('lo < {} < conv', Es)}:")
-        # unmoved: F holds the forces at Q
-        emit(f"                if {all_of('{} == 0.0', Es)} and {all_of('{} != 0.0', Qs)}:")
-        emit("                    break")
-        out += call("                ", S, Q, F)
+        out += [x for i in S for x in settle("                ", i, E[i])]
         emit("                break")
         emit(f"            if not ({all_of('-inf < {} < inf', Es)}):")
         out += diverged("                ", "stage iterates are not finite", Es)
-        out += call("            ", S, Q, F)
+        out += [x for i in S for x in call("            ", i)]
         emit("        else:")
         out += diverged("            ", "stages did not contract in {iters} sweeps", Es)
     # the update: every q before any p, since each q reads the old p
@@ -329,7 +313,7 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
     # 0 * x is NaN exactly when x is not finite, and a sum of zeros is zero
     emit(f"            x = {' + '.join(f'0.0 * {v}' for v in q0 + p0)}")
     emit("            if x != x:")
-    emit("                break")
+    emit('                raise StageDivergenceError("sample is not finite")')
     emit("            ts(t)")
     emit(f"            qs({tup(q0)})")
     emit(f"            ps({tup(p0)})")

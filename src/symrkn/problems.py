@@ -24,10 +24,10 @@ class OdeProblem:
     shape () and (dim,) arrays otherwise.
 
     force must be a function of (t, q) alone.  The stage solver may reuse
-    its value at an iterate it has already evaluated: a stage iterate whose
-    bits did not change (a zero is always evaluated again, as 0.0 == -0.0
-    but the force may tell them apart), and a Jacobi sweep that moves no
-    stage value makes no call.
+    its value at an iterate it has already evaluated: a stage solve that
+    converges on an iterate with the bits of the one before it keeps that
+    iterate's force (a zero is always evaluated again, as 0.0 == -0.0 but
+    the force may tell them apart).
 
     A vector force gets a fresh float64 (dim,) array per call and must
     return a (dim,) array; a result of another shape raises ValueError.
@@ -65,12 +65,12 @@ class _ForceTemplate(NamedTuple):
     in place of its calls.
 
     Each text is formatted once per point, with the point's components as
-    {0}, {1}, ... and {r} the name of a float local of the point's own.
+    {0}, {1}, ... and {r} the name of a float local for the point's texts.
     lets are statements run first, in order; values are the acceleration's
     components, as expressions: a template serves the state kinds with as
     many components (one: scalar and (1,) state).  When unsafe is set and
-    true at any point of a call, the kernel calls the force itself at
-    every point of the call, as it calls a force without a template.
+    true at a point, the kernel calls the force itself at that point, as
+    it calls a force without a template.
     name names the kernel, names binds the global names the texts use, and
     the texts do the IEEE operations of the force's __call__, in its order.
     """

@@ -10,7 +10,7 @@ import pytest
 
 from symrkn import cli, integrator
 from symrkn.cli import main
-from symrkn.errors import TableauValidationError
+from symrkn.errors import InvalidGridError, TableauValidationError
 from symrkn.integrator import StepConfig, global_error_study, integrate
 from symrkn.problems import kepler_2d, perturbed_pendulum
 from symrkn.tableau import RknTableau, load_tableau, named_tableau, save_tableau
@@ -282,6 +282,29 @@ def test_kepler_converge_never_runs_the_order6_reference(monkeypatch, capsys):
     # the pendulum has no exact solution, so the patch is what stops it
     with pytest.raises(_ReferenceRun):
         main(["converge", "--method", "rkn-a", "--t-end", "1.0"])
+
+
+@pytest.mark.parametrize("bad", ["0.003", "0.0003"])
+def test_a_step_size_that_does_not_divide_the_span_fails_before_any_run(
+    bad, monkeypatch, capsys
+):
+    # every step size is checked, largest first, before the pendulum's
+    # order-6 reference or any row runs
+    monkeypatch.setattr(integrator, "reference_state", lambda *a: _no_reference_run())
+    monkeypatch.setattr(integrator, "integrate", lambda *a, **k: _no_reference_run())
+    argv = ["converge", "--method", "rkn-a", "--method", "diagsymp",
+            "--h-list", f"0.1,0.05,{bad}"]
+    message = f"step size {bad} does not divide the span 10.0 into an integer number of steps"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    for reference in (None, (0.0, 2.5)):
+        with pytest.raises(InvalidGridError, match=f"^{message}$"):
+            global_error_study(
+                named_tableau("rkn-a"), perturbed_pendulum(), 10.0,
+                [float(bad), 0.05, 0.1], reference=reference,
+            )
 
 
 def test_kepler_converge_over_a_zero_span_is_an_error(capsys):

@@ -798,15 +798,20 @@ def test_integrate_starts_stages_from_the_previous_step(name, make, h, n):
     "name, make, h, t_end, calls, before",
     [
         ("diagsymp", perturbed_pendulum, 0.16, 160.0, 6778, 8135),
-        ("rkn-a", perturbed_pendulum, 0.16, 160.0, 13908, 14901),
-        ("rkn-a", kepler_2d, 0.00625, 5.0, 4932, 7203),
+        ("rkn-a", perturbed_pendulum, 0.16, 160.0, 13461, 14901),
+        ("rkn-a", kepler_2d, 0.00625, 5.0, 4855, 7203),
+        ("rkn-iiib", kepler_2d, 0.00625, 5.0, 6525, 7203),
+        ("rkn-b", kepler_2d, 0.00625, 5.0, 6536, 7203),
     ],
-    ids=["diagsymp-pendulum", "rkn-a-pendulum", "rkn-a-kepler"],
+    ids=["diagsymp-pendulum", "rkn-a-pendulum", "rkn-a-kepler", "rkn-iiib-kepler",
+         "rkn-b-kepler"],
 )
 def test_an_unmoved_iterate_reuses_its_force(name, make, h, t_end, calls, before):
     # a per-point force, so every evaluation is one call; before is the
     # count when each stage solve evaluated its last iterate again, even
-    # one with the bits of the iterate before it
+    # one with the bits of the iterate before it.  Each stage keeps its
+    # force on its own: a Jacobi sweep that ends with one stage unmoved
+    # evaluates only the stages that moved
     prob = make()
     counted = []
 

@@ -45,43 +45,43 @@ from symrkn.tableau import discretize, named_tableau
 METHODS = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3")
 
 SCALAR = {
-    "rkn-iiia": "c53bd539711aa9a940cc5515c490ed6a1776500f05afd00409f2ff69e9bce0fb",
-    "rkn-iiib": "45c7c9be2b089d3f9e613695018017f21531779c80b632d92ff7fd8b800eac20",
-    "diagsymp": "7abfdb8c31f9a6b7c462ed4f048b9b6ce4c8ef9ae2d1d84862685f25d09dcbd9",
-    "rkn-a": "7d29da5cf12d4634370803ab3602b25d17a00778a306711d0b60d7ebcfa09efc",
-    "rkn-b": "932ec9ae28c1a33c5a032ba5a5694683212fe096a5d23cbe08abcb6cf79a8568",
-    "order6-gauss3": "1157b5cd88de45dd3287c254b6f78ff327e48bdd6a4bb3975b93261bb4ea8550",
+    "rkn-iiia": "97bb0dcbd468dac2a49361d4c2a1dceeb698f4c3a453391a44b411174c780de1",
+    "rkn-iiib": "8cbe82f27353ef81e42ab2904b0cb8360158e55da2b1f65ec2d16eb22f2da239",
+    "diagsymp": "c0a1cdae0bf8a08be630eb5c0f19ae821f304ca27f036e1b8c811c9851354411",
+    "rkn-a": "ceacfab4f98100697105774ee0864f6c2278e4d2c9bc5fdf830b9a80d0da4796",
+    "rkn-b": "07805705cfe27ca13ec33e6c35aa77b5aefaf238b77f57ec7d8643f122673852",
+    "order6-gauss3": "127f64c18b37b607febaa67d05e85ba7bd32aa4c08415261e1a61490db1bccf1",
 }
 
 ARRAY = {
-    ("rkn-iiia", 1, "point"): "4893ca9c865691b7202bd411453e74ca998df1c63d7438f079408ec6aed95d81",
-    ("rkn-iiia", 2, "point"): "8cf9e44addead28b0034fee97431ba50ac49d4bf9a2d9aa62eec05263ddb6bcd",
-    ("rkn-iiib", 1, "point"): "f36b911eac38fbcb54c908392667f229f06a750268af5840a6f1955d5affc67d",
-    ("rkn-iiib", 2, "point"): "a7816f56152638abfb9b8efee46ce79038706033836b9b6f2cfd8e7ea9c08395",
-    ("diagsymp", 1, "point"): "331ce1c6a6973ca04f4346a895d44c67b94f8b892d8ce79598f111b64fed77df",
-    ("diagsymp", 2, "point"): "223b05f04f3b3f4679590f53a6af86ede32268f9a09bc484ca03bc48254e2615",
-    ("rkn-a", 1, "point"): "c92af4eec42b58d291e0dfa88f125f56f9cbec3ca0d199b2e50621ebf6279d5c",
-    ("rkn-a", 2, "point"): "355e85f5aca6471cd49390839f8eec35e16f40287db181fd37950c03ce9a8c37",
-    ("rkn-b", 1, "point"): "457ab39a59affe1c790026fe23e4afd5e232a24ca1e76ffd2863f4def43c1647",
-    ("rkn-b", 2, "point"): "f56a962e53fef40f611c4892cd562f5c71778a8df9bc9ec025de7cc449b4531f",
-    ("order6-gauss3", 1, "point"): "dae7dc9ed60ab0b3d5bf98a853d9eba556363215d95741b8dd816b4bf15b9016",
-    ("order6-gauss3", 2, "point"): "0c9eb071c2f4c3cfbddfa28d3381ce6c4f0684841431637723f01d08108dbe62",
+    ("rkn-iiia", 1, "point"): "90cf936b9041732af5851f1b55c4dd0736468ff691ed4529eb1e95d26f447495",
+    ("rkn-iiia", 2, "point"): "d1225f158ee7b5feb7378b3ab6e95471b69f8c5e6e298d7deb0f36f1f4b122d7",
+    ("rkn-iiib", 1, "point"): "6bb650be1673762c6b76cc9e900cbb88a958e6e68d84812d49380b9fdba4f4cc",
+    ("rkn-iiib", 2, "point"): "024b79a8a778b8d523f59ba727f6384012357e116c9a5ce6cb2248eff035ac6b",
+    ("diagsymp", 1, "point"): "f815e34004ef5ac7b4150513cc6db162001cd56aabd482a3e95327e89380345e",
+    ("diagsymp", 2, "point"): "b067a641a9f3885d99101300051d6e157d251cbd77a379cfbe36bbd35cf1344d",
+    ("rkn-a", 1, "point"): "40a4a003f49a2b75b2e253a116dc3df46118fc366f0f26c0ee33a93ea0c56709",
+    ("rkn-a", 2, "point"): "dc24c23d9541fec43fcec66c054f32fe4af406bd09aac8a23617b47381bb46a7",
+    ("rkn-b", 1, "point"): "d1cf9bcfd040c23dc242fb4d76ecde39ea30e3215ba5116c0ba9625077412b12",
+    ("rkn-b", 2, "point"): "23b78a61f9925969741202793e8fa9cff26578f787b91d4ecc2a95b87c65d54e",
+    ("order6-gauss3", 1, "point"): "de4888978fc584e377fc4b066e691eeb7385477c94a790e435c032dafeec685e",
+    ("order6-gauss3", 2, "point"): "fee51564fb0b395dce65cfb7ba777a62a48a90a1e6b82676d8ce9ef44612fee1",
 }
 
 # the scalar pendulum and d = 2 Kepler forces, written inline
 INLINE = {
-    ("rkn-iiia", "pendulum"): "35c51572266de9eea44099e0cca54abef16f8a819fc8e6814b85f9930f989c8e",
-    ("rkn-iiib", "pendulum"): "d321b6c75c605cf9edafa3d597c67c8d578b80876fac06b2ae3c42a2543d06be",
-    ("diagsymp", "pendulum"): "49df7b6a50cff97d7cd57721546c52a6e7ae8de1fa3e9bfc6b5b918ea3f06928",
-    ("rkn-a", "pendulum"): "25785c29092f21a0f5c016e8c94e0f8db86081be6f373f9aaf21b9d58aea2fec",
-    ("rkn-b", "pendulum"): "42800b7d67a7122f26aa1444a73e9a82c7710799f44c37e20798d160bc3cedee",
-    ("order6-gauss3", "pendulum"): "2a36adf4d48d0bd293a0ee4f8459aa3ae0fbf0700c7105086aa9a17c705c7646",
-    ("rkn-iiia", "kepler"): "499bce8e18afad43ef341292660a1c3c295c88a12602dcb0d3c63965e4034b7a",
-    ("rkn-iiib", "kepler"): "a086f2b8ff2052166dfe51725500f5c88f9b2030fa946ea9442d808d76072334",
-    ("diagsymp", "kepler"): "54fad0f62835bd1b40d1f2dd90e16dc368fd17a2da47614d6935e31d847a615a",
-    ("rkn-a", "kepler"): "0c386b461570cd094f216b247d121ba48c247b1f5dd76d46a2b25ef49de186ec",
-    ("rkn-b", "kepler"): "d4b97394f93d3b3bdc5a0b392774cd1a2a7338a207b3175d9d887016760fc473",
-    ("order6-gauss3", "kepler"): "aa0aa12b87a97c34ccedab9f8713c58969f908b65f2d712eabdef95456ea7109",
+    ("rkn-iiia", "pendulum"): "e7ee28dbfb327927e3377098342d509a519d907b4ec3eae61bbcaf208fb38432",
+    ("rkn-iiib", "pendulum"): "8530689a6a8e79a0ee349982956353c03ae1ff104aa510039394d0bd7730a605",
+    ("diagsymp", "pendulum"): "b8cbdb4cc0711e50f2133114c4d8e0501082f31fe25b6989dcadc8c9f5141f0b",
+    ("rkn-a", "pendulum"): "2483ba6f030aa0d6d9686dc8a55d88c38284d00be2db4e84dd2b6a04084b2fe2",
+    ("rkn-b", "pendulum"): "0734e1a0ee9e9da84860447750fcf1c18f6534ceccd006ebc186ea6972f5faae",
+    ("order6-gauss3", "pendulum"): "6381de951df9692141bb6c59e3b5ba0057453d49a926eaf450c0e164325d0978",
+    ("rkn-iiia", "kepler"): "a9a05c3b7f0d9daa23c31e6d1a681553524c924050e0885687c5b136aa6bb982",
+    ("rkn-iiib", "kepler"): "05c95ba41b7d8dffc1dcc7f6325622ea868d526ffa079c5d688727ad014806f9",
+    ("diagsymp", "kepler"): "445ba92157f5e0f39ac63d9d68fcb5fe598ec4fd21fafa2785acc0e0e03aee61",
+    ("rkn-a", "kepler"): "703e02e9436d54c5c7f90934612137bf7ef5a44b9eea75230ea43f465eb1e6a8",
+    ("rkn-b", "kepler"): "05c2ff738a42df890c3e913fb7979f5e8da48b8832fdbdfdcf688c2e9b26573b",
+    ("order6-gauss3", "kepler"): "bd168813769683da15618df4968b2e3062732724bf7d3758257da875f3c9f378",
 }
 
 

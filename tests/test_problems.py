@@ -296,23 +296,25 @@ class _PointKepler:
 @pytest.mark.parametrize("err", _ERRSTATES, ids=["default", "warn", "raise", "ignore"])
 def test_kepler_edge_states_inline_match_the_point_kernel(err):
     # r = 0, subnormal entries, r^3 out of range, huge and non-finite
-    # entries reach the inline force from the first stage values (p0 = 0:
-    # every stage starts at q0); a call with such a point calls the force
-    # at every point of the call
+    # entries reach the inline force from the first stage values; the
+    # force itself is called at such a point only.  With p0 = 0 every
+    # stage starts at q0, so every point of a Jacobi call is unsafe or
+    # none is; with p0 = (0, 1) stage i starts at q0 + (0, h c_i), so one
+    # call mixes them (q0 = 0: r = 0 at c = 0 only)
     inline, wrapped = kepler_2d().force, _PointKepler()
     cfg = StepConfig(h=0.1)
-    p0 = np.zeros(2)
     for name in ("diagsymp", "rkn-a"):
         tab = named_tableau(name)
         for force, form in ((inline, " kepler "), (wrapped, " ")):
-            kernel = _stepper(tab, force, p0, 1e-14, 100)[1].func
+            kernel = _stepper(tab, force, np.zeros(2), 1e-14, 100)[1].func
             assert re.fullmatch(
                 rf"<symrkn kernel s=3 d=2 \w+ start{form}[0-9a-f]{{8}}>",
                 kernel.__code__.co_filename,
             )
-        for row in [(x, y) for x in _EDGE_ENTRIES for y in _EDGE_ENTRIES]:
-            q0 = np.array(row)
-            for run in (solve_stages, lambda *a: np.concatenate(step(*a))):
-                assert _kepler_outcome(run, tab, inline, 0.0, q0, p0, cfg, err=err) == (
-                    _kepler_outcome(run, tab, wrapped, 0.0, q0, p0, cfg, err=err)
-                )
+        for p0 in (np.zeros(2), np.array([0.0, 1.0])):
+            for row in [(x, y) for x in _EDGE_ENTRIES for y in _EDGE_ENTRIES]:
+                q0 = np.array(row)
+                for run in (solve_stages, lambda *a: np.concatenate(step(*a))):
+                    got = _kepler_outcome(run, tab, inline, 0.0, q0, p0, cfg, err=err)
+                    want = _kepler_outcome(run, tab, wrapped, 0.0, q0, p0, cfg, err=err)
+                    assert got == want
