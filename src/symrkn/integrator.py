@@ -32,6 +32,12 @@ GRID_RTOL = 1e-9
 _REFERENCE_REFINEMENT = 20.0
 
 
+def _check_step(h, name: str = "step size") -> None:
+    """A grid error naming h as name unless h is positive and finite."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise InvalidGridError(f"{name} {h!r} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class StepConfig:
     """Solver controls for one integration run; h is the step size."""
@@ -41,8 +47,7 @@ class StepConfig:
     max_iters: int = 100
 
     def __post_init__(self):
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise ValueError("h must be positive and finite")
+        _check_step(self.h)
         if not (math.isfinite(self.stage_tol) and self.stage_tol > 0.0):
             raise ValueError("stage_tol must be positive")
         if not isinstance(self.max_iters, numbers.Integral) or isinstance(
@@ -233,9 +238,9 @@ def reference_state(prob: OdeProblem, t_end: float, h_ref: float):
     (harmonic, Kepler), else an order-6 Gauss-3 run (pendulum).
 
     A span t_end - t0 that is negative or not finite is a grid error, and
-    so is a negative h_ref for the order-6 run.  The nominal h_ref is
-    shrunk to the nearest exact divisor of the span, so it need not divide
-    the span.
+    so is an order-6 h_ref that is not positive and finite.  The nominal
+    h_ref is shrunk to the nearest exact divisor of the span, so it need
+    not divide the span.
     """
     n = _reference_steps(prob, t_end, h_ref)
     if not n:
@@ -253,8 +258,9 @@ def _reference_steps(prob, t_end, h_ref):
     _check_span(span)
     if prob.exact is not None or span == 0.0:
         return 0
-    if h_ref < 0.0:
-        raise InvalidGridError(f"reference step size {h_ref!r} must be positive")
+    # 0.0, which min(h) / _REFERENCE_REFINEMENT can underflow to, is too small
+    if h_ref:
+        _check_step(h_ref, "reference step size")
     steps = _step_ratio(span, h_ref, "reference step size")
     return max(1, int(math.ceil(steps - GRID_RTOL)))
 
@@ -279,9 +285,11 @@ def _study_reference(prob: OdeProblem, t_end: float, hs, reference=None):
     min(hs) / _REFERENCE_REFINEMENT ("order6-gauss3").
 
     Every grid of the study is checked first, so a bad one fails before
-    any run: the reference run's, then each step size's, largest first,
-    as the rows run.
+    any run: every step size is positive and finite, then the reference
+    run's grid and each step size's, largest first, as the rows run.
     """
+    for h in hs:
+        _check_step(h)
     h_ref = min(hs) / _REFERENCE_REFINEMENT
     if reference is None:
         _reference_steps(prob, t_end, h_ref)

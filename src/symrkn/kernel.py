@@ -136,20 +136,21 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
     Every sum starts at 0.0 and adds its terms in ascending index, zero
     coefficients included (0 * inf is NaN, and signed zeros must come out
     the same), component by component.  h c_i and h^2 a_ii are taken once
-    per run.  Each stage component keeps its increment e = new - old,
-    which starts at inf; a solve converges when -conv < e < conv for every
-    component and diverges when some e is not finite (not -inf < e < inf),
-    which ends it before the force sees the iterate.  A divergence raises
-    StageDivergenceError with the max-norm of the last increments as
-    residual (a NaN kept, as numpy's max does: the x > m or x != x
-    pattern); it, a non-finite sample, and one the force raises without a
-    step index, gets the 1-based index of the step it ended.
+    per run.  One loop, solve, sweeps one stage at a time (sequential) or
+    all s (Jacobi), and each sweep starts by evaluating every stage it
+    solves.  Each stage component's increment e = new - old starts at
+    inf; a solve converges when -conv < e < conv for every component and
+    diverges when some e is not finite (not -inf < e < inf), before the
+    force sees the iterate: a failed solve evaluates no force it discards.
+    A divergence raises StageDivergenceError with the max-norm of the
+    last increments as residual (a NaN kept, as numpy's max does: the
+    x > m or x != x pattern); it, a non-finite sample, and one the force
+    raises without a step index, gets the 1-based index of its step.
 
     A stage whose last increment is 0.0 in every component, and none of
     whose components is a zero (0.0 == -0.0, but f may tell them apart),
     has the bits of the iterate before it, so its converged solve keeps
-    F_i (settle, in both sweeps); the Jacobi refresh between sweeps
-    evaluates every stage.
+    F_i (settle, in both sweeps).
 
     form is "point" or a force template of problems.py with kind.size
     components.  One helper, call, writes every force evaluation, of one
@@ -159,10 +160,12 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
     """
     s = len(c)
     vec, tup = kind.names, kind.pack
-    # bases, values, forces, previous forces and increments by component
-    B, Q, F, P, E = ([vec(f"{x}{i}") for i in range(s)] for x in "BQFPe")
-    q0, p0, n, e = (vec(x) for x in ("q0", "p0", "n", "e"))
-    K = range(kind.size)
+    # bases, values, forces and previous forces by component
+    B, Q, F, P = ([vec(f"{x}{i}") for i in range(s)] for x in "BQFP")
+    # increments: one set that each sequential stage reuses, one per Jacobi stage
+    E = [vec("e")] * s if sequential else [vec(f"e{i}") for i in range(s)]
+    q0, p0 = vec("q0"), vec("p0")
+    S, K = range(s), range(kind.size)
 
     def dot(coeffs, names):
         terms = (f" + {_literal(x)} * {v}" for x, v in zip(coeffs, names))
@@ -211,9 +214,9 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
             *("    " + x for x in inline),
         ]
 
-    def settle(ind, i, es):
-        # F_i = f(t_i, Q_i) unless the increments es left Q_i unmoved
-        unmoved = f"{all_of('{} == 0.0', es)} and {all_of('{} != 0.0', Q[i])}"
+    def settle(ind, i):
+        # F_i = f(t_i, Q_i) unless the last increments left Q_i unmoved
+        unmoved = f"{all_of('{} == 0.0', E[i])} and {all_of('{} != 0.0', Q[i])}"
         return [f"{ind}if not ({unmoved}):", *call(ind + "    ", i)]
 
     def most(ind, var, terms):
@@ -231,6 +234,23 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
             f"{ind}    residual=diff,",
             f"{ind})",
         ]
+
+    def solve(ind, stages, new, diverging, stuck):
+        # sweep the stages' Q_i = new(i, k) until converged, else raise diverging or stuck
+        es = [x for i in stages for x in E[i]]
+        lines = [
+            "for _ in range(iters):",
+            *(x for i in stages for x in call("    ", i)),
+            *(x for i in stages for k in K for x in (
+                f"    n = {new(i, k)}", f"    {E[i][k]} = n - {Q[i][k]}", f"    {Q[i][k]} = n")),
+            f"    if {all_of('lo < {} < conv', es)}:",
+            "        break",
+            f"    if not ({all_of('-inf < {} < inf', es)}):",
+            *diverged("        ", diverging, es),
+            "else:",
+            *diverged("    ", stuck, es),
+        ]
+        return [ind + x for x in lines]
 
     out = [
         "def advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None,",
@@ -253,53 +273,27 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
     out += most("        ", "m", [f"abs({x})" for x in q0])
     emit("        conv = stage_tol * (1.0 + m)")
     emit("        lo = -conv")
+    if template is None:
+        out += [f"        T{i} = t + hc{i}" for i in S]
     if sequential:
-        for i in range(s):
-            if template is None:
-                emit(f"        T{i} = t + hc{i}")
+        for i in S:
             for k in K:
                 emit(f"        {B[i][k]} = {free(i, k)} + h2 * ({dot(a[i][:i], col(F, k))})")
-            out += [f"        {x} = inf" for x in e]
+            out += [f"        {x} = inf" for x in E[i]]
             emit(f"        if w{i} == 0.0:")
             out += [f"            {Q[i][k]} = {B[i][k]}" for k in K]
             emit("        else:")
             out += start("            ", [i], lambda i: f"w{i}", free)
-            emit("            for _ in range(iters):")
-            out += call("                ", i)
-            for k in K:
-                emit(f"                {n[k]} = {B[i][k]} + w{i} * {F[i][k]}")
-                emit(f"                {e[k]} = {n[k]} - {Q[i][k]}")
-                emit(f"                {Q[i][k]} = {n[k]}")
-            emit(f"                if {all_of('lo < {} < conv', e)}:")
-            emit("                    break")
-            emit(f"                if not ({all_of('-inf < {} < inf', e)}):")
-            out += diverged("                    ", f"stage {i} iterate is not finite", e)
-            emit("            else:")
-            out += diverged("                ", f"stage {i} did not contract", e)
-            out += settle("        ", i, e)
+            out += solve("            ", [i], lambda i, k: f"{B[i][k]} + w{i} * {F[i][k]}",
+                         f"stage {i} iterate is not finite", f"stage {i} did not contract")
+            out += settle("        ", i)
     else:
-        for i in range(s):
-            if template is None:
-                emit(f"        T{i} = t + hc{i}")
-            out += [f"        {B[i][k]} = {free(i, k)}" for k in K]
-        out += start("        ", range(s), lambda i: "h2", lambda i, k: B[i][k])
-        S, Es = range(s), sum(E, [])
-        out += [x for i in S for x in call("        ", i)]
-        out += [f"        {x} = inf" for x in Es]
-        emit("        for _ in range(iters):")
-        for i in S:
-            for k in K:
-                emit(f"            n = {B[i][k]} + h2 * ({dot(a[i], col(F, k))})")
-                emit(f"            {E[i][k]} = n - {Q[i][k]}")
-                emit(f"            {Q[i][k]} = n")
-        emit(f"            if {all_of('lo < {} < conv', Es)}:")
-        out += [x for i in S for x in settle("                ", i, E[i])]
-        emit("                break")
-        emit(f"            if not ({all_of('-inf < {} < inf', Es)}):")
-        out += diverged("                ", "stage iterates are not finite", Es)
-        out += [x for i in S for x in call("            ", i)]
-        emit("        else:")
-        out += diverged("            ", "stages did not contract in {iters} sweeps", Es)
+        out += [f"        {B[i][k]} = {free(i, k)}" for i in S for k in K]
+        out += start("        ", S, lambda i: "h2", lambda i, k: B[i][k])
+        out += [f"        {x} = inf" for i in S for x in E[i]]
+        out += solve("        ", S, lambda i, k: f"{B[i][k]} + h2 * ({dot(a[i], col(F, k))})",
+                     "stage iterates are not finite", "stages did not contract in {iters} sweeps")
+        out += [x for i in S for x in settle("        ", i)]
     # the update: every q before any p, since each q reads the old p
     for k in K:
         emit(f"        {q0[k]} = {q0[k]} + h * {p0[k]} + h2 * ({dot(b_bar, col(F, k))})")

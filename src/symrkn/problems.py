@@ -122,8 +122,8 @@ def perturbed_pendulum() -> OdeProblem:
 
 def harmonic_oscillator(omega: float = 1.0) -> OdeProblem:
     """q'' = -omega^2 q from (q, p) = (1, 0), with closed-form solution."""
-    if not omega > 0.0:
-        raise ValueError("omega must be positive")
+    if not 0.0 < omega < math.inf:
+        raise ValueError("omega must be positive and finite")
     w = float(omega)
     q0, p0 = 1.0, 0.0
 

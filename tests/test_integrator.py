@@ -499,6 +499,26 @@ def test_a_negative_reference_step_is_a_grid_error():
     # and not one order-6 step over the whole span, a state 1e-3 off
     with pytest.raises(InvalidGridError, match="reference step size -0.001 must be positive"):
         reference_state(perturbed_pendulum(), 1.0, -0.001)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InvalidGridError, match=f"^reference step size {bad!r} must be"):
+            reference_state(perturbed_pendulum(), 1.0, bad)
+
+
+@pytest.mark.parametrize(
+    "make, bad",
+    [(perturbed_pendulum, -0.1), (perturbed_pendulum, 0.0), (kepler_2d, -0.1),
+     (kepler_2d, math.nan)],
+)
+def test_a_study_names_its_bad_step_size(make, bad, monkeypatch):
+    # every step size is checked before the reference step is taken from
+    # them, so the error names the step size and no reference runs
+    def no_reference(*args):
+        raise AssertionError("the reference ran")
+
+    monkeypatch.setattr("symrkn.integrator.reference_state", no_reference)
+    message = f"^step size {re.escape(repr(bad))} must be positive and finite$"
+    with pytest.raises(InvalidGridError, match=message):
+        global_error_study(named_tableau("rkn-a"), make(), 1.0, [0.1, bad])
 
 
 @pytest.mark.parametrize("make", [perturbed_pendulum, harmonic_oscillator, kepler_2d])
@@ -616,7 +636,7 @@ def _recorded_step(tab, prob, cfg):
 
 def test_jacobi_array_sweep_calls_stages_once_per_sweep():
     # every evaluation calls the force at all s stages, in stage order:
-    # the initial one and one per sweep
+    # one at the top of each sweep, and the settle after the last
     tab = named_tableau("rkn-a")
     assert not tab.lower_triangular
     points, nodes = _recorded_step(tab, kepler_2d(0.5), StepConfig(h=0.1))
@@ -632,6 +652,23 @@ def test_sequential_array_solve_calls_stages_once_per_evaluation():
     assert len(points) > tab.s
     stages = [nodes.index(t) for t in points]
     assert stages == sorted(stages) and set(stages) == set(range(tab.s))
+
+
+@pytest.mark.parametrize("name, stages", [("rkn-a", [0, 1, 2] * 3), ("diagsymp", [0] * 3)])
+def test_a_solve_that_does_not_contract_evaluates_each_stage_once_per_sweep(name, stages):
+    # 3 sweeps and no more: the Jacobi sweeps evaluate all 3 stages in each,
+    # the sequential sweep fails on its first stage; no force is evaluated
+    # after the last sweep and then discarded
+    tab, prob = named_tableau(name), perturbed_pendulum()
+    times = []
+
+    def f(t, q):
+        times.append(t)
+        return prob.force(t, q)
+
+    with pytest.raises(StageDivergenceError, match="did not contract"):
+        step(tab, f, 0.0, 0.0, 2.5, StepConfig(h=0.16, max_iters=3))
+    assert times == [0.0 + 0.16 * tab.c[i] for i in stages]
 
 
 def _kernel_name(tab, force, q0):

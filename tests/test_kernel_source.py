@@ -45,43 +45,43 @@ from symrkn.tableau import discretize, named_tableau
 METHODS = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3")
 
 SCALAR = {
-    "rkn-iiia": "97bb0dcbd468dac2a49361d4c2a1dceeb698f4c3a453391a44b411174c780de1",
-    "rkn-iiib": "8cbe82f27353ef81e42ab2904b0cb8360158e55da2b1f65ec2d16eb22f2da239",
-    "diagsymp": "c0a1cdae0bf8a08be630eb5c0f19ae821f304ca27f036e1b8c811c9851354411",
-    "rkn-a": "ceacfab4f98100697105774ee0864f6c2278e4d2c9bc5fdf830b9a80d0da4796",
-    "rkn-b": "07805705cfe27ca13ec33e6c35aa77b5aefaf238b77f57ec7d8643f122673852",
-    "order6-gauss3": "127f64c18b37b607febaa67d05e85ba7bd32aa4c08415261e1a61490db1bccf1",
+    "rkn-iiia": "246c832721ecc4e6a497e7fd381987aa965498376905606165e5279a094814f3",
+    "rkn-iiib": "22f98de98c8cef4463b350972ec10bde2de921952b8e05ba4c47e36e1e892de2",
+    "diagsymp": "4c3a3dfc28cc61224b8d8c86e39407daf0d6c9b9fc843bfc1434cc77ccbabd3e",
+    "rkn-a": "1d309f5a7922c0b6a1ca9e9374f896c93afe10cf26f0076bc1021b4e7d3b54ee",
+    "rkn-b": "284bd2628e279af0ef4dda18acf122a65d9be8288a1180b754f81cfb0a561a71",
+    "order6-gauss3": "390589fe66ad82cf3c17617518f458caf347b99397e64553d28d6ce9230091da",
 }
 
 ARRAY = {
-    ("rkn-iiia", 1, "point"): "90cf936b9041732af5851f1b55c4dd0736468ff691ed4529eb1e95d26f447495",
-    ("rkn-iiia", 2, "point"): "d1225f158ee7b5feb7378b3ab6e95471b69f8c5e6e298d7deb0f36f1f4b122d7",
-    ("rkn-iiib", 1, "point"): "6bb650be1673762c6b76cc9e900cbb88a958e6e68d84812d49380b9fdba4f4cc",
-    ("rkn-iiib", 2, "point"): "024b79a8a778b8d523f59ba727f6384012357e116c9a5ce6cb2248eff035ac6b",
-    ("diagsymp", 1, "point"): "f815e34004ef5ac7b4150513cc6db162001cd56aabd482a3e95327e89380345e",
-    ("diagsymp", 2, "point"): "b067a641a9f3885d99101300051d6e157d251cbd77a379cfbe36bbd35cf1344d",
-    ("rkn-a", 1, "point"): "40a4a003f49a2b75b2e253a116dc3df46118fc366f0f26c0ee33a93ea0c56709",
-    ("rkn-a", 2, "point"): "dc24c23d9541fec43fcec66c054f32fe4af406bd09aac8a23617b47381bb46a7",
-    ("rkn-b", 1, "point"): "d1cf9bcfd040c23dc242fb4d76ecde39ea30e3215ba5116c0ba9625077412b12",
-    ("rkn-b", 2, "point"): "23b78a61f9925969741202793e8fa9cff26578f787b91d4ecc2a95b87c65d54e",
-    ("order6-gauss3", 1, "point"): "de4888978fc584e377fc4b066e691eeb7385477c94a790e435c032dafeec685e",
-    ("order6-gauss3", 2, "point"): "fee51564fb0b395dce65cfb7ba777a62a48a90a1e6b82676d8ce9ef44612fee1",
+    ("rkn-iiia", 1, "point"): "d50ac515e1432fa2343dd6d4266d73395d464c41975cd0956b74ec91c9a58858",
+    ("rkn-iiia", 2, "point"): "585554b282fff9efc6eaec248f897fbf91fb7f5d3449dd7118a5195aa1a129dc",
+    ("rkn-iiib", 1, "point"): "c6c7eefcff0248df181d3d5edbdd2ac99cc57c59b5e2b091e2f7d8acba014859",
+    ("rkn-iiib", 2, "point"): "459b39c7044ad49903727a940c0ad96a448a89bd30923de1c994acc09f1c4b8d",
+    ("diagsymp", 1, "point"): "526219f3610380ad4e0227fa0923b1ae5ff2fa4f9ee59e23798f96b00bc5b59f",
+    ("diagsymp", 2, "point"): "8e976de99fff4252360a89b92df2585d013b1a345d5c4494cd93f4fe793f7bf4",
+    ("rkn-a", 1, "point"): "d710065b43f20f5f361fbba24a72e26c5d5c4ab8599c86cdb8065a4ba495237c",
+    ("rkn-a", 2, "point"): "5ed1c203a3c30d81cc3ca4e1b0adbe7881dee9e0907a05d335eb56f37e5c3e33",
+    ("rkn-b", 1, "point"): "dff1be72fc24c8b4eb316295752e9747e23bfb3cf30dc71621dd63bf4468240d",
+    ("rkn-b", 2, "point"): "45b2f1d702f779898b1cd95051fa7c02f4cdeb22542308b9532c30c46bcfb86a",
+    ("order6-gauss3", 1, "point"): "693834d1630601fe0eb5d38f4bc7c0a405e54afca3649c8b55a57c8d0f1507a0",
+    ("order6-gauss3", 2, "point"): "8bb0ebbc504e449d8a919889bacce5517fd2ca53425694d608e52ffd09b0f301",
 }
 
 # the scalar pendulum and d = 2 Kepler forces, written inline
 INLINE = {
-    ("rkn-iiia", "pendulum"): "e7ee28dbfb327927e3377098342d509a519d907b4ec3eae61bbcaf208fb38432",
-    ("rkn-iiib", "pendulum"): "8530689a6a8e79a0ee349982956353c03ae1ff104aa510039394d0bd7730a605",
+    ("rkn-iiia", "pendulum"): "2af60403948ad8c4e39c5450d2458e09fbbf009f5935127e11d0470930f5e2eb",
+    ("rkn-iiib", "pendulum"): "43e4361ded240c9e472193a0271fab1cd6f797810268141941af902bbef72f66",
     ("diagsymp", "pendulum"): "b8cbdb4cc0711e50f2133114c4d8e0501082f31fe25b6989dcadc8c9f5141f0b",
-    ("rkn-a", "pendulum"): "2483ba6f030aa0d6d9686dc8a55d88c38284d00be2db4e84dd2b6a04084b2fe2",
-    ("rkn-b", "pendulum"): "0734e1a0ee9e9da84860447750fcf1c18f6534ceccd006ebc186ea6972f5faae",
-    ("order6-gauss3", "pendulum"): "6381de951df9692141bb6c59e3b5ba0057453d49a926eaf450c0e164325d0978",
-    ("rkn-iiia", "kepler"): "a9a05c3b7f0d9daa23c31e6d1a681553524c924050e0885687c5b136aa6bb982",
-    ("rkn-iiib", "kepler"): "05c95ba41b7d8dffc1dcc7f6325622ea868d526ffa079c5d688727ad014806f9",
-    ("diagsymp", "kepler"): "445ba92157f5e0f39ac63d9d68fcb5fe598ec4fd21fafa2785acc0e0e03aee61",
-    ("rkn-a", "kepler"): "703e02e9436d54c5c7f90934612137bf7ef5a44b9eea75230ea43f465eb1e6a8",
-    ("rkn-b", "kepler"): "05c2ff738a42df890c3e913fb7979f5e8da48b8832fdbdfdcf688c2e9b26573b",
-    ("order6-gauss3", "kepler"): "bd168813769683da15618df4968b2e3062732724bf7d3758257da875f3c9f378",
+    ("rkn-a", "pendulum"): "e482f5e53c25ddf9765934580fbf00864aef76ee96c7d745ea0e7f43d371728e",
+    ("rkn-b", "pendulum"): "a710acfbf4dd509ecc7427bf486a431b6994c40cc2f0f269502c5dbd88c62a83",
+    ("order6-gauss3", "pendulum"): "64baa644bf8ac2379ad64e1695ff8c6b2186d009fb3c0b4a3baa456877ab5dc6",
+    ("rkn-iiia", "kepler"): "bba91a0a4462a84a4ac0784bc523738ab080e2c5d42eac3fb516b89871f95ab0",
+    ("rkn-iiib", "kepler"): "547654aae0ab15b6cf91d40138f51154f725222044bbbb028e4ac61555231bb8",
+    ("diagsymp", "kepler"): "a68481018888e2266e9b2ebf4d8d2ab0b5db328eeb9d0e563a3a062b8a79894e",
+    ("rkn-a", "kepler"): "a10e4eadbf8327a32b79e9f2c69b65a6f0d11e56e544284535535bddbcff9b1b",
+    ("rkn-b", "kepler"): "f0571d01c57394b1b75889fa35dfd233a46321884cddd9d7106c977020ac83ec",
+    ("order6-gauss3", "kepler"): "4d1b95ff92dddb65a71ded55eaab4d3a530008f31295932a6cbdf9eb091b7efb",
 }
 
 

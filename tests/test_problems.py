@@ -65,6 +65,8 @@ def test_harmonic_rejects_bad_frequency():
         harmonic_oscillator(0.0)
     with pytest.raises(ValueError):
         harmonic_oscillator(-1.0)
+    with pytest.raises(ValueError, match="omega must be positive and finite"):
+        harmonic_oscillator(float("inf"))
 
 
 def test_kepler_circular_setup():
