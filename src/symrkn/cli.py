@@ -149,10 +149,6 @@ def _build_family(args) -> AlphaMatrix:
 
 
 def cmd_derive(args) -> int:
-    if args.method and args.family:
-        return _fail("--family and --method are mutually exclusive", 1)
-    if not args.method and not args.family:
-        return _fail("one of --family or --method is required", 1)
     if args.method:
         tab = named_tableau(args.method)
     else:
@@ -219,8 +215,6 @@ def cmd_converge(args) -> int:
 
 
 def cmd_drift(args) -> int:
-    if args.sample_every < 1:
-        return _fail("--sample-every must be >= 1", 1)
     prob = _PROBLEMS[args.problem]()
     series, trailers, failed = [], [], False
     methods = [(tok, _resolve_method(tok)) for tok in args.method]
@@ -256,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     derive = sub.add_parser("derive", help="derive a tableau and print properties")
-    derive.add_argument("--family", choices=tuple(_FAMILIES))
-    derive.add_argument("--method", choices=NAMED_METHODS)
+    source = derive.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", choices=tuple(_FAMILIES))
+    source.add_argument("--method", choices=NAMED_METHODS)
     derive.add_argument("--alpha", type=float)
     derive.add_argument("--beta", type=float)
     derive.add_argument("--gamma", type=float)

@@ -49,7 +49,7 @@ class StepConfig:
     def __post_init__(self):
         _check_step(self.h)
         if not (math.isfinite(self.stage_tol) and self.stage_tol > 0.0):
-            raise ValueError("stage_tol must be positive")
+            raise ValueError(f"stage_tol {self.stage_tol!r} must be positive and finite")
         if not isinstance(self.max_iters, numbers.Integral) or isinstance(
             self.max_iters, bool
         ):
@@ -120,28 +120,34 @@ def _check_span(span: float) -> None:
         raise InvalidGridError("t_end must not precede t0")
 
 
-def _step_ratio(span: float, h: float, name: str = "step size") -> float:
-    """span / h for a finite span > 0; a quotient that is not finite (h
-    too small for the span, or 0.0), or past 2**53, where the step index k
-    of t0 + k h stops being exact as a float and distinct steps could get
-    one time, is a grid error naming h as name."""
+def _step_count(
+    span: float, h: float, name: str = "step size", divides: bool = True
+) -> int:
+    """Steps of size h over span, 0 for span 0.0, after every grid check; a
+    failed one is a grid error naming h as name.  span must be finite and
+    >= 0, a nonzero h positive and finite, and span / h finite (h not too
+    small for the span, nor 0.0) and at most 2**53, past which the step
+    index k of t0 + k h stops being exact and distinct steps could get one
+    time.  h must divide span to GRID_RTOL when divides is true; otherwise
+    the count rounds up, shrinking h to the nearest divisor of span."""
+    _check_span(span)
+    if span == 0.0:
+        return 0
+    # 0.0, which min(h) / _REFERENCE_REFINEMENT can underflow to, is too small
+    if h:
+        _check_step(h, name)
     steps = span / h if h else math.inf
     if not steps <= 2.0**53:
         raise InvalidGridError(
             f"{name} {h!r} is too small for the span {span!r}: the step count "
             + (f"{steps!r} passes 2**53" if math.isfinite(steps) else "is not finite")
         )
-    return steps
-
-
-def _step_count(span: float, h: float) -> int:
-    _check_span(span)
-    if span == 0.0:
-        return 0
-    n = int(round(_step_ratio(span, h)))
+    if not divides:
+        return max(1, math.ceil(steps - GRID_RTOL))
+    n = int(round(steps))
     if n < 1 or abs(n * h - span) > GRID_RTOL * max(1.0, abs(span)):
         raise InvalidGridError(
-            f"step size {h!r} does not divide the span {span!r} "
+            f"{name} {h!r} does not divide the span {span!r} "
             "into an integer number of steps"
         )
     return n
@@ -242,27 +248,17 @@ def reference_state(prob: OdeProblem, t_end: float, h_ref: float):
     h_ref is shrunk to the nearest exact divisor of the span, so it need
     not divide the span.
     """
-    n = _reference_steps(prob, t_end, h_ref)
+    span = t_end - prob.t0
+    if prob.exact is not None:
+        _check_span(span)
+        return prob.exact(t_end)
+    n = _step_count(span, h_ref, "reference step size", divides=False)
     if not n:
-        return prob.exact(t_end) if prob.exact is not None else (prob.q0, prob.p0)
+        return prob.q0, prob.p0
     return _final_state(
-        reference_tableau(), prob, t_end, StepConfig(h=(t_end - prob.t0) / n),
+        reference_tableau(), prob, t_end, StepConfig(h=span / n),
         "reference integration diverged",
     )
-
-
-def _reference_steps(prob, t_end, h_ref):
-    """Step count of reference_state's order-6 run, 0 when it runs none,
-    after its grid checks."""
-    span = t_end - prob.t0
-    _check_span(span)
-    if prob.exact is not None or span == 0.0:
-        return 0
-    # 0.0, which min(h) / _REFERENCE_REFINEMENT can underflow to, is too small
-    if h_ref:
-        _check_step(h_ref, "reference step size")
-    steps = _step_ratio(span, h_ref, "reference step size")
-    return max(1, int(math.ceil(steps - GRID_RTOL)))
 
 
 def _final_state(t, prob, t_end, cfg, message):
@@ -290,11 +286,11 @@ def _study_reference(prob: OdeProblem, t_end: float, hs, reference=None):
     """
     for h in hs:
         _check_step(h)
-    h_ref = min(hs) / _REFERENCE_REFINEMENT
-    if reference is None:
-        _reference_steps(prob, t_end, h_ref)
+    span, h_ref = t_end - prob.t0, min(hs) / _REFERENCE_REFINEMENT
+    if reference is None and prob.exact is None:
+        _step_count(span, h_ref, "reference step size", divides=False)
     for h in sorted(hs, reverse=True):
-        _step_count(t_end - prob.t0, h)
+        _step_count(span, h)
     if reference is not None:
         return "supplied", reference
     label = "exact" if prob.exact is not None else "order6-gauss3"
@@ -340,19 +336,6 @@ def linear_drift_slope(times, values) -> float:
     return float(np.polyfit(t, v, 1)[0])
 
 
-def final_state_error(
-    t: RknTableau, prob: OdeProblem, t_end: float, cfg: StepConfig, reference
-) -> float:
-    """Max-norm deviation of the (q, p) state at t_end from reference.
-
-    Only the initial and final states are recorded.  A run cut short by
-    stage divergence raises a stage-divergence error.
-    """
-    q, p = _final_state(t, prob, t_end, cfg, f"integration at h={cfg.h!r} diverged")
-    q_ref, p_ref = reference
-    return float(max(np.abs(q - q_ref).max(), np.abs(p - p_ref).max()))
-
-
 def global_error_study(
     t: RknTableau,
     prob: OdeProblem,
@@ -379,10 +362,14 @@ def global_error_study(
     if not hs:
         raise DegenerateFitError("study needs at least 2 distinct step sizes")
     label, reference = _study_reference(prob, t_end, hs, reference)
+    q_ref, p_ref = reference
     errors = np.empty(len(hs))
     for i, h in enumerate(hs):
         try:
-            errors[i] = final_state_error(t, prob, t_end, StepConfig(h=h), reference)
+            q, p = _final_state(
+                t, prob, t_end, StepConfig(h=h), f"integration at h={h!r} diverged"
+            )
+            errors[i] = max(np.abs(q - q_ref).max(), np.abs(p - p_ref).max())
         except StageDivergenceError:
             errors[i] = math.nan
     try:

@@ -18,9 +18,9 @@ from symrkn.errors import (
 )
 from symrkn.integrator import (
     StepConfig,
-    _step_ratio,
+    _final_state,
+    _step_count,
     _study_reference,
-    final_state_error,
     fit_loglog_slope,
     global_error_study,
     integrate,
@@ -530,8 +530,8 @@ def test_a_step_count_that_is_not_finite_is_a_grid_error(make):
         with pytest.raises(InvalidGridError, match="step count is not finite"):
             integrate(named_tableau("rkn-a"), prob, t_end, StepConfig(h=h))
         with pytest.raises(InvalidGridError, match="step count is not finite"):
-            final_state_error(
-                named_tableau("rkn-a"), prob, t_end, StepConfig(h=h), (prob.q0, prob.p0)
+            global_error_study(
+                named_tableau("rkn-a"), prob, t_end, [h], reference=(prob.q0, prob.p0)
             )
     if prob.exact is None:
         for h_ref in (1e-320, 5e-324 / 20.0):
@@ -541,15 +541,28 @@ def test_a_step_count_that_is_not_finite_is_a_grid_error(make):
 
 def test_a_step_count_past_2_53_is_a_grid_error():
     # t0 + k h cannot tell every step apart once k passes 2**53
-    assert _step_ratio(2.0**53, 1.0) == 2.0**53
+    assert _step_count(2.0**53, 1.0) == 2**53
     past = r"step count 1\.8014398509481984e\+16 passes 2\*\*53"
     with pytest.raises(InvalidGridError, match=past):
-        _step_ratio(2.0**54, 1.0)
+        _step_count(2.0**54, 1.0)
     pend = perturbed_pendulum()
     with pytest.raises(InvalidGridError, match=r"^step size 0\.16 .* passes 2\*\*53$"):
         integrate(named_tableau("rkn-a"), pend, 1e300, CFG, sample_every=10**6)
     with pytest.raises(InvalidGridError, match=r"^reference step size 5e-302 .* passes 2\*\*53$"):
         reference_state(pend, 10.0, 5e-302)
+
+
+def test_a_reference_step_count_rounds_up_to_the_nearest_divisor():
+    # the reference's nominal step need not divide the span: its count
+    # rounds up, within GRID_RTOL of a whole count, and a row's must divide
+    assert _step_count(10.0, 0.003, "reference step size", divides=False) == 3334
+    assert _step_count(0.3, 0.1, divides=False) == 3 == _step_count(0.3, 0.1)
+    assert _step_count(1e-12, 1.0, divides=False) == 1
+    with pytest.raises(InvalidGridError, match="^step size 0.003 does not divide"):
+        _step_count(10.0, 0.003)
+    with pytest.raises(InvalidGridError, match="^t_end must not precede t0$"):
+        _step_count(-1.0, -0.1, divides=False)
+    assert _step_count(0.0, -0.1, divides=False) == 0
 
 
 def test_step_config_validation():
@@ -559,8 +572,12 @@ def test_step_config_validation():
         StepConfig(h=-0.1)
     with pytest.raises(ValueError):
         StepConfig(h=math.inf)
-    with pytest.raises(ValueError):
-        StepConfig(h=0.1, stage_tol=0.0)
+    # a tolerance is no grid: a plain ValueError naming the value
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        message = f"^stage_tol {bad!r} must be positive and finite$"
+        with pytest.raises(ValueError, match=message) as info:
+            StepConfig(h=0.1, stage_tol=bad)
+        assert not isinstance(info.value, InvalidGridError)
     with pytest.raises(ValueError):
         StepConfig(h=0.1, max_iters=0)
     # range(max_iters) would fail every step with TypeError
@@ -734,13 +751,15 @@ def test_the_pendulum_on_a_one_element_array_has_the_bits_of_the_scalar_run(make
         assert " d=1 " in _kernel_name(tab, wide.force, wide.q0)
         assert " pendulum " in _kernel_name(tab, wide.force, wide.q0)
     want = integrate(tab, base, 16.0, CFG, sample_every=3)
-    want_error = final_state_error(tab, base, 16.0, CFG, (0.5, 0.25))
+    want_end = _final_state(tab, base, 16.0, CFG, "diverged")
     for prob in (wide, wrapped):
         got = integrate(tab, prob, 16.0, CFG, sample_every=3)
         assert not got.diverged and got.times.tobytes() == want.times.tobytes()
         for field in ("q", "p", "energy_error"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-        assert final_state_error(tab, prob, 16.0, CFG, (0.5, 0.25)) == want_error
+        got_end = _final_state(tab, prob, 16.0, CFG, "diverged")
+        for x, y in zip(got_end, want_end):
+            assert np.shape(x) == (1,) and x.tobytes() == np.asarray(y).tobytes()
     q1, p1 = step(tab, wide.force, 0.0, wide.q0, wide.p0, CFG)
     assert q1.shape == p1.shape == (1,)
     assert (q1[0], p1[0]) == step(tab, base.force, 0.0, base.q0, base.p0, CFG)
@@ -780,18 +799,23 @@ def test_a_float_beside_a_one_element_array_has_the_bits_of_the_float_run(name):
 
 
 def test_final_state_error_reads_the_full_run_endpoint():
+    # a study row is the max-norm error of the full run's endpoint, bit for
+    # bit, though the study's run records only the ends
     prob = kepler_2d(0.5)
     tab = named_tableau("rkn-iiib")
-    cfg = StepConfig(h=0.05)
     reference = reference_state(prob, 2.0, 0.01)
-    full = integrate(tab, prob, 2.0, cfg)
-    expected = max(
-        np.abs(full.q[-1] - reference[0]).max(),
-        np.abs(full.p[-1] - reference[1]).max(),
-    )
-    assert final_state_error(tab, prob, 2.0, cfg, reference) == expected
-    zero = final_state_error(tab, prob, 0.0, cfg, (prob.q0, prob.p0))
-    assert zero == 0.0
+    study = global_error_study(tab, prob, 2.0, [0.1, 0.05], reference=reference)
+    for h, error in zip(study.h, study.error):
+        full = integrate(tab, prob, 2.0, StepConfig(h=h))
+        expected = max(
+            np.abs(full.q[-1] - reference[0]).max(),
+            np.abs(full.p[-1] - reference[1]).max(),
+        )
+        assert error.tobytes() == np.float64(expected).tobytes()
+        end = _final_state(tab, prob, 2.0, StepConfig(h=h), "diverged")
+        assert all(x.tobytes() == y[-1].tobytes() for x, y in zip(end, (full.q, full.p)))
+    start = _final_state(tab, prob, 0.0, StepConfig(h=0.05), "diverged")
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(start, (prob.q0, prob.p0)))
 
 
 def _counted_force_evaluations(force):
