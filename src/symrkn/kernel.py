@@ -117,7 +117,7 @@ def _literal(x):
     return f"({r})" if r[0] == "-" else r
 
 
-def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
+def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
     """Source of advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None,
     steps=1, every=0, ts=None, qs=None, ps=None).
 
@@ -133,24 +133,30 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
     residual.  Returns (q1, p1, Q, F) of the last step: states in the
     input form, stage values and forces as lists.
 
+    The stages are solved block by block, in the order of blocks, lists
+    of stage indices (see _blocks).  A one-stage block i iterates Q_i =
+    B_i + h^2 a_ii F_i, its base B_i summing the stages solved before it,
+    and takes Q_i = B_i when h^2 a_ii is 0.0.  A larger block iterates
+    Q_i = q0 + h c_i p0 + h^2 (row i of a_bar times F) by Jacobi sweeps,
+    each row summing every stage solved so far, its own block's included.
     Every sum starts at 0.0 and adds its terms in ascending index, zero
     coefficients included (0 * inf is NaN, and signed zeros must come out
     the same), component by component.  h c_i and h^2 a_ii are taken once
-    per run.  One loop, solve, sweeps one stage at a time (sequential) or
-    all s (Jacobi), and each sweep starts by evaluating every stage it
-    solves.  Each stage component's increment e = new - old starts at
-    inf; a solve converges when -conv < e < conv for every component and
-    diverges when some e is not finite (not -inf < e < inf), before the
-    force sees the iterate: a failed solve evaluates no force it discards.
-    A divergence raises StageDivergenceError with the max-norm of the
-    last increments as residual (a NaN kept, as numpy's max does: the
-    x > m or x != x pattern); it, a non-finite sample, and one the force
-    raises without a step index, gets the 1-based index of its step.
+    per run.  One loop, solve, sweeps one block, and each sweep starts by
+    evaluating every stage it solves.  Each stage component's increment
+    e = new - old starts at inf; a solve converges when -conv < e < conv
+    for every component and diverges when some e is not finite (not
+    -inf < e < inf), before the force sees the iterate: a failed solve
+    evaluates no force it discards.  A divergence raises
+    StageDivergenceError with the max-norm of the last increments as
+    residual (a NaN kept, as numpy's max does: the x > m or x != x
+    pattern); it, a non-finite sample, and one the force raises without
+    a step index, gets the 1-based index of its step.
 
     A stage whose last increment is 0.0 in every component, and none of
     whose components is a zero (0.0 == -0.0, but f may tell them apart),
     has the bits of the iterate before it, so its converged solve keeps
-    F_i (settle, in both sweeps).
+    F_i (settle, in every block).
 
     form is "point" or a force template of problems.py with kind.size
     components.  One helper, call, writes every force evaluation, of one
@@ -162,10 +168,11 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
     vec, tup = kind.names, kind.pack
     # bases, values, forces and previous forces by component
     B, Q, F, P = ([vec(f"{x}{i}") for i in range(s)] for x in "BQFP")
-    # increments: one set that each sequential stage reuses, one per Jacobi stage
-    E = [vec("e")] * s if sequential else [vec(f"e{i}") for i in range(s)]
     q0, p0 = vec("q0"), vec("p0")
     S, K = range(s), range(kind.size)
+    singles = [i for i in S if [i] in blocks]
+    # increments: one set that each one-stage block reuses, one per stage of a larger block
+    E = [vec("e") if i in singles else vec(f"e{i}") for i in S]
 
     def dot(coeffs, names):
         terms = (f" + {_literal(x)} * {v}" for x, v in zip(coeffs, names))
@@ -176,6 +183,10 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
 
     def col(rows, k):
         return [row[k] for row in rows]
+
+    def reads(i, stages, k):
+        # row i of a_bar times the forces of stages, component k
+        return dot([a[i][j] for j in stages], [F[j][k] for j in stages])
 
     def start(ind, stages, scale, cold):
         # Q_i from the previous step's forces P when warm, else from cold
@@ -260,8 +271,7 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
     out += kind.unpack("q0") + kind.unpack("p0")
     emit("    h2 = h * h")
     out += [f"    hc{i} = h * {_literal(c[i])}" for i in range(s)]
-    if sequential:
-        out += [f"    w{i} = h2 * {_literal(a[i][i])}" for i in range(s)]
+    out += [f"    w{i} = h2 * {_literal(a[i][i])}" for i in singles]
     if M is not None:
         emit("    warm = F_prev is not None")
         emit("    if warm:")
@@ -275,25 +285,29 @@ def _kernel_source(c, a, b_bar, b, M, sequential, kind=_SCALAR, form="point"):
     emit("        lo = -conv")
     if template is None:
         out += [f"        T{i} = t + hc{i}" for i in S]
-    if sequential:
-        for i in S:
+    done = []  # the stages solved so far, ascending
+    for block in blocks:
+        known = sorted(done + block)
+        if len(block) == 1:
+            (i,) = block
             for k in K:
-                emit(f"        {B[i][k]} = {free(i, k)} + h2 * ({dot(a[i][:i], col(F, k))})")
+                emit(f"        {B[i][k]} = {free(i, k)} + h2 * ({reads(i, done, k)})")
             out += [f"        {x} = inf" for x in E[i]]
             emit(f"        if w{i} == 0.0:")
             out += [f"            {Q[i][k]} = {B[i][k]}" for k in K]
             emit("        else:")
-            out += start("            ", [i], lambda i: f"w{i}", free)
-            out += solve("            ", [i], lambda i, k: f"{B[i][k]} + w{i} * {F[i][k]}",
+            out += start("            ", block, lambda i: f"w{i}", free)
+            out += solve("            ", block, lambda i, k: f"{B[i][k]} + w{i} * {F[i][k]}",
                          f"stage {i} iterate is not finite", f"stage {i} did not contract")
             out += settle("        ", i)
-    else:
-        out += [f"        {B[i][k]} = {free(i, k)}" for i in S for k in K]
-        out += start("        ", S, lambda i: "h2", lambda i, k: B[i][k])
-        out += [f"        {x} = inf" for i in S for x in E[i]]
-        out += solve("        ", S, lambda i, k: f"{B[i][k]} + h2 * ({dot(a[i], col(F, k))})",
-                     "stage iterates are not finite", "stages did not contract in {iters} sweeps")
-        out += [x for i in S for x in settle("        ", i)]
+        else:
+            out += [f"        {B[i][k]} = {free(i, k)}" for i in block for k in K]
+            out += start("        ", block, lambda i: "h2", lambda i, k: B[i][k])
+            out += [f"        {x} = inf" for i in block for x in E[i]]
+            out += solve("        ", block, lambda i, k: f"{B[i][k]} + h2 * ({reads(i, known, k)})",
+                         "stage iterates are not finite", "stages did not contract in {iters} sweeps")
+            out += [x for i in block for x in settle("        ", i)]
+        done = known
     # the update: every q before any p, since each q reads the old p
     for k in K:
         emit(f"        {q0[k]} = {q0[k]} + h * {p0[k]} + h2 * ({dot(b_bar, col(F, k))})")
@@ -342,21 +356,23 @@ def _checked(r, shape, name):
 
 
 def _generate_kernel(key):
-    """Compile the advance for one _stepper cache key, with its start matrix."""
-    c_bytes, a_bytes, b_bar_bytes, b_bytes, sequential, kind, form = key
+    """Compile the advance for one _stepper cache key, with its stage
+    blocks and start matrix."""
+    c_bytes, a_bytes, b_bar_bytes, b_bytes, kind, form = key
     template = None if form == "point" else form
     c = np.frombuffer(c_bytes)
     s = len(c)
     a_bar = np.frombuffer(a_bytes).reshape(s, s)
-    M = _start_matrix(c, a_bar, sequential)
+    blocks = _blocks(a_bar)
+    M = _start_matrix(c, a_bar, blocks)
     source = _kernel_source(
         c.tolist(), a_bar.tolist(), np.frombuffer(b_bar_bytes).tolist(),
         np.frombuffer(b_bytes).tolist(), None if M is None else M.tolist(),
-        sequential, kind, form,
+        blocks, kind, form,
     )
     filename = "<symrkn kernel s={}{} {} {}{} {:08x}>".format(
         s, kind.tag,
-        "sequential" if sequential else "jacobi",
+        "".join(f"({','.join(map(str, block))})" for block in blocks),
         "free" if M is None else "start",
         "" if template is None else f" {template.name}",
         zlib.crc32(b"".join(key[:4])),
@@ -395,52 +411,76 @@ def _kernel(key):
     return entry[0]
 
 
-def _start_matrix(c, a_bar, sequential):
+def _blocks(a_bar):
+    """The stage blocks of a_bar, in the order the kernel solves them.
+
+    Stage i reads stage j when a_bar[i, j] != 0, exactly: no tolerance,
+    and -0.0 reads nothing.  The blocks are the strongly connected
+    components of that pattern, each after every block it reads, ties to
+    the lowest stage.  So a lower-triangular a_bar gives one block per
+    stage in index order, and a full one gives one block of all stages.
+    """
+    s = len(a_bar)
+    reach = (a_bar != 0) | np.eye(s, dtype=bool)
+    for k in range(s):
+        reach |= np.outer(reach[:, k], reach[k])
+    cycle = reach & reach.T
+    blocks, done = [], np.zeros(s, dtype=bool)
+    while not done.all():
+        # the lowest stage that reads only solved stages and its own block
+        i = next(i for i in range(s) if not done[i] and (done | cycle[i] | ~reach[i]).all())
+        blocks.append(np.flatnonzero(cycle[i]).tolist())
+        done |= cycle[i]
+    return blocks
+
+
+def _start_matrix(c, a_bar, blocks):
     """Matrix taking the previous step's stage forces to this step's start.
 
     E[i, j] = l_j(1 + c_i), the Lagrange basis on the nodes c evaluated at
     the next step's nodes, extrapolates stage forces by one step (Hairer,
-    Lubich and Wanner, Geometric Numerical Integration, VIII.6.1).  The
-    sequential sweep starts from E F_prev, the Jacobi sweeps from
-    A E F_prev with A = a_bar.  None when the nodes are not pairwise
-    distinct, or so close that the matrix overflows: those tableaus keep
-    the free-motion start.  So a start matrix is always finite.
+    Lubich and Wanner, Geometric Numerical Integration, VIII.6.1).  A
+    one-stage block of blocks (see _blocks) starts from its row of
+    E F_prev, a larger block from its rows of A E F_prev with A = a_bar.
+    None when the nodes are not pairwise distinct, or so close that the
+    matrix overflows: those tableaus keep the free-motion start.  So a
+    start matrix is always finite.
     """
     s = len(c)
     if len(set(c.tolist())) < s:
         return None
     x = 1.0 + c
+    single = np.array([[i] in blocks for i in range(s)])
     E = np.ones((s, s))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for j in range(s):
             for m in range(s):
                 if m != j:
                     E[:, j] *= (x - c[m]) / (c[j] - c[m])
-        M = E if sequential else a_bar @ E
+        M = np.where(single[:, None], E, a_bar @ E)
     return M if np.all(np.isfinite(M)) else None
 
 
 def _stepper(t, f, q0, stage_tol, max_iters):
     """(kind, advance) for a run of the force f from states of q0's kind.
 
-    The one place that decides a run: the solver structure (a sequential
-    sweep when t.a_bar is exactly lower triangular, Jacobi sweeps
-    otherwise), the state kind (_kind of q0) and the force form: the
-    template written inline when problems.py has one for f's exact type
-    with the kind's component count, else "point", f called once per
-    point (a subclass or any other force keeps its calls).  advance is
-    the kernel with stage_tol, max_iters and f bound (see
-    _kernel_source), on states in kind.state's form.
+    The one place that decides a run: the state kind (_kind of q0) and
+    the force form: the template written inline when problems.py has one
+    for f's exact type with the kind's component count, else "point", f
+    called once per point (a subclass or any other force keeps its
+    calls).  advance is the kernel with stage_tol, max_iters and f bound
+    (see _kernel_source), on states in kind.state's form.
 
     Kernels are cached by the exact bytes of c, a_bar, b_bar and b, with
-    the structure, the kind and the force form ("point" or the template
-    itself), so 0.0 and -0.0 get different kernels; stage_tol and
-    max_iters are arguments and stay out of the key.  The start matrix
-    follows from c, a_bar and the structure, so _generate_kernel builds it
-    with the kernel, and every call on a tableau, kind and force form
-    shares one kernel.  integrate passes its whole run; step, solve_stages
-    and reversibility_test pass one step and no previous forces (F_prev
-    None), so their step starts from free motion, as a run's first does.
+    the kind and the force form ("point" or the template itself), so 0.0
+    and -0.0 get different kernels; stage_tol and max_iters are arguments
+    and stay out of the key.  The solver structure, the stage blocks of
+    a_bar (_blocks), and the start matrix follow from those bytes, so
+    _generate_kernel derives both with the kernel, and every call on a
+    tableau, kind and force form shares one kernel.  integrate passes its
+    whole run; step, solve_stages and reversibility_test pass one step
+    and no previous forces (F_prev None), so their step starts from free
+    motion, as a run's first does.
     """
     kind = _kind(q0)
     form = _TEMPLATES.get(type(f))
@@ -448,7 +488,7 @@ def _stepper(t, f, q0, stage_tol, max_iters):
         form = "point"
     key = (
         t.c.tobytes(), t.a_bar.tobytes(), t.b_bar.tobytes(), t.b.tobytes(),
-        t.lower_triangular, kind, form,
+        kind, form,
     )
     return kind, partial(_kernel(key), stage_tol, max_iters, f)
 

@@ -347,7 +347,7 @@ def loads_tableau(text: str) -> RknTableau:
     """Parse the rkn-tableau/1 interchange text, rejecting unknown formats."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested past the recursion limit
         raise TableauFormatError(f"not valid tableau text: {exc}") from exc
     if not isinstance(doc, dict):
         raise TableauFormatError("tableau document must be an object")

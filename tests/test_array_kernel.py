@@ -5,8 +5,9 @@ size d (kernel._kernel_source): stage, sum and component loops
 unrolled, every sum ascending from 0.0, state and stage values as floats.
 
 The bit reference, _float_advance, is the same solve written as plain
-loops over stages and components in float arithmetic.  Results, exception
-types, messages and residuals must equal its own byte for byte.
+loops over stages and components in float arithmetic, block by block
+(kernel._blocks).  Results, exception types, messages and residuals must
+equal its own byte for byte.
 
 The numpy stage solver the kernel replaced (_stages_array and
 _numpy_advance below) stays as an independent oracle.  It sums with BLAS
@@ -27,12 +28,12 @@ import re
 import numpy as np
 import pytest
 
-from kernel_harness import structured_stepper
 from symrkn.errors import StageDivergenceError
 from symrkn.integrator import reference_tableau
-from symrkn.kernel import _start_matrix, _stepper
+from symrkn.kernel import _blocks, _start_matrix, _stepper
 from symrkn.problems import kepler_2d
 from symrkn.tableau import RknTableau, named_tableau
+from test_scalar_kernel import SHAPES, _pattern, _random_tableau
 
 _max = np.maximum.reduce
 
@@ -52,7 +53,7 @@ def _most(values):
     return m
 
 
-def _float_advance(t, stage_tol, iters, sequential, start):
+def _float_advance(t, stage_tol, iters, blocks, start):
     s, c, a = t.s, t.c.tolist(), t.a_bar.tolist()
     b_bar, b = t.b_bar.tolist(), t.b.tolist()
     M = None if start is None else start.tolist()
@@ -73,20 +74,21 @@ def _float_advance(t, stage_tol, iters, sequential, start):
                 acc += x * row[k]
             return acc
 
+        def reads(i, stages, k):
+            return dot([a[i][j] for j in stages], [F[j] for j in stages], k)
+
         def force(i, q):
             r = f(times[i], np.array(q))
             if np.shape(r) != (d,):
                 raise ValueError(f"force returned shape {np.shape(r)}, expected {(d,)}")
             return np.asarray(r, dtype=float).tolist()
 
-        def evaluate(idx, Q):
-            # the forces at the stages idx, valued Q, one call per point
-            return [force(i, q) for i, q in zip(idx, Q)]
-
-        if sequential:
-            Q, F = [], []
-            for i in range(s):
-                bi = [base[i][k] + h2 * dot(a[i][:i], F, k) for k in K]
+        Q, F = [None] * s, [None] * s
+        done = []
+        for block in blocks:
+            if len(block) == 1:
+                (i,) = block
+                bi = [base[i][k] + h2 * reads(i, done, k) for k in K]
                 w = h2 * a[i][i]
                 if w == 0.0:
                     qi = bi
@@ -97,7 +99,7 @@ def _float_advance(t, stage_tol, iters, sequential, start):
                         qi = [bi[k] + w * dot(M[i], F_prev, k) for k in K]
                     diff = math.inf
                     for _ in range(iters):
-                        g = evaluate([i], [qi])[0]
+                        g = force(i, qi)
                         qn = [bi[k] + w * g[k] for k in K]
                         diff = _most([qn[k] - qi[k] for k in K])
                         qi = qn
@@ -113,31 +115,38 @@ def _float_advance(t, stage_tol, iters, sequential, start):
                             f"stage {i} did not contract (last increment {diff:.3e})",
                             residual=diff,
                         )
-                Q.append(qi)
-                F.append(evaluate([i], [qi])[0])
-        else:
-            Q = base
-            if F_prev is not None:
-                Q = [[base[i][k] + h2 * dot(M[i], F_prev, k) for k in K] for i in range(s)]
-            F = evaluate(range(s), Q)
-            diff = math.inf
-            for _ in range(iters):
-                Qn = [[base[i][k] + h2 * dot(a[i], F, k) for k in K] for i in range(s)]
-                diff = _most([Qn[i][k] - Q[i][k] for i in range(s) for k in K])
-                Q = Qn
-                if not diff < math.inf:
+                Q[i] = qi
+                F[i] = force(i, qi)
+            else:
+                # each row sums over every stage solved so far, its block's too
+                known = sorted(done + block)
+                for i in block:
+                    Q[i] = base[i]
+                    if F_prev is not None:
+                        Q[i] = [base[i][k] + h2 * dot(M[i], F_prev, k) for k in K]
+                for i in block:
+                    F[i] = force(i, Q[i])
+                diff = math.inf
+                for _ in range(iters):
+                    Qn = {i: [base[i][k] + h2 * reads(i, known, k) for k in K] for i in block}
+                    diff = _most([Qn[i][k] - Q[i][k] for i in block for k in K])
+                    for i in block:
+                        Q[i] = Qn[i]
+                    if not diff < math.inf:
+                        raise StageDivergenceError(
+                            f"stage iterates are not finite (last increment {diff:.3e})",
+                            residual=diff,
+                        )
+                    for i in block:
+                        F[i] = force(i, Q[i])
+                    if diff < conv:
+                        break
+                else:
                     raise StageDivergenceError(
-                        f"stage iterates are not finite (last increment {diff:.3e})",
+                        f"stages did not contract in {iters} sweeps (last increment {diff:.3e})",
                         residual=diff,
                     )
-                F = evaluate(range(s), Q)
-                if diff < conv:
-                    break
-            else:
-                raise StageDivergenceError(
-                    f"stages did not contract in {iters} sweeps (last increment {diff:.3e})",
-                    residual=diff,
-                )
+            done = sorted(done + block)
         q1 = [q0[k] + h * p0[k] + h2 * dot(b_bar, F, k) for k in K]
         p1 = [p0[k] + h * dot(b, F, k) for k in K]
         return q1, p1, Q, F
@@ -145,18 +154,19 @@ def _float_advance(t, stage_tol, iters, sequential, start):
     return advance
 
 
-def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
-    s = t.s
+def _stages_array(t, f, t0, q0, p0, h, conv, iters, blocks, M, F_prev):
     c = t.c
     a = t.a_bar
     h2 = h * h
     times = t0 + c * h
     base = q0[None, :] + (h * c)[:, None] * p0[None, :]
-    if sequential:
-        Q = np.zeros_like(base)
-        F = np.zeros_like(base)
-        for i in range(s):
-            bi = base[i] + h2 * (a[i, :i] @ F[:i])
+    Q = np.zeros_like(base)
+    F = np.zeros_like(base)
+    done = []
+    for block in blocks:
+        if len(block) == 1:
+            (i,) = block
+            bi = base[i] + h2 * (a[i, done] @ F[done])
             w = h2 * a[i, i]
             if w == 0.0:
                 qi = bi
@@ -176,28 +186,32 @@ def _stages_array(t, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
                     )
             Q[i] = qi
             F[i] = f(times[i], qi)
-        return Q, F
-    Q = base.copy() if F_prev is None else base + h2 * (M @ F_prev)
-    F = np.array([f(times[i], Q[i]) for i in range(s)])
-    diff = math.inf
-    for _ in range(iters):
-        Qn = base + h2 * (a @ F)
-        diff = float(_max(np.abs(Qn - Q), axis=None))
-        Q = Qn
-        F = np.array([f(times[i], Q[i]) for i in range(s)])
-        if diff < conv:
-            return Q, F
-    raise StageDivergenceError(
-        f"stages did not contract in {iters} sweeps (last increment {diff:.3e})",
-        residual=diff,
-    )
+        else:
+            known = sorted(done + block)
+            Q[block] = base[block] if F_prev is None else base[block] + h2 * (M[block] @ F_prev)
+            F[block] = [f(times[i], Q[i]) for i in block]
+            diff = math.inf
+            for _ in range(iters):
+                Qn = base[block] + h2 * (a[np.ix_(block, known)] @ F[known])
+                diff = float(_max(np.abs(Qn - Q[block]), axis=None))
+                Q[block] = Qn
+                F[block] = [f(times[i], Q[i]) for i in block]
+                if diff < conv:
+                    break
+            else:
+                raise StageDivergenceError(
+                    f"stages did not contract in {iters} sweeps (last increment {diff:.3e})",
+                    residual=diff,
+                )
+        done = sorted(done + block)
+    return Q, F
 
 
-def _numpy_advance(t, stage_tol, max_iters, sequential, start):
+def _numpy_advance(t, stage_tol, max_iters, blocks, start):
     def advance(f, t0, q0, p0, h, F_prev=None):
         conv = stage_tol * (1.0 + float(_max(np.abs(q0), axis=None)))
         Q, F = _stages_array(
-            t, f, t0, q0, p0, h, conv, max_iters, sequential,
+            t, f, t0, q0, p0, h, conv, max_iters, blocks,
             start, None if start is None else F_prev,
         )
         return q0 + h * p0 + h * h * (t.b_bar @ F), p0 + h * (t.b @ F), Q, F
@@ -249,21 +263,22 @@ def _assert_near_oracle(t, got, oracle, same_message, f, t0, q0, p0, h, F_prev):
 
 
 class _Pair:
-    """The kernel for one tableau and structure, with its two references,
-    all from the start matrix the library derives; check() runs the kernel
-    and both references from one state."""
+    """The kernel for one tableau, with its two references, all from the
+    stage blocks and start matrix the library derives; check() runs the
+    kernel and both references from one state."""
 
-    def __init__(self, t, sequential, stage_tol=1e-14, max_iters=100, d=2):
+    def __init__(self, t, stage_tol=1e-14, max_iters=100, d=2):
         self.t = t
-        self.run = (np.zeros(d), sequential, stage_tol, max_iters)
-        start = _start_matrix(t.c, t.a_bar, sequential)
-        self.reference = _float_advance(t, stage_tol, max_iters, sequential, start)
-        self.oracle = _numpy_advance(t, stage_tol, max_iters, sequential, start)
+        self.run = (np.zeros(d), stage_tol, max_iters)
+        blocks = _blocks(t.a_bar)
+        start = _start_matrix(t.c, t.a_bar, blocks)
+        self.reference = _float_advance(t, stage_tol, max_iters, blocks, start)
+        self.oracle = _numpy_advance(t, stage_tol, max_iters, blocks, start)
         self.same_message = max_iters <= FEW_SWEEPS
 
     def kernel(self, f):
         """(kind, advance) for f, as integrate would choose them."""
-        return structured_stepper(self.t, f, *self.run)
+        return _stepper(self.t, f, *self.run)
 
     def check(self, f, t0, q0, p0, h, F_prev=None):
         kind, kernel = self.kernel(f)
@@ -297,30 +312,18 @@ _FORCES = [_driven, _DrivenWithStages()]
 
 def _runs(t, f, h, q0, p0, steps=12, stage_tol=1e-14, max_iters=100):
     """Step the kernel and both references along one trajectory, from free
-    motion and then from each previous step's stage forces, for both
-    structures; one kernel per structure serves the whole run, as in
-    integrate."""
+    motion and then from each previous step's stage forces; one kernel
+    serves the whole run, as in integrate."""
     outcomes = []
-    for sequential in (False, True):
-        pair = _Pair(t, sequential, stage_tol, max_iters, d=len(q0))
-        q, p, F_prev = q0, p0, None
-        for k in range(steps):
-            got = pair.check(f, k * h, q, p, h, F_prev)
-            outcomes.append(got[0])
-            if got[0] == "raised":
-                break
-            q, p, _, F_prev = _values(got)
+    pair = _Pair(t, stage_tol, max_iters, d=len(q0))
+    q, p, F_prev = q0, p0, None
+    for k in range(steps):
+        got = pair.check(f, k * h, q, p, h, F_prev)
+        outcomes.append(got[0])
+        if got[0] == "raised":
+            break
+        q, p, _, F_prev = _values(got)
     return outcomes
-
-
-def _random_tableau(rng, s, lower):
-    c = sorted(rng.uniform(0.0, 1.0) for _ in range(s))
-    a_bar = np.array([[rng.uniform(-0.3, 0.3) / s for _ in range(s)] for _ in range(s)])
-    if lower:
-        a_bar = np.tril(a_bar)
-    b_bar = [rng.uniform(-1.0, 1.0) for _ in range(s)]
-    b = [rng.uniform(-1.0, 1.0) for _ in range(s)]
-    return RknTableau(s, np.array(c), a_bar, np.array(b_bar), np.array(b), "random")
 
 
 def _state(rng, d):
@@ -329,22 +332,22 @@ def _state(rng, d):
 
 
 @pytest.mark.parametrize("s", range(1, 11))
-@pytest.mark.parametrize("lower", [True, False], ids=["lower", "full"])
-def test_random_tableaus_have_the_bits_of_the_stage_solver(s, lower):
-    rng = random.Random(2000 * s + lower)
-    t = _random_tableau(rng, s, lower)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_random_tableaus_have_the_bits_of_the_stage_solver(s, shape):
+    rng = random.Random(2000 * s + SHAPES.index(shape))
+    t = _random_tableau(rng, s, shape)
+    assert _blocks(t.a_bar) == _pattern(shape, s)[1]
     for d in (1, 2, 3, 5):
         q0, p0 = _state(rng, d)
         for f in _FORCES:
             for h in (0.2, -0.2):
                 _runs(t, f, h, q0, p0, steps=6)
         # one or two sweeps leave the extrapolated start's bits in the result
-        for sequential in (False, True):
-            F_prev = np.array([[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(s)])
-            for max_iters in (1, 2):
-                pair = _Pair(t, sequential, max_iters=max_iters, d=d)
-                for f in _FORCES:
-                    pair.check(f, 0.2, q0, p0, 0.2, F_prev)
+        F_prev = np.array([[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(s)])
+        for max_iters in (1, 2):
+            pair = _Pair(t, max_iters=max_iters, d=d)
+            for f in _FORCES:
+                pair.check(f, 0.2, q0, p0, 0.2, F_prev)
 
 
 @pytest.mark.parametrize(
@@ -372,9 +375,8 @@ def test_a_zero_iterate_is_evaluated_again(name):
     # iterate 0.0: an increment of 0.0 that changes the force, 0.0 to 5.0
     t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
     zeros = np.array([-0.0, -0.0])
-    for sequential in (False, True):
-        got = _Pair(t, sequential).check(_sign_of_zero, 0.0, zeros, zeros, 0.16)
-        assert 5.0 in _values(got)[3]
+    got = _Pair(t).check(_sign_of_zero, 0.0, zeros, zeros, 0.16)
+    assert 5.0 in _values(got)[3]
     _runs(t, _sign_of_zero, 0.16, zeros, zeros, steps=5)
 
 
@@ -407,31 +409,31 @@ def test_no_more_force_calls_than_the_stage_solver(name, counter):
     t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
     prob = kepler_2d(0.5)
     h = 0.05
-    for sequential in (False, True):
-        pair = _Pair(t, sequential)
-        counts = []
-        for run in ("kernel", "reference"):
-            force = counter()
-            kind, kernel = pair.kernel(force)
-            q, p, F_prev = kind.state(prob.q0), kind.state(prob.p0), None
-            for k in range(40):
-                args = (k * h, q, p, h, F_prev)
-                q, p, _, F_prev = (
-                    kernel(*args) if run == "kernel" else pair.reference(force, *args)
-                )
-                q, p = kind.state(q), kind.state(p)
-                F_prev = [tuple(row) for row in F_prev]
-            counts.append(force.evaluations)
-        assert counts[0] <= counts[1]
+    pair = _Pair(t)
+    counts = []
+    for run in ("kernel", "reference"):
+        force = counter()
+        kind, kernel = pair.kernel(force)
+        q, p, F_prev = kind.state(prob.q0), kind.state(prob.p0), None
+        for k in range(40):
+            args = (k * h, q, p, h, F_prev)
+            q, p, _, F_prev = (
+                kernel(*args) if run == "kernel" else pair.reference(force, *args)
+            )
+            q, p = kind.state(q), kind.state(p)
+            F_prev = [tuple(row) for row in F_prev]
+        counts.append(force.evaluations)
+    assert counts[0] <= counts[1]
 
 
 def test_a_large_state_has_the_bits_of_the_stage_solver():
     rng = random.Random(64)
-    t = _random_tableau(rng, 3, False)
+    t = _random_tableau(rng, 3, "full")
     q0, p0 = _state(rng, 64)
-    for f in _FORCES:
-        outcomes = _runs(t, f, 0.2, q0, p0, steps=4)
-        assert len(outcomes) == 8 and "raised" not in outcomes
+    for t in (t, _random_tableau(rng, 3, "explicit-last")):
+        for f in _FORCES:
+            outcomes = _runs(t, f, 0.2, q0, p0, steps=4)
+            assert len(outcomes) == 4 and "raised" not in outcomes
 
 
 def test_each_state_size_gets_its_own_kernel():
@@ -446,7 +448,7 @@ def test_each_state_size_gets_its_own_kernel():
         assert kernels[d, _FORCES[0]] is kernels[d, _FORCES[1]]
     assert len(set(kernels.values())) == 4
     assert re.fullmatch(
-        r"<symrkn kernel s=3 d=3 jacobi start [0-9a-f]{8}>",
+        r"<symrkn kernel s=3 d=3 \(0,1,2\) start [0-9a-f]{8}>",
         kernels[3, _FORCES[1]].__code__.co_filename,
     )
 
@@ -457,12 +459,11 @@ def test_one_advance_follows_every_change_of_h():
     q0, p0 = _state(rng, 3)
     q0[1] = -0.0
     hs = [0.2, 0.2, -0.2, 0.1, 0.2, 0.0, -0.0, -0.0, 0.0, math.nan, 0.2, 1]
-    for sequential in (False, True):
-        pair = _Pair(t, sequential, d=3)
-        for f in (*_FORCES, lambda t, q: np.full_like(q, t)):
-            for h in hs:
-                # t0 = -0.0: the stage times t0 + c h carry the sign of h
-                pair.check(f, -0.0, q0, p0, h)
+    pair = _Pair(t, d=3)
+    for f in (*_FORCES, lambda t, q: np.full_like(q, t)):
+        for h in hs:
+            # t0 = -0.0: the stage times t0 + c h carry the sign of h
+            pair.check(f, -0.0, q0, p0, h)
 
 
 def test_a_start_matrix_of_none_ignores_previous_forces():
@@ -471,12 +472,12 @@ def test_a_start_matrix_of_none_ignores_previous_forces():
                    np.array([0.25, 0.25]), np.array([0.5, 0.5]), "twin")
     q0, p0 = _state(random.Random(9), 2)
     F_prev = np.ones((2, 2))
-    for sequential in (False, True):
-        assert _start_matrix(t.c, t.a_bar, sequential) is None
-        pair = _Pair(t, sequential)
-        for f in _FORCES:
-            free = pair.check(f, 0.0, q0, p0, 0.2)
-            assert pair.check(f, 0.0, q0, p0, 0.2, F_prev) == free
+    for blocks in ([[0, 1]], [[0], [1]]):
+        assert _start_matrix(t.c, t.a_bar, blocks) is None
+    pair = _Pair(t)
+    for f in _FORCES:
+        free = pair.check(f, 0.0, q0, p0, 0.2)
+        assert pair.check(f, 0.0, q0, p0, 0.2, F_prev) == free
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 1)])
@@ -484,12 +485,10 @@ def test_wrong_shape_from_the_force_raises(shape):
     t = named_tableau("rkn-a")
     q0, p0 = _state(random.Random(4), 2)
     args = (lambda t, q: np.zeros(shape), 0.0, tuple(q0), tuple(p0), 0.2)
-    for sequential in (False, True):
-        pair = _Pair(t, sequential)
-        got = _outcome(pair.kernel(args[0])[1], *args[1:])
-        assert got == _outcome(pair.reference, *args)
-        assert got == ("raised", ValueError,
-                       f"force returned shape {shape}, expected (2,)", None)
+    pair = _Pair(t)
+    got = _outcome(pair.kernel(args[0])[1], *args[1:])
+    assert got == _outcome(pair.reference, *args)
+    assert got == ("raised", ValueError, f"force returned shape {shape}, expected (2,)", None)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -520,8 +519,7 @@ def test_divergence_has_the_message_and_residual_of_the_stage_solver(name):
         for max_iters in (1, 2, 3):
             assert "raised" in _runs(t, f, 0.16, q0, p0, steps=3, max_iters=max_iters)
             # cut short, the residual shows the extrapolated start's bits
-            for sequential in (False, True):
-                pair = _Pair(t, sequential, max_iters=max_iters, d=3)
-                F_prev = np.linspace(-0.9, 0.9, 3 * t.s).reshape(t.s, 3)
-                got = pair.check(f, 0.16, q0, p0, 0.16, F_prev)
-                assert got[0] == "raised"
+            pair = _Pair(t, max_iters=max_iters, d=3)
+            F_prev = np.linspace(-0.9, 0.9, 3 * t.s).reshape(t.s, 3)
+            got = pair.check(f, 0.16, q0, p0, 0.16, F_prev)
+            assert got[0] == "raised"

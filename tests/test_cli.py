@@ -13,7 +13,13 @@ from symrkn.cli import main
 from symrkn.errors import InvalidGridError, TableauValidationError
 from symrkn.integrator import StepConfig, global_error_study, integrate
 from symrkn.problems import kepler_2d, perturbed_pendulum
-from symrkn.tableau import RknTableau, load_tableau, named_tableau, save_tableau
+from symrkn.tableau import (
+    RknTableau,
+    dumps_tableau,
+    load_tableau,
+    named_tableau,
+    save_tableau,
+)
 
 
 def _rows(out: str):
@@ -92,6 +98,17 @@ def test_check_exit_codes(tmp_path, capsys):
     assert main(["check", str(wrong)]) == 1
     assert main(["check", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
+
+
+def test_tableau_text_nested_past_the_recursion_limit_is_one_error(tmp_path, capsys):
+    doc = json.loads(dumps_tableau(named_tableau("diagsymp")))
+    doc["a_bar"] = "@"
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(doc).replace('"@"', "[" * 5000 + "]" * 5000))
+    for argv in (["check", str(deep)], ["converge", "--method", str(deep)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: not valid tableau text") and err.count("\n") == 1
 
 
 def test_converge_csv_contract(capsys):

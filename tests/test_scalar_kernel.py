@@ -4,7 +4,10 @@ Scalar state runs one advance generated from source per tableau, with the
 stage and sum loops unrolled and the coefficients as float literals.  The
 reference below is the generic solver it replaced: _stages_scalar, plus the
 scalar advance that summed the update, with one addition: a stage iterate
-that is not finite ends the solve before the force sees it.  The kernel
+that is not finite ends the solve before the force sees it.  Like the
+kernel, it takes the stage blocks from kernel._blocks and solves a
+one-stage block alone and a larger one by Jacobi sweeps; random tableaus
+of each shape in SHAPES reach both, in either order.  The kernel
 promises the same IEEE operations in the same order, so results, exception
 types, messages and residuals must be equal byte for byte, not merely close.
 """
@@ -17,25 +20,27 @@ import traceback
 import numpy as np
 import pytest
 
-from kernel_harness import structured_stepper
 from symrkn.errors import StageDivergenceError
 from symrkn.integrator import StepConfig, reference_tableau, step
-from symrkn.kernel import _kernels, _start_matrix, _stepper
+from symrkn.kernel import _blocks, _kernels, _start_matrix, _stepper
 from symrkn.problems import perturbed_pendulum
 from symrkn.tableau import RknTableau, named_tableau
 
 
-def _stages_scalar(c, a, s, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev):
+def _stages_scalar(c, a, f, t0, q0, p0, h, conv, iters, blocks, M, F_prev):
+    s = len(c)
     h2 = h * h
     Q = [0.0] * s
     F = [0.0] * s
-    if sequential:
-        for i in range(s):
+    done = []
+    for block in blocks:
+        if len(block) == 1:
+            (i,) = block
             ti = t0 + c[i] * h
             ai = a[i]
             base = q0 + h * c[i] * p0
             acc = 0.0
-            for j in range(i):
+            for j in done:
                 acc += ai[j] * F[j]
             base += h2 * acc
             w = h2 * ai[i]
@@ -68,62 +73,68 @@ def _stages_scalar(c, a, s, f, t0, q0, p0, h, conv, iters, sequential, M, F_prev
                     )
             Q[i] = qi
             F[i] = f(ti, qi)
-        return Q, F
-    times = [t0 + c[i] * h for i in range(s)]
-    base = [q0 + h * c[i] * p0 for i in range(s)]
-    Q = base[:]
-    if F_prev is not None:
-        for i in range(s):
-            g = 0.0
-            for m, Fj in zip(M[i], F_prev):
-                g += m * Fj
-            Q[i] += h2 * g
-    F = [f(times[i], Q[i]) for i in range(s)]
-    diff = math.inf
-    for _ in range(iters):
-        diff = 0.0
-        Qn = [0.0] * s
-        for i in range(s):
-            ai = a[i]
-            acc = 0.0
-            for j in range(s):
-                acc += ai[j] * F[j]
-            qn = base[i] + h2 * acc
-            d = abs(qn - Q[i])
-            if d > diff or d != d:
-                diff = d
-            Qn[i] = qn
-        Q = Qn
-        if not diff < math.inf:
-            raise StageDivergenceError(
-                f"stage iterates are not finite (last increment {diff:.3e})",
-                residual=diff,
-            )
-        for i in range(s):
-            F[i] = f(times[i], Q[i])
-        if diff < conv:
-            return Q, F
-    raise StageDivergenceError(
-        f"stages did not contract in {iters} sweeps (last increment {diff:.3e})",
-        residual=diff,
-    )
+        else:
+            # each row sums over every stage solved so far, its block's too
+            known = sorted(done + block)
+            times = {i: t0 + c[i] * h for i in block}
+            base = {i: q0 + h * c[i] * p0 for i in block}
+            for i in block:
+                Q[i] = base[i]
+                if F_prev is not None:
+                    g = 0.0
+                    for m, Fj in zip(M[i], F_prev):
+                        g += m * Fj
+                    Q[i] += h2 * g
+            for i in block:
+                F[i] = f(times[i], Q[i])
+            diff = math.inf
+            for _ in range(iters):
+                diff = 0.0
+                Qn = {}
+                for i in block:
+                    acc = 0.0
+                    for j in known:
+                        acc += a[i][j] * F[j]
+                    qn = base[i] + h2 * acc
+                    d = abs(qn - Q[i])
+                    if d > diff or d != d:
+                        diff = d
+                    Qn[i] = qn
+                for i in block:
+                    Q[i] = Qn[i]
+                if not diff < math.inf:
+                    raise StageDivergenceError(
+                        f"stage iterates are not finite (last increment {diff:.3e})",
+                        residual=diff,
+                    )
+                for i in block:
+                    F[i] = f(times[i], Q[i])
+                if diff < conv:
+                    break
+            else:
+                raise StageDivergenceError(
+                    f"stages did not contract in {iters} sweeps (last increment {diff:.3e})",
+                    residual=diff,
+                )
+        done = sorted(done + block)
+    return Q, F
 
 
-def _reference_advance(t, stage_tol, max_iters, sequential):
-    s = t.s
+def _reference_advance(t, stage_tol, max_iters):
     c, a = t.c.tolist(), t.a_bar.tolist()
     b_bar, b = t.b_bar.tolist(), t.b.tolist()
-    start = _start_matrix(t.c, t.a_bar, sequential)
+    blocks = _blocks(t.a_bar)
+    start = _start_matrix(t.c, t.a_bar, blocks)
     M = None if start is None else start.tolist()
 
     def advance(f, t0, q0, p0, h, F_prev=None):
         conv = stage_tol * (1.0 + abs(q0))
         Q, F = _stages_scalar(
-            c, a, s, f, t0, q0, p0, h, conv, max_iters, sequential,
+            c, a, f, t0, q0, p0, h, conv, max_iters, blocks,
             M, None if M is None else F_prev,
         )
         accq = accp = 0.0
-        for i in range(s):
+        for i in range(t.s):
             accq += b_bar[i] * F[i]
             accp += b[i] * F[i]
         return q0 + h * p0 + h * h * accq, p0 + h * accp, Q, F
@@ -148,10 +159,9 @@ def _outcome(advance, *args):
     return tuple(np.asarray(v, dtype=np.float64).tobytes() for v in (q1, p1, Q, F))
 
 
-def _assert_same(t, f, t0, q0, p0, h, sequential, F_prev=None,
-                 stage_tol=1e-14, max_iters=100):
-    _, kernel = structured_stepper(t, f, q0, sequential, stage_tol, max_iters)
-    reference = _reference_advance(t, stage_tol, max_iters, sequential)
+def _assert_same(t, f, t0, q0, p0, h, F_prev=None, stage_tol=1e-14, max_iters=100):
+    _, kernel = _stepper(t, f, q0, stage_tol, max_iters)
+    reference = _reference_advance(t, stage_tol, max_iters)
     got = _outcome(kernel, t0, q0, p0, h, F_prev)
     want = _outcome(reference, f, t0, q0, p0, h, F_prev)
     assert got == want
@@ -168,21 +178,16 @@ def _driven(t, q):
 
 def _runs(t, f, h, steps=40, q0=0.3, p0=2.5, stage_tol=1e-14, max_iters=100):
     """Step both implementations along one trajectory, from free motion and
-    then from each previous step's stage forces, for both structures."""
+    then from each previous step's stage forces."""
     outcomes = []
-    for sequential in (False, True):
-        q, p, F_prev = q0, p0, None
-        for k in range(steps):
-            got = _assert_same(
-                t, f, k * h, q, p, h, sequential, F_prev, stage_tol, max_iters
-            )
-            outcomes.append(got[0])
-            if got[0] == "raised":
-                break
-            q1, p1, _, F_prev = _reference_advance(
-                t, stage_tol, max_iters, sequential
-            )(f, k * h, q, p, h, F_prev)
-            q, p = q1, p1
+    q, p, F_prev = q0, p0, None
+    reference = _reference_advance(t, stage_tol, max_iters)
+    for k in range(steps):
+        got = _assert_same(t, f, k * h, q, p, h, F_prev, stage_tol, max_iters)
+        outcomes.append(got[0])
+        if got[0] == "raised":
+            break
+        q, p, _, F_prev = reference(f, k * h, q, p, h, F_prev)
     return outcomes
 
 
@@ -197,44 +202,65 @@ def test_named_methods_have_the_bits_of_the_generic_loops(name, force):
         _runs(t, force, h)
 
 
-def _random_tableau(rng, s, lower, nodes=None):
+# shapes of a random a_bar; a shape's index offsets its test's seed
+SHAPES = ("full", "lower", "upper", "explicit-first", "explicit-last")
+
+
+def _pattern(shape, s):
+    """The nonzero pattern of an a_bar of the shape with s stages, and the
+    stage blocks the kernel solves it in, in order."""
+    ones, stages = np.ones((s, s)), list(range(s))
+    if shape == "full":
+        return ones, [stages]
+    if shape == "lower":
+        return np.tril(ones), [[i] for i in stages]
+    if shape == "upper":
+        return np.triu(ones), [[i] for i in reversed(stages)]
+    if shape == "explicit-first":
+        # stage 0 reads nothing and every other stage reads every stage
+        ones[0] = 0.0
+        return ones, [x for x in ([0], stages[1:]) if x]
+    # nothing reads the last stage, which reads every other stage
+    ones[:, -1] = 0.0
+    return ones, [x for x in (stages[:-1], [s - 1]) if x]
+
+
+def _random_tableau(rng, s, shape, nodes=None):
     c = sorted(rng.uniform(0.0, 1.0) for _ in range(s)) if nodes is None else nodes
     a_bar = np.array([[rng.uniform(-0.3, 0.3) / s for _ in range(s)] for _ in range(s)])
-    if lower:
-        a_bar = np.tril(a_bar)
+    a_bar *= _pattern(shape, s)[0]
     b_bar = [rng.uniform(-1.0, 1.0) for _ in range(s)]
     b = [rng.uniform(-1.0, 1.0) for _ in range(s)]
     return RknTableau(s, np.array(c), a_bar, np.array(b_bar), np.array(b), "random")
 
 
 @pytest.mark.parametrize("s", range(1, 11))
-@pytest.mark.parametrize("lower", [True, False], ids=["lower", "full"])
-def test_random_tableaus_have_the_bits_of_the_generic_loops(s, lower):
-    rng = random.Random(1000 * s + lower)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_random_tableaus_have_the_bits_of_the_generic_loops(s, shape):
+    rng = random.Random(1000 * s + SHAPES.index(shape))
     for _ in range(3):
-        t = _random_tableau(rng, s, lower)
+        t = _random_tableau(rng, s, shape)
+        assert _blocks(t.a_bar) == _pattern(shape, s)[1]
         _runs(t, _driven, 0.2, steps=12)
         # one or two sweeps leave the extrapolated start's bits in the result
-        for sequential in (False, True):
-            F_prev = [rng.uniform(-1.0, 1.0) for _ in range(s)]
-            for max_iters in (1, 2):
-                _assert_same(t, _driven, 0.2, 0.3, 2.5, 0.2, sequential, F_prev,
-                             max_iters=max_iters)
+        F_prev = [rng.uniform(-1.0, 1.0) for _ in range(s)]
+        for max_iters in (1, 2):
+            _assert_same(t, _driven, 0.2, 0.3, 2.5, 0.2, F_prev, max_iters=max_iters)
 
 
 def test_repeated_nodes_and_zero_diagonals():
     rng = random.Random(7)
     for s in (2, 3, 5):
         nodes = [0.5] * s
-        t = _random_tableau(rng, s, True, nodes=nodes)
-        assert _start_matrix(t.c, t.a_bar, True) is None
+        t = _random_tableau(rng, s, "lower", nodes=nodes)
+        assert _start_matrix(t.c, t.a_bar, _blocks(t.a_bar)) is None
         _runs(t, _driven, 0.2, steps=10)
         a_bar = np.array(t.a_bar)
         np.fill_diagonal(a_bar, 0.0)
         a_bar[0, 0] = 0.01
         for c in (nodes, sorted(rng.uniform(0.0, 1.0) for _ in range(s))):
             z = RknTableau(s, np.array(c), a_bar, t.b_bar, t.b, "zero-diagonal")
-            assert z.lower_triangular
+            assert _blocks(z.a_bar) == [[i] for i in range(s)]
             _runs(z, _driven, 0.2, steps=10)
 
 
@@ -246,14 +272,11 @@ def test_signed_zero_coefficients_get_their_own_kernels():
     kernels = set()
     outcomes = set()
     for t in (pos, neg):
-        for sequential in (True, False):
-            _, advance = structured_stepper(t, _pendulum, -0.0, sequential)
-            kernels.add(advance.func)
-            # the stage time t0 + c h is the only place the sign of c shows
-            got = _assert_same(t, lambda t, q: t, -0.0, -0.0, 1.0, 0.5, sequential)
-            outcomes.add((sequential, got))
-    assert len(kernels) == 4
-    assert len(outcomes) == 4
+        kernels.add(_stepper(t, _pendulum, -0.0, 1e-14, 100)[1].func)
+        # the stage time t0 + c h is the only place the sign of c shows
+        outcomes.add(_assert_same(t, lambda t, q: t, -0.0, -0.0, 1.0, 0.5))
+    assert len(kernels) == 2
+    assert len(outcomes) == 2
 
 
 def _sign_of_zero(t, q):
@@ -269,9 +292,8 @@ def test_a_zero_iterate_is_evaluated_again(name):
     # from q0 = p0 = -0.0 the free-motion start is -0.0 and the first
     # iterate 0.0: an increment of 0.0 that changes the force, 0.0 to 5.0
     t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
-    for sequential in (False, True):
-        got = _assert_same(t, _sign_of_zero, 0.0, -0.0, -0.0, 0.16, sequential)
-        assert 5.0 in np.frombuffer(got[3])
+    got = _assert_same(t, _sign_of_zero, 0.0, -0.0, -0.0, 0.16)
+    assert 5.0 in np.frombuffer(got[3])
     _runs(t, _sign_of_zero, 0.16, steps=5, q0=-0.0, p0=-0.0)
 
 
@@ -295,18 +317,17 @@ def test_no_more_force_calls_than_the_generic_loops(name):
     # of an iterate that did not move
     t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
     h = 0.16
-    for sequential in (False, True):
-        f, kernel_calls = _counting(_pendulum)
-        g, loop_calls = _counting(_pendulum)
-        _, kernel = structured_stepper(t, f, 0.3, sequential)
-        reference = _reference_advance(t, 1e-14, 100, sequential)
-        q, p, F_prev = 0.3, 2.5, None
-        for k in range(100):
-            got = kernel(k * h, q, p, h, F_prev)
-            want = reference(g, k * h, q, p, h, F_prev)
-            assert np.array(got[:2]).tobytes() == np.array(want[:2]).tobytes()
-            q, p, _, F_prev = want
-        assert len(kernel_calls) <= len(loop_calls)
+    f, kernel_calls = _counting(_pendulum)
+    g, loop_calls = _counting(_pendulum)
+    _, kernel = _stepper(t, f, 0.3, 1e-14, 100)
+    reference = _reference_advance(t, 1e-14, 100)
+    q, p, F_prev = 0.3, 2.5, None
+    for k in range(100):
+        got = kernel(k * h, q, p, h, F_prev)
+        want = reference(g, k * h, q, p, h, F_prev)
+        assert np.array(got[:2]).tobytes() == np.array(want[:2]).tobytes()
+        q, p, _, F_prev = want
+    assert len(kernel_calls) <= len(loop_calls)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -323,8 +344,7 @@ def test_non_finite_forces_and_states(bad, name):
     for f, q0, p0 in cases:
         _runs(t, f, 0.16, steps=8, q0=q0, p0=p0)
     # a start from non-finite previous forces
-    for sequential in (False, True):
-        _assert_same(t, _pendulum, 0.0, 0.3, 2.5, 0.16, sequential, [0.5, bad, -0.5])
+    _assert_same(t, _pendulum, 0.0, 0.3, 2.5, 0.16, [0.5, bad, -0.5])
 
 
 @pytest.mark.parametrize("name", ["diagsymp", "rkn-a"])
@@ -336,19 +356,17 @@ def test_divergence_has_the_message_and_residual_of_the_generic_loops(name):
         outcomes = _runs(t, _pendulum, 0.16, steps=3, max_iters=max_iters)
         assert "raised" in outcomes
         # cut short, the residual shows the extrapolated start's bits
-        for sequential in (False, True):
-            got = _assert_same(
-                t, _pendulum, 0.16, 0.4, 2.4, 0.16, sequential, [-0.3, -0.6, -0.9],
-                max_iters=max_iters,
-            )
-            assert got[0] == "raised"
+        got = _assert_same(
+            t, _pendulum, 0.16, 0.4, 2.4, 0.16, [-0.3, -0.6, -0.9], max_iters=max_iters
+        )
+        assert got[0] == "raised"
 
 
 def test_one_kernel_per_tableau_and_tolerances_are_arguments():
     t = named_tableau("rkn-a")
     _, a = _stepper(t, _pendulum, 0.0, 1e-14, 100)
     _, b = _stepper(t, _driven, 0.0, 1e-10, 7)
-    _, c = structured_stepper(t, _pendulum, 0.0, True)
+    _, c = _stepper(named_tableau("rkn-b"), _pendulum, 0.0, 1e-14, 100)
     assert a.func is b.func
     assert c.func is not a.func
     # the force is bound with the tolerances; scalar state has one force form
@@ -375,7 +393,7 @@ def test_cache_is_bounded_and_evicted_sources_leave_linecache(monkeypatch):
     a, b, c, d, e = map(_cache_tableau, (0.11, 0.12, 0.13, 0.14, 0.15))
     first = _cached_kernel(a)
     name = first.__code__.co_filename
-    assert name.startswith("<symrkn kernel s=2 jacobi free ")
+    assert name.startswith("<symrkn kernel s=2 (0,1) free ")
     assert linecache.getline(name, 1).startswith("def advance(")
     size = dict(_kernels.values())[first]
     assert size == len("".join(linecache.getlines(name)))
@@ -407,5 +425,5 @@ def test_divergence_traceback_shows_the_kernel_source():
         step(named_tableau("rkn-iiib"), prob.force, 0.0, 0.0, 2.5, StepConfig(h=10.0))
     text = "".join(traceback.format_exception(info.value))
     # step runs the kernel integrate runs, start matrix included
-    assert "<symrkn kernel s=3 jacobi start " in text
+    assert "<symrkn kernel s=3 (0,1)(2) start " in text
     assert "raise StageDivergenceError(" in text

@@ -355,6 +355,15 @@ def test_dump_has_17_digit_literals():
     assert doc["a_bar"][1][0] == 49 / 720
 
 
+def test_loader_rejects_nesting_past_the_recursion_limit():
+    # json.loads raises RecursionError on such text, not JSONDecodeError
+    doc = json.loads(dumps_tableau(named_tableau("diagsymp")))
+    doc["a_bar"] = "@"
+    deep = json.dumps(doc).replace('"@"', "[" * 5000 + "]" * 5000)
+    with pytest.raises(TableauFormatError, match="not valid tableau text"):
+        loads_tableau(deep)
+
+
 def test_loader_rejects_bad_documents():
     good = dumps_tableau(named_tableau("diagsymp"))
     with pytest.raises(TableauFormatError):
