@@ -48,8 +48,9 @@ class StepConfig:
 
     def __post_init__(self):
         _check_step(self.h)
-        if not (math.isfinite(self.stage_tol) and self.stage_tol > 0.0):
-            raise ValueError(f"stage_tol {self.stage_tol!r} must be positive and finite")
+        # below an ulp of 1.0 the stage increments stall at rounding, not contract
+        if not (math.isfinite(self.stage_tol) and self.stage_tol >= 2.0**-52):
+            raise ValueError(f"stage_tol {self.stage_tol!r} must be finite and at least 2**-52")
         if not isinstance(self.max_iters, numbers.Integral) or isinstance(
             self.max_iters, bool
         ):

@@ -133,30 +133,34 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
     residual.  Returns (q1, p1, Q, F) of the last step: states in the
     input form, stage values and forces as lists.
 
-    The stages are solved block by block, in the order of blocks, lists
-    of stage indices (see _blocks).  A one-stage block i iterates Q_i =
-    B_i + h^2 a_ii F_i, its base B_i summing the stages solved before it,
-    and takes Q_i = B_i when h^2 a_ii is 0.0.  A larger block iterates
-    Q_i = q0 + h c_i p0 + h^2 (row i of a_bar times F) by Jacobi sweeps,
-    each row summing every stage solved so far, its own block's included.
-    Every sum starts at 0.0 and adds its terms in ascending index, zero
+    The stages are solved block by block, in the order of blocks, lists of
+    stage indices (see _blocks), all by one rule.  Stage i's base B_i is
+    q0 + h c_i p0 + h^2 (a_ij F_j summed over the stages solved before its
+    block).  A block with no nonzero a_bar entry of its own, by the exact
+    pattern of _blocks, is one explicit stage: Q_i = B_i, evaluated once.
+    Any other block sweeps Q_i = B_i + (w_ij F_j + ...) over its own
+    stages j, with w_ij = h^2 a_ij taken once per run, from free motion or,
+    warm, from B_i + h^2 (row i of M times P).  That sum has no 0.0 start,
+    which could change only a -0.0 B_i, and B_i, ending in
+    + h^2 (0.0 + ...), is -0.0 only where that product underflows.  Every
+    other sum starts at 0.0 and adds its terms in ascending index, zero
     coefficients included (0 * inf is NaN, and signed zeros must come out
-    the same), component by component.  h c_i and h^2 a_ii are taken once
-    per run.  One loop, solve, sweeps one block, and each sweep starts by
-    evaluating every stage it solves.  Each stage component's increment
-    e = new - old starts at inf; a solve converges when -conv < e < conv
-    for every component and diverges when some e is not finite (not
-    -inf < e < inf), before the force sees the iterate: a failed solve
-    evaluates no force it discards.  A divergence raises
-    StageDivergenceError with the max-norm of the last increments as
-    residual (a NaN kept, as numpy's max does: the x > m or x != x
-    pattern); it, a non-finite sample, and one the force raises without
-    a step index, gets the 1-based index of its step.
+    the same), component by component.  h c_i is taken once per run.  One
+    loop, solve, sweeps one block, and each sweep starts by evaluating
+    every stage it solves.  Each stage component's increment e = new - old
+    starts at inf; a solve converges when -conv < e < conv for every
+    component and diverges when some e is not finite (not -inf < e < inf),
+    before the force sees the iterate: a failed solve evaluates no force
+    it discards.  A divergence raises StageDivergenceError with the
+    max-norm of the last increments as residual (a NaN kept, as numpy's
+    max does: the x > m or x != x pattern); it, a non-finite sample, and
+    one the force raises without a step index, gets the 1-based index of
+    its step.
 
     A stage whose last increment is 0.0 in every component, and none of
     whose components is a zero (0.0 == -0.0, but f may tell them apart),
     has the bits of the iterate before it, so its converged solve keeps
-    F_i (settle, in every block).
+    F_i (settle, in every solve).
 
     form is "point" or a force template of problems.py with kind.size
     components.  One helper, call, writes every force evaluation, of one
@@ -166,13 +170,12 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
     """
     s = len(c)
     vec, tup = kind.names, kind.pack
-    # bases, values, forces and previous forces by component
-    B, Q, F, P = ([vec(f"{x}{i}") for i in range(s)] for x in "BQFP")
+    # bases, values, forces, previous forces and increments by component
+    B, Q, F, P, E = ([vec(f"{x}{i}") for i in range(s)] for x in "BQFPe")
     q0, p0 = vec("q0"), vec("p0")
     S, K = range(s), range(kind.size)
-    singles = [i for i in S if [i] in blocks]
-    # increments: one set that each one-stage block reuses, one per stage of a larger block
-    E = [vec("e") if i in singles else vec(f"e{i}") for i in S]
+    # the blocks with a nonzero a_bar entry among their own stages, as _blocks reads it
+    iterated = [x for x in blocks if any(a[i][j] != 0 for i in x for j in x)]
 
     def dot(coeffs, names):
         terms = (f" + {_literal(x)} * {v}" for x, v in zip(coeffs, names))
@@ -187,19 +190,6 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
     def reads(i, stages, k):
         # row i of a_bar times the forces of stages, component k
         return dot([a[i][j] for j in stages], [F[j][k] for j in stages])
-
-    def start(ind, stages, scale, cold):
-        # Q_i from the previous step's forces P when warm, else from cold
-        lines = [f"{Q[i][k]} = {cold(i, k)}" for i in stages for k in K]
-        if M is None:
-            return [ind + x for x in lines]
-        return [
-            f"{ind}if warm:",
-            *(f"{ind}    {Q[i][k]} = {B[i][k]} + {scale(i)} * ({dot(M[i], col(P, k))})"
-              for i in stages for k in K),
-            f"{ind}else:",
-            *(f"{ind}    {x}" for x in lines),
-        ]
 
     template = None if form == "point" else form
 
@@ -246,20 +236,38 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
             f"{ind})",
         ]
 
-    def solve(ind, stages, new, diverging, stuck):
-        # sweep the stages' Q_i = new(i, k) until converged, else raise diverging or stuck
-        es = [x for i in stages for x in E[i]]
+    def solve(ind, block):
+        # Q_i = B_i + (w_ij F_j + ...) over the block, swept from the start
+        # until converged, else raise; then F_i of every stage that moved
+        if len(block) > 1:
+            diverging, stuck = "stage iterates are", "stages did not contract in {iters} sweeps"
+        else:
+            diverging, stuck = f"stage {block[0]} iterate is", f"stage {block[0]} did not contract"
+        es = [x for i in block for x in E[i]]
+        # free motion, or warm, the previous step's forces P extrapolated
+        cold = [f"{Q[i][k]} = {free(i, k)}" for i in block for k in K]
+        start = cold if M is None else [
+            "if warm:",
+            *(f"    {Q[i][k]} = {B[i][k]} + h2 * ({dot(M[i], col(P, k))})"
+              for i in block for k in K),
+            "else:",
+            *("    " + x for x in cold),
+        ]
         lines = [
+            *start,
+            *(f"{x} = inf" for x in es),
             "for _ in range(iters):",
-            *(x for i in stages for x in call("    ", i)),
-            *(x for i in stages for k in K for x in (
-                f"    n = {new(i, k)}", f"    {E[i][k]} = n - {Q[i][k]}", f"    {Q[i][k]} = n")),
+            *(x for i in block for x in call("    ", i)),
+            *(x for i in block for k in K for x in (
+                f"    n = {B[i][k]} + ({' + '.join(f'w{i}_{j} * {F[j][k]}' for j in block)})",
+                f"    {E[i][k]} = n - {Q[i][k]}", f"    {Q[i][k]} = n")),
             f"    if {all_of('lo < {} < conv', es)}:",
             "        break",
             f"    if not ({all_of('-inf < {} < inf', es)}):",
-            *diverged("        ", diverging, es),
+            *diverged("        ", f"{diverging} not finite", es),
             "else:",
             *diverged("    ", stuck, es),
+            *(x for i in block for x in settle("", i)),
         ]
         return [ind + x for x in lines]
 
@@ -271,7 +279,7 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
     out += kind.unpack("q0") + kind.unpack("p0")
     emit("    h2 = h * h")
     out += [f"    hc{i} = h * {_literal(c[i])}" for i in range(s)]
-    out += [f"    w{i} = h2 * {_literal(a[i][i])}" for i in singles]
+    out += [f"    w{i}_{j} = h2 * {_literal(a[i][j])}" for x in iterated for i in x for j in x]
     if M is not None:
         emit("    warm = F_prev is not None")
         emit("    if warm:")
@@ -287,27 +295,15 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
         out += [f"        T{i} = t + hc{i}" for i in S]
     done = []  # the stages solved so far, ascending
     for block in blocks:
-        known = sorted(done + block)
-        if len(block) == 1:
-            (i,) = block
-            for k in K:
-                emit(f"        {B[i][k]} = {free(i, k)} + h2 * ({reads(i, done, k)})")
-            out += [f"        {x} = inf" for x in E[i]]
-            emit(f"        if w{i} == 0.0:")
-            out += [f"            {Q[i][k]} = {B[i][k]}" for k in K]
-            emit("        else:")
-            out += start("            ", block, lambda i: f"w{i}", free)
-            out += solve("            ", block, lambda i, k: f"{B[i][k]} + w{i} * {F[i][k]}",
-                         f"stage {i} iterate is not finite", f"stage {i} did not contract")
-            out += settle("        ", i)
+        out += [f"        {B[i][k]} = {free(i, k)} + h2 * ({reads(i, done, k)})"
+                for i in block for k in K]
+        if block in iterated:
+            out += solve("        ", block)
         else:
-            out += [f"        {B[i][k]} = {free(i, k)}" for i in block for k in K]
-            out += start("        ", block, lambda i: "h2", lambda i, k: B[i][k])
-            out += [f"        {x} = inf" for i in block for x in E[i]]
-            out += solve("        ", block, lambda i, k: f"{B[i][k]} + h2 * ({reads(i, known, k)})",
-                         "stage iterates are not finite", "stages did not contract in {iters} sweeps")
-            out += [x for i in block for x in settle("        ", i)]
-        done = known
+            (i,) = block
+            out += [f"        {Q[i][k]} = {B[i][k]}" for k in K]
+            out += call("        ", i)
+        done = sorted(done + block)
     # the update: every q before any p, since each q reads the old p
     for k in K:
         emit(f"        {q0[k]} = {q0[k]} + h * {p0[k]} + h2 * ({dot(b_bar, col(F, k))})")
@@ -357,7 +353,7 @@ def _checked(r, shape, name):
 
 def _generate_kernel(key):
     """Compile the advance for one _stepper cache key, with its stage
-    blocks and start matrix."""
+    blocks, each solved by one text, and its start matrix."""
     c_bytes, a_bytes, b_bar_bytes, b_bytes, kind, form = key
     template = None if form == "point" else form
     c = np.frombuffer(c_bytes)
@@ -439,10 +435,10 @@ def _start_matrix(c, a_bar, blocks):
 
     E[i, j] = l_j(1 + c_i), the Lagrange basis on the nodes c evaluated at
     the next step's nodes, extrapolates stage forces by one step (Hairer,
-    Lubich and Wanner, Geometric Numerical Integration, VIII.6.1).  A
-    one-stage block of blocks (see _blocks) starts from its row of
-    E F_prev, a larger block from its rows of A E F_prev with A = a_bar.
-    None when the nodes are not pairwise distinct, or so close that the
+    Lubich and Wanner, Geometric Numerical Integration, VIII.6.1).  The
+    start matrix is A E, A being a_bar kept only within each stage block
+    (see _blocks), as a stage's base holds the blocks before.  None when
+    the nodes are not pairwise distinct, or so close that the
     matrix overflows: those tableaus keep the free-motion start.  So a
     start matrix is always finite.
     """
@@ -450,14 +446,14 @@ def _start_matrix(c, a_bar, blocks):
     if len(set(c.tolist())) < s:
         return None
     x = 1.0 + c
-    single = np.array([[i] in blocks for i in range(s)])
+    label = np.array([n for i in range(s) for n, block in enumerate(blocks) if i in block])
     E = np.ones((s, s))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for j in range(s):
             for m in range(s):
                 if m != j:
                     E[:, j] *= (x - c[m]) / (c[j] - c[m])
-        M = np.where(single[:, None], E, a_bar @ E)
+        M = np.where(label[:, None] == label, a_bar, 0.0) @ E
     return M if np.all(np.isfinite(M)) else None
 
 

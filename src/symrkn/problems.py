@@ -252,6 +252,8 @@ def kepler_2d(eccentricity: float = 0.0) -> OdeProblem:
 
     def energy(p, q):
         r = math.sqrt(q[0] * q[0] + q[1] * q[1])
+        if r == 0.0:
+            return -math.inf  # the limit of -1/r
         return 0.5 * (p[0] * p[0] + p[1] * p[1]) - 1.0 / r
 
     def exact(t):

@@ -579,8 +579,8 @@ def test_step_config_validation():
     with pytest.raises(ValueError):
         StepConfig(h=math.inf)
     # a tolerance is no grid: a plain ValueError naming the value
-    for bad in (0.0, -1.0, math.inf, math.nan):
-        message = f"^stage_tol {bad!r} must be positive and finite$"
+    for bad in (0.0, -1.0, math.inf, math.nan, 2.0**-53):
+        message = f"^stage_tol {re.escape(repr(bad))} must be finite and at least 2\\*\\*-52$"
         with pytest.raises(ValueError, match=message) as info:
             StepConfig(h=0.1, stage_tol=bad)
         assert not isinstance(info.value, InvalidGridError)
@@ -591,6 +591,17 @@ def test_step_config_validation():
         with pytest.raises(ValueError):
             StepConfig(h=0.1, max_iters=bad)
     assert StepConfig(h=0.1, max_iters=np.int64(7)).max_iters == 7
+
+
+def test_the_least_stage_tol_completes_the_pendulum_run():
+    # below 2**-52 (refused: test_step_config_validation) the increments
+    # stall at about an ulp of 1 + |q|, and runs that do not diverge end
+    # "did not contract"; 2**-52 itself completes all five methods
+    cfg = StepConfig(h=0.16, stage_tol=2.0**-52)
+    for name in FIVE:
+        traj = integrate(named_tableau(name), perturbed_pendulum(), 1600.0, cfg)
+        assert not traj.diverged, name
+        assert traj.times[-1] == 1600.0, name
 
 
 def test_array_problem_round_trip():
@@ -997,8 +1008,11 @@ def test_nodes_too_close_to_extrapolate_keep_the_free_motion_start():
         2, np.array([0.0, 5e-324]), np.array([[0.05, 0.0], [0.02, 0.05]]),
         np.array([0.25, 0.25]), np.array([0.5, 0.5]), "close nodes",
     )
-    assert _start_matrix(tab.c, tab.a_bar, [[0], [1]]) is None
-    assert _start_matrix(tab.c, tab.a_bar, [[0, 1]]) is None
+    # the start matrix keeps each stage's own column of a_bar, so the
+    # overflow shows whatever the blocks, explicit stages' zero rows included
+    for a_bar in (tab.a_bar, np.tril(tab.a_bar, -1)):
+        for blocks in ([[0], [1]], [[0, 1]]):
+            assert _start_matrix(tab.c, a_bar, blocks) is None
     for prob in _as_scalar_and_array(perturbed_pendulum()):
         traj = integrate(tab, prob, 1.6, CFG)
         assert not traj.diverged

@@ -11,11 +11,11 @@ generated code; when that is meant, record the new digest here and say
 why.  The inline kernels run the benchmark: the scalar pendulum kernels
 pendulum-drift, the d = 2 Kepler kernels kepler-converge.
 
-The rkn-iiia and rkn-iiib digests were last re-recorded when the kernel
-began solving the stage blocks of a_bar (kernel._blocks) one after
-another: each has a stage that reads none of the others' iterations, now
-solved on its own instead of in every Jacobi sweep.  The other methods'
-sources did not move.
+All 30 digests were last re-recorded when one text began to solve every
+stage block of a_bar (kernel._blocks): every base sums the stages solved
+before its block, an explicit stage is decided by the generator instead
+of a run-time test of h^2 a_ii, and every sweep adds w_ij F_j over the
+block's own stages, with w_ij = h^2 a_ij taken once per run.
 """
 
 import hashlib
@@ -52,43 +52,43 @@ from symrkn.tableau import discretize, named_tableau
 METHODS = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3")
 
 SCALAR = {
-    "rkn-iiia": "6a2830eb0a23b4483a1f6682ee443c537b6596cd19821a052f2f838df98381c3",
-    "rkn-iiib": "27f309f5e7d8fd77f061c90e11b29f45ccb0169348c6a5c9315f9be71a86dce1",
-    "diagsymp": "4c3a3dfc28cc61224b8d8c86e39407daf0d6c9b9fc843bfc1434cc77ccbabd3e",
-    "rkn-a": "1d309f5a7922c0b6a1ca9e9374f896c93afe10cf26f0076bc1021b4e7d3b54ee",
-    "rkn-b": "284bd2628e279af0ef4dda18acf122a65d9be8288a1180b754f81cfb0a561a71",
-    "order6-gauss3": "390589fe66ad82cf3c17617518f458caf347b99397e64553d28d6ce9230091da",
+    "rkn-iiia": "77a156ceede9985883c7e7d261068e4f8ee502dc4ba24ae1eaab8cdd29c4369e",
+    "rkn-iiib": "ae877e6fbb830c6379f644ab58553971348dd5ff210fa95af8db5eb6df0e7e8f",
+    "diagsymp": "0258063f171da005b6769ca79c2e5fa0d67b1e7862985fd5f95c50770b4fbd72",
+    "rkn-a": "7cbffeae95686766328217cd7ffaf4203c0bf9ef4032c673bf22b2f05ef3233c",
+    "rkn-b": "2d31816193acec0ebc40e3cb49de262e3b4c5f6de1f5ea786b85680391909a76",
+    "order6-gauss3": "92e84cd1a234e1162113c774c423ff2838a01e271aabcd90c7bafbeacb6b4aee",
 }
 
 ARRAY = {
-    ("rkn-iiia", 1, "point"): "ccf4e687a69fd09f680866395d1341a6170b17f3934a0cf7adb87acd90c26741",
-    ("rkn-iiia", 2, "point"): "631bd693d9592c1ade14839dc419653f1a7c666ce2f381558fb43ce3e3fd4761",
-    ("rkn-iiib", 1, "point"): "2c33611aa8bbc98c32c5f2aa98c3e22d787f50b4da9daec284f31eb96d791204",
-    ("rkn-iiib", 2, "point"): "d48c284af267d533391f75be72e12de9170ef71482f94abbd7d6a33078065cf1",
-    ("diagsymp", 1, "point"): "526219f3610380ad4e0227fa0923b1ae5ff2fa4f9ee59e23798f96b00bc5b59f",
-    ("diagsymp", 2, "point"): "8e976de99fff4252360a89b92df2585d013b1a345d5c4494cd93f4fe793f7bf4",
-    ("rkn-a", 1, "point"): "d710065b43f20f5f361fbba24a72e26c5d5c4ab8599c86cdb8065a4ba495237c",
-    ("rkn-a", 2, "point"): "5ed1c203a3c30d81cc3ca4e1b0adbe7881dee9e0907a05d335eb56f37e5c3e33",
-    ("rkn-b", 1, "point"): "dff1be72fc24c8b4eb316295752e9747e23bfb3cf30dc71621dd63bf4468240d",
-    ("rkn-b", 2, "point"): "45b2f1d702f779898b1cd95051fa7c02f4cdeb22542308b9532c30c46bcfb86a",
-    ("order6-gauss3", 1, "point"): "693834d1630601fe0eb5d38f4bc7c0a405e54afca3649c8b55a57c8d0f1507a0",
-    ("order6-gauss3", 2, "point"): "8bb0ebbc504e449d8a919889bacce5517fd2ca53425694d608e52ffd09b0f301",
+    ("rkn-iiia", 1, "point"): "f35137f19a04c773ad28b13f50ac019708891476cd064a762fee49ad50e733a4",
+    ("rkn-iiia", 2, "point"): "554ff4e544524ca59f9d2de200a5bf131fcc6510192a1384a35f4c9cd09bfcbf",
+    ("rkn-iiib", 1, "point"): "aa35ac597ad7feb1a2a5956bf57555ebf537ebe4a76498895117d0b2a7f20197",
+    ("rkn-iiib", 2, "point"): "b89f260dfcf5f644ba852c1a188de2ba4f801ccc1bb594e63a26741c96ea1481",
+    ("diagsymp", 1, "point"): "08ade126f5b8c983402d0deeae53306ba7cba6a43dd29ab49498548af3e08faa",
+    ("diagsymp", 2, "point"): "7fc261f3aa2f6c93ec354d03f92b6728629ba21457bc008fb60e8bae2b870a26",
+    ("rkn-a", 1, "point"): "135ca1a15e491916cad3d3405a370810586441d4b973645638cf0f4c4139d688",
+    ("rkn-a", 2, "point"): "068687406c2b2c0ee53c8be15054ef70b2090b468c2f5790d7bde3f20c64a637",
+    ("rkn-b", 1, "point"): "5f7151c97e90c9a8876cbfda3907ebd014120080ab38adf8f59786c59614ccb9",
+    ("rkn-b", 2, "point"): "d57e20cb97954e4eb060aad636ef3f1dae19524a40b4b070f206b44542bbb20b",
+    ("order6-gauss3", 1, "point"): "0db81610995dab26051bc18640292dfc6a3a56aca7e9d2d3c31c7f0602151cf2",
+    ("order6-gauss3", 2, "point"): "03bfe79a62b8781a3f6b8479b7104ca232bd7d4560bddbf929aaae155c382035",
 }
 
 # the scalar pendulum and d = 2 Kepler forces, written inline
 INLINE = {
-    ("rkn-iiia", "pendulum"): "00d89370489ff535e6bd5e91feb7bca010cd2e6c9d3f2566c67499a8042a7afc",
-    ("rkn-iiib", "pendulum"): "bc1fc09e7ab9dc0544009ec61276b22bcc988ac034784a59880aded0a81025e4",
-    ("diagsymp", "pendulum"): "b8cbdb4cc0711e50f2133114c4d8e0501082f31fe25b6989dcadc8c9f5141f0b",
-    ("rkn-a", "pendulum"): "e482f5e53c25ddf9765934580fbf00864aef76ee96c7d745ea0e7f43d371728e",
-    ("rkn-b", "pendulum"): "a710acfbf4dd509ecc7427bf486a431b6994c40cc2f0f269502c5dbd88c62a83",
-    ("order6-gauss3", "pendulum"): "64baa644bf8ac2379ad64e1695ff8c6b2186d009fb3c0b4a3baa456877ab5dc6",
-    ("rkn-iiia", "kepler"): "3175dc10fd77a061cb2acc0164e7c5b1ebf5d6aa9236aa95acc4c9adc7a4a1c2",
-    ("rkn-iiib", "kepler"): "cb9a7cdb78e7f182bfccf83019cdbfbbc01acbde18dfae3290289bea8e0e1682",
-    ("diagsymp", "kepler"): "a68481018888e2266e9b2ebf4d8d2ab0b5db328eeb9d0e563a3a062b8a79894e",
-    ("rkn-a", "kepler"): "a10e4eadbf8327a32b79e9f2c69b65a6f0d11e56e544284535535bddbcff9b1b",
-    ("rkn-b", "kepler"): "f0571d01c57394b1b75889fa35dfd233a46321884cddd9d7106c977020ac83ec",
-    ("order6-gauss3", "kepler"): "4d1b95ff92dddb65a71ded55eaab4d3a530008f31295932a6cbdf9eb091b7efb",
+    ("rkn-iiia", "pendulum"): "51d543f3079032a1e1dccc87a402d64d6a30ffc978c9d9b612eb74ec632435e9",
+    ("rkn-iiib", "pendulum"): "b016e46ebf28384d7df009aa6f85e37111a10f4bb95f01120536c1cf9809ecf2",
+    ("diagsymp", "pendulum"): "1dfb2e124c3555b0bfc9150184d638769098bf0c51b779c6f8267291f06b9a40",
+    ("rkn-a", "pendulum"): "bd7dcea7882a7d2f94bc013624b8836cc5dcbb4aed1102fda36d24ae59df17d6",
+    ("rkn-b", "pendulum"): "a8c8f43420d91f7552917ac5f5766ee784a5ab85b3c29a4e71289064d6502d9e",
+    ("order6-gauss3", "pendulum"): "ba3b925a91a8c384fd1ae582f2241a21b85ef96173b8f274695d1dd0ed81a9fc",
+    ("rkn-iiia", "kepler"): "0f8bf917af3cabb406b9b8231be9bf430bbe062cc0b2744a08e1a8cafc6e48c5",
+    ("rkn-iiib", "kepler"): "15c3882d1941bd75402b8c02da99d5f172fb612ea733d117cdc7d035e59df6ac",
+    ("diagsymp", "kepler"): "599a7553e3c917014d7ee066457980a3a4fecb5c8ddb21b162be7819e3c3690f",
+    ("rkn-a", "kepler"): "fd7c1a7421532cc9ff1a83b55e1714eab50c8324396c9b89e549398b5ba57741",
+    ("rkn-b", "kepler"): "9b79fc0762396d378d372108aace0ef857c3687b2eacf144294d0ebafce40154",
+    ("order6-gauss3", "kepler"): "a1e740766061f8442c1dd47aaba90ae778811a7f6838eb83218ec1de97a00f75",
 }
 
 

@@ -224,6 +224,19 @@ def test_kepler_energy_under_array_path():
     assert float(np.abs(traj.energy_error).max()) < 1e-7
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kepler_from_the_origin_ends_as_a_divergence():
+    # at r = 0 the force is numpy's 0/0 and the energy -inf, the limit of
+    # -1/r, so the run ends diverged at step 1 instead of raising
+    # ZeroDivisionError out of the energy
+    prob = dataclasses.replace(kepler_2d(), q0=np.zeros(2))
+    assert prob.energy(prob.p0, prob.q0) == -math.inf
+    traj = integrate(named_tableau("rkn-a"), prob, 1.0, StepConfig(h=0.1))
+    assert traj.diverged and traj.failure_step == 1
+    assert traj.q.tolist() == [[0.0, 0.0]]
+    assert np.isnan(traj.energy_error).all()
+
+
 def _numpy_kepler_rows(t, q):
     """The Kepler force as a numpy formula over (n, 2) rows of points, here
     one row, whose every operation is an array operation."""

@@ -2,14 +2,16 @@
 
 Scalar state runs one advance generated from source per tableau, with the
 stage and sum loops unrolled and the coefficients as float literals.  The
-reference below is the generic solver it replaced: _stages_scalar, plus the
-scalar advance that summed the update, with one addition: a stage iterate
-that is not finite ends the solve before the force sees it.  Like the
-kernel, it takes the stage blocks from kernel._blocks and solves a
-one-stage block alone and a larger one by Jacobi sweeps; random tableaus
-of each shape in SHAPES reach both, in either order.  The kernel
-promises the same IEEE operations in the same order, so results, exception
-types, messages and residuals must be equal byte for byte, not merely close.
+reference below, _stages_scalar and the scalar advance that sums the
+update, is the same solve written as one generic loop over the stage
+blocks of kernel._blocks, every block by one rule: a base summing the
+stages solved before it, then Q_i = base_i taken once where the block has
+no nonzero a_bar entry of its own, else Jacobi sweeps over its own stages.
+A stage iterate that is not finite ends the solve before the force sees
+it.  Random tableaus of each shape in SHAPES reach explicit, one-stage and
+larger blocks, in several orders.  The kernel promises the same IEEE
+operations in the same order, so results, exception types, messages and
+residuals must be equal byte for byte, not merely close.
 """
 
 import linecache
@@ -30,92 +32,62 @@ from symrkn.tableau import RknTableau, named_tableau
 def _stages_scalar(c, a, f, t0, q0, p0, h, conv, iters, blocks, M, F_prev):
     s = len(c)
     h2 = h * h
+    times = [t0 + c[i] * h for i in range(s)]
     Q = [0.0] * s
     F = [0.0] * s
     done = []
     for block in blocks:
-        if len(block) == 1:
-            (i,) = block
-            ti = t0 + c[i] * h
-            ai = a[i]
-            base = q0 + h * c[i] * p0
+        # each base sums the stages solved before the block
+        base = {}
+        for i in block:
             acc = 0.0
             for j in done:
-                acc += ai[j] * F[j]
-            base += h2 * acc
-            w = h2 * ai[i]
-            if w == 0.0:
-                qi = base
-            else:
-                if F_prev is None:
-                    qi = q0 + h * c[i] * p0
-                else:
-                    g = 0.0
-                    for m, Fj in zip(M[i], F_prev):
-                        g += m * Fj
-                    qi = base + w * g
-                diff = math.inf
-                for _ in range(iters):
-                    qn = base + w * f(ti, qi)
-                    diff = abs(qn - qi)
-                    qi = qn
-                    if diff < conv:
-                        break
-                    if not diff < math.inf:
-                        raise StageDivergenceError(
-                            f"stage {i} iterate is not finite (last increment {diff:.3e})",
-                            residual=diff,
-                        )
-                else:
-                    raise StageDivergenceError(
-                        f"stage {i} did not contract (last increment {diff:.3e})",
-                        residual=diff,
-                    )
-            Q[i] = qi
-            F[i] = f(ti, qi)
+                acc += a[i][j] * F[j]
+            base[i] = q0 + h * c[i] * p0 + h2 * acc
+        if not any(a[i][j] != 0.0 for i in block for j in block):
+            # one stage with a zero a_ii: explicit
+            Q[block[0]] = base[block[0]]
         else:
-            # each row sums over every stage solved so far, its block's too
-            known = sorted(done + block)
-            times = {i: t0 + c[i] * h for i in block}
-            base = {i: q0 + h * c[i] * p0 for i in block}
             for i in block:
-                Q[i] = base[i]
+                Q[i] = q0 + h * c[i] * p0
                 if F_prev is not None:
                     g = 0.0
                     for m, Fj in zip(M[i], F_prev):
                         g += m * Fj
-                    Q[i] += h2 * g
-            for i in block:
-                F[i] = f(times[i], Q[i])
+                    Q[i] = base[i] + h2 * g
             diff = math.inf
             for _ in range(iters):
+                for i in block:
+                    F[i] = f(times[i], Q[i])
                 diff = 0.0
                 Qn = {}
                 for i in block:
-                    acc = 0.0
-                    for j in known:
-                        acc += a[i][j] * F[j]
-                    qn = base[i] + h2 * acc
-                    d = abs(qn - Q[i])
+                    # h^2 a_ij F_j over the block's own stages, ascending, with no 0.0 start
+                    acc = h2 * a[i][block[0]] * F[block[0]]
+                    for j in block[1:]:
+                        acc += h2 * a[i][j] * F[j]
+                    Qn[i] = base[i] + acc
+                    d = abs(Qn[i] - Q[i])
                     if d > diff or d != d:
                         diff = d
-                    Qn[i] = qn
                 for i in block:
                     Q[i] = Qn[i]
-                if not diff < math.inf:
-                    raise StageDivergenceError(
-                        f"stage iterates are not finite (last increment {diff:.3e})",
-                        residual=diff,
-                    )
-                for i in block:
-                    F[i] = f(times[i], Q[i])
                 if diff < conv:
                     break
+                if not diff < math.inf:
+                    what = f"stage {block[0]} iterate is"
+                    if len(block) > 1:
+                        what = "stage iterates are"
+                    raise StageDivergenceError(
+                        f"{what} not finite (last increment {diff:.3e})", residual=diff
+                    )
             else:
-                raise StageDivergenceError(
-                    f"stages did not contract in {iters} sweeps (last increment {diff:.3e})",
-                    residual=diff,
-                )
+                what = f"stage {block[0]} did not contract"
+                if len(block) > 1:
+                    what = f"stages did not contract in {iters} sweeps"
+                raise StageDivergenceError(f"{what} (last increment {diff:.3e})", residual=diff)
+        for i in block:
+            F[i] = f(times[i], Q[i])
         done = sorted(done + block)
     return Q, F
 
@@ -203,7 +175,7 @@ def test_named_methods_have_the_bits_of_the_generic_loops(name, force):
 
 
 # shapes of a random a_bar; a shape's index offsets its test's seed
-SHAPES = ("full", "lower", "upper", "explicit-first", "explicit-last")
+SHAPES = ("full", "lower", "upper", "explicit-first", "explicit-last", "sandwich")
 
 
 def _pattern(shape, s):
@@ -220,6 +192,12 @@ def _pattern(shape, s):
         # stage 0 reads nothing and every other stage reads every stage
         ones[0] = 0.0
         return ones, [x for x in ([0], stages[1:]) if x]
+    if shape == "sandwich":
+        # stage 0 reads nothing, the middle stages read each other and stage
+        # 0, and nothing reads the last, which reads every other stage
+        ones[0] = 0.0
+        ones[:, -1] = 0.0
+        return ones, [x for x in ([0], stages[1:-1], stages[1:][-1:]) if x]
     # nothing reads the last stage, which reads every other stage
     ones[:, -1] = 0.0
     return ones, [x for x in (stages[:-1], [s - 1]) if x]
@@ -262,6 +240,22 @@ def test_repeated_nodes_and_zero_diagonals():
             z = RknTableau(s, np.array(c), a_bar, t.b_bar, t.b, "zero-diagonal")
             assert _blocks(z.a_bar) == [[i] for i in range(s)]
             _runs(z, _driven, 0.2, steps=10)
+
+
+def test_a_stage_with_a_signed_zero_diagonal_is_explicit():
+    # -0.0 reads nothing (kernel._blocks), so with either zero as a_11 the
+    # generator writes stage 1 explicit: no h^2 a_11 and no sweep of its own
+    for zero in (0.0, -0.0):
+        a_bar = np.tril(np.full((3, 3), 0.1))
+        a_bar[1, 1] = zero
+        t = RknTableau(3, np.array([0.0, 0.5, 1.0]), a_bar, np.array([0.2, 0.2, 0.1]),
+                       np.array([0.25, 0.5, 0.25]), "explicit middle")
+        assert _blocks(t.a_bar) == [[0], [1], [2]]
+        kernel = _stepper(t, _driven, 0.3, 1e-14, 100)[1].func
+        source = "".join(linecache.getlines(kernel.__code__.co_filename))
+        assert "w0_0 = " in source and "w2_2 = " in source
+        assert "w1_1" not in source and "stage 1 " not in source
+        _runs(t, _driven, 0.16, steps=10)
 
 
 def test_signed_zero_coefficients_get_their_own_kernels():
