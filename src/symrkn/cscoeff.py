@@ -282,6 +282,10 @@ def order_estimate(m: AlphaMatrix, eta: int, zeta: int, p: int) -> int:
 
     a = min(eta, p - deg_sigma + 1) and b = min(zeta, p - deg_tau + 1)
     account for the quadrature resolving the polynomial degrees of Abar.
+    This is the paper's bound, which may be odd.  A symmetric method has
+    even order (Hairer, Lubich and Wanner, Geometric Numerical Integration,
+    II.3), so a symmetric family with an odd estimate converges at the
+    next even order, the value classical_order_bound reports.
     """
     a = min(eta, p - m.deg_sigma + 1)
     b = min(zeta, p - m.deg_tau + 1)

@@ -65,7 +65,8 @@ class Trajectory:
 
     times has shape (n,), q and p have shape (n, dim).  energy_error is
     H(p_k, q_k) - H(p_0, q_0) per sample when the problem has an energy
-    function, else None.  A run cut short by stage-solver failure or by a
+    function, else None; a non-finite initial energy (Kepler from r = 0)
+    gives an all-NaN series.  A run cut short by stage-solver failure or by a
     non-finite state has a failure_step, its 1-based step index, and is
     diverged; the recorded samples end at the last completed step and are
     finite.
@@ -98,10 +99,10 @@ def solve_stages(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
     """Stage values Q_i = q0 + h c_i p0 + h^2 sum_j a_bar[i,j] f(t_j, Q_j).
 
     Returns an (s,) array for scalar state, else an (s, dim) array.  Solved
-    by fixed-point iteration from the free-motion guess Q_i = q0 + h c_i p0,
-    as every single-step call is (only integrate has a previous step to
-    extrapolate from); non-contraction, or an iterate that is not finite,
-    raises a stage-divergence error carrying the last increment.
+    by fixed-point iteration, each block starting at its base plus the
+    extrapolated previous forces, which are zero in a single-step call;
+    non-contraction, or an iterate that is not finite, raises a
+    stage-divergence error carrying the last increment.
     """
     kind, advance = _stepper(t, f, q0, cfg.stage_tol, cfg.max_iters)
     return np.array(advance(t0, kind.state(q0), kind.state(p0), cfg.h)[2])
@@ -110,7 +111,7 @@ def solve_stages(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
 def step(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
     """One step of size cfg.h from (q0, p0); returns (q1, p1)."""
     kind, advance = _stepper(t, f, q0, cfg.stage_tol, cfg.max_iters)
-    q1, p1, _, _ = advance(t0, kind.state(q0), kind.state(p0), cfg.h)
+    q1, p1, _ = advance(t0, kind.state(q0), kind.state(p0), cfg.h)
     return kind.value(q1), kind.value(p1)
 
 
@@ -177,11 +178,11 @@ def integrate(
     or NaN.  Either way one WARNING goes to the "symrkn" logger.  Step k
     starts at t0 + (k - 1) h, the first at t0 itself, as in step.
 
-    Each step after the first starts its stage iteration from the previous
-    step's stage forces, extrapolated to the new nodes; the first step, and
-    every step of a tableau with repeated nodes, starts from free motion.
-    Results therefore differ from a run of single step calls at the level
-    of stage_tol, with fewer force evaluations.
+    Every step starts each stage block at its base plus the previous
+    step's stage forces, extrapolated to the new nodes; those are zero
+    before the first step, as in a single-step call.  Results differ from
+    a run of single step calls at the level of stage_tol, with fewer force
+    evaluations.
     """
     if not isinstance(sample_every, numbers.Integral) or isinstance(sample_every, bool):
         raise ValueError("sample_every must be an integer")
@@ -198,7 +199,7 @@ def integrate(
     if n:
         sinks = ts.append, getattr(qs, kind.sink), getattr(ps, kind.sink)
         try:
-            advance(t0, q, p, h, None, n, sample_every, *sinks)
+            advance(t0, q, p, h, n, sample_every, *sinks)
         except StageDivergenceError as exc:
             failure_step, residual = exc.step_index, exc.residual
             # imported here: importing logging adds ~4 ms to every start-up,
@@ -216,7 +217,9 @@ def integrate(
     if prob.energy is not None:
         rows = kind.rows(ps, p_arr), kind.rows(qs, q_arr)
         energy_error = np.fromiter(map(prob.energy, *rows), float, m)
-        energy_error -= energy_error[0]
+        # inf - inf: a non-finite initial energy leaves nothing to compare
+        with np.errstate(invalid="ignore"):
+            energy_error -= energy_error[0]
     return Trajectory(np.frombuffer(ts), q_arr, p_arr, energy_error, failure_step, residual)
 
 

@@ -117,21 +117,18 @@ def _literal(x):
     return f"({r})" if r[0] == "-" else r
 
 
-def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
-    """Source of advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None,
-    steps=1, every=0, ts=None, qs=None, ps=None).
+def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
+    """Source of advance(stage_tol, iters, f, t0, q0, p0, h, steps=1,
+    every=0, ts=None, qs=None, ps=None).
 
     steps steps of size h from q0, p0 at time t0, for state of the kind
     kind: scalar (q0, p0 and each stage value a float) or d floats (q0 and
     p0 tuples of d floats, each stage value d floats Q{i}_{k}).
-    Step k starts at t0 + (k - 1) h, the first at t0 itself.  With M, the
-    first step starts its stage iteration from F_prev when given, later
-    steps from the previous step's forces, kept in the locals P{i}; else
-    from free motion.  The time, q and p after every every-th step and the
-    last go to the sinks ts, qs and ps (every 0: no samples); a sample that
-    is not finite is not taken and raises StageDivergenceError with no
-    residual.  Returns (q1, p1, Q, F) of the last step: states in the
-    input form, stage values and forces as lists.
+    Step k starts at t0 + (k - 1) h, the first at t0 itself.  The time, q
+    and p after every every-th step and the last go to the sinks ts, qs
+    and ps (every 0: no samples); a sample that is not finite is not taken
+    and raises StageDivergenceError with no residual.  Returns (q1, p1, Q)
+    of the last step: states in the input form, stage values as a list.
 
     The stages are solved block by block, in the order of blocks, lists of
     stage indices (see _blocks), all by one rule.  Stage i's base B_i is
@@ -139,9 +136,11 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
     block).  A block with no nonzero a_bar entry of its own, by the exact
     pattern of _blocks, is one explicit stage: Q_i = B_i, evaluated once.
     Any other block sweeps Q_i = B_i + (w_ij F_j + ...) over its own
-    stages j, with w_ij = h^2 a_ij taken once per run, from free motion or,
-    warm, from B_i + h^2 (row i of M times P).  That sum has no 0.0 start,
-    which could change only a -0.0 B_i, and B_i, ending in
+    stages j, with w_ij = h^2 a_ij taken once per run, from the one start
+    Q_i = B_i + h^2 (row i of the start matrix M times P): the previous
+    step's forces P{i}, extrapolated, which are 0.0 before the first step,
+    so a single-step call starts at B_i + h^2 (0.0 + ...).  That sum has
+    no 0.0 start, which could change only a -0.0 B_i, and B_i, ending in
     + h^2 (0.0 + ...), is -0.0 only where that product underflows.  Every
     other sum starts at 0.0 and adds its terms in ascending index, zero
     coefficients included (0 * inf is NaN, and signed zeros must come out
@@ -180,9 +179,6 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
     def dot(coeffs, names):
         terms = (f" + {_literal(x)} * {v}" for x, v in zip(coeffs, names))
         return "0.0" + "".join(terms)
-
-    def free(i, k):
-        return f"{q0[k]} + hc{i} * {p0[k]}"
 
     def col(rows, k):
         return [row[k] for row in rows]
@@ -244,17 +240,10 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
         else:
             diverging, stuck = f"stage {block[0]} iterate is", f"stage {block[0]} did not contract"
         es = [x for i in block for x in E[i]]
-        # free motion, or warm, the previous step's forces P extrapolated
-        cold = [f"{Q[i][k]} = {free(i, k)}" for i in block for k in K]
-        start = cold if M is None else [
-            "if warm:",
-            *(f"    {Q[i][k]} = {B[i][k]} + h2 * ({dot(M[i], col(P, k))})"
-              for i in block for k in K),
-            "else:",
-            *("    " + x for x in cold),
-        ]
         lines = [
-            *start,
+            # the base and the previous step's forces P, extrapolated
+            *(f"{Q[i][k]} = {B[i][k]} + h2 * ({dot(M[i], col(P, k))})"
+              for i in block for k in K),
             *(f"{x} = inf" for x in es),
             "for _ in range(iters):",
             *(x for i in block for x in call("    ", i)),
@@ -272,7 +261,7 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
         return [ind + x for x in lines]
 
     out = [
-        "def advance(stage_tol, iters, f, t0, q0, p0, h, F_prev=None,",
+        "def advance(stage_tol, iters, f, t0, q0, p0, h,",
         "            steps=1, every=0, ts=None, qs=None, ps=None):",
     ]
     emit = out.append
@@ -280,10 +269,7 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
     emit("    h2 = h * h")
     out += [f"    hc{i} = h * {_literal(c[i])}" for i in range(s)]
     out += [f"    w{i}_{j} = h2 * {_literal(a[i][j])}" for x in iterated for i in x for j in x]
-    if M is not None:
-        emit("    warm = F_prev is not None")
-        emit("    if warm:")
-        emit(f"        ({', '.join(tup(x) for x in P)},) = F_prev")
+    emit(f"    {' = '.join(x for i in S for x in P[i])} = 0.0")
     emit("    mark = every if every < steps else steps")
     emit("    t = t0")
     emit("    for k in range(1, steps + 1):")
@@ -295,7 +281,7 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
         out += [f"        T{i} = t + hc{i}" for i in S]
     done = []  # the stages solved so far, ascending
     for block in blocks:
-        out += [f"        {B[i][k]} = {free(i, k)} + h2 * ({reads(i, done, k)})"
+        out += [f"        {B[i][k]} = {q0[k]} + hc{i} * {p0[k]} + h2 * ({reads(i, done, k)})"
                 for i in block for k in K]
         if block in iterated:
             out += solve("        ", block)
@@ -310,9 +296,7 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
     for k in K:
         emit(f"        {p0[k]} = {p0[k]} + h * ({dot(b, col(F, k))})")
     emit("        t = t0 + k * h")
-    if M is not None:
-        out += [f"        {P[i][k]} = {F[i][k]}" for i in range(s) for k in K]
-        emit("        warm = True")
+    out += [f"        {P[i][k]} = {F[i][k]}" for i in S for k in K]
     emit("        if k == mark:")
     # 0 * x is NaN exactly when x is not finite, and a sum of zeros is zero
     emit(f"            x = {' + '.join(f'0.0 * {v}' for v in q0 + p0)}")
@@ -338,7 +322,6 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind=_SCALAR, form="point"):
     emit(f"        {tup(q0)},")
     emit(f"        {tup(p0)},")
     emit(f"        [{', '.join(tup(x) for x in Q)}],")
-    emit(f"        [{', '.join(tup(x) for x in F)}],")
     emit("    )")
     return "\n".join(out) + "\n"
 
@@ -360,16 +343,14 @@ def _generate_kernel(key):
     s = len(c)
     a_bar = np.frombuffer(a_bytes).reshape(s, s)
     blocks = _blocks(a_bar)
-    M = _start_matrix(c, a_bar, blocks)
     source = _kernel_source(
         c.tolist(), a_bar.tolist(), np.frombuffer(b_bar_bytes).tolist(),
-        np.frombuffer(b_bytes).tolist(), None if M is None else M.tolist(),
+        np.frombuffer(b_bytes).tolist(), _start_matrix(c, a_bar, blocks).tolist(),
         blocks, kind, form,
     )
-    filename = "<symrkn kernel s={}{} {} {}{} {:08x}>".format(
+    filename = "<symrkn kernel s={}{} {}{} {:08x}>".format(
         s, kind.tag,
         "".join(f"({','.join(map(str, block))})" for block in blocks),
-        "free" if M is None else "start",
         "" if template is None else f" {template.name}",
         zlib.crc32(b"".join(key[:4])),
     )
@@ -437,14 +418,15 @@ def _start_matrix(c, a_bar, blocks):
     the next step's nodes, extrapolates stage forces by one step (Hairer,
     Lubich and Wanner, Geometric Numerical Integration, VIII.6.1).  The
     start matrix is A E, A being a_bar kept only within each stage block
-    (see _blocks), as a stage's base holds the blocks before.  None when
-    the nodes are not pairwise distinct, or so close that the
-    matrix overflows: those tableaus keep the free-motion start.  So a
-    start matrix is always finite.
+    (see _blocks), as a stage's base holds the blocks before.  It is the
+    (s, s) zero matrix when the nodes are not pairwise distinct, or so
+    close that the matrix overflows: every step of those tableaus starts
+    at its bases, as a first step does.  So a start matrix is always
+    finite.
     """
     s = len(c)
     if len(set(c.tolist())) < s:
-        return None
+        return np.zeros((s, s))
     x = 1.0 + c
     label = np.array([n for i in range(s) for n, block in enumerate(blocks) if i in block])
     E = np.ones((s, s))
@@ -454,7 +436,7 @@ def _start_matrix(c, a_bar, blocks):
                 if m != j:
                     E[:, j] *= (x - c[m]) / (c[j] - c[m])
         M = np.where(label[:, None] == label, a_bar, 0.0) @ E
-    return M if np.all(np.isfinite(M)) else None
+    return M if np.all(np.isfinite(M)) else np.zeros((s, s))
 
 
 def _stepper(t, f, q0, stage_tol, max_iters):
@@ -474,9 +456,9 @@ def _stepper(t, f, q0, stage_tol, max_iters):
     a_bar (_blocks), and the start matrix follow from those bytes, so
     _generate_kernel derives both with the kernel, and every call on a
     tableau, kind and force form shares one kernel.  integrate passes its
-    whole run; step, solve_stages and reversibility_test pass one step
-    and no previous forces (F_prev None), so their step starts from free
-    motion, as a run's first does.
+    whole run; step, solve_stages and reversibility_test pass one step,
+    which starts at its bases (the previous forces are 0.0), as a run's
+    first does.
     """
     kind = _kind(q0)
     form = _TEMPLATES.get(type(f))

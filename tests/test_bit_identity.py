@@ -12,7 +12,9 @@ of the parts it changes with
     PYTHONPATH=src python tests/test_bit_identity.py
 
 and says why.  The integrate digests cover the extrapolated stage start
-that only integrate uses; solve_stages and step start from free motion.
+of every step after a run's first; solve_stages and step make one step,
+which starts at its bases, as a run's first step does.  No digest moved
+when that start replaced free motion, q0 + h c_i p0, in the first step.
 
 The Kepler digests were last re-recorded when array state moved from numpy
 matrix products to the generated kernel, whose sums run ascending from 0.0

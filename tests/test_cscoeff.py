@@ -24,8 +24,11 @@ from symrkn.errors import (
     ExpansionConstraintError,
     SymmetryViolationError,
 )
+from symrkn.integrator import global_error_study
 from symrkn.legendre import MAX_DEGREE
-from symrkn.tableau import SEARCH_CAP, SEARCH_TOL
+from symrkn.problems import kepler_2d
+from symrkn.quadrature import gauss_rule
+from symrkn.tableau import SEARCH_CAP, SEARCH_TOL, classical_order_bound, discretize
 
 
 def largest_eta(m: AlphaMatrix) -> int:
@@ -260,6 +263,38 @@ def test_order_estimate_examples():
     # one-sided levels cap the sum term
     assert order_estimate(m4, 2, 1, 4) == 3
     assert order_estimate(m4, 1, 1, 4) == 2
+
+
+# step counts per period by the even order a family must reach: finer for
+# order 2, whose slope on 16-128 steps is still 1.85, coarser for orders 6
+# and 8, which reach rounding on finer grids
+ORDER_GRIDS = {2: (32, 64, 128, 256), 4: (16, 32, 64, 128), 6: (8, 16, 32, 64), 8: (8, 16, 32, 64)}
+# measured slopes on those grids: 1.990 (order 2), 3.970-4.362 (4),
+# 5.917-6.018 (6), 8.021 (8); the largest shortfall, 0.083, sets the margin
+ORDER_MARGIN = 0.25
+
+
+@pytest.mark.parametrize("zeta", [1, 2, 3, 4])
+@pytest.mark.parametrize("eta", [1, 2, 3, 4])
+def test_expansion_families_converge_at_the_next_even_order(eta, zeta):
+    # the smallest Gauss rule whose order_estimate reaches min(2 eta + 2,
+    # eta + zeta); the discretized family is symmetric, so its order is
+    # even (Hairer, Lubich and Wanner, Geometric Numerical Integration,
+    # II.3) and an odd estimate converges at the next even order, which
+    # classical_order_bound reports
+    m = build_expansion(eta, zeta)
+    target = min(2 * eta + 2, eta + zeta)
+    s = next(s for s in range(1, 11) if order_estimate(m, eta, zeta, 2 * s) >= target)
+    estimate = order_estimate(m, eta, zeta, 2 * s)
+    even = 2 * math.ceil(estimate / 2)
+    tab = discretize(m, gauss_rule(s))
+    assert classical_order_bound(tab).bound == even
+    period = 2 * math.pi
+    study = global_error_study(
+        tab, kepler_2d(0.3), period, [period / n for n in ORDER_GRIDS[even]]
+    )
+    assert np.isfinite(study.error).all()
+    assert study.slope >= even - ORDER_MARGIN, (estimate, study.slope)
 
 
 def test_condition_report_is_truthy():

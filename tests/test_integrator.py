@@ -725,10 +725,10 @@ def test_only_the_exact_built_in_force_types_are_written_inline():
     # replaced force keep their per-point calls
     tab = named_tableau("rkn-a")
     prob = kepler_2d(0.5)
-    assert "d=2 (0,1,2) start kepler " in _kernel_name(tab, prob.force, prob.q0)
+    assert "d=2 (0,1,2) kepler " in _kernel_name(tab, prob.force, prob.q0)
     force = _RecordingKepler()
     assert re.fullmatch(
-        r"<symrkn kernel s=3 d=2 \(0,1,2\) start [0-9a-f]{8}>",
+        r"<symrkn kernel s=3 d=2 \(0,1,2\) [0-9a-f]{8}>",
         _kernel_name(tab, force, prob.q0),
     )
     q1, p1 = step(tab, force, 0.0, prob.q0, prob.p0, StepConfig(h=0.1))
@@ -736,10 +736,10 @@ def test_only_the_exact_built_in_force_types_are_written_inline():
     assert q1.tobytes() == q2.tobytes() and p1.tobytes() == p2.tobytes()
     assert len(force.times) > tab.s and len(force.times) % tab.s == 0
     pend = perturbed_pendulum()
-    assert " start pendulum " in _kernel_name(tab, pend.force, pend.q0)
+    assert " (0,1,2) pendulum " in _kernel_name(tab, pend.force, pend.q0)
     plain = dataclasses.replace(pend, force=lambda t, q: pend.force(t, q))
     assert re.fullmatch(
-        r"<symrkn kernel s=3 \(0,1,2\) start [0-9a-f]{8}>",
+        r"<symrkn kernel s=3 \(0,1,2\) [0-9a-f]{8}>",
         _kernel_name(tab, plain.force, plain.q0),
     )
     runs = [integrate(tab, kind, 1.6, CFG) for kind in (pend, plain)]
@@ -856,18 +856,19 @@ def _counted_force_evaluations(force):
     ids=["rkn-a-pendulum", "diagsymp-pendulum", "order6-gauss3-kepler"],
 )
 def test_integrate_starts_stages_from_the_previous_step(name, make, h, n):
-    # integrate extrapolates the previous step's stage forces; single
-    # steps start from free motion.  Both solve the same stage equations.
+    # integrate starts each step after the first from the previous step's
+    # stage forces, extrapolated; a single step starts at its bases, as
+    # the first step does.  Both solve the same stage equations.
     tab = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
     prob = make()
     cfg = StepConfig(h=h)
-    f, warm = _counted_force_evaluations(prob.force)
+    f, extrapolated = _counted_force_evaluations(prob.force)
     run = integrate(tab, dataclasses.replace(prob, force=f), n * h, cfg, sample_every=n)
-    g, cold = _counted_force_evaluations(prob.force)
+    g, single = _counted_force_evaluations(prob.force)
     q, p = prob.q0, prob.p0
     for k in range(n):
         q, p = step(tab, g, prob.t0 + k * h, q, p, cfg)
-    assert warm() < cold()
+    assert extrapolated() < single()
     assert np.abs(run.q[-1] - q).max() < 1e-13
     assert np.abs(run.p[-1] - p).max() < 1e-13
 
@@ -919,8 +920,8 @@ def test_an_unmoved_iterate_reuses_its_force(name, make, h, t_end, calls, before
 )
 def test_later_step_divergence_keeps_its_failure_step(name, make, h, failure_step):
     # these runs diverge after their first step, where the extrapolated
-    # start is in use; they stop at the step they stopped at with the
-    # free-motion start
+    # start is in use; they stop at the step they stopped at when the first
+    # step's start was free motion, q0 + h c_i p0
     traj = integrate(named_tableau(name), make(), h * round(20.0 / h), StepConfig(h=h))
     assert traj.diverged and traj.failure_step == failure_step
     assert traj.times.shape == (failure_step,)
@@ -951,7 +952,7 @@ def test_long_time_kepler_error_growth(name):
     if explicit:
         tab = _nystrom4()
         # every stage is explicit: the inline force runs in the w == 0 branch
-        assert "d=2 (0)(1)(2) start kepler " in _kernel_name(tab, prob.force, prob.q0)
+        assert "d=2 (0)(1)(2) kepler " in _kernel_name(tab, prob.force, prob.q0)
     else:
         tab = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
     periods = np.array([5, 10, 20, 40, 80])
@@ -1001,9 +1002,9 @@ def test_no_energy_drift_in_libration(p0):
             assert 15.0 < coarse / fine < 17.5, name
 
 
-def test_nodes_too_close_to_extrapolate_keep_the_free_motion_start():
-    # 1 / 5e-324 overflows, so no finite start matrix exists; every step
-    # starts from free motion, as single steps do, and the run completes
+def test_nodes_too_close_to_extrapolate_start_every_step_at_its_bases():
+    # 1 / 5e-324 overflows, so the start matrix is zero; every step starts
+    # at its bases, as single steps do, and the run completes
     tab = RknTableau(
         2, np.array([0.0, 5e-324]), np.array([[0.05, 0.0], [0.02, 0.05]]),
         np.array([0.25, 0.25]), np.array([0.5, 0.5]), "close nodes",
@@ -1012,7 +1013,7 @@ def test_nodes_too_close_to_extrapolate_keep_the_free_motion_start():
     # overflow shows whatever the blocks, explicit stages' zero rows included
     for a_bar in (tab.a_bar, np.tril(tab.a_bar, -1)):
         for blocks in ([[0], [1]], [[0, 1]]):
-            assert _start_matrix(tab.c, a_bar, blocks) is None
+            assert not _start_matrix(tab.c, a_bar, blocks).any()
     for prob in _as_scalar_and_array(perturbed_pendulum()):
         traj = integrate(tab, prob, 1.6, CFG)
         assert not traj.diverged
@@ -1031,8 +1032,10 @@ def _twin_nodes(a_bar) -> RknTableau:
 
 
 # sha256 of integrate's times, q, p, energy_error bytes (pendulum, then
-# Kepler e=0.5; h=0.16 to t=16, sample_every=7), recorded with the
-# free-motion start of every step
+# Kepler e=0.5; h=0.16 to t=16, sample_every=7), every step starting at
+# its bases.  The sequential Kepler digest was re-recorded when that start
+# replaced free motion: stage 1's start now holds stage 0's force, which
+# moved q and p by at most 4.9e-14
 TWIN_DIGESTS = {
     "jacobi": (
         "48f492bd62a2aa0c1fa67bb0a8b4c38b15c86865be493a795016667ef0f3c36a",
@@ -1040,7 +1043,7 @@ TWIN_DIGESTS = {
     ),
     "sequential": (
         "e72769746fb609c736a3683d1b90ab6b546d86416519324307e074fae8cee6c0",
-        "d6d74273bbbc09461cabc2762aea905d5c0e16fc823c7e1e615e401b0f93ccc6",
+        "ff51a1cdc83af1fa3b645eb0dad0bf182da703b460307fe41a939ee8409186de",
     ),
 }
 
@@ -1052,9 +1055,10 @@ TWIN_DIGESTS = {
         ("sequential", [[0.125, 0.0], [0.0625, 0.0625]]),
     ],
 )
-def test_repeated_nodes_keep_the_free_motion_start(structure, a_bar):
-    # no polynomial passes through repeated nodes, so every step of such a
-    # tableau starts from free motion, exactly as single steps do
+def test_repeated_nodes_start_every_step_at_its_bases(structure, a_bar):
+    # no polynomial passes through repeated nodes, so the start matrix is
+    # zero and every step of such a tableau starts at its bases, exactly
+    # as single steps do
     tab = _twin_nodes(a_bar)
     assert _blocks(tab.a_bar) == ([[0], [1]] if structure == "sequential" else [[0, 1]])
     cfg = StepConfig(h=0.16)

@@ -1,25 +1,25 @@
 """The generated kernel sources, pinned by sha256.
 
-Each digest covers two sources of one method, state kind and force form
-(per point, or a built-in force's template written inline), joined in
-this order: the kernel with the
-method's start matrix, which every call on the method runs (integrate,
-step, solve_stages, reversibility_test), and the same kernel with the
-free-motion start, which a tableau with no start matrix runs.  A change to
+Each digest covers the source of one method, state kind and force form
+(per point, or a built-in force's template written inline): the kernel
+with the method's start matrix, which every call on the method runs
+(integrate, step, solve_stages, reversibility_test).  A change to
 kernel._kernel_source or to a template that moves a digest changes
 generated code; when that is meant, record the new digest here and say
 why.  The inline kernels run the benchmark: the scalar pendulum kernels
 pendulum-drift, the d = 2 Kepler kernels kepler-converge.
 
-All 30 digests were last re-recorded when one text began to solve every
-stage block of a_bar (kernel._blocks): every base sums the stages solved
-before its block, an explicit stage is decided by the generator instead
-of a run-time test of h^2 a_ii, and every sweep adds w_ij F_j over the
-block's own stages, with w_ij = h^2 a_ij taken once per run.
+All 30 digests were last re-recorded when every stage solve got one
+start rule: the previous forces P{i} are set to 0.0 once before the
+first step, every iterated block starts at its base plus h^2 (its start
+matrix rows times P) on every step, and the run-time warm test, the
+free-motion start, the F_prev argument and the returned forces went.
+Each digest now covers one source, not the start and free-motion pair.
 """
 
 import hashlib
 import linecache
+import re
 from pathlib import Path
 
 import numpy as np
@@ -52,43 +52,43 @@ from symrkn.tableau import discretize, named_tableau
 METHODS = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3")
 
 SCALAR = {
-    "rkn-iiia": "77a156ceede9985883c7e7d261068e4f8ee502dc4ba24ae1eaab8cdd29c4369e",
-    "rkn-iiib": "ae877e6fbb830c6379f644ab58553971348dd5ff210fa95af8db5eb6df0e7e8f",
-    "diagsymp": "0258063f171da005b6769ca79c2e5fa0d67b1e7862985fd5f95c50770b4fbd72",
-    "rkn-a": "7cbffeae95686766328217cd7ffaf4203c0bf9ef4032c673bf22b2f05ef3233c",
-    "rkn-b": "2d31816193acec0ebc40e3cb49de262e3b4c5f6de1f5ea786b85680391909a76",
-    "order6-gauss3": "92e84cd1a234e1162113c774c423ff2838a01e271aabcd90c7bafbeacb6b4aee",
+    "rkn-iiia": "6464275c361499fccdea866bd4e36f16333adb38789a33a75127179761ccc522",
+    "rkn-iiib": "254797495ee3a9fe355ba255084e85cdb7732582b7548a6f3356714dfff4d82c",
+    "diagsymp": "7399c0dcf059ea5c1973723b7b115e3d47576c473a9f4b439e2b4ad7308e28f1",
+    "rkn-a": "982c2c02a9c83f1c9c3dc3367d5bc6cff8de893719e51c8785a7b3bbc5a3a9fb",
+    "rkn-b": "b4d31ed672736570823611de87afec31424cae80432ea73f7598791306e5d538",
+    "order6-gauss3": "bff1ef35842f82ed3d32bc3cf7ade29aa2981755d2a7587c5111b6b8113ffd68",
 }
 
 ARRAY = {
-    ("rkn-iiia", 1, "point"): "f35137f19a04c773ad28b13f50ac019708891476cd064a762fee49ad50e733a4",
-    ("rkn-iiia", 2, "point"): "554ff4e544524ca59f9d2de200a5bf131fcc6510192a1384a35f4c9cd09bfcbf",
-    ("rkn-iiib", 1, "point"): "aa35ac597ad7feb1a2a5956bf57555ebf537ebe4a76498895117d0b2a7f20197",
-    ("rkn-iiib", 2, "point"): "b89f260dfcf5f644ba852c1a188de2ba4f801ccc1bb594e63a26741c96ea1481",
-    ("diagsymp", 1, "point"): "08ade126f5b8c983402d0deeae53306ba7cba6a43dd29ab49498548af3e08faa",
-    ("diagsymp", 2, "point"): "7fc261f3aa2f6c93ec354d03f92b6728629ba21457bc008fb60e8bae2b870a26",
-    ("rkn-a", 1, "point"): "135ca1a15e491916cad3d3405a370810586441d4b973645638cf0f4c4139d688",
-    ("rkn-a", 2, "point"): "068687406c2b2c0ee53c8be15054ef70b2090b468c2f5790d7bde3f20c64a637",
-    ("rkn-b", 1, "point"): "5f7151c97e90c9a8876cbfda3907ebd014120080ab38adf8f59786c59614ccb9",
-    ("rkn-b", 2, "point"): "d57e20cb97954e4eb060aad636ef3f1dae19524a40b4b070f206b44542bbb20b",
-    ("order6-gauss3", 1, "point"): "0db81610995dab26051bc18640292dfc6a3a56aca7e9d2d3c31c7f0602151cf2",
-    ("order6-gauss3", 2, "point"): "03bfe79a62b8781a3f6b8479b7104ca232bd7d4560bddbf929aaae155c382035",
+    ("rkn-iiia", 1, "point"): "2fcb94119cbd7980cdf057c3ce3a8791f7dad53d0f7b163b12be2d5c74025e3b",
+    ("rkn-iiia", 2, "point"): "4598ff690acee1550aef8651843bbe3723780ab72a06037abaa5e2be426d9510",
+    ("rkn-iiib", 1, "point"): "453b4b4777681cbe54c71cf65dd1506d630664751fc6ee501d40811ee2d50242",
+    ("rkn-iiib", 2, "point"): "9914b6346129d2a05b533d8d75cf588d35fa93737babafa1076766c351b7bc26",
+    ("diagsymp", 1, "point"): "c1ccb3973c3443fab419d3e45999400624aa76a9ced330405b37b583828a85c3",
+    ("diagsymp", 2, "point"): "3577c69953147183d9bc0cd40f4791b4c7706d9c3ac6dca61aacc84373f2b4bb",
+    ("rkn-a", 1, "point"): "68050e5b2fd2d1855535b508d03ce7d5db82b4ca58e010e323e837bae4c01e68",
+    ("rkn-a", 2, "point"): "582aad879bd91de69d030486f760f8b076e1b1b4aad9ca3e9fc9df814343ae65",
+    ("rkn-b", 1, "point"): "d500976a2af015737707ec5aded74b9eab19abd7dc8b04599b9d976a75dcd3ed",
+    ("rkn-b", 2, "point"): "1926e414578afd989edc8f0f0e9f68f752e730e18e9da15034bf908f9ff29e3c",
+    ("order6-gauss3", 1, "point"): "4c2e9ce44183f3664b879b93a77f98ce9fc301a16fa919b324d3c85622b918be",
+    ("order6-gauss3", 2, "point"): "7e8b87dddeeb78a51cc9b0f6e5a3cf318205fc915f9a7c90b631196f6ccd2b93",
 }
 
 # the scalar pendulum and d = 2 Kepler forces, written inline
 INLINE = {
-    ("rkn-iiia", "pendulum"): "51d543f3079032a1e1dccc87a402d64d6a30ffc978c9d9b612eb74ec632435e9",
-    ("rkn-iiib", "pendulum"): "b016e46ebf28384d7df009aa6f85e37111a10f4bb95f01120536c1cf9809ecf2",
-    ("diagsymp", "pendulum"): "1dfb2e124c3555b0bfc9150184d638769098bf0c51b779c6f8267291f06b9a40",
-    ("rkn-a", "pendulum"): "bd7dcea7882a7d2f94bc013624b8836cc5dcbb4aed1102fda36d24ae59df17d6",
-    ("rkn-b", "pendulum"): "a8c8f43420d91f7552917ac5f5766ee784a5ab85b3c29a4e71289064d6502d9e",
-    ("order6-gauss3", "pendulum"): "ba3b925a91a8c384fd1ae582f2241a21b85ef96173b8f274695d1dd0ed81a9fc",
-    ("rkn-iiia", "kepler"): "0f8bf917af3cabb406b9b8231be9bf430bbe062cc0b2744a08e1a8cafc6e48c5",
-    ("rkn-iiib", "kepler"): "15c3882d1941bd75402b8c02da99d5f172fb612ea733d117cdc7d035e59df6ac",
-    ("diagsymp", "kepler"): "599a7553e3c917014d7ee066457980a3a4fecb5c8ddb21b162be7819e3c3690f",
-    ("rkn-a", "kepler"): "fd7c1a7421532cc9ff1a83b55e1714eab50c8324396c9b89e549398b5ba57741",
-    ("rkn-b", "kepler"): "9b79fc0762396d378d372108aace0ef857c3687b2eacf144294d0ebafce40154",
-    ("order6-gauss3", "kepler"): "a1e740766061f8442c1dd47aaba90ae778811a7f6838eb83218ec1de97a00f75",
+    ("rkn-iiia", "pendulum"): "e6a1e74053275d088dc9393e4aa135a4c78a4bf0e55a7a19b2b1ecdbbe68fcac",
+    ("rkn-iiib", "pendulum"): "a2edf09fd8a7e35977954c831e4819c5b953745e80eb5bd6bcfe3989d15172e4",
+    ("diagsymp", "pendulum"): "513f99bc882f2365957186353988a76b305491905f79b98b149fabb561c52ee3",
+    ("rkn-a", "pendulum"): "83f99281fe20878f98797895729138ce9cd597159c48ad2f1cc45c3fba0a6869",
+    ("rkn-b", "pendulum"): "1ff9242e2ae6b87cc9c3846d2b738c2eb46c6abbf2c1c57cf7671976e89a4f2c",
+    ("order6-gauss3", "pendulum"): "92a1b49bb7782402d46606e1ffc6d3a86e17a4e95d014dce0cc40242d563594b",
+    ("rkn-iiia", "kepler"): "08ae258adb6d5bd5299b5e0ef235d32948b97106aa712bb63a9fbeb9b3ac30c1",
+    ("rkn-iiib", "kepler"): "fb159f7bc1dd425d66acfef11a8a17f8c5a028e470e0e3b9de79c65a9034ba7d",
+    ("diagsymp", "kepler"): "ffe5998d65602aa9b75cbf983beb3d4cd5cdcacfcb1ab5e18d28a147b3e084ad",
+    ("rkn-a", "kepler"): "f6ca4d6f6d6ec78315703d0fe713f3a51af88f082fbcd071058d0165b6dc4686",
+    ("rkn-b", "kepler"): "d4b677634652a21b6dba90d6e5c3f84d6363cffaf6e2f5280f7295eb5cae76b1",
+    ("order6-gauss3", "kepler"): "b54e27bc878689ff0833571b3367f9d484e1ce50078a6b903b98e94b216025a8",
 }
 
 
@@ -96,20 +96,17 @@ def _tableau(name):
     return reference_tableau() if name == "order6-gauss3" else named_tableau(name)
 
 
-def _sources(name, kind=_SCALAR, form="point"):
-    """The method's kernel sources with its start matrix, then free."""
+def _source(name, kind=_SCALAR, form="point"):
+    """The method's kernel source, with its start matrix."""
     t = _tableau(name)
     blocks = _blocks(t.a_bar)
+    M = _start_matrix(t.c, t.a_bar, blocks).tolist()
     coeffs = (t.c.tolist(), t.a_bar.tolist(), t.b_bar.tolist(), t.b.tolist())
-    sources = []
-    for M in (_start_matrix(t.c, t.a_bar, blocks), None):
-        M = None if M is None else M.tolist()
-        sources.append(_kernel_source(*coeffs, M, blocks, kind, form))
-    return sources
+    return _kernel_source(*coeffs, M, blocks, kind, form)
 
 
 def _digest(name, kind=_SCALAR, form="point"):
-    return hashlib.sha256("".join(_sources(name, kind, form)).encode()).hexdigest()
+    return hashlib.sha256(_source(name, kind, form).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", METHODS)
@@ -151,8 +148,8 @@ def test_integrate_runs_the_pinned_source(name):
         assert integrate(t, prob, 0.16, StepConfig(h=0.16)).times.shape == (2,)
         kernel = _stepper(t, prob.force, prob.q0, 1e-14, 100)[1].func
         filename = kernel.__code__.co_filename
-        assert f" start {template.name} " in filename
-        assert "".join(linecache.getlines(filename)) == _sources(name, kind, template)[0]
+        assert f" {template.name} " in filename
+        assert "".join(linecache.getlines(filename)) == _source(name, kind, template)
 
 
 def test_every_call_on_a_tableau_shares_one_kernel():
@@ -186,7 +183,8 @@ def test_named_methods_solve_their_stage_blocks_in_order(name):
     # the kernel's file name shows the blocks
     shown = "".join(f"({','.join(map(str, block))})" for block in PARTITIONS[name])
     kernel = _stepper(t, lambda t, q: -q, 0.0, 1e-14, 100)[1].func
-    assert f" s=3 {shown} start " in kernel.__code__.co_filename
+    assert re.fullmatch(f"<symrkn kernel s=3 {re.escape(shown)} [0-9a-f]{{8}}>",
+                        kernel.__code__.co_filename)
 
 
 def test_blocks_follow_the_stages_they_read():

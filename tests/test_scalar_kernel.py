@@ -9,15 +9,19 @@ stages solved before it, then Q_i = base_i taken once where the block has
 no nonzero a_bar entry of its own, else Jacobi sweeps over its own stages.
 A stage iterate that is not finite ends the solve before the force sees
 it.  Random tableaus of each shape in SHAPES reach explicit, one-stage and
-larger blocks, in several orders.  The kernel promises the same IEEE
-operations in the same order, so results, exception types, messages and
-residuals must be equal byte for byte, not merely close.
+larger blocks, in several orders.  Each check is one kernel run of n
+steps, every one sampled, against the generic loops stepped n times, each
+step after the first from the previous step's forces.  The kernel
+promises the same IEEE operations in the same order, so samples, results,
+exception types, messages, residuals and step indices must be equal byte
+for byte, not merely close.
 """
 
 import linecache
 import math
 import random
 import traceback
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from symrkn.problems import perturbed_pendulum
 from symrkn.tableau import RknTableau, named_tableau
 
 
-def _stages_scalar(c, a, f, t0, q0, p0, h, conv, iters, blocks, M, F_prev):
+def _stages_scalar(c, a, f, t0, q0, p0, h, conv, iters, blocks, M, P):
     s = len(c)
     h2 = h * h
     times = [t0 + c[i] * h for i in range(s)]
@@ -49,12 +53,11 @@ def _stages_scalar(c, a, f, t0, q0, p0, h, conv, iters, blocks, M, F_prev):
             Q[block[0]] = base[block[0]]
         else:
             for i in block:
-                Q[i] = q0 + h * c[i] * p0
-                if F_prev is not None:
-                    g = 0.0
-                    for m, Fj in zip(M[i], F_prev):
-                        g += m * Fj
-                    Q[i] = base[i] + h2 * g
+                # the base and the previous forces P, extrapolated
+                g = 0.0
+                for m, Pj in zip(M[i], P):
+                    g += m * Pj
+                Q[i] = base[i] + h2 * g
             diff = math.inf
             for _ in range(iters):
                 for i in block:
@@ -92,50 +95,78 @@ def _stages_scalar(c, a, f, t0, q0, p0, h, conv, iters, blocks, M, F_prev):
     return Q, F
 
 
+def _stepped(step, zeros, f, t0, q0, p0, h, steps, ts, qs, ps, forces=None):
+    """(q1, p1, Q) after steps calls of step(f, t, q, p, h, P) -> (q, p, Q,
+    F), sampled after each as the kernel's advance samples with every = 1.
+    P, the previous step's forces, is zeros before the first step; each
+    step's forces go to forces when given."""
+    t, P, Q = t0, zeros, None
+    for k in range(1, steps + 1):
+        try:
+            q0, p0, Q, P = step(f, t, q0, p0, h, P)
+        except StageDivergenceError as exc:
+            if exc.step_index is None:
+                exc.step_index = k
+            raise
+        if forces is not None:
+            forces.append(P)
+        t = t0 + k * h
+        if not (np.all(np.isfinite(q0)) and np.all(np.isfinite(p0))):
+            raise StageDivergenceError("sample is not finite", step_index=k)
+        ts(t)
+        qs(q0)
+        ps(p0)
+    return q0, p0, Q
+
+
 def _reference_advance(t, stage_tol, max_iters):
+    """advance(f, t0, q0, p0, h, steps, ts, qs, ps): the generic loops
+    stepped steps times, as the kernel runs with every = 1."""
     c, a = t.c.tolist(), t.a_bar.tolist()
     b_bar, b = t.b_bar.tolist(), t.b.tolist()
     blocks = _blocks(t.a_bar)
-    start = _start_matrix(t.c, t.a_bar, blocks)
-    M = None if start is None else start.tolist()
+    M = _start_matrix(t.c, t.a_bar, blocks).tolist()
 
-    def advance(f, t0, q0, p0, h, F_prev=None):
+    def step(f, t0, q0, p0, h, P):
         conv = stage_tol * (1.0 + abs(q0))
-        Q, F = _stages_scalar(
-            c, a, f, t0, q0, p0, h, conv, max_iters, blocks,
-            M, None if M is None else F_prev,
-        )
+        Q, F = _stages_scalar(c, a, f, t0, q0, p0, h, conv, max_iters, blocks, M, P)
         accq = accp = 0.0
         for i in range(t.s):
             accq += b_bar[i] * F[i]
             accp += b[i] * F[i]
         return q0 + h * p0 + h * h * accq, p0 + h * accp, Q, F
 
-    return advance
+    return partial(_stepped, step, [0.0] * t.s)
 
 
 def _outcome(advance, *args):
-    """Bytes of (q1, p1, Q, F), or the exception's type, message and residual.
+    """Bytes of (q1, p1, Q), or the exception's type, message, residual and
+    step index; then the bytes of the samples taken.
 
     math.sin and math.cos raise ValueError on an infinite argument.  No
     stage iterate reaches the force unless it is finite, but a non-finite
     start does; the kernel must let that error through from the same call.
     """
+    ts, qs, ps = [], [], []
     try:
-        q1, p1, Q, F = advance(*args)
+        q1, p1, Q = advance(*args, ts.append, qs.append, ps.append)
     except (StageDivergenceError, ValueError) as exc:
         residual = getattr(exc, "residual", None)
         if residual is not None:
             residual = np.float64(residual).tobytes()
-        return ("raised", type(exc), str(exc), residual)
-    return tuple(np.asarray(v, dtype=np.float64).tobytes() for v in (q1, p1, Q, F))
+        end = ("raised", type(exc), str(exc), residual, getattr(exc, "step_index", None))
+    else:
+        end = tuple(np.asarray(v, dtype=np.float64).tobytes() for v in (q1, p1, Q))
+    return (*end, tuple(np.array(x, dtype=np.float64).tobytes() for x in (ts, qs, ps)))
 
 
-def _assert_same(t, f, t0, q0, p0, h, F_prev=None, stage_tol=1e-14, max_iters=100):
+def _assert_same(t, f, t0, q0, p0, h, steps=1, stage_tol=1e-14, max_iters=100):
+    """One kernel run of steps steps, every one sampled, against the
+    generic loops stepped as many times."""
     _, kernel = _stepper(t, f, q0, stage_tol, max_iters)
     reference = _reference_advance(t, stage_tol, max_iters)
-    got = _outcome(kernel, t0, q0, p0, h, F_prev)
-    want = _outcome(reference, f, t0, q0, p0, h, F_prev)
+    got = _outcome(partial(kernel, t0, q0, p0, h, steps, 1))
+    want = _outcome(reference, f, t0, q0, p0, h, steps)
     assert got == want
     return got
 
@@ -148,19 +179,15 @@ def _driven(t, q):
     return -math.sin(q) + 0.3 * math.cos(1.7 * t)
 
 
+def _stiff_late(t, q):
+    # gentle for the first steps of size 1e-5, then too stiff to contract
+    return -math.sin(q) * (1.0 if t < 2.5e-5 else 1e12)
+
+
 def _runs(t, f, h, steps=40, q0=0.3, p0=2.5, stage_tol=1e-14, max_iters=100):
-    """Step both implementations along one trajectory, from free motion and
-    then from each previous step's stage forces."""
-    outcomes = []
-    q, p, F_prev = q0, p0, None
-    reference = _reference_advance(t, stage_tol, max_iters)
-    for k in range(steps):
-        got = _assert_same(t, f, k * h, q, p, h, F_prev, stage_tol, max_iters)
-        outcomes.append(got[0])
-        if got[0] == "raised":
-            break
-        q, p, _, F_prev = reference(f, k * h, q, p, h, F_prev)
-    return outcomes
+    """One run from t0 = 0.0 of both implementations: the first step from
+    its bases, each later one from the previous step's stage forces."""
+    return _assert_same(t, f, 0.0, q0, p0, h, steps, stage_tol, max_iters)
 
 
 @pytest.mark.parametrize(
@@ -220,10 +247,10 @@ def test_random_tableaus_have_the_bits_of_the_generic_loops(s, shape):
         t = _random_tableau(rng, s, shape)
         assert _blocks(t.a_bar) == _pattern(shape, s)[1]
         _runs(t, _driven, 0.2, steps=12)
-        # one or two sweeps leave the extrapolated start's bits in the result
-        F_prev = [rng.uniform(-1.0, 1.0) for _ in range(s)]
+        # steps of 1e-5 contract in one or two sweeps, which leave the
+        # extrapolated start's bits in the result
         for max_iters in (1, 2):
-            _assert_same(t, _driven, 0.2, 0.3, 2.5, 0.2, F_prev, max_iters=max_iters)
+            _runs(t, _driven, 1e-5, steps=4, max_iters=max_iters)
 
 
 def test_repeated_nodes_and_zero_diagonals():
@@ -231,7 +258,7 @@ def test_repeated_nodes_and_zero_diagonals():
     for s in (2, 3, 5):
         nodes = [0.5] * s
         t = _random_tableau(rng, s, "lower", nodes=nodes)
-        assert _start_matrix(t.c, t.a_bar, _blocks(t.a_bar)) is None
+        assert not _start_matrix(t.c, t.a_bar, _blocks(t.a_bar)).any()
         _runs(t, _driven, 0.2, steps=10)
         a_bar = np.array(t.a_bar)
         np.fill_diagonal(a_bar, 0.0)
@@ -268,14 +295,14 @@ def test_signed_zero_coefficients_get_their_own_kernels():
     for t in (pos, neg):
         kernels.add(_stepper(t, _pendulum, -0.0, 1e-14, 100)[1].func)
         # the stage time t0 + c h is the only place the sign of c shows
-        outcomes.add(_assert_same(t, lambda t, q: t, -0.0, -0.0, 1.0, 0.5))
+        outcomes.add(_assert_same(t, lambda t, q: math.copysign(1.0, t), -0.0, -0.0, 1.0, 0.5))
     assert len(kernels) == 2
     assert len(outcomes) == 2
 
 
 def _sign_of_zero(t, q):
-    # tells the two zeros apart: 0.0 at -0.0, 5.0 at 0.0
-    return 0.0 if math.copysign(1.0, q) < 0.0 else 5.0
+    # tells the two zeros apart: 0.0 at -0.0, -5.0 at 0.0
+    return 0.0 if math.copysign(1.0, q) < 0.0 else -5.0
 
 
 @pytest.mark.parametrize(
@@ -283,11 +310,14 @@ def _sign_of_zero(t, q):
     ["rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3"],
 )
 def test_a_zero_iterate_is_evaluated_again(name):
-    # from q0 = p0 = -0.0 the free-motion start is -0.0 and the first
-    # iterate 0.0: an increment of 0.0 that changes the force, 0.0 to 5.0
+    # h^2 underflows to 0.0, so from q0 = p0 = -0.0 a stage of a block
+    # solved after stage 0's has the base -0.0 + 0.0 * (a_i0 F_0) = -0.0,
+    # F_0 = -5.0, and starts at -0.0 + h^2 (0.0) = 0.0: its first iterate,
+    # the base, is an increment of 0.0 that changes the force, -5.0 to 0.0
     t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
-    got = _assert_same(t, _sign_of_zero, 0.0, -0.0, -0.0, 0.16)
-    assert 5.0 in np.frombuffer(got[3])
+    got = _assert_same(t, _sign_of_zero, 0.0, -0.0, -0.0, 1e-170)
+    if name in ("rkn-iiia", "diagsymp"):
+        assert np.signbit(np.frombuffer(got[2])).any()
     _runs(t, _sign_of_zero, 0.16, steps=5, q0=-0.0, p0=-0.0)
 
 
@@ -314,13 +344,9 @@ def test_no_more_force_calls_than_the_generic_loops(name):
     f, kernel_calls = _counting(_pendulum)
     g, loop_calls = _counting(_pendulum)
     _, kernel = _stepper(t, f, 0.3, 1e-14, 100)
-    reference = _reference_advance(t, 1e-14, 100)
-    q, p, F_prev = 0.3, 2.5, None
-    for k in range(100):
-        got = kernel(k * h, q, p, h, F_prev)
-        want = reference(g, k * h, q, p, h, F_prev)
-        assert np.array(got[:2]).tobytes() == np.array(want[:2]).tobytes()
-        q, p, _, F_prev = want
+    got = _outcome(partial(kernel, 0.0, 0.3, 2.5, h, 100, 1))
+    want = _outcome(_reference_advance(t, 1e-14, 100), g, 0.0, 0.3, 2.5, h, 100)
+    assert got == want
     assert len(kernel_calls) <= len(loop_calls)
 
 
@@ -337,23 +363,19 @@ def test_non_finite_forces_and_states(bad, name):
     ]
     for f, q0, p0 in cases:
         _runs(t, f, 0.16, steps=8, q0=q0, p0=p0)
-    # a start from non-finite previous forces
-    _assert_same(t, _pendulum, 0.0, 0.3, 2.5, 0.16, [0.5, bad, -0.5])
 
 
 @pytest.mark.parametrize("name", ["diagsymp", "rkn-a"])
 def test_divergence_has_the_message_and_residual_of_the_generic_loops(name):
     t = named_tableau(name)
-    outcomes = _runs(t, _pendulum, 10.0, steps=3)
-    assert "raised" in outcomes
+    assert _runs(t, _pendulum, 10.0, steps=3)[0] == "raised"
     for max_iters in (0, 1, 2, 3):
-        outcomes = _runs(t, _pendulum, 0.16, steps=3, max_iters=max_iters)
-        assert "raised" in outcomes
-        # cut short, the residual shows the extrapolated start's bits
-        got = _assert_same(
-            t, _pendulum, 0.16, 0.4, 2.4, 0.16, [-0.3, -0.6, -0.9], max_iters=max_iters
-        )
-        assert got[0] == "raised"
+        assert _runs(t, _pendulum, 0.16, steps=3, max_iters=max_iters)[0] == "raised"
+    for max_iters in (2, 3):
+        # cut short after steps that converged, the residual shows the
+        # extrapolated start's bits
+        got = _runs(t, _stiff_late, 1e-5, steps=6, max_iters=max_iters)
+        assert got[0] == "raised" and got[4] >= 3
 
 
 def test_one_kernel_per_tableau_and_tolerances_are_arguments():
@@ -369,8 +391,8 @@ def test_one_kernel_per_tableau_and_tolerances_are_arguments():
 
 def _cache_tableau(x):
     """A Jacobi tableau whose kernel source is as long for every x whose
-    repr is as long: its nodes repeat, so it has no start matrix, whose
-    entries would vary in length with x."""
+    repr is as long: its nodes repeat, so its start matrix is zero, where
+    its entries would otherwise vary in length with x."""
     half = np.array([0.5, 0.5])
     return RknTableau(2, half, np.full((2, 2), x), half, half, "cache")
 
@@ -387,7 +409,7 @@ def test_cache_is_bounded_and_evicted_sources_leave_linecache(monkeypatch):
     a, b, c, d, e = map(_cache_tableau, (0.11, 0.12, 0.13, 0.14, 0.15))
     first = _cached_kernel(a)
     name = first.__code__.co_filename
-    assert name.startswith("<symrkn kernel s=2 (0,1) free ")
+    assert name.startswith("<symrkn kernel s=2 (0,1) ")
     assert linecache.getline(name, 1).startswith("def advance(")
     size = dict(_kernels.values())[first]
     assert size == len("".join(linecache.getlines(name)))
@@ -418,6 +440,6 @@ def test_divergence_traceback_shows_the_kernel_source():
     with pytest.raises(StageDivergenceError) as info:
         step(named_tableau("rkn-iiib"), prob.force, 0.0, 0.0, 2.5, StepConfig(h=10.0))
     text = "".join(traceback.format_exception(info.value))
-    # step runs the kernel integrate runs, start matrix included
-    assert "<symrkn kernel s=3 (0,1)(2) start " in text
+    # step runs the kernel integrate runs
+    assert "<symrkn kernel s=3 (0,1)(2) " in text
     assert "raise StageDivergenceError(" in text

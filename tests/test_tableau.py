@@ -229,7 +229,7 @@ def test_adjoint_inverts_the_negated_step():
     ]
     for t in tabs:
         q1, p1 = step(adjoint(t), f, 0.0, q0, p0, StepConfig(h=h))
-        q2, p2, _, _ = _stepper(t, f, q1, 1e-14, 200)[1](0.0, q1, p1, -h)
+        q2, p2, _ = _stepper(t, f, q1, 1e-14, 200)[1](0.0, q1, p1, -h)
         assert abs(q2 - q0) < 1e-12, t.label
         assert abs(p2 - p0) < 1e-12, t.label
 
