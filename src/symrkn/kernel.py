@@ -124,11 +124,12 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     steps steps of size h from q0, p0 at time t0, for state of the kind
     kind: scalar (q0, p0 and each stage value a float) or d floats (q0 and
     p0 tuples of d floats, each stage value d floats Q{i}_{k}).
-    Step k starts at t0 + (k - 1) h, the first at t0 itself.  The time, q
-    and p after every every-th step and the last go to the sinks ts, qs
-    and ps (every 0: no samples); a sample that is not finite is not taken
-    and raises StageDivergenceError with no residual.  Returns (q1, p1, Q)
-    of the last step: states in the input form, stage values as a list.
+    Step k starts at t0 + (k - 1) h, the first at t0 itself, for steps >= 1.
+    The time, q and p after every every-th step and the last go to the
+    sinks ts, qs and ps (every 0: no samples); a sample that is not finite
+    is not taken and raises StageDivergenceError with no residual.  Returns
+    (q1, p1, Q) of the last step: states in the input form, stage values
+    as a list.
 
     The stages are solved block by block, in the order of blocks, lists of
     stage indices (see _blocks), all by one rule.  Stage i's base B_i is
@@ -148,13 +149,13 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     loop, solve, sweeps one block, and each sweep starts by evaluating
     every stage it solves.  Each stage component's increment e = new - old
     starts at inf; a solve converges when -conv < e < conv for every
-    component and diverges when some e is not finite (not -inf < e < inf),
-    before the force sees the iterate: a failed solve evaluates no force
-    it discards.  A divergence raises StageDivergenceError with the
-    max-norm of the last increments as residual (a NaN kept, as numpy's
-    max does: the x > m or x != x pattern); it, a non-finite sample, and
-    one the force raises without a step index, gets the 1-based index of
-    its step.
+    component and diverges when some e is not finite (a sum of 0.0 * e
+    that is not 0.0, the one finiteness test, as for a sample), before the
+    force sees the iterate: a failed solve evaluates no force it discards.
+    Either failure, divergence or no convergence in iters sweeps, is one
+    line, raise _diverged(message, e...).  That error, one for a non-finite
+    sample, and one the force raises without a step index, gets the
+    1-based index of its step.
 
     A stage whose last increment is 0.0 in every component, and none of
     whose components is a zero (0.0 == -0.0, but f may tell them apart),
@@ -216,29 +217,19 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
         unmoved = f"{all_of('{} == 0.0', E[i])} and {all_of('{} != 0.0', Q[i])}"
         return [f"{ind}if not ({unmoved}):", *call(ind + "    ", i)]
 
-    def most(ind, var, terms):
-        # var = the largest of terms, NaN kept; terms are nonnegative
-        lines = [f"{ind}{var} = {terms[0]}"]
-        for x in terms[1:]:
-            lines += [f"{ind}x = {x}", f"{ind}if x > {var} or x != x:", f"{ind}    {var} = x"]
-        return lines
-
-    def diverged(ind, what, increments):
-        return [
-            *most(ind, "diff", [f"abs({x})" for x in increments]),
-            f"{ind}raise StageDivergenceError(",
-            f'{ind}    f"{what} (last increment {{diff:.3e}})",',
-            f"{ind}    residual=diff,",
-            f"{ind})",
-        ]
+    def not_finite(names):
+        # 0.0 * x is NaN exactly when x is not finite, and a sum of zeros is a zero
+        return " + ".join(f"0.0 * {x}" for x in names) + " != 0.0"
 
     def solve(ind, block):
         # Q_i = B_i + (w_ij F_j + ...) over the block, swept from the start
         # until converged, else raise; then F_i of every stage that moved
         if len(block) > 1:
-            diverging, stuck = "stage iterates are", "stages did not contract in {iters} sweeps"
+            diverging = '"stage iterates are not finite"'
+            stuck = 'f"stages did not contract in {iters} sweeps"'
         else:
-            diverging, stuck = f"stage {block[0]} iterate is", f"stage {block[0]} did not contract"
+            diverging = f'"stage {block[0]} iterate is not finite"'
+            stuck = f'"stage {block[0]} did not contract"'
         es = [x for i in block for x in E[i]]
         lines = [
             # the base and the previous step's forces P, extrapolated
@@ -252,10 +243,10 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
                 f"    {E[i][k]} = n - {Q[i][k]}", f"    {Q[i][k]} = n")),
             f"    if {all_of('lo < {} < conv', es)}:",
             "        break",
-            f"    if not ({all_of('-inf < {} < inf', es)}):",
-            *diverged("        ", f"{diverging} not finite", es),
+            f"    if {not_finite(es)}:",
+            f"        raise _diverged({diverging}, {', '.join(es)})",
             "else:",
-            *diverged("    ", stuck, es),
+            f"    raise _diverged({stuck}, {', '.join(es)})",
             *(x for i in block for x in settle("", i)),
         ]
         return [ind + x for x in lines]
@@ -274,7 +265,10 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     emit("    t = t0")
     emit("    for k in range(1, steps + 1):")
     body = len(out)
-    out += most("        ", "m", [f"abs({x})" for x in q0])
+    # m = the largest |q0_k|, a NaN kept
+    emit(f"        m = abs({q0[0]})")
+    for x in q0[1:]:
+        out += [f"        x = abs({x})", "        if x > m or x != x:", "            m = x"]
     emit("        conv = stage_tol * (1.0 + m)")
     emit("        lo = -conv")
     if template is None:
@@ -298,9 +292,7 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     emit("        t = t0 + k * h")
     out += [f"        {P[i][k]} = {F[i][k]}" for i in S for k in K]
     emit("        if k == mark:")
-    # 0 * x is NaN exactly when x is not finite, and a sum of zeros is zero
-    emit(f"            x = {' + '.join(f'0.0 * {v}' for v in q0 + p0)}")
-    emit("            if x != x:")
+    emit(f"            if {not_finite(q0 + p0)}:")
     emit('                raise StageDivergenceError("sample is not finite")')
     emit("            ts(t)")
     emit(f"            qs({tup(q0)})")
@@ -324,6 +316,13 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     emit(f"        [{', '.join(tup(x) for x in Q)}],")
     emit("    )")
     return "\n".join(out) + "\n"
+
+
+def _diverged(what, *increments):
+    """The StageDivergenceError of a failed stage solve: the residual is the
+    largest |increment| of the last sweep, a NaN kept, as numpy's max does."""
+    diff = float(np.max(np.abs(increments)))
+    return StageDivergenceError(f"{what} (last increment {diff:.3e})", residual=diff)
 
 
 def _checked(r, shape, name):
@@ -359,6 +358,7 @@ def _generate_kernel(key):
         "array": np.array,
         "ndarray": np.ndarray,
         "checked": _checked,
+        "_diverged": _diverged,
         "StageDivergenceError": StageDivergenceError,
         **dict(() if template is None else template.names),
     }

@@ -30,6 +30,7 @@ oracle never checked the shape of a per-point result (numpy broadcast it),
 so that check is held to the bit reference alone.
 """
 
+import dataclasses
 import math
 import random
 import re
@@ -39,7 +40,7 @@ import numpy as np
 import pytest
 
 from symrkn.errors import StageDivergenceError
-from symrkn.integrator import reference_tableau
+from symrkn.integrator import StepConfig, integrate, reference_tableau
 from symrkn.kernel import _blocks, _start_matrix, _stepper
 from symrkn.problems import kepler_2d
 from symrkn.tableau import RknTableau, named_tableau
@@ -488,6 +489,17 @@ def test_wrong_shape_from_the_force_raises(shape):
     assert got == _outcome(pair.reference, *args)
     message = f"force returned shape {shape}, expected (2,)"
     assert got[:5] == ("raised", ValueError, message, None, None)
+
+
+def test_a_force_that_returns_a_list_has_the_bits_of_its_array():
+    # a result of the right shape that is no ndarray passes the shape check
+    prob, t = kepler_2d(0.5), named_tableau("rkn-a")
+    runs = [
+        integrate(t, dataclasses.replace(prob, force=f), 1.0, StepConfig(h=0.1))
+        for f in (lambda t, q: prob.force(t, q).tolist(), lambda t, q: prob.force(t, q))
+    ]
+    for field in ("times", "q", "p"):
+        assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes(), field
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

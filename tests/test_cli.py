@@ -174,6 +174,21 @@ def test_converge_divergence_exit(capsys):
     assert math.isnan(float(trailers[0].split(",")[2]))
 
 
+def test_a_diverged_reference_writes_no_csv_and_exits_3(capsys):
+    # the order-6 reference at min(h)/20 = 5.0 diverges in its first step,
+    # before any row is written
+    code = main(
+        [
+            "converge", "--problem", "pendulum", "--t-end", "200",
+            "--h-list", "200,100", "--method", "rkn-a",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.endswith("error: reference integration diverged\n")
+
+
 def test_converge_mixed_divergence_fits_the_finite_rows(capsys):
     code = main(
         [

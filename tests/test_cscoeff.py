@@ -108,6 +108,8 @@ def test_symmetry_check_rejects_odd_terms():
     a = np.array(m.alpha)
     a[0, 1] = 0.0
     assert not check_symmetry_cs(AlphaMatrix(a))
+    # a constant Abar has no antisymmetric pair to carry tau - sigma
+    assert not check_symmetry_cs(AlphaMatrix(np.array([[0.5]])))
 
 
 def test_cn_level_one_depends_only_on_gamma():
@@ -199,6 +201,29 @@ def test_expansion_omega_block_constraint():
     m = build_expansion(2, 2, {(2, 2): 0.4})
     assert m.alpha[2, 2] == pytest.approx(0.4)
     assert check_CN(m, 2).ok and check_DN(m, 2).ok
+
+
+def test_alpha_matrix_rejections():
+    with pytest.raises(ValueError, match="2-d matrix"):
+        AlphaMatrix(np.zeros(3))
+    with pytest.raises(DegreeOverflowError, match=r"shape \(14, 2\)"):
+        AlphaMatrix(np.zeros((MAX_DEGREE + 2, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        AlphaMatrix(np.array([[0.5, math.nan]]))
+
+
+def test_degrees_past_the_legendre_table_are_rejected():
+    for index in ((MAX_DEGREE + 1, 5), (5, MAX_DEGREE + 1)):
+        with pytest.raises(DegreeOverflowError, match=f"exceeds degree {MAX_DEGREE}"):
+            build_expansion(2, 2, {index: 0.1})
+    m = build_order4(0.0, 0.0, 0.0)
+    # level MAX_DEGREE + 1 checks kappa up to MAX_DEGREE, the last the table holds
+    assert check_CN(m, MAX_DEGREE + 1).residuals
+    for level in (MAX_DEGREE + 2, 15):
+        with pytest.raises(DegreeOverflowError, match=f"eta {level} exceeds"):
+            check_CN(m, level)
+        with pytest.raises(DegreeOverflowError, match=f"zeta {level} exceeds"):
+            check_DN(m, level)
 
 
 def test_expansion_rejects_bad_levels():

@@ -410,6 +410,9 @@ def test_error_study_needs_two_steps():
         global_error_study(
             named_tableau("rkn-iiib"), perturbed_pendulum(), 10.0, [0.1, 0.1]
         )
+    # no step size at all fails before the reference runs
+    with pytest.raises(DegenerateFitError, match="at least 2 distinct step sizes"):
+        global_error_study(named_tableau("rkn-iiib"), perturbed_pendulum(), 10.0, [])
 
 
 def test_diverged_rows_are_nan_in_a_study():

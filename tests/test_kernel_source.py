@@ -9,12 +9,12 @@ generated code; when that is meant, record the new digest here and say
 why.  The inline kernels run the benchmark: the scalar pendulum kernels
 pendulum-drift, the d = 2 Kepler kernels kepler-converge.
 
-All 30 digests were last re-recorded when every stage solve got one
-start rule: the previous forces P{i} are set to 0.0 once before the
-first step, every iterated block starts at its base plus h^2 (its start
-matrix rows times P) on every step, and the run-time warm test, the
-free-motion start, the F_prev argument and the returned forces went.
-Each digest now covers one source, not the start and free-motion pair.
+All 30 digests were last re-recorded when every failed stage solve got
+one failure path: each of a solve's two failure sites is one line,
+raise _diverged(message, increments...), in place of the residual code
+written out inline, and the kernel tests finiteness one way, a sum of
+0.0 * x that is not 0.0, in the solve as in the sample check.  The
+arithmetic, messages, residuals and step indices did not move.
 """
 
 import hashlib
@@ -52,43 +52,43 @@ from symrkn.tableau import discretize, named_tableau
 METHODS = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3")
 
 SCALAR = {
-    "rkn-iiia": "6464275c361499fccdea866bd4e36f16333adb38789a33a75127179761ccc522",
-    "rkn-iiib": "254797495ee3a9fe355ba255084e85cdb7732582b7548a6f3356714dfff4d82c",
-    "diagsymp": "7399c0dcf059ea5c1973723b7b115e3d47576c473a9f4b439e2b4ad7308e28f1",
-    "rkn-a": "982c2c02a9c83f1c9c3dc3367d5bc6cff8de893719e51c8785a7b3bbc5a3a9fb",
-    "rkn-b": "b4d31ed672736570823611de87afec31424cae80432ea73f7598791306e5d538",
-    "order6-gauss3": "bff1ef35842f82ed3d32bc3cf7ade29aa2981755d2a7587c5111b6b8113ffd68",
+    "rkn-iiia": "4a5c2a7b5de94c40f3b68c4cfffffa6f2636c5c0f246d40f116197fead4815e0",
+    "rkn-iiib": "e5c3fce93dd897bc2759406f724d3c9f2e57b9b3216bfad3ca815b7215f92d4c",
+    "diagsymp": "23ad44edd6f13abd491cb151b6253ee1fd427aa6c0caf13c815df23962df5a45",
+    "rkn-a": "a314017c6402076d50d64b2b5825974be7ef294e5dcdcfd0383d6f67c24ed333",
+    "rkn-b": "6a8233cbb644910e027c7158ee0a65671c00033b526970ce7b27c4fe9a4f0c78",
+    "order6-gauss3": "659467b36953d0228a7cfb6ca282258f97884f9bf1ab4fdf23e9442976576b00",
 }
 
 ARRAY = {
-    ("rkn-iiia", 1, "point"): "2fcb94119cbd7980cdf057c3ce3a8791f7dad53d0f7b163b12be2d5c74025e3b",
-    ("rkn-iiia", 2, "point"): "4598ff690acee1550aef8651843bbe3723780ab72a06037abaa5e2be426d9510",
-    ("rkn-iiib", 1, "point"): "453b4b4777681cbe54c71cf65dd1506d630664751fc6ee501d40811ee2d50242",
-    ("rkn-iiib", 2, "point"): "9914b6346129d2a05b533d8d75cf588d35fa93737babafa1076766c351b7bc26",
-    ("diagsymp", 1, "point"): "c1ccb3973c3443fab419d3e45999400624aa76a9ced330405b37b583828a85c3",
-    ("diagsymp", 2, "point"): "3577c69953147183d9bc0cd40f4791b4c7706d9c3ac6dca61aacc84373f2b4bb",
-    ("rkn-a", 1, "point"): "68050e5b2fd2d1855535b508d03ce7d5db82b4ca58e010e323e837bae4c01e68",
-    ("rkn-a", 2, "point"): "582aad879bd91de69d030486f760f8b076e1b1b4aad9ca3e9fc9df814343ae65",
-    ("rkn-b", 1, "point"): "d500976a2af015737707ec5aded74b9eab19abd7dc8b04599b9d976a75dcd3ed",
-    ("rkn-b", 2, "point"): "1926e414578afd989edc8f0f0e9f68f752e730e18e9da15034bf908f9ff29e3c",
-    ("order6-gauss3", 1, "point"): "4c2e9ce44183f3664b879b93a77f98ce9fc301a16fa919b324d3c85622b918be",
-    ("order6-gauss3", 2, "point"): "7e8b87dddeeb78a51cc9b0f6e5a3cf318205fc915f9a7c90b631196f6ccd2b93",
+    ("rkn-iiia", 1, "point"): "c2c1928189850e9f49afa5192c21ea5a46e16f938949537258dc9a99b6175670",
+    ("rkn-iiia", 2, "point"): "1bdd3a34824125ba527ee91f3b024c2d309f7167279e0148b6622ee203b69790",
+    ("rkn-iiib", 1, "point"): "47a030f2f576e24629be1b961a271d3e86c5fb7f31b002abebed8710ceff5ea2",
+    ("rkn-iiib", 2, "point"): "307c0cd80a9b50177cabe792635997a2d84a96ff0ba1e130cfadd642e6d28744",
+    ("diagsymp", 1, "point"): "876b3a434c8e2516ec06d608b2cf37511fa42b60db59e7623e342c575bec405c",
+    ("diagsymp", 2, "point"): "bae2fa7a328038e4545edebceb999c12fe12400b6dbe8839107171de893915f0",
+    ("rkn-a", 1, "point"): "a2d4f9e56c273eee45563be0ad6c86e6edf71be8900cf68c5fb90381263c9f8a",
+    ("rkn-a", 2, "point"): "d3755ac615cb8421082d68e536fd34c798d76f313c3835660fa187e3f41be233",
+    ("rkn-b", 1, "point"): "b38ac9a5da23593f562e7d01a6cd0c5ab23ec49737e1fc3bf52ac59f1cf49a54",
+    ("rkn-b", 2, "point"): "6eb64b8601f6a23ea04d6102bef0394d9a86487b7991c3843f87a8c36d843c9e",
+    ("order6-gauss3", 1, "point"): "a39f22c90e604ec81e887c202ae4411e1d22c2d15fbbdd9e64a4f52b5f9132fe",
+    ("order6-gauss3", 2, "point"): "541b76ec6fb1cb2c3ed4779dd952d7797c31f7c248770c31384a0ba7c2c5c9d3",
 }
 
 # the scalar pendulum and d = 2 Kepler forces, written inline
 INLINE = {
-    ("rkn-iiia", "pendulum"): "e6a1e74053275d088dc9393e4aa135a4c78a4bf0e55a7a19b2b1ecdbbe68fcac",
-    ("rkn-iiib", "pendulum"): "a2edf09fd8a7e35977954c831e4819c5b953745e80eb5bd6bcfe3989d15172e4",
-    ("diagsymp", "pendulum"): "513f99bc882f2365957186353988a76b305491905f79b98b149fabb561c52ee3",
-    ("rkn-a", "pendulum"): "83f99281fe20878f98797895729138ce9cd597159c48ad2f1cc45c3fba0a6869",
-    ("rkn-b", "pendulum"): "1ff9242e2ae6b87cc9c3846d2b738c2eb46c6abbf2c1c57cf7671976e89a4f2c",
-    ("order6-gauss3", "pendulum"): "92a1b49bb7782402d46606e1ffc6d3a86e17a4e95d014dce0cc40242d563594b",
-    ("rkn-iiia", "kepler"): "08ae258adb6d5bd5299b5e0ef235d32948b97106aa712bb63a9fbeb9b3ac30c1",
-    ("rkn-iiib", "kepler"): "fb159f7bc1dd425d66acfef11a8a17f8c5a028e470e0e3b9de79c65a9034ba7d",
-    ("diagsymp", "kepler"): "ffe5998d65602aa9b75cbf983beb3d4cd5cdcacfcb1ab5e18d28a147b3e084ad",
-    ("rkn-a", "kepler"): "f6ca4d6f6d6ec78315703d0fe713f3a51af88f082fbcd071058d0165b6dc4686",
-    ("rkn-b", "kepler"): "d4b677634652a21b6dba90d6e5c3f84d6363cffaf6e2f5280f7295eb5cae76b1",
-    ("order6-gauss3", "kepler"): "b54e27bc878689ff0833571b3367f9d484e1ce50078a6b903b98e94b216025a8",
+    ("rkn-iiia", "pendulum"): "72f27d6d7e80c57c5c786837384265213c6d437eaef02cbe9bfd16bc1a86e9c1",
+    ("rkn-iiib", "pendulum"): "8127856059c018b82e87a68f0cf400687944f51092a63914f800eeb2c1e843d2",
+    ("diagsymp", "pendulum"): "12aa13fedf00e16844c6b5b66fa7edf7d5610673fc2c4d081959071966907ea4",
+    ("rkn-a", "pendulum"): "27430183656e0624ede31bf7cf8a6a921de7f41fe77db80a559b2833b6e54f05",
+    ("rkn-b", "pendulum"): "3d7ee5ec4946245f6fff6027777d929bbb831d2d635ab503caba60a692aff38d",
+    ("order6-gauss3", "pendulum"): "622f2c0bae3712b1ba8159d15079460ddeaf541e297cdf823d37fe1ceb27cd90",
+    ("rkn-iiia", "kepler"): "ce7f97fee365773d068b69a5e3f7fb37b641ff2ebadfce41e41f81a5de98430f",
+    ("rkn-iiib", "kepler"): "60fc2ab0bb1b621d6f1e4dba3f14dba5885370e3cba5cd4e52efabb40d47328f",
+    ("diagsymp", "kepler"): "ef5d467ed99203eb6f2b0ba166990bb0ad36ebf203c68536d2480cf084475d1f",
+    ("rkn-a", "kepler"): "797f91715134abdfdb64adffd8aa2422358cb68a5bad780ea4def4c23ca3a452",
+    ("rkn-b", "kepler"): "c9cb6648af0df39dc80a034cba57094860d76de8218776923037001879749c33",
+    ("order6-gauss3", "kepler"): "73c44e002fa3a75966f8b5bbcc16d2e3b7324619a2e097e1ce668419f69f716f",
 }
 
 

@@ -194,8 +194,9 @@ def test_problem_arrays_are_frozen():
          r"q0 has shape \(2,\), expected \(\) or \(1,\) for dim 1"),
         (perturbed_pendulum, {"p0": np.zeros((1, 1))}, r"p0 has shape \(1, 1\)"),
         (perturbed_pendulum, {"dim": 2}, r"q0 has shape \(\), expected \(2,\)"),
+        (perturbed_pendulum, {"dim": 0}, r"dim must be >= 1"),
     ],
-    ids=["dim", "q0", "p0", "p0-2d", "q0-scalar", "dim1-q0", "dim1-p0", "dim1-dim"],
+    ids=["dim", "q0", "p0", "p0-2d", "q0-scalar", "dim1-q0", "dim1-p0", "dim1-dim", "dim0"],
 )
 def test_state_shapes_must_match_dim(make, changes, message):
     # at construction and under dataclasses.replace, before any step runs

@@ -416,9 +416,13 @@ def test_loader_rejects_bad_documents():
 
 
 def test_tableau_shape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"a_bar must have shape \(s, s\)"):
         RknTableau(
             2, np.array([0.0, 1.0]), np.zeros((3, 3)), np.zeros(2), np.zeros(2)
+        )
+    with pytest.raises(ValueError, match=r"c, b_bar, b must have shape \(s,\)"):
+        RknTableau(
+            2, np.array([0.0, 1.0, 0.5]), np.zeros((2, 2)), np.zeros(2), np.zeros(2)
         )
     with pytest.raises(ValueError):
         RknTableau(
