@@ -33,10 +33,6 @@ class TableauFormatError(SymrknError, ValueError):
     """A tableau document that cannot be parsed or has a foreign format tag."""
 
 
-class TableauValidationError(SymrknError, RuntimeError):
-    """A built-in tableau failed its build-time cross-validation."""
-
-
 class StageDivergenceError(SymrknError, RuntimeError):
     """The fixed-point stage iteration failed to converge."""
 

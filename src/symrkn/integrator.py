@@ -38,6 +38,15 @@ def _check_step(h, name: str = "step size") -> None:
         raise InvalidGridError(f"{name} {h!r} must be positive and finite")
 
 
+def _check_count(n, name: str) -> None:
+    """A ValueError naming n as name unless n is an integer (a bool is
+    not) of at least 1."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ValueError(f"{name} must be an integer")
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 @dataclass(frozen=True)
 class StepConfig:
     """Solver controls for one integration run; h is the step size."""
@@ -51,12 +60,7 @@ class StepConfig:
         # below an ulp of 1.0 the stage increments stall at rounding, not contract
         if not (math.isfinite(self.stage_tol) and self.stage_tol >= 2.0**-52):
             raise ValueError(f"stage_tol {self.stage_tol!r} must be finite and at least 2**-52")
-        if not isinstance(self.max_iters, numbers.Integral) or isinstance(
-            self.max_iters, bool
-        ):
-            raise ValueError("max_iters must be an integer")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        _check_count(self.max_iters, "max_iters")
 
 
 @dataclass(frozen=True)
@@ -102,17 +106,28 @@ def solve_stages(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
     by fixed-point iteration, each block starting at its base plus the
     extrapolated previous forces, which are zero in a single-step call;
     non-contraction, or an iterate that is not finite, raises a
-    stage-divergence error carrying the last increment.
+    stage-divergence error carrying the last increment.  A q0 or p0 that
+    is not finite is a ValueError, as in step and integrate.
     """
     kind, advance = _stepper(t, f, q0, cfg.stage_tol, cfg.max_iters)
-    return np.array(advance(t0, kind.state(q0), kind.state(p0), cfg.h)[2])
+    return np.array(advance(t0, *_initial_state(kind, q0, p0), cfg.h)[2])
 
 
 def step(t: RknTableau, f, t0, q0, p0, cfg: StepConfig):
-    """One step of size cfg.h from (q0, p0); returns (q1, p1)."""
+    """One step of size cfg.h from (q0, p0), which must be finite (else
+    ValueError, before any force call); returns (q1, p1)."""
     kind, advance = _stepper(t, f, q0, cfg.stage_tol, cfg.max_iters)
-    q1, p1, _ = advance(t0, kind.state(q0), kind.state(p0), cfg.h)
+    q1, p1, _ = advance(t0, *_initial_state(kind, q0, p0), cfg.h)
     return kind.value(q1), kind.value(p1)
+
+
+def _initial_state(kind, q0, p0):
+    """q0 and p0 in kind's form (kind.state); ValueError unless every
+    component is finite."""
+    q, p = kind.state(q0), kind.state(p0)
+    if not all(map(math.isfinite, kind.floats(q) + kind.floats(p))):
+        raise ValueError("initial state must be finite")
+    return q, p
 
 
 def _check_span(span: float) -> None:
@@ -184,17 +199,12 @@ def integrate(
     a run of single step calls at the level of stage_tol, with fewer force
     evaluations.
     """
-    if not isinstance(sample_every, numbers.Integral) or isinstance(sample_every, bool):
-        raise ValueError("sample_every must be an integer")
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
+    _check_count(sample_every, "sample_every")
     n = _step_count(t_end - prob.t0, cfg.h)
     kind, advance = _stepper(t, prob.force, prob.q0, cfg.stage_tol, cfg.max_iters)
     h, t0 = cfg.h, prob.t0
-    q, p = kind.state(prob.q0), kind.state(prob.p0)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-        raise ValueError("initial state must be finite")
-    ts, qs, ps = array("d", [t0]), array("d", np.ravel(q)), array("d", np.ravel(p))
+    q, p = _initial_state(kind, prob.q0, prob.p0)
+    ts, qs, ps = array("d", [t0]), array("d", kind.floats(q)), array("d", kind.floats(p))
     failure_step = residual = None
     if n:
         sinks = ts.append, getattr(qs, kind.sink), getattr(ps, kind.sink)

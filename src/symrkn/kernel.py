@@ -15,7 +15,6 @@ s^2 d, to ~13 ms at s = 3, d = 32 and ~250 ms at s = 10, d = 100.
 from __future__ import annotations
 
 import linecache
-import math
 import threading
 import zlib
 from functools import partial
@@ -40,12 +39,14 @@ class _Scalar:
     takes a sample, tag goes into the file name.  names, pack and unpack
     write a value's components in the source, call the lines of
     y = f(time, v), and rows picks what energy is called on.
-    state puts a user's q or p, or a sample row, in the kernel's form, and
-    value takes the kernel's form back to the user's.
+    state puts a user's q or p, or a sample row, in the kernel's form,
+    value takes the kernel's form back to the user's, and floats gives
+    its components as a tuple.
     """
 
     size, sink, tag = 1, "append", ""
     value = staticmethod(float)
+    floats = staticmethod(lambda x: (x,))
 
     # any one-element value; one of another size is a ValueError
     state = staticmethod(lambda x: float(np.reshape(x, ())))
@@ -72,7 +73,7 @@ class _Floats(NamedTuple):
     whose result must have that shape."""
 
     size: int
-    sink, value = "extend", staticmethod(np.array)
+    sink, value, floats = "extend", staticmethod(np.array), staticmethod(tuple)
     tag = property(lambda self: f" d={self.size}")
 
     def state(self, x):
@@ -124,7 +125,8 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     steps steps of size h from q0, p0 at time t0, for state of the kind
     kind: scalar (q0, p0 and each stage value a float) or d floats (q0 and
     p0 tuples of d floats, each stage value d floats Q{i}_{k}).
-    Step k starts at t0 + (k - 1) h, the first at t0 itself, for steps >= 1.
+    Step k starts at t0 + (k - 1) h, the first at t0 itself, for steps >= 1;
+    each solve sweeps at most iters times, for iters >= 1.
     The time, q and p after every every-th step and the last go to the
     sinks ts, qs and ps (every 0: no samples); a sample that is not finite
     is not taken and raises StageDivergenceError with no residual.  Returns
@@ -147,9 +149,9 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     coefficients included (0 * inf is NaN, and signed zeros must come out
     the same), component by component.  h c_i is taken once per run.  One
     loop, solve, sweeps one block, and each sweep starts by evaluating
-    every stage it solves.  Each stage component's increment e = new - old
-    starts at inf; a solve converges when -conv < e < conv for every
-    component and diverges when some e is not finite (a sum of 0.0 * e
+    every stage it solves.  Each sweep sets every stage component's
+    increment e = new - old; a solve converges when -conv < e < conv for
+    every component and diverges when some e is not finite (a sum of 0.0 * e
     that is not 0.0, the one finiteness test, as for a sample), before the
     force sees the iterate: a failed solve evaluates no force it discards.
     Either failure, divergence or no convergence in iters sweeps, is one
@@ -235,7 +237,6 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
             # the base and the previous step's forces P, extrapolated
             *(f"{Q[i][k]} = {B[i][k]} + h2 * ({dot(M[i], col(P, k))})"
               for i in block for k in K),
-            *(f"{x} = inf" for x in es),
             "for _ in range(iters):",
             *(x for i in block for x in call("    ", i)),
             *(x for i in block for k in K for x in (
@@ -265,10 +266,10 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     emit("    t = t0")
     emit("    for k in range(1, steps + 1):")
     body = len(out)
-    # m = the largest |q0_k|, a NaN kept
+    # m = the largest |q0_k|; a NaN q0_k fails the first sweep whatever conv is
     emit(f"        m = abs({q0[0]})")
     for x in q0[1:]:
-        out += [f"        x = abs({x})", "        if x > m or x != x:", "            m = x"]
+        out += [f"        x = abs({x})", "        if x > m:", "            m = x"]
     emit("        conv = stage_tol * (1.0 + m)")
     emit("        lo = -conv")
     if template is None:
@@ -354,7 +355,6 @@ def _generate_kernel(key):
         zlib.crc32(b"".join(key[:4])),
     )
     namespace = {
-        "inf": math.inf,
         "array": np.array,
         "ndarray": np.ndarray,
         "checked": _checked,
@@ -447,7 +447,8 @@ def _stepper(t, f, q0, stage_tol, max_iters):
     for f's exact type with the kind's component count, else "point", f
     called once per point (a subclass or any other force keeps its
     calls).  advance is the kernel with stage_tol, max_iters and f bound
-    (see _kernel_source), on states in kind.state's form.
+    (see _kernel_source), on states in kind.state's form; max_iters and
+    steps must be at least 1, as StepConfig and integrate ensure.
 
     Kernels are cached by the exact bytes of c, a_bar, b_bar and b, with
     the kind and the force form ("point" or the template itself), so 0.0

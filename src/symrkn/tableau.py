@@ -13,15 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cscoeff import SQRT5, AlphaMatrix, _order_bound, build_order4, eval_Abar_grid
-from .errors import TableauFormatError, TableauValidationError
-from .quadrature import QuadratureRule, lobatto_rule
+from .cscoeff import AlphaMatrix, _order_bound, eval_Abar_grid
+from .errors import TableauFormatError
+from .quadrature import QuadratureRule
 
 FORMAT_TAG = "rkn-tableau/1"
-
-#: Agreement required between hard-coded named tableaus and their
-#: parameter-substitution reconstruction.
-CROSSCHECK_TOL = 1e-14
 
 #: Search cap for the largest satisfied simplifying-assumption index.
 SEARCH_CAP = 13
@@ -125,52 +121,38 @@ def discretize(m: AlphaMatrix, rule: QuadratureRule, label: str = "") -> RknTabl
     return RknTableau(rule.s, rule.c, a_bar, b_bar, rule.b, name)
 
 
-# Hard-coded reference methods: common Lobatto-3 data plus per-method rows and
-# the (alpha, beta, gamma) that regenerate them from the order-4 family.
+# The reference methods: common Lobatto-3 data and each method's a_bar rows.
+# Each is the order-4 family discretized on lobatto_rule(3) at its own
+# (alpha, beta, gamma); acceptance check c04 compares the two.
 _LOBATTO3_C = (0.0, 0.5, 1.0)
 _LOBATTO3_BBAR = (1.0 / 6.0, 1.0 / 3.0, 0.0)
 _LOBATTO3_B = (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0)
 
 _NAMED = {
     "rkn-iiia": (
-        (-1.0 / 12.0, 0.0, SQRT5 / 60.0),
-        (
-            (0.0, 0.0, 0.0),
-            (1.0 / 16.0, 1.0 / 12.0, -1.0 / 48.0),
-            (1.0 / 6.0, 1.0 / 3.0, 0.0),
-        ),
+        (0.0, 0.0, 0.0),
+        (1.0 / 16.0, 1.0 / 12.0, -1.0 / 48.0),
+        (1.0 / 6.0, 1.0 / 3.0, 0.0),
     ),
     "rkn-iiib": (
-        (-1.0 / 12.0, SQRT5 / 60.0, 0.0),
-        (
-            (0.0, -1.0 / 12.0, 0.0),
-            (1.0 / 12.0, 1.0 / 12.0, 0.0),
-            (1.0 / 6.0, 1.0 / 4.0, 0.0),
-        ),
+        (0.0, -1.0 / 12.0, 0.0),
+        (1.0 / 12.0, 1.0 / 12.0, 0.0),
+        (1.0 / 6.0, 1.0 / 4.0, 0.0),
     ),
     "diagsymp": (
-        (0.0, SQRT5 / 30.0, SQRT5 / 30.0),
-        (
-            (1.0 / 12.0, 0.0, 0.0),
-            (1.0 / 12.0, 0.0, 0.0),
-            (1.0 / 6.0, 1.0 / 3.0, 1.0 / 12.0),
-        ),
+        (1.0 / 12.0, 0.0, 0.0),
+        (1.0 / 12.0, 0.0, 0.0),
+        (1.0 / 6.0, 1.0 / 3.0, 1.0 / 12.0),
     ),
     "rkn-a": (
-        (-1.0 / 10.0, SQRT5 / 150.0, SQRT5 / 60.0),
-        (
-            (-1.0 / 360.0, -1.0 / 90.0, 1.0 / 72.0),
-            (49.0 / 720.0, 13.0 / 180.0, -11.0 / 720.0),
-            (13.0 / 72.0, 29.0 / 90.0, -1.0 / 360.0),
-        ),
+        (-1.0 / 360.0, -1.0 / 90.0, 1.0 / 72.0),
+        (49.0 / 720.0, 13.0 / 180.0, -11.0 / 720.0),
+        (13.0 / 72.0, 29.0 / 90.0, -1.0 / 360.0),
     ),
     "rkn-b": (
-        (-1.0 / 10.0, SQRT5 / 60.0, SQRT5 / 150.0),
-        (
-            (-1.0 / 360.0, -11.0 / 180.0, 1.0 / 72.0),
-            (29.0 / 360.0, 13.0 / 180.0, -1.0 / 360.0),
-            (13.0 / 72.0, 49.0 / 180.0, -1.0 / 360.0),
-        ),
+        (-1.0 / 360.0, -11.0 / 180.0, 1.0 / 72.0),
+        (29.0 / 360.0, 13.0 / 180.0, -1.0 / 360.0),
+        (13.0 / 72.0, 49.0 / 180.0, -1.0 / 360.0),
     ),
 }
 
@@ -182,38 +164,20 @@ def named_tableau(name: str) -> RknTableau:
     """One of the five reference methods: rkn-iiia, rkn-iiib, diagsymp,
     rkn-a, rkn-b.
 
-    The stored entries are cross-validated against regenerating the tableau
-    from the order-4 family parameters; disagreement beyond 1e-14 aborts,
-    guarding against transcription errors in either data path.  The check
-    runs on the first build of each name in a process; later calls return
-    that same tableau, which is frozen with read-only arrays.
+    Each is built on its first use in a process; later calls return that
+    same tableau, which is frozen with read-only arrays.
     """
     key = name.strip().lower()
     if key not in _NAMED:
         raise ValueError(
             f"unknown tableau {name!r}; expected one of {sorted(_NAMED)}"
         )
-    return _checked_named(key)
+    return _built_named(key)
 
 
 @functools.lru_cache(maxsize=None)
-def _checked_named(key: str) -> RknTableau:
-    params, rows = _NAMED[key]
-    t = RknTableau(
-        3,
-        np.array(_LOBATTO3_C),
-        np.array(rows),
-        np.array(_LOBATTO3_BBAR),
-        np.array(_LOBATTO3_B),
-        key,
-    )
-    dev = _max_deviation(t, discretize(build_order4(*params), lobatto_rule(3)))
-    if dev > CROSSCHECK_TOL:
-        raise TableauValidationError(
-            f"stored {key} tableau disagrees with its parameter "
-            f"reconstruction by {dev:.3e}"
-        )
-    return t
+def _built_named(key: str) -> RknTableau:
+    return RknTableau(3, _LOBATTO3_C, _NAMED[key], _LOBATTO3_BBAR, _LOBATTO3_B, key)
 
 
 def _max_deviation(t: RknTableau, u: RknTableau) -> float:

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from family_params import FAMILY_PARAMS
 
 from symrkn.cscoeff import (
     build_expansion,
@@ -42,14 +43,6 @@ from symrkn.tableau import (
 S3 = math.sqrt(3.0)
 S5 = math.sqrt(5.0)
 S15 = math.sqrt(15.0)
-
-FAMILY_PARAMS = {
-    "rkn-iiia": (-1 / 12, 0.0, S5 / 60),
-    "rkn-iiib": (-1 / 12, S5 / 60, 0.0),
-    "diagsymp": (0.0, S5 / 30, S5 / 30),
-    "rkn-a": (-1 / 10, S5 / 150, S5 / 60),
-    "rkn-b": (-1 / 10, S5 / 60, S5 / 150),
-}
 
 ALL_NAMED = tuple(FAMILY_PARAMS)
 

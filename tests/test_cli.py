@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import math
+import runpy
 import sys
 import time
 
@@ -10,7 +11,7 @@ import pytest
 
 from symrkn import cli, integrator
 from symrkn.cli import main
-from symrkn.errors import InvalidGridError, TableauValidationError
+from symrkn.errors import InvalidGridError, SymrknError
 from symrkn.integrator import StepConfig, global_error_study, integrate
 from symrkn.problems import kepler_2d, perturbed_pendulum
 from symrkn.tableau import (
@@ -38,6 +39,25 @@ def test_derive_named_method(capsys):
     assert "symplectic: no" in out
     assert "xi=4 eta=1 zeta=3" in out
     assert "order_bound: 4" in out
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(["derive", "--method", "rkn-a"], 0), (["derive", "--method", "rkn-z"], 1)],
+    ids=["ok", "usage"],
+)
+def test_the_module_run_as_a_script_exits_with_mains_code(argv, code, monkeypatch, capsys):
+    # python -m symrkn.cli: the __main__ guard hands main's code to sys.exit
+    monkeypatch.setattr(sys, "argv", ["symrkn", *argv])
+    assert main(argv) == code
+    want = capsys.readouterr()
+    # the module runs afresh from its file, as under python -m, which
+    # warns when it is imported already
+    monkeypatch.delitem(sys.modules, "symrkn.cli")
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("symrkn.cli", run_name="__main__")
+    assert info.value.code == code
+    assert capsys.readouterr() == want
 
 
 def test_derive_writes_interchange_file(tmp_path, capsys):
@@ -399,14 +419,17 @@ def test_top_level_exit_codes(capsys):
     ids=["derive", "converge", "drift"],
 )
 def test_a_library_error_that_is_no_value_error_exits_1(argv, monkeypatch, capsys):
-    # a failed built-in cross-validation is a RuntimeError; main maps
-    # every library error but a stage divergence to 1
-    def invalid(name):
-        raise TableauValidationError(f"{name} failed its cross-validation")
+    # main maps every library error but a stage divergence to 1, a
+    # RuntimeError among them
+    class Broken(SymrknError, RuntimeError):
+        pass
 
-    monkeypatch.setattr(cli, "named_tableau", invalid)
+    def broken(name):
+        raise Broken(f"{name} is broken")
+
+    monkeypatch.setattr(cli, "named_tableau", broken)
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: rkn-a failed its cross-validation\n"
+    assert capsys.readouterr().err == "error: rkn-a is broken\n"
 
 
 def test_emitted_floats_reparse_exactly(tmp_path):

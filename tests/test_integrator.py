@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from family_params import FAMILY_PARAMS
 
 from symrkn.cli import DEFAULT_H_LIST
 from symrkn.cscoeff import build_order2, build_order4
@@ -17,6 +18,7 @@ from symrkn.errors import (
 )
 from symrkn.integrator import (
     StepConfig,
+    Trajectory,
     _final_state,
     _step_count,
     _study_reference,
@@ -31,9 +33,15 @@ from symrkn.integrator import (
     step,
 )
 from symrkn.kernel import _blocks, _start_matrix, _stepper
-from symrkn.problems import _KeplerForce, harmonic_oscillator, kepler_2d, perturbed_pendulum
+from symrkn.problems import (
+    OdeProblem,
+    _KeplerForce,
+    harmonic_oscillator,
+    kepler_2d,
+    perturbed_pendulum,
+)
 from symrkn.quadrature import gauss_rule, lobatto_rule
-from symrkn.tableau import _NAMED, RknTableau, discretize, named_tableau
+from symrkn.tableau import RknTableau, discretize, named_tableau
 
 CFG = StepConfig(h=0.16)
 
@@ -174,7 +182,7 @@ def test_structure_selection():
     # diagonal, so its stages form one block, solved by Jacobi sweeps; the
     # named tableau's are exactly zero, so each stage is a block of its own
     tab = named_tableau("diagsymp")
-    rebuilt = discretize(build_order4(*_NAMED["diagsymp"][0]), lobatto_rule(3))
+    rebuilt = discretize(build_order4(*FAMILY_PARAMS["diagsymp"]), lobatto_rule(3))
     assert _blocks(tab.a_bar) == [[0], [1], [2]]
     assert 0.0 < np.abs(np.triu(rebuilt.a_bar, k=1)).max() < 1e-15
     assert _blocks(rebuilt.a_bar) == [[0, 1, 2]]
@@ -316,6 +324,49 @@ def test_explicit_stage_force_cannot_record_a_non_finite_sample():
         for kind in _as_scalar_and_array(dataclasses.replace(pend, q0=q0, p0=p0)):
             with pytest.raises(ValueError, match="initial state must be finite"):
                 integrate(named_tableau("rkn-a"), kind, 1.6, CFG)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", [(), (1,), (2,)])
+@pytest.mark.parametrize("field", ["q0", "p0"])
+def test_every_call_refuses_a_non_finite_start_before_any_force_call(bad, shape, field):
+    # checked before the kernel runs, so neither an explicit stage (the
+    # control) nor a stage solve (rkn-a) sees the start
+    calls = []
+
+    def force(t, q):
+        calls.append(t)
+        return -q
+
+    state = {"q0": np.full(shape, 0.5), "p0": np.full(shape, -0.25)}
+    state[field] = np.append(state[field].ravel()[:-1], bad).reshape(shape)
+    if shape == ():
+        state = {k: float(v) for k, v in state.items()}
+    prob = OdeProblem(max(1, np.size(state["q0"])), force, 0.0, **state)
+    for tab in (_control(), named_tableau("rkn-a")):
+        runs = (
+            lambda: step(tab, force, 0.0, prob.q0, prob.p0, CFG),
+            lambda: solve_stages(tab, force, 0.0, prob.q0, prob.p0, CFG),
+            lambda: reversibility_test(tab, prob, CFG.h),
+            lambda: integrate(tab, prob, 0.16, CFG),
+        )
+        for run in runs:
+            with pytest.raises(ValueError, match="^initial state must be finite$"):
+                run()
+    assert calls == []
+
+
+def test_trajectory_checks_its_fields():
+    times, rows = np.array([0.0, 0.5]), np.zeros((2, 1))
+    for q, p in ((rows[:1], rows), (rows, rows[:1])):
+        with pytest.raises(ValueError, match="^times, q, p must have equal lengths$"):
+            Trajectory(times, q, p)
+    with pytest.raises(ValueError, match="^energy_error length mismatch$"):
+        Trajectory(times, rows, rows, np.zeros(3))
+    for bad in (times[::-1], np.zeros(2)):
+        with pytest.raises(ValueError, match="^times must be strictly increasing$"):
+            Trajectory(bad, rows, rows)
+    assert not Trajectory(times, rows, rows, np.zeros(2)).diverged
 
 
 def test_zero_span_trajectory():

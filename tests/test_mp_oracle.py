@@ -19,6 +19,7 @@ import math
 
 import mpmath
 import pytest
+from family_params import FAMILY_PARAMS
 from mpmath import mp, mpf
 
 from symrkn.cscoeff import build_expansion, build_order2, build_order4, build_order6
@@ -27,7 +28,6 @@ from symrkn.tableau import discretize
 
 EPS = 2.0**-52
 DPS = 50
-S5 = math.sqrt(5.0)
 
 
 def _legendre_coefficients(n):
@@ -86,7 +86,7 @@ def test_rule_matches_50_digit_nodes_and_weights(kind, s):
 
 FAMILIES = [
     build_order2(0.3),
-    build_order4(-0.1, S5 / 150, S5 / 60),
+    build_order4(*FAMILY_PARAMS["rkn-a"]),
     build_order6(0.123),
     build_expansion(3, 6),
     build_expansion(6, 2),

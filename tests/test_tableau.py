@@ -4,9 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from family_params import FAMILY_PARAMS
 
 from symrkn.cscoeff import build_order2, build_order4, build_order6
-from symrkn.errors import TableauFormatError, TableauValidationError
+from symrkn.errors import TableauFormatError
 from symrkn.quadrature import gauss_rule, lobatto_rule
 from symrkn.tableau import (
     FORMAT_TAG,
@@ -24,19 +25,7 @@ from symrkn.tableau import (
     save_tableau,
 )
 
-S5 = math.sqrt(5.0)
-
 NAMES = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b")
-
-# (alpha, beta, gamma) regenerating each reference method from the
-# one-parameter-per-slot symmetric family on the 3-point Lobatto nodes
-PARAMS = {
-    "rkn-iiia": (-1 / 12, 0.0, S5 / 60),
-    "rkn-iiib": (-1 / 12, S5 / 60, 0.0),
-    "diagsymp": (0.0, S5 / 30, S5 / 30),
-    "rkn-a": (-1 / 10, S5 / 150, S5 / 60),
-    "rkn-b": (-1 / 10, S5 / 60, S5 / 150),
-}
 
 
 def _asymmetric_control() -> RknTableau:
@@ -88,17 +77,6 @@ def test_reference_rows_exact_values():
     np.testing.assert_allclose(named_tableau("rkn-iiia").a_bar[0], 0.0, atol=1e-16)
 
 
-def test_named_recovered_from_family_parameters():
-    rule = lobatto_rule(3)
-    for name in NAMES:
-        t = named_tableau(name)
-        ref = discretize(build_order4(*PARAMS[name]), rule)
-        assert np.abs(t.a_bar - ref.a_bar).max() < 1e-14
-        assert np.abs(t.b_bar - ref.b_bar).max() < 1e-14
-        assert np.abs(t.b - ref.b).max() < 1e-14
-        assert np.abs(t.c - ref.c).max() < 1e-14
-
-
 def test_unknown_name_rejected():
     with pytest.raises(ValueError):
         named_tableau("rkn-iiic")
@@ -133,41 +111,32 @@ def test_lower_triangular_is_computed_once_and_stays_exact(monkeypatch):
     signed = a_bar.copy()
     signed[0, 1] = -0.0
     assert RknTableau(3, c, signed, b_bar, b).lower_triangular
-    rebuilt = discretize(build_order4(*PARAMS["diagsymp"]), lobatto_rule(3))
+    rebuilt = discretize(build_order4(*FAMILY_PARAMS["diagsymp"]), lobatto_rule(3))
     assert 0.0 < np.abs(np.triu(rebuilt.a_bar, k=1)).max() < 1e-15
     assert not rebuilt.lower_triangular
 
 
-def test_named_tableau_is_built_and_checked_once_per_name(monkeypatch):
+def test_named_tableau_is_built_once_per_name(monkeypatch):
     from symrkn import tableau as tb
 
-    tb._checked_named.cache_clear()
+    tb._built_named.cache_clear()
     built = []
-    discretize_ = tb.discretize
+    tableau = tb.RknTableau
 
-    def counting_discretize(*args, **kwargs):
+    def counting_tableau(*args, **kwargs):
         built.append(args)
-        return discretize_(*args, **kwargs)
+        return tableau(*args, **kwargs)
 
-    monkeypatch.setattr(tb, "discretize", counting_discretize)
+    monkeypatch.setattr(tb, "RknTableau", counting_tableau)
     first = named_tableau("rkn-a")
-    assert len(built) == 1  # the cross-check's reconstruction
+    assert len(built) == 1
     assert named_tableau("rkn-a") is first
     assert named_tableau(" RKN-A ") is first
     assert len(built) == 1
     assert named_tableau("diagsymp") is not first
     assert len(built) == 2
-    # a failed check is not cached: the next call checks again
-    tb._checked_named.cache_clear()
-    monkeypatch.setattr(tb, "CROSSCHECK_TOL", -1.0)
-    with pytest.raises(TableauValidationError):
-        named_tableau("rkn-b")
-    with pytest.raises(TableauValidationError):
-        named_tableau("rkn-b")
-    assert len(built) == 4
-    monkeypatch.undo()
-    assert named_tableau("rkn-b").label == "rkn-b"
-    tb._checked_named.cache_clear()
+    assert all(named_tableau(n) is named_tableau(n) for n in NAMES)
+    assert len(built) == 5
 
 
 def test_discretize_weights_relation():
