@@ -48,8 +48,13 @@ class _Scalar:
     value = staticmethod(float)
     floats = staticmethod(lambda x: (x,))
 
-    # any one-element value; one of another size is a ValueError
-    state = staticmethod(lambda x: float(np.reshape(x, ())))
+    @staticmethod
+    def state(x):
+        # any one-element value; one of another size is a ValueError.  A
+        # float or np.float64 skips np.reshape, which costs ~2 us a call
+        if type(x) is float or type(x) is np.float64:
+            return float(x)
+        return float(np.reshape(x, ()))
 
     def names(self, name):
         return [name]
@@ -164,6 +169,25 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     has the bits of the iterate before it, so its converged solve keeps
     F_i (settle, in every solve).
 
+    When _first_same_as_last holds for the tableau, stage 0 of a step may
+    take the previous step's stage s - 1 as it is.  One guard before stage
+    0's sweep holds when, in every component, the start Q0 equals the
+    previous Q{s-1} and is not a zero, for the "point" form the stage time
+    T0 equals the previous T{s-1} (each Q{s-1} and T{s-1} is 0.0 before the
+    first step, which so never passes), and B0 + w0_0 * P{s-1} equals
+    Q{s-1}.  It then sets F0 = P{s-1}, with no force call and no sweep, and
+    keeps the start Q0.  The outcome has the bits of the full solve.
+    P{s-1} is the force at the point (T{s-1}, Q{s-1}): evaluated there by
+    its settle, or kept from an iterate with the same bits.  So, f being a
+    function of (t, q) alone, the first sweep would evaluate F0 = P{s-1}
+    at the same point: Q0 and Q{s-1} are equal and not zeros, so they have
+    the same bits, and so have T0 and T{s-1} (equal times are not
+    differently signed zeros, as T{s-1} = t + h with h nonzero is never
+    -0.0), and a template's force, always one of problems.py's, takes no
+    time.  The sweep's n = B0 + (w0_0 * F0) would then be the guard's
+    Q{s-1}, which is Q0, so every increment e0 = n - Q0 would be 0.0, the
+    solve would converge in that sweep, and settle would keep F0.
+
     form is "point" or a force template of problems.py with kind.size
     components.  One helper, call, writes every force evaluation, of one
     stage point: f at the time T{i} (kind.call) for "point"; else the
@@ -178,6 +202,8 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     S, K = range(s), range(kind.size)
     # the blocks with a nonzero a_bar entry among their own stages, as _blocks reads it
     iterated = [x for x in blocks if any(a[i][j] != 0 for i in x for j in x)]
+    # the last stage, which stage 0 of the next step may take over, or None
+    last = s - 1 if _first_same_as_last(c, a, b_bar, blocks) else None
 
     def dot(coeffs, names):
         terms = (f" + {_literal(x)} * {v}" for x, v in zip(coeffs, names))
@@ -233,10 +259,7 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
             diverging = f'"stage {block[0]} iterate is not finite"'
             stuck = f'"stage {block[0]} did not contract"'
         es = [x for i in block for x in E[i]]
-        lines = [
-            # the base and the previous step's forces P, extrapolated
-            *(f"{Q[i][k]} = {B[i][k]} + h2 * ({dot(M[i], col(P, k))})"
-              for i in block for k in K),
+        sweep = [
             "for _ in range(iters):",
             *(x for i in block for x in call("    ", i)),
             *(x for i in block for k in K for x in (
@@ -250,7 +273,25 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
             f"    raise _diverged({stuck}, {', '.join(es)})",
             *(x for i in block for x in settle("", i)),
         ]
-        return [ind + x for x in lines]
+        if last is not None and block == [0]:
+            # the previous step's stage last, taken over when the first
+            # sweep would return it unmoved (see above)
+            same = [
+                *(f"{x} == {y}" for x, y in zip(Q[0], Q[last])),
+                *(f"{x} != 0.0" for x in Q[0]),
+                *([f"T0 == T{last}"] if template is None else []),
+                *(f"{x} + (w0_0 * {y}) == {z}" for x, y, z in zip(B[0], P[last], Q[last])),
+            ]
+            sweep = [
+                f"if {' and '.join(same)}:",
+                *(f"    {x} = {y}" for x, y in zip(F[0], P[last])),
+                "else:",
+                *("    " + x for x in sweep),
+            ]
+        # the base and the previous step's forces P, extrapolated
+        start = [f"{Q[i][k]} = {B[i][k]} + h2 * ({dot(M[i], col(P, k))})"
+                 for i in block for k in K]
+        return [ind + x for x in start + sweep]
 
     out = [
         "def advance(stage_tol, iters, f, t0, q0, p0, h,",
@@ -262,6 +303,8 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     out += [f"    hc{i} = h * {_literal(c[i])}" for i in range(s)]
     out += [f"    w{i}_{j} = h2 * {_literal(a[i][j])}" for x in iterated for i in x for j in x]
     emit(f"    {' = '.join(x for i in S for x in P[i])} = 0.0")
+    if last is not None:
+        emit(f"    {' = '.join(Q[last] + ([f'T{last}'] if template is None else []))} = 0.0")
     emit("    mark = every if every < steps else steps")
     emit("    t = t0")
     emit("    for k in range(1, steps + 1):")
@@ -273,9 +316,12 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     emit("        conv = stage_tol * (1.0 + m)")
     emit("        lo = -conv")
     if template is None:
-        out += [f"        T{i} = t + hc{i}" for i in S]
+        # T{last} stays the previous step's until stage 0's guard has read it
+        out += [f"        T{i} = t + hc{i}" for i in S if i != last]
     done = []  # the stages solved so far, ascending
     for block in blocks:
+        if template is None and block == [last]:
+            emit(f"        T{last} = t + hc{last}")
         out += [f"        {B[i][k]} = {q0[k]} + hc{i} * {p0[k]} + h2 * ({reads(i, done, k)})"
                 for i in block for k in K]
         if block in iterated:
@@ -317,6 +363,35 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     emit(f"        [{', '.join(tup(x) for x in Q)}],")
     emit("    )")
     return "\n".join(out) + "\n"
+
+
+def _first_same_as_last(c, a, b_bar, blocks):
+    """Whether stage 0 of a step solves the fixed-point map that stage
+    s - 1 of the step before has just solved, the "first same as last"
+    property (Dormand and Prince 1980; Hairer, Lubich and Wanner, Geometric
+    Numerical Integration, VIII.6), by exact tests of the tableau's floats,
+    as _blocks reads a_bar: c_0 == 0.0 and c_{s-1} == 1.0; stages 0 and
+    s - 1 are each an iterated block of one stage, with a_00 == a_{s-1,s-1};
+    row 0 of a_bar is zero off the diagonal; and row s - 1 equals b_bar on
+    the stages solved before it, where b_bar is 0.0 on every other stage.
+
+    Then stage 0's base q1 + (h 0.0) p1 + h^2 (0.0) has, for finite forces,
+    the bits of stage s - 1's base q0 + (h 1.0) p0 + h^2 (a_{s-1,j} F_j
+    ...), the sum q1 of the update, whose extra terms 0.0 F_j add zeros
+    to sums that are never -0.0; and w0_0 is w{s-1}_{s-1}.  So the guard
+    _kernel_source writes for such a tableau mostly holds, though it tests
+    all it needs itself.
+    """
+    last = len(c) - 1
+    if not (c[0] == 0.0 and c[last] == 1.0 and [0] in blocks and [last] in blocks):
+        return False
+    before = {j for x in blocks[:blocks.index([last])] for j in x}
+    return (
+        a[0][0] != 0.0 and a[0][0] == a[last][last]
+        and all(a[0][j] == 0.0 for j in range(1, last + 1))
+        and all(a[last][j] == b_bar[j] if j in before else b_bar[j] == 0.0
+                for j in range(last + 1))
+    )
 
 
 def _diverged(what, *increments):

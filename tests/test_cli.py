@@ -537,6 +537,64 @@ def test_a_method_path_with_percent_and_comma_writes_the_row_by_row_bytes(
     assert f'\n"{path}",'.encode() in data
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # rkn-iiib diverges at step 2 and rkn-iiia at step 35, so their
+        # time grids are prefixes of diagsymp's 10 001 samples (three
+        # chunks), one written before it and one after; diagsymp twice
+        # writes one grid twice
+        ["drift", "--h", "2.0", "--t-end", "20000", "--sample-every", "1",
+         "--method", "rkn-iiib", "--method", "diagsymp", "--method", "rkn-iiia",
+         "--method", "diagsymp"],
+        ["converge", "--problem", "kepler", "--t-end", "2.0", "--h-list", "0.2,0.1,0.05",
+         "--method", "rkn-a", "--method", "diagsymp", "--method", "rkn-b"],
+    ],
+    ids=["drift-with-divergences", "converge"],
+)
+def test_shared_time_grids_write_the_row_by_row_bytes(argv, tmp_path, monkeypatch):
+    chunked, row_by_row = tmp_path / "chunked.csv", tmp_path / "row_by_row.csv"
+    code = main(argv + ["--out", str(chunked)])
+    assert code == (3 if argv[0] == "drift" else 0)
+    monkeypatch.setattr(cli, "_write_csv", _row_by_row)
+    assert main(argv + ["--out", str(row_by_row)]) == code
+    assert chunked.read_bytes() == row_by_row.read_bytes()
+
+
+class _Grid(np.ndarray):
+    """A float array whose tolist calls, which format it, log their rows."""
+
+    formatted = []
+
+    def tolist(self):
+        self.formatted.append(len(self))
+        return super().tolist()
+
+
+def test_the_csv_writer_formats_an_x_column_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_EMIT_CHUNK", 4)
+    monkeypatch.setattr(_Grid, "formatted", [])
+    grid = (np.arange(11) * 0.16).view(_Grid)
+    signed = grid.copy()
+    signed[0] = -0.0  # equal to grid, but not its bits
+    columns = [
+        ("a", grid),  # formatted and held, in chunks of 4, 4 and 3 rows
+        ("b%s", grid.copy()),  # the held bits: none formatted
+        ("c", grid[:8]),  # a prefix that ends on a chunk: none
+        ("d", grid[:6]),  # one that ends inside one: that chunk alone, 2 rows
+        ("e", grid[:0]),
+        ("f", signed),  # 4, 4 and 3 rows, held in grid's place
+        ("g", grid),  # and grid's 4, 4 and 3 again
+    ]
+    series = [(name, xs, np.linspace(-1.0, 1.0, len(xs)) * k)
+              for k, (name, xs) in enumerate(columns)]
+    chunked, row_by_row = tmp_path / "chunked.csv", tmp_path / "row_by_row.csv"
+    cli._write_csv(chunked, "method,t,y", series, ["# end"])
+    assert _Grid.formatted == [4, 4, 3, 2, 4, 4, 3, 4, 4, 3]
+    _row_by_row(row_by_row, "method,t,y", series, ["# end"])
+    assert chunked.read_bytes() == row_by_row.read_bytes()
+
+
 def test_drift_csv_has_the_trajectory_arrays(tmp_path):
     # .16e round-trips a float64, so the parsed columns are integrate's bits
     out = tmp_path / "drift.csv"

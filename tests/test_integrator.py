@@ -930,7 +930,7 @@ def test_integrate_starts_stages_from_the_previous_step(name, make, h, n):
 @pytest.mark.parametrize(
     "name, make, h, t_end, calls, before",
     [
-        ("diagsymp", perturbed_pendulum, 0.16, 160.0, 6778, 8135),
+        ("diagsymp", perturbed_pendulum, 0.16, 160.0, 6025, 8135),
         ("rkn-a", perturbed_pendulum, 0.16, 160.0, 13461, 14901),
         ("rkn-a", kepler_2d, 0.00625, 5.0, 4855, 7203),
         ("rkn-iiib", kepler_2d, 0.00625, 5.0, 4924, 7203),
@@ -944,7 +944,9 @@ def test_an_unmoved_iterate_reuses_its_force(name, make, h, t_end, calls, before
     # count when each stage solve evaluated its last iterate again, even
     # one with the bits of the iterate before it.  Each stage keeps its
     # force on its own: a Jacobi sweep that ends with one stage unmoved
-    # evaluates only the stages that moved
+    # evaluates only the stages that moved.  diagsymp's stage 0 also takes
+    # over the previous step's last stage where its first sweep would
+    # return that stage unmoved (6778 calls without that)
     prob = make()
     counted = []
 

@@ -28,7 +28,7 @@ import pytest
 
 from symrkn.errors import StageDivergenceError
 from symrkn.integrator import StepConfig, reference_tableau, step
-from symrkn.kernel import _blocks, _kernels, _start_matrix, _stepper
+from symrkn.kernel import _SCALAR, _blocks, _kernels, _start_matrix, _stepper
 from symrkn.problems import perturbed_pendulum
 from symrkn.tableau import RknTableau, named_tableau
 
@@ -350,6 +350,34 @@ def test_no_more_force_calls_than_the_generic_loops(name):
     assert len(kernel_calls) <= len(loop_calls)
 
 
+def test_stage_0_calls_a_driven_force_where_the_step_times_differ():
+    # diagsymp's stage 0 takes over the previous step's last stage only at
+    # the same time: step k starts at t0 + (k - 1) h, and the last stage of
+    # step k - 1 is at (t0 + (k - 2) h) + h, an ulp off at some steps
+    t = named_tableau("diagsymp")
+    h, steps = 0.16, 200
+    f, calls = _counting(_driven)
+    _, kernel = _stepper(t, f, 0.3, 1e-14, 100)
+    kernel(0.0, 0.3, 2.5, h, steps)
+    start = [0.0 + k * h for k in range(steps)]  # start[k]: step k + 1
+    differ = [k for k in range(1, steps) if start[k] != start[k - 1] + h * 1.0]
+    # no other stage is at such a step's start, so stage 0 called f there
+    called = set(calls)
+    assert differ and all(start[k] in called for k in differ)
+    _runs(t, _driven, h, steps=steps)
+
+
+
+@pytest.mark.parametrize(
+    "q0, p0",
+    [(0.735447898644388, 0.18269453944276748), (2.9275810379167737, 1.2904552133329084)],
+)
+def test_stage_0_takes_the_last_stage_over_only_where_it_would_not_move(q0, p0):
+    # on these runs some start Q0 equals the previous step's Q2, but the
+    # first sweep's iterate B0 + w0_0 F0 from it is not Q2: stage 0 that
+    # took Q2 over there would lose the bits of the generic loops
+    _runs(named_tableau("diagsymp"), _pendulum, 0.7, steps=200, q0=q0, p0=p0)
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["diagsymp", "rkn-iiib", "rkn-a"])
 def test_non_finite_forces_and_states(bad, name):
@@ -444,3 +472,15 @@ def test_divergence_traceback_shows_the_kernel_source():
     assert "<symrkn kernel s=3 (0,1)(2) " in text
     # every failed solve raises the error the one helper builds
     assert 'raise _diverged(f"stages did not contract in {iters} sweeps", e0, e1)' in text
+
+
+def test_scalar_state_takes_any_one_element_value():
+    # a float or np.float64 is taken as it is, anything else reshaped
+    state = _SCALAR.state
+    for x in (0.3, np.float64(0.3), np.array(0.3), np.array([0.3]), [0.3], np.array([[0.3]])):
+        assert type(state(x)) is float and state(x) == 0.3
+    assert type(state(3)) is float and state(3) == 3.0
+    assert math.copysign(1.0, state(-0.0)) == math.copysign(1.0, state(np.float64(-0.0))) == -1.0
+    for x in (np.array([0.3, 0.4]), [], np.zeros((2, 1))):
+        with pytest.raises(ValueError):
+            state(x)
