@@ -80,11 +80,13 @@ def _write_csv(out_path, header, series, trailers) -> None:
     Rows are written _EMIT_CHUNK at a time.  One % formats a chunk's xs
     into a text of "%s,<x>,%.16e" rows (%.16e writes what the f-string
     :.16e does); the series' name, any % in it escaped, replaces every %s,
-    and one more % writes the ys.  So an x column is formatted once: its
-    texts, one per chunk (2.4 MB for 75 001 rows), are held and serve every
-    later series whose xs have the bits of the held xs or of a prefix of
-    them, as the series of one time grid do, but for a prefix's short last
-    chunk, formatted alone.  Other xs are formatted and held in their place.
+    and one more % writes the ys.  So an x column is formatted once: while
+    a later series follows, its texts, one per chunk (2.4 MB for 75 001
+    rows), are held and serve every later series whose xs have the bits of
+    the held xs or of a prefix of them, as the series of one time grid do,
+    but for a prefix's short last chunk, formatted alone.  Other xs are
+    formatted and held in their place.  The last series holds nothing it
+    formats, so neither does a one-series run.
     """
     with (
         open(out_path, "w", encoding="utf-8") if out_path
@@ -92,11 +94,13 @@ def _write_csv(out_path, header, series, trailers) -> None:
     ) as fh:
         fh.write(header + "\n")
         column, texts = None, []  # the x column last formatted, by chunk
-        for name, xs, ys in series:
+        last = len(series) - 1
+        for index, (name, xs, ys) in enumerate(series):
             if column is None or len(xs) > len(column) or (
                 column[:len(xs)].tobytes() != xs.tobytes()
             ):
-                column, texts = xs, []
+                # the last series holds no text of its own
+                column, texts = (xs if index < last else None), []
             name = name.replace("%", "%%")
             for n, i in enumerate(range(0, len(xs), _EMIT_CHUNK)):
                 x = xs[i:i + _EMIT_CHUNK]

@@ -75,7 +75,8 @@ class Trajectory:
     diverged; the recorded samples end at the last completed step and are
     finite.
     failure_residual is the last stage increment of a stage-solver failure,
-    and None when the run completed or a non-finite sample ended it.
+    and None when the run completed or a non-finite sample, or a stage
+    start that is not finite, ended it.
     """
 
     times: np.ndarray = field(repr=False)
@@ -190,8 +191,11 @@ def integrate(
     jump within stage_tol of the converged stage) ends the run the same
     way: the kernel raises the stage divergence at its step, with no
     residual, and does not take the sample, so no recorded value is inf
-    or NaN.  Either way one WARNING goes to the "symrkn" logger.  Step k
-    starts at t0 + (k - 1) h, the first at t0 itself, as in step.
+    or NaN.  So does a stage start that is not finite where the force is
+    called per point, before the force sees it, so a math-based force
+    never gets inf or NaN from a stage value.  Either way one WARNING goes
+    to the "symrkn" logger.  Step k starts at t0 + (k - 1) h, the first at
+    t0 itself, as in step.
 
     Every step starts each stage block at its base plus the previous
     step's stage forces, extrapolated to the new nodes; those are zero

@@ -82,6 +82,11 @@ class _Floats(NamedTuple):
     tag = property(lambda self: f" d={self.size}")
 
     def state(self, x):
+        # any value of size floats; one of another size is a ValueError.  A
+        # float64 ndarray of shape (size,) skips np.asarray and reshape,
+        # which cost ~0.3 us a call
+        if type(x) is _NDARRAY and x.dtype is _FLOAT64 and x.ndim == 1 and len(x) == self.size:
+            return tuple(x.tolist())
         return tuple(np.asarray(x, dtype=float).reshape(self.size).tolist())
 
     def names(self, name):
@@ -106,6 +111,7 @@ class _Floats(NamedTuple):
 
 
 _SCALAR = _Scalar()
+_NDARRAY, _FLOAT64 = np.ndarray, np.dtype(np.float64)
 
 
 def _kind(q0):
@@ -146,23 +152,38 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     Any other block sweeps Q_i = B_i + (w_ij F_j + ...) over its own
     stages j, with w_ij = h^2 a_ij taken once per run, from the one start
     Q_i = B_i + h^2 (row i of the start matrix M times P): the previous
-    step's forces P{i}, extrapolated, which are 0.0 before the first step,
-    so a single-step call starts at B_i + h^2 (0.0 + ...).  That sum has
-    no 0.0 start, which could change only a -0.0 B_i, and B_i, ending in
-    + h^2 (0.0 + ...), is -0.0 only where that product underflows.  Every
-    other sum starts at 0.0 and adds its terms in ascending index, zero
-    coefficients included (0 * inf is NaN, and signed zeros must come out
-    the same), component by component.  h c_i is taken once per run.  One
-    loop, solve, sweeps one block, and each sweep starts by evaluating
+    step's forces P{i}, extrapolated, which are 0.0 before the first step.
+    h c_i is taken once per run.
+
+    Every sum, of a base, a start, a sweep or the update, is written by one
+    rule, component by component: the terms whose coefficient is not a zero,
+    by the exact test of _blocks (0.0 and -0.0 are both zeros), added left
+    to right in ascending index.  A sum with no such term is not written,
+    nor is h c_i p0 where c_i is a zero, nor w_ij where a_ij is.  So the
+    exact zeros of quadrature on Lobatto nodes (c_1 = 0, b_bar_s = 0 and
+    diagsymp's zero a_bar entries) cost no float work, a force that is not
+    finite never enters a sum through a zero coefficient, and the rule is
+    the same for both state kinds, so a (1,) run has the bits of the scalar
+    run.
+
+    One loop, solve, sweeps one block, and each sweep starts by evaluating
     every stage it solves.  Each sweep sets every stage component's
     increment e = new - old; a solve converges when -conv < e < conv for
     every component and diverges when some e is not finite (a sum of 0.0 * e
     that is not 0.0, the one finiteness test, as for a sample), before the
     force sees the iterate: a failed solve evaluates no force it discards.
     Either failure, divergence or no convergence in iters sweeps, is one
-    line, raise _diverged(message, e...).  That error, one for a non-finite
-    sample, and one the force raises without a step index, gets the
-    1-based index of its step.
+    line, raise _diverged(message, e...).  For the "point" form a block's
+    start, or an explicit stage's value, that is not finite ends the step
+    too, with no residual, before f sees it; so f never gets inf or NaN
+    from a stage value, and a math-based f raises no ValueError on one.  An
+    inline template gets no such test.  Kepler's takes a point that is not
+    finite to the force itself, which is numpy's.  The pendulum's force is
+    bounded, so only a state or step near the float range, where
+    q0 + h c_i p0 overflows, gives it an infinite stage value, and then
+    math.sin raises ValueError.
+    A divergence, one for a non-finite sample, and one the force raises
+    without a step index, gets the 1-based index of its step.
 
     A stage whose last increment is 0.0 in every component, and none of
     whose components is a zero (0.0 == -0.0, but f may tell them apart),
@@ -202,19 +223,21 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     S, K = range(s), range(kind.size)
     # the blocks with a nonzero a_bar entry among their own stages, as _blocks reads it
     iterated = [x for x in blocks if any(a[i][j] != 0 for i in x for j in x)]
+    # the stages each stage of an iterated block reads in its sweep
+    own = {i: [j for j in x if a[i][j] != 0.0] for x in iterated for i in x}
     # the last stage, which stage 0 of the next step may take over, or None
     last = s - 1 if _first_same_as_last(c, a, b_bar, blocks) else None
 
-    def dot(coeffs, names):
-        terms = (f" + {_literal(x)} * {v}" for x, v in zip(coeffs, names))
-        return "0.0" + "".join(terms)
+    def terms(coeffs, names):
+        # x * v for each coefficient x that is not a zero, by _blocks' exact test
+        return [f"{_literal(x)} * {v}" for x, v in zip(coeffs, names) if x != 0.0]
+
+    def plus(head, scale, terms):
+        # head + scale (the terms, left to right); head alone with no term
+        return f"{head} + {scale}({' + '.join(terms)})" if terms else head
 
     def col(rows, k):
         return [row[k] for row in rows]
-
-    def reads(i, stages, k):
-        # row i of a_bar times the forces of stages, component k
-        return dot([a[i][j] for j in stages], [F[j][k] for j in stages])
 
     template = None if form == "point" else form
 
@@ -249,6 +272,14 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
         # 0.0 * x is NaN exactly when x is not finite, and a sum of zeros is a zero
         return " + ".join(f"0.0 * {x}" for x in names) + " != 0.0"
 
+    def finite(block):
+        # for "point", a start that is not finite ends the step before f sees it
+        if template is not None:
+            return []
+        what = f"stage {block[0]} start is" if len(block) == 1 else "stage starts are"
+        return [f"if {not_finite([x for i in block for x in Q[i]])}:",
+                f'    raise StageDivergenceError("{what} not finite")']
+
     def solve(ind, block):
         # Q_i = B_i + (w_ij F_j + ...) over the block, swept from the start
         # until converged, else raise; then F_i of every stage that moved
@@ -263,7 +294,7 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
             "for _ in range(iters):",
             *(x for i in block for x in call("    ", i)),
             *(x for i in block for k in K for x in (
-                f"    n = {B[i][k]} + ({' + '.join(f'w{i}_{j} * {F[j][k]}' for j in block)})",
+                f"    n = {B[i][k]} + ({' + '.join(f'w{i}_{j} * {F[j][k]}' for j in own[i])})",
                 f"    {E[i][k]} = n - {Q[i][k]}", f"    {Q[i][k]} = n")),
             f"    if {all_of('lo < {} < conv', es)}:",
             "        break",
@@ -289,9 +320,9 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
                 *("    " + x for x in sweep),
             ]
         # the base and the previous step's forces P, extrapolated
-        start = [f"{Q[i][k]} = {B[i][k]} + h2 * ({dot(M[i], col(P, k))})"
+        start = [f"{Q[i][k]} = {plus(B[i][k], 'h2 * ', terms(M[i], col(P, k)))}"
                  for i in block for k in K]
-        return [ind + x for x in start + sweep]
+        return [ind + x for x in start + finite(block) + sweep]
 
     out = [
         "def advance(stage_tol, iters, f, t0, q0, p0, h,",
@@ -301,7 +332,7 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     out += kind.unpack("q0") + kind.unpack("p0")
     emit("    h2 = h * h")
     out += [f"    hc{i} = h * {_literal(c[i])}" for i in range(s)]
-    out += [f"    w{i}_{j} = h2 * {_literal(a[i][j])}" for x in iterated for i in x for j in x]
+    out += [f"    w{i}_{j} = h2 * {_literal(a[i][j])}" for i in own for j in own[i]]
     emit(f"    {' = '.join(x for i in S for x in P[i])} = 0.0")
     if last is not None:
         emit(f"    {' = '.join(Q[last] + ([f'T{last}'] if template is None else []))} = 0.0")
@@ -322,20 +353,25 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     for block in blocks:
         if template is None and block == [last]:
             emit(f"        T{last} = t + hc{last}")
-        out += [f"        {B[i][k]} = {q0[k]} + hc{i} * {p0[k]} + h2 * ({reads(i, done, k)})"
-                for i in block for k in K]
+        for i in block:
+            for k in K:
+                head = q0[k] if c[i] == 0.0 else f"{q0[k]} + hc{i} * {p0[k]}"
+                reads = terms([a[i][j] for j in done], [F[j][k] for j in done])
+                emit(f"        {B[i][k]} = {plus(head, 'h2 * ', reads)}")
         if block in iterated:
             out += solve("        ", block)
         else:
             (i,) = block
             out += [f"        {Q[i][k]} = {B[i][k]}" for k in K]
+            out += ["        " + x for x in finite(block)]
             out += call("        ", i)
         done = sorted(done + block)
-    # the update: every q before any p, since each q reads the old p
-    for k in K:
-        emit(f"        {q0[k]} = {q0[k]} + h * {p0[k]} + h2 * ({dot(b_bar, col(F, k))})")
-    for k in K:
-        emit(f"        {p0[k]} = {p0[k]} + h * ({dot(b, col(F, k))})")
+    # the update: every q before any p, since each q reads the old p; a
+    # p whose sum has no term is left as it is
+    update = [(x, plus(f"{x} + h * {v}", "h2 * ", terms(b_bar, col(F, k))))
+              for k, (x, v) in enumerate(zip(q0, p0))]
+    update += [(v, plus(v, "h * ", terms(b, col(F, k)))) for k, v in enumerate(p0)]
+    out += [f"        {x} = {y}" for x, y in update if y != x]
     emit("        t = t0 + k * h")
     out += [f"        {P[i][k]} = {F[i][k]}" for i in S for k in K]
     emit("        if k == mark:")
@@ -375,12 +411,14 @@ def _first_same_as_last(c, a, b_bar, blocks):
     row 0 of a_bar is zero off the diagonal; and row s - 1 equals b_bar on
     the stages solved before it, where b_bar is 0.0 on every other stage.
 
-    Then stage 0's base q1 + (h 0.0) p1 + h^2 (0.0) has, for finite forces,
-    the bits of stage s - 1's base q0 + (h 1.0) p0 + h^2 (a_{s-1,j} F_j
-    ...), the sum q1 of the update, whose extra terms 0.0 F_j add zeros
-    to sums that are never -0.0; and w0_0 is w{s-1}_{s-1}.  So the guard
-    _kernel_source writes for such a tableau mostly holds, though it tests
-    all it needs itself.
+    Then, under the one rule for sums (see _kernel_source), stage 0's base
+    is q1 itself, and stage s - 1's base q0 + (h 1.0) p0 + h^2 (a_{s-1,j}
+    F_j ...) is, term for term, the sum q1 of the update, q0 + h p0 + h^2
+    (b_bar_j F_j ...): equal nonzero coefficients on the same stages, in
+    the same order, as h 1.0 is h.  So B_{s-1} of one step has the bits of
+    B0 of the next, and w0_0 is w{s-1}_{s-1}.  So the guard _kernel_source
+    writes for such a tableau mostly holds, though it tests all it needs
+    itself.
     """
     last = len(c) - 1
     if not (c[0] == 0.0 and c[last] == 1.0 and [0] in blocks and [last] in blocks):

@@ -13,21 +13,24 @@ equal its own byte for byte.
 
 The numpy stage solver (_numpy_step below), the same rule on (stages, d)
 arrays, is an independent oracle, stepped from each state the kernel
-sampled with the bit reference's forces of the step before.  It sums the
-bases, the extrapolated start and the update with BLAS matrix products,
-in an order of its own, so each step must agree within a few ulps of
-each stage sum, not bit for bit, and raise the same exception type.  Its
-sweep adds the block's
-own columns in ascending order, as the rule does: a BLAS product there
-rounds rkn-iiib's stage 1 one ulp off on Kepler at h = 0.3, and the force
-carries that ulp into stage 0's second component, ~0.014, as 5 ulps of
-its own sum, which the per-sum bound does not model.  Its message must be
-the same for divergence within a few sweeps.  After many sweeps of a map
-that does not contract, rounding differences grow until the residuals are
-unrelated; and the kernel stops at an iterate that is not finite, where
-the oracle sweeps on to max_iters.  There only the type must agree.  The
-oracle never checked the shape of a per-point result (numpy broadcast it),
-so that check is held to the bit reference alone.
+sampled with the bit reference's forces of the step before.  It is held
+to a few ulps of each stage sum, not bit for bit, and must raise the same
+exception type.  Every sum of it runs as the rule's do, row by row: left
+to right over the nonzero coefficients alone.  BLAS products, in an order
+of their own, drift from that in three ways the per-sum bound does not
+model.  A sum of -0.0 terms alone comes out 0.0 where the rule's is -0.0,
+and a force that tells the zeros apart carries that into the stage values
+(test_a_zero_iterate_is_evaluated_again).  A force that is not finite
+enters, as 0 * inf, a sum the rule leaves it out of.  And in a sweep, a
+product rounds rkn-iiib's stage 1 one ulp off on Kepler at h = 0.3, which
+the force carries into stage 0's second component, ~0.014, as 5 ulps of
+its own sum.  Its message must be the same for divergence within a few
+sweeps.  After many sweeps of a map that does not contract, rounding
+differences grow until the residuals are unrelated; and the kernel stops
+at a start or an iterate that is not finite, where the oracle sweeps on to
+max_iters.  There only the type must agree.  The oracle never checked the
+shape of a per-point result (numpy broadcast it), so that check is held
+to the bit reference alone.
 """
 
 import dataclasses
@@ -41,10 +44,18 @@ import pytest
 
 from symrkn.errors import StageDivergenceError
 from symrkn.integrator import StepConfig, integrate, reference_tableau
-from symrkn.kernel import _blocks, _start_matrix, _stepper
-from symrkn.problems import kepler_2d
+from symrkn.kernel import _blocks, _Floats, _start_matrix, _stepper
+from symrkn.problems import _TEMPLATES, kepler_2d
 from symrkn.tableau import RknTableau, named_tableau
-from test_scalar_kernel import SHAPES, _pattern, _random_tableau, _stepped
+from test_scalar_kernel import (
+    SHAPES,
+    _pattern,
+    _plus,
+    _random_tableau,
+    _start_is_finite,
+    _stepped,
+    _total,
+)
 
 _max = np.maximum.reduce
 
@@ -74,16 +85,17 @@ def _float_advance(t, stage_tol, iters, blocks, M):
     def step(f, t0, q0, p0, h, P):
         d = len(q0)
         K = range(d)
+        # the kernel tests starts for finiteness where it calls f per point
+        point = type(f) not in _TEMPLATES
         h2 = h * h
         conv = stage_tol * (1.0 + _most(q0))
         times = [t0 + c[i] * h for i in range(s)]
-        free = [[q0[k] + h * c[i] * p0[k] for k in K] for i in range(s)]
+        free = [[q0[k] if c[i] == 0.0 else q0[k] + h * c[i] * p0[k] for k in K]
+                for i in range(s)]
 
         def dot(coeffs, rows, k):
-            acc = 0.0
-            for x, row in zip(coeffs, rows):
-                acc += x * row[k]
-            return acc
+            # over the nonzero coefficients alone, None for none
+            return _total(x * row[k] for x, row in zip(coeffs, rows) if x != 0.0)
 
         def force(i, q):
             r = f(times[i], np.array(q))
@@ -92,28 +104,28 @@ def _float_advance(t, stage_tol, iters, blocks, M):
             return np.asarray(r, dtype=float).tolist()
 
         def own(i, block, k):
-            # h^2 a_ij F_j over the block's own stages, ascending, with no 0.0 start
-            acc = h2 * a[i][block[0]] * F[block[0]][k]
-            for j in block[1:]:
-                acc += h2 * a[i][j] * F[j][k]
-            return acc
+            # h^2 a_ij F_j over the block's own stages, ascending
+            return _total(h2 * a[i][j] * F[j][k] for j in block if a[i][j] != 0.0)
 
         Q, F = [None] * s, [None] * s
         done = []
         for block in blocks:
             # each base sums the stages solved before the block
             base = {
-                i: [free[i][k] + h2 * dot([a[i][j] for j in done], [F[j] for j in done], k)
+                i: [_plus(free[i][k], h2, dot([a[i][j] for j in done], [F[j] for j in done], k))
                     for k in K]
                 for i in block
             }
-            if not any(a[i][j] != 0.0 for i in block for j in block):
-                # one stage with a zero a_ii: explicit
-                Q[block[0]] = base[block[0]]
-            else:
-                for i in block:
-                    # the base and the previous forces P, extrapolated
-                    Q[i] = [base[i][k] + h2 * dot(M[i], P, k) for k in K]
+            # one stage with a zero a_ii is explicit
+            iterated = any(a[i][j] != 0.0 for i in block for j in block)
+            for i in block:
+                # an explicit stage's value is its base; any other stage
+                # starts at its base and the previous forces P, extrapolated
+                Q[i] = [_plus(x, h2, dot(M[i], P, k)) if iterated else x
+                        for k, x in enumerate(base[i])]
+            if point:
+                _start_is_finite([x for i in block for x in Q[i]], block)
+            if iterated:
                 diff = math.inf
                 for _ in range(iters):
                     for i in block:
@@ -141,14 +153,28 @@ def _float_advance(t, stage_tol, iters, blocks, M):
             for i in block:
                 F[i] = force(i, Q[i])
             done = sorted(done + block)
-        q1 = tuple(q0[k] + h * p0[k] + h2 * dot(b_bar, F, k) for k in K)
-        p1 = tuple(p0[k] + h * dot(b, F, k) for k in K)
+        q1 = tuple(_plus(q0[k] + h * p0[k], h2, dot(b_bar, F, k)) for k in K)
+        p1 = tuple(_plus(p0[k], h, dot(b, F, k)) for k in K)
         return q1, p1, Q, F
 
     def advance(f, t0, q0, p0, h, *args, **kwargs):
         return _stepped(step, [[0.0] * len(q0)] * s, f, t0, q0, p0, h, *args, **kwargs)
 
     return advance
+
+
+def _plus_rows(head, scale, A, X):
+    """head + scale * (A @ X) by row of A, as the rule sums: each row left
+    to right over its nonzero entries alone, so with no 0 * inf and no 0.0
+    start, and head alone in a row with none.  A is (m, n) or (n,), X
+    (n, d), and head broadcasts to (m, d)."""
+    A = np.atleast_2d(A)
+    head = np.broadcast_to(head, (len(A), X.shape[1]))
+    with np.errstate(all="ignore"):
+        return np.array([
+            _plus(head[r], scale, _total(x * X[n] for n, x in enumerate(row) if x != 0.0))
+            for r, row in enumerate(A)
+        ])
 
 
 def _numpy_step(t, stage_tol, iters, blocks, M):
@@ -161,28 +187,29 @@ def _numpy_step(t, stage_tol, iters, blocks, M):
         conv = stage_tol * (1.0 + float(_max(np.abs(q0), axis=None)))
         h2 = h * h
         times = t0 + c * h
-        free = q0[None, :] + (h * c)[:, None] * p0[None, :]
+        free = _plus_rows(q0[None, :], h, c[:, None], p0[None, :])
         Q = np.zeros_like(free)
         F = np.zeros_like(free)
         done = []
         for block in blocks:
             # the bases sum the stages solved before the block
-            base = free[block] + h2 * (a[np.ix_(block, done)] @ F[done])
+            base = _plus_rows(free[block], h2, a[np.ix_(block, done)], F[done])
             own = a[np.ix_(block, block)]
             if not own.any():
                 # one stage with a zero a_ii: explicit
                 Q[block] = base
             else:
-                Q[block] = base + h2 * (M[block] @ P)
+                Q[block] = _plus_rows(base, h2, M[block], P)
                 w = h2 * own
                 diff = math.inf
                 for _ in range(iters):
                     F[block] = [f(times[i], Q[i]) for i in block]
-                    # the block's own columns in ascending order, as the rule sums them
-                    acc = w[:, :1] * F[block[0]]
-                    for n in range(1, len(block)):
-                        acc = acc + w[:, n : n + 1] * F[block[n]]
-                    Qn = base + acc
+                    # the block's own columns in ascending order, as the rule
+                    # sums them: each row over its nonzero entries alone
+                    Qn = np.array([
+                        base[r] + _total(w[r, n] * F[j] for n, j in enumerate(block) if own[r, n])
+                        for r in range(len(block))
+                    ])
                     diff = float(_max(np.abs(Qn - Q[block]), axis=None))
                     Q[block] = Qn
                     if diff < conv:
@@ -195,7 +222,8 @@ def _numpy_step(t, stage_tol, iters, blocks, M):
                     )
             F[block] = [f(times[i], Q[i]) for i in block]
             done = sorted(done + block)
-        return q0 + h * p0 + h2 * (t.b_bar @ F), p0 + h * (t.b @ F), Q, F
+        q1 = _plus_rows(q0 + h * p0, h2, t.b_bar, F)[0]
+        return q1, _plus_rows(p0, h, t.b, F)[0], Q, F
 
     return step
 
@@ -534,3 +562,28 @@ def test_divergence_has_the_message_and_residual_of_the_stage_solver(name):
         # extrapolated start's bits
         got = _runs(t, _stiff_late, 1e-5, q0, p0, steps=6, max_iters=max_iters)
         assert got[0] == "raised" and got[4] >= 3
+
+
+def test_array_state_takes_any_value_of_its_size():
+    # a float64 ndarray of the kind's shape is taken by tolist alone,
+    # anything else through np.asarray and reshape: always size floats
+    state = _Floats(2).state
+    cases = [
+        (np.array([0.3, -0.0]), (0.3, -0.0)),
+        ([0.3, -0.0], (0.3, -0.0)),
+        ((0.3, -0.0), (0.3, -0.0)),
+        (np.array([[0.3], [-0.0]]), (0.3, -0.0)),
+        (np.array([0.3, -0.0]).astype(">f8"), (0.3, -0.0)),
+        (np.array([0.3, 0.0, -0.0])[::2], (0.3, -0.0)),
+        (np.array([1, 2]), (1.0, 2.0)),
+        ([1, 2], (1.0, 2.0)),
+        (np.array([0.3, -0.5], dtype=np.float32), (float(np.float32(0.3)), -0.5)),
+        (np.array([math.nan, -math.inf]), (math.nan, -math.inf)),
+    ]
+    for x, want in cases:
+        got = state(x)
+        assert type(got) is tuple and [type(v) for v in got] == [float, float]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    for x in (np.zeros(3), np.zeros(1), [0.0], np.zeros((2, 2)), np.float64(0.3), 0.3):
+        with pytest.raises(ValueError):
+            state(x)

@@ -5,6 +5,7 @@ import math
 import runpy
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,21 @@ def test_converge_divergence_exit(capsys):
     _, data, trailers = _rows(capsys.readouterr().out)
     assert all(math.isnan(float(row[2])) for row in data)
     assert math.isnan(float(trailers[0].split(",")[2]))
+
+
+@pytest.mark.parametrize("method", ["rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b"])
+def test_a_step_of_1e308_is_a_solver_failure(method, capsys, caplog):
+    # h^2 overflows to inf, so the one step's stage solve fails: the run is
+    # a nan cell and exit 3, with one warning, not an escaped exception
+    argv = ["drift", "--method", method, "--h", "1e308", "--t-end", "1e308"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    _, data, trailers = _rows(captured.out)
+    assert [row[1] for row in data] == ["0.0000000000000000e+00"]
+    assert len(trailers) == 2 and all(x.endswith(",nan") for x in trailers)
+    assert captured.err == ""
+    warnings = [r.getMessage() for r in caplog.records if r.name == "symrkn"]
+    assert len(warnings) == 1 and "diverged at step 1 of 1" in warnings[0]
 
 
 def test_a_diverged_reference_writes_no_csv_and_exits_3(capsys):
@@ -593,6 +609,28 @@ def test_the_csv_writer_formats_an_x_column_once(tmp_path, monkeypatch):
     assert _Grid.formatted == [4, 4, 3, 2, 4, 4, 3, 4, 4, 3]
     _row_by_row(row_by_row, "method,t,y", series, ["# end"])
     assert chunked.read_bytes() == row_by_row.read_bytes()
+
+
+def test_the_csv_writer_holds_texts_only_while_a_later_series_follows(
+    tmp_path, monkeypatch
+):
+    # a chunk's texts are ~30 kB; a column of 20 001 rows held for a later
+    # series is ~0.7 MB, and a one-series run holds none
+    monkeypatch.setattr(cli, "_EMIT_CHUNK", 512)
+    xs = np.arange(20_001) * 0.16
+    peaks = []
+    for n in (1, 2):
+        series = [(f"m{k}", xs, np.sin(xs)) for k in range(n)]
+        out = tmp_path / f"{n}.csv"
+        tracemalloc.start()
+        try:
+            cli._write_csv(out, "method,t,y", series, [])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        _row_by_row(tmp_path / "rows.csv", "method,t,y", series, [])
+        assert out.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert peaks[0] < 2e5 and peaks[1] > 5e5
 
 
 def test_drift_csv_has_the_trajectory_arrays(tmp_path):

@@ -288,6 +288,31 @@ def test_an_infinite_force_ends_the_run_as_a_divergence(name):
             assert np.all(np.isfinite(values))
 
 
+@pytest.mark.parametrize("sample_every", [1, 5])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_force_called_per_point_never_gets_a_stage_value_that_is_not_finite(
+    bad, sample_every
+):
+    # step 4 spans [0.48, 0.64]: diagsymp's explicit stage 1, at 0.56, gets
+    # the bad force, which makes stage 2's start not finite.  The step ends
+    # there, before the force sees that start: math.sin(inf) would raise
+    # ValueError out of integrate
+    seen = []
+
+    def force(t, q):
+        seen.append(q)
+        return bad if 0.5 < t < 0.6 else -math.sin(q) - 0.4 * math.cos(2 * q)
+
+    prob = dataclasses.replace(perturbed_pendulum(), force=force)
+    for kind in _as_scalar_and_array(prob):
+        traj = integrate(named_tableau("diagsymp"), kind, 1.6, CFG, sample_every)
+        assert traj.diverged and traj.failure_step == 4
+        assert traj.failure_residual is None
+        want = [k * 0.16 for k in range(0, 4, sample_every)]
+        assert traj.times.tobytes() == np.array(want).tobytes()
+        assert all(map(math.isfinite, seen))
+
+
 @pytest.mark.parametrize("name", FIVE + ("order6-gauss3",))
 def test_scalar_and_one_component_runs_have_the_same_bits(name):
     # both state kinds run kernels from one generator, with the same sums
@@ -316,9 +341,10 @@ def test_explicit_stage_force_cannot_record_a_non_finite_sample():
         assert traj.times.shape == (3,)
         # a non-finite sample ended the run, not the stage solver
         assert traj.failure_residual is None
-        # unsampled, the NaN state reaches step 4, whose stage solve fails
+        # unsampled, the NaN state reaches step 4, whose first stage start
+        # ends it before the force sees it: no sweep, so no residual
         assert skipped.diverged and skipped.failure_step == 4
-        assert math.isnan(skipped.failure_residual)
+        assert skipped.failure_residual is None
         assert skipped.times.shape == (2,)
     for q0, p0 in ((math.nan, 2.5), (0.0, math.inf)):
         for kind in _as_scalar_and_array(dataclasses.replace(pend, q0=q0, p0=p0)):
@@ -1159,7 +1185,9 @@ def _nan_after(prob, t_bad):
 @pytest.mark.parametrize("name", ["diagsymp", "rkn-a"], ids=["sequential", "jacobi"])
 def test_samples_and_failure_step_of_a_run_cut_short(name):
     # step 7 spans [0.96, 1.12]; its stages after the first see NaN forces,
-    # so the stage solve fails there: samples at steps 0, 3 and 6 only
+    # so the stage solve fails there: samples at steps 0, 3 and 6 only.
+    # diagsymp's explicit stage 1 takes in a NaN force, and the start of
+    # stage 2 ends the step before the force sees it, with no residual
     tab = named_tableau(name)
     assert len(_blocks(tab.a_bar)) == (3 if name == "diagsymp" else 1)
     for kind in _state_kinds(perturbed_pendulum()):
@@ -1167,7 +1195,7 @@ def test_samples_and_failure_step_of_a_run_cut_short(name):
         prob = _nan_after(kind, 0.97)
         traj = integrate(tab, prob, 1.6, CFG, sample_every=3)
         assert traj.diverged and traj.failure_step == 7
-        assert traj.failure_residual is not None
+        assert (traj.failure_residual is None) == (name == "diagsymp")
         assert traj.times.tobytes() == np.array([0.0, 3 * 0.16, 6 * 0.16]).tobytes()
         for field in ("q", "p", "energy_error"):
             got, want = getattr(traj, field), getattr(whole, field)[[0, 3, 6]]

@@ -9,19 +9,21 @@ generated code; when that is meant, record the new digest here and say
 why.  The inline kernels run the benchmark: the scalar pendulum kernels
 pendulum-drift, the d = 2 Kepler kernels kepler-converge.
 
-All 30 digests were last re-recorded when the kernel lost two pieces of
-dead text: the e... = inf lines before each iterated block, which no
-sweep reads as iters >= 1, and the NaN test (or x != x) of the largest
-|q0_k|, since a NaN q0_k fails the first sweep whatever the tolerance
-scale.  The arithmetic, messages, residuals and step indices did not
-move.  The five diagsymp digests were re-recorded after that, when its
-kernels gained the guard that lets stage 0 take over the previous step's
-last stage (kernel._first_same_as_last); no other digest moved, and
-neither did any trajectory bit.
+All 30 digests were last re-recorded when every sum of the kernel came
+to be written by one rule: the terms of its nonzero coefficients alone,
+left to right, and a sum with none not written (no 0.0 start, no
+0.0 * F2 in the q update, no h2 * (0.0) base, no hc0 * p0 for c_0 = 0).
+Every digest moved, as every kernel had a 0.0 start.  The per-point
+kernels also gained the test that a block's start, or an explicit
+stage's value, is finite before the force sees it.  Trajectory bits
+moved only where a sum of zeros alone is now -0.0, or where a force
+that is not finite was read through a zero coefficient; no workload
+output moved.
 """
 
 import hashlib
 import linecache
+import math
 import re
 from pathlib import Path
 
@@ -54,49 +56,49 @@ from symrkn.quadrature import lobatto_rule
 from symrkn.tableau import RknTableau, discretize, named_tableau
 from test_array_kernel import _driven as _driven_array
 from test_array_kernel import _runs as _array_runs
-from test_scalar_kernel import _driven, _pendulum
+from test_scalar_kernel import _driven, _pendulum, _sign_of_zero
 from test_scalar_kernel import _runs as _scalar_runs
 
 METHODS = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3")
 
 SCALAR = {
-    "rkn-iiia": "861f55422808e48964ed8e60dce86e505513f11083bf37aacfaf84213dc53daf",
-    "rkn-iiib": "f1b131c81142e218175c88029c343f75c6d9b54fc24facf7cad2c5325e351477",
-    "diagsymp": "ec3da66a1b0e7c589ab0a44d4409183221ce1c4df70bef6ae78875399a26696d",
-    "rkn-a": "485d31a4511de19c53be25e0f597f8ef31f9ad3ca5fccd54abe8cd89fbeaead7",
-    "rkn-b": "48caa864e87ad98193afbec8f3d251bb38e7c5274a25f63003b6c95a7f561349",
-    "order6-gauss3": "3f70fbb9ea1b427f3150acfef50f672b6725861f5f31f9c1df47e6caed2f6ce7",
+    "rkn-iiia": "efd498ecd411aa9dab578191f886447597e1eca24b4541fb607a814bf6acdd2c",
+    "rkn-iiib": "c89bdb80416c09c0ffb2de34592dad2802478182750f0d81b2cd21895c848300",
+    "diagsymp": "3a5d6f6fe2b189a10958595f426e9fd030d93ae7bcba4bc1fee7d40ab82fae18",
+    "rkn-a": "0134af7a2396b3ef5254f9afb18ef0df35862020787e99bc3b39d593d69cb2e2",
+    "rkn-b": "1404700ee82c8c684162040cc80485d0bc526a16330c849d8ba1554d5b8bd140",
+    "order6-gauss3": "c738ac49c85002bd2948dcfc99fd25df241cf2d1a7e509aca7d007dbb84c8da1",
 }
 
 ARRAY = {
-    ("rkn-iiia", 1, "point"): "6f7cbf652c94fa1d65736bae1acda04fac767be4d69f66de38febc316ad65553",
-    ("rkn-iiia", 2, "point"): "d19b90bd2ede0817a3f764d66c197420c32e55aa8410d5952f5d5857280146d6",
-    ("rkn-iiib", 1, "point"): "1d96104f37281f47d7fd8da180d897a8ec58adda50101a2003ea159c56499c5a",
-    ("rkn-iiib", 2, "point"): "34fb4b1218b30dccb99cb36ed39bb48c5ec8e8e5ad50a4f896fd2c153ffb4540",
-    ("diagsymp", 1, "point"): "b2d8c6fd41292880a91f264a534c44c11f6e38fd90d900a1cfc323230f0242e8",
-    ("diagsymp", 2, "point"): "7dce762f1c2437fb4fbce94073f884963bc6ff6ead6791e7974a90ff47049633",
-    ("rkn-a", 1, "point"): "fbbc3f0025dda5ac3e501f2e036f36f710a086274a16807a213fcb902cd4ac9b",
-    ("rkn-a", 2, "point"): "a77c6998bb0d6700519984d32310182622018d62433120c99e30750788f7ffe4",
-    ("rkn-b", 1, "point"): "97bfa2fda4233f218bbb78e21e49a601986e7e779681a2a327de458627b14190",
-    ("rkn-b", 2, "point"): "24af2e7d4c834538ae469695338d69ac566331a49ed25335cfd335867c2248ad",
-    ("order6-gauss3", 1, "point"): "72c917322467640774da393f47c4f3378be8dace218eede795186409d8e55887",
-    ("order6-gauss3", 2, "point"): "ade56a670cf50775a17d1af2d6fbd1d7b1119a081ab9deae89620eb3b059f98a",
+    ("rkn-iiia", 1, "point"): "a32a5d7f646e962b3d65c7568c17e6e4562eadee233bd5827ec9cffc9913c1e9",
+    ("rkn-iiia", 2, "point"): "10526ced280a34bca94d74d3f23935df42f876ae9ab861ba9f5b855afcb5a46e",
+    ("rkn-iiib", 1, "point"): "d199fa1f63d669a6a6298437f07881c060086d23b5900306522d425a25ab32d5",
+    ("rkn-iiib", 2, "point"): "3ea1ae0a8c2029ac32678e685bf0308b49020f094d6fb44e36f1502194f19323",
+    ("diagsymp", 1, "point"): "f8d708958eb8de5b021e893b6dc4239284761916a19a10b277f4375364084a24",
+    ("diagsymp", 2, "point"): "281a330e70fa49bb438fec781b27af8a2859b5f1603ad29c694f59cde71170e5",
+    ("rkn-a", 1, "point"): "f4acf6d5239438ee780987591abcf0593d5fc03bf6592a11b5ff7d548e67d207",
+    ("rkn-a", 2, "point"): "625b37a14d16485d25fe8f5bca8ee650261e9748af09596c527aea58f384a4ff",
+    ("rkn-b", 1, "point"): "0f8314058d1bd739c09c886116843b189293faaf78f62226e1004afcffa0a51a",
+    ("rkn-b", 2, "point"): "2fa21cb41845f1bb330c15bcb370e8b3f11b4e6a9b7de685c8b97c2e7f3f365a",
+    ("order6-gauss3", 1, "point"): "f3cba123dc14a604debdca1de76fa6215aec1f9c20086b0dd6993853fec7cc5c",
+    ("order6-gauss3", 2, "point"): "bf839243cbddd5c3b15cf3d3e13de3449966afe2db153fdd4b1168c319eb4a31",
 }
 
 # the scalar pendulum and d = 2 Kepler forces, written inline
 INLINE = {
-    ("rkn-iiia", "pendulum"): "b515c37a780596d14289269165945ef936271ffc6d6080e8e3c3ef07e359e3c0",
-    ("rkn-iiib", "pendulum"): "28553d935f1bf1bcda171d847716ad573a27ea451fec8f3a068e326e7c610df1",
-    ("diagsymp", "pendulum"): "ef65c35bd09aa5a943673a7911d5d3cad17698b36debfe96b42c60dcb6bcb127",
-    ("rkn-a", "pendulum"): "f5307ea3aa6b42a01b55b2b5913422b45bb345729b2b7270ace79a1e403486e9",
-    ("rkn-b", "pendulum"): "f1c22919c23a2788bfcd6cbae34a708557116f69cec2c8bc56942923439cdf70",
-    ("order6-gauss3", "pendulum"): "556be600131d8208cfc96b1008d6bf7ea3909a540f907fe97c1dae950c1ff0ea",
-    ("rkn-iiia", "kepler"): "9db143ac11d3726d0d1c66af351795b83fca9308efab610ba0b82abadc0af3a1",
-    ("rkn-iiib", "kepler"): "aa94874c13373b7f4a5c9dd442d87a8d4eed2032fa7d6cde1bfcfe2d721b51ff",
-    ("diagsymp", "kepler"): "ce5877d0e78dc2b55b19a7eb17951eb50264d48aa1edc9557fd1e0d3f062ade5",
-    ("rkn-a", "kepler"): "8806ceecfe716530f21aa7634c14ffa930d033dca8d431a3e78237ed17d4aa49",
-    ("rkn-b", "kepler"): "ee918da0d6e1a3f3a7d50079195cc52f29bc0726ea6ce3cd8e6fa4441194f2bc",
-    ("order6-gauss3", "kepler"): "27b0045783d2963dc55afc16f6da8675cf4b88f5438cd57f60add58916b313ee",
+    ("rkn-iiia", "pendulum"): "46ee54b83d7d2c58885784102f7667884bf4513e6e6566f9fdefdfa3e578772c",
+    ("rkn-iiib", "pendulum"): "9366fd4634e48ac9965d18b04c3c162ce9d49ccd5e65d1220da9ebd23b61c084",
+    ("diagsymp", "pendulum"): "54a797ac194a40d5809ce75cf67230adcc09f620d3b6f70c893bad5f07febca8",
+    ("rkn-a", "pendulum"): "0f4df17b462281360b866169744cf11b44fdcd4f053ee19a478e68444acc251c",
+    ("rkn-b", "pendulum"): "c4b6a2e3a2c4ac3418b758478babe7f8583bc48eb7027456753937ed72d7ecdb",
+    ("order6-gauss3", "pendulum"): "357ceaad4bfe5ad79b4c5948db7f9cb8e9e05590016054c5dbb28ba0a24b4896",
+    ("rkn-iiia", "kepler"): "75f8fe8972031dd632be33f09e5c2094838b3d15a9f21bbc3d4382f9f3f3b418",
+    ("rkn-iiib", "kepler"): "46816104fefe76e3f1bb89b07ba9008bff2e5fc87e739a14acd3f55df72728d9",
+    ("diagsymp", "kepler"): "b5b4fc09530e4d69c2ff766e35f417629ea3e053d62f8301abe4e8f460fb96e7",
+    ("rkn-a", "kepler"): "cbfed50c5139a208f94e157baf13eb50e157cbdbe8774a2628d2b428f3d4f061",
+    ("rkn-b", "kepler"): "8380a5dd3ccac1880b365c304572169c4e74d617562885b1c4ae35b57395c8be",
+    ("order6-gauss3", "kepler"): "89545ef738f011648f3e80b27f11068d5f0f0644000512f5594dc47ed5a880d5",
 }
 
 
@@ -287,3 +289,63 @@ def test_a_tableau_one_bit_off_diagsymp_solves_stage_0_in_full(entry):
     kepler = kepler_2d(0.5)
     for f in (kepler.force, _driven_array):
         _array_runs(t, f, 0.05, kepler.q0, kepler.p0, steps=20)
+
+
+# a term of a sum with a zero coefficient, or a sum of no term: the
+# finiteness tests, sums of 0.0 * x in if lines, are no sums of the rule
+_ZERO_TERM = re.compile(r"(?<![\w.])0\.0 [*+]|\(-0\.0\) \*|\(0\.0\)")
+
+
+def _assert_no_zero_term(t, source):
+    """No sum of source has a term whose coefficient in t is a zero."""
+    for line in source.splitlines():
+        if not line.lstrip().startswith("if "):
+            assert not _ZERO_TERM.search(line), line
+    # nor a w_ij for a zero a_ij, nor h c_i p0 for a zero c_i
+    for i, j in re.findall(r"\bw(\d+)_(\d+) = ", source):
+        assert t.a_bar[int(i), int(j)] != 0.0
+    for i in np.flatnonzero(t.c == 0.0):
+        assert f"hc{i} * " not in source
+
+
+@pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_no_kernel_writes_a_term_with_a_zero_coefficient(name, form):
+    _assert_no_zero_term(_tableau(name), _source(name, *FORMS[form]))
+
+
+def _signed_zero_tableau(b_bar, b):
+    """Three stages whose nodes repeat (-0.0 == 0.0), so the start matrix
+    is zero, with signed zeros in c and a_bar: stage 1 is explicit and
+    reads stage 0, stage 2 reads stage 1 and itself."""
+    a_bar = np.array([[0.1, -0.0, 0.0], [0.2, -0.0, 0.0], [-0.0, 0.3, 0.05]])
+    return RknTableau(3, np.array([-0.0, 0.0, 1.0]), a_bar, np.array(b_bar),
+                      np.array(b), "signed zeros")
+
+
+def _inf_late(t, q):
+    return math.inf if t > 0.5 else _pendulum(t, q)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("weights", ["signed", "all-zero"])
+def test_signed_zero_coefficients_keep_the_bits_of_the_reference_loops(weights):
+    b_bar, b = {
+        "signed": ([0.2, -0.0, 0.0], [0.25, 0.0, -0.0]),
+        # no q update sum and no p update at all
+        "all-zero": ([0.0, -0.0, 0.0], [-0.0, 0.0, 0.0]),
+    }[weights]
+    t = _signed_zero_tableau(b_bar, b)
+    assert _blocks(t.a_bar) == [[0], [1], [2]]
+    assert not _start_matrix(t.c, t.a_bar, _blocks(t.a_bar)).any()
+    for form in FORMS.values():
+        _assert_no_zero_term(t, _tableau_source(t, *form))
+    for f in (_pendulum, _driven, _sign_of_zero, _inf_late):
+        for q0, p0 in ((0.3, 2.5), (-0.0, -0.0), (0.0, -0.0)):
+            for h in (0.16, -0.16, 1e-170):
+                _scalar_runs(t, f, h, steps=8, q0=q0, p0=p0)
+    kepler = kepler_2d(0.5)
+    zeros = np.array([-0.0, -0.0])
+    for f in (kepler.force, _driven_array):
+        for q0, p0 in ((kepler.q0, kepler.p0), (zeros, zeros)):
+            _array_runs(t, f, 0.05, q0, p0, steps=8)

@@ -7,8 +7,10 @@ update, is the same solve written as one generic loop over the stage
 blocks of kernel._blocks, every block by one rule: a base summing the
 stages solved before it, then Q_i = base_i taken once where the block has
 no nonzero a_bar entry of its own, else Jacobi sweeps over its own stages.
-A stage iterate that is not finite ends the solve before the force sees
-it.  Random tableaus of each shape in SHAPES reach explicit, one-stage and
+Every sum adds the terms of its nonzero coefficients alone, left to right,
+and a sum with none is left out.  A stage start or iterate that is not
+finite ends the solve before the force, called per point, sees it.
+Random tableaus of each shape in SHAPES reach explicit, one-stage and
 larger blocks, in several orders.  Each check is one kernel run of n
 steps, every one sampled, against the generic loops stepped n times, each
 step after the first from the previous step's forces.  The kernel
@@ -33,6 +35,28 @@ from symrkn.problems import perturbed_pendulum
 from symrkn.tableau import RknTableau, named_tableau
 
 
+def _total(terms):
+    """terms summed left to right, None for no term: every sum of the rule
+    has only the terms of its nonzero coefficients."""
+    acc = None
+    for x in terms:
+        acc = x if acc is None else acc + x
+    return acc
+
+
+def _plus(head, scale, acc):
+    """head + scale * acc, head alone where the sum acc has no term."""
+    return head if acc is None else head + scale * acc
+
+
+def _start_is_finite(values, block):
+    """The values of a block's start, or of an explicit stage, must be
+    finite: else the step ends before a force called per point sees them."""
+    if not all(map(math.isfinite, values)):
+        what = f"stage {block[0]} start is" if len(block) == 1 else "stage starts are"
+        raise StageDivergenceError(f"{what} not finite")
+
+
 def _stages_scalar(c, a, f, t0, q0, p0, h, conv, iters, blocks, M, P):
     s = len(c)
     h2 = h * h
@@ -44,20 +68,17 @@ def _stages_scalar(c, a, f, t0, q0, p0, h, conv, iters, blocks, M, P):
         # each base sums the stages solved before the block
         base = {}
         for i in block:
-            acc = 0.0
-            for j in done:
-                acc += a[i][j] * F[j]
-            base[i] = q0 + h * c[i] * p0 + h2 * acc
-        if not any(a[i][j] != 0.0 for i in block for j in block):
-            # one stage with a zero a_ii: explicit
-            Q[block[0]] = base[block[0]]
-        else:
-            for i in block:
-                # the base and the previous forces P, extrapolated
-                g = 0.0
-                for m, Pj in zip(M[i], P):
-                    g += m * Pj
-                Q[i] = base[i] + h2 * g
+            head = q0 if c[i] == 0.0 else q0 + h * c[i] * p0
+            base[i] = _plus(head, h2, _total(a[i][j] * F[j] for j in done if a[i][j] != 0.0))
+        # one stage with a zero a_ii is explicit
+        iterated = any(a[i][j] != 0.0 for i in block for j in block)
+        for i in block:
+            # an explicit stage's value is its base; any other stage starts
+            # at its base and the previous forces P, extrapolated
+            start = _total(m * Pj for m, Pj in zip(M[i], P) if m != 0.0)
+            Q[i] = _plus(base[i], h2, start) if iterated else base[i]
+        _start_is_finite([Q[i] for i in block], block)
+        if iterated:
             diff = math.inf
             for _ in range(iters):
                 for i in block:
@@ -65,11 +86,8 @@ def _stages_scalar(c, a, f, t0, q0, p0, h, conv, iters, blocks, M, P):
                 diff = 0.0
                 Qn = {}
                 for i in block:
-                    # h^2 a_ij F_j over the block's own stages, ascending, with no 0.0 start
-                    acc = h2 * a[i][block[0]] * F[block[0]]
-                    for j in block[1:]:
-                        acc += h2 * a[i][j] * F[j]
-                    Qn[i] = base[i] + acc
+                    # h^2 a_ij F_j over the block's own stages, ascending
+                    Qn[i] = base[i] + _total(h2 * a[i][j] * F[j] for j in block if a[i][j] != 0.0)
                     d = abs(Qn[i] - Q[i])
                     if d > diff or d != d:
                         diff = d
@@ -130,11 +148,9 @@ def _reference_advance(t, stage_tol, max_iters):
     def step(f, t0, q0, p0, h, P):
         conv = stage_tol * (1.0 + abs(q0))
         Q, F = _stages_scalar(c, a, f, t0, q0, p0, h, conv, max_iters, blocks, M, P)
-        accq = accp = 0.0
-        for i in range(t.s):
-            accq += b_bar[i] * F[i]
-            accp += b[i] * F[i]
-        return q0 + h * p0 + h * h * accq, p0 + h * accp, Q, F
+        accq = _total(x * Fi for x, Fi in zip(b_bar, F) if x != 0.0)
+        accp = _total(x * Fi for x, Fi in zip(b, F) if x != 0.0)
+        return _plus(q0 + h * p0, h * h, accq), _plus(p0, h, accp), Q, F
 
     return partial(_stepped, step, [0.0] * t.s)
 
@@ -144,8 +160,8 @@ def _outcome(advance, *args):
     step index; then the bytes of the samples taken.
 
     math.sin and math.cos raise ValueError on an infinite argument.  No
-    stage iterate reaches the force unless it is finite, but a non-finite
-    start does; the kernel must let that error through from the same call.
+    stage start or iterate reaches a force called per point unless it is
+    finite; the kernel must let any ValueError through from the same call.
     """
     ts, qs, ps = [], [], []
     try:
@@ -281,7 +297,8 @@ def test_a_stage_with_a_signed_zero_diagonal_is_explicit():
         kernel = _stepper(t, _driven, 0.3, 1e-14, 100)[1].func
         source = "".join(linecache.getlines(kernel.__code__.co_filename))
         assert "w0_0 = " in source and "w2_2 = " in source
-        assert "w1_1" not in source and "stage 1 " not in source
+        assert "w1_1" not in source and "stage 1 iterate" not in source
+        assert "stage 1 did not" not in source
         _runs(t, _driven, 0.16, steps=10)
 
 
