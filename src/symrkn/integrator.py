@@ -4,9 +4,9 @@ reversibility and convergence studies.
 Every call runs the kernel that kernel._stepper picks for its tableau,
 force and state kind; the kind converts the user's q and p in and out, so
 nothing here tests for it.  integrate runs all its steps in one call, its
-samples in flat array('d') buffers that the trajectory's arrays view, and
-logs each divergence once, at WARNING on the "symrkn" logger; the library
-installs no handler.
+q and p samples in flat array('d') buffers that the trajectory's arrays
+view, and logs each divergence once, at WARNING on the "symrkn" logger;
+the library installs no handler.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .cscoeff import build_order6
 from .errors import DegenerateFitError, InvalidGridError, StageDivergenceError
 from .kernel import _kind, _stepper
-from .problems import OdeProblem
+from .problems import _ENERGY_COLUMNS, OdeProblem
 from .quadrature import gauss_rule
 from .tableau import RknTableau, discretize
 
@@ -30,6 +30,11 @@ from .tableau import RknTableau, discretize
 GRID_RTOL = 1e-9
 
 _REFERENCE_REFINEMENT = 20.0
+
+#: Fewest samples whose energy integrate computes by columns, where the
+#: problem's energy has a column form; fewer are computed sample by sample,
+#: as numpy's per-call overhead would outweigh what columns save.
+_ENERGY_COLUMNS_MIN = 16
 
 
 def _check_step(h, name: str = "step size") -> None:
@@ -197,6 +202,13 @@ def integrate(
     to the "symrkn" logger.  Step k starts at t0 + (k - 1) h, the first at
     t0 itself, as in step.
 
+    The kernel records states alone.  The sample times are t0 + k h of the
+    sampled step indices k (_sample_times), and the energy of a problem
+    whose energy has a column form (problems._ENERGY_COLUMNS, by exact
+    type) is computed by columns once a run has _ENERGY_COLUMNS_MIN
+    samples, else sample by sample: both with the bits of the per-sample
+    float arithmetic.
+
     Every step starts each stage block at its base plus the previous
     step's stage forces, extrapolated to the new nodes; those are zero
     before the first step, as in a single-step call.  Results differ from
@@ -208,12 +220,11 @@ def integrate(
     kind, advance = _stepper(t, prob.force, prob.q0, cfg.stage_tol, cfg.max_iters)
     h, t0 = cfg.h, prob.t0
     q, p = _initial_state(kind, prob.q0, prob.p0)
-    ts, qs, ps = array("d", [t0]), array("d", kind.floats(q)), array("d", kind.floats(p))
+    qs, ps = array("d", kind.floats(q)), array("d", kind.floats(p))
     failure_step = residual = None
     if n:
-        sinks = ts.append, getattr(qs, kind.sink), getattr(ps, kind.sink)
         try:
-            advance(t0, q, p, h, n, sample_every, *sinks)
+            advance(t0, q, p, h, n, sample_every, getattr(qs, kind.sink), getattr(ps, kind.sink))
         except StageDivergenceError as exc:
             failure_step, residual = exc.step_index, exc.residual
             # imported here: importing logging adds ~4 ms to every start-up,
@@ -224,17 +235,39 @@ def integrate(
                 "integration diverged at step %d of %d (t=%r, h=%r, residual=%r)",
                 failure_step, n, t0 + (failure_step - 1) * h, h, residual,
             )
-    m = len(ts)
+    m = len(qs) // kind.size
     q_arr = np.frombuffer(qs).reshape(m, prob.dim)
     p_arr = np.frombuffer(ps).reshape(m, prob.dim)
     energy_error = None
     if prob.energy is not None:
-        rows = kind.rows(ps, p_arr), kind.rows(qs, q_arr)
-        energy_error = np.fromiter(map(prob.energy, *rows), float, m)
+        columns = _ENERGY_COLUMNS.get(type(prob.energy))
+        if columns is not None and m >= _ENERGY_COLUMNS_MIN:
+            energy_error = np.empty(m)
+            columns(np.frombuffer(ps), np.frombuffer(qs), energy_error)
+        else:
+            rows = kind.rows(ps, p_arr), kind.rows(qs, q_arr)
+            energy_error = np.fromiter(map(prob.energy, *rows), float, m)
         # inf - inf: a non-finite initial energy leaves nothing to compare
         with np.errstate(invalid="ignore"):
             energy_error -= energy_error[0]
-    return Trajectory(np.frombuffer(ts), q_arr, p_arr, energy_error, failure_step, residual)
+    times = _sample_times(t0, h, n, sample_every, m)
+    return Trajectory(times, q_arr, p_arr, energy_error, failure_step, residual)
+
+
+def _sample_times(t0, h, n, every, m):
+    """The times of the first m samples of a run of n steps of size h that
+    samples every every-th step: t0, then t0 + k h for k = every,
+    2 every, ... below n, then n, each with the bits of the float sum at
+    the step index k.  Each k below n is exact as a float, since
+    n <= 2**53 (_step_count), a product past n rounds to no less than n,
+    and numpy's * and + are the same IEEE operations."""
+    times = np.arange(m, dtype=float)
+    times *= min(every, n)  # an every past n samples step n alone
+    np.minimum(times, n, out=times)
+    times *= h
+    times += t0
+    times[0] = t0  # t0 + 0 h is not t0 = -0.0
+    return times
 
 
 def reversibility_test(t: RknTableau, prob: OdeProblem, h: float) -> float:

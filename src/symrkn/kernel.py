@@ -131,18 +131,21 @@ def _literal(x):
 
 def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     """Source of advance(stage_tol, iters, f, t0, q0, p0, h, steps=1,
-    every=0, ts=None, qs=None, ps=None).
+    every=0, qs=None, ps=None).
 
     steps steps of size h from q0, p0 at time t0, for state of the kind
     kind: scalar (q0, p0 and each stage value a float) or d floats (q0 and
     p0 tuples of d floats, each stage value d floats Q{i}_{k}).
     Step k starts at t0 + (k - 1) h, the first at t0 itself, for steps >= 1;
     each solve sweeps at most iters times, for iters >= 1.
-    The time, q and p after every every-th step and the last go to the
-    sinks ts, qs and ps (every 0: no samples); a sample that is not finite
-    is not taken and raises StageDivergenceError with no residual.  Returns
-    (q1, p1, Q) of the last step: states in the input form, stage values
-    as a list.
+    q and p after every every-th step and the last go to the sinks qs and
+    ps (every 0: no samples); the caller has the times of those steps.  A
+    sample that is not finite is not taken and raises StageDivergenceError
+    with no residual.  Returns (q1, p1, Q) of the last step: states in the
+    input form, stage values as a list.
+    Only the "point" form keeps the step's time t, t0 + k h after step k,
+    for its stage times T{i} = t + hc{i}; a template's force takes no
+    time, and its unsafe fallback gets t0 + (k - 1) h + hc{i}.
 
     The stages are solved block by block, in the order of blocks, lists of
     stage indices (see _blocks), all by one rule.  Stage i's base B_i is
@@ -180,8 +183,9 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     inline template gets no such test.  Kepler's takes a point that is not
     finite to the force itself, which is numpy's.  The pendulum's force is
     bounded, so only a state or step near the float range, where
-    q0 + h c_i p0 overflows, gives it an infinite stage value, and then
-    math.sin raises ValueError.
+    q0 + h c_i p0 overflows, gives it an infinite stage value; its math.sin
+    then raises ValueError, which a kernel of a template with no unsafe
+    test, calling no user code, ends as a divergence with no residual.
     A divergence, one for a non-finite sample, and one the force raises
     without a step index, gets the 1-based index of its step.
 
@@ -212,8 +216,8 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     form is "point" or a force template of problems.py with kind.size
     components.  One helper, call, writes every force evaluation, of one
     stage point: f at the time T{i} (kind.call) for "point"; else the
-    template's text, or f at the time t + hc{i} where its unsafe test
-    holds at the point.
+    template's text, or f at the time t0 + (k - 1) h + hc{i} where its
+    unsafe test holds at the point.
     """
     s = len(c)
     vec, tup = kind.names, kind.pack
@@ -258,7 +262,7 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
         return [
             *lets,
             f"{ind}if {template.unsafe.format(*Q[i], r='R')}:",
-            *kind.call(ind + "    ", f"t + hc{i}", Q[i], F[i]),
+            *kind.call(ind + "    ", f"t0 + (k - 1) * h + hc{i}", Q[i], F[i]),
             f"{ind}else:",
             *("    " + x for x in inline),
         ]
@@ -326,7 +330,7 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
 
     out = [
         "def advance(stage_tol, iters, f, t0, q0, p0, h,",
-        "            steps=1, every=0, ts=None, qs=None, ps=None):",
+        "            steps=1, every=0, qs=None, ps=None):",
     ]
     emit = out.append
     out += kind.unpack("q0") + kind.unpack("p0")
@@ -337,7 +341,8 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     if last is not None:
         emit(f"    {' = '.join(Q[last] + ([f'T{last}'] if template is None else []))} = 0.0")
     emit("    mark = every if every < steps else steps")
-    emit("    t = t0")
+    if template is None:
+        emit("    t = t0")
     emit("    for k in range(1, steps + 1):")
     body = len(out)
     # m = the largest |q0_k|; a NaN q0_k fails the first sweep whatever conv is
@@ -372,19 +377,20 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
               for k, (x, v) in enumerate(zip(q0, p0))]
     update += [(v, plus(v, "h * ", terms(b, col(F, k)))) for k, v in enumerate(p0)]
     out += [f"        {x} = {y}" for x, y in update if y != x]
-    emit("        t = t0 + k * h")
+    if template is None:
+        emit("        t = t0 + k * h")
     out += [f"        {P[i][k]} = {F[i][k]}" for i in S for k in K]
     emit("        if k == mark:")
     emit(f"            if {not_finite(q0 + p0)}:")
     emit('                raise StageDivergenceError("sample is not finite")')
-    emit("            ts(t)")
     emit(f"            qs({tup(q0)})")
     emit(f"            ps({tup(p0)})")
     emit("            mark += every")
     emit("            if mark > steps:")
     emit("                mark = steps")
     # a divergence, the solver's or one the force raises itself, is
-    # stamped with the step it ended
+    # stamped with the step it ended; where no user code runs, so is
+    # math's ValueError on an infinite stage value
     out[body:] = [
         "        try:",
         *("    " + x for x in out[body:]),
@@ -392,6 +398,12 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
         "            if exc.step_index is None:",
         "                exc.step_index = k",
         "            raise",
+        *([] if template is None or template.unsafe is not None else [
+            "        except ValueError as exc:",
+            "            raise StageDivergenceError(",
+            '                "a stage value is outside the force\'s domain", step_index=k',
+            "            ) from exc",
+        ]),
     ]
     emit("    return (")
     emit(f"        {tup(q0)},")

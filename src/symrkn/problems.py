@@ -94,28 +94,53 @@ class _PendulumForce:
         return -math.sin(q) - 0.4 * math.cos(2.0 * q)
 
 
+class _PendulumEnergy:
+    """H(p, q) = p^2/2 - cos q + (1/5) sin 2q of floats, or of (1,) rows
+    with the floats' bits."""
+
+    __slots__ = ()
+
+    def __call__(self, p, q):
+        if isinstance(q, np.ndarray):  # (1,) rows, whose one float math needs
+            return self(*p.tolist(), *q.tolist())
+        return 0.5 * p * p - math.cos(q) + 0.2 * math.sin(2.0 * q)
+
+
+def _pendulum_energy_columns(p, q, out):
+    """_PendulumEnergy of the columns p and q into out, in place.
+
+    The IEEE operations of the float form, in its order, with one column
+    of scratch: numpy's +, - and * round as float arithmetic does, and its
+    sin and cos give math's bits (tests/test_problems.py checks them).
+    """
+    np.multiply(p, 0.5, out=out)
+    out *= p
+    x = np.cos(q)
+    out -= x
+    np.multiply(q, 2.0, out=x)
+    np.sin(x, out=x)
+    x *= 0.2
+    out += x
+
+
+# the column form of each built-in energy that has one, by the energy's
+# exact type: a wrapped or replaced energy is called per sample
+_ENERGY_COLUMNS = {_PendulumEnergy: _pendulum_energy_columns}
+
+
 def perturbed_pendulum() -> OdeProblem:
     """Pendulum with a 2q-perturbation: q'' = -sin q - (2/5) cos 2q.
 
     Started at (q, p) = (0, 2.5), a rotation regime with period close to 3.
     H(p, q) = p^2/2 - cos q + (1/5) sin 2q, invariant under p -> -p.
     """
-
-    # closure cells, as energy runs once per sample
-    ndarray, cos, sin = np.ndarray, math.cos, math.sin
-
-    def energy(p, q):
-        if isinstance(q, ndarray):  # (1,) rows, whose one float math needs
-            return energy(*p.tolist(), *q.tolist())
-        return 0.5 * p * p - cos(q) + 0.2 * sin(2.0 * q)
-
     return OdeProblem(
         dim=1,
         force=_PendulumForce(),
         t0=0.0,
         q0=0.0,
         p0=2.5,
-        energy=energy,
+        energy=_PendulumEnergy(),
         label="pendulum",
     )
 

@@ -76,7 +76,7 @@ def _most(values):
 
 
 def _float_advance(t, stage_tol, iters, blocks, M):
-    """advance(f, t0, q0, p0, h, steps, ts, qs, ps, forces=None): plain
+    """advance(f, t0, q0, p0, h, steps, qs, ps, forces=None): plain
     float loops stepped steps times, as the kernel runs with every = 1."""
     s, c, a = t.s, t.c.tolist(), t.a_bar.tolist()
     b_bar, b = t.b_bar.tolist(), t.b.tolist()
@@ -231,9 +231,9 @@ def _numpy_step(t, stage_tol, iters, blocks, M):
 def _outcome(advance, *args):
     """Shape and bytes of (q1, p1, Q) as float64 arrays, or the exception's
     type, message, residual and step index; then those of the samples."""
-    ts, qs, ps = [], [], []
+    qs, ps = [], []
     try:
-        out = advance(*args, ts.append, qs.append, ps.append)
+        out = advance(*args, qs.append, ps.append)
     except (StageDivergenceError, ValueError) as exc:
         residual = getattr(exc, "residual", None)
         if residual is not None:
@@ -241,7 +241,7 @@ def _outcome(advance, *args):
         end = ("raised", type(exc), str(exc), residual, getattr(exc, "step_index", None))
     else:
         end = tuple((v.shape, v.tobytes()) for v in map(np.asarray, out))
-    samples = tuple(np.array(x, dtype=np.float64) for x in (ts, qs, ps))
+    samples = tuple(np.array(x, dtype=np.float64) for x in (qs, ps))
     return (*end, tuple((v.shape, v.tobytes()) for v in samples))
 
 
@@ -253,24 +253,24 @@ def _assert_near_oracle(t, got, oracle, forces, same_message, f, t0, q0, p0, h):
     """got, the kernel's outcome, against the numpy solver stepped from
     each state the kernel sampled, with the bit reference's forces of the
     step before (the kernel's own bits) as the previous forces."""
-    ts, qs, ps = _values(got[-1])
+    qs, ps = _values(got[-1])
     raised = got[0] == "raised"
     time, q, p, P = t0, np.array(q0), np.array(p0), np.zeros((t.s, len(q0)))
-    for k in range(len(ts) + raised):
+    for k in range(len(qs) + raised):
         if k:
-            time, q, p, P = ts[k - 1], qs[k - 1], ps[k - 1], np.array(forces[k - 1])
+            time, q, p, P = t0 + k * h, qs[k - 1], ps[k - 1], np.array(forces[k - 1])
         try:
             with np.errstate(all="ignore"):
                 q1, p1, Q, F = oracle(f, time, q, p, h, P)
             if not (np.isfinite(q1).all() and np.isfinite(p1).all()):
                 raise StageDivergenceError("sample is not finite")
         except (StageDivergenceError, ValueError) as exc:
-            assert raised and k == len(ts), exc
+            assert raised and k == len(qs), exc
             assert type(exc) is got[1]
             if same_message and "not finite" not in got[2]:
                 assert str(exc) == got[2]
             return
-        assert k < len(ts), "the kernel raised where the oracle did not"
+        assert k < len(qs), "the kernel raised where the oracle did not"
         # each entry's scale: the sum of the magnitudes of the terms it adds up
         with np.errstate(all="ignore"):
             aF = abs(h * h) * np.abs(F)
@@ -280,7 +280,7 @@ def _assert_near_oracle(t, got, oracle, forces, same_message, f, t0, q0, p0, h):
                 np.abs(q) + np.abs(h * t.c)[:, None] * np.abs(p) + np.abs(t.a_bar) @ aF,
             )
         pairs = [(qs[k], q1, scales[0]), (ps[k], p1, scales[1])]
-        if not raised and k == len(ts) - 1:
+        if not raised and k == len(qs) - 1:
             pairs.append((_values(got[2:3])[0], Q, scales[2]))
         for x, y, scale in pairs:
             finite = np.isfinite(y) & np.isfinite(scale)
@@ -455,7 +455,7 @@ def test_a_large_state_has_the_bits_of_the_stage_solver():
     for t in (t, _random_tableau(rng, 3, "explicit-last")):
         for f in _FORCES:
             got = _runs(t, f, 0.2, q0, p0, steps=4)
-            assert got[0] != "raised" and _values(got[-1])[0].shape == (4,)
+            assert got[0] != "raised" and _values(got[-1])[0].shape == (4, 64)
 
 
 def test_each_state_size_gets_its_own_kernel():
@@ -498,7 +498,7 @@ def test_repeated_nodes_start_every_step_at_its_bases():
         assert not _start_matrix(t.c, t.a_bar, blocks).any()
     pair = _Pair(t)
     for f in _FORCES:
-        ts, qs, ps = _values(pair.check(f, 0.0, q0, p0, 0.2, 6)[-1])
+        qs, ps = _values(pair.check(f, 0.0, q0, p0, 0.2, 6)[-1])
         kind, kernel = pair.kernel(f)
         q, p = kind.state(q0), kind.state(p0)
         for k in range(6):

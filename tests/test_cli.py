@@ -493,6 +493,12 @@ GOLDEN = {
          "--t-end", "160", "--sample-every", "1"],
         "54c4084a9bcc7d3e5eced75be4afc4e69d3707555e193a0eebffff67b8f4c360",
     ),
+    # every 7th step: the last sample, step 1000, is off the schedule
+    "drift-every-7": (
+        ["drift", "--method", "diagsymp", "--method", "rkn-a", "--h", "0.16",
+         "--t-end", "160", "--sample-every", "7"],
+        "049ab0c9e4384c3cd487444a53b6d95bafca4f29d33378803d2ffecfc1eab0c4",
+    ),
     # Kepler has an exact solution: errors against the exact orbit
     "converge": (
         ["converge", "--method", "diagsymp", "--method", "rkn-a", "--problem",

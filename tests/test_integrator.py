@@ -463,6 +463,21 @@ def test_second_order_member_converges_at_order_two():
     assert 1.8 < study.slope < 2.2
 
 
+@pytest.mark.parametrize(
+    "name, low, high",
+    [("rkn-iiia", 3.85, 4.15), ("rkn-iiib", 3.85, 4.15), ("diagsymp", 3.85, 4.15),
+     ("rkn-a", 5.8, 6.2), ("rkn-b", 5.8, 6.2)],
+)
+def test_linear_order_of_the_named_methods(name, low, high):
+    # on a linear force rkn-a and rkn-b reach order 6, beyond their
+    # general order 4 (fitted slopes 3.999, 3.999, 4.001, 6.002, 6.01)
+    study = global_error_study(
+        named_tableau(name), harmonic_oscillator(), 10.0, [0.2, 0.1, 0.05, 0.025]
+    )
+    assert study.reference == "exact"
+    assert low <= study.slope <= high
+
+
 def test_error_study_sorting_and_reference_labels():
     prob = perturbed_pendulum()
     study = global_error_study(
@@ -827,6 +842,34 @@ def test_only_the_exact_built_in_force_types_are_written_inline():
     assert runs[0].p.tobytes() == runs[1].p.tobytes()
 
 
+@pytest.mark.parametrize("name", FIVE + ("order6-gauss3",))
+def test_an_inline_pendulum_stage_past_the_float_range_ends_the_run(name, caplog):
+    # from q0 = p0 = 1e300 at h = 1e10 a stage value overflows to inf, and
+    # math.sin(inf) raises ValueError in the inline pendulum kernel, which
+    # ends the run as the per-point kernel ends it: a divergence at step 1
+    # with no residual, logged once
+    tab = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    pend = perturbed_pendulum()
+    big = StepConfig(h=1e10)
+    for prob in (dataclasses.replace(pend, q0=1e300, p0=1e300),
+                 dataclasses.replace(pend, q0=np.array([1e300]), p0=np.array([1e300]))):
+        plain = dataclasses.replace(prob, force=lambda t, q: pend.force(t, q))
+        assert " pendulum " in _kernel_name(tab, prob.force, prob.q0)
+        assert " pendulum " not in _kernel_name(tab, plain.force, plain.q0)
+        for kind in (prob, plain):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="symrkn"):
+                traj = integrate(tab, kind, 1e10, big)
+            assert traj.diverged and traj.failure_step == 1
+            assert traj.failure_residual is None
+            assert traj.times.tobytes() == np.array([0.0]).tobytes()
+            assert len(caplog.records) == 1
+        with pytest.raises(StageDivergenceError, match="outside the force's domain") as info:
+            step(tab, prob.force, 0.0, prob.q0, prob.p0, big)
+        assert info.value.step_index == 1 and info.value.residual is None
+        assert isinstance(info.value.__cause__, ValueError)
+
+
 @pytest.mark.parametrize(
     "make, name",
     [
@@ -1180,6 +1223,32 @@ def _nan_after(prob, t_bad):
     scalar = np.ndim(prob.q0) == 0
     bad = math.nan if scalar else np.full(prob.dim, math.nan)
     return dataclasses.replace(prob, force=lambda t, q: bad if t > t_bad else f(t, q))
+
+
+def _scheduled_times(t0, h, n, every):
+    """The sample times of a run of n steps, each as a step's t0 + k h:
+    t0, then every every-th step below n, then step n."""
+    return np.array([t0] + [t0 + k * h for k in [*range(every, n, every), n]])
+
+
+@pytest.mark.parametrize("t0", [-0.0, 3.0, -2.5])
+def test_sample_times_are_the_schedule_bit_for_bit(t0):
+    # 13 steps of 0.1: k h rounds for most k, and so does t0 + k h.  The
+    # pendulum's force is written inline, the harmonic one called per
+    # point; the cut run's force turns NaN in step 9, [t0 + 0.8, t0 + 0.9]
+    h, n = 0.1, 13
+    tab = named_tableau("rkn-a")
+    for base in (perturbed_pendulum(), harmonic_oscillator()):
+        prob = dataclasses.replace(base, t0=t0)
+        cut = _nan_after(prob, t0 + 0.85)
+        for every in (1, 3, n, n + 5):
+            want = _scheduled_times(t0, h, n, every)
+            traj = integrate(tab, prob, t0 + n * h, StepConfig(h=h), every)
+            assert not traj.diverged
+            assert traj.times.tobytes() == want.tobytes()
+            traj = integrate(tab, cut, t0 + n * h, StepConfig(h=h), every)
+            assert traj.diverged and traj.failure_step == 9
+            assert traj.times.tobytes() == want[want < t0 + 0.85].tobytes()
 
 
 @pytest.mark.parametrize("name", ["diagsymp", "rkn-a"], ids=["sequential", "jacobi"])

@@ -9,16 +9,14 @@ generated code; when that is meant, record the new digest here and say
 why.  The inline kernels run the benchmark: the scalar pendulum kernels
 pendulum-drift, the d = 2 Kepler kernels kepler-converge.
 
-All 30 digests were last re-recorded when every sum of the kernel came
-to be written by one rule: the terms of its nonzero coefficients alone,
-left to right, and a sum with none not written (no 0.0 start, no
-0.0 * F2 in the q update, no h2 * (0.0) base, no hc0 * p0 for c_0 = 0).
-Every digest moved, as every kernel had a 0.0 start.  The per-point
-kernels also gained the test that a block's start, or an explicit
-stage's value, is finite before the force sees it.  Trajectory bits
-moved only where a sum of zeros alone is now -0.0, or where a force
-that is not finite was read through a zero coefficient; no workload
-output moved.
+All 30 digests were last re-recorded when the kernel stopped taking
+sample times: advance lost its ts sink and its ts(t) line, as integrate
+takes the times from the step indices.  Only the per-point kernels keep
+the step's time t = t0 + k h, for their stage times; Kepler's unsafe
+fallback takes t0 + (k - 1) h + hc{i}, and the pendulum kernels, whose
+template has no unsafe test, end a ValueError from math as a divergence
+at its step.  Every digest moved; no trajectory bit or workload output
+did.
 """
 
 import hashlib
@@ -62,43 +60,43 @@ from test_scalar_kernel import _runs as _scalar_runs
 METHODS = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3")
 
 SCALAR = {
-    "rkn-iiia": "efd498ecd411aa9dab578191f886447597e1eca24b4541fb607a814bf6acdd2c",
-    "rkn-iiib": "c89bdb80416c09c0ffb2de34592dad2802478182750f0d81b2cd21895c848300",
-    "diagsymp": "3a5d6f6fe2b189a10958595f426e9fd030d93ae7bcba4bc1fee7d40ab82fae18",
-    "rkn-a": "0134af7a2396b3ef5254f9afb18ef0df35862020787e99bc3b39d593d69cb2e2",
-    "rkn-b": "1404700ee82c8c684162040cc80485d0bc526a16330c849d8ba1554d5b8bd140",
-    "order6-gauss3": "c738ac49c85002bd2948dcfc99fd25df241cf2d1a7e509aca7d007dbb84c8da1",
+    "rkn-iiia": "8c3594398f7a2d9400af0e04bd8964c1ba3ad4fd0454bc578d711471a9c306e7",
+    "rkn-iiib": "048fad2a292c91c0a671149206020c905532e1fc63d25da359560e372a25b1aa",
+    "diagsymp": "2a411402a10d2ec6f0b8f033e7ac9e882bba29f8c9e812c26aa87f32ae03e626",
+    "rkn-a": "e5c648953eda25f7e287e9d1f9724ee45ac40c5f9db78a1d3674ca8164c521dc",
+    "rkn-b": "8bd04445472335396a416ee3ca809ec57e890c0b7e482d7b32db55c969e980a4",
+    "order6-gauss3": "437f0003d9af8adc8aa289f8c83b1516fe66570283c746c3f1969a7282b8c7c7",
 }
 
 ARRAY = {
-    ("rkn-iiia", 1, "point"): "a32a5d7f646e962b3d65c7568c17e6e4562eadee233bd5827ec9cffc9913c1e9",
-    ("rkn-iiia", 2, "point"): "10526ced280a34bca94d74d3f23935df42f876ae9ab861ba9f5b855afcb5a46e",
-    ("rkn-iiib", 1, "point"): "d199fa1f63d669a6a6298437f07881c060086d23b5900306522d425a25ab32d5",
-    ("rkn-iiib", 2, "point"): "3ea1ae0a8c2029ac32678e685bf0308b49020f094d6fb44e36f1502194f19323",
-    ("diagsymp", 1, "point"): "f8d708958eb8de5b021e893b6dc4239284761916a19a10b277f4375364084a24",
-    ("diagsymp", 2, "point"): "281a330e70fa49bb438fec781b27af8a2859b5f1603ad29c694f59cde71170e5",
-    ("rkn-a", 1, "point"): "f4acf6d5239438ee780987591abcf0593d5fc03bf6592a11b5ff7d548e67d207",
-    ("rkn-a", 2, "point"): "625b37a14d16485d25fe8f5bca8ee650261e9748af09596c527aea58f384a4ff",
-    ("rkn-b", 1, "point"): "0f8314058d1bd739c09c886116843b189293faaf78f62226e1004afcffa0a51a",
-    ("rkn-b", 2, "point"): "2fa21cb41845f1bb330c15bcb370e8b3f11b4e6a9b7de685c8b97c2e7f3f365a",
-    ("order6-gauss3", 1, "point"): "f3cba123dc14a604debdca1de76fa6215aec1f9c20086b0dd6993853fec7cc5c",
-    ("order6-gauss3", 2, "point"): "bf839243cbddd5c3b15cf3d3e13de3449966afe2db153fdd4b1168c319eb4a31",
+    ("rkn-iiia", 1, "point"): "90df5ff3e976176dd0828ccf248d6a9255b5ea434791f68b2ed1dc305694c410",
+    ("rkn-iiia", 2, "point"): "b454dbca7db1c6972a24c21869c0acf48c0392307c35d837d960aebe834cd490",
+    ("rkn-iiib", 1, "point"): "0e7645f889072e0b188d9afb695db659919b6eff30200e079a90ba3bda455397",
+    ("rkn-iiib", 2, "point"): "c8a946ec9ff1b33ad3aeb1f2d3ce597cde3994819086394834f359b1f1ec0714",
+    ("diagsymp", 1, "point"): "4a4c1f7ef400289d4bfa6affe48cbe6408e23b3ff7abab4a384025c8222b14e9",
+    ("diagsymp", 2, "point"): "0e72e7d65d6e250c6bd423dca0a146bd1887fed46a19f28f164becb19ebf9a41",
+    ("rkn-a", 1, "point"): "325a9162d499ca9edce4d2705e34229137d87075ef0f37f7497cb4e238b1e50b",
+    ("rkn-a", 2, "point"): "4129c06ee780bbec7dc05334fe2ff058d8e2fe954622595fb8a75e9e628fafd1",
+    ("rkn-b", 1, "point"): "7b6779b95d2bbf22ddcee61af2772ebe5d8b81c94bb01816dff9640452c7a5fd",
+    ("rkn-b", 2, "point"): "32948143985fceb21cb685a41a3f160d80b87961d426573b969a721d6e81cbcd",
+    ("order6-gauss3", 1, "point"): "8f685cae3d1676220cdb6038daf7085560814020877a4751ae4451d3c68ae51b",
+    ("order6-gauss3", 2, "point"): "5ce510b810b55bd326230e41323b30b04037a6066bbb0af6f309c46e219ec08d",
 }
 
 # the scalar pendulum and d = 2 Kepler forces, written inline
 INLINE = {
-    ("rkn-iiia", "pendulum"): "46ee54b83d7d2c58885784102f7667884bf4513e6e6566f9fdefdfa3e578772c",
-    ("rkn-iiib", "pendulum"): "9366fd4634e48ac9965d18b04c3c162ce9d49ccd5e65d1220da9ebd23b61c084",
-    ("diagsymp", "pendulum"): "54a797ac194a40d5809ce75cf67230adcc09f620d3b6f70c893bad5f07febca8",
-    ("rkn-a", "pendulum"): "0f4df17b462281360b866169744cf11b44fdcd4f053ee19a478e68444acc251c",
-    ("rkn-b", "pendulum"): "c4b6a2e3a2c4ac3418b758478babe7f8583bc48eb7027456753937ed72d7ecdb",
-    ("order6-gauss3", "pendulum"): "357ceaad4bfe5ad79b4c5948db7f9cb8e9e05590016054c5dbb28ba0a24b4896",
-    ("rkn-iiia", "kepler"): "75f8fe8972031dd632be33f09e5c2094838b3d15a9f21bbc3d4382f9f3f3b418",
-    ("rkn-iiib", "kepler"): "46816104fefe76e3f1bb89b07ba9008bff2e5fc87e739a14acd3f55df72728d9",
-    ("diagsymp", "kepler"): "b5b4fc09530e4d69c2ff766e35f417629ea3e053d62f8301abe4e8f460fb96e7",
-    ("rkn-a", "kepler"): "cbfed50c5139a208f94e157baf13eb50e157cbdbe8774a2628d2b428f3d4f061",
-    ("rkn-b", "kepler"): "8380a5dd3ccac1880b365c304572169c4e74d617562885b1c4ae35b57395c8be",
-    ("order6-gauss3", "kepler"): "89545ef738f011648f3e80b27f11068d5f0f0644000512f5594dc47ed5a880d5",
+    ("rkn-iiia", "pendulum"): "273dd42e240497e2cfd4e6d2e19b0753a08266c1e2be62a72239260c5ccdeddf",
+    ("rkn-iiib", "pendulum"): "a78be8eebcc90073644c314180d59d5e535560b5b5c5de988e605746127d7a28",
+    ("diagsymp", "pendulum"): "3b8d96018f383fdaaed785301cd3152b9b301fd79920aab89a572089261b4d61",
+    ("rkn-a", "pendulum"): "beab0a573e93cb086c2a5a85972b4e67a7798f2c5a8c83df82f922fdc385ca6b",
+    ("rkn-b", "pendulum"): "a7787cbc1df09ba19257de75b1604805a0b5b847645c6d93e0442b8f76c1c979",
+    ("order6-gauss3", "pendulum"): "db0b78bd26f71f1dd2d9f53b6a128ce699133fa4232eb4606b8efa06b0c3d693",
+    ("rkn-iiia", "kepler"): "f3ecdfa338e4f472bb0388874c7ccd21a9f64fcbebc716a6e01c197cf5d706ad",
+    ("rkn-iiib", "kepler"): "2a8202e0526c048cc33440084fc97b0d015d522b1a84ec8b6a3efca026b52a30",
+    ("diagsymp", "kepler"): "d7f05cfb630c17689f8d30a1c7c5b86bbf250b1ac00fa4063248adbec64591eb",
+    ("rkn-a", "kepler"): "75b6d8b031aab74d6aa5199396870094bcc5d6625f7d30d938cf51da7dcee0a0",
+    ("rkn-b", "kepler"): "82ef8ac3f43590ac14cd930d85dd3c63a4bcfd2171310e989c8eccc003d9f127",
+    ("order6-gauss3", "kepler"): "ec73cd5f008fab76563b0d3c5faa2b07bc38ef040236e862c2cfd579931a734d",
 }
 
 

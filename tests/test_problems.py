@@ -11,6 +11,7 @@ import pytest
 from symrkn import problems
 from symrkn.errors import StageDivergenceError
 from symrkn.integrator import (
+    _ENERGY_COLUMNS_MIN,
     StepConfig,
     integrate,
     reference_tableau,
@@ -40,6 +41,69 @@ def test_pendulum_energy_is_even_in_momentum():
     for _ in range(20):
         p, q = rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)
         assert prob.energy(p, q) == prob.energy(-p, q)
+
+
+def _energy_by_sample(p, q):
+    energy = perturbed_pendulum().energy
+    return np.array([energy(x, y) for x, y in zip(p.tolist(), q.tolist())])
+
+
+def _energy_by_columns(p, q):
+    out = np.empty(len(q))
+    problems._ENERGY_COLUMNS[problems._PendulumEnergy](p, q, out)
+    return out
+
+
+def test_pendulum_energy_columns_have_the_bits_of_the_float_energy():
+    # numpy's sin and cos give math's bits here; a platform where they
+    # differ fails this test before any drift output moves silently
+    prob = perturbed_pendulum()
+    for name in ("diagsymp", "rkn-a"):
+        traj = integrate(named_tableau(name), prob, 1600.0, StepConfig(h=0.16))
+        p, q = traj.p[:, 0], traj.q[:, 0]
+        assert _energy_by_columns(p, q).tobytes() == _energy_by_sample(p, q).tobytes()
+    rng = np.random.default_rng(33)
+    n = 200_000
+    signed = rng.choice([-1.0, 1.0], n)
+    q = np.concatenate([
+        [0.0, -0.0, 1e6, -1e6],
+        rng.uniform(-1e6, 1e6, n),
+        signed * 10.0 ** rng.uniform(-300.0, 6.0, n),
+    ])
+    p = rng.permutation(np.concatenate([[0.0, -0.0], rng.uniform(-10.0, 10.0, len(q) - 2)]))
+    assert _energy_by_columns(p, q).tobytes() == _energy_by_sample(p, q).tobytes()
+
+
+def test_integrate_takes_energy_columns_by_exact_type(monkeypatch):
+    # the built-in energy of a run of _ENERGY_COLUMNS_MIN samples or more
+    # goes by columns; of fewer, or wrapped, or under a subclass, by
+    # samples, all with one series of bits
+    calls = []
+    built_in = problems._ENERGY_COLUMNS[problems._PendulumEnergy]
+
+    def columns(p, q, out):
+        calls.append(len(out))
+        built_in(p, q, out)
+
+    monkeypatch.setitem(problems._ENERGY_COLUMNS, problems._PendulumEnergy, columns)
+    prob = perturbed_pendulum()
+
+    class Subclass(problems._PendulumEnergy):
+        __slots__ = ()
+
+    energies = (prob.energy, lambda p, q: prob.energy(p, q), Subclass())
+    tab = named_tableau("rkn-a")
+    for m in (_ENERGY_COLUMNS_MIN - 1, _ENERGY_COLUMNS_MIN):
+        for kind in (prob, dataclasses.replace(prob, q0=np.array([0.0]), p0=np.array([2.5]))):
+            runs = []
+            for energy in energies:
+                calls.clear()
+                run = integrate(tab, dataclasses.replace(kind, energy=energy),
+                                0.16 * (m - 1), StepConfig(h=0.16))
+                assert calls == ([m] if energy is prob.energy and m == _ENERGY_COLUMNS_MIN
+                                 else [])
+                runs.append(run.energy_error.tobytes())
+            assert len(set(runs)) == 1
 
 
 def test_harmonic_exact_solution():

@@ -113,7 +113,7 @@ def _stages_scalar(c, a, f, t0, q0, p0, h, conv, iters, blocks, M, P):
     return Q, F
 
 
-def _stepped(step, zeros, f, t0, q0, p0, h, steps, ts, qs, ps, forces=None):
+def _stepped(step, zeros, f, t0, q0, p0, h, steps, qs, ps, forces=None):
     """(q1, p1, Q) after steps calls of step(f, t, q, p, h, P) -> (q, p, Q,
     F), sampled after each as the kernel's advance samples with every = 1.
     P, the previous step's forces, is zeros before the first step; each
@@ -131,14 +131,13 @@ def _stepped(step, zeros, f, t0, q0, p0, h, steps, ts, qs, ps, forces=None):
         t = t0 + k * h
         if not (np.all(np.isfinite(q0)) and np.all(np.isfinite(p0))):
             raise StageDivergenceError("sample is not finite", step_index=k)
-        ts(t)
         qs(q0)
         ps(p0)
     return q0, p0, Q
 
 
 def _reference_advance(t, stage_tol, max_iters):
-    """advance(f, t0, q0, p0, h, steps, ts, qs, ps): the generic loops
+    """advance(f, t0, q0, p0, h, steps, qs, ps): the generic loops
     stepped steps times, as the kernel runs with every = 1."""
     c, a = t.c.tolist(), t.a_bar.tolist()
     b_bar, b = t.b_bar.tolist(), t.b.tolist()
@@ -163,9 +162,9 @@ def _outcome(advance, *args):
     stage start or iterate reaches a force called per point unless it is
     finite; the kernel must let any ValueError through from the same call.
     """
-    ts, qs, ps = [], [], []
+    qs, ps = [], []
     try:
-        q1, p1, Q = advance(*args, ts.append, qs.append, ps.append)
+        q1, p1, Q = advance(*args, qs.append, ps.append)
     except (StageDivergenceError, ValueError) as exc:
         residual = getattr(exc, "residual", None)
         if residual is not None:
@@ -173,7 +172,7 @@ def _outcome(advance, *args):
         end = ("raised", type(exc), str(exc), residual, getattr(exc, "step_index", None))
     else:
         end = tuple(np.asarray(v, dtype=np.float64).tobytes() for v in (q1, p1, Q))
-    return (*end, tuple(np.array(x, dtype=np.float64).tobytes() for x in (ts, qs, ps)))
+    return (*end, tuple(np.array(x, dtype=np.float64).tobytes() for x in (qs, ps)))
 
 
 def _assert_same(t, f, t0, q0, p0, h, steps=1, stage_tol=1e-14, max_iters=100):
