@@ -31,11 +31,6 @@ GRID_RTOL = 1e-9
 
 _REFERENCE_REFINEMENT = 20.0
 
-#: Fewest samples whose energy integrate computes by columns, where the
-#: problem's energy has a column form; fewer are computed sample by sample,
-#: as numpy's per-call overhead would outweigh what columns save.
-_ENERGY_COLUMNS_MIN = 16
-
 
 def _check_step(h, name: str = "step size") -> None:
     """A grid error naming h as name unless h is positive and finite."""
@@ -205,9 +200,8 @@ def integrate(
     The kernel records states alone.  The sample times are t0 + k h of the
     sampled step indices k (_sample_times), and the energy of a problem
     whose energy has a column form (problems._ENERGY_COLUMNS, by exact
-    type) is computed by columns once a run has _ENERGY_COLUMNS_MIN
-    samples, else sample by sample: both with the bits of the per-sample
-    float arithmetic.
+    type) is computed by columns, any other sample by sample: both with
+    the bits of the per-sample float arithmetic, overflow to inf included.
 
     Every step starts each stage block at its base plus the previous
     step's stage forces, extrapolated to the new nodes; those are zero
@@ -241,14 +235,15 @@ def integrate(
     energy_error = None
     if prob.energy is not None:
         columns = _ENERGY_COLUMNS.get(type(prob.energy))
-        if columns is not None and m >= _ENERGY_COLUMNS_MIN:
-            energy_error = np.empty(m)
-            columns(np.frombuffer(ps), np.frombuffer(qs), energy_error)
-        else:
-            rows = kind.rows(ps, p_arr), kind.rows(qs, q_arr)
-            energy_error = np.fromiter(map(prob.energy, *rows), float, m)
-        # inf - inf: a non-finite initial energy leaves nothing to compare
-        with np.errstate(invalid="ignore"):
+        # a huge p overflows to inf as float arithmetic does, and inf - inf
+        # (a non-finite initial energy) leaves nothing to compare
+        with np.errstate(over="ignore", invalid="ignore"):
+            if columns is not None:
+                energy_error = np.empty(m)
+                columns(np.frombuffer(ps), np.frombuffer(qs), energy_error)
+            else:
+                rows = kind.rows(ps, p_arr), kind.rows(qs, q_arr)
+                energy_error = np.fromiter(map(prob.energy, *rows), float, m)
             energy_error -= energy_error[0]
     times = _sample_times(t0, h, n, sample_every, m)
     return Trajectory(times, q_arr, p_arr, energy_error, failure_step, residual)

@@ -100,10 +100,12 @@ class _PendulumEnergy:
 
     __slots__ = ()
 
-    def __call__(self, p, q):
-        if isinstance(q, np.ndarray):  # (1,) rows, whose one float math needs
+    # names bound as locals, as a call per sample is paid where the energy
+    # has no column form: a wrapped energy or the caller's own loop
+    def __call__(self, p, q, ndarray=np.ndarray, cos=math.cos, sin=math.sin):
+        if isinstance(q, ndarray):  # (1,) rows, whose one float math needs
             return self(*p.tolist(), *q.tolist())
-        return 0.5 * p * p - math.cos(q) + 0.2 * math.sin(2.0 * q)
+        return 0.5 * p * p - cos(q) + 0.2 * sin(2.0 * q)
 
 
 def _pendulum_energy_columns(p, q, out):

@@ -10,12 +10,7 @@ import pytest
 
 from symrkn import problems
 from symrkn.errors import StageDivergenceError
-from symrkn.integrator import (
-    _ENERGY_COLUMNS_MIN,
-    StepConfig,
-    integrate,
-    reference_tableau,
-)
+from symrkn.integrator import StepConfig, integrate, reference_tableau
 from symrkn.kernel import _stepper
 from symrkn.problems import harmonic_oscillator, kepler_2d, perturbed_pendulum
 from symrkn.tableau import named_tableau
@@ -75,9 +70,11 @@ def test_pendulum_energy_columns_have_the_bits_of_the_float_energy():
 
 
 def test_integrate_takes_energy_columns_by_exact_type(monkeypatch):
-    # the built-in energy of a run of _ENERGY_COLUMNS_MIN samples or more
-    # goes by columns; of fewer, or wrapped, or under a subclass, by
-    # samples, all with one series of bits
+    # the built-in energy goes by columns whatever the run's length, down
+    # to the one sample of a run with no step; wrapped or under a
+    # subclass, by samples, all with one series of bits.  A p whose square
+    # overflows gives inf by columns as by float arithmetic, with no float
+    # error under any errstate
     calls = []
     built_in = problems._ENERGY_COLUMNS[problems._PendulumEnergy]
 
@@ -93,17 +90,21 @@ def test_integrate_takes_energy_columns_by_exact_type(monkeypatch):
 
     energies = (prob.energy, lambda p, q: prob.energy(p, q), Subclass())
     tab = named_tableau("rkn-a")
-    for m in (_ENERGY_COLUMNS_MIN - 1, _ENERGY_COLUMNS_MIN):
-        for kind in (prob, dataclasses.replace(prob, q0=np.array([0.0]), p0=np.array([2.5]))):
-            runs = []
-            for energy in energies:
-                calls.clear()
-                run = integrate(tab, dataclasses.replace(kind, energy=energy),
-                                0.16 * (m - 1), StepConfig(h=0.16))
-                assert calls == ([m] if energy is prob.energy and m == _ENERGY_COLUMNS_MIN
-                                 else [])
-                runs.append(run.energy_error.tobytes())
-            assert len(set(runs)) == 1
+    for p0, h in ((2.5, 0.16), (1e200, 1e-100)):
+        for m in (1, 2, 15, 16, 21):
+            for kind in (dataclasses.replace(prob, p0=p0),
+                         dataclasses.replace(prob, q0=np.array([0.0]), p0=np.array([p0]))):
+                runs = []
+                for energy in energies:
+                    calls.clear()
+                    with np.errstate(all="raise"):
+                        run = integrate(tab, dataclasses.replace(kind, energy=energy),
+                                        h * (m - 1), StepConfig(h=h))
+                    assert calls == ([m] if energy is prob.energy else [])
+                    assert np.isfinite(run.p).all() and len(run.p) == m
+                    runs.append(run.energy_error.tobytes())
+                assert len(set(runs)) == 1
+                assert np.isnan(run.energy_error).all() == (p0 == 1e200)
 
 
 def test_harmonic_exact_solution():
