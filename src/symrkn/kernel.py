@@ -335,7 +335,9 @@ def _kernel_source(c, a, b_bar, b, M, blocks, kind, form):
     emit = out.append
     out += kind.unpack("q0") + kind.unpack("p0")
     emit("    h2 = h * h")
-    out += [f"    hc{i} = h * {_literal(c[i])}" for i in range(s)]
+    # h c_i where a base, a stage time or an unsafe fallback reads it
+    out += [f"    hc{i} = h * {_literal(c[i])}" for i in range(s)
+            if c[i] != 0.0 or template is None or template.unsafe is not None]
     out += [f"    w{i}_{j} = h2 * {_literal(a[i][j])}" for i in own for j in own[i]]
     emit(f"    {' = '.join(x for i in S for x in P[i])} = 0.0")
     if last is not None:

@@ -4,12 +4,9 @@ Array state runs one advance generated from source per tableau and state
 size d (kernel._kernel_source): stage, sum and component loops
 unrolled, state and stage values as floats.
 
-Each check is one kernel run of n steps, every one sampled.  The bit
-reference, _float_advance, is the same solve written as plain loops over
-stages and components in float arithmetic, one loop over the blocks of
-kernel._blocks, every block by one rule, stepped n times.  Samples,
-results, exception types, messages, residuals and step indices must
-equal its own byte for byte.
+Each check is one kernel run of n steps, every one sampled, held byte for
+byte to the one reference loop the scalar kernel is held to,
+kernel_reference._float_advance, with the force called on a (d,) array.
 
 The numpy stage solver (_numpy_step below), the same rule on (stages, d)
 arrays, is an independent oracle, stepped from each state the kernel
@@ -41,21 +38,14 @@ from functools import partial
 
 import numpy as np
 import pytest
+from kernel_reference import _assert_same, _float_advance, _outcome, _plus, _total
 
 from symrkn.errors import StageDivergenceError
-from symrkn.integrator import StepConfig, integrate, reference_tableau
+from symrkn.integrator import StepConfig, integrate
 from symrkn.kernel import _blocks, _Floats, _start_matrix, _stepper
-from symrkn.problems import _TEMPLATES, kepler_2d
+from symrkn.problems import kepler_2d
 from symrkn.tableau import RknTableau, named_tableau
-from test_scalar_kernel import (
-    SHAPES,
-    _pattern,
-    _plus,
-    _random_tableau,
-    _start_is_finite,
-    _stepped,
-    _total,
-)
+from test_scalar_kernel import METHODS, SHAPES, _pattern, _random_tableau, _tableau
 
 _max = np.maximum.reduce
 
@@ -63,104 +53,6 @@ _max = np.maximum.reduce
 ULPS = 4
 # and give the same divergence message up to this many sweeps
 FEW_SWEEPS = 3
-
-
-def _most(values):
-    """The largest |x|, or a NaN when there is one, as numpy's maximum."""
-    m = 0.0
-    for x in values:
-        x = abs(x)
-        if x > m or x != x:
-            m = x
-    return m
-
-
-def _float_advance(t, stage_tol, iters, blocks, M):
-    """advance(f, t0, q0, p0, h, steps, qs, ps, forces=None): plain
-    float loops stepped steps times, as the kernel runs with every = 1."""
-    s, c, a = t.s, t.c.tolist(), t.a_bar.tolist()
-    b_bar, b = t.b_bar.tolist(), t.b.tolist()
-    M = M.tolist()
-
-    def step(f, t0, q0, p0, h, P):
-        d = len(q0)
-        K = range(d)
-        # the kernel tests starts for finiteness where it calls f per point
-        point = type(f) not in _TEMPLATES
-        h2 = h * h
-        conv = stage_tol * (1.0 + _most(q0))
-        times = [t0 + c[i] * h for i in range(s)]
-        free = [[q0[k] if c[i] == 0.0 else q0[k] + h * c[i] * p0[k] for k in K]
-                for i in range(s)]
-
-        def dot(coeffs, rows, k):
-            # over the nonzero coefficients alone, None for none
-            return _total(x * row[k] for x, row in zip(coeffs, rows) if x != 0.0)
-
-        def force(i, q):
-            r = f(times[i], np.array(q))
-            if np.shape(r) != (d,):
-                raise ValueError(f"force returned shape {np.shape(r)}, expected {(d,)}")
-            return np.asarray(r, dtype=float).tolist()
-
-        def own(i, block, k):
-            # h^2 a_ij F_j over the block's own stages, ascending
-            return _total(h2 * a[i][j] * F[j][k] for j in block if a[i][j] != 0.0)
-
-        Q, F = [None] * s, [None] * s
-        done = []
-        for block in blocks:
-            # each base sums the stages solved before the block
-            base = {
-                i: [_plus(free[i][k], h2, dot([a[i][j] for j in done], [F[j] for j in done], k))
-                    for k in K]
-                for i in block
-            }
-            # one stage with a zero a_ii is explicit
-            iterated = any(a[i][j] != 0.0 for i in block for j in block)
-            for i in block:
-                # an explicit stage's value is its base; any other stage
-                # starts at its base and the previous forces P, extrapolated
-                Q[i] = [_plus(x, h2, dot(M[i], P, k)) if iterated else x
-                        for k, x in enumerate(base[i])]
-            if point:
-                _start_is_finite([x for i in block for x in Q[i]], block)
-            if iterated:
-                diff = math.inf
-                for _ in range(iters):
-                    for i in block:
-                        F[i] = force(i, Q[i])
-                    Qn = {i: [base[i][k] + own(i, block, k) for k in K] for i in block}
-                    diff = _most([Qn[i][k] - Q[i][k] for i in block for k in K])
-                    for i in block:
-                        Q[i] = Qn[i]
-                    if diff < conv:
-                        break
-                    if not diff < math.inf:
-                        what = f"stage {block[0]} iterate is"
-                        if len(block) > 1:
-                            what = "stage iterates are"
-                        raise StageDivergenceError(
-                            f"{what} not finite (last increment {diff:.3e})", residual=diff
-                        )
-                else:
-                    what = f"stage {block[0]} did not contract"
-                    if len(block) > 1:
-                        what = f"stages did not contract in {iters} sweeps"
-                    raise StageDivergenceError(
-                        f"{what} (last increment {diff:.3e})", residual=diff
-                    )
-            for i in block:
-                F[i] = force(i, Q[i])
-            done = sorted(done + block)
-        q1 = tuple(_plus(q0[k] + h * p0[k], h2, dot(b_bar, F, k)) for k in K)
-        p1 = tuple(_plus(p0[k], h, dot(b, F, k)) for k in K)
-        return q1, p1, Q, F
-
-    def advance(f, t0, q0, p0, h, *args, **kwargs):
-        return _stepped(step, [[0.0] * len(q0)] * s, f, t0, q0, p0, h, *args, **kwargs)
-
-    return advance
 
 
 def _plus_rows(head, scale, A, X):
@@ -177,11 +69,12 @@ def _plus_rows(head, scale, A, X):
         ])
 
 
-def _numpy_step(t, stage_tol, iters, blocks, M):
+def _numpy_step(t, stage_tol, iters):
     """step(f, t0, q0, p0, h, P) -> (q1, p1, Q, F): one step of the numpy
     stage solver, from the previous forces P, on (d,) and (s, d) arrays."""
-    c = t.c
-    a = t.a_bar
+    c, a = t.c, t.a_bar
+    blocks = _blocks(a)
+    M = _start_matrix(c, a, blocks)
 
     def step(f, t0, q0, p0, h, P):
         conv = stage_tol * (1.0 + float(_max(np.abs(q0), axis=None)))
@@ -226,23 +119,6 @@ def _numpy_step(t, stage_tol, iters, blocks, M):
         return q1, _plus_rows(p0, h, t.b, F)[0], Q, F
 
     return step
-
-
-def _outcome(advance, *args):
-    """Shape and bytes of (q1, p1, Q) as float64 arrays, or the exception's
-    type, message, residual and step index; then those of the samples."""
-    qs, ps = [], []
-    try:
-        out = advance(*args, qs.append, ps.append)
-    except (StageDivergenceError, ValueError) as exc:
-        residual = getattr(exc, "residual", None)
-        if residual is not None:
-            residual = np.float64(residual).tobytes()
-        end = ("raised", type(exc), str(exc), residual, getattr(exc, "step_index", None))
-    else:
-        end = tuple((v.shape, v.tobytes()) for v in map(np.asarray, out))
-    samples = tuple(np.array(x, dtype=np.float64) for x in (qs, ps))
-    return (*end, tuple((v.shape, v.tobytes()) for v in samples))
 
 
 def _values(pairs):
@@ -296,10 +172,8 @@ class _Pair:
     def __init__(self, t, stage_tol=1e-14, max_iters=100, d=2):
         self.t = t
         self.run = (np.zeros(d), stage_tol, max_iters)
-        blocks = _blocks(t.a_bar)
-        start = _start_matrix(t.c, t.a_bar, blocks)
-        self.reference = _float_advance(t, stage_tol, max_iters, blocks, start)
-        self.oracle = _numpy_step(t, stage_tol, max_iters, blocks, start)
+        self.reference = _float_advance(t, stage_tol, max_iters)
+        self.oracle = _numpy_step(t, stage_tol, max_iters)
         self.same_message = max_iters <= FEW_SWEEPS
 
     def kernel(self, f):
@@ -309,11 +183,8 @@ class _Pair:
     def check(self, f, t0, q0, p0, h, steps=1):
         """One kernel run of steps steps, every one sampled, against both
         references."""
-        kind, kernel = self.kernel(f)
-        q0, p0 = kind.state(q0), kind.state(p0)
         forces = []
-        got = _outcome(partial(kernel, t0, q0, p0, h, steps, 1))
-        assert got == _outcome(partial(self.reference, forces=forces), f, t0, q0, p0, h, steps)
+        got = _assert_same(self.t, f, t0, q0, p0, h, steps, *self.run[1:], forces=forces)
         _assert_near_oracle(self.t, got, self.oracle, forces, self.same_message,
                             f, t0, q0, p0, h)
         return got
@@ -371,11 +242,9 @@ def test_random_tableaus_have_the_bits_of_the_stage_solver(s, shape):
                 _runs(t, f, 1e-5, q0, p0, steps=4, max_iters=max_iters)
 
 
-@pytest.mark.parametrize(
-    "name", ["rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3"]
-)
+@pytest.mark.parametrize("name", METHODS)
 def test_named_methods_on_kepler_have_the_bits_of_the_stage_solver(name):
-    t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    t = _tableau(name)
     prob = kepler_2d(0.5)
     for h in (0.05, -0.05, 0.3):
         _runs(t, prob.force, h, prob.q0, prob.p0, steps=20)
@@ -388,15 +257,13 @@ def _sign_of_zero(t, q):
     return np.where(np.signbit(q), 0.0, -5.0)
 
 
-@pytest.mark.parametrize(
-    "name", ["rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3"]
-)
+@pytest.mark.parametrize("name", METHODS)
 def test_a_zero_iterate_is_evaluated_again(name):
     # h^2 underflows to 0.0, so from q0 = p0 = -0.0 a stage of a block
     # solved after stage 0's has the base -0.0 + 0.0 * (a_i0 F_0) = -0.0,
     # F_0 = -5.0, and starts at -0.0 + h^2 (0.0) = 0.0: its first iterate,
     # the base, is an increment of 0.0 that changes the force, -5.0 to 0.0
-    t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    t = _tableau(name)
     zeros = np.array([-0.0, -0.0])
     got = _runs(t, _sign_of_zero, 1e-170, zeros, zeros, steps=1)
     if name in ("rkn-iiia", "diagsymp"):
@@ -423,14 +290,12 @@ class _StagesCounter(_PointCounter):
         raise AssertionError("force.stages was called")
 
 
-@pytest.mark.parametrize(
-    "name", ["rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3"]
-)
+@pytest.mark.parametrize("name", METHODS)
 @pytest.mark.parametrize("counter", [_PointCounter, _StagesCounter], ids=["point", "stages"])
 def test_no_more_force_calls_than_the_stage_solver(name, counter):
     # the bit reference evaluates every iterate, the kernel reuses the force
     # of an iterate that did not move
-    t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    t = _tableau(name)
     prob = kepler_2d(0.5)
     h = 0.05
     pair = _Pair(t)
@@ -511,10 +376,7 @@ def test_repeated_nodes_start_every_step_at_its_bases():
 def test_wrong_shape_from_the_force_raises(shape):
     t = named_tableau("rkn-a")
     q0, p0 = _state(random.Random(4), 2)
-    args = (lambda t, q: np.zeros(shape), 0.0, tuple(q0), tuple(p0), 0.2, 1)
-    pair = _Pair(t)
-    got = _outcome(partial(pair.kernel(args[0])[1], *args[1:], 1))
-    assert got == _outcome(pair.reference, *args)
+    got = _assert_same(t, lambda t, q: np.zeros(shape), 0.0, tuple(q0), tuple(p0), 0.2)
     message = f"force returned shape {shape}, expected (2,)"
     assert got[:5] == ("raised", ValueError, message, None, None)
 
@@ -551,7 +413,7 @@ def test_non_finite_forces_and_states(bad):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", ["diagsymp", "rkn-a", "order6-gauss3"])
 def test_divergence_has_the_message_and_residual_of_the_stage_solver(name):
-    t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    t = _tableau(name)
     q0, p0 = np.array([0.4, -0.3, 0.1]), np.array([2.4, 0.5, -1.0])
     for f in _FORCES:
         assert _runs(t, f, 10.0, q0, p0, steps=3)[0] == "raised"

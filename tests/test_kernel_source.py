@@ -16,7 +16,8 @@ the step's time t = t0 + k h, for their stage times; Kepler's unsafe
 fallback takes t0 + (k - 1) h + hc{i}, and the pendulum kernels, whose
 template has no unsafe test, end a ValueError from math as a divergence
 at its step.  Every digest moved; no trajectory bit or workload output
-did.
+did.  The five pendulum digests of the methods with c_0 = 0 moved again
+when those kernels stopped writing hc0 = h * 0.0, which nothing read.
 """
 
 import hashlib
@@ -33,7 +34,6 @@ from symrkn.cscoeff import build_order4
 from symrkn.integrator import (
     StepConfig,
     integrate,
-    reference_tableau,
     reversibility_test,
     solve_stages,
     step,
@@ -54,10 +54,8 @@ from symrkn.quadrature import lobatto_rule
 from symrkn.tableau import RknTableau, discretize, named_tableau
 from test_array_kernel import _driven as _driven_array
 from test_array_kernel import _runs as _array_runs
-from test_scalar_kernel import _driven, _pendulum, _sign_of_zero
+from test_scalar_kernel import METHODS, _driven, _pendulum, _sign_of_zero, _tableau
 from test_scalar_kernel import _runs as _scalar_runs
-
-METHODS = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3")
 
 SCALAR = {
     "rkn-iiia": "8c3594398f7a2d9400af0e04bd8964c1ba3ad4fd0454bc578d711471a9c306e7",
@@ -85,11 +83,11 @@ ARRAY = {
 
 # the scalar pendulum and d = 2 Kepler forces, written inline
 INLINE = {
-    ("rkn-iiia", "pendulum"): "273dd42e240497e2cfd4e6d2e19b0753a08266c1e2be62a72239260c5ccdeddf",
-    ("rkn-iiib", "pendulum"): "a78be8eebcc90073644c314180d59d5e535560b5b5c5de988e605746127d7a28",
-    ("diagsymp", "pendulum"): "3b8d96018f383fdaaed785301cd3152b9b301fd79920aab89a572089261b4d61",
-    ("rkn-a", "pendulum"): "beab0a573e93cb086c2a5a85972b4e67a7798f2c5a8c83df82f922fdc385ca6b",
-    ("rkn-b", "pendulum"): "a7787cbc1df09ba19257de75b1604805a0b5b847645c6d93e0442b8f76c1c979",
+    ("rkn-iiia", "pendulum"): "64f0e658e7b50158d72c92be2d8a8333f7dc039f6e103b9ff64190149ee1ba91",
+    ("rkn-iiib", "pendulum"): "b2c67283b25dc60cf790ec48c7575207318404cdc198c39ea58c5e478c8fc280",
+    ("diagsymp", "pendulum"): "6cb16e63966972529e11ef721181e8ac8f910bf02ab5ec21b5171d2c0dbc29ed",
+    ("rkn-a", "pendulum"): "743c1cef3a11d1b1e014c1a74b8ee0e89680624129d0a35b08765ea5a45219aa",
+    ("rkn-b", "pendulum"): "a5aca6322fb1ff683158dd3011ac90dc211f22693d393a98aff6659d14cc118e",
     ("order6-gauss3", "pendulum"): "db0b78bd26f71f1dd2d9f53b6a128ce699133fa4232eb4606b8efa06b0c3d693",
     ("rkn-iiia", "kepler"): "f3ecdfa338e4f472bb0388874c7ccd21a9f64fcbebc716a6e01c197cf5d706ad",
     ("rkn-iiib", "kepler"): "2a8202e0526c048cc33440084fc97b0d015d522b1a84ec8b6a3efca026b52a30",
@@ -98,10 +96,6 @@ INLINE = {
     ("rkn-b", "kepler"): "82ef8ac3f43590ac14cd930d85dd3c63a4bcfd2171310e989c8eccc003d9f127",
     ("order6-gauss3", "kepler"): "ec73cd5f008fab76563b0d3c5faa2b07bc38ef040236e862c2cfd579931a734d",
 }
-
-
-def _tableau(name):
-    return reference_tableau() if name == "order6-gauss3" else named_tableau(name)
 
 
 def _source(name, kind=_SCALAR, form="point"):
@@ -281,12 +275,26 @@ def test_a_tableau_one_bit_off_diagsymp_solves_stage_0_in_full(entry):
     assert not _first_same_as_last(*coeffs, _blocks(t.a_bar))
     for form in FORMS.values():
         assert not _takes_the_last_stage_over(_tableau_source(t, *form))
-    # and its kernels keep the bits of the reference loops
+    # and its kernels keep the bits of the reference loop
     for f in (_pendulum, _driven):
         _scalar_runs(t, f, 0.16)
     kepler = kepler_2d(0.5)
     for f in (kepler.force, _driven_array):
         _array_runs(t, f, 0.05, kepler.q0, kepler.p0, steps=20)
+
+
+@pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize(
+    "form", [*FORMS.values(), (_Floats(1), FORMS["pendulum"][1])], ids=[*FORMS, "d=1-pendulum"]
+)
+def test_every_hc_a_kernel_writes_is_read(name, form):
+    # in every form, and the pendulum's template inline on (1,) state, h c_i
+    # is written only for a base, a stage time or an unsafe fallback
+    source = _source(name, *form)
+    written = re.findall(r"^ +hc(\d+) = ", source, re.M)
+    assert written
+    for i in written:
+        assert len(re.findall(rf"\bhc{i}\b", source)) > 1, f"hc{i}"
 
 
 # a term of a sum with a zero coefficient, or a sum of no term: the

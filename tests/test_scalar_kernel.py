@@ -1,22 +1,12 @@
-"""The generated scalar kernel against the generic loops, bit for bit.
+"""The generated scalar kernel against the reference loop, bit for bit.
 
 Scalar state runs one advance generated from source per tableau, with the
-stage and sum loops unrolled and the coefficients as float literals.  The
-reference below, _stages_scalar and the scalar advance that sums the
-update, is the same solve written as one generic loop over the stage
-blocks of kernel._blocks, every block by one rule: a base summing the
-stages solved before it, then Q_i = base_i taken once where the block has
-no nonzero a_bar entry of its own, else Jacobi sweeps over its own stages.
-Every sum adds the terms of its nonzero coefficients alone, left to right,
-and a sum with none is left out.  A stage start or iterate that is not
-finite ends the solve before the force, called per point, sees it.
-Random tableaus of each shape in SHAPES reach explicit, one-stage and
-larger blocks, in several orders.  Each check is one kernel run of n
-steps, every one sampled, against the generic loops stepped n times, each
-step after the first from the previous step's forces.  The kernel
-promises the same IEEE operations in the same order, so samples, results,
-exception types, messages, residuals and step indices must be equal byte
-for byte, not merely close.
+stage and sum loops unrolled and the coefficients as float literals.  Each
+check (kernel_reference._assert_same) is one kernel run of n steps, every
+one sampled, held byte for byte to the one reference loop,
+kernel_reference._float_advance, stepped n times with d = 1 and the force
+called on a float.  Random tableaus of each shape in SHAPES reach
+explicit, one-stage and larger blocks, in several orders.
 """
 
 import linecache
@@ -27,6 +17,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from kernel_reference import _assert_same, _float_advance, _outcome
 
 from symrkn.errors import StageDivergenceError
 from symrkn.integrator import StepConfig, reference_tableau, step
@@ -35,155 +26,11 @@ from symrkn.problems import perturbed_pendulum
 from symrkn.tableau import RknTableau, named_tableau
 
 
-def _total(terms):
-    """terms summed left to right, None for no term: every sum of the rule
-    has only the terms of its nonzero coefficients."""
-    acc = None
-    for x in terms:
-        acc = x if acc is None else acc + x
-    return acc
+METHODS = ("rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3")
 
 
-def _plus(head, scale, acc):
-    """head + scale * acc, head alone where the sum acc has no term."""
-    return head if acc is None else head + scale * acc
-
-
-def _start_is_finite(values, block):
-    """The values of a block's start, or of an explicit stage, must be
-    finite: else the step ends before a force called per point sees them."""
-    if not all(map(math.isfinite, values)):
-        what = f"stage {block[0]} start is" if len(block) == 1 else "stage starts are"
-        raise StageDivergenceError(f"{what} not finite")
-
-
-def _stages_scalar(c, a, f, t0, q0, p0, h, conv, iters, blocks, M, P):
-    s = len(c)
-    h2 = h * h
-    times = [t0 + c[i] * h for i in range(s)]
-    Q = [0.0] * s
-    F = [0.0] * s
-    done = []
-    for block in blocks:
-        # each base sums the stages solved before the block
-        base = {}
-        for i in block:
-            head = q0 if c[i] == 0.0 else q0 + h * c[i] * p0
-            base[i] = _plus(head, h2, _total(a[i][j] * F[j] for j in done if a[i][j] != 0.0))
-        # one stage with a zero a_ii is explicit
-        iterated = any(a[i][j] != 0.0 for i in block for j in block)
-        for i in block:
-            # an explicit stage's value is its base; any other stage starts
-            # at its base and the previous forces P, extrapolated
-            start = _total(m * Pj for m, Pj in zip(M[i], P) if m != 0.0)
-            Q[i] = _plus(base[i], h2, start) if iterated else base[i]
-        _start_is_finite([Q[i] for i in block], block)
-        if iterated:
-            diff = math.inf
-            for _ in range(iters):
-                for i in block:
-                    F[i] = f(times[i], Q[i])
-                diff = 0.0
-                Qn = {}
-                for i in block:
-                    # h^2 a_ij F_j over the block's own stages, ascending
-                    Qn[i] = base[i] + _total(h2 * a[i][j] * F[j] for j in block if a[i][j] != 0.0)
-                    d = abs(Qn[i] - Q[i])
-                    if d > diff or d != d:
-                        diff = d
-                for i in block:
-                    Q[i] = Qn[i]
-                if diff < conv:
-                    break
-                if not diff < math.inf:
-                    what = f"stage {block[0]} iterate is"
-                    if len(block) > 1:
-                        what = "stage iterates are"
-                    raise StageDivergenceError(
-                        f"{what} not finite (last increment {diff:.3e})", residual=diff
-                    )
-            else:
-                what = f"stage {block[0]} did not contract"
-                if len(block) > 1:
-                    what = f"stages did not contract in {iters} sweeps"
-                raise StageDivergenceError(f"{what} (last increment {diff:.3e})", residual=diff)
-        for i in block:
-            F[i] = f(times[i], Q[i])
-        done = sorted(done + block)
-    return Q, F
-
-
-def _stepped(step, zeros, f, t0, q0, p0, h, steps, qs, ps, forces=None):
-    """(q1, p1, Q) after steps calls of step(f, t, q, p, h, P) -> (q, p, Q,
-    F), sampled after each as the kernel's advance samples with every = 1.
-    P, the previous step's forces, is zeros before the first step; each
-    step's forces go to forces when given."""
-    t, P, Q = t0, zeros, None
-    for k in range(1, steps + 1):
-        try:
-            q0, p0, Q, P = step(f, t, q0, p0, h, P)
-        except StageDivergenceError as exc:
-            if exc.step_index is None:
-                exc.step_index = k
-            raise
-        if forces is not None:
-            forces.append(P)
-        t = t0 + k * h
-        if not (np.all(np.isfinite(q0)) and np.all(np.isfinite(p0))):
-            raise StageDivergenceError("sample is not finite", step_index=k)
-        qs(q0)
-        ps(p0)
-    return q0, p0, Q
-
-
-def _reference_advance(t, stage_tol, max_iters):
-    """advance(f, t0, q0, p0, h, steps, qs, ps): the generic loops
-    stepped steps times, as the kernel runs with every = 1."""
-    c, a = t.c.tolist(), t.a_bar.tolist()
-    b_bar, b = t.b_bar.tolist(), t.b.tolist()
-    blocks = _blocks(t.a_bar)
-    M = _start_matrix(t.c, t.a_bar, blocks).tolist()
-
-    def step(f, t0, q0, p0, h, P):
-        conv = stage_tol * (1.0 + abs(q0))
-        Q, F = _stages_scalar(c, a, f, t0, q0, p0, h, conv, max_iters, blocks, M, P)
-        accq = _total(x * Fi for x, Fi in zip(b_bar, F) if x != 0.0)
-        accp = _total(x * Fi for x, Fi in zip(b, F) if x != 0.0)
-        return _plus(q0 + h * p0, h * h, accq), _plus(p0, h, accp), Q, F
-
-    return partial(_stepped, step, [0.0] * t.s)
-
-
-def _outcome(advance, *args):
-    """Bytes of (q1, p1, Q), or the exception's type, message, residual and
-    step index; then the bytes of the samples taken.
-
-    math.sin and math.cos raise ValueError on an infinite argument.  No
-    stage start or iterate reaches a force called per point unless it is
-    finite; the kernel must let any ValueError through from the same call.
-    """
-    qs, ps = [], []
-    try:
-        q1, p1, Q = advance(*args, qs.append, ps.append)
-    except (StageDivergenceError, ValueError) as exc:
-        residual = getattr(exc, "residual", None)
-        if residual is not None:
-            residual = np.float64(residual).tobytes()
-        end = ("raised", type(exc), str(exc), residual, getattr(exc, "step_index", None))
-    else:
-        end = tuple(np.asarray(v, dtype=np.float64).tobytes() for v in (q1, p1, Q))
-    return (*end, tuple(np.array(x, dtype=np.float64).tobytes() for x in (qs, ps)))
-
-
-def _assert_same(t, f, t0, q0, p0, h, steps=1, stage_tol=1e-14, max_iters=100):
-    """One kernel run of steps steps, every one sampled, against the
-    generic loops stepped as many times."""
-    _, kernel = _stepper(t, f, q0, stage_tol, max_iters)
-    reference = _reference_advance(t, stage_tol, max_iters)
-    got = _outcome(partial(kernel, t0, q0, p0, h, steps, 1))
-    want = _outcome(reference, f, t0, q0, p0, h, steps)
-    assert got == want
-    return got
+def _tableau(name):
+    return reference_tableau() if name == "order6-gauss3" else named_tableau(name)
 
 
 def _pendulum(t, q):
@@ -194,26 +41,31 @@ def _driven(t, q):
     return -math.sin(q) + 0.3 * math.cos(1.7 * t)
 
 
+# the built-in pendulum force, which the kernel writes inline
+_INLINE = perturbed_pendulum().force
+
+
 def _stiff_late(t, q):
     # gentle for the first steps of size 1e-5, then too stiff to contract
     return -math.sin(q) * (1.0 if t < 2.5e-5 else 1e12)
 
 
 def _runs(t, f, h, steps=40, q0=0.3, p0=2.5, stage_tol=1e-14, max_iters=100):
-    """One run from t0 = 0.0 of both implementations: the first step from
-    its bases, each later one from the previous step's stage forces."""
+    """One run from t0 = 0.0 of the kernel and the reference: the first
+    step from its bases, each later one from the previous step's forces."""
     return _assert_same(t, f, 0.0, q0, p0, h, steps, stage_tol, max_iters)
 
 
+@pytest.mark.parametrize("name", METHODS)
 @pytest.mark.parametrize(
-    "name",
-    ["rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3"],
+    "force, state",
+    [(_pendulum, float), (_driven, float), (_INLINE, float), (_INLINE, np.atleast_1d)],
+    ids=["autonomous", "driven", "inline", "inline-d=1"],
 )
-@pytest.mark.parametrize("force", [_pendulum, _driven], ids=["autonomous", "driven"])
-def test_named_methods_have_the_bits_of_the_generic_loops(name, force):
-    t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+def test_named_methods_have_the_bits_of_the_generic_loops(name, force, state):
+    t = _tableau(name)
     for h in (0.16, -0.16, 0.9):
-        _runs(t, force, h)
+        _runs(t, force, h, q0=state(0.3), p0=state(2.5))
 
 
 # shapes of a random a_bar; a shape's index offsets its test's seed
@@ -321,19 +173,16 @@ def _sign_of_zero(t, q):
     return 0.0 if math.copysign(1.0, q) < 0.0 else -5.0
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3"],
-)
+@pytest.mark.parametrize("name", METHODS)
 def test_a_zero_iterate_is_evaluated_again(name):
     # h^2 underflows to 0.0, so from q0 = p0 = -0.0 a stage of a block
     # solved after stage 0's has the base -0.0 + 0.0 * (a_i0 F_0) = -0.0,
     # F_0 = -5.0, and starts at -0.0 + h^2 (0.0) = 0.0: its first iterate,
     # the base, is an increment of 0.0 that changes the force, -5.0 to 0.0
-    t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    t = _tableau(name)
     got = _assert_same(t, _sign_of_zero, 0.0, -0.0, -0.0, 1e-170)
     if name in ("rkn-iiia", "diagsymp"):
-        assert np.signbit(np.frombuffer(got[2])).any()
+        assert np.signbit(np.frombuffer(got[2][1])).any()
     _runs(t, _sign_of_zero, 0.16, steps=5, q0=-0.0, p0=-0.0)
 
 
@@ -348,20 +197,17 @@ def _counting(f):
     return counted, calls
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["rkn-iiia", "rkn-iiib", "diagsymp", "rkn-a", "rkn-b", "order6-gauss3"],
-)
+@pytest.mark.parametrize("name", METHODS)
 def test_no_more_force_calls_than_the_generic_loops(name):
-    # the generic loops evaluate every iterate, the kernel reuses the force
+    # the reference evaluates every iterate, the kernel reuses the force
     # of an iterate that did not move
-    t = reference_tableau() if name == "order6-gauss3" else named_tableau(name)
+    t = _tableau(name)
     h = 0.16
     f, kernel_calls = _counting(_pendulum)
     g, loop_calls = _counting(_pendulum)
     _, kernel = _stepper(t, f, 0.3, 1e-14, 100)
     got = _outcome(partial(kernel, 0.0, 0.3, 2.5, h, 100, 1))
-    want = _outcome(_reference_advance(t, 1e-14, 100), g, 0.0, 0.3, 2.5, h, 100)
+    want = _outcome(_float_advance(t, 1e-14, 100), g, 0.0, 0.3, 2.5, h, 100)
     assert got == want
     assert len(kernel_calls) <= len(loop_calls)
 
@@ -383,7 +229,6 @@ def test_stage_0_calls_a_driven_force_where_the_step_times_differ():
     _runs(t, _driven, h, steps=steps)
 
 
-
 @pytest.mark.parametrize(
     "q0, p0",
     [(0.735447898644388, 0.18269453944276748), (2.9275810379167737, 1.2904552133329084)],
@@ -391,8 +236,9 @@ def test_stage_0_calls_a_driven_force_where_the_step_times_differ():
 def test_stage_0_takes_the_last_stage_over_only_where_it_would_not_move(q0, p0):
     # on these runs some start Q0 equals the previous step's Q2, but the
     # first sweep's iterate B0 + w0_0 F0 from it is not Q2: stage 0 that
-    # took Q2 over there would lose the bits of the generic loops
+    # took Q2 over there would lose the bits of the reference
     _runs(named_tableau("diagsymp"), _pendulum, 0.7, steps=200, q0=q0, p0=p0)
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["diagsymp", "rkn-iiib", "rkn-a"])
