@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -72,45 +73,150 @@ def _csv_field(s: str) -> str:
 # run (two methods x 75000 rows) at once was most of the run's peak memory.
 _EMIT_CHUNK = 4096
 
+# A byte that no UTF-8 text holds: _e16 pads its fields with it, and the
+# CSV writer deletes it.
+_PAD = b"\xff"
+
+
+@functools.lru_cache(maxsize=None)
+def _e16_tables():
+    """_e16's lookup tables, built on first use: the (hi, lo) double-double
+    of 10**(16 - D) at index 99 - D for D = -99 ... 99, then the 4-byte
+    words of pad, sign, lead digit and point at lead + 10 * negative, of
+    "0000" ... "9999", and of "e-99" ... "e+99" at D + 99."""
+    hi, lo = [], []
+    for k in range(-83, 116):
+        if k >= 0:
+            h = float(10**k)
+            hi.append(h)
+            lo.append(float(10**k - int(h)))
+        else:
+            d = 10**-k
+            h = 1 / d  # int / int rounds correctly
+            n, m = h.as_integer_ratio()
+            hi.append(h)
+            lo.append((m - n * d) / (m * d))  # 1/d - n/m, rounded
+    heads = b"".join(_PAD + s + b"%d." % d for s in (_PAD, b"-") for d in range(10))
+    groups = ("%04d" * 10_000 % tuple(range(10_000))).encode()
+    exps = ("e%+03d" * 199 % tuple(range(-99, 100))).encode()
+    words = (np.frombuffer(b, np.uint32) for b in (heads, groups, exps))
+    return (np.array(hi), np.array(lo), *words)
+
+
+def _e16(xs):
+    """The bytes of "%.16e" % v for each v of the float64 array xs, as an
+    (n, 24) uint8 array, each text right-aligned on _PAD bytes.
+
+    A value v with 1e-99 <= |v| < 1e99 is formatted by numpy.  With
+    D = floor(log10 |v|) and hi + lo the double-double of 10**(16 - D)
+    (within 2**-106 of it, relatively), V = |v| 10**(16 - D) is taken as
+    p + s: p = fl(|v| hi), e = |v| hi - p exactly (Dekker's TwoProduct,
+    which splits each factor into 26-bit halves and needs no fused
+    multiply-add) and s = e + |v| lo.  As V < 2**57 and |s| < 32, p + s is
+    within 2**-47 of V, so N = p + floor(s) + (frac > 1/2), with
+    frac = s - floor(s), is V rounded to the nearest integer wherever
+    frac is not within 2**-47 of 1/2.  When 10**16 < N < 10**17, D is
+    right and N holds the 17 digits of "%.16e", which rounds the exact
+    binary value: a lead digit and four 4-digit groups, looked up in
+    tables with the sign and the e+dd of D.
+
+    Every other value goes through one % call for the array:
+    - zero, inf and nan, and |v| outside [1e-99, 1e99), whose exponent may
+      have three digits;
+    - |frac - 1/2| <= 2**-30, where the error bound cannot tell which way
+      V rounds: an exact tie such as 1 + 2**-17 = 1.00000762939453125,
+      which % rounds half to even, or a near one;
+    - N <= 10**16 or N >= 10**17: D is one off, as log10 may make it near
+      a power of ten, or V rounded up to 10**17, which % writes as
+      1.0000000000000000e(D+1).  A D one too high makes V < 10**16 and so
+      N <= 10**16, also where p < 2**53 is not an integer; N = 10**16 of a
+      right D, near 10**D, falls back with it.
+    """
+    hi, lo, heads, groups, exps = _e16_tables()
+    a = np.abs(xs)
+    fast = (a >= 1e-99) & (a < 1e99)  # nan fails both
+    a = np.where(fast, a, 1.0)
+    d = np.floor(np.log10(a)).astype(np.intp)
+    h, low = hi[99 - d], lo[99 - d]
+    p = a * h
+    # Dekker's splits by 2**27 + 1 into 26-bit halves, then the exact error
+    # of p joined to |v| lo
+    c = a * 134217729.0
+    a1 = c - (c - a)
+    a2 = a - a1
+    c = h * 134217729.0
+    h1 = c - (c - h)
+    h2 = h - h1
+    s = (((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2) + a * low
+    f = np.floor(s)
+    frac = s - f
+    n = p.astype(np.int64) + f.astype(np.int64) + (frac > 0.5)
+    fast &= (np.abs(frac - 0.5) > 2.0**-30) & (n > 10**16) & (n < 10**17)
+    slow = np.flatnonzero(~fast)
+    n[slow] = 10**16  # keeps the lookups in range: % rewrites these rows
+    out = np.empty((len(n), 6), np.uint32)
+    lead, n = np.divmod(n, 10**16)
+    out[:, 0] = heads[lead + 10 * (xs < 0)]
+    upper, lower = np.divmod(n, 10**8)
+    for j, part in ((1, upper), (3, lower)):
+        out[:, j], out[:, j + 1] = groups[part // 10**4], groups[part % 10**4]
+    out[:, 5] = exps[d + 99]
+    if len(slow):
+        values = xs[slow].tolist()
+        text = ("%24.16e" * len(values) % tuple(values)).encode()
+        out[slow] = np.frombuffer(text.replace(b" ", _PAD), np.uint32).reshape(-1, 6)
+    return out.view(np.uint8)
+
 
 def _write_csv(out_path, header, series, trailers) -> None:
     """Write the header, a name,x,y row per point of each (name, xs, ys)
-    series of float arrays, then the trailer lines, to out_path or stdout.
+    series of float64 arrays, then the trailer lines, to out_path or
+    stdout.
 
-    Rows are written _EMIT_CHUNK at a time.  One % formats a chunk's xs
-    into a text of "%s,<x>,%.16e" rows (%.16e writes what the f-string
-    :.16e does); the series' name, any % in it escaped, replaces every %s,
-    and one more % writes the ys.  So an x column is formatted once: while
-    a later series follows, its texts, one per chunk (2.4 MB for 75 001
-    rows), are held and serve every later series whose xs have the bits of
-    the held xs or of a prefix of them, as the series of one time grid do,
-    but for a prefix's short last chunk, formatted alone.  Other xs are
-    formatted and held in their place.  The last series holds nothing it
-    formats, so neither does a one-series run.
+    Rows are written _EMIT_CHUNK at a time, each chunk built as one uint8
+    matrix of rows: the name and a comma, the x field, a comma, the y
+    field and a newline, the fields _e16's, whose _PAD bytes are deleted
+    from the matrix's bytes.  So every number is written as %.16e (and the
+    f-string :.16e) writes it.  An x column is formatted once: while a
+    later series follows, its fields are held in one array (24 bytes a
+    row, 1.8 MB for 75 001 rows; held as one array per chunk, they left a
+    drift run's peak RSS ~1.5 MB higher) and serve every later series
+    whose xs have the same bits, as the series of one time grid do.  Other
+    xs, a diverged run's prefix of the grid among them, are formatted and
+    held in their place.  The last series holds nothing it formats, so
+    neither does a one-series run.
     """
     with (
         open(out_path, "w", encoding="utf-8") if out_path
         else contextlib.nullcontext(sys.stdout)
     ) as fh:
         fh.write(header + "\n")
-        column, texts = None, []  # the x column last formatted, by chunk
+        column = fields = None  # the x column last formatted, its fields
         last = len(series) - 1
         for index, (name, xs, ys) in enumerate(series):
-            if column is None or len(xs) > len(column) or (
-                column[:len(xs)].tobytes() != xs.tobytes()
-            ):
-                # the last series holds no text of its own
-                column, texts = (xs if index < last else None), []
-            name = name.replace("%", "%%")
-            for n, i in enumerate(range(0, len(xs), _EMIT_CHUNK)):
-                x = xs[i:i + _EMIT_CHUNK]
-                if n < len(texts) and (len(x) == _EMIT_CHUNK or len(xs) == len(column)):
-                    text = texts[n]
+            shared = column is not None and column.tobytes() == xs.tobytes()
+            if not shared:
+                # the last series holds no fields of its own
+                column = xs if index < last else None
+                fields = None if column is None else np.empty((len(xs), 24), np.uint8)
+            # surrogatepass round-trips any str, and UTF-8 holds no _PAD
+            head = np.frombuffer((name + ",").encode("utf-8", "surrogatepass"), np.uint8)
+            w = len(head)
+            for i in range(0, len(xs), _EMIT_CHUNK):
+                if shared:
+                    x = fields[i:i + _EMIT_CHUNK]
                 else:
-                    text = ("%%s,%.16e,%%.16e\n" * len(x)) % tuple(x.tolist())
-                    if xs is column:
-                        texts.append(text)
-                fh.write(text.replace("%s", name) % tuple(ys[i:i + _EMIT_CHUNK].tolist()))
+                    x = _e16(xs[i:i + _EMIT_CHUNK])
+                    if column is not None:
+                        fields[i:i + _EMIT_CHUNK] = x
+                rows = np.empty((len(x), w + 50), np.uint8)
+                rows[:, :w] = head
+                rows[:, w:w + 24] = x
+                rows[:, w + 24] = ord(",")
+                rows[:, w + 25:w + 49] = _e16(ys[i:i + _EMIT_CHUNK])
+                rows[:, w + 49] = ord("\n")
+                text = rows.tobytes().replace(_PAD, b"")
+                fh.write(text.decode("utf-8", "surrogatepass"))
         fh.write("".join(line + "\n" for line in trailers))
 
 

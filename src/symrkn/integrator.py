@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -309,9 +309,10 @@ def reference_state(prob: OdeProblem, t_end: float, h_ref: float):
 
 def _final_state(t, prob, t_end, cfg, message):
     """The (q, p) state at t_end, as values like prob.q0, of a run that
-    records only its ends; a diverged run raises message."""
+    records only its ends and computes no energy; a diverged run raises
+    message."""
     n = _step_count(t_end - prob.t0, cfg.h)
-    traj = integrate(t, prob, t_end, cfg, sample_every=max(1, n))
+    traj = integrate(t, replace(prob, energy=None), t_end, cfg, sample_every=max(1, n))
     if traj.diverged:
         raise StageDivergenceError(
             message, residual=traj.failure_residual, step_index=traj.failure_step

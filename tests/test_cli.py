@@ -583,36 +583,33 @@ def test_shared_time_grids_write_the_row_by_row_bytes(argv, tmp_path, monkeypatc
     assert chunked.read_bytes() == row_by_row.read_bytes()
 
 
-class _Grid(np.ndarray):
-    """A float array whose tolist calls, which format it, log their rows."""
-
-    formatted = []
-
-    def tolist(self):
-        self.formatted.append(len(self))
-        return super().tolist()
-
-
 def test_the_csv_writer_formats_an_x_column_once(tmp_path, monkeypatch):
+    # every chunk formats its ys, and its xs unless their column has the
+    # bits of the x column formatted last
     monkeypatch.setattr(cli, "_EMIT_CHUNK", 4)
-    monkeypatch.setattr(_Grid, "formatted", [])
-    grid = (np.arange(11) * 0.16).view(_Grid)
+    formatted, e16 = [], cli._e16
+    monkeypatch.setattr(cli, "_e16", lambda xs: formatted.append(xs.tobytes()) or e16(xs))
+    grid = np.arange(11) * 0.16
     signed = grid.copy()
     signed[0] = -0.0  # equal to grid, but not its bits
     columns = [
-        ("a", grid),  # formatted and held, in chunks of 4, 4 and 3 rows
-        ("b%s", grid.copy()),  # the held bits: none formatted
-        ("c", grid[:8]),  # a prefix that ends on a chunk: none
-        ("d", grid[:6]),  # one that ends inside one: that chunk alone, 2 rows
-        ("e", grid[:0]),
-        ("f", signed),  # 4, 4 and 3 rows, held in grid's place
-        ("g", grid),  # and grid's 4, 4 and 3 again
+        ("a", grid, True),  # formatted and held, in chunks of 4, 4 and 3 rows
+        ("b%s", grid.copy(), False),  # the held bits: none formatted
+        ("c", grid[:8], True),  # a prefix, as a diverged run's, is formatted
+        ("d", grid[:6], True),
+        ("e", grid[:0], True),
+        ("f", signed, True),
+        ("g", grid, True),  # and grid again, after signed
     ]
     series = [(name, xs, np.linspace(-1.0, 1.0, len(xs)) * k)
-              for k, (name, xs) in enumerate(columns)]
+              for k, (name, xs, _) in enumerate(columns)]
+    expected = []
+    for (_, xs, ys), (_, _, fresh) in zip(series, columns):
+        for i in range(0, len(xs), 4):
+            expected += [xs[i:i + 4].tobytes()] * fresh + [ys[i:i + 4].tobytes()]
     chunked, row_by_row = tmp_path / "chunked.csv", tmp_path / "row_by_row.csv"
     cli._write_csv(chunked, "method,t,y", series, ["# end"])
-    assert _Grid.formatted == [4, 4, 3, 2, 4, 4, 3, 4, 4, 3]
+    assert formatted == expected
     _row_by_row(row_by_row, "method,t,y", series, ["# end"])
     assert chunked.read_bytes() == row_by_row.read_bytes()
 
@@ -620,8 +617,9 @@ def test_the_csv_writer_formats_an_x_column_once(tmp_path, monkeypatch):
 def test_the_csv_writer_holds_texts_only_while_a_later_series_follows(
     tmp_path, monkeypatch
 ):
-    # a chunk's texts are ~30 kB; a column of 20 001 rows held for a later
-    # series is ~0.7 MB, and a one-series run holds none
+    # a chunk's rows are ~30 kB; the x column's texts, held for a later
+    # series, are 24 bytes a row (0.5 MB for 20 001 rows), and a one-series
+    # run holds none
     monkeypatch.setattr(cli, "_EMIT_CHUNK", 512)
     xs = np.arange(20_001) * 0.16
     peaks = []
@@ -636,7 +634,7 @@ def test_the_csv_writer_holds_texts_only_while_a_later_series_follows(
             tracemalloc.stop()
         _row_by_row(tmp_path / "rows.csv", "method,t,y", series, [])
         assert out.read_bytes() == (tmp_path / "rows.csv").read_bytes()
-    assert peaks[0] < 2e5 and peaks[1] > 5e5
+    assert peaks[0] < 2e5 and peaks[1] > 24 * len(xs)
 
 
 def test_drift_csv_has_the_trajectory_arrays(tmp_path):

@@ -958,6 +958,23 @@ def test_final_state_error_reads_the_full_run_endpoint():
     assert all(x.tobytes() == y.tobytes() for x, y in zip(start, (prob.q0, prob.p0)))
 
 
+def test_final_state_computes_no_energy():
+    # a study row and the order-6 reference run read the end state alone,
+    # with the bits of a run that computes the energy
+    pend = perturbed_pendulum()
+    calls = []
+    prob = dataclasses.replace(
+        pend, energy=lambda p, q: calls.append(q) or pend.energy(p, q)
+    )
+    tab = named_tableau("rkn-a")
+    end = _final_state(tab, prob, 16.0, CFG, "diverged")
+    ref = reference_state(prob, 1.6, 0.16)
+    assert calls == []
+    full = integrate(tab, prob, 16.0, CFG)
+    assert end == (full.q[-1, 0], full.p[-1, 0]) and len(calls) == 101
+    assert ref == reference_state(pend, 1.6, 0.16)
+
+
 def _counted_force_evaluations(force):
     """(force, count) where count() is the calls made so far."""
     calls = []
