@@ -25,7 +25,8 @@ pytestmark = pytest.mark.filterwarnings(
 
 
 def _mismatches(values):
-    """(value, _e16's text) for each value whose text is not "%.16e" % value."""
+    """(value, _e16's text) of the first five values whose text is not
+    "%.16e" % value."""
     values = np.asarray(values, dtype=float)
     texts = cli._e16(values)
     assert texts.shape == (len(values), 24)
@@ -52,8 +53,8 @@ def test_random_bit_patterns_format_as_percent_does():
 def test_every_decimal_exponent_formats_as_percent_does():
     rng = np.random.default_rng(7)
     digits = rng.integers(10**16, 10**17, (633, 40)).tolist()
-    values = [float(f"{m}e{k - 16}") for k, row in zip(range(-324, 309), digits) for m in row]
-    values = np.array(values)
+    values = np.array([float(f"{m}e{k - 16}")
+                       for k, row in zip(range(-324, 309), digits) for m in row])
     assert _mismatches(values) == [] and _mismatches(-values) == []
 
 
